@@ -583,7 +583,7 @@ def bench_store_rss() -> dict:
     The mine runs as a subprocess (so its ``ru_maxrss`` is untainted by
     the bench's own allocations) with suggestion scanning disabled via
     explicit ``--cell-size/--delta/--gamma``; the parent process hands
-    workers file-range spans instead of /dev/shm copies, so its peak RSS
+    workers lazy store spans instead of data, so its peak RSS
     must stay under :data:`STORE_RSS_BUDGET_BYTES` even though the store
     is ~4x larger.  Worker (child) peak RSS is recorded separately --
     children map their own span, which is the point of the split.
@@ -657,17 +657,16 @@ def bench_distributed(rounds: int) -> dict:
 
     Writes the parallel workload as a ``.tjc`` store, starts
     :data:`DIST_POOLS` loopback ``WorkerPoolServer`` processes per leg and
-    evaluates one frontier through :class:`DistNMEngine` at a fixed
-    :data:`DIST_JOBS`-span width.  The baseline is a
-    :class:`ParallelNMEngine` at the same width, so results are asserted
-    *bit-identical* and ``dispatch_overhead_vs_parallel`` isolates what
-    the NDJSON socket hop costs over fork pipes.  On a 1-core box every
+    evaluates one frontier through :class:`ParallelNMEngine` with those
+    remote pools at a fixed :data:`DIST_JOBS`-span width.  The baseline is
+    the same engine over fork pools at the same width, so results are
+    asserted *bit-identical* and ``dispatch_overhead_vs_parallel``
+    isolates what the NDJSON socket hop costs over fork pipes.  On a 1-core box every
     configuration shares the core, so the numbers measure orchestration
     overhead, not scaling -- ``cpu_count`` is recorded for that reason.
     """
     from contextlib import ExitStack
 
-    from repro.dist.coordinator import DistNMEngine
     from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
     from repro.storage import open_store, write_store
 
@@ -708,7 +707,7 @@ def bench_distributed(rounds: int) -> dict:
                         specs.append(f"{server.config.host}:{server.port}")
                     t0 = time.perf_counter()
                     engine = stack.enter_context(
-                        DistNMEngine(
+                        ParallelNMEngine(
                             store_dataset, grid, config,
                             pools=specs, jobs=DIST_JOBS,
                         )

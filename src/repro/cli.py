@@ -340,15 +340,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    import hashlib
-    from pathlib import Path
-
     from repro.core import kernels
     from repro.core.engine import EngineConfig
+    from repro.core.parallel import ParallelNMEngine
     from repro.core.results_io import load_mining_result
-    from repro.core.streaming import StreamingNMEngine
+    from repro.core.trajpattern import verify_top_k
     from repro.obs import manifest as obs_manifest
     from repro.obs import tracing
+    from repro.storage import is_store_path, open_as_store
 
     manifest_out = _resolve_manifest(args.manifest_out, args.dataset)
     _obs_setup(args, manifest_out)
@@ -364,26 +363,26 @@ def _cmd_score(args: argparse.Namespace) -> int:
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
     )
+    store_extra = None
     with obs_manifest.RunTimer() as timer:
         with tracing.span("run", command="score", dataset=str(args.dataset)):
-            streaming = StreamingNMEngine(
-                args.dataset, grid, engine_config, chunk_size=args.chunk_size
-            )
-            verified = streaming.verify_top_k(
-                result.patterns, k=len(result.patterns)
-            )
+            with open_as_store(args.dataset) as dataset:
+                # The inline pool keeps one span index resident at a time;
+                # --chunk-size sets the span count (spans balance snapshots).
+                n_spans = -(-len(dataset) // args.chunk_size)
+                with ParallelNMEngine(
+                    dataset, grid, engine_config, jobs=n_spans, pools=("inline",)
+                ) as engine:
+                    verified = verify_top_k(
+                        engine, result.patterns, k=len(result.patterns)
+                    )
+                    snapshot = engine.obs_snapshot()
+                fingerprint = dataset.store.content_hash
+                if is_store_path(args.dataset):
+                    store_extra = _store_manifest_extra(dataset.store)
     print(f"re-scored {len(verified)} patterns against {args.dataset}:")
     for pattern, nm in verified[: args.show]:
         print(f"  NM {nm:12.2f}  {pattern.cells}")
-    store_extra = None
-    if streaming.store_backed:
-        from repro.storage import open_store
-
-        with open_store(args.dataset) as store:
-            fingerprint = store.content_hash
-            store_extra = _store_manifest_extra(store)
-    else:
-        fingerprint = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()
     _obs_finish(
         args,
         manifest_out,
@@ -394,8 +393,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
         extra_metrics={
             "kernel_backend": kernels.backend_summary(engine_config),
             "streaming": {
-                "chunks_scanned": streaming.n_chunks_scanned,
-                "span_cache_hits": streaming.span_cache_hits,
+                "chunks_scanned": snapshot["span_opens"],
+                "span_cache_hits": snapshot["span_cache_hits"],
             },
         },
         manifest_extra=store_extra,
@@ -658,6 +657,17 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return run_top(config)
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_address(spec: str) -> tuple[str, int]:
     """``HOST:PORT`` -> ``(host, port)`` for worker/router listen flags."""
     host, _, port = spec.rpartition(":")
@@ -886,7 +896,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for sharded evaluation (1 = in-process)",
     )
@@ -908,12 +918,19 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("dataset", help="trajectory JSONL file or .tjc columnar store")
     score.add_argument("--delta", type=float, required=True)
     score.add_argument("--min-prob", type=float, default=1e-5, dest="min_prob")
-    score.add_argument("--chunk-size", type=int, default=64, dest="chunk_size")
+    score.add_argument(
+        "--chunk-size",
+        type=_positive_int,
+        default=64,
+        dest="chunk_size",
+        help="cut ceil(n / CHUNK_SIZE) spans balanced by snapshot count; "
+        "one span index is resident at a time",
+    )
     score.add_argument(
         "--cache-dir",
         default=None,
         dest="cache_dir",
-        help="directory for per-chunk index caches (off when omitted)",
+        help="directory for per-span index caches (off when omitted)",
     )
     score.add_argument("--show", type=int, default=10)
     _add_backend_arguments(score)
@@ -1207,7 +1224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run a remote worker pool: open the local copy of a .tjc store "
             "and evaluate (store_hash, lo, hi) spans shipped by a "
-            "DistNMEngine coordinator over NDJSON/TCP"
+            "ParallelNMEngine coordinator over NDJSON/TCP"
         ),
     )
     worker.add_argument("store", help="path to this host's copy of the .tjc store")
@@ -1289,8 +1306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "additionally check the distributed path: a loopback worker "
-            "pool plus a local fork pool behind DistNMEngine, compared "
-            "bit-for-bit against the same-width parallel engine"
+            "pool plus a local fork pool behind one ParallelNMEngine, "
+            "compared bit-for-bit against the same-width fork-pool run"
         ),
     )
     selfcheck.add_argument(

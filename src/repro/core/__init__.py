@@ -21,7 +21,7 @@ from repro.core.engine import (
 )
 from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.incremental import IncrementalIndexer
-from repro.core.index_cache import cache_key, load_index, save_index
+from repro.core.index_cache import load_index, save_index, span_cache_key
 from repro.core.measures import (
     match_pattern_trajectory,
     match_pattern_window,
@@ -46,9 +46,9 @@ __all__ = [
     "build_engine",
     "EngineConfig",
     "ExtensionTables",
-    "cache_key",
     "load_index",
     "save_index",
+    "span_cache_key",
     "TrajPatternMiner",
     "MiningResult",
     "WarmStartState",

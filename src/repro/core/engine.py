@@ -143,11 +143,11 @@ class EngineConfig:
         Chunking never changes results (each pair is evaluated
         independently), which the test suite pins at 0 ULPs.
     jobs:
-        Worker processes for sharded evaluation.  The engine itself ignores
-        this (one :class:`NMEngine` is always single-process); it is read by
+        Spans for sharded evaluation.  The engine itself ignores this (one
+        :class:`NMEngine` is always single-process); it is read by
         :func:`build_engine` and
         :class:`~repro.core.parallel.ParallelNMEngine` to decide how many
-        shard workers to spawn.  ``1`` (default) keeps everything in-process.
+        spans to cut.  ``1`` (default) keeps everything in-process.
     cache_dir:
         Directory for the persistent on-disk index cache
         (:mod:`repro.core.index_cache`).  When set, engine construction
@@ -267,16 +267,21 @@ class NMEngine:
         grid: Grid,
         config: EngineConfig,
         prebuilt: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        *,
+        cache_key: str | None = None,
     ) -> None:
         """Build (or adopt) the sparse index over ``dataset``.
 
         ``prebuilt`` short-circuits the expensive probability enumeration:
         it supplies already-computed ``(cells, rows, vals)`` entry triples
-        (for example a cache payload or a shard slice of one) and the
-        engine only runs the cheap sort/segment post-processing.  The
-        caller is responsible for the triples matching ``(dataset, grid,
-        config)`` -- the shard workers and the index cache guarantee this
-        by construction (content-hashed keys).
+        (for example a cache payload) and the engine only runs the cheap
+        sort/segment post-processing.  The caller is responsible for the
+        triples matching ``(dataset, grid, config)``.
+
+        ``cache_key`` names the index-cache entry to load and save when
+        ``config.cache_dir`` is set; by default it is the whole-dataset key.
+        Span engines of :class:`~repro.core.parallel.ParallelNMEngine` pass
+        the key of their span of the parent dataset.
         """
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
@@ -305,6 +310,7 @@ class NMEngine:
         # mutation (incremental append/evict) must go through _install_index
         # so epoch-pinned consumers can detect staleness via require_epoch.
         self.index_epoch = 0
+        self._cache_key = cache_key
 
         # Flat segment index (filled by _install_index when entries exist).
         # Per-cell lookup is (cell ids, bounds) over the sorted flat arrays
@@ -495,8 +501,10 @@ class NMEngine:
         cache_dir = self.config.cache_dir
         key = None
         if cache_dir is not None:
-            key = index_cache.cache_key(
-                self.dataset,
+            key = self._cache_key or index_cache.span_cache_key(
+                index_cache.dataset_fingerprint(self.dataset),
+                0,
+                len(self.dataset),
                 self.grid,
                 self.config,
                 kernel_tag=kernels.prob_kernel_tag(self.config),
@@ -1267,7 +1275,7 @@ def build_engine(
     With ``jobs > 1`` the returned engine is a
     :class:`~repro.core.parallel.ParallelNMEngine` (same evaluation surface,
     sharded across worker processes); close it -- or use it as a context
-    manager -- to release the workers and shared-memory segments.
+    manager -- to release the workers.
     """
     grid = dataset.make_grid(cell_size)
     config = EngineConfig(delta=delta if delta is not None else cell_size, **config_kwargs)

@@ -221,8 +221,10 @@ class IncrementalIndexer:
         cache_dir = cache_dir if cache_dir is not None else engine.config.cache_dir
         if cache_dir is None:
             return None
-        key = index_cache.cache_key(
-            engine.dataset,
+        key = index_cache.span_cache_key(
+            index_cache.dataset_fingerprint(engine.dataset),
+            0,
+            len(engine.dataset),
             engine.grid,
             engine.config,
             kernel_tag=kernels.prob_kernel_tag(engine.config),

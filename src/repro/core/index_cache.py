@@ -11,23 +11,29 @@ repeated mining/experiment runs skip the build entirely.
 
 Cache key
 ---------
-The file name is a SHA-256 over
+One key function, :func:`span_cache_key`: a SHA-256 over
 
 * a format-version tag (bump :data:`CACHE_FORMAT_VERSION` when the stored
   layout changes),
-* every trajectory's means and sigmas (raw little-endian float64 bytes)
-  plus the trajectory lengths -- so *any* change to the dataset, including
-  reordering, invalidates the key,
+* the dataset fingerprint (:func:`dataset_fingerprint`: every
+  trajectory's means, sigmas and length, so *any* change to the dataset,
+  including reordering, changes it) plus a trajectory span ``[lo, hi)``
+  of that dataset,
 * the grid extent and resolution,
 * the index-affecting config fields: ``delta``, ``prob_model``,
   ``min_prob``, ``radius_sigmas`` and ``max_cells_per_snapshot``,
 * the ``Prob`` kernel identity when it is not the scipy reference
-  (compiled libm-``erf`` builds differ by a couple of ULPs; see
-  :func:`cache_key`).
+  (compiled libm-``erf`` builds differ by a couple of ULPs).
+
+A whole-dataset index is the span ``[0, len(dataset))``, so a serial
+engine, a serving snapshot, a persisted incremental index and a one-span
+parallel engine over the same data share one entry; a span engine of
+:class:`~repro.core.parallel.ParallelNMEngine` keeps its own entry, with
+span-local row indices.
 
 Knobs that do not change the stored entries (``column_cache_size``,
 ``jobs``, ``cache_dir`` itself, evaluation ``backend``/``dtype``) are
-deliberately excluded, so serial and parallel runs share one cache file.
+deliberately excluded.
 
 Robustness: files are written atomically (temp file + ``os.replace``) and
 :func:`load_index` treats *any* unreadable, truncated or
@@ -92,41 +98,8 @@ def dataset_fingerprint(dataset) -> str:
     return h.hexdigest()
 
 
-def cache_key(dataset, grid, config, *, kernel_tag: str = "ref") -> str:
-    """Cache key of one (dataset, grid, index configuration) combination.
-
-    ``kernel_tag`` identifies the ``Prob`` kernel that builds the entries
-    (:func:`repro.core.kernels.prob_kernel_tag`): the reference scipy path
-    is ``"ref"`` and -- for compatibility with files written before kernel
-    backends existed -- contributes nothing to the key, while compiled
-    kernels (libm ``erf``, within ~2 ULPs of scipy but not bit-identical)
-    are mixed in so the two builds never alias one cache file.  Evaluation
-    dtype and backend do *not* affect the stored entries and stay excluded.
-    """
-    h = hashlib.sha256()
-    h.update(f"format={CACHE_FORMAT_VERSION}".encode())
-    h.update(dataset_fingerprint(dataset).encode())
-    bbox = grid.bbox
-    h.update(
-        (
-            f"grid={bbox.min_x!r},{bbox.min_y!r},{bbox.max_x!r},{bbox.max_y!r},"
-            f"{grid.nx},{grid.ny}"
-        ).encode()
-    )
-    h.update(
-        (
-            f"config=delta:{config.delta!r},model:{config.prob_model.value},"
-            f"min_prob:{config.min_prob!r},radius:{config.radius_sigmas!r},"
-            f"cap:{config.max_cells_per_snapshot}"
-        ).encode()
-    )
-    if kernel_tag != "ref":
-        h.update(f"kernel={kernel_tag}".encode())
-    return h.hexdigest()
-
-
 def span_cache_key(
-    store_hash: str,
+    fingerprint: str,
     traj_lo: int,
     traj_hi: int,
     grid,
@@ -134,18 +107,19 @@ def span_cache_key(
     *,
     kernel_tag: str = "ref",
 ) -> str:
-    """Cache key of one trajectory *span* of a content-addressed store.
+    """Cache key of trajectories ``[traj_lo, traj_hi)`` of one dataset.
 
-    Same ingredients as :func:`cache_key` except the dataset contribution
-    is the store's ``content_hash`` plus the span bounds -- no data needs
-    to be read to name the cache entry, which is what lets the streaming
-    engine and span workers warm their per-chunk indices incrementally.
-    Row indices inside a span cache file are *span-local* (relative to the
-    span's first row); the loader re-bases them.
+    ``fingerprint`` is the dataset's :func:`dataset_fingerprint` (for a
+    ``.tjc`` store, its footer ``content_hash``), so naming a span's entry
+    reads no data.  ``kernel_tag`` identifies the ``Prob`` kernel that
+    builds the entries (:func:`repro.core.kernels.prob_kernel_tag`): the
+    scipy reference ``"ref"`` contributes nothing, compiled kernels are
+    mixed in so the two builds never alias one file.  Row indices inside
+    a span entry are span-local.
     """
     h = hashlib.sha256()
     h.update(f"format={CACHE_FORMAT_VERSION}".encode())
-    h.update(f"store={store_hash}/span={traj_lo}:{traj_hi}".encode())
+    h.update(f"store={fingerprint}/span={traj_lo}:{traj_hi}".encode())
     bbox = grid.bbox
     h.update(
         (
@@ -299,8 +273,13 @@ def warm_cache(dataset, grid, config) -> bool:
 
     if config.cache_dir is None:
         raise ValueError("warm_cache requires config.cache_dir to be set")
-    key = cache_key(
-        dataset, grid, config, kernel_tag=kernels.prob_kernel_tag(config)
+    key = span_cache_key(
+        dataset_fingerprint(dataset),
+        0,
+        len(dataset),
+        grid,
+        config,
+        kernel_tag=kernels.prob_kernel_tag(config),
     )
     if cache_path(config.cache_dir, key).exists():
         return False

@@ -1,67 +1,57 @@
-"""Multi-core sharded evaluation: parallel index build + frontier scoring.
+"""One span coordinator: sharded NM/match evaluation over three pool kinds.
 
 NM and match are *sums of per-trajectory terms* (Eq. 4 summed over the
 dataset): per trajectory a window maximum, then one dataset sum.  Any
 partition of the dataset along the trajectory axis therefore evaluates
 independently, and the partition results combine by plain addition -- an
-**exact reduction**, not an approximation.  The out-of-core engine
-(:mod:`repro.core.streaming`) already exploits this sequentially; this
-module exploits it *concurrently*:
+**exact reduction**, not an approximation.  It is also the paper's
+section 4.4 space argument: "we only need a portion of the data set at a
+time for computing the NM".
 
-* :func:`shard_dataset` splits the dataset into contiguous trajectory
-  spans balanced by snapshot count;
-* each shard is owned by one long-lived worker process that builds (or
-  adopts) the shard's sparse index once and then serves candidate batches
-  over it -- the sharded index build runs in all workers concurrently,
-  which is where the multi-core construction speedup comes from;
-* :class:`ParallelNMEngine` exposes the familiar evaluation surface
-  (``nm_batch``, ``match_batch``, the singular tables,
-  ``extend_right_tables_many``, per-trajectory arrays, gap-pattern NM) by
-  broadcasting each request to all workers and reducing the replies in
-  the parent.  The miners and the wildcard DP run on it unchanged.
+:class:`ParallelNMEngine` exploits the sum in four steps:
 
-Shared memory
--------------
-Dense arrays never travel through pickles:
+1. :func:`shard_dataset` cuts the trajectory axis into contiguous spans
+   balanced by snapshot count;
+2. each span is handed (round-robin) to a **pool**:
 
-* the parent places the dataset's stacked means/sigmas in
-  ``multiprocessing.shared_memory`` segments; workers attach and slice
-  their trajectory span zero-copy;
-* a dataset backed by a ``.tjc`` columnar store (:mod:`repro.storage`)
-  skips ``/dev/shm`` entirely: workers receive ``(path, traj_lo,
-  traj_hi)`` file-range spans, memory-map the same file read-only and
-  share its page cache -- the parent never materialises the arrays at
-  all, which is what keeps a sharded mine's resident set independent of
-  dataset size;
-* on an index-cache hit the parent also shares the cached flat entry
-  arrays; each worker filters its row range out of the shared view and
-  skips the probability enumeration entirely;
-* after a cold build each worker exports its flat index through a
-  shared-memory segment it creates; the parent merges the shards into the
-  canonical full-dataset arrays and persists them through
-  :mod:`repro.core.index_cache` -- so serial and parallel runs share one
-  cache file, in either direction.
+   * ``"inline"`` -- one span at a time in this process.  The span engine
+     is built, or loaded from the span cache, per op and then dropped, so
+     one span index is resident at a time: the O(kMG) bound of section
+     4.4, and what ``repro score`` runs;
+   * ``"local"`` -- fork workers, one per span.  The child receives its
+     span as a lazy ``StoreDataset`` span or an in-RAM
+     :class:`TrajectoryDataset` slice through the ``Process`` arguments;
+     under fork those are inherited copy-on-write and never pickled;
+   * ``"host:port"`` -- a ``repro worker --listen`` pool
+     (:class:`repro.dist.pool.RemotePool`), imported lazily so importing
+     ``repro`` or forking workers never loads socket or wire code;
 
-Lifetime rules: every segment is unlinked by its creator, exactly once.
-The parent unlinks its segments in :meth:`ParallelNMEngine.close`
-(also wired to ``atexit`` and ``__exit__``); workers unlink their export
-segments after the parent confirms the merge.  Attaching never registers
-with the resource tracker on CPython >= 3.9, so no spurious cleanups or
-leak warnings occur.  After ``close()`` no ``/dev/shm`` segment with the
-``repro-shm-`` prefix survives -- the test suite asserts this.
+3. every pool evaluates a span through one op table, :func:`span_op`;
+4. the per-span results are folded in **global span order** through the
+   ``merge_*`` functions below.
+
+Failover: a pool that dies (broken pipe, lost socket, op timeout) hands
+its spans to the surviving pools, which re-open them and re-run the op for
+just those spans.  The fold order is a pure function of the partition, so
+the answer is bit-identical whoever computed a span.  When no pool
+survives the engine closes itself and raises :class:`WorkerCrashError`.
+
+Span cache: with ``config.cache_dir`` set, every span's index is stored
+under :func:`~repro.core.index_cache.span_cache_key` (dataset fingerprint
+plus span bounds).  Whoever builds a span loads and saves its own entry,
+so the parent never merges or holds the full index.  A one-span engine
+uses the whole-dataset key, which a serial :class:`NMEngine` shares.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import secrets
 import traceback
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, ExtensionTables, NMEngine
@@ -70,66 +60,33 @@ from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
 from repro.testkit import faults
 from repro.trajectory.dataset import TrajectoryDataset
-from repro.trajectory.trajectory import UncertainTrajectory
-
-#: Prefix of every shared-memory segment this module creates (the leak
-#: check in the tests globs ``/dev/shm`` for it).
-SHM_PREFIX = "repro-shm-"
 
 _log = logs.get_logger("parallel")
 
 
 class WorkerCrashError(RuntimeError):
-    """A shard worker died mid-conversation (crash, OOM-kill, SIGKILL).
+    """Span workers died and no pool survives to take over their spans.
 
-    Raised instead of a bare ``EOFError``/``BrokenPipeError`` whenever the
-    pipe to a worker breaks.  By the time the caller sees it the engine has
-    torn itself down: remaining workers are stopped, every parent-owned
-    shared-memory segment is unlinked, and the engine is closed -- a dead
-    shard means every subsequent reduction would be silently wrong, so the
-    only safe state is "loudly unusable".
+    Raised instead of a bare ``EOFError``/``BrokenPipeError`` or socket
+    error.  By the time the caller sees it the engine has torn itself
+    down: every pool is closed and every worker reaped -- a lost span means
+    every later reduction would be silently wrong, so the only safe state
+    is "loudly unusable".
     """
 
 
-# -- shared-memory plumbing -----------------------------------------------------
+class PoolFailure(Exception):
+    """Internal: one pool is dead (connection loss, crash, op timeout).
 
-
-@dataclass(frozen=True)
-class ShmArraySpec:
-    """Address of one ndarray living in a shared-memory segment."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-def share_array(
-    array: np.ndarray, registry: list[shared_memory.SharedMemory]
-) -> ShmArraySpec:
-    """Copy ``array`` into a fresh shared-memory segment.
-
-    The segment object is appended to ``registry``; the registry owner is
-    responsible for ``close()`` + ``unlink()`` (creator-unlinks rule).
+    The coordinator's cue to fail over.  An explicit error *reply* raises
+    ``RuntimeError`` instead: the pool is alive and the request itself is
+    wrong, so retrying elsewhere would fail identically.
     """
-    arr = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(
-        create=True,
-        size=max(arr.nbytes, 1),  # zero-byte segments are invalid
-        name=SHM_PREFIX + secrets.token_hex(8),
-    )
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    registry.append(shm)
-    return ShmArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
 
-
-def attach_array(
-    spec: ShmArraySpec,
-) -> tuple[np.ndarray, shared_memory.SharedMemory]:
-    """Zero-copy ndarray view over an existing segment (caller closes)."""
-    shm = shared_memory.SharedMemory(name=spec.name)
-    view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
-    return view, shm
+    def __init__(self, pool, cause: str) -> None:
+        super().__init__(f"pool {pool.name!r} failed: {cause}")
+        self.pool = pool
+        self.cause = cause
 
 
 # -- sharding ----------------------------------------------------------------------
@@ -185,9 +142,9 @@ def shard_dataset(dataset: TrajectoryDataset, n_shards: int) -> list[tuple[int, 
 
 
 def _skew(values: Sequence[float]) -> float:
-    """Imbalance ratio ``max / mean`` of per-shard quantities.
+    """Imbalance ratio ``max / mean`` of per-span quantities.
 
-    ``1.0`` is perfectly balanced; shards are balanced by *snapshot count*,
+    ``1.0`` is perfectly balanced; spans are balanced by *snapshot count*,
     so skewed cell density shows up here as index-entry (and therefore
     work) skew even though the spans look fair.
     """
@@ -197,21 +154,29 @@ def _skew(values: Sequence[float]) -> float:
     return float(max(values) / mean) if mean > 0 else 1.0
 
 
+def span_dataset(dataset: TrajectoryDataset, lo: int, hi: int) -> TrajectoryDataset:
+    """Trajectories ``[lo, hi)`` of ``dataset`` as a dataset, without copies.
+
+    A store-backed dataset yields a lazy span of the same store (same
+    access mode); an in-RAM dataset yields a slice sharing its trajectory
+    objects.
+    """
+    store = getattr(dataset, "store", None)
+    if store is not None:
+        base = dataset.traj_lo
+        return store.span(base + lo, base + hi, mode=dataset.mode)
+    return TrajectoryDataset(dataset.trajectories[lo:hi])
+
+
 # -- exact merges -------------------------------------------------------------------
 #
-# NM and match are sums of per-trajectory terms, so per-span results merge
-# by addition.  These module-level functions are the *only* merge
-# implementations: ParallelNMEngine (fork workers) and
-# repro.dist.DistNMEngine (remote pools) both call them, which is what
-# makes the distributed path bit-identical to the single-box parallel one.
-#
 # Determinism contract: every function folds its inputs **in the order
-# given**, and callers pass per-span results in global span order
-# (ascending ``lo``).  Floating-point addition is order-sensitive, so a
-# coordinator must always perform one flat merge over per-span results --
-# never merge partial merges -- and then *which process computed a span*
-# (fork worker, remote pool, or a survivor after a re-dispatch) cannot
-# change a single bit of the reduction.
+# given**, and the coordinator passes per-span results in global span
+# order (ascending ``lo``).  Floating-point addition is order-sensitive, so
+# the coordinator always performs one flat merge over per-span results --
+# never merges partial merges -- and then *which pool computed a span*
+# (inline, fork worker, remote pool, or a survivor after a re-dispatch)
+# cannot change a single bit of the reduction.
 
 
 def merge_batch_sums(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -250,9 +215,9 @@ def merge_singular_tables(
     """Merge per-span singular tables with floor completion.
 
     A span where a cell is inactive contributes the floor once per span
-    trajectory -- the same accounting the out-of-core engine uses.
-    ``floor`` is ``min_log_prob`` for NM tables and ``exp(min_log_prob)``
-    for match tables; ``tables`` and ``span_sizes`` must be in span order.
+    trajectory.  ``floor`` is ``min_log_prob`` for NM tables and
+    ``exp(min_log_prob)`` for match tables; ``tables`` and ``span_sizes``
+    must be in span order.
     """
     totals: dict[int, float] = {}
     counted: dict[int, int] = {}
@@ -291,129 +256,188 @@ def merge_extension_tables(
     return nm_merged, match_merged
 
 
-# -- the worker process ---------------------------------------------------------------
+# -- the span op table ----------------------------------------------------------------
+
+
+def _patterns(cells_list) -> list[TrajectoryPattern]:
+    return [TrajectoryPattern(tuple(cells)) for cells in cells_list]
+
+
+def _gap_nm(engine, pattern) -> float:
+    from repro.core.wildcards import nm_gap_pattern  # deferred: wildcards imports us
+
+    return float(nm_gap_pattern(engine, pattern))
+
+
+def _obs(engine, _payload) -> dict:
+    return {
+        "backend": engine.backend_name,
+        "n_entries": int(engine.n_index_entries),
+        "n_evaluations": int(engine.n_evaluations),
+        "n_batches": int(engine.n_batches),
+        "metrics": metrics.get_registry().snapshot(),
+    }
+
+
+#: The one table of what a span can be asked.  Payloads are plain python
+#: (cell tuples, a gap pattern, ``(cells, span-local trajectory)``), so the
+#: fork pipe carries them as they are and the dist wire only encodes and
+#: decodes them (:mod:`repro.dist.wire`).
+SPAN_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "nm_batch": lambda e, p: e.nm_batch(_patterns(p)),
+    "match_batch": lambda e, p: e.match_batch(_patterns(p)),
+    "nm_per_traj": lambda e, p: e.nm_per_trajectory(TrajectoryPattern(tuple(p))),
+    "match_per_traj": lambda e, p: e.match_per_trajectory(TrajectoryPattern(tuple(p))),
+    "singular_nm": lambda e, p: e.singular_nm_table(),
+    "singular_match": lambda e, p: e.singular_match_table(),
+    "ext_tables": lambda e, p: e.extension_tables_many(_patterns(p)),
+    "gap_nm": _gap_nm,
+    "best_window": lambda e, p: e.best_window(TrajectoryPattern(tuple(p[0])), p[1]),
+    "stats": lambda e, p: (int(e.n_evaluations), int(e.n_batches)),
+    "obs_snapshot": _obs,
+}
+
+
+def span_op(engine, op: str, payload):
+    """Evaluate one op against one span engine (every pool kind calls this)."""
+    try:
+        fn = SPAN_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown span op {op!r}") from None
+    return fn(engine, payload)
+
+
+def span_meta(engine: NMEngine) -> dict:
+    """What a pool reports about a span engine it just opened."""
+    return {
+        "n_entries": int(engine.n_index_entries),
+        "active_cells": engine.active_cells,
+        "backend": engine.backend_name,
+        "cache_hit": bool(engine.index_cache_hit),
+    }
 
 
 @dataclass(frozen=True)
-class _WorkerInit:
-    """Everything a shard worker needs to build its engine.
+class _SpanTask:
+    """Everything needed to build one span's engine, in any process."""
 
-    The shard's data arrives one of two ways:
-
-    * **shm mode** -- ``means``/``sigmas`` address the parent's
-      shared-memory copies of the stacked dataset arrays (``store`` is
-      ``None``);
-    * **store mode** -- ``store`` is a ``(path, traj_lo, traj_hi)`` span
-      of a ``.tjc`` columnar store; the worker memory-maps the same file
-      read-only, so no dataset bytes are copied anywhere and the page
-      cache is shared across all workers.  ``means``/``sigmas`` are
-      ``None``.
-    """
-
+    index: int  # span ordinal in global span order
+    dataset: TrajectoryDataset  # the span's trajectories (lazy for stores)
     grid: Grid
-    config: EngineConfig
-    means: ShmArraySpec | None
-    sigmas: ShmArraySpec | None
-    lengths: tuple[int, ...]  # trajectory lengths of this shard, in order
-    row_lo: int  # global row range [row_lo, row_hi) of the shard
-    row_hi: int
-    index: tuple[ShmArraySpec, ShmArraySpec, ShmArraySpec] | None
-    store: tuple[str, int, int] | None = None  # (.tjc path, traj_lo, traj_hi)
-    shard: int = 0  # shard ordinal, stamped on worker spans/logs
+    config: EngineConfig  # jobs=1, no observability outputs of its own
+    cache_key: str | None  # span cache entry (None: no cache_dir)
     trace: tracing.SpanContext | None = None  # parent trace propagation
     metrics_enabled: bool = False  # mirror the parent registry's state
 
-
-def _shared_index_slice(init: _WorkerInit):
-    """This shard's rows of the parent's cache-loaded index, re-based to 0."""
-    if init.index is None:
-        return None
-    attachments = [attach_array(spec) for spec in init.index]
-    try:
-        cells, rows, vals = (view for view, _ in attachments)
-        keep = (rows >= init.row_lo) & (rows < init.row_hi)
-        return (
-            cells[keep].copy(),
-            rows[keep] - init.row_lo,
-            vals[keep].copy(),
-        )
-    finally:
-        for _, shm in attachments:
-            shm.close()
+    def build(self) -> NMEngine:
+        return NMEngine(self.dataset, self.grid, self.config, cache_key=self.cache_key)
 
 
-def _worker_build_engine(init: _WorkerInit) -> NMEngine:
-    """Construct the shard dataset and engine from shared arrays or a store span."""
-    if init.store is not None:
-        from repro.storage import open_store  # deferred: storage is optional here
-
-        path, traj_lo, traj_hi = init.store
-        shard = open_store(path).span(traj_lo, traj_hi)
-        return NMEngine(shard, init.grid, init.config, prebuilt=_shared_index_slice(init))
-    means, means_shm = attach_array(init.means)
-    sigmas, sigmas_shm = attach_array(init.sigmas)
-    try:
-        trajectories = []
-        row = init.row_lo
-        for length in init.lengths:
-            trajectories.append(
-                UncertainTrajectory(means[row : row + length], sigmas[row : row + length])
-            )
-            row += length
-        shard = TrajectoryDataset(trajectories)
-        return NMEngine(
-            shard, init.grid, init.config, prebuilt=_shared_index_slice(init)
-        )
-    finally:
-        means_shm.close()
-        sigmas_shm.close()
+# -- pools ---------------------------------------------------------------------------
+#
+# Every pool exposes the same small surface to the coordinator: ``open``
+# takes span ordinals (building their engines and reporting each one's
+# meta through ``owner._opened``), ``dispatch`` sends one op for a subset
+# of its spans without waiting, ``collect`` gathers the per-span results,
+# ``drain_trace_records`` pulls buffered worker spans and ``close``
+# releases everything.  Pool death surfaces as PoolFailure; any other
+# error is the op's own and propagates to the caller once every pending
+# reply has been read.
 
 
-def _worker_main(conn, init: _WorkerInit) -> None:
-    """Shard worker loop: build once, then serve evaluation requests."""
-    from repro.core.wildcards import nm_gap_pattern  # deferred: avoids cycles
+class InlinePool:
+    """Spans evaluated one at a time in this process; nothing stays resident.
 
+    Opening a span builds nothing: every op builds the span's engine (or
+    loads it from the span cache), evaluates and drops it, so a cold run
+    scans each span once per op.  A span's meta comes from its first scan;
+    :meth:`scan` runs one early when a meta is read before any op.
+    """
+
+    def __init__(self, name: str, owner: "ParallelNMEngine") -> None:
+        self.name = name
+        self.owner = owner
+        self.spans: list[int] = []
+        self._tallies: dict[int, _Tally] = {}
+        self._pending: tuple[str, Any, list[int]] | None = None
+
+    def scan(self, i: int) -> NMEngine:
+        """Build span ``i``'s engine and report it to the owner."""
+        engine = self.owner._task(i).build()
+        meta = span_meta(engine)
+        self.owner._opened(i, meta)
+        tally = self._tallies[i]
+        tally.backend_name = meta["backend"]
+        tally.n_index_entries = meta["n_entries"]
+        return engine
+
+    def open(self, indices: Sequence[int]) -> None:
+        for i in indices:
+            self._tallies.setdefault(i, _Tally())
+            if i not in self.spans:
+                self.spans.append(i)
+
+    def dispatch(self, op: str, payload, indices: Sequence[int]) -> None:
+        self._pending = (op, payload, list(indices))
+
+    def collect(self) -> dict[int, Any]:
+        op, payload, indices = self._pending
+        self._pending = None
+        out = {}
+        for i in indices:
+            tally = self._tallies[i]
+            if op == "obs_snapshot" and not tally.backend_name:
+                self.scan(i)  # never scanned: its entry count is not known yet
+            if op in ("stats", "obs_snapshot"):
+                out[i] = span_op(tally, op, payload)
+                continue
+            engine = self.scan(i)
+            out[i] = span_op(engine, op, payload)
+            tally.n_evaluations += engine.n_evaluations
+            tally.n_batches += engine.n_batches
+        return out
+
+    def drain_trace_records(self) -> list:
+        return []  # span engines traced straight into this process's tracer
+
+    def close(self) -> None:
+        self.spans = []
+        self._pending = None
+
+
+@dataclass
+class _Tally:
+    """Counters of an inline span, whose engines do not outlive an op."""
+
+    backend_name: str = ""  # set by the span's first scan
+    n_index_entries: int = 0
+    n_evaluations: int = 0
+    n_batches: int = 0
+
+
+def _worker_main(conn, task: _SpanTask) -> None:
+    """Fork worker loop: build one span engine, then serve span ops."""
     # Fresh per-process observability: forget (never close -- the file
     # handle is shared under fork) any inherited tracer, trace into a
     # local buffer the parent drains over the pipe, and reset the metrics
-    # registry so counters are per-shard.
+    # registry so counters are per-span.
     tracing.forget_tracer()
     trace_sink: tracing.BufferSink | None = None
-    if init.trace is not None:
+    if task.trace is not None:
         trace_sink = tracing.BufferSink()
         tracing.configure_tracing(
             sink=trace_sink,
-            trace_id=init.trace.trace_id,
-            ambient_parent=init.trace.span_id,
-            base_attrs={"shard": init.shard},
+            trace_id=task.trace.trace_id,
+            ambient_parent=task.trace.span_id,
+            base_attrs={"shard": task.index},
         )
     registry = metrics.get_registry()
     registry.reset()
-    registry.enabled = init.metrics_enabled
-
-    exported: list[shared_memory.SharedMemory] = []
+    registry.enabled = task.metrics_enabled
     try:
-        faults.fire("parallel.worker.start", shard=init.shard)
-        engine = _worker_build_engine(init)
-        _log.debug(
-            "shard worker ready",
-            extra={
-                "shard": init.shard,
-                "n_traj": len(engine.dataset),
-                "n_entries": engine.n_index_entries,
-            },
-        )
-        conn.send(
-            (
-                "ok",
-                {
-                    "n_traj": len(engine.dataset),
-                    "n_entries": engine.n_index_entries,
-                    "active_cells": np.asarray(engine.active_cells, dtype=np.int64),
-                    "backend": engine.backend_name,
-                },
-            )
-        )
+        faults.fire("parallel.worker.start", shard=task.index)
+        engine = task.build()
+        conn.send(("ok", span_meta(engine)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -421,112 +445,165 @@ def _worker_main(conn, init: _WorkerInit) -> None:
             pass  # parent already gone; exit quietly
         conn.close()
         return
-
-    def patterns_of(cells_list) -> list[TrajectoryPattern]:
-        return [TrajectoryPattern(cells) for cells in cells_list]
-
-    running = True
     try:
-        while running:
+        while True:
             try:
-                msg = conn.recv()
+                op, payload = conn.recv()
             except (EOFError, OSError):
                 break
-            op, payload = msg
+            if op == "close":
+                break
             try:
-                faults.fire("parallel.worker.op", shard=init.shard, op=op)
-                if op == "close":
-                    result, running = None, False
-                elif op == "nm_batch":
-                    result = engine.nm_batch(patterns_of(payload))
-                elif op == "match_batch":
-                    result = engine.match_batch(patterns_of(payload))
-                elif op == "nm_per_traj":
-                    result = engine.nm_per_trajectory(TrajectoryPattern(payload))
-                elif op == "match_per_traj":
-                    result = engine.match_per_trajectory(TrajectoryPattern(payload))
-                elif op == "singular_nm":
-                    result = engine.singular_nm_table()
-                elif op == "singular_match":
-                    result = engine.singular_match_table()
-                elif op == "ext_tables":
-                    result = engine.extension_tables_many(patterns_of(payload))
-                elif op == "gap_nm":
-                    result = nm_gap_pattern(engine, payload)
-                elif op == "best_window":
-                    cells, local_index = payload
-                    result = engine.best_window(TrajectoryPattern(cells), local_index)
-                elif op == "export_index":
-                    specs = tuple(
-                        share_array(a, exported) for a in engine.index_arrays()
-                    )
-                    result = specs
-                elif op == "release_index":
-                    for shm in exported:
-                        shm.close()
-                        shm.unlink()
-                    exported.clear()
-                    result = None
-                elif op == "stats":
-                    result = (engine.n_evaluations, engine.n_batches)
-                elif op == "obs_snapshot":
-                    result = {
-                        "shard": init.shard,
-                        "backend": engine.backend_name,
-                        "n_traj": len(engine.dataset),
-                        "n_entries": engine.n_index_entries,
-                        "n_evaluations": engine.n_evaluations,
-                        "n_batches": engine.n_batches,
-                        "metrics": metrics.get_registry().snapshot(),
-                    }
-                elif op == "obs_drain":
+                faults.fire("parallel.worker.op", shard=task.index, op=op)
+                if op == "obs_drain":
                     result = trace_sink.drain() if trace_sink is not None else []
                 else:
-                    raise ValueError(f"unknown worker op {op!r}")
+                    result = span_op(engine, op, payload)
                 conn.send(("ok", result))
             except BaseException:
                 try:
                     conn.send(("error", traceback.format_exc()))
                 except (OSError, ValueError):
-                    # Parent is gone: nothing to report to; the finally
-                    # below still releases any exported segments.
-                    break
+                    break  # parent is gone: nothing to report to
     finally:
-        # Runs on every exit path -- clean shutdown, broken pipe, crash in
-        # a result send -- so a worker never leaks an export segment it
-        # created.  FileNotFoundError (the parent reclaimed the segment by
-        # name first) is an OSError and ignored like any double-unlink.
-        for shm in exported:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:
-                pass
         try:
             conn.close()
         except OSError:
             pass
 
 
-# -- the parent-side engine ---------------------------------------------------------
+class ForkPool:
+    """Fork workers on this machine, one per assigned span."""
+
+    def __init__(self, name: str, owner: "ParallelNMEngine") -> None:
+        self.name = name
+        self.owner = owner
+        self.spans: list[int] = []
+        self._workers: dict[int, tuple[Any, Any]] = {}  # span -> (conn, proc)
+        self._pending: list[int] = []
+        self._ctx = mp.get_context("fork")
+
+    def open(self, indices: Sequence[int]) -> None:
+        for i in indices:
+            parent_conn, child_conn = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_worker_main, args=(child_conn, self.owner._task(i)), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            self._workers[i] = (parent_conn, proc)
+            self.spans.append(i)
+            metrics.counter("parallel.workers_started").inc()
+        # Workers build concurrently; the metas are read afterwards.
+        self._pending = list(indices)
+        metas = self.collect()
+        for i in indices:
+            self.owner._opened(i, metas[i])
+
+    def dispatch(self, op: str, payload, indices: Sequence[int]) -> None:
+        self._pending = list(indices)
+        for i in self._pending:
+            conn, _proc = self._workers[i]
+            try:
+                conn.send((op, payload))
+            except (OSError, ValueError) as exc:
+                raise PoolFailure(self, self._death(i, exc)) from exc
+
+    def collect(self) -> dict[int, Any]:
+        pending, self._pending = self._pending, []
+        out: dict[int, Any] = {}
+        error: str | None = None
+        for i in pending:
+            conn, _proc = self._workers[i]
+            try:
+                status, payload = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise PoolFailure(self, self._death(i, exc)) from exc
+            if status == "error":
+                error = error or f"span worker {i} failed:\n{payload}"
+            else:
+                out[i] = payload
+        if error is not None:
+            raise RuntimeError(error)
+        return out
+
+    def _death(self, i: int, cause: BaseException) -> str:
+        _conn, proc = self._workers[i]
+        proc.join(timeout=5)
+        metrics.counter("parallel.worker_crash").inc()
+        return f"span worker {i} died (exitcode {proc.exitcode}): {type(cause).__name__}"
+
+    def drain_trace_records(self) -> list:
+        records: list = []
+        for conn, _proc in self._workers.values():
+            try:
+                conn.send(("obs_drain", None))
+                if not conn.poll(5):
+                    continue
+                status, payload = conn.recv()
+            except (EOFError, OSError, ValueError):
+                continue
+            if status == "ok":
+                records.extend(payload)
+        return records
+
+    def close(self) -> None:
+        for conn, _proc in self._workers.values():
+            try:
+                conn.send(("close", None))
+            except (OSError, ValueError):
+                pass
+        for conn, proc in self._workers.values():
+            try:
+                conn.close()
+            except OSError:
+                pass
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=5)
+        self._workers.clear()
+        self.spans = []
+        self._pending = []
+
+
+def parse_pool_spec(spec: str) -> tuple[str, tuple[str, int] | None]:
+    """Parse one pool spec: ``"inline"``, ``"local"`` or ``"host:port"``."""
+    if spec in ("inline", "local"):
+        return spec, None
+    host, sep, port = spec.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"pool spec {spec!r} must be 'inline', 'local' or 'host:port'")
+    try:
+        return "remote", (host, int(port))
+    except ValueError as exc:
+        raise ValueError(f"pool spec {spec!r}: bad port") from exc
+
+
+# -- the coordinator ------------------------------------------------------------------
 
 
 class ParallelNMEngine:
-    """Sharded, multi-process NM/match evaluation with an NMEngine-like API.
+    """Span-sharded NM/match evaluation with the :class:`NMEngine` surface.
 
     Parameters
     ----------
     dataset, grid, config:
-        Exactly as for :class:`~repro.core.engine.NMEngine`.  ``config.jobs``
-        sets the worker count (capped at the trajectory count);
-        ``config.cache_dir`` enables the shared on-disk index cache.
+        Exactly as for :class:`~repro.core.engine.NMEngine`.
+        ``config.cache_dir`` enables the per-span index cache.
     jobs:
-        Optional override of ``config.jobs``.
+        Number of spans to cut (default ``config.jobs``; capped at the
+        trajectory count).
+    pools:
+        Pool specs, assigned spans round-robin: ``"inline"``, ``"local"``
+        (fork workers, the default) or ``"host:port"`` (a ``repro worker``
+        whose local copy of the dataset's ``.tjc`` store hashes
+        identically; remote pools need a store-backed dataset).
 
-    The instance owns worker processes and shared-memory segments; call
-    :meth:`close` (or use it as a context manager) to release them.  All
-    evaluation results equal the single-process engine to floating-point
-    accuracy -- the merge is an exact reduction over per-trajectory terms.
+    The instance owns worker processes and sockets; call :meth:`close` (or
+    use it as a context manager) to release them.  Results equal the
+    single-process engine to floating-point accuracy, and are
+    bit-identical across pool kinds for one span partition.
     """
 
     def __init__(
@@ -535,24 +612,58 @@ class ParallelNMEngine:
         grid: Grid,
         config: EngineConfig,
         jobs: int | None = None,
+        *,
+        pools: Sequence[str] = ("local",),
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
         jobs = config.jobs if jobs is None else jobs
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not pools:
+            raise ValueError("at least one pool is required")
+        specs = [parse_pool_spec(spec) for spec in pools]
+        if any(kind == "remote" for kind, _ in specs) and not hasattr(dataset, "store"):
+            raise ValueError(
+                "remote pools need a store-backed dataset: they are shipped "
+                "(store_hash, lo, hi) spans, never data -- convert with "
+                "`repro convert` and reopen via repro.storage"
+            )
         self.dataset = dataset
         self.grid = grid
         self.config = config
-        self.shard_bounds = shard_dataset(dataset, jobs)
-        self.n_shards = len(self.shard_bounds)
-        self.index_cache_hit = False
-        self._own_shm: list[shared_memory.SharedMemory] = []
-        self._conns: list = []
-        self._workers: list = []
+        self.spans = shard_dataset(dataset, jobs)
+        self.n_spans = len(self.spans)
         self._closed = False
+        self._worker_config = replace(
+            config, jobs=1, trace_out=None, metrics_out=None
+        )
+        self._fingerprint = (
+            index_cache.dataset_fingerprint(dataset)
+            if config.cache_dir is not None
+            else None
+        )
+        self._trace_ctx = tracing.current_context()
+        self._metrics_enabled = metrics.get_registry().enabled
+        self._opens = [0] * self.n_spans
+        self._cache_hits = [0] * self.n_spans
+        self._metas: dict[int, dict] = {}  # span -> meta of its first open
+        self._active_cells: list[int] | None = None
+        self._assignment: dict[int, Any] = {}
+        self._pools: list = []
+        for i, (kind, address) in enumerate(specs):
+            name = f"{kind}-{i}"
+            if kind == "inline":
+                self._pools.append(InlinePool(name, self))
+            elif kind == "local":
+                self._pools.append(ForkPool(name, self))
+            else:
+                from repro.dist.pool import RemotePool  # deferred: socket/wire code
+
+                self._pools.append(RemotePool(name, address, self))
+        self._live = list(self._pools)
         try:
-            self._start_workers()
+            self._start()
         except BaseException:
             self.close()
             raise
@@ -560,207 +671,188 @@ class ParallelNMEngine:
 
     # -- startup ---------------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-
-        lengths = self.dataset.lengths().tolist()
-        row_offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(int)
-        # Store-backed datasets skip /dev/shm entirely: workers receive a
-        # (path, lo, hi) span and mmap the same file read-only, so the
-        # parent never materialises the dataset arrays at all.
-        store_ref = getattr(self.dataset, "store_ref", None)
-        means_spec = sigmas_spec = None
-        if store_ref is None:
-            means_spec = share_array(self.dataset.all_means(), self._own_shm)
-            sigmas_spec = share_array(self.dataset.all_sigmas(), self._own_shm)
-
-        cache_dir, key, index_specs = self.config.cache_dir, None, None
-        if cache_dir is not None:
-            key = index_cache.cache_key(
-                self.dataset,
-                self.grid,
-                self.config,
-                kernel_tag=kernels.prob_kernel_tag(self.config),
-            )
-            loaded = index_cache.load_index(
-                cache_dir,
-                key,
-                n_rows=int(row_offsets[-1]),
-                n_cells=self.grid.n_cells,
-            )
-            if loaded is not None:
-                self.index_cache_hit = True
-                index_specs = tuple(share_array(a, self._own_shm) for a in loaded)
-
-        # Workers are plain single-process engines: no recursive pools, no
-        # per-shard cache files (the parent owns the canonical cache), and
-        # no file-writing observability of their own (spans buffer in the
-        # worker and drain through the pipe; see _worker_main).
-        worker_config = replace(
-            self.config, jobs=1, cache_dir=None, trace_out=None, metrics_out=None
-        )
-        self._trace_ctx = tracing.current_context()
-        metrics_enabled = metrics.get_registry().enabled
-        for shard, (lo, hi) in enumerate(self.shard_bounds):
-            store_span = None
-            if store_ref is not None:
-                path, base_lo, _base_hi = store_ref
-                store_span = (path, base_lo + lo, base_lo + hi)
-            init = _WorkerInit(
-                grid=self.grid,
-                config=worker_config,
-                means=means_spec,
-                sigmas=sigmas_spec,
-                lengths=tuple(lengths[lo:hi]),
-                row_lo=int(row_offsets[lo]),
-                row_hi=int(row_offsets[hi]),
-                index=index_specs,
-                store=store_span,
-                shard=shard,
-                trace=self._trace_ctx,
-                metrics_enabled=metrics_enabled,
-            )
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn, init), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._workers.append(proc)
-
-        metas = [self._recv(i) for i in range(self.n_shards)]
-        self._shard_sizes = [meta["n_traj"] for meta in metas]
-        self._shard_entries = [int(meta["n_entries"]) for meta in metas]
-        # Workers re-resolve the kernel backend in their own process (fork
-        # or spawn), so a "compiled"/"auto" config may land differently
-        # there than in the parent; report what the shards actually run.
-        self._backend_name = str(metas[0].get("backend", "numpy"))
-        self.n_index_entries = int(sum(self._shard_entries))
-        cells: set[int] = set()
-        for meta in metas:
-            cells.update(int(c) for c in meta["active_cells"])
-        self._active_cells = sorted(cells)
-
-        self.shard_skew = _skew(self._shard_entries)
-        metrics.gauge("parallel.shard_skew").set(self.shard_skew)
-        metrics.counter("parallel.workers_started").inc(self.n_shards)
+    def _start(self) -> None:
+        for i in range(self.n_spans):
+            self._assignment[i] = self._live[i % len(self._live)]
+        self._open(range(self.n_spans))
+        metrics.gauge("parallel.pools_live").set(len(self._live))
         _log.info(
-            "shard workers ready",
+            "span pools ready",
             extra={
-                "jobs": self.n_shards,
-                "shard_bounds": self.shard_bounds,
-                "shard_entries": self._shard_entries,
-                "shard_skew": self.shard_skew,
-                "index_cache_hit": self.index_cache_hit,
-                "backend": self._backend_name,
+                "pools": self.pool_names,
+                "spans": self.spans,
                 "dtype": self.config.dtype,
             },
         )
 
-        if key is not None and not self.index_cache_hit:
-            self._persist_cold_index(cache_dir, key, row_offsets)
+    def _task(self, i: int) -> _SpanTask:
+        """The build recipe of span ``i`` (pools call this to open a span)."""
+        lo, hi = self.spans[i]
+        key = None
+        if self._fingerprint is not None:
+            key = index_cache.span_cache_key(
+                self._fingerprint,
+                lo,
+                hi,
+                self.grid,
+                self.config,
+                kernel_tag=kernels.prob_kernel_tag(self.config),
+            )
+        return _SpanTask(
+            index=i,
+            dataset=span_dataset(self.dataset, lo, hi),
+            grid=self.grid,
+            config=self._worker_config,
+            cache_key=key,
+            trace=self._trace_ctx,
+            metrics_enabled=self._metrics_enabled,
+        )
 
-    def _persist_cold_index(self, cache_dir, key: str, row_offsets) -> None:
-        """Merge the freshly built shard indexes and write the shared cache.
+    def _opened(self, i: int, meta: dict) -> None:
+        """Count one span engine construction (pools call this)."""
+        self._opens[i] += 1
+        self._cache_hits[i] += int(bool(meta["cache_hit"]))
+        self._metas.setdefault(i, meta)
 
-        Shard arrays come back through worker-created shared memory (no
-        pickling); rows are shifted to global coordinates, concatenated and
-        (cell, row)-sorted -- byte-identical to what a serial engine would
-        persist, so either path can warm-start the other.
+    def _span_metas(self) -> list[dict]:
+        """Every span's meta in span order.
 
-        The export segments belong to the *workers* (creator-unlinks), so
-        a worker killed between exporting and releasing would orphan them.
-        Until the release round-trip confirms, the parent keeps the segment
-        names and reclaims any survivor by name on the way out -- a segment
-        already unlinked by its worker is simply skipped.
+        Fork and remote pools report metas when they open a span; an inline
+        span reports its meta on its first scan, so one read before any op
+        is scanned here.
         """
-        specs_per_shard = self._broadcast(("export_index", None))
-        handoff = [spec.name for specs in specs_per_shard for spec in specs]
-        try:
-            faults.fire("parallel.parent.merge", key=key)
-            parts = []
-            for (lo, _hi), specs in zip(self.shard_bounds, specs_per_shard):
-                attachments = [attach_array(spec) for spec in specs]
-                cells, rows, vals = (view for view, _ in attachments)
-                parts.append((cells.copy(), rows + int(row_offsets[lo]), vals.copy()))
-                for _, shm in attachments:
-                    shm.close()
-            self._broadcast(("release_index", None))
-            handoff = []  # every worker confirmed its own unlink
-        finally:
-            for name in handoff:
-                try:
-                    orphan = shared_memory.SharedMemory(name=name)
-                except FileNotFoundError:
-                    continue
-                orphan.close()
-                orphan.unlink()
-        all_cells = np.concatenate([p[0] for p in parts])
-        all_rows = np.concatenate([p[1] for p in parts])
-        all_vals = np.concatenate([p[2] for p in parts])
-        order = np.lexsort((all_rows, all_cells))
-        index_cache.save_index(
-            cache_dir, key, all_cells[order], all_rows[order], all_vals[order]
+        for i in range(self.n_spans):
+            if i not in self._metas:
+                if self._closed:
+                    raise RuntimeError("ParallelNMEngine is closed")
+                self._assignment[i].scan(i)
+        return [self._metas[i] for i in range(self.n_spans)]
+
+    # -- dispatch with failover ----------------------------------------------
+
+    def _by_pool(self, indices) -> dict[Any, list[int]]:
+        by_pool: dict[Any, list[int]] = {}
+        for i in indices:
+            by_pool.setdefault(self._assignment[i], []).append(i)
+        return by_pool
+
+    def _open(self, indices) -> None:
+        """Open spans on their assigned pools, failing over pools that die."""
+        for pool, pool_spans in self._by_pool(indices).items():
+            missing = [i for i in pool_spans if i not in pool.spans]
+            if not missing:
+                continue
+            try:
+                pool.open(missing)
+            except PoolFailure as exc:
+                self._fail_pool(pool, exc.cause)
+                self._open(pool_spans)
+
+    def _fail_pool(self, pool, cause: str) -> None:
+        """Retire a dead pool and hand its spans to the survivors."""
+        if pool not in self._live:
+            return
+        self._live.remove(pool)
+        metrics.counter("parallel.pool_failover").inc()
+        metrics.gauge("parallel.pools_live").set(len(self._live))
+        orphaned = [i for i, p in self._assignment.items() if p is pool]
+        _log.warning(
+            "pool failed; re-dispatching spans",
+            extra={
+                "pool": pool.name,
+                "cause": cause,
+                "orphaned_spans": orphaned,
+                "survivors": self.pool_names,
+            },
         )
+        try:
+            pool.close()
+        except Exception:  # noqa: BLE001 - teardown of a dead pool
+            pass
+        if not self._live:
+            self._abort()
+            raise WorkerCrashError(
+                f"{cause}; pool {pool.name!r} failed and no pool survives; "
+                "engine closed"
+            )
+        metrics.counter("parallel.spans_redispatched").inc(len(orphaned))
+        for n, i in enumerate(orphaned):
+            self._assignment[i] = self._live[n % len(self._live)]
 
-    # -- messaging -------------------------------------------------------------
+    def _recv(self, pool) -> dict[int, Any]:
+        """Wait for one pool's per-span results of the op in flight.
 
-    def _worker_crashed(self, i: int, cause: BaseException) -> WorkerCrashError:
-        """Tear the engine down after worker ``i``'s pipe broke.
-
-        A broken pipe means the worker is dead (crash, OOM-kill, SIGKILL):
-        no further reduction over the shards can be trusted, so the engine
-        closes itself -- stopping the surviving workers and unlinking every
-        parent-owned segment -- before surfacing a :class:`WorkerCrashError`.
+        The coordinator's only wait point, for every pool kind; the
+        benchmark's layer tracing wraps it as ``parallel.wait``.
         """
-        exitcode = None
-        if i < len(self._workers):
-            self._workers[i].join(timeout=5)
-            exitcode = self._workers[i].exitcode
-        metrics.counter("parallel.worker_crash").inc()
-        _log.error(
-            "shard worker died; closing engine",
-            extra={"shard": i, "exitcode": exitcode},
-        )
-        self._abort()
-        return WorkerCrashError(
-            f"shard worker {i} died (exitcode {exitcode}); engine closed"
-        )
+        return pool.collect()
 
-    def _recv(self, i: int):
-        try:
-            status, payload = self._conns[i].recv()
-        except (EOFError, OSError) as exc:
-            raise self._worker_crashed(i, exc) from exc
-        if status == "error":
-            raise RuntimeError(f"shard worker {i} failed:\n{payload}")
-        return payload
+    def _run(self, op: str, payload=None, indices=None) -> dict[int, Any]:
+        """Run one op over spans (default: all), surviving pool deaths.
 
-    def _broadcast(self, msg) -> list:
-        """Send one request to every worker, then gather all replies.
-
-        Requests are sent before any reply is read so the workers compute
-        concurrently.  A worker whose pipe breaks at either step raises
-        :class:`WorkerCrashError` after closing the engine (see
-        :meth:`_worker_crashed`).
+        Results come back keyed by span ordinal; the callers fold them in
+        global span order through the merge functions.
         """
         if self._closed:
             raise RuntimeError("ParallelNMEngine is closed")
-        for i, conn in enumerate(self._conns):
-            try:
-                conn.send(msg)
-            except (OSError, ValueError) as exc:
-                raise self._worker_crashed(i, exc) from exc
-        return [self._recv(i) for i in range(len(self._conns))]
+        todo = list(range(self.n_spans)) if indices is None else list(indices)
+        results: dict[int, Any] = {}
+        while todo:
+            dispatched = []
+            for pool, pool_spans in self._by_pool(todo).items():
+                try:
+                    pool.dispatch(op, payload, pool_spans)
+                    dispatched.append(pool)
+                except PoolFailure as exc:
+                    self._fail_pool(pool, exc.cause)
+            # Every dispatched pool is collected before an error is raised,
+            # so no pool is left holding a stale reply for the next op.
+            error: Exception | None = None
+            for pool in dispatched:
+                try:
+                    results.update(self._recv(pool))
+                except PoolFailure as exc:
+                    self._fail_pool(pool, exc.cause)
+                except Exception as exc:  # noqa: BLE001 - the pool is alive
+                    error = error or exc
+            if error is not None:
+                raise error
+            todo = [i for i in todo if i not in results]
+            if todo:
+                self._open(todo)
+        return results
+
+    def _gather(self, op: str, payload=None) -> list:
+        """One op over every span, results in global span order."""
+        results = self._run(op, payload)
+        return [results[i] for i in range(self.n_spans)]
 
     # -- metadata --------------------------------------------------------------
 
     @property
     def active_cells(self) -> list[int]:
         """Cells with at least one above-floor entry, ascending (union)."""
+        if self._active_cells is None:
+            cells: set[int] = set()
+            for meta in self._span_metas():
+                cells.update(int(c) for c in meta["active_cells"])
+            self._active_cells = sorted(cells)
         return list(self._active_cells)
+
+    @property
+    def n_index_entries(self) -> int:
+        """Stored (snapshot, cell) entries summed over the span indexes."""
+        return int(sum(meta["n_entries"] for meta in self._span_metas()))
+
+    @property
+    def index_cache_hit(self) -> bool:
+        """True when every span's first open loaded its index from the cache."""
+        return all(meta["cache_hit"] for meta in self._span_metas())
+
+    @property
+    def shard_skew(self) -> float:
+        """Max/mean of per-span index entries."""
+        return _skew([meta["n_entries"] for meta in self._span_metas()])
 
     @property
     def floor_log_prob(self) -> float:
@@ -769,105 +861,109 @@ class ParallelNMEngine:
 
     @property
     def backend_name(self) -> str:
-        """Kernel backend the shard workers resolved to ("numpy", "cnative", ...)."""
-        return self._backend_name
+        """Kernel backend the span engines resolved to ("numpy", "cnative", ...).
+
+        Workers resolve the backend in their own process, so a
+        "compiled"/"auto" config may land differently there than in the
+        parent; this reports what the spans actually run.
+        """
+        return str(self._span_metas()[0]["backend"])
 
     @property
     def backend_dtype(self) -> str:
-        """Value dtype the shard workers' evaluation kernels run in."""
+        """Value dtype the span engines' evaluation kernels run in."""
         return self.config.dtype
 
     @property
+    def pool_names(self) -> list[str]:
+        """Names of the pools still alive, in spec order."""
+        return [pool.name for pool in self._live]
+
+    @property
     def n_evaluations(self) -> int:
-        """Total pattern evaluations across all shard workers."""
-        return sum(n for n, _ in self._broadcast(("stats", None)))
+        """Total pattern evaluations across all spans."""
+        return sum(n for n, _ in self._gather("stats"))
 
     @property
     def n_batches(self) -> int:
-        """Total batched-evaluation rounds across all shard workers."""
-        return sum(b for _, b in self._broadcast(("stats", None)))
+        """Total batched-evaluation rounds across all spans."""
+        return sum(b for _, b in self._gather("stats"))
 
     # -- observability ------------------------------------------------------------
 
     def obs_snapshot(self) -> dict:
-        """Per-shard counters plus imbalance gauges, in one round-trip.
+        """Per-span counters plus imbalance gauges, for every pool kind.
 
-        The aggregate ``n_evaluations`` / ``n_batches`` properties hide
-        *where* the work happened; this snapshot keeps the per-shard
-        numbers (trajectory span, index entries, evaluations, batches and
-        each worker's metric snapshot) so shard imbalance is visible:
-        snapshot-balanced spans over skewed cell density give uneven
-        ``n_entries``, surfaced as the ``shard_skew`` gauge (max/mean of
-        per-shard index entries) and ``eval_skew`` (max/mean of per-shard
-        evaluation counts).
+        ``spans`` holds one entry per span in global order: its ordinal,
+        trajectory range, owning pool, index entries, evaluations, batches,
+        how often its engine was opened and how many of those opens loaded
+        the span cache, and the metric snapshot of the process that serves
+        it.  ``shard_skew`` (max/mean of per-span index entries) and
+        ``eval_skew`` (max/mean of per-span evaluations) surface imbalance
+        that snapshot-balanced spans over skewed cell density cause.
+        ``span_opens`` / ``span_cache_hits`` total the open counts; for an
+        inline pool an open is one span scan.
         """
-        replies = self._broadcast(("obs_snapshot", None))
-        shards = [
-            {**reply, "trajectories": list(self.shard_bounds[i])}
+        replies = self._gather("obs_snapshot")
+        spans = [
+            {
+                "span": i,
+                "trajectories": list(self.spans[i]),
+                "pool": self._assignment[i].name,
+                "opens": self._opens[i],
+                "cache_hits": self._cache_hits[i],
+                **reply,
+            }
             for i, reply in enumerate(replies)
         ]
-        entry_skew = _skew([s["n_entries"] for s in shards])
-        eval_skew = _skew([s["n_evaluations"] for s in shards])
+        entry_skew = _skew([s["n_entries"] for s in spans])
+        eval_skew = _skew([s["n_evaluations"] for s in spans])
         metrics.gauge("parallel.shard_skew").set(entry_skew)
         metrics.gauge("parallel.eval_skew").set(eval_skew)
         return {
-            "n_shards": self.n_shards,
-            "backend": self._backend_name,
+            "n_spans": self.n_spans,
+            "pools": self.pool_names,
+            "backend": spans[0]["backend"],
             "dtype": self.config.dtype,
-            "n_index_entries": self.n_index_entries,
-            "n_evaluations": sum(s["n_evaluations"] for s in shards),
-            "n_batches": sum(s["n_batches"] for s in shards),
+            "n_index_entries": sum(s["n_entries"] for s in spans),
+            "n_evaluations": sum(s["n_evaluations"] for s in spans),
+            "n_batches": sum(s["n_batches"] for s in spans),
+            "span_opens": sum(self._opens),
+            "span_cache_hits": sum(self._cache_hits),
             "shard_skew": entry_skew,
             "eval_skew": eval_skew,
-            "shards": shards,
+            "spans": spans,
         }
 
     def drain_trace(self) -> int:
         """Pull buffered worker span records into the parent's trace sink.
 
-        Workers trace into in-memory buffers (their file handles are the
-        parent's under fork); this drains every buffer over the pipe
-        protocol and writes the records verbatim, so shard-side
+        Fork workers and remote pools trace into in-memory buffers; this
+        drains them and writes the records verbatim, so span-side
         ``index.build`` / ``engine.nm_batch`` spans land in the parent's
         JSONL file already parented to the span that was current when the
-        engine was constructed.  Returns the number of records written.
-        Called automatically by :meth:`close`.
+        engine was constructed.  Best-effort: dead workers are skipped.
+        Returns the number of records written; called by :meth:`close`.
         """
-        if getattr(self, "_trace_ctx", None) is None or tracing.get_tracer() is None:
+        if self._trace_ctx is None or tracing.get_tracer() is None or self._closed:
             return 0
-        if self._closed:
-            return 0
-        # Per-connection, not _broadcast: draining is best-effort (it runs
-        # from close(), possibly with dead workers) and must never trigger
-        # the crash teardown itself.  Spans from live workers still land.
-        pending = []
-        for conn in self._conns:
-            try:
-                conn.send(("obs_drain", None))
-            except (OSError, ValueError):
-                continue
-            pending.append(conn)
         total = 0
-        for conn in pending:
-            try:
-                status, records = conn.recv()
-            except (EOFError, OSError):
-                continue
-            if status != "ok":
-                continue
-            tracing.emit_foreign(records)
-            total += len(records)
+        for pool in list(self._live):
+            records = pool.drain_trace_records()
+            if records:
+                tracing.emit_foreign(records)
+                total += len(records)
         return total
 
     # -- batched measures --------------------------------------------------------
 
     def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """``NM(P)`` of a whole candidate batch: sum of per-shard NM sums."""
+        """``NM(P)`` of a whole candidate batch: sum of per-span NM sums."""
         patterns = list(patterns)
         if not patterns:
             return np.empty(0)
         cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._broadcast(("nm_batch", cells_list)))
+        return merge_batch_sums(self._gather("nm_batch", cells_list))
 
     def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
         """Dataset match of a whole candidate batch, in order."""
@@ -875,7 +971,7 @@ class ParallelNMEngine:
         if not patterns:
             return np.empty(0)
         cells_list = [p.cells for p in patterns]
-        return merge_batch_sums(self._broadcast(("match_batch", cells_list)))
+        return merge_batch_sums(self._gather("match_batch", cells_list))
 
     def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
         """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
@@ -890,46 +986,46 @@ class ParallelNMEngine:
         return float(self.match_batch([pattern])[0])
 
     def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Eq. 4 per trajectory; shard arrays concatenate in dataset order."""
-        return merge_per_trajectory(self._broadcast(("nm_per_traj", pattern.cells)))
+        """Eq. 4 per trajectory; span arrays concatenate in dataset order."""
+        return merge_per_trajectory(self._gather("nm_per_traj", pattern.cells))
 
     def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
         """Un-normalised match per trajectory, in dataset order."""
-        return merge_per_trajectory(
-            self._broadcast(("match_per_traj", pattern.cells))
-        )
+        return merge_per_trajectory(self._gather("match_per_traj", pattern.cells))
 
     def best_window(
         self, pattern: TrajectoryPattern, traj_index: int
     ) -> tuple[int, float] | None:
-        """Best (start, NM) window in one trajectory (routed to its shard)."""
+        """Best (start, NM) window in one trajectory (routed to its span)."""
         if not 0 <= traj_index < len(self.dataset):
             raise IndexError(f"trajectory index {traj_index} out of range")
-        for i, (lo, hi) in enumerate(self.shard_bounds):
+        for i, (lo, hi) in enumerate(self.spans):
             if lo <= traj_index < hi:
-                self._conns[i].send(("best_window", (pattern.cells, traj_index - lo)))
-                return self._recv(i)
-        raise AssertionError("unreachable: shard bounds cover the dataset")
+                payload = (pattern.cells, traj_index - lo)
+                return self._run("best_window", payload, indices=[i])[i]
+        raise AssertionError("unreachable: spans cover the dataset")
 
     # -- singular tables -----------------------------------------------------------
 
-    def singular_nm_table(self) -> dict[int, float]:
-        """NM of every active singular pattern (exact sharded reduction).
+    def _span_sizes(self) -> list[int]:
+        return [hi - lo for lo, hi in self.spans]
 
-        A shard where a cell is inactive contributes the floor once per
-        shard trajectory -- the same accounting the out-of-core engine uses.
-        """
-        tables = self._broadcast(("singular_nm", None))
+    def singular_nm_table(self) -> dict[int, float]:
+        """NM of every active singular pattern (exact span reduction)."""
         return merge_singular_tables(
-            tables, self._shard_sizes, self.config.min_log_prob, len(self.dataset)
+            self._gather("singular_nm"),
+            self._span_sizes(),
+            self.config.min_log_prob,
+            len(self.dataset),
         )
 
     def singular_match_table(self) -> dict[int, float]:
-        """Match of every active singular pattern (exact sharded reduction)."""
-        tables = self._broadcast(("singular_match", None))
-        floor_p = float(np.exp(self.config.min_log_prob))
+        """Match of every active singular pattern (exact span reduction)."""
         return merge_singular_tables(
-            tables, self._shard_sizes, floor_p, len(self.dataset)
+            self._gather("singular_match"),
+            self._span_sizes(),
+            float(np.exp(self.config.min_log_prob)),
+            len(self.dataset),
         )
 
     # -- extension tables ----------------------------------------------------------
@@ -943,22 +1039,14 @@ class ParallelNMEngine:
     def extend_right_tables_many(
         self, patterns: Sequence[TrajectoryPattern]
     ) -> list[tuple[dict[int, float], dict[int, float]]]:
-        """Sharded :meth:`NMEngine.extend_right_tables_many`.
-
-        Per prefix, each shard reports its extension tables *plus* the base
-        totals an inactive cell would score there; a cell missing from a
-        shard's table contributes that shard's base -- making the merged
-        table exactly the full-dataset one.
-        """
+        """Span-sharded :meth:`NMEngine.extend_right_tables_many`."""
         patterns = list(patterns)
         if not patterns:
             return []
         cells_list = [p.cells for p in patterns]
-        per_shard: list[list[ExtensionTables]] = self._broadcast(
-            ("ext_tables", cells_list)
-        )
+        per_span: list[list[ExtensionTables]] = self._gather("ext_tables", cells_list)
         return [
-            merge_extension_tables([tables[i] for tables in per_shard])
+            merge_extension_tables([tables[i] for tables in per_span])
             for i in range(len(patterns))
         ]
 
@@ -967,16 +1055,15 @@ class ParallelNMEngine:
     def nm_gap_pattern_total(self, pattern) -> float:
         """Dataset NM of a :class:`~repro.core.wildcards.GapPattern`.
 
-        Each worker runs the alignment DP over its shard; per-trajectory
-        bests sum exactly.  :func:`repro.core.wildcards.nm_gap_pattern`
-        dispatches here automatically.
+        Each span runs the alignment DP; per-trajectory bests sum exactly.
+        :func:`repro.core.wildcards.nm_gap_pattern` dispatches here.
         """
-        return merge_scalar_sums(self._broadcast(("gap_nm", pattern)))
+        return merge_scalar_sums(self._gather("gap_nm", pattern))
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut workers down and unlink every owned shared-memory segment.
+        """Drain worker traces, then stop every pool.
 
         Idempotent; also registered with ``atexit`` and invoked by the
         context-manager exit and the finaliser.
@@ -987,44 +1074,25 @@ class ParallelNMEngine:
             # Last chance to collect worker spans; tolerate dead workers
             # or an already-shut tracer (close may run from atexit).
             self.drain_trace()
-        except Exception:
+        except Exception:  # noqa: BLE001 - close must never raise
             pass
         self._abort()
 
     def _abort(self) -> None:
-        """Unconditional teardown: stop workers, unlink segments, mark closed.
+        """Unconditional teardown: stop every pool, mark closed.
 
-        The no-courtesies half of :meth:`close` -- no trace drain, nothing
-        that needs a live worker conversation -- so it is safe to call from
-        :meth:`_worker_crashed` while a pipe is broken.  Sets ``_closed``
-        *first*: any teardown step that indirectly re-enters messaging hits
-        the closed guard instead of recursing.
+        Sets ``_closed`` *first*: any teardown step that indirectly
+        re-enters messaging hits the closed guard instead of recursing.
         """
         if self._closed:
             return
         self._closed = True
-        _log.debug("closing shard workers", extra={"jobs": len(self._workers)})
-        for conn in self._conns:
+        for pool in self._pools:
             try:
-                conn.send(("close", None))
-            except (OSError, ValueError):
+                pool.close()
+            except Exception:  # noqa: BLE001
                 pass
-        for conn, proc in zip(self._conns, self._workers):
-            try:
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5)
-        for shm in self._own_shm:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._own_shm.clear()
+        self._live = []
         try:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover

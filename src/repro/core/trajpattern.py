@@ -191,6 +191,25 @@ class MiningResult:
         return sum(len(p) for p in self.patterns) / len(self.patterns)
 
 
+def verify_top_k(
+    engine, patterns: list[TrajectoryPattern], k: int
+) -> list[tuple[TrajectoryPattern, float]]:
+    """Re-score ``patterns`` on ``engine`` and return the best ``k``, best first.
+
+    ``repro score`` runs this on an inline-pool engine, so a mined pattern
+    set is confirmed out-of-core against a dataset too large for one
+    resident index.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    values = engine.nm_batch(patterns)
+    order = sorted(
+        range(len(patterns)),
+        key=lambda i: sort_key(patterns[i].cells, float(values[i])),
+    )
+    return [(patterns[i], float(values[i])) for i in order[:k]]
+
+
 class TrajPatternMiner:
     """Top-k NM pattern miner (the paper's TrajPattern algorithm).
 

@@ -1,23 +1,21 @@
 """Cross-machine mining and serving (``repro.dist``).
 
-The single-box scaling rungs stop at ``fork`` + ``/dev/shm``
-(:mod:`repro.core.parallel`) and one :class:`~repro.serve.server.PatternServer`
-replica.  This package promotes both boundaries onto sockets:
+The span coordinator (:class:`~repro.core.parallel.ParallelNMEngine`) and
+one :class:`~repro.serve.server.PatternServer` replica are single-box.
+This package promotes both boundaries onto sockets:
 
 * :mod:`repro.dist.wire` -- the worker wire protocol: the NDJSON framing
-  of :mod:`repro.serve.protocol` carrying the ``parallel`` worker op set,
-  plus exact JSON codecs for grids, engine configs, extension tables and
-  gap patterns (JSON round-trips float64 bit-exactly, which is what lets
-  a socket hop preserve the 0-ULP merge contract);
+  of :mod:`repro.serve.protocol` carrying the span op table, plus exact
+  JSON codecs for grids, engine configs, extension tables and gap
+  patterns (JSON round-trips float64 bit-exactly, which is what lets a
+  socket hop preserve the 0-ULP merge contract);
 * :mod:`repro.dist.worker` -- ``repro worker --listen``: a worker-pool
   process that opens its assigned ``.tjc`` spans *locally* (the
   coordinator ships ``(store_hash, lo, hi)`` + grid/config/kernel tag,
   never data) and answers pipelined ops;
-* :mod:`repro.dist.coordinator` -- :class:`DistNMEngine`: the
-  ``ParallelNMEngine`` surface over a mixed set of local-fork and remote
-  pools, reusing the exact-merge functions of :mod:`repro.core.parallel`
-  verbatim so all three miners run unchanged; a crashed or timed-out
-  pool's spans are re-dispatched to survivors with bit-identical results;
+* :mod:`repro.dist.pool` -- :class:`RemotePool`, the ``"host:port"`` pool
+  kind of the coordinator; a crashed or timed-out pool's spans are
+  re-dispatched to survivors with bit-identical results;
 * :mod:`repro.dist.router` -- ``repro router``: a serving tier that fans
   client requests across N ``PatternServer`` replicas by least queue
   depth, broadcasts ``swap`` so every replica serves the same snapshot
@@ -26,13 +24,7 @@ replica.  This package promotes both boundaries onto sockets:
 See ``docs/DISTRIBUTED.md`` for the op catalogue and failure model.
 """
 
-from repro.dist.coordinator import (
-    DistNMEngine,
-    DistPoolError,
-    LocalPool,
-    RemotePool,
-    parse_pool_spec,
-)
+from repro.dist.pool import RemotePool
 from repro.dist.router import RouterConfig, PatternRouter, publish_snapshot
 from repro.dist.wire import DIST_OPS, DIST_PROTOCOL_VERSION
 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
@@ -40,14 +32,10 @@ from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 __all__ = [
     "DIST_OPS",
     "DIST_PROTOCOL_VERSION",
-    "DistNMEngine",
-    "DistPoolError",
-    "LocalPool",
     "PatternRouter",
     "RemotePool",
     "RouterConfig",
     "WorkerPoolConfig",
     "WorkerPoolServer",
-    "parse_pool_spec",
     "publish_snapshot",
 ]

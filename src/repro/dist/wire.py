@@ -1,8 +1,10 @@
 """The distributed-mining wire protocol: worker ops over NDJSON/TCP.
 
-This is the :mod:`repro.core.parallel` worker op set promoted onto the
+This is the :data:`repro.core.parallel.SPAN_OPS` table carried over the
 same newline-delimited-JSON framing :mod:`repro.serve.protocol` already
-proves out.  One request per line, one response per line, correlated by
+proves out.  The wire only encodes and decodes: a worker evaluates every
+span op through :func:`repro.core.parallel.span_op`, exactly like the
+inline and fork pools.  One request per line, one response per line, correlated by
 ``id``; a request may address several store spans at once and the
 response carries one result per span, in request order.
 
@@ -296,6 +298,77 @@ def best_window_from_wire(obj: Any) -> tuple[int, float] | None:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ProtocolError("best_window result must be [start, nm] or null")
     return int(obj[0]), float(obj[1])
+
+
+# -- per-op payload / result codecs ------------------------------------------------
+#
+# Span-op payloads are the plain python values :func:`repro.core.parallel.
+# span_op` takes; results are what it returns.  These tables map each op
+# onto its JSON form in both directions.
+
+_PATTERN_OPS = ("nm_batch", "match_batch", "ext_tables")
+_CELLS_OPS = ("nm_per_traj", "match_per_traj")
+
+
+def payload_to_wire(op: str, payload) -> dict:
+    """Request fields carrying ``payload`` of span op ``op``."""
+    if op in _PATTERN_OPS:
+        return {"patterns": patterns_to_wire(payload)}
+    if op in _CELLS_OPS:
+        return {"cells": [int(c) for c in payload]}
+    if op == "gap_nm":
+        return {"pattern": gap_pattern_to_wire(payload)}
+    if op == "best_window":
+        cells, traj = payload
+        return {"cells": [int(c) for c in cells], "traj": int(traj)}
+    return {}
+
+
+def payload_from_wire(op: str, request: dict):
+    """The span-op payload a request carries (inverse of :func:`payload_to_wire`)."""
+    if op in _PATTERN_OPS:
+        return patterns_from_wire(request.get("patterns"))
+    if op in _CELLS_OPS:
+        return patterns_from_wire([request.get("cells")])[0]
+    if op == "gap_nm":
+        return gap_pattern_from_wire(request.get("pattern"))
+    if op == "best_window":
+        traj = request.get("traj")
+        if not isinstance(traj, int) or isinstance(traj, bool):
+            raise ProtocolError("traj must be an integer")
+        return patterns_from_wire([request.get("cells")])[0], traj
+    return None
+
+
+def _identity(value):
+    return value
+
+
+#: ``op -> (to_wire, from_wire)`` for span-op results.
+_RESULT_CODECS = {
+    "nm_batch": (array_to_wire, array_from_wire),
+    "match_batch": (array_to_wire, array_from_wire),
+    "nm_per_traj": (array_to_wire, array_from_wire),
+    "match_per_traj": (array_to_wire, array_from_wire),
+    "singular_nm": (table_to_wire, table_from_wire),
+    "singular_match": (table_to_wire, table_from_wire),
+    "ext_tables": (
+        lambda tables: [ext_tables_to_wire(t) for t in tables],
+        lambda obj: [ext_tables_from_wire(t) for t in obj],
+    ),
+    "gap_nm": (float, float),
+    "best_window": (best_window_to_wire, best_window_from_wire),
+    "stats": (list, tuple),
+    "obs_snapshot": (_identity, _identity),
+}
+
+
+def result_to_wire(op: str, result):
+    return _RESULT_CODECS[op][0](result)
+
+
+def result_from_wire(op: str, obj):
+    return _RESULT_CODECS[op][1](obj)
 
 
 # -- handshake helpers --------------------------------------------------------------

@@ -15,7 +15,7 @@ GIL in the hot loops).  Session state -- engines, trace buffer -- dies
 with the connection; a coordinator that reconnects after a network blip
 simply replays ``hello`` + ``open``.
 
-Observability mirrors the fork workers of :mod:`repro.core.parallel`:
+Observability mirrors the fork pool of :mod:`repro.core.parallel`:
 when the ``hello`` carries a trace context the session traces into an
 in-memory buffer drained by ``obs_drain``, so remote ``index.build`` /
 ``engine.nm_batch`` spans land in the coordinator's JSONL file parented
@@ -30,12 +30,9 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import kernels
 from repro.core.engine import NMEngine
-from repro.core.pattern import TrajectoryPattern
-from repro.core.wildcards import nm_gap_pattern
+from repro.core.parallel import span_meta, span_op
 from repro.dist import wire
 from repro.obs import logs, metrics, tracing
 from repro.serve.protocol import ProtocolError
@@ -257,70 +254,18 @@ class _Session:
         if op == "obs_drain":
             records = self.trace_sink.drain() if self.trace_sink is not None else []
             return wire.ok_response(rid, records=records)
-        # Everything else is span-scoped.
+        # Everything else is a span op, evaluated through the one op table.
         engines = self._span_engines(request)
+        payload = wire.payload_from_wire(op, request)
         if op == "best_window":
             (span, engine), = engines  # single span by construction
-            cells = tuple(wire.patterns_from_wire([request.get("cells")])[0])
-            traj = request.get("traj")
-            if not isinstance(traj, int) or isinstance(traj, bool):
-                raise ProtocolError("traj must be an integer")
-            if not 0 <= traj < len(engine.dataset):
-                raise ProtocolError(f"traj {traj} outside span {span}")
-            result = engine.best_window(TrajectoryPattern(cells), traj)
-            return wire.ok_response(rid, results=[wire.best_window_to_wire(result)])
-        results = [self._eval(op, request, engine) for _, engine in engines]
+            if not 0 <= payload[1] < len(engine.dataset):
+                raise ProtocolError(f"traj {payload[1]} outside span {span}")
+        results = [
+            wire.result_to_wire(op, span_op(engine, op, payload))
+            for _, engine in engines
+        ]
         return wire.ok_response(rid, results=results)
-
-    def _eval(self, op: str, request: dict, engine: NMEngine):
-        if op in ("nm_batch", "match_batch"):
-            patterns = [
-                TrajectoryPattern(cells)
-                for cells in wire.patterns_from_wire(request.get("patterns"))
-            ]
-            values = (
-                engine.nm_batch(patterns)
-                if op == "nm_batch"
-                else engine.match_batch(patterns)
-            )
-            return wire.array_to_wire(values)
-        if op in ("nm_per_traj", "match_per_traj"):
-            cells = tuple(wire.patterns_from_wire([request.get("cells")])[0])
-            pattern = TrajectoryPattern(cells)
-            values = (
-                engine.nm_per_trajectory(pattern)
-                if op == "nm_per_traj"
-                else engine.match_per_trajectory(pattern)
-            )
-            return wire.array_to_wire(values)
-        if op == "singular_nm":
-            return wire.table_to_wire(engine.singular_nm_table())
-        if op == "singular_match":
-            return wire.table_to_wire(engine.singular_match_table())
-        if op == "ext_tables":
-            patterns = [
-                TrajectoryPattern(cells)
-                for cells in wire.patterns_from_wire(request.get("patterns"))
-            ]
-            return [
-                wire.ext_tables_to_wire(t)
-                for t in engine.extension_tables_many(patterns)
-            ]
-        if op == "gap_nm":
-            pattern = wire.gap_pattern_from_wire(request.get("pattern"))
-            return float(nm_gap_pattern(engine, pattern))
-        if op == "stats":
-            return [int(engine.n_evaluations), int(engine.n_batches)]
-        if op == "obs_snapshot":
-            return {
-                "n_traj": len(engine.dataset),
-                "n_entries": int(engine.n_index_entries),
-                "n_evaluations": int(engine.n_evaluations),
-                "n_batches": int(engine.n_batches),
-                "backend": engine.backend_name,
-                "metrics": metrics.get_registry().snapshot(),
-            }
-        raise AssertionError(f"unreachable: op {op!r}")  # pragma: no cover
 
     # -- handshake / span management ---------------------------------------
 
@@ -386,16 +331,7 @@ class _Session:
             if (lo, hi) not in self.engines:
                 shard = self.store.span(lo, hi)
                 self.engines[(lo, hi)] = NMEngine(shard, self.grid, self.config)
-            engine = self.engines[(lo, hi)]
-            metas.append(
-                {
-                    "span": [lo, hi],
-                    "n_traj": len(engine.dataset),
-                    "n_entries": int(engine.n_index_entries),
-                    "active_cells": [int(c) for c in engine.active_cells],
-                    "backend": engine.backend_name,
-                }
-            )
+            metas.append(span_meta(self.engines[(lo, hi)]))
         return wire.ok_response(rid, metas=metas)
 
     def _span_engines(self, request: dict) -> list[tuple[tuple[int, int], NMEngine]]:

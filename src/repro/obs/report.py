@@ -242,7 +242,45 @@ def render_manifest_report(manifest: dict) -> str:
     if gauges:
         gauge_rows = [[n, f"{v:g}"] for n, v in sorted(gauges.items())]
         lines += ["", "gauges:", _table(["gauge", "value"], gauge_rows)]
+    lines += _span_lines(metrics)
     return "\n".join(lines)
+
+
+def _span_lines(metrics: dict) -> list[str]:
+    """The ``parallel`` block (span coordinator snapshot) and ``streaming`` counters."""
+    lines: list[str] = []
+    snapshot = metrics.get("parallel")
+    if isinstance(snapshot, dict) and snapshot.get("spans"):
+        rows = [
+            [
+                str(span.get("span")),
+                "{}-{}".format(*span.get("trajectories", ("?", "?"))),
+                str(span.get("pool")),
+                str(span.get("n_entries")),
+                str(span.get("n_evaluations")),
+                f"{span.get('cache_hits', 0)}/{span.get('opens', 0)}",
+            ]
+            for span in snapshot["spans"]
+        ]
+        lines += [
+            "",
+            f"spans: {snapshot.get('n_spans')} over pools "
+            f"{', '.join(snapshot.get('pools', []))}; shard skew "
+            f"{snapshot.get('shard_skew', 1.0):.2f}, eval skew "
+            f"{snapshot.get('eval_skew', 1.0):.2f}",
+            _table(
+                ["span", "trajectories", "pool", "entries", "evals", "cache hits/opens"],
+                rows,
+            ),
+        ]
+    streaming = metrics.get("streaming")
+    if isinstance(streaming, dict):
+        lines += [
+            "",
+            f"streaming: {streaming.get('chunks_scanned')} span scans, "
+            f"{streaming.get('span_cache_hits')} span cache hits",
+        ]
+    return lines
 
 
 # -- metrics snapshot / telemetry rendering -----------------------------------
@@ -278,6 +316,7 @@ def render_metrics_report(snapshot: dict) -> str:
                 ]
             )
         lines += ["", _table(["histogram", "count", "mean", "p99", "unit"], rows)]
+    lines += _span_lines(snapshot)
     if len(lines) == 1:
         return "metrics snapshot: no metrics recorded"
     return "\n".join(lines)

@@ -237,8 +237,13 @@ class ServingSnapshot:
             backend=backend,
             dtype=dtype,
         )
-        key = index_cache.cache_key(
-            dataset, grid, config, kernel_tag=kernels.prob_kernel_tag(config)
+        key = index_cache.span_cache_key(
+            index_cache.dataset_fingerprint(dataset),
+            0,
+            len(dataset),
+            grid,
+            config,
+            kernel_tag=kernels.prob_kernel_tag(config),
         )
         if version is None:
             version = key[:12]

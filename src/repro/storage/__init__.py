@@ -7,7 +7,8 @@ Public surface:
 * :class:`StoreWriter` / :func:`write_store` -- streaming atomic writer;
 * :class:`StoreDataset` -- lazy drop-in ``TrajectoryDataset`` over a
   store span (what engines consume);
-* the converters in :mod:`repro.storage.ingest`.
+* the converters in :mod:`repro.storage.ingest`, and
+  :func:`open_as_store`, which opens a store or stream-converts JSONL.
 
 See ``docs/STORAGE.md`` for the format specification.
 """
@@ -28,6 +29,7 @@ from repro.storage.ingest import (
     convert_csv_to_store,
     convert_jsonl_to_store,
     ingest_porto_csv,
+    open_as_store,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "convert_jsonl_to_store",
     "ingest_porto_csv",
     "is_store_path",
+    "open_as_store",
     "open_store",
     "write_store",
 ]

@@ -116,7 +116,7 @@ class StoreDataset(TrajectoryDataset):
 
     @property
     def store_ref(self) -> tuple[str, int, int]:
-        """``(path, traj_lo, traj_hi)`` -- the parallel-worker span handle."""
+        """``(path, traj_lo, traj_hi)`` -- the span's address in its store."""
         return (str(self.store.path), self.traj_lo, self.traj_hi)
 
     @property

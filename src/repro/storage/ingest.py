@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.storage.columnar import StoreWriter
+from repro.storage.columnar import StoreWriter, is_store_path, open_store
 from repro.trajectory.io import iter_dataset_jsonl
 
 #: Porto taxi dumps sample one GPS fix every 15 seconds.
@@ -53,6 +55,26 @@ def convert_jsonl_to_store(
             n_traj += 1
             n_rows += len(traj)
     return _summary(dst, src, n_traj, n_rows)
+
+
+@contextmanager
+def open_as_store(path: str | Path, *, mode: str = "read"):
+    """Yield a store-backed dataset over ``path``, a ``.tjc`` store or JSONL.
+
+    A JSONL dataset is first stream-converted to a temporary ``.tjc``
+    (one pass, bounded memory) that lives as long as the context.  Its
+    content hash is that of the data, so span-cache entries written for
+    one conversion are hit by the next.  ``mode="read"`` (the default)
+    decodes rows through bounded ``pread`` so the mapping never grows.
+    """
+    with ExitStack() as stack:
+        path = Path(path)
+        if not is_store_path(path):
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-"))
+            converted = Path(tmp) / f"{path.stem}.tjc"
+            convert_jsonl_to_store(path, converted)
+            path = converted
+        yield stack.enter_context(open_store(path)).dataset(mode=mode)
 
 
 def convert_csv_to_store(

@@ -42,13 +42,12 @@ from repro.core.engine import NMEngine
 from repro.core.incremental import IncrementalIndexer
 from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import WILDCARD, TrajectoryPattern
-from repro.core.streaming import StreamingNMEngine
 from repro.core.trajpattern import TrajPatternMiner
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.serve import protocol
 from repro.serve.server import PatternServer, ServeConfig
 from repro.serve.snapshot import ServingSnapshot, SnapshotStore
-from repro.storage import open_store, write_store
+from repro.storage import open_as_store, open_store, write_store
 from repro.testkit.datasets import DEFAULT_SEEDS, OracleSetup, oracle_setup
 from repro.trajectory.io import save_dataset_jsonl
 
@@ -86,15 +85,14 @@ ULP_BUDGETS = {
     # store-backed dataset reads back the exact float64 arrays it was
     # written from, so the serial path is bit-identical to the baseline.
     "store": 0,
-    # Store-span parallel workers shard the same trajectory boundaries as
-    # the shm-backed engine and reduce in the same order, so each width is
+    # Store-span fork workers shard the same trajectory boundaries as the
+    # in-RAM fork workers and reduce in the same order, so each width is
     # compared against *its own* in-RAM parallel run -- also bit-identical
     # (the re-association budget already lives on the ``parallel`` paths).
     "store-parallel": 0,
-    # The distributed coordinator partitions on the same boundaries and
-    # re-uses the parallel tier's merge functions in one flat fold over
-    # global span order; the NDJSON wire round-trips float64 exactly
-    # (shortest-repr).  Compared against the same-width parallel run:
+    # Remote pools get the same span partition and their results take the
+    # same flat fold over global span order; the NDJSON wire round-trips
+    # float64 exactly (shortest-repr).  Compared against the same-width parallel run:
     # a socket hop must not move a bit, whichever pool computed a span.
     "dist": 0,
     # Kernel-backend paths (``--backends all``).  ``kernel`` covers
@@ -294,9 +292,9 @@ def run_oracle(
     ``include_serve=False`` skips the live-server round-trip (the one path
     needing an event loop), for callers already inside one.
 
-    ``include_dist=True`` adds the distributed coordinator paths
-    (``repro selfcheck --dist``): for each width in ``jobs_grid`` a
-    :class:`~repro.dist.coordinator.DistNMEngine` mixing one local fork
+    ``include_dist=True`` adds the distributed paths (``repro selfcheck
+    --dist``): for each width in ``jobs_grid`` a
+    :class:`~repro.core.parallel.ParallelNMEngine` mixing one local fork
     pool with one loopback socket worker pool scores the frontier,
     compared bit-for-bit against the same-width in-RAM parallel run.
 
@@ -393,23 +391,26 @@ def run_oracle(
                         f"parallel[{jobs}]",
                         nm_par,
                         match_par,
-                        detail=f"{par.n_shards} shards",
+                        detail=f"{par.n_spans} spans",
                     )
                 )
 
-        # Path 5: out-of-core streaming, forced through multiple chunks.
+        # Path 5: out-of-core streaming -- the inline pool over a JSONL
+        # file stream-converted to a store, exactly as `repro score` runs
+        # it, forced through three spans.
         stream_path = work / "oracle-dataset.jsonl"
         save_dataset_jsonl(setup.dataset, stream_path)
-        chunk_size = max(1, len(setup.dataset) // 3)
-        stream = StreamingNMEngine(stream_path, setup.grid, cfg, chunk_size=chunk_size)
-        checks.append(
-            check(
-                "streaming",
-                stream.nm_many(frontier),
-                stream.match_many(frontier),
-                detail=f"{stream.n_chunks_scanned} chunks",
+        with open_as_store(stream_path) as stream_dataset, ParallelNMEngine(
+            stream_dataset, setup.grid, cfg, jobs=3, pools=("inline",)
+        ) as stream:
+            checks.append(
+                check(
+                    "streaming",
+                    stream.nm_batch(frontier),
+                    stream.match_batch(frontier),
+                    detail=f"{stream.n_spans} spans",
+                )
             )
-        )
 
         # Path 5b: incremental index maintenance.  Build over a prefix,
         # fold the remaining trajectories in as two report waves, evict the
@@ -481,9 +482,9 @@ def run_oracle(
 
         # Paths 6+7: the columnar store.  Writing the dataset to a ``.tjc``
         # file and evaluating over the store-backed (lazy, memory-mapped)
-        # dataset must not move a bit; store-*span* parallel workers (no
-        # /dev/shm copies) must agree bit-for-bit with the shm-backed
-        # parallel engine of the same width.
+        # dataset must not move a bit; fork workers over store spans must
+        # agree bit-for-bit with fork workers over in-RAM slices of the
+        # same width.
         store_file = work / "oracle-dataset.tjc"
         write_store(setup.dataset, store_file)
         with open_store(store_file) as store:
@@ -510,18 +511,16 @@ def run_oracle(
                             match_ulps=max_ulps(
                                 match_ram, spar.match_batch(frontier)
                             ),
-                            detail=f"{spar.n_shards} spans vs parallel[{jobs}]",
+                            detail=f"{spar.n_spans} spans vs parallel[{jobs}]",
                         )
                     )
 
-            # Path 8 (``--dist``): the distributed coordinator over mixed
-            # pools -- one local fork pool plus one socket worker pool on
-            # loopback -- at every width, against the same-width in-RAM
-            # parallel run.  The coordinator shards on the same trajectory
-            # boundaries and folds per-span results in the same global
-            # order, so a socket in the middle must not move a bit.
+            # Path 8 (``--dist``): the coordinator over mixed pools -- one
+            # local fork pool plus one socket worker pool on loopback -- at
+            # every width, against the same-width in-RAM parallel run.  The
+            # span partition and the global fold order are the same, so a
+            # socket in the middle must not move a bit.
             if include_dist:
-                from repro.dist.coordinator import DistNMEngine
                 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 
                 with WorkerPoolServer(
@@ -529,12 +528,12 @@ def run_oracle(
                 ) as pool_server:
                     pool = f"{pool_server.config.host}:{pool_server.port}"
                     for jobs in jobs_grid:
-                        with DistNMEngine(
+                        with ParallelNMEngine(
                             store_dataset,
                             setup.grid,
                             cfg,
-                            pools=["local", pool],
                             jobs=jobs,
+                            pools=["local", pool],
                         ) as dist_engine:
                             nm_ram, match_ram = par_results[jobs]
                             checks.append(

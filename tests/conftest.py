@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro.core import index_cache
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
+from repro.storage import open_as_store
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 
@@ -86,3 +90,25 @@ def brute_force_top_k(engine, k, max_length, min_length=1):
             scored.append((combo, engine.nm(pattern)))
     scored.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return scored[:k]
+
+
+@contextmanager
+def streamed(path, grid, config, chunk_size=64):
+    """The inline-pool engine ``repro score`` runs over a JSONL or ``.tjc`` file.
+
+    ``ceil(n / chunk_size)`` spans balanced by snapshot count; one span
+    index is resident at a time.
+    """
+    with open_as_store(path) as dataset:
+        n_spans = -(-len(dataset) // chunk_size)
+        with ParallelNMEngine(
+            dataset, grid, config, jobs=n_spans, pools=("inline",)
+        ) as engine:
+            yield engine
+
+
+def dataset_cache_key(dataset, grid, config, **kwargs) -> str:
+    """The whole-dataset index-cache key: the span ``[0, len(dataset))``."""
+    return index_cache.span_cache_key(
+        index_cache.dataset_fingerprint(dataset), 0, len(dataset), grid, config, **kwargs
+    )

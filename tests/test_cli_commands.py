@@ -101,6 +101,50 @@ class TestScoreCommand:
         with pytest.raises(SystemExit):
             cli.main(["score", "p.json", str(dataset_file)])
 
+    def test_score_manifest_counts_span_scans(self, dataset_file, tmp_path, capsys):
+        # JSONL input is stream-converted to a temporary store and re-scored
+        # on the inline pool; the manifest's streaming counters come from
+        # the coordinator's snapshot and `repro report` renders them.
+        out_file = tmp_path / "patterns.json"
+        mine = ["mine", str(dataset_file), "--output", str(out_file), "-k", "3"]
+        grid = ["--cell-size", "0.03", "--delta", "0.03", "--min-prob", "1e-4"]
+        assert cli.main(mine + grid) == 0
+        score = ["score", str(out_file), str(dataset_file), "--delta", "0.03"]
+        flags = ["--min-prob", "1e-4", "--chunk-size", "3", "--cache-dir"]
+        for _ in range(2):
+            assert cli.main(score + flags + [str(tmp_path / "cache"), "--manifest-out"]) == 0
+        manifest = json.loads((tmp_path / "walks.jsonl.manifest.json").read_text())
+        # 8 trajectories at chunk size 3: 3 spans, each scanned once by the
+        # one re-score op; the second run loads every span from the cache.
+        assert manifest["metrics"]["streaming"] == {
+            "chunks_scanned": 3,
+            "span_cache_hits": 3,
+        }
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path / "walks.jsonl.manifest.json")]) == 0
+        assert "streaming: 3 span scans, 3 span cache hits" in capsys.readouterr().out
+
+
+class TestCountFlags:
+    """Count flags reject values below 1 as usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "d.jsonl", "--jobs", "0"],
+            ["mine", "d.jsonl", "--jobs", "two"],
+            ["score", "p.json", "d.jsonl", "--delta", "0.1", "--chunk-size", "0"],
+            ["score", "p.json", "d.jsonl", "--delta", "0.1", "--chunk-size", "-3"],
+        ],
+    )
+    def test_non_positive_count_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
 
 class TestRunAliases:
     def test_run_form_equivalent(self, monkeypatch, capsys):

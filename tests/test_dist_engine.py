@@ -1,10 +1,11 @@
-"""DistNMEngine vs ParallelNMEngine: bit-identical across a real socket.
+"""Remote pools vs fork pools: bit-identical across a real socket.
 
 One worker pool runs in-process (threads + loopback TCP), one pool is
 the local fork kind, so every test exercises the mixed-pool dispatch
-path.  All comparisons are exact (``==`` / ``array_equal``): the dist
-tier re-uses the parallel tier's merge functions over the same span
-partition, so there is no tolerance to hide behind.
+path of :class:`~repro.core.parallel.ParallelNMEngine`.  All comparisons
+are exact (``==`` / ``array_equal``): every pool kind feeds the same merge
+functions over the same span partition, so there is no tolerance to hide
+behind.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.engine import NMEngine
-from repro.core.parallel import ParallelNMEngine
+from repro.core.parallel import ParallelNMEngine, parse_pool_spec
 from repro.core.pattern import TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.core.wildcards import Gap, GapPattern
-from repro.dist import DistNMEngine, DistPoolError, parse_pool_spec
 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 from repro.storage import open_store, write_store
 from repro.testkit.datasets import oracle_setup
@@ -44,8 +44,8 @@ def pool_server(setup):
 def engines(setup, pool_server):
     s, _, store_dataset = setup
     par = ParallelNMEngine(store_dataset, s.grid, s.config, jobs=4)
-    dist = DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=4
+    dist = ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=4, pools=["local", pool_server]
     )
     yield par, dist
     dist.close()
@@ -60,6 +60,7 @@ def _patterns(engine):
 
 
 def test_parse_pool_spec():
+    assert parse_pool_spec("inline") == ("inline", None)
     assert parse_pool_spec("local") == ("local", None)
     assert parse_pool_spec("10.0.0.7:9000") == ("remote", ("10.0.0.7", 9000))
     for bad in ("", ":9000", "host:", "host:x"):
@@ -71,8 +72,7 @@ def test_active_cells_and_metadata_match(engines):
     par, dist = engines
     assert dist.active_cells == par.active_cells
     assert dist.n_index_entries == par.n_index_entries
-    assert len(dist.pool_names) == 2
-    assert dist.heartbeat() == {"local-0": True, "remote-1": True}
+    assert dist.pool_names == ["local-0", "remote-1"]
 
 
 def test_nm_and_match_batches_bitwise_equal(engines):
@@ -129,8 +129,8 @@ def test_miner_top_k_identical_to_parallel(setup, pool_server):
     serial = TrajPatternMiner(NMEngine(s.dataset, s.grid, s.config), k=5).mine()
     with ParallelNMEngine(store_dataset, s.grid, s.config, jobs=3) as par:
         parallel = TrajPatternMiner(par, k=5).mine()
-    with DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=3
+    with ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=3, pools=["local", pool_server]
     ) as dist:
         mined = TrajPatternMiner(dist, k=5).mine()
     assert [p.cells for p, _ in mined.as_pairs()] == [
@@ -147,14 +147,19 @@ def test_obs_snapshot_attributes_spans_to_pools(engines):
     _, dist = engines
     snap = dist.obs_snapshot()
     assert snap["n_spans"] == 4
-    pools = {entry["pool"] for entry in snap["spans"]}
-    assert pools == {"local-0", "remote-1"}
+    assert [entry["pool"] for entry in snap["spans"]] == [
+        "local-0",
+        "remote-1",
+        "local-0",
+        "remote-1",
+    ]
+    assert [entry["span"] for entry in snap["spans"]] == [0, 1, 2, 3]
 
 
 def test_requires_store_backed_dataset(setup):
     s, _, _ = setup
     with pytest.raises(ValueError, match="store"):
-        DistNMEngine(s.dataset, s.grid, s.config, pools=["local"], jobs=2)
+        ParallelNMEngine(s.dataset, s.grid, s.config, jobs=2, pools=["localhost:1"])
 
 
 def test_remote_pool_rejects_mismatched_store(setup, tmp_path):
@@ -166,9 +171,9 @@ def test_remote_pool_rejects_mismatched_store(setup, tmp_path):
     server = WorkerPoolServer(WorkerPoolConfig(store_path=other_path, name="wx"))
     host, port = server.start()
     try:
-        with pytest.raises((DistPoolError, RuntimeError), match="store"):
-            DistNMEngine(
-                store_dataset, s.grid, s.config, pools=[f"{host}:{port}"], jobs=2
+        with pytest.raises(RuntimeError, match="store"):
+            ParallelNMEngine(
+                store_dataset, s.grid, s.config, jobs=2, pools=[f"{host}:{port}"]
             )
     finally:
         server.stop()
@@ -179,8 +184,8 @@ def test_no_processes_leak(setup, pool_server):
 
     s, _, store_dataset = setup
     before = set(mp.active_children())
-    dist = DistNMEngine(
-        store_dataset, s.grid, s.config, pools=["local", pool_server], jobs=4
+    dist = ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=4, pools=["local", pool_server]
     )
     dist.nm_batch([TrajectoryPattern((dist.active_cells[0],))])
     assert set(mp.active_children()) > before  # local pool forked workers

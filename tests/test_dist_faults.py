@@ -14,9 +14,8 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.core.parallel import ParallelNMEngine
+from repro.core.parallel import ParallelNMEngine, WorkerCrashError
 from repro.core.pattern import TrajectoryPattern
-from repro.dist import DistNMEngine, DistPoolError
 from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
 from repro.storage import open_store, write_store
 from repro.testkit import faults
@@ -47,12 +46,12 @@ def test_remote_pool_death_redispatches_bit_identically(setup, expected):
     h0, p0 = s0.start()
     h1, p1 = s1.start()
     try:
-        with DistNMEngine(
+        with ParallelNMEngine(
             store_dataset,
             s.grid,
             s.config,
-            pools=[f"{h0}:{p0}", f"{h1}:{p1}"],
             jobs=4,
+            pools=[f"{h0}:{p0}", f"{h1}:{p1}"],
         ) as dist:
             assert np.array_equal(dist.nm_batch(pats), expected_nm)
             s1.stop()  # kill one pool between ops
@@ -77,8 +76,8 @@ def test_local_worker_sigkill_redispatches_bit_identically(setup, expected):
         count=1,
     )
     try:
-        with DistNMEngine(
-            store_dataset, s.grid, s.config, pools=["local", "local"], jobs=4
+        with ParallelNMEngine(
+            store_dataset, s.grid, s.config, jobs=4, pools=["local", "local"]
         ) as dist:
             faults.disarm()
             assert np.array_equal(dist.nm_batch(pats), expected_nm)
@@ -87,17 +86,19 @@ def test_local_worker_sigkill_redispatches_bit_identically(setup, expected):
         faults.disarm()
 
 
-def test_all_pools_dead_raises_dist_pool_error(setup, expected):
+def test_all_pools_dead_raises_worker_crash(setup, expected):
     s, store_path, store_dataset = setup
     pats, _, _ = expected
     server = WorkerPoolServer(WorkerPoolConfig(store_path=store_path, name="w2"))
     host, port = server.start()
-    dist = DistNMEngine(
-        store_dataset, s.grid, s.config, pools=[f"{host}:{port}"], jobs=2
+    dist = ParallelNMEngine(
+        store_dataset, s.grid, s.config, jobs=2, pools=[f"{host}:{port}"]
     )
     try:
         server.stop()
-        with pytest.raises(DistPoolError):
+        with pytest.raises(WorkerCrashError, match="no pool survives"):
+            dist.nm_batch(pats)
+        with pytest.raises(RuntimeError, match="closed"):
             dist.nm_batch(pats)
     finally:
         dist.close()

@@ -16,23 +16,33 @@ algebraic properties of the merge functions in :mod:`repro.core.parallel`:
   reassociation noise.
 
 Hypothesis generates the per-trajectory contributions and the partitions.
+The last class checks the coordinator end to end: for one span partition,
+the inline, fork and loopback-remote pools give bit-identical results on
+every evaluation surface.
 """
 
 import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import ExtensionTables
 from repro.core.parallel import (
+    ParallelNMEngine,
     merge_batch_sums,
     merge_extension_tables,
     merge_per_trajectory,
     merge_scalar_sums,
     merge_singular_tables,
 )
+from repro.core.pattern import TrajectoryPattern
+from repro.core.wildcards import Gap, GapPattern
+from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer
+from repro.storage import open_store, write_store
+from repro.testkit.datasets import oracle_setup
 
 # Per-trajectory contributions.  Integer-valued floats make fp addition
 # exactly associative, which is what lets the partition-invariance tests
@@ -230,3 +240,56 @@ class TestExtensionTables:
             nm_merged, match_merged = merge_extension_tables(span_tables)
             assert nm_merged == nm_ref, spans
             assert match_merged == match_ref, spans
+
+
+@pytest.fixture(scope="module")
+def pool_setup(tmp_path_factory):
+    s = oracle_setup(303, quick=True)
+    path = write_store(s.dataset, tmp_path_factory.mktemp("pools") / "data.tjc")
+    with open_store(path) as store, WorkerPoolServer(
+        WorkerPoolConfig(store_path=str(path), name="prop")
+    ) as server:
+        yield s, store.dataset(), f"{server.config.host}:{server.port}"
+
+
+def _surfaces(engine, patterns, gap) -> tuple:
+    """Every evaluation surface, as bytes / exact python values."""
+    return (
+        engine.nm_batch(patterns).tobytes(),
+        engine.match_batch(patterns).tobytes(),
+        engine.singular_nm_table(),
+        engine.singular_match_table(),
+        engine.extend_right_tables_many(patterns[:3]),
+        engine.nm_gap_pattern_total(gap),
+    )
+
+
+class TestPoolKindInvariance:
+    @given(jobs=st.integers(1, 5), seed=st.integers(0, 10**6))
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_inline_fork_and_remote_pools_agree_bitwise(self, pool_setup, jobs, seed):
+        s, store_dataset, remote = pool_setup
+        results = {}
+        for pools in (("inline",), ("local",), (remote,)):
+            with ParallelNMEngine(
+                store_dataset, s.grid, s.config, jobs=jobs, pools=pools
+            ) as engine:
+                rng = random.Random(seed)  # the same frontier for every pool
+                cells = engine.active_cells
+                patterns = [
+                    TrajectoryPattern(tuple(rng.choice(cells) for _ in range(n)))
+                    for n in (1, 1, 2, 3, 2)
+                ]
+                gap = GapPattern(
+                    (TrajectoryPattern((cells[0],)), TrajectoryPattern((cells[-1],))),
+                    (Gap(0, 2),),
+                )
+                results[pools[0]] = (engine.spans, _surfaces(engine, patterns, gap))
+        (spans, reference), *others = results.values()
+        for other_spans, surfaces in others:
+            assert other_spans == spans
+            assert surfaces == reference

@@ -27,6 +27,7 @@ from repro.core.incremental import (
 from repro.core.trajpattern import TrajPatternMiner
 from repro.experiments.datasets import zebranet_dataset
 from repro.trajectory.dataset import TrajectoryDataset
+from tests.conftest import dataset_cache_key
 
 CONFIG = EngineConfig(delta=0.05, min_prob=1e-6)
 
@@ -292,11 +293,11 @@ class TestPersist:
         trajectories, grid = pool
         config = EngineConfig(delta=0.05, min_prob=1e-6, cache_dir=str(tmp_path))
         engine = NMEngine(TrajectoryDataset(trajectories[:5]), grid, config)
-        original_key = index_cache.cache_key(engine.dataset, grid, config)
+        original_key = dataset_cache_key(engine.dataset, grid, config)
         indexer = IncrementalIndexer(engine)
         indexer.append(trajectories[5:7])
         path = indexer.persist()
         assert path is not None and path.exists()
-        new_key = index_cache.cache_key(engine.dataset, grid, config)
+        new_key = dataset_cache_key(engine.dataset, grid, config)
         assert new_key != original_key
         assert path == index_cache.cache_path(tmp_path, new_key)

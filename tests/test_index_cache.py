@@ -4,12 +4,12 @@ Covers the satellite requirements: a cache hit reproduces the index
 bit-for-bit; any change to the dataset or to an index-affecting config
 knob invalidates the key; unreadable files of every stripe fall back to a
 fresh build instead of crashing; and serial and parallel engines share
-one cache file in both directions.
+one whole-dataset cache entry in both directions, while a multi-span
+engine keeps one entry per span.
 """
 
 from __future__ import annotations
 
-import glob
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.core.engine import EngineConfig, NMEngine
 from repro.core.parallel import ParallelNMEngine
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import dataset_cache_key
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestCacheHit:
     ):
         cold = NMEngine(dataset, grid, config)
         assert not cold.index_cache_hit
-        key = index_cache.cache_key(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
         assert index_cache.cache_path(config.cache_dir, key).exists()
 
         warm = NMEngine(dataset, grid, config)
@@ -83,7 +84,7 @@ class TestCacheHit:
 class TestInvalidation:
     def test_grid_resolution_changes_key(self, dataset, grid, config):
         other_grid = dataset.make_grid(0.08)
-        assert index_cache.cache_key(dataset, grid, config) != index_cache.cache_key(
+        assert dataset_cache_key(dataset, grid, config) != dataset_cache_key(
             dataset, other_grid, config
         )
 
@@ -98,7 +99,7 @@ class TestInvalidation:
     )
     def test_index_affecting_config_changes_key(self, dataset, grid, config, change):
         changed = replace(config, **change)
-        assert index_cache.cache_key(dataset, grid, config) != index_cache.cache_key(
+        assert dataset_cache_key(dataset, grid, config) != dataset_cache_key(
             dataset, grid, changed
         )
 
@@ -108,32 +109,32 @@ class TestInvalidation:
     )
     def test_non_index_knobs_do_not_change_key(self, dataset, grid, config, change):
         changed = replace(config, **change)
-        assert index_cache.cache_key(dataset, grid, config) == index_cache.cache_key(
+        assert dataset_cache_key(dataset, grid, config) == dataset_cache_key(
             dataset, grid, changed
         )
 
     def test_sigma_change_invalidates(self, dataset, grid, config):
-        key = index_cache.cache_key(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
         bumped = [
             UncertainTrajectory(t.means, t.sigmas * (1.001 if i == 3 else 1.0))
             for i, t in enumerate(dataset)
         ]
-        assert key != index_cache.cache_key(TrajectoryDataset(bumped), grid, config)
+        assert key != dataset_cache_key(TrajectoryDataset(bumped), grid, config)
 
     def test_mean_change_invalidates(self, dataset, grid, config):
-        key = index_cache.cache_key(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
         moved = [
             UncertainTrajectory(
                 t.means + (1e-9 if i == 0 else 0.0), t.sigmas
             )
             for i, t in enumerate(dataset)
         ]
-        assert key != index_cache.cache_key(TrajectoryDataset(moved), grid, config)
+        assert key != dataset_cache_key(TrajectoryDataset(moved), grid, config)
 
     def test_trajectory_reordering_invalidates(self, dataset, grid, config):
-        key = index_cache.cache_key(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
         reordered = dataset.subset(list(reversed(range(len(dataset)))))
-        assert key != index_cache.cache_key(reordered, grid, config)
+        assert key != dataset_cache_key(reordered, grid, config)
 
     def test_engine_rebuilds_on_changed_config(self, dataset, grid, config):
         NMEngine(dataset, grid, config)
@@ -145,7 +146,7 @@ class TestInvalidation:
 class TestCorruptionFallback:
     def _populate(self, dataset, grid, config):
         NMEngine(dataset, grid, config)
-        key = index_cache.cache_key(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
         return index_cache.cache_path(config.cache_dir, key)
 
     def test_truncated_file_falls_back(self, dataset, grid, config):
@@ -198,25 +199,38 @@ class TestCorruptionFallback:
 
 class TestSerialParallelSharing:
     def test_parallel_cold_write_serial_warm_read(self, dataset, grid, config):
-        with ParallelNMEngine(dataset, grid, config, jobs=3) as par:
+        # A one-span engine writes the whole-dataset entry.
+        with ParallelNMEngine(dataset, grid, config, jobs=1) as par:
             assert not par.index_cache_hit
         reference = NMEngine(dataset, grid, replace(config, cache_dir=None))
         warm = NMEngine(dataset, grid, config)
         assert warm.index_cache_hit
         for a, b in zip(warm.index_arrays(), reference.index_arrays()):
             np.testing.assert_array_equal(a, b)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
 
     def test_serial_cold_write_parallel_warm_read(self, dataset, grid, config):
         reference = NMEngine(dataset, grid, config)
         assert not reference.index_cache_hit
-        with ParallelNMEngine(dataset, grid, config, jobs=4) as par:
-            assert par.index_cache_hit
-            assert par.n_index_entries == reference.n_index_entries
-            from repro.core.pattern import TrajectoryPattern
+        for pools in (("local",), ("inline",)):
+            with ParallelNMEngine(dataset, grid, config, jobs=1, pools=pools) as par:
+                assert par.index_cache_hit
+                assert par.n_index_entries == reference.n_index_entries
+                from repro.core.pattern import TrajectoryPattern
 
-            patterns = [TrajectoryPattern((c,)) for c in reference.active_cells[:4]]
-            np.testing.assert_allclose(
-                par.nm_batch(patterns), reference.nm_batch(patterns), rtol=1e-12
-            )
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+                patterns = [
+                    TrajectoryPattern((c,)) for c in reference.active_cells[:4]
+                ]
+                np.testing.assert_array_equal(
+                    par.nm_batch(patterns), reference.nm_batch(patterns)
+                )
+
+    def test_span_entries_warm_the_same_partition(self, dataset, grid, config):
+        # Each span worker saves its own entry; the parent never merges.
+        with ParallelNMEngine(dataset, grid, config, jobs=3) as cold:
+            assert not cold.index_cache_hit
+            spans = cold.spans
+        assert len(list(config.cache_dir.glob("index-*.npz"))) == 3
+        with ParallelNMEngine(dataset, grid, config, jobs=3) as warm:
+            assert warm.spans == spans
+            assert warm.index_cache_hit
+            assert warm.obs_snapshot()["span_cache_hits"] == 3

@@ -23,6 +23,7 @@ from repro.obs import metrics
 from repro.testkit import faults
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import dataset_cache_key
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +60,7 @@ def dataset():
 def scenario(dataset, tmp_path):
     grid = dataset.make_grid(0.05)
     config = EngineConfig(delta=0.05, min_prob=1e-6, cache_dir=str(tmp_path))
-    key = index_cache.cache_key(dataset, grid, config)
+    key = dataset_cache_key(dataset, grid, config)
     return dataset, grid, config, key, tmp_path
 
 
@@ -172,7 +173,7 @@ class TestInPlaceAppendKeying:
             lazy = store.dataset()
             assert lazy.content_fingerprint  # the stale-key ingredient
             engine = NMEngine(lazy, grid, config)
-            boot_key = index_cache.cache_key(lazy, grid, config)
+            boot_key = dataset_cache_key(lazy, grid, config)
             boot_payload = index_cache.cache_path(cache_dir, boot_key).read_bytes()
 
             live = NMEngine(
@@ -186,7 +187,7 @@ class TestInPlaceAppendKeying:
         indexer.append([UncertainTrajectory(means, 0.02, object_id="new")])
         persisted = indexer.persist()
 
-        fresh_key = index_cache.cache_key(live.dataset, grid, config)
+        fresh_key = dataset_cache_key(live.dataset, grid, config)
         assert fresh_key != boot_key
         assert persisted == index_cache.cache_path(cache_dir, fresh_key)
         # The boot dataset's entry is byte-identical: not poisoned.

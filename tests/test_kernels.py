@@ -16,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import index_cache, kernels
+from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine, autotune_prob_chunk
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
+from tests.conftest import dataset_cache_key
 
 CELL = 0.03
 BASE = dict(delta=CELL, min_prob=1e-6)
@@ -120,11 +121,11 @@ def test_prob_kernel_tag_default_is_ref():
 
 def test_cache_key_kernel_tag(small_dataset, unit_grid):
     cfg = EngineConfig(**BASE)
-    base = index_cache.cache_key(small_dataset, unit_grid, cfg)
-    assert index_cache.cache_key(
+    base = dataset_cache_key(small_dataset, unit_grid, cfg)
+    assert dataset_cache_key(
         small_dataset, unit_grid, cfg, kernel_tag="ref"
     ) == base
-    tagged = index_cache.cache_key(
+    tagged = dataset_cache_key(
         small_dataset, unit_grid, cfg, kernel_tag="cnative"
     )
     assert tagged != base

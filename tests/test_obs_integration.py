@@ -152,15 +152,18 @@ class TestObsSnapshot:
             eng.nm_batch(patterns)
             snapshot = eng.obs_snapshot()
 
-        assert snapshot["n_shards"] == 2
-        assert len(snapshot["shards"]) == 2
-        for ordinal, shard in enumerate(snapshot["shards"]):
-            assert shard["shard"] == ordinal
-            lo, hi = shard["trajectories"]
+        assert snapshot["n_spans"] == 2
+        assert snapshot["pools"] == ["local-0"]
+        assert len(snapshot["spans"]) == 2
+        for ordinal, span in enumerate(snapshot["spans"]):
+            assert span["span"] == ordinal
+            assert span["pool"] == "local-0"
+            lo, hi = span["trajectories"]
             assert hi > lo
-            assert shard["n_entries"] > 0
-            assert shard["n_evaluations"] == len(patterns)
-            assert "counters" in shard["metrics"]
+            assert span["n_entries"] > 0
+            assert span["n_evaluations"] == len(patterns)
+            assert span["opens"] == 1
+            assert "counters" in span["metrics"]
         assert snapshot["n_evaluations"] == 2 * len(patterns)
         assert snapshot["shard_skew"] >= 1.0
         assert snapshot["eval_skew"] == 1.0
@@ -221,7 +224,7 @@ class TestCliObservability:
 
         snapshot = json.loads(metrics_file.read_text())
         assert snapshot["counters"]["parallel.workers_started"] == 2
-        assert snapshot["parallel"]["n_shards"] == 2
+        assert snapshot["parallel"]["n_spans"] == 2
 
         manifest_path = tmp_path / "patterns.json.manifest.json"
         document = obs_manifest.load_manifest(manifest_path)
@@ -235,7 +238,9 @@ class TestCliObservability:
         assert cli.main(["report", str(trace_file)]) == 0
         assert "per-shard spans:" in capsys.readouterr().out
         assert cli.main(["report", str(manifest_path)]) == 0
-        assert "run manifest: mine" in capsys.readouterr().out
+        rendered = capsys.readouterr().out
+        assert "run manifest: mine" in rendered
+        assert "spans: 2 over pools local-0" in rendered
 
     def test_manifest_deterministic_sections_stable(
         self, dataset_file, tmp_path

@@ -1,4 +1,4 @@
-"""Sharded parallel engine == serial engine, and shared-memory hygiene.
+"""Sharded parallel engine == serial engine.
 
 The merge in :class:`~repro.core.parallel.ParallelNMEngine` is an exact
 reduction over per-trajectory terms, so every evaluation surface must
@@ -9,7 +9,7 @@ per worker, more workers than trajectories) and wildcard patterns.
 
 from __future__ import annotations
 
-import glob
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -25,13 +25,6 @@ from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 
 JOB_COUNTS = (1, 2, 3, 5, 12, 30)  # 12 = one trajectory per shard, 30 > |D|
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave /dev/shm free of our segments."""
-    yield
-    assert glob.glob("/dev/shm/repro-shm-*") == []
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +98,7 @@ class TestShardDataset:
 class TestParallelEqualsSerial:
     def test_metadata(self, serial, jobs):
         with _parallel(serial, jobs) as par:
-            assert par.n_shards == min(jobs, len(serial.dataset))
+            assert par.n_spans == min(jobs, len(serial.dataset))
             assert par.active_cells == serial.active_cells
             assert par.n_index_entries == serial.n_index_entries
             assert par.floor_log_prob == serial.floor_log_prob
@@ -211,8 +204,10 @@ class TestLifecycle:
             par.nm_batch(_candidates(serial)[:2])
 
     def test_workers_die_with_close(self, serial):
+        before = set(mp.active_children())
         par = _parallel(serial, 3)
-        workers = list(par._workers)
+        workers = set(mp.active_children()) - before
+        assert len(workers) == 3
         par.close()
         assert all(not proc.is_alive() for proc in workers)
 
@@ -256,4 +251,3 @@ class TestPropertyEquivalence:
             np.testing.assert_allclose(
                 par.match_batch(patterns), serial.match_batch(patterns), rtol=1e-12
             )
-        assert glob.glob("/dev/shm/repro-shm-*") == []

@@ -1,14 +1,14 @@
 """Fault-injected worker crashes: the engine must fail loudly and leak nothing.
 
-Every scenario kills (or errors) a shard worker at a specific point --
-startup, mid-batch, during the export/release shm handoff -- and asserts
-the two invariants the fixes guarantee:
+Every scenario kills (or errors) a fork span worker at a specific point --
+startup, mid-batch, between ops -- and asserts the invariants the
+coordinator guarantees:
 
-* the failure surfaces as :class:`WorkerCrashError` (pipe death) or a
-  ``RuntimeError`` carrying the worker traceback (reported error), never a
-  bare ``EOFError``/``BrokenPipeError``;
-* ``/dev/shm`` holds no ``repro-shm-*`` segment afterwards, whichever side
-  created it (the autouse fixture enforces this for every test).
+* the failure surfaces as :class:`WorkerCrashError` (pipe death with no
+  surviving pool) or a ``RuntimeError`` carrying the worker traceback
+  (reported error), never a bare ``EOFError``/``BrokenPipeError``;
+* no worker process outlives the engine, and nothing is ever placed in
+  ``/dev/shm`` (the autouse fixture enforces both for every test).
 
 Faults armed in the parent are inherited by forked workers, which is how a
 test reaches code running inside a worker process.
@@ -17,6 +17,9 @@ test reaches code running inside a worker process.
 from __future__ import annotations
 
 import glob
+import multiprocessing as mp
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -34,7 +37,12 @@ def clean_state():
     faults.disarm()
     yield
     faults.disarm()
+    _assert_nothing_leaked()
+
+
+def _assert_nothing_leaked():
     assert glob.glob("/dev/shm/repro-shm-*") == []
+    assert mp.active_children() == []
 
 
 def _dataset(n=8, length=10, seed=42) -> TrajectoryDataset:
@@ -71,12 +79,12 @@ class TestCrashMidBatch:
         )
         engine = ParallelNMEngine(dataset, grid, config, jobs=2)
         try:
-            with pytest.raises(WorkerCrashError, match="shard worker 0 died"):
+            with pytest.raises(WorkerCrashError, match="span worker 0 died"):
                 engine.nm_batch(patterns)
             # The crash closed the engine: no half-dead evaluations later.
             with pytest.raises(RuntimeError, match="closed"):
                 engine.nm_batch(patterns)
-            assert glob.glob("/dev/shm/repro-shm-*") == []
+            _assert_nothing_leaked()
         finally:
             engine.close()  # idempotent no-op after the auto-close
 
@@ -94,10 +102,12 @@ class TestCrashMidBatch:
             with pytest.raises(RuntimeError, match="FaultInjected"):
                 engine.nm_batch(patterns)
             # Fault was count=1: the next call goes through and agrees
-            # with the serial engine.
+            # with the serial engine -- no stale reply of the failed op
+            # is left in any pipe.
             serial = NMEngine(dataset, grid, config)
+            other = patterns[:2]
             np.testing.assert_allclose(
-                engine.nm_batch(patterns), serial.nm_batch(patterns), rtol=1e-12
+                engine.nm_batch(other), serial.nm_batch(other), rtol=1e-12
             )
 
     def test_unmatched_fault_does_not_fire(self, scenario):
@@ -117,72 +127,47 @@ class TestCrashDuringStartup:
         faults.arm("parallel.worker.start", "exit", match={"shard": 1})
         with pytest.raises(WorkerCrashError):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        _assert_nothing_leaked()
 
     def test_reported_startup_failure_carries_traceback(self, scenario):
         dataset, grid, config = scenario
         faults.arm("parallel.worker.start", "raise", match={"shard": 0})
         with pytest.raises(RuntimeError, match="FaultInjected"):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        _assert_nothing_leaked()
 
     def test_sigkill_during_startup_cleans_shm(self, scenario):
         dataset, grid, config = scenario
         faults.arm("parallel.worker.start", "sigkill", match={"shard": 0})
         with pytest.raises(WorkerCrashError):
             ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        _assert_nothing_leaked()
 
 
-class TestCrashDuringHandoff:
-    """The export/release window: worker-created segments are in flight."""
+class TestBestWindowDispatch:
+    """``best_window`` goes through the same guarded dispatch as batches."""
 
-    def test_sigkill_between_export_and_release(self, scenario, tmp_path):
-        # The worker exports its index through segments *it* created, then
-        # dies before the release round-trip -- the parent must reclaim
-        # the orphaned segments by name.
+    def test_best_window_after_close_raises_closed(self, scenario):
         dataset, grid, config = scenario
-        config = EngineConfig(
-            delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
-        )
-        faults.arm(
-            "parallel.worker.op",
-            "sigkill",
-            match={"shard": 1, "op": "release_index"},
-        )
-        with pytest.raises(WorkerCrashError):
-            ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        pattern = _patterns(dataset, grid, config)[0]
+        engine = ParallelNMEngine(dataset, grid, config, jobs=2)
+        engine.close()
+        with pytest.raises(RuntimeError, match="ParallelNMEngine is closed"):
+            engine.best_window(pattern, 0)
 
-    def test_crash_during_export(self, scenario, tmp_path):
+    def test_best_window_to_dead_worker_raises_worker_crash(self, scenario):
         dataset, grid, config = scenario
-        config = EngineConfig(
-            delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
-        )
-        faults.arm(
-            "parallel.worker.op",
-            "exit",
-            match={"shard": 0, "op": "export_index"},
-        )
-        with pytest.raises(WorkerCrashError):
-            ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
-
-    def test_parent_merge_failure_reclaims_worker_segments(self, scenario, tmp_path):
-        # The parent dies between export and release: worker segments are
-        # reclaimed by name in the finally, workers tolerate the
-        # double-unlink on close.
-        dataset, grid, config = scenario
-        config = EngineConfig(
-            delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
-        )
-        faults.arm("parallel.parent.merge", "raise")
-        with pytest.raises(faults.FaultInjected):
-            ParallelNMEngine(dataset, grid, config, jobs=2)
-        assert glob.glob("/dev/shm/repro-shm-*") == []
-        # The cache write never happened: no file, and no torn temp file.
-        assert list(tmp_path.glob("*.npz")) == []
-        assert list(tmp_path.glob("*.tmp")) == []
+        pattern = _patterns(dataset, grid, config)[0]
+        before = set(mp.active_children())
+        engine = ParallelNMEngine(dataset, grid, config, jobs=2)
+        try:
+            for proc in set(mp.active_children()) - before:
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5)
+            with pytest.raises(WorkerCrashError):
+                engine.best_window(pattern, len(dataset) - 1)
+        finally:
+            engine.close()
 
 
 class TestCloseSemantics:
@@ -197,4 +182,4 @@ class TestCloseSemantics:
             engine.nm_batch(patterns)
         engine.close()
         engine.close()
-        assert glob.glob("/dev/shm/repro-shm-*") == []
+        _assert_nothing_leaked()

@@ -1,4 +1,4 @@
-"""Store-span parallel mining: same bits as /dev/shm sharding, no copies."""
+"""Store-span parallel mining: same bits as in-RAM fork workers, no copies."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
-from repro.storage import open_store, write_store
+from repro.storage import StoreDataset, open_store, write_store
 from repro.testkit.datasets import seeded_dataset
 
 
@@ -38,7 +38,7 @@ class TestStoreSpanParallel:
         with open_store(path) as store:
             with ParallelNMEngine(store.dataset(), grid, config, jobs=jobs) as spans, \
                     ParallelNMEngine(eager, grid, config, jobs=jobs) as shm:
-                assert spans.n_shards == shm.n_shards
+                assert spans.spans == shm.spans
                 assert np.array_equal(spans.nm_batch(patterns), shm.nm_batch(patterns))
                 assert np.array_equal(
                     spans.match_batch(patterns), shm.match_batch(patterns)
@@ -62,10 +62,11 @@ class TestSpanPlumbing:
         path, grid, config, _, _ = setup
         with open_store(path) as store:
             with ParallelNMEngine(store.dataset(), grid, config, jobs=2) as spans:
-                # store-backed datasets skip /dev/shm entirely
-                assert spans._own_shm == [] or all(
-                    s is None for s in spans._own_shm
-                )
+                # each worker is handed a lazy span of the same store file
+                for i, (lo, hi) in enumerate(spans.spans):
+                    span = spans._task(i).dataset
+                    assert isinstance(span, StoreDataset)
+                    assert span.store_ref == (str(store.path), lo, hi)
 
     def test_partial_span_parallel(self, eager, setup):
         path, grid, config, _, _ = setup

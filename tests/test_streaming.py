@@ -1,14 +1,13 @@
-"""Tests for the out-of-core streaming engine (section 4.4's space claim)."""
+"""Out-of-core evaluation on the inline pool (section 4.4's space claim)."""
 
-import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig, NMEngine
+from repro import cli
 from repro.core.pattern import TrajectoryPattern
-from repro.core.streaming import StreamingNMEngine
-from repro.core.trajpattern import TrajPatternMiner
+from repro.core.trajpattern import TrajPatternMiner, verify_top_k
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.io import save_dataset_jsonl
+from tests.conftest import streamed
 
 
 @pytest.fixture
@@ -20,22 +19,26 @@ def stored(small_dataset, small_engine, tmp_path):
 
 class TestValidation:
     def test_bad_chunk_size(self, stored):
-        path, engine = stored
-        with pytest.raises(ValueError):
-            StreamingNMEngine(path, engine.grid, engine.config, chunk_size=0)
+        path, _ = stored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["score", "p.json", str(path), "--delta", "0.03", "--chunk-size", "0"]
+            )
+        assert exc.value.code == 2
 
     def test_foreign_file_rejected(self, tmp_path, small_engine):
         path = tmp_path / "foreign.jsonl"
         path.write_text('{"format": "nope"}\n')
         with pytest.raises(ValueError, match="not a repro trajectory"):
-            StreamingNMEngine(path, small_engine.grid, small_engine.config)
+            with streamed(path, small_engine.grid, small_engine.config):
+                pass
 
     def test_empty_dataset_rejected_on_scan(self, tmp_path, small_engine):
         path = tmp_path / "empty.jsonl"
         save_dataset_jsonl(TrajectoryDataset([]), path)
-        streaming = StreamingNMEngine(path, small_engine.grid, small_engine.config)
-        with pytest.raises(ValueError, match="no trajectories"):
-            streaming.nm(TrajectoryPattern((0,)))
+        with pytest.raises(ValueError, match="empty"):
+            with streamed(path, small_engine.grid, small_engine.config):
+                pass
 
 
 class TestEquivalence:
@@ -44,37 +47,31 @@ class TestEquivalence:
     @pytest.mark.parametrize("chunk_size", [1, 3, 5, 100])
     def test_nm_equivalence(self, stored, chunk_size, rng):
         path, engine = stored
-        streaming = StreamingNMEngine(
-            path, engine.grid, engine.config, chunk_size=chunk_size
-        )
         cells = engine.active_cells
         patterns = [
             TrajectoryPattern(tuple(int(c) for c in rng.choice(cells, size=n)))
             for n in (1, 2, 3)
         ]
-        got = streaming.nm_many(patterns)
+        with streamed(path, engine.grid, engine.config, chunk_size) as streaming:
+            got = streaming.nm_many(patterns)
         expected = [engine.nm(p) for p in patterns]
         assert got == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("chunk_size", [2, 7])
     def test_match_equivalence(self, stored, chunk_size, rng):
         path, engine = stored
-        streaming = StreamingNMEngine(
-            path, engine.grid, engine.config, chunk_size=chunk_size
-        )
         cells = engine.active_cells
         pattern = TrajectoryPattern((cells[0], cells[1]))
-        assert streaming.match(pattern) == pytest.approx(
-            engine.match(pattern), rel=1e-9
-        )
+        with streamed(path, engine.grid, engine.config, chunk_size) as streaming:
+            assert streaming.match(pattern) == pytest.approx(
+                engine.match(pattern), rel=1e-9
+            )
 
     @pytest.mark.parametrize("chunk_size", [1, 4])
     def test_singular_table_equivalence(self, stored, chunk_size):
         path, engine = stored
-        streaming = StreamingNMEngine(
-            path, engine.grid, engine.config, chunk_size=chunk_size
-        )
-        got = streaming.singular_nm_table()
+        with streamed(path, engine.grid, engine.config, chunk_size) as streaming:
+            got = streaming.singular_nm_table()
         expected = engine.singular_nm_table()
         assert set(got) == set(expected)
         for cell in expected:
@@ -82,15 +79,22 @@ class TestEquivalence:
 
     def test_chunk_instrumentation(self, stored):
         path, engine = stored
-        streaming = StreamingNMEngine(path, engine.grid, engine.config, chunk_size=5)
-        streaming.nm(TrajectoryPattern((engine.active_cells[0],)))
-        # 12 trajectories in 5-sized chunks -> 3 chunks.
-        assert streaming.n_chunks_scanned == 3
+        with streamed(path, engine.grid, engine.config, chunk_size=5) as streaming:
+            # 12 trajectories at chunk size 5 -> 3 spans; opening scans
+            # nothing, the one op scans each span once.
+            assert streaming.n_spans == 3
+            streaming.nm(TrajectoryPattern((engine.active_cells[0],)))
+            # Span metas came from that scan; reading them scans nothing.
+            assert streaming.n_index_entries == engine.n_index_entries
+            snapshot = streaming.obs_snapshot()
+        assert snapshot["span_opens"] == 3
+        assert [s["opens"] for s in snapshot["spans"]] == [1, 1, 1]
+        assert snapshot["span_cache_hits"] == 0
 
     def test_empty_batch(self, stored):
         path, engine = stored
-        streaming = StreamingNMEngine(path, engine.grid, engine.config)
-        assert len(streaming.nm_many([])) == 0
+        with streamed(path, engine.grid, engine.config) as streaming:
+            assert len(streaming.nm_many([])) == 0
 
 
 class TestVerifyTopK:
@@ -98,13 +102,13 @@ class TestVerifyTopK:
         """The out-of-core re-score agrees with the miner's own ranking."""
         path, engine = stored
         mined = TrajPatternMiner(engine, k=6, max_length=3).mine()
-        streaming = StreamingNMEngine(path, engine.grid, engine.config, chunk_size=4)
-        verified = streaming.verify_top_k(mined.patterns, k=6)
+        with streamed(path, engine.grid, engine.config, chunk_size=4) as streaming:
+            verified = verify_top_k(streaming, mined.patterns, k=6)
         assert [p.cells for p, _ in verified] == [p.cells for p in mined.patterns]
         assert [v for _, v in verified] == pytest.approx(mined.nm_values, abs=1e-9)
 
     def test_k_validation(self, stored):
         path, engine = stored
-        streaming = StreamingNMEngine(path, engine.grid, engine.config)
-        with pytest.raises(ValueError):
-            streaming.verify_top_k([TrajectoryPattern((0,))], k=0)
+        with streamed(path, engine.grid, engine.config) as streaming:
+            with pytest.raises(ValueError):
+                verify_top_k(streaming, [TrajectoryPattern((0,))], k=0)

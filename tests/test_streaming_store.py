@@ -1,4 +1,4 @@
-"""StreamingNMEngine over .tjc stores: parity with JSONL, span-cache reuse."""
+"""The inline pool over .tjc stores: parity with JSONL, span-cache reuse."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.pattern import TrajectoryPattern
-from repro.core.streaming import StreamingNMEngine
 from repro.storage import write_store
 from repro.testkit.datasets import seeded_dataset
 from repro.trajectory.io import save_dataset_jsonl
+from tests.conftest import streamed
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +43,12 @@ def geometry(eager):
 def test_store_matches_jsonl_streaming(paths, geometry, chunk_size):
     jsonl, store = paths
     grid, config, patterns = geometry
-    a = StreamingNMEngine(jsonl, grid, config, chunk_size=chunk_size)
-    b = StreamingNMEngine(store, grid, config, chunk_size=chunk_size)
-    assert not a.store_backed and b.store_backed
-    assert np.array_equal(a.nm_many(patterns), b.nm_many(patterns))
-    assert np.array_equal(a.match_many(patterns), b.match_many(patterns))
-    assert a.n_chunks_scanned == b.n_chunks_scanned
+    with streamed(jsonl, grid, config, chunk_size) as a, streamed(
+        store, grid, config, chunk_size
+    ) as b:
+        assert a.spans == b.spans
+        assert np.array_equal(a.nm_many(patterns), b.nm_many(patterns))
+        assert np.array_equal(a.match_batch(patterns), b.match_batch(patterns))
 
 
 def test_span_cache_cold_then_warm(paths, geometry, tmp_path):
@@ -57,34 +57,38 @@ def test_span_cache_cold_then_warm(paths, geometry, tmp_path):
     cached = EngineConfig(
         delta=config.delta, min_prob=config.min_prob, cache_dir=tmp_path
     )
-    cold = StreamingNMEngine(store, grid, cached, chunk_size=4)
-    nm_cold = cold.nm_many(patterns)
-    assert cold.span_cache_hits == 0
-    assert cold.n_chunks_scanned == 3  # ceil(11 / 4)
+    with streamed(store, grid, cached, chunk_size=4) as cold:
+        assert cold.n_spans == 3  # ceil(11 / 4)
+        nm_cold = cold.nm_many(patterns)  # one scan per span, built and saved
+        assert not cold.index_cache_hit
+        snapshot = cold.obs_snapshot()
+    assert snapshot["span_opens"] == 3
+    assert snapshot["span_cache_hits"] == 0
+    assert len(list(tmp_path.glob("index-*.npz"))) == 3
 
-    warm = StreamingNMEngine(store, grid, cached, chunk_size=4)
-    nm_warm = warm.nm_many(patterns)
-    assert warm.span_cache_hits == warm.n_chunks_scanned == 3
+    with streamed(store, grid, cached, chunk_size=4) as warm:
+        nm_warm = warm.nm_many(patterns)
+        assert warm.index_cache_hit
+        snapshot = warm.obs_snapshot()
+    assert snapshot["span_cache_hits"] == snapshot["span_opens"] == 3
     assert np.array_equal(nm_cold, nm_warm)
 
     # a different chunking misses the span cache (different span bounds)
-    other = StreamingNMEngine(store, grid, cached, chunk_size=6)
-    other.nm_many(patterns)
-    assert other.span_cache_hits == 0
+    with streamed(store, grid, cached, chunk_size=6) as other:
+        assert not other.index_cache_hit
 
 
 def test_span_cache_is_bit_exact(paths, geometry, tmp_path):
     _, store = paths
     grid, config, patterns = geometry
-    plain = StreamingNMEngine(store, grid, config, chunk_size=4)
     cached = EngineConfig(
         delta=config.delta, min_prob=config.min_prob, cache_dir=tmp_path
     )
-    first = StreamingNMEngine(store, grid, cached, chunk_size=4)
-    second = StreamingNMEngine(store, grid, cached, chunk_size=4)
-    expected = plain.nm_many(patterns)
-    assert np.array_equal(first.nm_many(patterns), expected)
-    assert np.array_equal(second.nm_many(patterns), expected)
+    with streamed(store, grid, config, chunk_size=4) as plain:
+        expected = plain.nm_many(patterns)
+    for _ in range(2):
+        with streamed(store, grid, cached, chunk_size=4) as engine:
+            assert np.array_equal(engine.nm_many(patterns), expected)
 
 
 def test_empty_store_raises(tmp_path, geometry):
@@ -93,9 +97,9 @@ def test_empty_store_raises(tmp_path, geometry):
     grid, config, patterns = geometry
     with StoreWriter(tmp_path / "e.tjc"):
         pass
-    engine = StreamingNMEngine(tmp_path / "e.tjc", grid, config)
-    with pytest.raises(ValueError, match="no trajectories"):
-        engine.nm_many(patterns)
+    with pytest.raises(ValueError, match="empty"):
+        with streamed(tmp_path / "e.tjc", grid, config):
+            pass
 
 
 def test_rejects_non_dataset_file(tmp_path, geometry):
@@ -103,4 +107,5 @@ def test_rejects_non_dataset_file(tmp_path, geometry):
     bad = tmp_path / "x.jsonl"
     bad.write_text('{"format": "something-else"}\n')
     with pytest.raises(ValueError, match="not a repro trajectory"):
-        StreamingNMEngine(bad, grid, config)
+        with streamed(bad, grid, config):
+            pass
