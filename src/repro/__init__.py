@@ -14,21 +14,37 @@ Public API highlights
   :mod:`repro.experiments`.
 """
 
-from repro.core.engine import EngineConfig, NMEngine, build_engine
-from repro.core.parallel import ParallelNMEngine
-from repro.core.groups import PatternGroup, discover_pattern_groups
-from repro.core.pattern import WILDCARD, TrajectoryPattern
-from repro.core.parameters import SuggestedParameters, suggest_parameters
-from repro.core.results_io import load_mining_result, save_mining_result
-from repro.core.wildcards import Gap, GapPattern
-from repro.core.trajpattern import MiningResult, TrajPatternMiner
-from repro.geometry.bbox import BoundingBox
-from repro.geometry.grid import Grid
-from repro.geometry.point import Point
-from repro.trajectory.dataset import TrajectoryDataset
-from repro.trajectory.trajectory import UncertainTrajectory
-from repro.trajectory.velocity import to_velocity_dataset, to_velocity_trajectory
-from repro.uncertainty.gaussian import ProbModel
+import importlib
+
+#: Exported name -> defining module.  Resolved on first attribute access
+#: (PEP 562), so ``import repro`` -- and every ``repro.*`` submodule
+#: import, which runs this file first -- loads none of the engine stack.
+_EXPORTS = {
+    "EngineConfig": "repro.core.engine",
+    "NMEngine": "repro.core.engine",
+    "build_engine": "repro.core.engine",
+    "ParallelNMEngine": "repro.core.parallel",
+    "PatternGroup": "repro.core.groups",
+    "discover_pattern_groups": "repro.core.groups",
+    "WILDCARD": "repro.core.pattern",
+    "TrajectoryPattern": "repro.core.pattern",
+    "SuggestedParameters": "repro.core.parameters",
+    "suggest_parameters": "repro.core.parameters",
+    "load_mining_result": "repro.core.results_io",
+    "save_mining_result": "repro.core.results_io",
+    "Gap": "repro.core.wildcards",
+    "GapPattern": "repro.core.wildcards",
+    "MiningResult": "repro.core.trajpattern",
+    "TrajPatternMiner": "repro.core.trajpattern",
+    "BoundingBox": "repro.geometry.bbox",
+    "Grid": "repro.geometry.grid",
+    "Point": "repro.geometry.point",
+    "TrajectoryDataset": "repro.trajectory.dataset",
+    "UncertainTrajectory": "repro.trajectory.trajectory",
+    "to_velocity_dataset": "repro.trajectory.velocity",
+    "to_velocity_trajectory": "repro.trajectory.velocity",
+    "ProbModel": "repro.uncertainty.gaussian",
+}
 
 __version__ = "1.0.0"
 
@@ -59,3 +75,16 @@ __all__ = [
     "discover_pattern_groups",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

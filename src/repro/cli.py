@@ -31,33 +31,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.datagen.bus import BusFleetConfig
-from repro.experiments import (
-    Fig3Config,
-    Fig4Config,
-    Table1Config,
-    run_fig3,
-    run_interval_sensitivity,
-    run_fig4a_k,
-    run_fig4b_trajectories,
-    run_fig4c_length,
-    run_fig4d_grids,
-    run_fig4e_delta,
-    run_loss_sensitivity,
-    run_prob_model_ablation,
-    run_pruning_ablation,
-    run_table1,
-)
-
-_SMALL_FLEET = BusFleetConfig(n_routes=3, buses_per_route=4, n_days=3, n_ticks=60)
-
-
 # -- reproduction commands ----------------------------------------------------
+#
+# Every command imports what it runs inside its own body: ``repro.experiments``
+# and ``repro.datagen`` pull in networkx and scipy, which the library and
+# serving commands should pay for in neither start-up time nor memory.
+
+
+def _small_fleet():
+    from repro.datagen.bus import BusFleetConfig
+
+    return BusFleetConfig(n_routes=3, buses_per_route=4, n_days=3, n_ticks=60)
 
 
 def _table1(scale: str) -> str:
+    from repro.experiments import Table1Config, run_table1
+
     config = (
-        Table1Config(k=30, fleet=_SMALL_FLEET, max_length=6)
+        Table1Config(k=30, fleet=_small_fleet(), max_length=6)
         if scale == "small"
         else Table1Config()
     )
@@ -65,8 +56,10 @@ def _table1(scale: str) -> str:
 
 
 def _fig3(scale: str) -> str:
+    from repro.experiments import Fig3Config, run_fig3
+
     config = (
-        Fig3Config(k=25, fleet=_SMALL_FLEET, max_length=6)
+        Fig3Config(k=25, fleet=_small_fleet(), max_length=6)
         if scale == "small"
         else Fig3Config()
     )
@@ -74,6 +67,15 @@ def _fig3(scale: str) -> str:
 
 
 def _fig4(scale: str) -> str:
+    from repro.experiments import (
+        Fig4Config,
+        run_fig4a_k,
+        run_fig4b_trajectories,
+        run_fig4c_length,
+        run_fig4d_grids,
+        run_fig4e_delta,
+    )
+
     if scale == "small":
         config = Fig4Config(k=5, n_trajectories=25, n_ticks=40, target_cells=1024)
         panels = [
@@ -99,6 +101,13 @@ def _fig4(scale: str) -> str:
 
 
 def _ablations(scale: str) -> str:
+    from repro.experiments import (
+        run_interval_sensitivity,
+        run_loss_sensitivity,
+        run_prob_model_ablation,
+        run_pruning_ablation,
+    )
+
     del scale  # the ablations are already laptop-scale
     return "\n\n".join(
         [

@@ -12,30 +12,44 @@
 * :mod:`~repro.core.groups` -- pattern-group discovery (sections 3.4, 4.2).
 """
 
-from repro.core.engine import (
-    EngineConfig,
-    ExtensionTables,
-    NMEngine,
-    StaleIndexError,
-    build_engine,
-)
-from repro.core.groups import PatternGroup, discover_pattern_groups
-from repro.core.incremental import IncrementalIndexer
-from repro.core.index_cache import load_index, save_index, span_cache_key
-from repro.core.measures import (
-    match_pattern_trajectory,
-    match_pattern_window,
-    minmax_upper_bound,
-    nm_pattern_dataset,
-    nm_pattern_trajectory,
-    nm_pattern_window,
-)
-from repro.core.pattern import WILDCARD, TrajectoryPattern
-from repro.core.trajpattern import MiningResult, TrajPatternMiner, WarmStartState
-from repro.core.parameters import SuggestedParameters, suggest_parameters
-from repro.core.results_io import load_mining_result, save_mining_result
-from repro.core.parallel import ParallelNMEngine, shard_dataset
-from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
+import importlib
+
+#: Exported name -> defining module, resolved on first access (PEP 562):
+#: importing one ``repro.core`` submodule must not load the others (the
+#: miner, the span coordinator, scipy's clustering, ...).
+_EXPORTS = {
+    "EngineConfig": "repro.core.engine",
+    "ExtensionTables": "repro.core.engine",
+    "NMEngine": "repro.core.engine",
+    "StaleIndexError": "repro.core.engine",
+    "build_engine": "repro.core.engine",
+    "PatternGroup": "repro.core.groups",
+    "discover_pattern_groups": "repro.core.groups",
+    "IncrementalIndexer": "repro.core.incremental",
+    "load_index": "repro.core.index_cache",
+    "save_index": "repro.core.index_cache",
+    "span_cache_key": "repro.core.index_cache",
+    "match_pattern_trajectory": "repro.core.measures",
+    "match_pattern_window": "repro.core.measures",
+    "minmax_upper_bound": "repro.core.measures",
+    "nm_pattern_dataset": "repro.core.measures",
+    "nm_pattern_trajectory": "repro.core.measures",
+    "nm_pattern_window": "repro.core.measures",
+    "WILDCARD": "repro.core.pattern",
+    "TrajectoryPattern": "repro.core.pattern",
+    "MiningResult": "repro.core.trajpattern",
+    "TrajPatternMiner": "repro.core.trajpattern",
+    "WarmStartState": "repro.core.trajpattern",
+    "SuggestedParameters": "repro.core.parameters",
+    "suggest_parameters": "repro.core.parameters",
+    "load_mining_result": "repro.core.results_io",
+    "save_mining_result": "repro.core.results_io",
+    "ParallelNMEngine": "repro.core.parallel",
+    "shard_dataset": "repro.core.parallel",
+    "Gap": "repro.core.wildcards",
+    "GapPattern": "repro.core.wildcards",
+    "nm_gap_pattern": "repro.core.wildcards",
+}
 
 __all__ = [
     "TrajectoryPattern",
@@ -70,3 +84,16 @@ __all__ = [
     "nm_pattern_dataset",
     "minmax_upper_bound",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -46,13 +46,13 @@ this property directly, for both the scalar and the batched paths.
 
 from __future__ import annotations
 
+import statistics
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from repro.core import index_cache, kernels
 from repro.core.kernels import ScratchArena
@@ -75,6 +75,13 @@ _INDEX_PAIR_CHUNK = 1 << 20
 _BATCH_SCORE_BUDGET = 1 << 24
 
 _log = logs.get_logger("engine")
+
+
+def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """Concatenate ``chunks`` and empty the list, freeing each chunk."""
+    joined = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+    chunks.clear()
+    return joined
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -223,7 +230,9 @@ class EngineConfig:
         if self.radius_sigmas is not None:
             return self.radius_sigmas
         # P(|X - c| <= delta) <= Phi(-(R - delta)/sigma); force it <= min_prob.
-        return float(-special.ndtri(self.min_prob))
+        # The stdlib quantile is within 1 ULP of scipy's ndtri here and
+        # yields the same index triples, without importing scipy.special.
+        return -statistics.NormalDist().inv_cdf(self.min_prob)
 
 
 @dataclass(frozen=True)
@@ -517,14 +526,17 @@ class NMEngine:
                 self._install_index(*loaded)
                 return
         cells_acc, rows_acc, vals_acc = self._collect_index_entries()
-        if cells_acc:
-            all_cells = np.concatenate(cells_acc)
-            all_rows = np.concatenate(rows_acc)
-            all_vals = np.concatenate(vals_acc)
-        else:
-            all_cells = np.empty(0, dtype=np.int64)
-            all_rows = np.empty(0, dtype=np.int64)
-            all_vals = np.empty(0)
+        all_cells = _join(cells_acc, np.int64)
+        all_rows = _join(rows_acc, np.int64)
+        all_vals = _join(vals_acc, np.float64)
+        # Entries arrive in ascending row order, so a stable sort by cell
+        # alone yields the (cell, row) order of a lexsort, and permuting the
+        # three columns one at a time keeps one spare copy alive, not three.
+        order = np.argsort(all_cells, kind="stable")
+        all_cells = all_cells[order]
+        all_rows = all_rows[order]
+        all_vals = all_vals[order]
+        del order
         self._install_index(all_cells, all_rows, all_vals)
         if key is not None:
             index_cache.save_index(

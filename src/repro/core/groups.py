@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.grid import Grid
@@ -170,6 +169,10 @@ def _cluster_snapshot(
         for i, (x, y) in enumerate(coords):
             buckets.setdefault((float(x), float(y)), set()).add(i)
         return list(buckets.values())
+    # Deferred: only grouping with gamma > 0 needs scipy's clustering, and
+    # importing it costs every engine or serving process memory and time.
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     tree = linkage(coords, method="complete")
     labels = fcluster(tree, t=gamma, criterion="distance")
     clusters: dict[int, set[int]] = {}

@@ -239,54 +239,6 @@ def load_index(
     return cells, rows, vals
 
 
-def ensure_index(
-    dataset, grid, config
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat index arrays for ``(dataset, grid, config)``, cached when possible.
-
-    The snapshot-loading hook of the serving layer
-    (:mod:`repro.serve.snapshot`): returns ``(cells, rows, vals)`` sorted by
-    (cell, row) -- exactly what :class:`~repro.core.engine.NMEngine` accepts
-    as ``prebuilt`` -- loading from ``config.cache_dir`` when the file
-    exists and building (then persisting) otherwise.  Because the key is
-    content-hashed, offline mining runs and serving snapshots over the same
-    dataset share one cache file in both directions: whoever builds first,
-    the other side warm-starts.
-
-    With ``config.cache_dir`` unset this degrades to a plain build (no
-    persistence).
-    """
-    from repro.core.engine import NMEngine  # deferred: engine imports us
-
-    engine = NMEngine(dataset, grid, config)
-    return engine.index_arrays()
-
-
-def warm_cache(dataset, grid, config) -> bool:
-    """Pre-populate the cache for ``(dataset, grid, config)``; True on a build.
-
-    Used by ``repro serve`` snapshot preparation to pay the index build
-    before a snapshot swap is requested, so the swap itself is a pure load.
-    Returns ``False`` when the cache file already existed.
-    """
-    from repro.core import kernels  # deferred: kernels has no cycle, stay lazy
-
-    if config.cache_dir is None:
-        raise ValueError("warm_cache requires config.cache_dir to be set")
-    key = span_cache_key(
-        dataset_fingerprint(dataset),
-        0,
-        len(dataset),
-        grid,
-        config,
-        kernel_tag=kernels.prob_kernel_tag(config),
-    )
-    if cache_path(config.cache_dir, key).exists():
-        return False
-    ensure_index(dataset, grid, config)
-    return True
-
-
 def _corrupt(target: Path, reason: str) -> None:
     """Count and log a present-but-rejected cache file, returning a miss."""
     metrics.counter("index.cache.corrupt").inc()

@@ -247,10 +247,9 @@ class ServingSnapshot:
         )
         if version is None:
             version = key[:12]
-        # ensure_index goes through the on-disk cache when cache_dir is
-        # set; the prebuilt arrays then make NMEngine construction cheap.
-        prebuilt = index_cache.ensure_index(dataset, grid, config)
-        engine = NMEngine(dataset, grid, config, prebuilt=prebuilt)
+        # The engine loads the index from cache_dir when present and
+        # persists a fresh build there otherwise.
+        engine = NMEngine(dataset, grid, config, cache_key=key)
         library = None
         if patterns_path is not None:
             result, pattern_grid = load_mining_result(patterns_path)

@@ -28,7 +28,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.uncertainty.logspace import safe_log
 
@@ -44,6 +43,11 @@ class ProbModel(enum.Enum):
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF, vectorised via ``erf``."""
+    # Imported here, not at module scope: scipy.special adds ~26 MiB and
+    # ~0.3 s to every process that imports the engine, and only this
+    # reference path needs it (the compiled kernels use libm ``erf``).
+    from scipy import special
+
     return 0.5 * (1.0 + special.erf(z / _SQRT2))
 
 

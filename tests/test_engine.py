@@ -52,6 +52,49 @@ class TestEngineConfig:
         assert config.min_log_prob == pytest.approx(np.log(1e-4))
 
 
+#: Floors from the mining default (1e-5) and the engine default (1e-9) out
+#: to both extremes a caller plausibly sets.
+_RADIUS_MIN_PROBS = (1e-12, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
+class TestAutoRadius:
+    """The stdlib quantile behind the auto radius stands in for scipy's ndtri."""
+
+    @pytest.mark.parametrize("min_prob", _RADIUS_MIN_PROBS)
+    def test_within_one_ulp_of_ndtri(self, min_prob):
+        from scipy import special
+
+        reference = float(-special.ndtri(min_prob))
+        radius = EngineConfig(delta=0.1, min_prob=min_prob).effective_radius_sigmas()
+        assert abs(radius - reference) <= np.spacing(reference)
+
+    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
+    def test_index_triples_identical_under_either_radius(self, backend):
+        from scipy import special
+
+        from repro.core import kernels
+        from repro.testkit.datasets import seeded_dataset
+
+        if backend == "compiled" and kernels.compiled_unavailable_reason():
+            pytest.skip(kernels.compiled_unavailable_reason())
+        for seed in range(1, 7):
+            dataset = seeded_dataset(seed)
+            grid = dataset.make_grid(0.05)
+            for min_prob in _RADIUS_MIN_PROBS:
+                config = EngineConfig(delta=0.05, min_prob=min_prob, backend=backend)
+                pinned = EngineConfig(
+                    delta=0.05,
+                    min_prob=min_prob,
+                    backend=backend,
+                    radius_sigmas=float(-special.ndtri(min_prob)),
+                )
+                auto = NMEngine(dataset, grid, config).index_arrays()
+                ref = NMEngine(dataset, grid, pinned).index_arrays()
+                for got, want in zip(auto, ref):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+
 class TestEngineBasics:
     def test_empty_dataset_rejected(self, unit_grid):
         with pytest.raises(ValueError):

@@ -28,6 +28,44 @@ def wide_dataset(rng):
 GRID = Grid(BoundingBox.unit(), nx=20, ny=20)
 
 
+class TestBuildMemory:
+    """The index build must not hold several copies of the entry arrays."""
+
+    @pytest.mark.parametrize(
+        "backend, prob_chunk_size",
+        [
+            # numpy's Prob evaluation holds several float64 temporaries per
+            # (snapshot, cell) pair, which at the default 2^20-pair sweep
+            # alone exceed the bound; 2^18 keeps them below the
+            # sort-and-install peak this test is about.
+            ("numpy", 1 << 18),
+            ("compiled", None),
+        ],
+    )
+    def test_peak_is_bounded_by_installed_bytes(self, backend, prob_chunk_size):
+        import tracemalloc
+
+        from repro.core import kernels
+        from repro.testkit.datasets import seeded_dataset
+
+        if backend == "compiled" and kernels.compiled_unavailable_reason():
+            pytest.skip(kernels.compiled_unavailable_reason())
+        dataset = seeded_dataset(7, n_trajectories=200, n_ticks=100)
+        grid = dataset.make_grid(0.05)
+        extra = {} if prob_chunk_size is None else {"prob_chunk_size": prob_chunk_size}
+        config = EngineConfig(delta=0.05, backend=backend, **extra)
+        NMEngine(dataset, grid, config)  # warm-up: imports, compiled library
+        tracemalloc.start()
+        try:
+            engine = NMEngine(dataset, grid, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        installed = sum(a.nbytes for a in engine.index_arrays())
+        assert engine.n_index_entries > 1_000_000
+        assert peak <= 2.5 * installed, peak / installed
+
+
 class TestIndexCaps:
     def test_max_cells_per_snapshot_caps_entries(self, wide_dataset):
         full = NMEngine(

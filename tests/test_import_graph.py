@@ -1,0 +1,106 @@
+"""Each command imports only the code it runs.
+
+Every check runs in a fresh interpreter: the test process itself has long
+since imported everything, so ``sys.modules`` here proves nothing.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro.core import kernels
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON object."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_heavy_modules():
+    loaded = _run(
+        """
+        import json, sys
+        import repro.cli
+        heavy = ("scipy", "networkx", "repro.experiments", "repro.baselines",
+                 "repro.datagen", "repro.serve", "repro.dist")
+        print(json.dumps({"loaded": [m for m in heavy if m in sys.modules]}))
+        """
+    )["loaded"]
+    assert loaded == []
+
+
+def test_compiled_engine_and_snapshot_load_no_scipy():
+    reason = kernels.compiled_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"compiled backend unavailable: {reason}")
+    result = _run(
+        """
+        import json, sys
+        from repro.core.engine import EngineConfig, NMEngine
+        from repro.serve.snapshot import ServingSnapshot
+        from repro.testkit.datasets import seeded_dataset
+        dataset = seeded_dataset(101)
+        grid = dataset.make_grid(0.05)
+        engine = NMEngine(dataset, grid, EngineConfig(delta=0.05, backend="compiled"))
+        snapshot = ServingSnapshot.from_dataset(
+            dataset, cell_size=0.05, delta=0.05, backend="compiled")
+        print(json.dumps({
+            "backends": [engine.backend_name, snapshot.engine.backend_name],
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        }))
+        """
+    )
+    assert "numpy" not in result["backends"]
+    assert result["scipy"] == []
+
+
+def test_numpy_backend_loads_scipy_special_at_first_build():
+    result = _run(
+        """
+        import json, sys
+        from repro.core.engine import EngineConfig, NMEngine
+        from repro.testkit.datasets import seeded_dataset
+        dataset = seeded_dataset(101)
+        grid = dataset.make_grid(0.05)
+        config = EngineConfig(delta=0.05, backend="numpy")
+        before = "scipy.special" in sys.modules
+        NMEngine(dataset, grid, config)
+        print(json.dumps({"before": before, "after": "scipy.special" in sys.modules}))
+        """
+    )
+    assert result == {"before": False, "after": True}
+
+
+def test_every_exported_name_resolves():
+    missing = _run(
+        """
+        import json
+        import repro, repro.core
+        missing = [f"{pkg.__name__}.{name}"
+                   for pkg in (repro, repro.core)
+                   for name in pkg.__all__ if not hasattr(pkg, name)]
+        print(json.dumps({"missing": missing}))
+        """
+    )["missing"]
+    assert missing == []
