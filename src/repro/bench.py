@@ -219,14 +219,25 @@ def _gap_frontier(engine, n: int, seed: int = 13) -> list[GapPattern]:
     return out
 
 
+def _enumerated_pairs(dataset, grid, config) -> int:
+    """(snapshot, cell) pairs an index build of ``config`` evaluates."""
+    sigmas = dataset.all_sigmas()
+    radii = config.effective_radius_sigmas() * sigmas + config.delta
+    cells, _ = grid.cells_near_many(dataset.all_means(), radii)
+    return int(len(cells))
+
+
 def bench_kernel_backends(rounds: int) -> dict:
     """Throughput of every kernel backend x dtype on the engine workload.
 
     Three axes per combination, all on the standard engine workload:
 
-    * ``index_build_s`` / ``index_pairs_per_s`` -- the chunked
-      ``prob_within`` sweep of index construction (dominated by the Prob
-      kernel, so compiled vs numpy here measures libm-vs-scipy ``erf``).
+    * ``index_build_s`` -- a cold :class:`NMEngine` construction with the
+      index cache off: neighbourhood enumeration, ``Prob``, the entry
+      sort and the install.  ``index_pairs`` (snapshot, cell) pairs are
+      enumerated and ``index_entries`` of them kept;
+      ``index_pairs_per_s`` / ``index_entries_per_s`` divide each by the
+      build time.
     * ``eval_s`` / ``eval_candidates_per_s`` -- one mixed-length frontier
       of :data:`KERNEL_N_CANDIDATES` candidates through ``nm_batch`` (the
       sort/segment-reduce hot loop).
@@ -266,8 +277,8 @@ def bench_kernel_backends(rounds: int) -> dict:
                 for _ in range(KERNEL_N_CANDIDATES)
             ]
             gap_frontier = _gap_frontier(engine, KERNEL_N_GAP_PATTERNS)
-        build_s, pairs = _best_of(engine._collect_index_entries, rounds)
-        n_pairs = int(sum(chunk.size for chunk in pairs[0]))
+        build_s, _ = _best_of(lambda: NMEngine(dataset, grid, config), rounds)
+        n_pairs = _enumerated_pairs(dataset, grid, config)
         eval_s, values = _best_of(lambda: engine.nm_batch(candidates), rounds)
         gap_s, gap_values = _best_of(
             lambda: [nm_gap_pattern(engine, gp) for gp in gap_frontier], rounds
@@ -286,7 +297,12 @@ def bench_kernel_backends(rounds: int) -> dict:
             "resolved": engine.backend_name,
             "dtype": dtype,
             "index_build_s": build_s,
+            "index_pairs": n_pairs,
+            "index_entries": engine.n_index_entries,
             "index_pairs_per_s": n_pairs / build_s if build_s > 0 else float("inf"),
+            "index_entries_per_s": (
+                engine.n_index_entries / build_s if build_s > 0 else float("inf")
+            ),
             "eval_s": eval_s,
             "eval_candidates_per_s": (
                 KERNEL_N_CANDIDATES / eval_s if eval_s > 0 else float("inf")
@@ -1406,7 +1422,8 @@ def _print_serve(sv: dict) -> None:
 def _print_kernels(kb: dict) -> None:
     for key, entry in kb["backends"].items():
         print(
-            f"kernels {key:>16s}: build {entry['index_build_s']:.3f}s  "
+            f"kernels {key:>16s}: build {entry['index_build_s']:.3f}s "
+            f"({entry['index_entries_per_s']:.0f} entries/s)  "
             f"eval {entry['eval_candidates_per_s']:.0f}/s  "
             f"gap {entry['gap_evals_per_s']:.0f}/s"
         )
@@ -1522,7 +1539,8 @@ def run_suites(
 
     ``engine`` runs the full engine report (kernel backends included) into
     ``BENCH_engine.json``; ``kernels`` runs only the backend comparison
-    into ``BENCH_kernels.json`` (fast iteration loop); ``serve`` writes
+    and merges its ``kernel_backends`` section into ``BENCH_engine.json``
+    (fast iteration loop); ``serve`` writes
     ``BENCH_serve.json``; ``store`` runs the columnar-store suite (format
     economics + the out-of-core RSS demonstration) and merges its
     ``columnar_store`` section into ``BENCH_engine.json`` without
@@ -1541,14 +1559,16 @@ def run_suites(
     base.mkdir(parents=True, exist_ok=True)
 
     if suite == "kernels":
+        # Same merge discipline as ``store``/``dist``: refresh only this
+        # section of the engine report.
+        output = base / "BENCH_engine.json"
         report = {
+            **_existing_sections(output),
             "generated_by": "repro.bench",
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "rounds": rounds,
             "kernel_backends": bench_kernel_backends(rounds),
         }
-        output = base / "BENCH_kernels.json"
         n = _write_report(output, report)
         _print_kernels(report["kernel_backends"])
         print(f"wrote {output} ({n} history entries)")

@@ -34,8 +34,15 @@ of numpy operations over the whole dataset:
 
 The index itself is built fully vectorised: all snapshot neighbourhoods are
 enumerated with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call
-and ``Prob`` is evaluated over the concatenated (snapshot, cell) pairs in
-bounded-size chunks, instead of per-snapshot Python iteration.
+per row chunk and ``Prob`` is evaluated over the concatenated (snapshot,
+cell) pairs in bounded-size chunks, instead of per-snapshot Python
+iteration.  The kept entries arrive in ascending row order; the kernel
+backend puts them in (cell, row) order -- a stable ``argsort`` by cell in
+the numpy reference, a counting sort by cell in the compiled backend --
+and segments them at every (cell, trajectory) change.  The compiled box
+``Prob`` kernel also reuses each axis mass along a snapshot's row-major
+cell block.  Every backend installs exactly the same index arrays from
+the same entries.
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -75,13 +82,6 @@ _INDEX_PAIR_CHUNK = 1 << 20
 _BATCH_SCORE_BUDGET = 1 << 24
 
 _log = logs.get_logger("engine")
-
-
-def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate ``chunks`` and empty the list, freeing each chunk."""
-    joined = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
-    chunks.clear()
-    return joined
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -130,8 +130,8 @@ class EngineConfig:
     backend:
         Kernel backend for the hot loops (:mod:`repro.core.kernels`):
         ``"numpy"`` (default -- the reference implementation), ``"compiled"``
-        (numba or the native C library; falls back to numpy with a warning
-        when no toolchain is available) or ``"auto"`` (compiled when
+        (the native C library; falls back to numpy with a warning
+        when no C compiler is available) or ``"auto"`` (compiled when
         available, else numpy, silently).  Excluded from the index cache
         key except through the Prob-kernel tag: compiled box-``Prob``
         builds use libm ``erf`` and are keyed separately (see
@@ -382,7 +382,7 @@ class NMEngine:
 
     @property
     def backend_name(self) -> str:
-        """The kernel implementation actually running ("numpy"/"numba"/"cnative")."""
+        """The kernel implementation actually running ("numpy"/"cnative")."""
         return str(self._kernels.name)
 
     @property
@@ -433,8 +433,10 @@ class NMEngine:
             probs = np.empty(len(cells))
             for s in range(0, len(cells), pair_chunk):
                 e = min(s + pair_chunk, len(cells))
+                # np.take gathers (n, 2) rows an order of magnitude faster
+                # than fancy indexing, with the same values.
                 self._kernels.prob_within(
-                    means[owners[s:e]],
+                    np.take(means, owners[s:e], axis=0),
                     sigmas[owners[s:e]],
                     self.grid.cell_centers(cells[s:e]),
                     cfg.delta,
@@ -525,19 +527,12 @@ class NMEngine:
                 self.index_cache_hit = True
                 self._install_index(*loaded)
                 return
-        cells_acc, rows_acc, vals_acc = self._collect_index_entries()
-        all_cells = _join(cells_acc, np.int64)
-        all_rows = _join(rows_acc, np.int64)
-        all_vals = _join(vals_acc, np.float64)
-        # Entries arrive in ascending row order, so a stable sort by cell
-        # alone yields the (cell, row) order of a lexsort, and permuting the
-        # three columns one at a time keeps one spare copy alive, not three.
-        order = np.argsort(all_cells, kind="stable")
-        all_cells = all_cells[order]
-        all_rows = all_rows[order]
-        all_vals = all_vals[order]
-        del order
-        self._install_index(all_cells, all_rows, all_vals)
+        # Entries arrive in ascending row order; the backend orders them
+        # by (cell, row), emptying the chunk lists as it goes.
+        cells, rows, vals = self._kernels.sort_entries(
+            *self._collect_index_entries(), self.grid.n_cells
+        )
+        self._install_index(cells, rows, vals, presorted=True)
         if key is not None:
             index_cache.save_index(
                 cache_dir, key, self._flat_cells, self._flat_rows, self._flat_vals
@@ -610,14 +605,21 @@ class NMEngine:
         self._install_index(np.asarray(cells), np.asarray(rows), np.asarray(vals))
 
     def _install_index(
-        self, all_cells: np.ndarray, all_rows: np.ndarray, all_vals: np.ndarray
+        self,
+        all_cells: np.ndarray,
+        all_rows: np.ndarray,
+        all_vals: np.ndarray,
+        *,
+        presorted: bool = False,
     ) -> None:
         """Sort raw entry triples and derive every index structure from them.
 
         Idempotent over ordering: entries are keyed by unique (cell, row)
         pairs, so any permutation of the same triples installs identically.
         Already-sorted input (a cache payload or a shard slice of one)
-        skips the lexsort, keeping warm starts array-speed.
+        skips the lexsort, keeping warm starts array-speed.  ``presorted``
+        is for the fresh build only, which hands over the arrays its own
+        sort just produced: it skips the O(n) order check as well.
         """
         # Installing (or re-installing) invalidates everything derived
         # from the previous flat arrays.  _valid_cache keys on window width
@@ -629,40 +631,20 @@ class NMEngine:
         self._entry_bounds = None
         self._column_cache.clear()
         self._valid_cache.clear()
-        if not len(all_cells):
-            self._cell_ids = np.empty(0, dtype=np.int64)
-            self._cell_bounds = np.zeros(1, dtype=np.int64)
-            self._flat_cells = np.empty(0, dtype=np.int64)
-            self._flat_rows = np.empty(0, dtype=np.int64)
-            self._flat_vals = np.empty(0)
-            self._flat_vals_k = np.empty(0, dtype=self._dtype)
-            self._seg_starts = np.empty(0, dtype=np.int64)
-            self._seg_traj = np.empty(0, dtype=np.int64)
-            self._cell_seg_starts = np.empty(0, dtype=np.int64)
-            self._flat_cell_order = np.empty(0, dtype=np.int64)
-            return
         all_cells = np.ascontiguousarray(all_cells, dtype=np.int64)
         all_rows = np.ascontiguousarray(all_rows, dtype=np.int64)
         all_vals = np.ascontiguousarray(all_vals, dtype=np.float64)
-        cell_diff = np.diff(all_cells)
-        presorted = bool(
-            np.all((cell_diff > 0) | ((cell_diff == 0) & (np.diff(all_rows) > 0)))
-        )
         if not presorted:
-            order = np.lexsort((all_rows, all_cells))
-            all_cells, all_rows, all_vals = (
-                all_cells[order],
-                all_rows[order],
-                all_vals[order],
-            )
             cell_diff = np.diff(all_cells)
-        first = np.concatenate([[0], np.nonzero(cell_diff != 0)[0] + 1])
-        self._cell_ids = all_cells[first]
-        self._cell_bounds = np.append(first, len(all_cells))
-
-        # Flat segment index for the vectorised bulk-extension path: entries
-        # sorted by (cell, row), segmented at every (cell, trajectory)
-        # change.  Pattern-independent, built once.
+            if not np.all(
+                (cell_diff > 0) | ((cell_diff == 0) & (np.diff(all_rows) > 0))
+            ):
+                order = np.lexsort((all_rows, all_cells))
+                all_cells, all_rows, all_vals = (
+                    all_cells[order],
+                    all_rows[order],
+                    all_vals[order],
+                )
         self._flat_cells = all_cells
         self._flat_rows = all_rows
         self._flat_vals = all_vals
@@ -673,22 +655,17 @@ class NMEngine:
             if self._dtype == np.float64
             else all_vals.astype(self._dtype)
         )
-        entry_traj = self._row_traj[all_rows]
-        if len(all_rows):
-            change = np.nonzero(
-                (np.diff(all_cells) != 0) | (np.diff(entry_traj) != 0)
-            )[0] + 1
-            self._seg_starts = np.concatenate([[0], change])
-            self._seg_traj = entry_traj[self._seg_starts]
-            seg_cells = all_cells[self._seg_starts]
-            cell_change = np.nonzero(np.diff(seg_cells))[0] + 1
-            self._cell_seg_starts = np.concatenate([[0], cell_change])
-            self._flat_cell_order = seg_cells[self._cell_seg_starts]
-        else:
-            self._seg_starts = np.empty(0, dtype=np.int64)
-            self._seg_traj = np.empty(0, dtype=np.int64)
-            self._cell_seg_starts = np.empty(0, dtype=np.int64)
-            self._flat_cell_order = np.empty(0, dtype=np.int64)
+        # Flat segment index for the vectorised bulk-extension path: entries
+        # sorted by (cell, row), segmented at every (cell, trajectory)
+        # change.  Pattern-independent, built once.
+        first, self._seg_starts, self._seg_traj, self._cell_seg_starts = (
+            self._kernels.index_segments(all_cells, all_rows, self._row_traj)
+        )
+        self._cell_ids = all_cells[first]
+        self._cell_bounds = np.append(first, len(all_cells))
+        # Every active cell starts exactly one run of segments, so the
+        # segment-order cell list is the active cell list.
+        self._flat_cell_order = self._cell_ids
 
     # -- columns -------------------------------------------------------------------
 

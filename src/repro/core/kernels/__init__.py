@@ -2,10 +2,10 @@
 
 The engine's measured hot loops -- the deviation gather/sort/segment-reduce
 behind ``nm_batch``/``match_batch``, the stacked window-score scatter, the
-per-segment maxima sweep, the chunked ``prob_within`` evaluation of index
-construction, and the wildcard gap DP -- are isolated behind the narrow
-:class:`KernelBackend` protocol.  Everything else in the engine is
-orchestration and stays numpy.
+per-segment maxima sweep, the chunked ``prob_within`` evaluation, entry
+sort and segmentation of index construction, and the wildcard gap DP --
+are isolated behind the narrow :class:`KernelBackend` protocol.
+Everything else in the engine is orchestration and stays numpy.
 
 Backends
 --------
@@ -13,20 +13,19 @@ Backends
     The reference implementation (:mod:`repro.core.kernels.numpy_ref`);
     ground truth for the differential oracle.
 ``compiled``
-    Tight native loops (:mod:`repro.core.kernels.compiled`): numba
-    ``@njit(cache=True)`` when numba is importable, else a small C library
-    built once with the system compiler and driven through ``ctypes``.
-    When neither toolchain works the registry degrades to ``numpy`` and
-    logs a structured warning.
+    Tight native loops (:mod:`repro.core.kernels.compiled`): a small C
+    library built once with the system compiler and driven through
+    ``ctypes``.  When no compiler works the registry degrades to
+    ``numpy`` and logs a structured warning.
 ``auto``
     ``compiled`` when available, else ``numpy`` -- silently (debug log).
 
 Selection is config-driven end to end: ``EngineConfig(backend=...,
 dtype=...)``, CLI ``--backend/--dtype``, the ``serve.json`` snapshot
 fields, and the obs manifest record what actually ran.  The environment
-variable ``REPRO_KERNELS`` overrides provider choice for operational
-escape hatches: ``numba`` / ``cnative`` force one provider, ``none``
-disables compiled kernels entirely (useful to assert the fallback path).
+variable ``REPRO_KERNELS`` is the operational escape hatch: ``cnative``
+requires the C provider, ``none`` disables compiled kernels entirely
+(useful to assert the fallback path).
 
 Precision modes
 ---------------
@@ -82,7 +81,7 @@ class KernelBackend(Protocol):
     per-call scratch from it so steady-state calls allocate nothing.
     """
 
-    name: str        #: resolved implementation ("numpy", "numba", "cnative")
+    name: str        #: resolved implementation ("numpy", "cnative")
     provider: str    #: toolchain behind it (same as name today)
     dtype: np.dtype  #: value dtype the evaluation kernels run in
     compiled: bool   #: True for native implementations
@@ -106,6 +105,15 @@ class KernelBackend(Protocol):
     def gap_dp(self, seg_scores, seg_lens, gap_mins, gap_maxs,
                length: int, arena) -> float:
         """Best summed log-prob over admissible gap alignments, or ``-inf``."""
+
+    def sort_entries(self, cells_acc, rows_acc, vals_acc,
+                     n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-chunk entry lists (ascending rows) as (cell, row)-sorted
+        ``(cells, rows, vals)``; empties the lists."""
+
+    def index_segments(self, cells, rows, row_traj) -> tuple[np.ndarray, ...]:
+        """``(cell_first, seg_starts, seg_traj, cell_seg_starts)`` of a
+        (cell, row)-sorted index."""
 
 
 # -- provider resolution ------------------------------------------------------

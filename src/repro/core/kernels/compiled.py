@@ -1,33 +1,28 @@
-"""Compiled kernel backend: numba ``@njit`` first, a ctypes C library second.
+"""Compiled kernel backend: a small C library driven through ``ctypes``.
 
-Two providers implement the same five kernels (deviation maxima, stacked
-scores, segment maxima, box ``Prob``, gap DP):
+One provider, ``cnative``, implements the backend's seven kernels
+(deviation maxima, stacked scores, segment maxima, box ``Prob``, gap DP,
+the counting-sort scatter of index entries and the index segmentation):
+a C translation unit compiled on first use with the system C compiler
+(``cc``/``gcc``/``clang``) into a content-hashed shared library under a
+cache directory.
 
-``numba``
-    Lazily imported, ``@njit(cache=True)`` so the LLVM compilation cost is
-    paid once per machine.  Kernels are dtype-generic -- numba specialises
-    per signature, which is how the float32 mode gets real float32 code.
-``cnative``
-    A small C translation unit compiled on first use with the system C
-    compiler (``cc``/``gcc``) into a content-hashed shared library under a
-    cache directory, loaded via ``ctypes``.  This is the fallback for
-    environments that have a toolchain but no numba wheel.
-
-Neither provider is required: :func:`load_provider` raises with a precise
-reason when a provider cannot be built, and the registry in
+It is not required: :func:`load_provider` raises with a precise reason
+when the library cannot be built, and the registry in
 :mod:`repro.core.kernels` degrades to the numpy backend with a structured
-log warning.  Forcing is available via ``REPRO_KERNELS=numba|cnative|none``.
+log warning.  ``REPRO_KERNELS=cnative|none`` forces it on or off.
 
 Numerical notes
 ---------------
 The evaluation kernels (devmax / stacked / segmax / gap DP) accumulate in
 exactly the reference order (see :mod:`repro.core.kernels.numpy_ref`), so
-they are bit-identical to numpy in both dtypes.  The box ``Prob`` kernel
-is the one exception: it uses the C library's ``erf`` (libm), which may
-differ from scipy's by a couple of ULPs.  An index built through it is
-therefore tagged in the index-cache key (``prob_tag``) so it never
-masquerades as a reference-built index, and the differential oracle gives
-compiled backends a small nonzero budget.
+they are bit-identical to numpy in both dtypes, and the sort and
+segmentation kernels only move integers and stored values.  The box
+``Prob`` kernel is the one exception: it uses the C library's ``erf``
+(libm), which may differ from scipy's by a couple of ULPs.  An index
+built through it is therefore tagged in the index-cache key
+(``prob_tag``) so it never masquerades as a reference-built index, and
+the differential oracle gives compiled backends a small nonzero budget.
 """
 
 from __future__ import annotations
@@ -45,19 +40,19 @@ import numpy as np
 from repro.obs import logs
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
-from repro.core.kernels.numpy_ref import NumpyKernels
 
 _log = logs.get_logger("kernels.compiled")
 
 __all__ = ["CompiledKernels", "load_provider", "PROVIDER_CHOICES"]
 
-PROVIDER_CHOICES = ("numba", "cnative")
+PROVIDER_CHOICES = ("cnative",)
 
 
 # -- the C translation unit ---------------------------------------------------
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 
 /* Deviation accumulation per (pattern, window), then a max sweep per
@@ -151,24 +146,134 @@ void segment_maxima_##SUF(                                                    \
 SEGMAX(f64, double)
 SEGMAX(f32, float)
 
-/* Box Prob: product of two normal-CDF interval masses, libm erf. */
+/* One axis factor of box Prob: the normal-CDF mass of [c - delta, c + delta]
+ * around mean m with deviation s, libm erf. */
+static double axis_mass(double c, double delta, double m, double s)
+{
+    const double sqrt2 = 1.4142135623730951;  /* np.sqrt(2.0) */
+    const double lo = (c - delta - m) / s;
+    const double hi = (c + delta - m) / s;
+    return 0.5 * (1.0 + erf(hi / sqrt2)) - 0.5 * (1.0 + erf(lo / sqrt2));
+}
+
+static int same_bits(double a, double b)
+{
+    uint64_t x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/* Box Prob: the product px * py of two axis masses.  px depends only on
+ * (mean x, sigma, centre x) and py only on (mean y, sigma, centre y), and
+ * the index build lists each snapshot's cells row-major, so the kernel
+ * keeps the current row's py and the px of each position along the row.
+ * A kept mass is reused only when all three of its inputs are bit-equal
+ * to the current ones, and every mass comes from axis_mass, so any pair
+ * order gives the same bits; the layout only decides how often a mass is
+ * reused.  Positions past X_SLOTS along a row are always computed. */
+#define X_SLOTS 256
 void prob_box_f64(
     const double *mean, const double *sigma, const double *center,
     double delta, int64_t n, double *out)
 {
-    const double sqrt2 = 1.4142135623730951;  /* np.sqrt(2.0) */
+    double xm[X_SLOTS], xs[X_SLOTS], xc[X_SLOTS], xv[X_SLOTS];
+    int64_t kept = 0;  /* slots [0, kept) hold a mass */
+    int64_t col = 0;   /* position of pair i along its row */
+    double ym = 0.0, ys = 0.0, yc = 0.0, yv = 0.0;
+    int have_y = 0;
     for (int64_t i = 0; i < n; ++i) {
         const double s = sigma[i];
-        double lo = (center[2 * i] - delta - mean[2 * i]) / s;
-        double hi = (center[2 * i] + delta - mean[2 * i]) / s;
-        const double px =
-            0.5 * (1.0 + erf(hi / sqrt2)) - 0.5 * (1.0 + erf(lo / sqrt2));
-        lo = (center[2 * i + 1] - delta - mean[2 * i + 1]) / s;
-        hi = (center[2 * i + 1] + delta - mean[2 * i + 1]) / s;
-        const double py =
-            0.5 * (1.0 + erf(hi / sqrt2)) - 0.5 * (1.0 + erf(lo / sqrt2));
-        out[i] = px * py;
+        const double mx = mean[2 * i], my = mean[2 * i + 1];
+        const double cx = center[2 * i], cy = center[2 * i + 1];
+        /* A row goes on while the same snapshot steps right at the same y. */
+        if (i > 0 && cx > center[2 * i - 2] && same_bits(cy, center[2 * i - 1])
+            && same_bits(mx, mean[2 * i - 2]) && same_bits(my, mean[2 * i - 1])
+            && same_bits(s, sigma[i - 1]))
+            ++col;
+        else
+            col = 0;
+        double px;
+        if (col < kept && same_bits(xm[col], mx) && same_bits(xs[col], s)
+            && same_bits(xc[col], cx)) {
+            px = xv[col];
+        } else {
+            px = axis_mass(cx, delta, mx, s);
+            if (col < X_SLOTS) {
+                xm[col] = mx; xs[col] = s; xc[col] = cx; xv[col] = px;
+                if (col >= kept) kept = col + 1;
+            }
+        }
+        if (!(have_y && same_bits(ym, my) && same_bits(ys, s)
+              && same_bits(yc, cy))) {
+            yv = axis_mass(cy, delta, my, s);
+            ym = my; ys = s; yc = cy; have_y = 1;
+        }
+        out[i] = px * yv;
     }
+}
+
+/* Per-cell entry counts of one chunk of index entries, added to counts.
+ * Returns how many cells fall outside [0, n_cells); those are not counted. */
+int64_t count_cells(
+    const int64_t *cells, int64_t n, int64_t n_cells, int64_t *counts)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t c = cells[i];
+        if (c < 0 || c >= n_cells) { ++bad; continue; }
+        ++counts[c];
+    }
+    return bad;
+}
+
+/* Counting-sort scatter of one chunk: entry i goes to slot cursor[cells[i]]++.
+ * Chunks scattered in order keep their order within each cell, which is the
+ * order a stable sort by cell gives. */
+void scatter_entries(
+    const int64_t *cells, const int64_t *rows, const double *vals, int64_t n,
+    int64_t *cursor, int64_t *out_rows, double *out_vals)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t slot = cursor[cells[i]]++;
+        out_rows[slot] = rows[i];
+        out_vals[slot] = vals[i];
+    }
+}
+
+/* Segments of a (cell, row)-sorted index: the entries where the cell
+ * changes (cell_first, and the segment each cell starts with in
+ * cell_seg_starts) and where the (cell, trajectory) pair changes
+ * (seg_starts, with each segment's trajectory in seg_traj).  With a null
+ * seg_starts it only counts: counts[0] cells, counts[1] segments.  Returns
+ * how many rows fall outside [0, n_rows); nothing is read for those. */
+int64_t index_segments(
+    const int64_t *cells, const int64_t *rows, int64_t n,
+    const int64_t *row_traj, int64_t n_rows, int64_t *counts,
+    int64_t *cell_first, int64_t *cell_seg_starts,
+    int64_t *seg_starts, int64_t *seg_traj)
+{
+    int64_t nc = 0, ns = 0, bad = 0, prev_cell = 0, prev_traj = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t r = rows[i];
+        if (r < 0 || r >= n_rows) { ++bad; continue; }
+        const int64_t c = cells[i], t = row_traj[r];
+        const int new_cell = i == 0 || c != prev_cell;
+        if (new_cell || t != prev_traj) {
+            if (seg_starts) {
+                if (new_cell) { cell_first[nc] = i; cell_seg_starts[nc] = ns; }
+                seg_starts[ns] = i;
+                seg_traj[ns] = t;
+            }
+            nc += new_cell;
+            ++ns;
+        }
+        prev_cell = c;
+        prev_traj = t;
+    }
+    counts[0] = nc;
+    counts[1] = ns;
+    return bad;
 }
 
 /* Gap DP over flattened per-segment window scores; returns the best summed
@@ -216,134 +321,18 @@ class _Provider:
     """Uniform callable bundle a :class:`CompiledKernels` drives.
 
     ``devmax`` / ``stacked_add`` / ``segmax`` take numpy arrays in the
-    value dtype; ``prob_box`` / ``gap_dp`` are float64 only.
+    value dtype; ``prob_box`` / ``gap_dp`` / ``scatter`` are float64 only.
+    ``count_cells`` / ``scatter`` / ``segments`` wrap the C functions of
+    the same purpose (see the C source for their contracts).
     """
 
-    __slots__ = ("name", "devmax", "stacked_add", "segmax", "prob_box", "gap_dp")
+    __slots__ = ("name", "devmax", "stacked_add", "segmax", "prob_box",
+                 "gap_dp", "count_cells", "scatter", "segments")
 
-    def __init__(self, name, devmax, stacked_add, segmax, prob_box, gap_dp):
+    def __init__(self, name, **kernels):
         self.name = name
-        self.devmax = devmax
-        self.stacked_add = stacked_add
-        self.segmax = segmax
-        self.prob_box = prob_box
-        self.gap_dp = gap_dp
-
-
-def _build_numba_provider() -> _Provider:
-    from numba import njit  # lazy: raises ImportError when absent
-
-    import math
-
-    @njit(cache=True)
-    def devmax(cells, start, count, rows, vals, floor_t, valid, n_windows,
-               win_traj, scratch, touched, out):
-        n_patterns, m = cells.shape
-        n_traj = out.shape[1]
-        for p in range(n_patterns):
-            nt = 0
-            for j in range(m):
-                c = cells[p, j]
-                if c < 0:
-                    continue
-                e0 = start[c]
-                e1 = e0 + count[c]
-                for e in range(e0, e1):
-                    w = rows[e] - j
-                    if w < 0 or w >= n_windows or valid[w] == 0:
-                        continue
-                    d = vals[e] - floor_t
-                    if d <= 0:
-                        continue
-                    if scratch[w] == 0:
-                        touched[nt] = w
-                        nt += 1
-                    scratch[w] += d
-            for t in range(nt):
-                w = touched[t]
-                s = scratch[w]
-                scratch[w] = 0
-                tr = win_traj[w]
-                if s > out[p, tr]:
-                    out[p, tr] = s
-
-    @njit(cache=True)
-    def stacked_add(cells, start, count, rows, vals, floor_t, n_windows, out):
-        n_patterns, m = cells.shape
-        for p in range(n_patterns):
-            for j in range(m):
-                c = cells[p, j]
-                if c < 0:
-                    continue
-                e0 = start[c]
-                e1 = e0 + count[c]
-                for e in range(e0, e1):
-                    w = rows[e] - j
-                    if w < 0 or w >= n_windows:
-                        continue
-                    out[p, w] += vals[e] - floor_t
-
-    @njit(cache=True)
-    def segmax(vals, seg_starts, out):
-        n_segs = len(seg_starts)
-        n_vals = len(vals)
-        for s in range(n_segs):
-            lo = seg_starts[s]
-            hi = seg_starts[s + 1] if s + 1 < n_segs else n_vals
-            best = vals[lo]
-            for e in range(lo + 1, hi):
-                if vals[e] > best:
-                    best = vals[e]
-            out[s] = best
-
-    @njit(cache=True)
-    def prob_box(mean, sigma, center, delta, out):
-        sqrt2 = 1.4142135623730951
-        for i in range(len(out)):
-            s = sigma[i]
-            lo = (center[i, 0] - delta - mean[i, 0]) / s
-            hi = (center[i, 0] + delta - mean[i, 0]) / s
-            px = 0.5 * (1.0 + math.erf(hi / sqrt2)) - 0.5 * (1.0 + math.erf(lo / sqrt2))
-            lo = (center[i, 1] - delta - mean[i, 1]) / s
-            hi = (center[i, 1] + delta - mean[i, 1]) / s
-            py = 0.5 * (1.0 + math.erf(hi / sqrt2)) - 0.5 * (1.0 + math.erf(lo / sqrt2))
-            out[i] = px * py
-
-    @njit(cache=True)
-    def gap_dp(scores, offsets, seg_lens, gap_min, gap_max, length, best, nxt):
-        for t in range(length):
-            best[t] = -np.inf
-        n0 = seg_lens[0]
-        for t in range(n0 - 1, length):
-            best[t] = scores[offsets[0] + t - (n0 - 1)]
-        for j in range(1, len(seg_lens)):
-            n = seg_lens[j]
-            off = offsets[j]
-            for t in range(length):
-                nxt[t] = -np.inf
-            for t in range(n - 1, length):
-                s = t - n + 1
-                hi = s - 1 - gap_min[j - 1]
-                if hi < 0:
-                    continue
-                lo = s - 1 - gap_max[j - 1]
-                if lo < 0:
-                    lo = 0
-                pb = -np.inf
-                for q in range(lo, hi + 1):
-                    if best[q] > pb:
-                        pb = best[q]
-                if pb == -np.inf:
-                    continue
-                nxt[t] = pb + scores[off + s]
-            best, nxt = nxt, best
-        top = -np.inf
-        for t in range(length):
-            if best[t] > top:
-                top = best[t]
-        return top
-
-    return _Provider("numba", devmax, stacked_add, segmax, prob_box, gap_dp)
+        for attr, fn in kernels.items():
+            setattr(self, attr, fn)
 
 
 def _lib_cache_dir() -> Path:
@@ -406,9 +395,16 @@ def _build_cnative_provider() -> _Provider:
     lib.prob_box_f64.argtypes = [ptr, ptr, ptr, f64, i64, ptr]
     lib.gap_dp_f64.restype = f64
     lib.gap_dp_f64.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+    lib.count_cells.restype = i64
+    lib.count_cells.argtypes = [ptr, i64, i64, ptr]
+    lib.scatter_entries.restype = None
+    lib.scatter_entries.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.index_segments.restype = i64
+    lib.index_segments.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr,
+                                   ptr, ptr]
 
-    def _p(arr: np.ndarray):
-        return ctypes.c_void_p(arr.ctypes.data)
+    def _p(arr: np.ndarray | None):
+        return None if arr is None else ctypes.c_void_p(arr.ctypes.data)
 
     def devmax(cells, start, count, rows, vals, floor_t, valid, n_windows,
                win_traj, scratch, touched, out):
@@ -439,13 +435,30 @@ def _build_cnative_provider() -> _Provider:
                               len(seg_lens), _p(gap_min), _p(gap_max),
                               length, _p(best), _p(nxt))
 
-    return _Provider("cnative", devmax, stacked_add, segmax, prob_box, gap_dp)
+    def count_cells(cells, n_cells, counts) -> int:
+        return lib.count_cells(_p(cells), len(cells), n_cells, _p(counts))
+
+    def scatter(cells, rows, vals, cursor, out_rows, out_vals):
+        lib.scatter_entries(_p(cells), _p(rows), _p(vals), len(cells),
+                            _p(cursor), _p(out_rows), _p(out_vals))
+
+    def segments(cells, rows, row_traj, counts, cell_first=None,
+                 cell_seg_starts=None, seg_starts=None, seg_traj=None) -> int:
+        return lib.index_segments(
+            _p(cells), _p(rows), len(cells), _p(row_traj), len(row_traj),
+            _p(counts), _p(cell_first), _p(cell_seg_starts), _p(seg_starts),
+            _p(seg_traj),
+        )
+
+    return _Provider(
+        "cnative", devmax=devmax, stacked_add=stacked_add, segmax=segmax,
+        prob_box=prob_box, gap_dp=gap_dp, count_cells=count_cells,
+        scatter=scatter, segments=segments,
+    )
 
 
 def load_provider(name: str) -> _Provider:
     """Build the named provider, raising with a precise reason on failure."""
-    if name == "numba":
-        return _build_numba_provider()
     if name == "cnative":
         return _build_cnative_provider()
     raise ValueError(f"unknown compiled provider {name!r}")
@@ -455,7 +468,7 @@ def load_provider(name: str) -> _Provider:
 
 
 class CompiledKernels:
-    """Kernel backend driving a compiled provider (numba or cnative)."""
+    """Kernel backend driving the compiled ``cnative`` provider."""
 
     compiled = True
 
@@ -468,7 +481,6 @@ class CompiledKernels:
         #: scipy's by ~2 ULPs -- indexes built through it get a distinct
         #: cache-key tag so they never alias reference-built files.
         self.prob_tag = provider.name
-        self._ref = NumpyKernels(dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledKernels(provider={self.provider}, dtype={self.dtype})"
@@ -524,7 +536,58 @@ class CompiledKernels:
             raise ValueError("delta must be positive")
         if out is None:
             out = np.empty(mean.shape[0])
+        elif (
+            out.shape != sigma.shape
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError("out must be a contiguous float64 array, one per pair")
         self._p.prob_box(mean, sigma, center, float(delta), out)
+        return out
+
+    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
+        counts = np.zeros(n_cells, dtype=np.int64)
+        for i, cells in enumerate(cells_acc):
+            cells_acc[i] = cells = np.ascontiguousarray(cells, dtype=np.int64)
+            if self._p.count_cells(cells, n_cells, counts):
+                raise ValueError(f"index entry cell outside [0, {n_cells})")
+        cursor = np.zeros(n_cells, dtype=np.int64)
+        np.cumsum(counts[:-1], out=cursor[1:])
+        total = int(counts.sum())
+        rows = np.empty(total, dtype=np.int64)
+        vals = np.empty(total, dtype=np.float64)
+        for i, cells in enumerate(cells_acc):
+            chunk_rows = np.ascontiguousarray(rows_acc[i], dtype=np.int64)
+            chunk_vals = np.ascontiguousarray(vals_acc[i], dtype=np.float64)
+            if not len(cells) == len(chunk_rows) == len(chunk_vals):
+                raise ValueError("entry chunk columns differ in length")
+            self._p.scatter(cells, chunk_rows, chunk_vals, cursor, rows, vals)
+            # Free each chunk as soon as it is placed.
+            cells_acc[i] = rows_acc[i] = vals_acc[i] = None
+        cells_acc.clear()
+        rows_acc.clear()
+        vals_acc.clear()
+        return np.repeat(np.arange(n_cells, dtype=np.int64), counts), rows, vals
+
+    def index_segments(self, cells, rows, row_traj):
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        row_traj = np.ascontiguousarray(row_traj, dtype=np.int64)
+        if len(cells) != len(rows):
+            raise ValueError("index cells and rows differ in length")
+        counts = np.zeros(2, dtype=np.int64)
+        if self._p.segments(cells, rows, row_traj, counts):
+            raise IndexError(f"index entry row outside [0, {len(row_traj)})")
+        n_cells, n_segs = int(counts[0]), int(counts[1])
+        out = (
+            np.empty(n_cells, dtype=np.int64),
+            np.empty(n_segs, dtype=np.int64),
+            np.empty(n_segs, dtype=np.int64),
+            np.empty(n_cells, dtype=np.int64),
+        )
+        cell_first, seg_starts, seg_traj, cell_seg_starts = out
+        self._p.segments(cells, rows, row_traj, counts, cell_first,
+                         cell_seg_starts, seg_starts, seg_traj)
         return out
 
     def gap_dp(self, seg_scores, seg_lens, gap_mins, gap_maxs, length, arena) -> float:

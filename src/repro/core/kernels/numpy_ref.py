@@ -1,12 +1,12 @@
 """Reference numpy implementation of the kernel backend surface.
 
-This is the exact vectorised code the engine ran before the backend split
-(PR 6 moved it here body-for-body): the stable-sort + ``reduceat``
-deviation reduction behind ``nm_batch``/``match_batch``, the stacked
-window-score scatter, the per-segment maxima sweep, the chunked
-``prob_within`` evaluation (delegated to
-:mod:`repro.uncertainty.gaussian`) and the wildcard gap DP.  It remains
-the differential oracle's ground truth: the compiled backends are tested
+This is the exact vectorised code the engine ran before the backend split,
+moved here body-for-body: the stable-sort + ``reduceat`` deviation
+reduction behind ``nm_batch``/``match_batch``, the stacked window-score
+scatter, the per-segment maxima sweep, the chunked ``prob_within``
+evaluation (delegated to :mod:`repro.uncertainty.gaussian`), the wildcard
+gap DP, and the index build's entry sort and segmentation.  It remains
+the differential oracle's ground truth: the compiled backend is tested
 *against* this one, never the other way around.
 
 Numerical contract (what the compiled backends must reproduce):
@@ -29,6 +29,13 @@ from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
 
 __all__ = ["NumpyKernels"]
+
+
+def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """Concatenate ``chunks`` and empty the list, freeing each chunk."""
+    joined = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+    chunks.clear()
+    return joined
 
 
 def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
@@ -186,6 +193,46 @@ class NumpyKernels:
     ) -> np.ndarray:
         """The scipy-backed ``Prob`` evaluation (always float64)."""
         return gaussian.prob_within(mean, sigma, center, delta, model=model, out=out)
+
+    # -- index sort and segmentation -----------------------------------------
+
+    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
+        """Per-chunk entry lists joined into (cell, row) order.
+
+        The lists are emptied as they are joined.  Entries arrive in
+        ascending row order, so a stable sort by cell alone yields the
+        (cell, row) order of a lexsort, and permuting the three columns one
+        at a time keeps one spare copy alive, not three.
+        """
+        cells = _join(cells_acc, np.int64)
+        rows = _join(rows_acc, np.int64)
+        vals = _join(vals_acc, np.float64)
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        rows = rows[order]
+        vals = vals[order]
+        return cells, rows, vals
+
+    def index_segments(self, cells, rows, row_traj):
+        """Segment bounds of a (cell, row)-sorted index.
+
+        Returns ``(cell_first, seg_starts, seg_traj, cell_seg_starts)``:
+        the entries where the cell changes, the entries where the (cell,
+        trajectory) pair changes, each segment's trajectory, and the
+        segment each cell starts with.
+        """
+        if not len(cells):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), empty.copy(), empty.copy()
+        cell_change = np.diff(cells) != 0
+        cell_first = np.concatenate([[0], np.nonzero(cell_change)[0] + 1])
+        entry_traj = row_traj[rows]
+        change = np.nonzero(cell_change | (np.diff(entry_traj) != 0))[0] + 1
+        seg_starts = np.concatenate([[0], change])
+        seg_traj = entry_traj[seg_starts]
+        seg_cells = cells[seg_starts]
+        cell_seg_starts = np.concatenate([[0], np.nonzero(np.diff(seg_cells))[0] + 1])
+        return cell_first, seg_starts, seg_traj, cell_seg_starts
 
     # -- wildcard gap DP ---------------------------------------------------
 

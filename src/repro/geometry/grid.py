@@ -135,7 +135,8 @@ class Grid:
         """Centres of ``cells`` (or of every cell) as an ``(n, 2)`` array."""
         if cells is None:
             return self._centers
-        return self._centers[np.asarray(cells, dtype=np.int64)]
+        # np.take copies (n, 2) rows far faster than fancy indexing does.
+        return np.take(self._centers, np.asarray(cells, dtype=np.int64), axis=0)
 
     def row_col(self, cell: int) -> tuple[int, int]:
         """Decompose a cell id into ``(row, col)``."""

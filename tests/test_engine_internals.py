@@ -63,7 +63,11 @@ class TestBuildMemory:
             tracemalloc.stop()
         installed = sum(a.nbytes for a in engine.index_arrays())
         assert engine.n_index_entries > 1_000_000
-        assert peak <= 2.5 * installed, peak / installed
+        # The compiled build counting-sorts the entry chunks into two
+        # fresh arrays (measured 1.80x); a stable argsort of the joined
+        # chunks plus permuted copies measured 2.09x.
+        bound = 1.9 if backend == "compiled" else 2.5
+        assert peak <= bound * installed, peak / installed
 
 
 class TestIndexCaps:

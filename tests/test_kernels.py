@@ -2,10 +2,13 @@
 
 The compiled backend's contract is *bit-exactness* with the numpy
 reference on a shared index (the evaluation kernels perform the same
-reduction in the same order); only the Prob kernel used during index
-construction is allowed to differ (libm vs scipy ``erf``, tagged into the
-cache key).  float32 mode is judged in float32 ULPs.  Tests that need the
-compiled backend skip with the registry's own unavailability reason.
+reduction in the same order, and the index sort and segmentation kernels
+install the same arrays from the same entries); only the Prob kernel used
+during index construction is allowed to differ (libm vs scipy ``erf``,
+tagged into the cache key), and it must equal itself evaluated one pair
+at a time, whatever the pair layout.  float32 mode is judged in float32
+ULPs.  Tests that need the compiled backend skip with the registry's own
+unavailability reason.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine, autotune_prob_chunk
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
+from repro.geometry.bbox import BoundingBox
+from repro.geometry.grid import Grid
 from tests.conftest import dataset_cache_key
 
 CELL = 0.03
@@ -88,7 +95,7 @@ def test_resolved_instances_satisfy_protocol():
         inst = kernels.resolve_backend(backend, dtype)
         assert isinstance(inst, kernels.KernelBackend)
         assert np.dtype(inst.dtype) == np.dtype(dtype)
-        assert inst.name in ("numpy", "numba", "cnative")
+        assert inst.name in ("numpy", "cnative")
 
 
 def test_forced_none_disables_compiled(monkeypatch, caplog):
@@ -177,7 +184,7 @@ def test_compiled_own_index_close(small_dataset, dtype):
     _require_compiled()
     ref = _engine(small_dataset)
     eng = _engine(small_dataset, backend="compiled", dtype=dtype)
-    assert eng.backend_name in ("numba", "cnative")
+    assert eng.backend_name == "cnative"
     assert eng.backend_dtype == dtype
     patterns = _candidates(ref)
     rtol = 1e-12 if dtype == "float64" else 1e-4
@@ -257,6 +264,192 @@ def test_autotune_prob_chunk(small_dataset):
     assert best in (1 << 10, 1 << 14)
     # The knob is safe to apply blindly.
     NMEngine(small_dataset, grid, replace(cfg, prob_chunk_size=best))
+
+
+# -- index build kernels ------------------------------------------------------
+
+#: Index arrays that a sort and install derive from the entry triples.
+INDEX_ARRAYS = (
+    "_cell_ids", "_cell_bounds", "_flat_cells", "_flat_rows", "_flat_vals",
+    "_seg_starts", "_seg_traj", "_cell_seg_starts", "_flat_cell_order",
+)  # fmt: skip
+
+PROB_GRID = Grid(BoundingBox(0.0, 0.0, 1.0, 1.0), nx=50, ny=50)
+PROB_DELTA = 0.02
+
+
+@pytest.fixture(scope="module")
+def compiled64():
+    _require_compiled()
+    return kernels.resolve_backend("compiled", "float64")
+
+
+def _prob_one_at_a_time(kern, mean, sigma, center, delta) -> np.ndarray:
+    """Box Prob with one pair per call: nothing to reuse, only the formula."""
+    return np.array(
+        [
+            kern.prob_within(mean[i : i + 1], sigma[i : i + 1],
+                             center[i : i + 1], delta)[0]
+            for i in range(len(sigma))
+        ]
+    )  # fmt: skip
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    snapshots=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.floats(0.002, 0.02),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prob_box_reuse_matches_pairwise(compiled64, snapshots, shuffle, seed):
+    """Bulk box Prob == one pair per call, bit for bit, in any pair layout.
+
+    Pairs come out of ``cells_near_many`` in the engine's row-major
+    layout.  A snapshot repeated ``k`` times in a row is a parked object
+    (equal mean and sigma), and ``shuffle`` scatters the pairs so that
+    kept masses meet the inputs of other snapshots.
+    """
+    points = np.array([(x, y) for x, y, _, k in snapshots for _ in range(k)])
+    sigmas = np.array([s for _, _, s, k in snapshots for _ in range(k)])
+    cells, owners = PROB_GRID.cells_near_many(points, 4.0 * sigmas + PROB_DELTA)
+    mean, sigma = points[owners], sigmas[owners]
+    center = PROB_GRID.cell_centers(cells)
+    if shuffle:
+        perm = np.random.default_rng(seed).permutation(len(cells))
+        mean, sigma, center = mean[perm], sigma[perm], center[perm]
+    bulk = compiled64.prob_within(mean, sigma, center, PROB_DELTA)
+    _assert_same_bits(
+        bulk, _prob_one_at_a_time(compiled64, mean, sigma, center, PROB_DELTA)
+    )
+
+
+def test_prob_box_reuse_past_the_row_buffer(compiled64):
+    """A row wider than the kernel's x-mass buffer, twice (a parked object),
+    with a near-equal mean in between: positions past the buffer are
+    computed, never taken from a stale slot."""
+    width, g = 700, 1e-3
+    xs = np.arange(width) * g
+    row = np.column_stack([xs, np.zeros(width)])
+    block = np.concatenate([row, row + [0.0, g], row + [0.0, 2 * g]])
+    near = np.nextafter(0.35, 1.0)
+    means = [(0.35, g), (0.35, g), (near, g), (0.35, g)]
+    mean = np.concatenate([np.tile(m, (len(block), 1)) for m in means])
+    center = np.tile(block, (len(means), 1))
+    sigma = np.full(len(mean), 0.05)
+    bulk = compiled64.prob_within(mean, sigma, center, 5e-4)
+    _assert_same_bits(
+        bulk, _prob_one_at_a_time(compiled64, mean, sigma, center, 5e-4)
+    )
+
+
+def _entry_chunks(seed, n_cells, n_rows, per_row, rows_per_chunk):
+    """Per-chunk (cells, rows, vals) lists in ascending row order, each row
+    holding ``per_row`` distinct random cells (or all cells if fewer)."""
+    rng = np.random.default_rng(seed)
+    cells_acc, rows_acc, vals_acc = [], [], []
+    for lo in range(0, n_rows, rows_per_chunk):
+        hi = min(lo + rows_per_chunk, n_rows)
+        take = min(per_row, n_cells)
+        cells = np.concatenate(
+            [rng.choice(n_cells, size=take, replace=False) for _ in range(lo, hi)]
+        ).astype(np.int64)
+        cells_acc.append(cells)
+        rows_acc.append(np.repeat(np.arange(lo, hi, dtype=np.int64), take))
+        vals_acc.append(np.log(rng.uniform(1e-6, 1.0, len(cells))))
+    return cells_acc, rows_acc, vals_acc
+
+
+def _sort_both(compiled, chunks, n_cells):
+    ref = kernels.resolve_backend("numpy")
+    copies = [[list(acc) for acc in chunks] for _ in range(2)]
+    got = compiled.sort_entries(*copies[0], n_cells)
+    want = ref.sort_entries(*copies[1], n_cells)
+    for acc in copies[0] + copies[1]:
+        assert acc == []  # both backends empty the chunk lists
+    for a, b in zip(got, want):
+        _assert_same_bits(a, b)
+    return want
+
+
+@pytest.mark.parametrize(
+    "n_cells, n_rows, per_row, rows_per_chunk",
+    [
+        (1, 40, 1, 7),  # one cell
+        (500, 60, 9, 16),  # most cells have no entries
+        (30, 200, 12, 64),  # dense
+    ],
+)
+def test_sort_and_segments_match_reference(
+    compiled64, n_cells, n_rows, per_row, rows_per_chunk
+):
+    chunks = _entry_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
+    cells, rows, _ = _sort_both(compiled64, chunks, n_cells)
+    # Trajectories of 1..9 rows, so segments split cells at every length.
+    lengths = np.random.default_rng(4).integers(1, 10, n_rows)
+    row_traj = np.repeat(np.arange(len(lengths)), lengths)[:n_rows]
+    ref = kernels.resolve_backend("numpy")
+    for a, b in zip(
+        compiled64.index_segments(cells, rows, row_traj),
+        ref.index_segments(cells, rows, row_traj),
+    ):
+        _assert_same_bits(a, b)
+
+
+def test_sort_and_segments_empty(compiled64):
+    ref = kernels.resolve_backend("numpy")
+    empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0)
+    for chunks in ([[], [], []], [[empty_i], [empty_i.copy()], [empty_f]]):
+        cells, rows, vals = _sort_both(compiled64, chunks, 8)
+        assert len(cells) == len(rows) == len(vals) == 0
+    row_traj = np.zeros(5, dtype=np.int64)
+    for a, b in zip(
+        compiled64.index_segments(empty_i, empty_i, row_traj),
+        ref.index_segments(empty_i, empty_i, row_traj),
+    ):
+        _assert_same_bits(a, b)
+
+
+def test_sort_and_segments_reject_out_of_range(compiled64):
+    cells = [np.array([0, 9], dtype=np.int64)]
+    with pytest.raises(ValueError, match="outside"):
+        compiled64.sort_entries(cells, [np.array([0, 1])], [np.zeros(2)], 9)
+    with pytest.raises(IndexError, match="outside"):
+        compiled64.index_segments(
+            np.array([0, 0]), np.array([0, 5]), np.zeros(5, dtype=np.int64)
+        )
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_compiled_build_matches_reference_install(compiled64, small_dataset, cap):
+    """A compiled engine's own build installs exactly the arrays that the
+    numpy reference's sort and install derive from the same entries --
+    with the per-snapshot cap trimming entries or not."""
+    kw = {} if cap is None else {"max_cells_per_snapshot": cap}
+    eng = _engine(small_dataset, backend="compiled", **kw)
+    if cap is not None:
+        assert eng.n_index_entries <= cap * small_dataset.total_snapshots()
+    ref = _engine(small_dataset, backend="numpy", **kw)
+    chunks = eng._collect_index_entries()
+    _sort_both(compiled64, [list(acc) for acc in chunks], eng.grid.n_cells)
+    ref.install_index(
+        *kernels.resolve_backend("numpy").sort_entries(*chunks, eng.grid.n_cells)
+    )
+    for name in INDEX_ARRAYS:
+        _assert_same_bits(getattr(eng, name), getattr(ref, name))
 
 
 # -- index replacement & cache invalidation ----------------------------------
@@ -346,7 +539,7 @@ def test_parallel_engine_reports_backend(small_dataset):
         small_dataset, grid, EngineConfig(**BASE, backend="auto"), jobs=2
     )
     try:
-        assert engine.backend_name in ("numpy", "numba", "cnative")
+        assert engine.backend_name in ("numpy", "cnative")
         assert engine.backend_dtype == "float64"
         snap = engine.obs_snapshot()
         assert snap["backend"] == engine.backend_name
