@@ -8,9 +8,10 @@ of numpy operations over the whole dataset:
 1. **Sparse index** (built once): for every snapshot of every trajectory,
    the exact ``log Prob(l, sigma, cell, delta)`` is computed for every grid
    cell whose probability exceeds the floor ``min_prob``; everything else
-   *is* the floor.  Entries are stored per cell as ``(global_row, value)``
-   arrays, where global rows concatenate all trajectories along the time
-   axis.
+   *is* the floor.  Entries are stored CSR by cell: the active cells, each
+   cell's entry range, and per entry an ``int32`` global row and a
+   ``float64`` value -- 12 bytes per entry -- where global rows
+   concatenate all trajectories along the time axis.
 
 2. **Pattern evaluation**: for pattern ``(p_1..p_m)`` the window score of
    the window starting at global row ``r`` is ``sum_j column(p_j)[r + j]``.
@@ -36,13 +37,17 @@ The index itself is built fully vectorised: all snapshot neighbourhoods are
 enumerated with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call
 per row chunk and ``Prob`` is evaluated over the concatenated (snapshot,
 cell) pairs in bounded-size chunks, instead of per-snapshot Python
-iteration.  The kept entries arrive in ascending row order; the kernel
-backend puts them in (cell, row) order -- a stable ``argsort`` by cell in
-the numpy reference, a counting sort by cell in the compiled backend --
-and segments them at every (cell, trajectory) change.  The compiled box
-``Prob`` kernel also reuses each axis mass along a snapshot's row-major
-cell block.  Every backend installs exactly the same index arrays from
-the same entries.
+iteration.  The kept entries arrive in ascending row order, 16 bytes each
+(``int32`` cell and row, ``float64`` value); the kernel backend puts them
+in (cell, row) order straight into CSR form -- a stable ``argsort`` by
+cell in the numpy reference, a counting sort by cell in the compiled
+backend -- so no per-entry cell array outlives the sort, and segments
+them at every (cell, trajectory) change.  The compiled box ``Prob``
+kernel also reuses each axis mass along a snapshot's row-major cell
+block.  Every backend installs exactly the same index arrays from the
+same entries.  :meth:`NMEngine.index_arrays` rebuilds the classic
+``int64`` (cell, row, value) triples on demand for the index cache, the
+incremental folds and the serving layer's copies.
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -69,9 +74,12 @@ from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.uncertainty.gaussian import ProbModel, prob_within
 
-#: Snapshots enumerated per vectorised index-build round (bounds the size of
-#: the in-flight (snapshot, cell) pair arrays).
-_INDEX_ROW_CHUNK = 8192
+#: Snapshots enumerated per vectorised index-build round.  It bounds the
+#: in-flight (snapshot, cell) pair arrays -- neighbourhood cells and owners,
+#: gathered means, cell centres and probabilities.  At 2048 rows they stay
+#: below the sort's peak (16-byte entry chunks plus the 12-byte CSR); at
+#: 8192 they set the build's peak (see TestBuildMemory).
+_INDEX_ROW_CHUNK = 2048
 #: Default (snapshot, cell) pairs evaluated per ``prob_within`` call; the
 #: live value is the ``EngineConfig.prob_chunk_size`` knob (see
 #: :func:`autotune_prob_chunk`).
@@ -99,6 +107,21 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     n, width = matrix.shape
     flat = np.ascontiguousarray(matrix).reshape(-1)
     return np.add.reduceat(flat, np.arange(0, n * width, width))
+
+
+def _check_index_shape(n_rows: int, n_cells: int) -> None:
+    """Reject row and cell counts whose ids overflow ``int32``.
+
+    The index stores rows and cell ids as ``int32`` (see
+    :meth:`NMEngine._install_csr`); checking the two counts up front keeps a
+    cast from ever wrapping an id.
+    """
+    limit = np.iinfo(np.int32).max
+    for count, what in ((n_rows, "snapshots"), (n_cells, "grid cells")):
+        if count > limit:
+            raise ValueError(
+                f"{count} {what} exceed the index's int32 ids (at most {limit})"
+            )
 
 
 @dataclass(frozen=True)
@@ -306,6 +329,7 @@ class NMEngine:
         self._lengths = lengths
         self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         self._total_rows = int(lengths.sum())
+        _check_index_shape(self._total_rows, grid.n_cells)
         self._row_traj = np.repeat(np.arange(len(dataset), dtype=np.int64), lengths)
 
         self._column_cache: OrderedDict[int, np.ndarray] = OrderedDict()
@@ -321,20 +345,20 @@ class NMEngine:
         self.index_epoch = 0
         self._cache_key = cache_key
 
-        # Flat segment index (filled by _install_index when entries exist).
-        # Per-cell lookup is (cell ids, bounds) over the sorted flat arrays
-        # instead of a per-cell dict: O(log C) by searchsorted, and install
-        # stays pure array work (which is what makes warm cache loads fast).
-        self._cell_ids = np.empty(0, dtype=np.int64)
+        # The index is CSR by cell (filled by _install_csr): active cell
+        # _cell_ids[i] owns entries _cell_bounds[i]:_cell_bounds[i + 1] of
+        # the int32 rows and float64 values, rows ascending within a cell
+        # -- 12 bytes per entry.  Per-cell lookup is O(log C) by
+        # searchsorted, and install stays pure array work (which is what
+        # makes warm cache loads fast).
+        self._cell_ids = np.empty(0, dtype=np.int32)
         self._cell_bounds = np.zeros(1, dtype=np.int64)
-        self._flat_cells = np.empty(0, dtype=np.int64)
-        self._flat_rows = np.empty(0, dtype=np.int64)
+        self._flat_rows = np.empty(0, dtype=np.int32)
         self._flat_vals = np.empty(0)
         self._flat_vals_k = np.empty(0, dtype=self._dtype)
         self._seg_starts = np.empty(0, dtype=np.int64)
         self._seg_traj = np.empty(0, dtype=np.int64)
         self._cell_seg_starts = np.empty(0, dtype=np.int64)
-        self._flat_cell_order = np.empty(0, dtype=np.int64)
 
         with tracing.span(
             "index.build", prebuilt=prebuilt is not None
@@ -378,7 +402,7 @@ class NMEngine:
     @property
     def n_index_entries(self) -> int:
         """Number of stored (snapshot, cell) probability entries."""
-        return int(len(self._flat_cells))
+        return int(len(self._flat_rows))
 
     @property
     def backend_name(self) -> str:
@@ -402,7 +426,9 @@ class NMEngine:
         is evaluated over the concatenated (snapshot, cell) pairs in bounded
         chunks of ``config.prob_chunk_size`` pairs, through the configured
         kernel backend; only the (rare) per-snapshot cap falls back to a
-        Python loop over the few snapshots that exceed it.
+        Python loop over the few snapshots that exceed it.  Each row chunk
+        yields ``int32`` cells, ``int32`` rows and ``float64`` values, 16
+        bytes per entry, in ascending row order.
         """
         cfg = self.config
         radius_sigmas = cfg.effective_radius_sigmas()
@@ -458,8 +484,8 @@ class NMEngine:
                     drop = np.argpartition(probs[run], -cap)[:-cap]
                     sel[np.arange(run.start, run.stop)[drop]] = False
                 cells, owners, probs = cells[sel], owners[sel], probs[sel]
-            cells_acc.append(cells)
-            rows_acc.append(lo + owners)
+            cells_acc.append(cells.astype(np.int32))
+            rows_acc.append((owners + lo).astype(np.int32))
             vals_acc.append(np.log(probs))
         return cells_acc, rows_acc, vals_acc
 
@@ -495,8 +521,8 @@ class NMEngine:
                         ]
                         cells, probs = cells[top], probs[top]
                     if len(cells):
-                        cells_acc.append(cells)
-                        rows_acc.append(np.full(len(cells), row, dtype=np.int64))
+                        cells_acc.append(cells.astype(np.int32))
+                        rows_acc.append(np.full(len(cells), row, dtype=np.int32))
                         vals_acc.append(np.log(probs))
                 row += 1
         return cells_acc, rows_acc, vals_acc
@@ -528,24 +554,28 @@ class NMEngine:
                 self._install_index(*loaded)
                 return
         # Entries arrive in ascending row order; the backend orders them
-        # by (cell, row), emptying the chunk lists as it goes.
-        cells, rows, vals = self._kernels.sort_entries(
-            *self._collect_index_entries(), self.grid.n_cells
-        )
-        self._install_index(cells, rows, vals, presorted=True)
-        if key is not None:
-            index_cache.save_index(
-                cache_dir, key, self._flat_cells, self._flat_rows, self._flat_vals
+        # by (cell, row) into CSR, emptying the chunk lists as it goes.
+        self._install_csr(
+            *self._kernels.sort_entries(
+                *self._collect_index_entries(), self.grid.n_cells
             )
+        )
+        if key is not None:
+            index_cache.save_index(cache_dir, key, *self.index_arrays())
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat ``(cells, rows, vals)`` entry arrays, sorted by (cell, row).
+        """The flat ``(cells, rows, vals)`` entry triples, sorted by (cell, row).
 
-        This is exactly the payload the index cache persists and the shard
-        distribution layer slices; feeding it back through the ``prebuilt``
-        constructor argument reproduces the engine's index bit-for-bit.
+        Built on demand from the CSR index: fresh ``int64`` cells and rows,
+        and the engine's own ``float64`` values, which no fold or install
+        ever writes to.  This is exactly the payload the index cache
+        persists; feeding it back through the ``prebuilt`` constructor
+        argument reproduces the engine's index bit-for-bit.
         """
-        return self._flat_cells, self._flat_rows, self._flat_vals
+        cells = np.repeat(
+            self._cell_ids.astype(np.int64), np.diff(self._cell_bounds)
+        )
+        return cells, self._flat_rows.astype(np.int64), self._flat_vals
 
     def install_index(
         self, cells: np.ndarray, rows: np.ndarray, vals: np.ndarray
@@ -593,8 +623,9 @@ class NMEngine:
         """
         if len(dataset) == 0:
             raise ValueError("cannot install an index over an empty dataset")
-        self.dataset = dataset
         lengths = dataset.lengths()
+        _check_index_shape(int(lengths.sum()), self.grid.n_cells)
+        self.dataset = dataset
         self._lengths = lengths
         self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         self._total_rows = int(lengths.sum())
@@ -605,22 +636,56 @@ class NMEngine:
         self._install_index(np.asarray(cells), np.asarray(rows), np.asarray(vals))
 
     def _install_index(
-        self,
-        all_cells: np.ndarray,
-        all_rows: np.ndarray,
-        all_vals: np.ndarray,
-        *,
-        presorted: bool = False,
+        self, cells: np.ndarray, rows: np.ndarray, vals: np.ndarray
     ) -> None:
-        """Sort raw entry triples and derive every index structure from them.
+        """Turn raw entry triples into the CSR index and install it.
 
         Idempotent over ordering: entries are keyed by unique (cell, row)
         pairs, so any permutation of the same triples installs identically.
-        Already-sorted input (a cache payload or a shard slice of one)
-        skips the lexsort, keeping warm starts array-speed.  ``presorted``
-        is for the fresh build only, which hands over the arrays its own
-        sort just produced: it skips the O(n) order check as well.
+        Already-sorted input (a cache payload, an incremental merge) skips
+        the lexsort, keeping warm starts array-speed.  A repeated (cell,
+        row) pair, a cell outside the grid or a row outside the dataset
+        raises instead of installing.
         """
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        if not len(cells) == len(rows) == len(vals):
+            raise ValueError("index entry columns differ in length")
+        if not index_cache.keys_strictly_increasing(cells, rows):
+            order = np.lexsort((rows, cells))
+            cells, rows, vals = cells[order], rows[order], vals[order]
+            if not index_cache.keys_strictly_increasing(cells, rows):
+                raise ValueError("index entries repeat a (cell, row) pair")
+        if len(cells):
+            if cells[0] < 0 or cells[-1] >= self.grid.n_cells:
+                raise ValueError(
+                    f"index entry cell outside [0, {self.grid.n_cells})"
+                )
+            if rows.min() < 0 or rows.max() >= self._total_rows:
+                raise IndexError(
+                    f"index entry row outside [0, {self._total_rows})"
+                )
+            starts = np.concatenate(
+                [[0], np.flatnonzero(cells[1:] != cells[:-1]) + 1]
+            )
+        else:
+            starts = np.empty(0, dtype=np.int64)
+        self._install_csr(
+            cells[starts].astype(np.int32),
+            np.append(starts, len(cells)),
+            rows.astype(np.int32),
+            vals,
+        )
+
+    def _install_csr(
+        self,
+        cell_ids: np.ndarray,
+        cell_bounds: np.ndarray,
+        rows: np.ndarray,
+        vals: np.ndarray,
+    ) -> None:
+        """Install a CSR index and derive every index structure from it."""
         # Installing (or re-installing) invalidates everything derived
         # from the previous flat arrays.  _valid_cache keys on window width
         # but its payload is built from _row_traj/_lengths/_starts, which the
@@ -631,41 +696,21 @@ class NMEngine:
         self._entry_bounds = None
         self._column_cache.clear()
         self._valid_cache.clear()
-        all_cells = np.ascontiguousarray(all_cells, dtype=np.int64)
-        all_rows = np.ascontiguousarray(all_rows, dtype=np.int64)
-        all_vals = np.ascontiguousarray(all_vals, dtype=np.float64)
-        if not presorted:
-            cell_diff = np.diff(all_cells)
-            if not np.all(
-                (cell_diff > 0) | ((cell_diff == 0) & (np.diff(all_rows) > 0))
-            ):
-                order = np.lexsort((all_rows, all_cells))
-                all_cells, all_rows, all_vals = (
-                    all_cells[order],
-                    all_rows[order],
-                    all_vals[order],
-                )
-        self._flat_cells = all_cells
-        self._flat_rows = all_rows
-        self._flat_vals = all_vals
+        self._cell_ids = cell_ids
+        self._cell_bounds = cell_bounds
+        self._flat_rows = rows
+        self._flat_vals = vals
         # The kernels run in the configured dtype; float64 shares storage,
         # float32 casts once here (the cache stays float64 either way).
         self._flat_vals_k = (
-            all_vals
-            if self._dtype == np.float64
-            else all_vals.astype(self._dtype)
+            vals if self._dtype == np.float64 else vals.astype(self._dtype)
         )
         # Flat segment index for the vectorised bulk-extension path: entries
-        # sorted by (cell, row), segmented at every (cell, trajectory)
-        # change.  Pattern-independent, built once.
-        first, self._seg_starts, self._seg_traj, self._cell_seg_starts = (
-            self._kernels.index_segments(all_cells, all_rows, self._row_traj)
+        # segmented at every (cell, trajectory) change.  Pattern-independent,
+        # built once.
+        self._seg_starts, self._seg_traj, self._cell_seg_starts = (
+            self._kernels.index_segments(cell_bounds, rows, self._row_traj)
         )
-        self._cell_ids = all_cells[first]
-        self._cell_bounds = np.append(first, len(all_cells))
-        # Every active cell starts exactly one run of segments, so the
-        # segment-order cell list is the active cell list.
-        self._flat_cell_order = self._cell_ids
 
     # -- columns -------------------------------------------------------------------
 
@@ -740,13 +785,8 @@ class NMEngine:
             n_cells = self.grid.n_cells
             start = np.zeros(n_cells, dtype=np.int64)
             count = np.zeros(n_cells, dtype=np.int64)
-            if self._seg_starts.size:
-                cell_starts = self._seg_starts[self._cell_seg_starts]
-                cell_counts = np.diff(
-                    np.append(cell_starts, len(self._flat_rows))
-                )
-                start[self._flat_cell_order] = cell_starts
-                count[self._flat_cell_order] = cell_counts
+            start[self._cell_ids] = self._cell_bounds[:-1]
+            count[self._cell_ids] = np.diff(self._cell_bounds)
             self._entry_bounds = (start, count)
         return self._entry_bounds
 
@@ -985,7 +1025,7 @@ class NMEngine:
 
         Segments follow the flat index order (sorted by cell, then
         trajectory); ``self._cell_seg_starts`` delimits each cell's run and
-        ``self._flat_cell_order`` names the cells.  Both singular tables
+        ``self._cell_ids`` names the cells.  Both singular tables
         derive from this one ``np.maximum.reduceat`` sweep.
         """
         if self._seg_max is None:
@@ -1010,7 +1050,7 @@ class NMEngine:
         gains = np.add.reduceat(seg_max - self._floor, self._cell_seg_starts)
         return {
             int(cell): base + float(gain)
-            for cell, gain in zip(self._flat_cell_order, gains)
+            for cell, gain in zip(self._cell_ids, gains)
         }
 
     def singular_match_table(self) -> dict[int, float]:
@@ -1024,7 +1064,7 @@ class NMEngine:
         n_touched = np.diff(np.append(self._cell_seg_starts, len(seg_max)))
         return {
             int(cell): float(s) + floor_p * (n_traj - int(n))
-            for cell, s, n in zip(self._flat_cell_order, sums, n_touched)
+            for cell, s, n in zip(self._cell_ids, sums, n_touched)
         }
 
     # -- bulk single-cell extensions --------------------------------------------------------
@@ -1197,11 +1237,11 @@ class NMEngine:
 
         nm_by_cell = {
             int(cell): nm_base_total + float(d)
-            for cell, d in zip(self._flat_cell_order, nm_delta)
+            for cell, d in zip(self._cell_ids, nm_delta)
         }
         match_by_cell = {
             int(cell): match_base_total + float(d)
-            for cell, d in zip(self._flat_cell_order, match_delta)
+            for cell, d in zip(self._cell_ids, match_delta)
         }
         self.n_evaluations += len(self._cell_ids)
         return ExtensionTables(

@@ -162,22 +162,70 @@ def _cluster_snapshot(
     coords = np.array(
         [grid.cell_centers([p.cells[snapshot]])[0] for p in patterns]
     )
-    n = len(patterns)
     if gamma == 0.0:
         # Exact-position grouping; complete linkage degenerates to equality.
         buckets: dict[tuple[float, float], set[int]] = {}
         for i, (x, y) in enumerate(coords):
             buckets.setdefault((float(x), float(y)), set()).add(i)
         return list(buckets.values())
-    # Deferred: only grouping with gamma > 0 needs scipy's clustering, and
-    # importing it costs every engine or serving process memory and time.
-    from scipy.cluster.hierarchy import fcluster, linkage
+    return _complete_linkage_clusters(coords, gamma)
 
-    tree = linkage(coords, method="complete")
-    labels = fcluster(tree, t=gamma, criterion="distance")
+
+def _complete_linkage_clusters(coords: np.ndarray, gamma: float) -> list[set[int]]:
+    """Complete-linkage clusters of ``(n, 2)`` points, cut at height ``gamma``.
+
+    The partition of scipy's ``fcluster(linkage(coords, "complete"), gamma,
+    criterion="distance")``, with clusters ordered by their first point.
+    Grid-centre positions tie often, and complete linkage under ties
+    depends on merge order, so this is scipy's nearest-neighbour chain
+    with its tie rules: a chain step keeps the previous chain element
+    unless another cluster is strictly closer, and otherwise takes the
+    lowest-index nearest cluster; a merged cluster takes the higher of the
+    two slots; distances are ``sqrt(dx*dx + dy*dy)``.  Complete linkage is
+    monotone -- a merge is never lower than the merges below it -- so the
+    cut joins exactly the pairs merged at height ``<= gamma``.
+    """
+    n = len(coords)
+    dx = coords[:, None, 0] - coords[None, :, 0]
+    dy = coords[:, None, 1] - coords[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(dist, np.inf)
+    active = np.ones(n, dtype=bool)
+    root = list(range(n))  # union-find over points, for the cut
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    chain: list[int] = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(np.argmax(active)))
+        while True:
+            x = chain[-1]
+            y = int(np.argmin(np.where(active, dist[x], np.inf)))
+            if len(chain) > 1 and not dist[x, y] < dist[x, chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        if dist[x, y] <= gamma:
+            root[find(x)] = find(y)
+        # Slot y now holds the merged cluster.  An active slot s always
+        # holds point s, so x and y stand for their clusters above; a merge
+        # above gamma is not joined, and neither is any merge after it
+        # that involves its cluster, since none is lower.
+        active[x] = False
+        merged = np.maximum(dist[x], dist[y])
+        dist[y, :] = merged
+        dist[:, y] = merged
+        dist[y, y] = np.inf
     clusters: dict[int, set[int]] = {}
-    for i, label in enumerate(labels):
-        clusters.setdefault(int(label), set()).add(i)
+    for i in range(n):
+        clusters.setdefault(find(i), set()).add(i)
     return list(clusters.values())
 
 

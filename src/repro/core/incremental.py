@@ -1,9 +1,10 @@
 """Incremental maintenance of the sparse NM index (append, evict, persist).
 
-The engine's flat index is three arrays sorted by ``(cell, row)``; a full
-rebuild is a probability enumeration over every snapshot plus an
-``np.lexsort``.  For a live report stream the delta per batch is tiny, so
-this module maintains the index without either cost:
+The engine keeps its index CSR by cell; folds work on the three arrays
+sorted by ``(cell, row)`` that :meth:`NMEngine.index_arrays` builds on
+demand from it.  A full rebuild is a probability enumeration over every
+snapshot plus a sort by cell.  For a live report stream the delta per
+batch is tiny, so this module maintains the index without either cost:
 
 * **Append** -- enumerate entries for the *new* trajectories only (a
   throwaway engine over the delta, with rows offset past the existing

@@ -3,7 +3,9 @@
 Building the index is the expensive part of engine construction: every
 snapshot neighbourhood is enumerated and ``Prob`` evaluated per (snapshot,
 cell) pair.  The *result* however is three flat arrays -- ``(cell, row,
-log-prob)`` triples sorted by (cell, row) -- that depend only on the
+log-prob)`` triples sorted by (cell, row), the engine's
+:meth:`~repro.core.engine.NMEngine.index_arrays` view of its CSR index,
+with ``int64`` cells and rows and ``float64`` values -- that depend only on the
 dataset geometry, the grid and the index-affecting knobs of
 :class:`~repro.core.engine.EngineConfig`.  This module persists those
 arrays as one ``.npz`` per configuration under a cache directory, so
@@ -199,7 +201,9 @@ def load_index(
     """Load the flat index arrays for ``key``, or ``None`` on any failure.
 
     Missing, truncated, corrupted or wrong-shape files are all treated as
-    cache misses; the caller rebuilds and overwrites.  ``n_rows`` /
+    cache misses; the caller rebuilds and overwrites, and so are payloads
+    whose entries are not in strictly increasing (cell, row) order -- a
+    duplicated entry would otherwise count twice in every NM.  ``n_rows`` /
     ``n_cells`` optionally bound the valid row / cell ranges: a file whose
     payload parses but points outside the dataset or grid (a key collision
     or bit rot that survived the zip CRC) is rejected as corrupt rather
@@ -231,12 +235,29 @@ def load_index(
             return _corrupt(target, "row indices out of range")
         if not np.isfinite(vals).all():
             return _corrupt(target, "non-finite log-probabilities")
+        # The writer only ever saves an engine's sorted, unique entries, so
+        # keys that fail to increase strictly (a repeated or reordered
+        # entry) mean the payload is not one it wrote.
+        if not keys_strictly_increasing(cells, rows):
+            return _corrupt(target, "(cell, row) keys not strictly increasing")
     metrics.counter("index.cache.hit").inc()
     _log.info(
         "index cache hit",
         extra={"path": str(target), "n_entries": int(len(cells))},
     )
     return cells, rows, vals
+
+
+def keys_strictly_increasing(cells: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether entry keys are in (cell, row) order with no pair repeated.
+
+    Compares neighbours directly rather than through ``np.diff``: one
+    byte per entry of temporaries instead of an ``int64`` per column.
+    """
+    same_cell = cells[1:] == cells[:-1]
+    return bool(
+        np.all((cells[1:] > cells[:-1]) | (same_cell & (rows[1:] > rows[:-1])))
+    )
 
 
 def _corrupt(target: Path, reason: str) -> None:

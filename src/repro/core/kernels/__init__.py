@@ -2,9 +2,10 @@
 
 The engine's measured hot loops -- the deviation gather/sort/segment-reduce
 behind ``nm_batch``/``match_batch``, the stacked window-score scatter, the
-per-segment maxima sweep, the chunked ``prob_within`` evaluation, entry
-sort and segmentation of index construction, and the wildcard gap DP --
-are isolated behind the narrow :class:`KernelBackend` protocol.
+per-segment maxima sweep, the chunked ``prob_within`` evaluation, the
+entry sort of index construction (into a CSR index by cell with ``int32``
+rows) and its segmentation, and the wildcard gap DP -- are isolated
+behind the narrow :class:`KernelBackend` protocol.
 Everything else in the engine is orchestration and stays numpy.
 
 Backends
@@ -73,12 +74,14 @@ DTYPE_CHOICES = ("float64", "float32")
 class KernelBackend(Protocol):
     """The narrow surface a backend must implement.
 
-    Array arguments follow the engine's flat-index layout: ``start`` /
-    ``count`` are dense per-cell entry bounds, ``rows`` / ``vals`` the
-    entry arrays sorted by (cell, row), ``floor`` the log-space floor and
-    ``win_traj`` the owning trajectory of each global row.  ``arena`` is
-    the calling engine's :class:`ScratchArena`; implementations draw any
-    per-call scratch from it so steady-state calls allocate nothing.
+    Array arguments follow the engine's CSR index layout: ``cell_bounds``
+    (``int64``) delimits each active cell's entries, ``start`` / ``count``
+    are the same bounds spread densely over every grid cell, ``rows``
+    (``int32``) / ``vals`` the entry arrays sorted by (cell, row),
+    ``floor`` the log-space floor and ``win_traj`` the owning trajectory
+    of each global row.  ``arena`` is the calling engine's
+    :class:`ScratchArena`; implementations draw any per-call scratch from
+    it so steady-state calls allocate nothing.
     """
 
     name: str        #: resolved implementation ("numpy", "cnative")
@@ -106,14 +109,14 @@ class KernelBackend(Protocol):
                length: int, arena) -> float:
         """Best summed log-prob over admissible gap alignments, or ``-inf``."""
 
-    def sort_entries(self, cells_acc, rows_acc, vals_acc,
-                     n_cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-chunk entry lists (ascending rows) as (cell, row)-sorted
-        ``(cells, rows, vals)``; empties the lists."""
+    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-chunk ``int32`` cell / ``int32`` row / ``float64`` value lists
+        (ascending rows) as a CSR index ``(cell_ids, cell_bounds, rows,
+        vals)`` in (cell, row) order; empties the lists."""
 
-    def index_segments(self, cells, rows, row_traj) -> tuple[np.ndarray, ...]:
-        """``(cell_first, seg_starts, seg_traj, cell_seg_starts)`` of a
-        (cell, row)-sorted index."""
+    def index_segments(self, cell_bounds, rows, row_traj) -> tuple[np.ndarray, ...]:
+        """``(seg_starts, seg_traj, cell_seg_starts)`` of a CSR index."""
 
 
 # -- provider resolution ------------------------------------------------------

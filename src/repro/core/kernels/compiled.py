@@ -2,7 +2,8 @@
 
 One provider, ``cnative``, implements the backend's seven kernels
 (deviation maxima, stacked scores, segment maxima, box ``Prob``, gap DP,
-the counting-sort scatter of index entries and the index segmentation):
+the counting-sort scatter of index entries into a CSR index and its
+segmentation; every kernel reads ``int32`` rows):
 a C translation unit compiled on first use with the system C compiler
 (``cc``/``gcc``/``clang``) into a content-hashed shared library under a
 cache directory.
@@ -65,7 +66,7 @@ _C_SOURCE = r"""
 void batch_devmax_##SUF(                                                      \
     const int64_t *cells, int64_t n_patterns, int64_t m,                      \
     const int64_t *start, const int64_t *count,                               \
-    const int64_t *rows, const T *vals, double floor_,                        \
+    const int32_t *rows, const T *vals, double floor_,                        \
     const uint8_t *valid, int64_t n_windows, const int64_t *win_traj,         \
     int64_t n_traj, T *scratch, int64_t *touched, T *out)                     \
 {                                                                             \
@@ -78,7 +79,7 @@ void batch_devmax_##SUF(                                                      \
             if (c < 0) continue;                                              \
             const int64_t e0 = start[c], e1 = e0 + count[c];                  \
             for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = rows[e] - j;                                \
+                const int64_t w = (int64_t)rows[e] - j;                       \
                 if (w < 0 || w >= n_windows || !valid[w]) continue;           \
                 const T d = vals[e] - floorv;                                 \
                 /* d == 0 adds nothing to the reference sum; skipping it      \
@@ -106,7 +107,7 @@ DEVMAX(f32, float)
 void stacked_add_##SUF(                                                       \
     const int64_t *cells, int64_t n_patterns, int64_t m,                      \
     const int64_t *start, const int64_t *count,                               \
-    const int64_t *rows, const T *vals, double floor_,                        \
+    const int32_t *rows, const T *vals, double floor_,                        \
     int64_t n_windows, T *out)                                                \
 {                                                                             \
     const T floorv = (T)floor_;                                               \
@@ -118,7 +119,7 @@ void stacked_add_##SUF(                                                       \
             if (c < 0) continue;                                              \
             const int64_t e0 = start[c], e1 = e0 + count[c];                  \
             for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = rows[e] - j;                                \
+                const int64_t w = (int64_t)rows[e] - j;                       \
                 if (w < 0 || w >= n_windows) continue;                        \
                 orow[w] += vals[e] - floorv;                                  \
             }                                                                 \
@@ -216,7 +217,7 @@ void prob_box_f64(
 /* Per-cell entry counts of one chunk of index entries, added to counts.
  * Returns how many cells fall outside [0, n_cells); those are not counted. */
 int64_t count_cells(
-    const int64_t *cells, int64_t n, int64_t n_cells, int64_t *counts)
+    const int32_t *cells, int64_t n, int64_t n_cells, int64_t *counts)
 {
     int64_t bad = 0;
     for (int64_t i = 0; i < n; ++i) {
@@ -231,8 +232,8 @@ int64_t count_cells(
  * Chunks scattered in order keep their order within each cell, which is the
  * order a stable sort by cell gives. */
 void scatter_entries(
-    const int64_t *cells, const int64_t *rows, const double *vals, int64_t n,
-    int64_t *cursor, int64_t *out_rows, double *out_vals)
+    const int32_t *cells, const int32_t *rows, const double *vals, int64_t n,
+    int64_t *cursor, int32_t *out_rows, double *out_vals)
 {
     for (int64_t i = 0; i < n; ++i) {
         const int64_t slot = cursor[cells[i]]++;
@@ -241,38 +242,34 @@ void scatter_entries(
     }
 }
 
-/* Segments of a (cell, row)-sorted index: the entries where the cell
- * changes (cell_first, and the segment each cell starts with in
- * cell_seg_starts) and where the (cell, trajectory) pair changes
- * (seg_starts, with each segment's trajectory in seg_traj).  With a null
- * seg_starts it only counts: counts[0] cells, counts[1] segments.  Returns
- * how many rows fall outside [0, n_rows); nothing is read for those. */
+/* Segments of a CSR index: cell c owns entries [bounds[c], bounds[c + 1]),
+ * rows ascending, and every cell owns at least one entry.  A segment starts
+ * wherever the cell or the row's trajectory changes: seg_starts holds its
+ * first entry, seg_traj its trajectory and cell_seg_starts each cell's
+ * first segment.  With a null seg_starts it only counts the segments into
+ * *n_segs.  Returns how many rows fall outside [0, n_rows); nothing is read
+ * for those. */
 int64_t index_segments(
-    const int64_t *cells, const int64_t *rows, int64_t n,
-    const int64_t *row_traj, int64_t n_rows, int64_t *counts,
-    int64_t *cell_first, int64_t *cell_seg_starts,
-    int64_t *seg_starts, int64_t *seg_traj)
+    const int64_t *bounds, int64_t n_cells, const int32_t *rows,
+    const int64_t *row_traj, int64_t n_rows, int64_t *n_segs,
+    int64_t *cell_seg_starts, int64_t *seg_starts, int64_t *seg_traj)
 {
-    int64_t nc = 0, ns = 0, bad = 0, prev_cell = 0, prev_traj = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t r = rows[i];
-        if (r < 0 || r >= n_rows) { ++bad; continue; }
-        const int64_t c = cells[i], t = row_traj[r];
-        const int new_cell = i == 0 || c != prev_cell;
-        if (new_cell || t != prev_traj) {
-            if (seg_starts) {
-                if (new_cell) { cell_first[nc] = i; cell_seg_starts[nc] = ns; }
-                seg_starts[ns] = i;
-                seg_traj[ns] = t;
+    int64_t ns = 0, bad = 0;
+    for (int64_t c = 0; c < n_cells; ++c) {
+        int64_t prev_traj = -1;
+        if (seg_starts) cell_seg_starts[c] = ns;
+        for (int64_t e = bounds[c]; e < bounds[c + 1]; ++e) {
+            const int64_t r = rows[e];
+            if (r < 0 || r >= n_rows) { ++bad; continue; }
+            const int64_t t = row_traj[r];
+            if (t != prev_traj) {
+                if (seg_starts) { seg_starts[ns] = e; seg_traj[ns] = t; }
+                ++ns;
+                prev_traj = t;
             }
-            nc += new_cell;
-            ++ns;
         }
-        prev_cell = c;
-        prev_traj = t;
     }
-    counts[0] = nc;
-    counts[1] = ns;
+    *n_segs = ns;
     return bad;
 }
 
@@ -400,8 +397,7 @@ def _build_cnative_provider() -> _Provider:
     lib.scatter_entries.restype = None
     lib.scatter_entries.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, ptr]
     lib.index_segments.restype = i64
-    lib.index_segments.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr,
-                                   ptr, ptr]
+    lib.index_segments.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
 
     def _p(arr: np.ndarray | None):
         return None if arr is None else ctypes.c_void_p(arr.ctypes.data)
@@ -442,11 +438,11 @@ def _build_cnative_provider() -> _Provider:
         lib.scatter_entries(_p(cells), _p(rows), _p(vals), len(cells),
                             _p(cursor), _p(out_rows), _p(out_vals))
 
-    def segments(cells, rows, row_traj, counts, cell_first=None,
-                 cell_seg_starts=None, seg_starts=None, seg_traj=None) -> int:
+    def segments(cell_bounds, rows, row_traj, n_segs, cell_seg_starts=None,
+                 seg_starts=None, seg_traj=None) -> int:
         return lib.index_segments(
-            _p(cells), _p(rows), len(cells), _p(row_traj), len(row_traj),
-            _p(counts), _p(cell_first), _p(cell_seg_starts), _p(seg_starts),
+            _p(cell_bounds), len(cell_bounds) - 1, _p(rows), _p(row_traj),
+            len(row_traj), _p(n_segs), _p(cell_seg_starts), _p(seg_starts),
             _p(seg_traj),
         )
 
@@ -490,6 +486,7 @@ class CompiledKernels:
         if n_windows <= 0:
             return
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
         scratch = arena.get("devmax.scratch", (n_windows,), self.dtype)
         touched = arena.get("devmax.touched", (n_windows,), np.int64)
         self._p.devmax(
@@ -500,6 +497,7 @@ class CompiledKernels:
     def stacked_scores(self, cells_matrix, n_spec, start, count, rows, vals,
                        floor, n_windows, out) -> None:
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
         # Same float64-then-cast baseline as the reference backend.
         out[:] = (floor * n_spec.astype(np.float64))[:, None]
         self._p.stacked_add(
@@ -548,16 +546,16 @@ class CompiledKernels:
     def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
         counts = np.zeros(n_cells, dtype=np.int64)
         for i, cells in enumerate(cells_acc):
-            cells_acc[i] = cells = np.ascontiguousarray(cells, dtype=np.int64)
+            cells_acc[i] = cells = np.ascontiguousarray(cells, dtype=np.int32)
             if self._p.count_cells(cells, n_cells, counts):
                 raise ValueError(f"index entry cell outside [0, {n_cells})")
         cursor = np.zeros(n_cells, dtype=np.int64)
         np.cumsum(counts[:-1], out=cursor[1:])
         total = int(counts.sum())
-        rows = np.empty(total, dtype=np.int64)
+        rows = np.empty(total, dtype=np.int32)
         vals = np.empty(total, dtype=np.float64)
         for i, cells in enumerate(cells_acc):
-            chunk_rows = np.ascontiguousarray(rows_acc[i], dtype=np.int64)
+            chunk_rows = np.ascontiguousarray(rows_acc[i], dtype=np.int32)
             chunk_vals = np.ascontiguousarray(vals_acc[i], dtype=np.float64)
             if not len(cells) == len(chunk_rows) == len(chunk_vals):
                 raise ValueError("entry chunk columns differ in length")
@@ -567,27 +565,28 @@ class CompiledKernels:
         cells_acc.clear()
         rows_acc.clear()
         vals_acc.clear()
-        return np.repeat(np.arange(n_cells, dtype=np.int64), counts), rows, vals
+        cell_ids = np.flatnonzero(counts)
+        cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
+        np.cumsum(counts[cell_ids], out=cell_bounds[1:])
+        return cell_ids.astype(np.int32), cell_bounds, rows, vals
 
-    def index_segments(self, cells, rows, row_traj):
-        cells = np.ascontiguousarray(cells, dtype=np.int64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    def index_segments(self, cell_bounds, rows, row_traj):
+        cell_bounds = np.ascontiguousarray(cell_bounds, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
         row_traj = np.ascontiguousarray(row_traj, dtype=np.int64)
-        if len(cells) != len(rows):
-            raise ValueError("index cells and rows differ in length")
-        counts = np.zeros(2, dtype=np.int64)
-        if self._p.segments(cells, rows, row_traj, counts):
+        if cell_bounds[-1] != len(rows):
+            raise ValueError("cell bounds do not cover the index rows")
+        n_segs = np.zeros(1, dtype=np.int64)
+        if self._p.segments(cell_bounds, rows, row_traj, n_segs):
             raise IndexError(f"index entry row outside [0, {len(row_traj)})")
-        n_cells, n_segs = int(counts[0]), int(counts[1])
         out = (
-            np.empty(n_cells, dtype=np.int64),
-            np.empty(n_segs, dtype=np.int64),
-            np.empty(n_segs, dtype=np.int64),
-            np.empty(n_cells, dtype=np.int64),
+            np.empty(int(n_segs[0]), dtype=np.int64),
+            np.empty(int(n_segs[0]), dtype=np.int64),
+            np.empty(len(cell_bounds) - 1, dtype=np.int64),
         )
-        cell_first, seg_starts, seg_traj, cell_seg_starts = out
-        self._p.segments(cells, rows, row_traj, counts, cell_first,
-                         cell_seg_starts, seg_starts, seg_traj)
+        seg_starts, seg_traj, cell_seg_starts = out
+        self._p.segments(cell_bounds, rows, row_traj, n_segs, cell_seg_starts,
+                         seg_starts, seg_traj)
         return out
 
     def gap_dp(self, seg_scores, seg_lens, gap_mins, gap_maxs, length, arena) -> float:

@@ -5,7 +5,8 @@ moved here body-for-body: the stable-sort + ``reduceat`` deviation
 reduction behind ``nm_batch``/``match_batch``, the stacked window-score
 scatter, the per-segment maxima sweep, the chunked ``prob_within``
 evaluation (delegated to :mod:`repro.uncertainty.gaussian`), the wildcard
-gap DP, and the index build's entry sort and segmentation.  It remains
+gap DP, and the index build's entry sort into a CSR index by cell
+(``int32`` rows) and its segmentation.  It remains
 the differential oracle's ground truth: the compiled backend is tested
 *against* this one, never the other way around.
 
@@ -32,8 +33,8 @@ __all__ = ["NumpyKernels"]
 
 
 def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate ``chunks`` and empty the list, freeing each chunk."""
-    joined = np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
+    """Concatenate ``chunks`` as ``dtype`` and empty the list, freeing each chunk."""
+    joined = np.concatenate(chunks, dtype=dtype) if chunks else np.empty(0, dtype=dtype)
     chunks.clear()
     return joined
 
@@ -197,42 +198,58 @@ class NumpyKernels:
     # -- index sort and segmentation -----------------------------------------
 
     def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
-        """Per-chunk entry lists joined into (cell, row) order.
+        """Per-chunk entry lists joined into a CSR index by cell.
 
-        The lists are emptied as they are joined.  Entries arrive in
-        ascending row order, so a stable sort by cell alone yields the
-        (cell, row) order of a lexsort, and permuting the three columns one
-        at a time keeps one spare copy alive, not three.
+        Returns ``(cell_ids, cell_bounds, rows, vals)``: the cells with
+        entries (``int32``, ascending), their entry ranges
+        (``cell_bounds[i]:cell_bounds[i + 1]``, ``int64``) and the entries'
+        ``int32`` rows and ``float64`` values in (cell, row) order.  The
+        lists are emptied as they are joined.  Entries arrive in ascending
+        row order, so a stable sort by cell alone yields the (cell, row)
+        order of a lexsort.  The sorted cells are dropped once they have
+        given the bounds, before the values are permuted.
         """
-        cells = _join(cells_acc, np.int64)
-        rows = _join(rows_acc, np.int64)
+        cells = _join(cells_acc, np.int32)
+        rows = _join(rows_acc, np.int32)
         vals = _join(vals_acc, np.float64)
         order = np.argsort(cells, kind="stable")
         cells = cells[order]
+        if len(cells) and (cells[0] < 0 or cells[-1] >= n_cells):
+            raise ValueError(f"index entry cell outside [0, {n_cells})")
+        starts = np.flatnonzero(np.diff(cells)) + 1
+        if len(cells):
+            starts = np.concatenate([[0], starts])
+        cell_ids, cell_bounds = cells[starts], np.append(starts, len(cells))
+        del cells
         rows = rows[order]
         vals = vals[order]
-        return cells, rows, vals
+        return cell_ids, cell_bounds, rows, vals
 
-    def index_segments(self, cells, rows, row_traj):
-        """Segment bounds of a (cell, row)-sorted index.
+    def index_segments(self, cell_bounds, rows, row_traj):
+        """Segment bounds of a CSR index.
 
-        Returns ``(cell_first, seg_starts, seg_traj, cell_seg_starts)``:
-        the entries where the cell changes, the entries where the (cell,
-        trajectory) pair changes, each segment's trajectory, and the
-        segment each cell starts with.
+        ``cell_bounds`` delimits each cell's entries in ``rows`` (ascending
+        within a cell; no cell is empty).  Returns ``(seg_starts, seg_traj,
+        cell_seg_starts)``: the entries where the (cell, trajectory) pair
+        changes, each segment's trajectory, and the segment each cell
+        starts with.
         """
-        if not len(cells):
+        n = len(rows)
+        if cell_bounds[-1] != n:
+            raise ValueError("cell bounds do not cover the index rows")
+        if not n:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy(), empty.copy()
-        cell_change = np.diff(cells) != 0
-        cell_first = np.concatenate([[0], np.nonzero(cell_change)[0] + 1])
+            return empty, empty.copy(), np.zeros(len(cell_bounds) - 1, dtype=np.int64)
+        if rows.min() < 0 or rows.max() >= len(row_traj):
+            raise IndexError(f"index entry row outside [0, {len(row_traj)})")
         entry_traj = row_traj[rows]
-        change = np.nonzero(cell_change | (np.diff(entry_traj) != 0))[0] + 1
-        seg_starts = np.concatenate([[0], change])
+        change = np.zeros(n, dtype=bool)
+        change[1:] = np.diff(entry_traj) != 0
+        change[cell_bounds[:-1]] = True
+        seg_starts = np.flatnonzero(change)
         seg_traj = entry_traj[seg_starts]
-        seg_cells = cells[seg_starts]
-        cell_seg_starts = np.concatenate([[0], np.nonzero(np.diff(seg_cells))[0] + 1])
-        return cell_first, seg_starts, seg_traj, cell_seg_starts
+        cell_seg_starts = np.searchsorted(seg_starts, cell_bounds[:-1])
+        return seg_starts, seg_traj, cell_seg_starts
 
     # -- wildcard gap DP ---------------------------------------------------
 

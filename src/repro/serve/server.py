@@ -116,8 +116,9 @@ class _LiveIngest:
     """The server's live mining state: one engine folded in place.
 
     Owns an :class:`IncrementalIndexer` over a private engine seeded from
-    the boot snapshot (eager dataset copy, shared prebuilt index arrays --
-    folds allocate fresh arrays, so the boot generation's index is never
+    the boot snapshot (eager dataset copy, index installed from the boot
+    engine's ``index_arrays()`` and sharing its values array -- folds
+    allocate fresh arrays, so the boot generation's index is never
     written to).  All methods run on the server's single evaluation
     thread; the event loop serialises ingest requests with a lock.
     """
@@ -182,9 +183,9 @@ class _LiveIngest:
             # Recomputes the content key over the *current* dataset -- an
             # in-place append must never overwrite the boot dataset's entry.
             self.indexer.persist(self.cache_dir)
-        # The published engine shares the live index arrays without copying:
-        # the next fold replaces the live arrays wholesale instead of
-        # mutating them, so a published generation stays frozen.
+        # The published engine shares the live values array and holds its
+        # own int32 rows: the next fold replaces the live arrays wholesale
+        # instead of mutating them, so a published generation stays frozen.
         dataset = engine.dataset
         published = NMEngine(
             dataset, engine.grid, engine.config, prebuilt=engine.index_arrays()

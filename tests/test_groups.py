@@ -1,6 +1,8 @@
 """Tests for pattern-group discovery (sections 3.4 / 4.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.pattern import TrajectoryPattern
@@ -135,3 +137,43 @@ class TestDiscovery:
         groups = discover_pattern_groups([short, long], grid, 0.1)
         assert groups[0].length == 3
         assert groups[1].length == 1
+
+
+class TestCompleteLinkage:
+    """The scipy-free complete linkage equals scipy's, ties and all."""
+
+    @staticmethod
+    def _scipy_clusters(coords, gamma):
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import pdist
+
+        labels = fcluster(
+            linkage(pdist(coords), method="complete"), t=gamma, criterion="distance"
+        )
+        clusters: dict[int, set[int]] = {}
+        for i, label in enumerate(labels):
+            clusters.setdefault(int(label), set()).add(i)
+        return list(clusters.values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 34), min_size=2, max_size=30),
+        gamma_pick=st.integers(0, 10_000),
+        extra=st.sampled_from([0.05, 0.1, 0.2, 0.45]),
+    )
+    def test_matches_scipy_on_grid_centres(self, cells, gamma_pick, extra):
+        # Grid centres repeat and sit at many equal distances; gamma is
+        # either one of those distances exactly or a fixed threshold.
+        import numpy as np
+
+        from repro.core.groups import _complete_linkage_clusters
+
+        coords = Grid(BoundingBox.unit(), nx=7, ny=5).cell_centers(cells)
+        dists = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1)).ravel()
+        positive = dists[dists > 0]
+        gammas = [extra]
+        if len(positive):
+            gammas.append(positive[gamma_pick % len(positive)])
+        for gamma in gammas:
+            got = _complete_linkage_clusters(coords, float(gamma))
+            assert got == self._scipy_clusters(coords, float(gamma))

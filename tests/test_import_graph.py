@@ -75,6 +75,37 @@ def test_compiled_engine_and_snapshot_load_no_scipy():
     assert result["scipy"] == []
 
 
+def test_grouping_mine_loads_no_scipy():
+    reason = kernels.compiled_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"compiled backend unavailable: {reason}")
+    result = _run(
+        """
+        import json, os, sys, tempfile
+        from repro import cli
+        from repro.storage import write_store
+        from repro.testkit.datasets import seeded_dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            store = os.path.join(tmp, "data.tjc")
+            out = os.path.join(tmp, "patterns.json")
+            write_store(seeded_dataset(7, n_trajectories=12, n_ticks=20), store)
+            code = cli.main([
+                "mine", store, "-k", "4", "--cell-size", "0.1", "--gamma", "0.1",
+                "--backend", "compiled", "--output", out, "--show", "0",
+            ])
+            groups = json.load(open(out))["groups"]
+        print(json.dumps({
+            "code": code,
+            "groups": groups,
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        }))
+        """
+    )
+    assert result["code"] == 0
+    assert result["groups"]  # the mine grouped its patterns
+    assert result["scipy"] == []
+
+
 def test_numpy_backend_loads_scipy_special_at_first_build():
     result = _run(
         """

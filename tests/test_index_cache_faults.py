@@ -150,6 +150,36 @@ class TestPayloadValidation:
         assert warm.index_cache_hit
 
 
+    def test_duplicated_entry_is_corrupt_and_rebuilt(self, tmp_path, live_metrics):
+        # Regression: a payload that repeats one (cell, row) entry is in
+        # range, finite and sorted, and used to load as a hit -- counting
+        # the entry twice in every NM of its cell.
+        from repro.core.pattern import TrajectoryPattern
+        from repro.testkit.datasets import seeded_dataset
+
+        dataset = seeded_dataset(3, n_trajectories=20, n_ticks=30)
+        grid = dataset.make_grid(0.1)
+        config = EngineConfig(delta=0.1, cache_dir=str(tmp_path))
+        clean = NMEngine(dataset, grid, config)  # builds + persists
+        key = dataset_cache_key(dataset, grid, config)
+        cells, rows, vals = clean.index_arrays()
+        i = len(cells) // 2
+        index_cache.save_index(
+            tmp_path, key, *(np.insert(a, i, a[i]) for a in (cells, rows, vals))
+        )
+
+        before = _corrupt_count()
+        engine = NMEngine(dataset, grid, config)
+        assert not engine.index_cache_hit
+        assert _corrupt_count() == before + 1
+        assert engine.n_index_entries == clean.n_index_entries
+        assert engine.singular_nm_table() == clean.singular_nm_table()
+        patterns = [TrajectoryPattern((int(c),) * 2) for c in clean.active_cells]
+        assert np.array_equal(engine.nm_batch(patterns), clean.nm_batch(patterns))
+        # The rebuild overwrote the bad file with the clean payload.
+        assert NMEngine(dataset, grid, config).index_cache_hit
+
+
 class TestInPlaceAppendKeying:
     def test_persist_after_append_never_poisons_the_boot_entry(
         self, dataset, tmp_path

@@ -153,7 +153,7 @@ def test_shared_index_bit_exact(small_dataset):
 
     for backend, dtype in _combos():
         eng = _engine(small_dataset, backend=backend, dtype=dtype)
-        eng.install_index(ref._flat_cells, ref._flat_rows, ref._flat_vals)
+        eng.install_index(*ref.index_arrays())
         nm = eng.nm_batch(patterns)
         match = eng.match_batch(patterns)
         windows = eng.window_scores_batch(patterns[:6])
@@ -244,10 +244,8 @@ def test_prob_chunk_size_is_bit_exact(small_dataset, dtype):
     for chunk in (64, 1021):
         small = _engine(small_dataset, dtype=dtype, prob_chunk_size=chunk)
         assert small.n_index_entries == big.n_index_entries
-        assert np.array_equal(small._flat_vals, big._flat_vals)
-        assert np.array_equal(small._flat_vals_k, big._flat_vals_k)
-        assert np.array_equal(small._flat_cells, big._flat_cells)
-        assert np.array_equal(small._flat_rows, big._flat_rows)
+        for name in INDEX_ARRAYS + ("_flat_vals_k",):
+            _assert_same_bits(getattr(small, name), getattr(big, name))
 
 
 def test_prob_chunk_validation():
@@ -268,10 +266,10 @@ def test_autotune_prob_chunk(small_dataset):
 
 # -- index build kernels ------------------------------------------------------
 
-#: Index arrays that a sort and install derive from the entry triples.
+#: The CSR index and the segment arrays an install derives from it.
 INDEX_ARRAYS = (
-    "_cell_ids", "_cell_bounds", "_flat_cells", "_flat_rows", "_flat_vals",
-    "_seg_starts", "_seg_traj", "_cell_seg_starts", "_flat_cell_order",
+    "_cell_ids", "_cell_bounds", "_flat_rows", "_flat_vals",
+    "_seg_starts", "_seg_traj", "_cell_seg_starts",
 )  # fmt: skip
 
 PROB_GRID = Grid(BoundingBox(0.0, 0.0, 1.0, 1.0), nx=50, ny=50)
@@ -366,11 +364,27 @@ def _entry_chunks(seed, n_cells, n_rows, per_row, rows_per_chunk):
         take = min(per_row, n_cells)
         cells = np.concatenate(
             [rng.choice(n_cells, size=take, replace=False) for _ in range(lo, hi)]
-        ).astype(np.int64)
+        ).astype(np.int32)
         cells_acc.append(cells)
-        rows_acc.append(np.repeat(np.arange(lo, hi, dtype=np.int64), take))
+        rows_acc.append(np.repeat(np.arange(lo, hi, dtype=np.int32), take))
         vals_acc.append(np.log(rng.uniform(1e-6, 1.0, len(cells))))
     return cells_acc, rows_acc, vals_acc
+
+
+def _assert_csr_of(csr, chunks) -> None:
+    """``csr`` is the (cell, row)-lexsorted ``chunks`` in CSR form."""
+    cell_ids, cell_bounds, rows, vals = csr
+    assert cell_ids.dtype == rows.dtype == np.int32
+    assert cell_bounds.dtype == np.int64 and vals.dtype == np.float64
+    cells, want_rows, want_vals = (
+        np.concatenate(acc) if acc else np.empty(0) for acc in chunks
+    )
+    order = np.lexsort((want_rows, cells))
+    counts = np.diff(cell_bounds)
+    assert np.all(counts > 0)  # only cells with entries are listed
+    assert np.array_equal(np.repeat(cell_ids, counts), cells[order])
+    assert np.array_equal(rows, want_rows[order])
+    assert np.array_equal(vals, want_vals[order])
 
 
 def _sort_both(compiled, chunks, n_cells):
@@ -382,6 +396,7 @@ def _sort_both(compiled, chunks, n_cells):
         assert acc == []  # both backends empty the chunk lists
     for a, b in zip(got, want):
         _assert_same_bits(a, b)
+    _assert_csr_of(want, chunks)
     return want
 
 
@@ -397,59 +412,90 @@ def test_sort_and_segments_match_reference(
     compiled64, n_cells, n_rows, per_row, rows_per_chunk
 ):
     chunks = _entry_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
-    cells, rows, _ = _sort_both(compiled64, chunks, n_cells)
+    cell_ids, cell_bounds, rows, _ = _sort_both(compiled64, chunks, n_cells)
     # Trajectories of 1..9 rows, so segments split cells at every length.
     lengths = np.random.default_rng(4).integers(1, 10, n_rows)
     row_traj = np.repeat(np.arange(len(lengths)), lengths)[:n_rows]
     ref = kernels.resolve_backend("numpy")
-    for a, b in zip(
-        compiled64.index_segments(cells, rows, row_traj),
-        ref.index_segments(cells, rows, row_traj),
-    ):
+    got = compiled64.index_segments(cell_bounds, rows, row_traj)
+    want = ref.index_segments(cell_bounds, rows, row_traj)
+    for a, b in zip(got, want):
         _assert_same_bits(a, b)
+    # Every segment is one (cell, trajectory) run, and each cell's first
+    # segment starts at the cell's first entry.
+    seg_starts, seg_traj, cell_seg_starts = want
+    assert np.array_equal(seg_starts[cell_seg_starts], cell_bounds[:-1])
+    entry_cells = np.repeat(cell_ids, np.diff(cell_bounds))
+    key = entry_cells.astype(np.int64) * (row_traj.max() + 1) + row_traj[rows]
+    assert np.array_equal(seg_starts, np.flatnonzero(np.diff(key, prepend=-1)))
+    assert np.array_equal(seg_traj, row_traj[rows[seg_starts]])
 
 
 def test_sort_and_segments_empty(compiled64):
     ref = kernels.resolve_backend("numpy")
-    empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0)
+    empty_i, empty_f = np.empty(0, dtype=np.int32), np.empty(0)
     for chunks in ([[], [], []], [[empty_i], [empty_i.copy()], [empty_f]]):
-        cells, rows, vals = _sort_both(compiled64, chunks, 8)
-        assert len(cells) == len(rows) == len(vals) == 0
+        cell_ids, cell_bounds, rows, vals = _sort_both(compiled64, chunks, 8)
+        assert len(cell_ids) == len(rows) == len(vals) == 0
+        assert cell_bounds.tolist() == [0]
     row_traj = np.zeros(5, dtype=np.int64)
+    bounds = np.zeros(1, dtype=np.int64)
     for a, b in zip(
-        compiled64.index_segments(empty_i, empty_i, row_traj),
-        ref.index_segments(empty_i, empty_i, row_traj),
+        compiled64.index_segments(bounds, empty_i, row_traj),
+        ref.index_segments(bounds, empty_i, row_traj),
     ):
         _assert_same_bits(a, b)
+        assert len(a) == 0
 
 
 def test_sort_and_segments_reject_out_of_range(compiled64):
-    cells = [np.array([0, 9], dtype=np.int64)]
-    with pytest.raises(ValueError, match="outside"):
-        compiled64.sort_entries(cells, [np.array([0, 1])], [np.zeros(2)], 9)
-    with pytest.raises(IndexError, match="outside"):
-        compiled64.index_segments(
-            np.array([0, 0]), np.array([0, 5]), np.zeros(5, dtype=np.int64)
-        )
+    for backend in (compiled64, kernels.resolve_backend("numpy")):
+        for cell in (9, -1):
+            cells = [np.array([0, cell], dtype=np.int32)]
+            with pytest.raises(ValueError, match="outside"):
+                backend.sort_entries(
+                    cells, [np.array([0, 1], dtype=np.int32)], [np.zeros(2)], 9
+                )
+        for row in (5, -1):
+            with pytest.raises(IndexError, match="outside"):
+                backend.index_segments(
+                    np.array([0, 2]), np.array([0, row], dtype=np.int32),
+                    np.zeros(5, dtype=np.int64),
+                )  # fmt: skip
+
+
+def test_index_ids_must_fit_int32():
+    from repro.core.engine import _check_index_shape
+
+    limit = np.iinfo(np.int32).max
+    _check_index_shape(limit, limit)
+    with pytest.raises(ValueError, match="snapshots"):
+        _check_index_shape(limit + 1, 10)
+    with pytest.raises(ValueError, match="grid cells"):
+        _check_index_shape(10, limit + 1)
 
 
 @pytest.mark.parametrize("cap", [None, 3])
 def test_compiled_build_matches_reference_install(compiled64, small_dataset, cap):
-    """A compiled engine's own build installs exactly the arrays that the
-    numpy reference's sort and install derive from the same entries --
-    with the per-snapshot cap trimming entries or not."""
+    """A compiled engine's own build installs exactly the CSR and segment
+    arrays that the numpy reference's sort and install derive from the same
+    entries -- with the per-snapshot cap trimming entries or not -- and so
+    does a numpy engine given the compiled engine's entry triples."""
     kw = {} if cap is None else {"max_cells_per_snapshot": cap}
     eng = _engine(small_dataset, backend="compiled", **kw)
     if cap is not None:
         assert eng.n_index_entries <= cap * small_dataset.total_snapshots()
-    ref = _engine(small_dataset, backend="numpy", **kw)
     chunks = eng._collect_index_entries()
-    _sort_both(compiled64, [list(acc) for acc in chunks], eng.grid.n_cells)
-    ref.install_index(
-        *kernels.resolve_backend("numpy").sort_entries(*chunks, eng.grid.n_cells)
-    )
+    for acc in chunks[:2]:
+        assert all(chunk.dtype == np.int32 for chunk in acc)
+    sorted_ref = _sort_both(compiled64, [list(acc) for acc in chunks], eng.grid.n_cells)
+    ref = _engine(small_dataset, backend="numpy", **kw)
+    ref._install_csr(*sorted_ref)
+    via_triples = _engine(small_dataset, backend="numpy", **kw)
+    via_triples.install_index(*eng.index_arrays())
     for name in INDEX_ARRAYS:
         _assert_same_bits(getattr(eng, name), getattr(ref, name))
+        _assert_same_bits(getattr(eng, name), getattr(via_triples, name))
 
 
 # -- index replacement & cache invalidation ----------------------------------
@@ -471,10 +517,9 @@ def test_install_index_invalidates_caches(small_dataset):
 
     # A genuinely different index over the same dataset/grid: half the
     # entries, rescaled values, handed over in shuffled order.
-    half = warm._flat_cells.size // 2
-    new_cells = warm._flat_cells[:half].copy()
-    new_rows = warm._flat_rows[:half].copy()
-    new_vals = warm._flat_vals[:half] * 0.75
+    cells, rows, vals = warm.index_arrays()
+    half = warm.n_index_entries // 2
+    new_cells, new_rows, new_vals = cells[:half], rows[:half], vals[:half] * 0.75
     perm = np.random.default_rng(3).permutation(half)
     warm.install_index(new_cells[perm], new_rows[perm], new_vals[perm])
     assert warm._seg_max is None  # caches dropped with the old index
@@ -493,6 +538,42 @@ def test_install_index_invalidates_caches(small_dataset):
     assert warm.n_index_entries == 0
     floor = warm.nm_batch(patterns)
     assert np.all(np.isfinite(floor))
+
+
+def test_cache_payload_keeps_the_triple_format(small_dataset, tmp_path):
+    """The CSR index is saved as the int64 / int64 / float64 (cell, row,
+    value) triples the cache has always held, and loads back to itself."""
+    eng = _engine(small_dataset, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("index-*.npz")
+    with np.load(path) as payload:
+        saved = [payload[k] for k in ("cells", "rows", "vals")]
+    assert [a.dtype for a in saved] == [np.int64, np.int64, np.float64]
+    for got, want in zip(saved, eng.index_arrays()):
+        _assert_same_bits(got, want)
+    warm = _engine(small_dataset, cache_dir=str(tmp_path))
+    assert warm.index_cache_hit
+    for name in INDEX_ARRAYS:
+        _assert_same_bits(getattr(warm, name), getattr(eng, name))
+
+
+def test_install_index_rejects_repeated_entries(small_dataset):
+    """Entries are unique per (cell, row): a repeated pair, in sorted or
+    shuffled triples, raises instead of counting twice in every NM, and
+    leaves the installed index as it was."""
+    eng = _engine(small_dataset)
+    singular, epoch = eng.singular_nm_table(), eng.index_epoch
+    cells, rows, vals = eng.index_arrays()
+    i = len(cells) // 2
+    repeated = [np.insert(a, i, a[i]) for a in (cells, rows, vals)]
+    repeated[2][i] -= 1.0  # a repeat need not carry the same value
+    perm = np.random.default_rng(8).permutation(len(repeated[0]))
+    for triples in (repeated, [a[perm] for a in repeated]):
+        with pytest.raises(ValueError, match="repeat"):
+            eng.install_index(*triples)
+        with pytest.raises(ValueError, match="repeat"):
+            NMEngine(small_dataset, eng.grid, eng.config, prebuilt=tuple(triples))
+    assert eng.index_epoch == epoch
+    assert eng.singular_nm_table() == singular
 
 
 # -- edge cases ---------------------------------------------------------------
