@@ -326,7 +326,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             save_mining_result(result, grid, args.output)
     print(
         f"mined {len(result)} patterns (mean length {result.mean_length():.2f}, "
-        f"{result.stats.wall_time_s:.1f}s) -> {args.output}"
+        f"{result.stats.wall_time_s:.1f}s, {result.stats.stop_reason} after "
+        f"{result.stats.iterations} iterations) -> {args.output}"
     )
     for pattern, nm in result.as_pairs()[: args.show]:
         print(f"  NM {nm:12.2f}  {pattern.cells}")

@@ -986,10 +986,6 @@ class NMEngine:
         metrics.histogram("engine.batch_size").observe(len(patterns))
         return out
 
-    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
-        return self.nm_batch(patterns)
-
     def window_scores_batch(
         self, patterns: Sequence[TrajectoryPattern]
     ) -> list[np.ndarray]:

@@ -31,6 +31,11 @@ from repro.uncertainty.gaussian import ProbModel
 
 __all__ = ["NumpyKernels"]
 
+#: Index entries one :meth:`NumpyKernels.batch_devmax` pass gathers at most
+#: (a pattern touching more is gathered alone).  Each gathered entry holds
+#: about eight 8-byte scratch values, so a pass stays near 128 MiB.
+_GATHER_BUDGET = 1 << 21
+
 
 def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
     """Concatenate ``chunks`` as ``dtype`` and empty the list, freeing each chunk."""
@@ -61,6 +66,44 @@ def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
     wrow = rows[flat_pos] - j
     keep = (wrow >= 0) & (wrow < n_windows)
     return pat[keep], wrow[keep], vals[flat_pos[keep]] - vals.dtype.type(floor)
+
+
+def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, win_traj, out):
+    """``batch_devmax`` over the pattern rows of one gather.
+
+    ``safe`` and ``counts`` are the rows' flattened ``(pattern, offset)``
+    cells (wildcards mapped to 0) and their entry counts (0 for wildcards).
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return
+    # One gather covering every (pattern, offset) slot of the rows.
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    firsts = np.cumsum(counts) - counts
+    rank = np.arange(total, dtype=np.int64) - np.repeat(firsts, counts)
+    flat_pos = np.repeat(start[safe], counts) + rank
+    wrow = rows[flat_pos] - owner % m
+    keep = (wrow >= 0) & (wrow < n_windows)
+    wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
+    keep = valid[wrow]
+    wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
+    if not len(wrow):
+        return
+    dev = vals[flat_pos] - vals.dtype.type(floor)
+    key = (owner // m) * np.int64(n_windows) + wrow
+    order = np.argsort(key, kind="stable")
+    key, dev = key[order], dev[order]
+    window_starts = np.concatenate([[0], np.nonzero(np.diff(key))[0] + 1])
+    window_sums = np.add.reduceat(dev, window_starts)
+    u_key = key[window_starts]
+    u_pat = u_key // n_windows
+    u_traj = win_traj[u_key % n_windows]
+    # u_key is sorted, so (u_pat, u_traj) runs are contiguous.
+    boundary = (
+        np.nonzero((np.diff(u_pat) != 0) | (np.diff(u_traj) != 0))[0] + 1
+    )
+    seg = np.concatenate([[0], boundary])
+    out[u_pat[seg], u_traj[seg]] = np.maximum.reduceat(window_sums, seg)
 
 
 class NumpyKernels:
@@ -101,41 +144,24 @@ class NumpyKernels:
         ``out`` is ``(n_patterns, n_trajectories)`` and must be zero-filled
         on entry; untouched pairs stay zero (the all-floor baseline).  See
         :meth:`NMEngine._batch_deviation_maxima` for the calling context.
+        Pattern rows are gathered in runs of at most ``_GATHER_BUDGET``
+        entries; rows are independent, so the split changes no bits.
         """
         n_patterns, m = cells_matrix.shape
         flat_cells = cells_matrix.ravel()
         safe = np.where(flat_cells >= 0, flat_cells, 0)
         counts = np.where(flat_cells >= 0, count[safe], 0)
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # One gather covering every (pattern, offset) slot of the group.
-        owner = np.repeat(np.arange(n_patterns * m, dtype=np.int64), counts)
-        firsts = np.cumsum(counts) - counts
-        rank = np.arange(total, dtype=np.int64) - np.repeat(firsts, counts)
-        flat_pos = np.repeat(start[safe], counts) + rank
-        wrow = rows[flat_pos] - owner % m
-        keep = (wrow >= 0) & (wrow < n_windows)
-        wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
-        keep = valid[wrow]
-        wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
-        if not len(wrow):
-            return
-        dev = vals[flat_pos] - vals.dtype.type(floor)
-        key = (owner // m) * np.int64(n_windows) + wrow
-        order = np.argsort(key, kind="stable")
-        key, dev = key[order], dev[order]
-        window_starts = np.concatenate([[0], np.nonzero(np.diff(key))[0] + 1])
-        window_sums = np.add.reduceat(dev, window_starts)
-        u_key = key[window_starts]
-        u_pat = u_key // n_windows
-        u_traj = win_traj[u_key % n_windows]
-        # u_key is sorted, so (u_pat, u_traj) runs are contiguous.
-        boundary = (
-            np.nonzero((np.diff(u_pat) != 0) | (np.diff(u_traj) != 0))[0] + 1
-        )
-        seg = np.concatenate([[0], boundary])
-        out[u_pat[seg], u_traj[seg]] = np.maximum.reduceat(window_sums, seg)
+        ends = np.cumsum(counts.reshape(n_patterns, m).sum(axis=1))
+        lo = 0
+        while lo < n_patterns:
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(int(np.searchsorted(ends, base + _GATHER_BUDGET, "right")), lo + 1)
+            slots = slice(lo * m, hi * m)
+            _devmax_rows(
+                m, safe[slots], counts[slots], start, rows, vals, floor, valid,
+                n_windows, win_traj, out[lo:hi],
+            )  # fmt: skip
+            lo = hi
 
     # -- stacked window scores --------------------------------------------
 

@@ -973,10 +973,6 @@ class ParallelNMEngine:
         cells_list = [p.cells for p in patterns]
         return merge_batch_sums(self._gather("match_batch", cells_list))
 
-    def nm_many(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
-        """NM of several patterns, in order (alias of :meth:`nm_batch`)."""
-        return self.nm_batch(patterns)
-
     def nm(self, pattern: TrajectoryPattern) -> float:
         """``NM(P)`` over the dataset."""
         return float(self.nm_batch([pattern])[0])

@@ -14,11 +14,12 @@ files are rejected loudly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.core.groups import PatternGroup
 from repro.core.pattern import TrajectoryPattern
-from repro.core.trajpattern import MinerStats, MiningResult
+from repro.core.trajpattern import IterationTrace, MinerStats, MiningResult
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 
@@ -54,6 +55,8 @@ def save_mining_result(
             "patterns_pruned": result.stats.patterns_pruned,
             "final_q_size": result.stats.final_q_size,
             "wall_time_s": result.stats.wall_time_s,
+            "stop_reason": result.stats.stop_reason,
+            "trace": [asdict(row) for row in result.stats.trace],
         },
         "groups": (
             None
@@ -94,11 +97,13 @@ def load_mining_result(path: str | Path) -> tuple[MiningResult, Grid]:
             PatternGroup(tuple(TrajectoryPattern(tuple(c)) for c in member_cells))
             for member_cells in document["groups"]
         ]
+    stats = dict(document["stats"])
+    stats["trace"] = [IterationTrace(**row) for row in stats.get("trace", ())]
     result = MiningResult(
         patterns=[TrajectoryPattern(tuple(c)) for c in document["patterns"]],
         nm_values=[float(v) for v in document["nm_values"]],
         omega=float(document["omega"]),
-        stats=MinerStats(**document["stats"]),
+        stats=MinerStats(**stats),
         groups=groups,
     )
     return result, grid

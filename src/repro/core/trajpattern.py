@@ -25,17 +25,20 @@ Outline (section 4, observations 1-3):
 
 Lazy bound-based scoring (``use_bound_pruning``, on by default): a candidate
 whose min-max weighted-mean upper bound falls below ``omega`` is *provably*
-low, so its exact NM is never needed -- it is kept in ``Q`` with its bound
-when it satisfies the 1-extension property (Lemma 1 requires those to stay
-available as extension partners) and discarded otherwise.  Every pattern
-that can influence ``omega`` or the answer is evaluated exactly, so the
-mined top-k is unchanged; the test suite checks both modes against a
-brute-force oracle.  Partner scanning uses the same bound: for a high
-pattern ``P`` only partners whose value can lift the concatenation bound to
-``omega`` are considered, found by binary search over per-length sorted
-partner lists.  Discarded combinations are regenerated automatically if an
-end sub-pattern later turns high (every 1-extension of a high pattern is
-re-emitted each iteration the pattern stays high).
+low, so its exact NM is never needed.  The lows Lemma 1 must keep as
+extension partners are, for a high pattern ``P``, the singular extensions
+``P + s`` / ``s + P``: extending ``P`` makes it a family root in the
+:class:`~repro.core.topk.PatternBook`, whose members stay in ``Q``
+implicitly at their bound, and only the members whose bound reaches
+``omega`` are evaluated.  Every other provably-low candidate is discarded.
+Every pattern that can influence ``omega`` or the answer is evaluated
+exactly, so the mined top-k is unchanged; the test suite checks both modes
+against a brute-force oracle.  Partner scanning uses the same bound: for a
+high pattern ``P`` only partners whose value can lift the concatenation
+bound to ``omega`` are considered, found by binary search over per-length
+sorted partner lists and, for implicit members, over the singular table.
+Discarded combinations are regenerated automatically if an end
+sub-pattern later turns high.
 
 Both pruning mechanisms are independently switchable for the ablation
 benchmarks: ``use_extension_pruning`` (section 4.1) and
@@ -64,14 +67,13 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.core.engine import NMEngine
 from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.pattern import TrajectoryPattern
 from repro.core.pruning import prune_low_patterns, satisfies_one_extension
-from repro.core.topk import Cells, PatternBook, sort_key
+from repro.core.topk import Cells, PatternBook, concat_bound, sort_key
 from repro.obs import logs, metrics, tracing
 from repro.obs.metrics import MetricsRegistry
 
@@ -111,6 +113,16 @@ class MinerStats:
     batched evaluation, ``max_batch_size`` is the largest candidate batch
     scored in one call, and ``eval_time_s`` the total wall time spent
     inside candidate evaluation (a subset of ``wall_time_s``).
+
+    Implicit family members (see :mod:`repro.core.topk`) are counted, not
+    enumerated.  ``candidates_generated`` counts the distinct candidates an
+    iteration looked at one by one; ``candidates_bounded`` the singular
+    extensions a root's extension left implicit because their bound was
+    below ``omega`` (two per singular past the evaluated prefix, so a member
+    reachable from two roots can count twice).  ``final_q_size`` and each
+    trace row's ``n_bounded`` include the implicit members, and
+    ``patterns_pruned`` the implicit members that left with their root.
+    ``stop_reason`` is ``"converged"`` or ``"max_iterations"``.
     """
 
     iterations: int = 0
@@ -122,6 +134,7 @@ class MinerStats:
     patterns_pruned: int = 0
     final_q_size: int = 0
     wall_time_s: float = 0.0
+    stop_reason: str | None = None
     trace: list[IterationTrace] = field(default_factory=list)
     metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry(enabled=True),
@@ -302,25 +315,17 @@ class TrajPatternMiner:
         stats = MinerStats()
         t0 = time.perf_counter()
         self._engine_epoch = getattr(self.engine, "index_epoch", None)
-        book = PatternBook(self.k, self.min_length)
+        book = PatternBook(self.k, self.min_length, self.max_length)
 
         # Seeding: all singular patterns over the active alphabet.  Inactive
         # cells all tie at the floor NM and can never displace an active
         # cell from the top-k, so they are not materialised (DESIGN.md 4.3).
-        singular_table = sorted(self.engine.singular_nm_table().items())
-        for cell, nm in singular_table:
-            book.insert_exact((cell,), nm)
-            stats.candidates_evaluated += 1
-        if len(book) == 0:
+        book.seed_alphabet(sorted(self.engine.singular_nm_table().items()))
+        stats.candidates_evaluated += book.n_singulars
+        if book.n_singulars == 0:
             raise ValueError(
                 "no active grid cells: the grid does not overlap the dataset"
             )
-        self._singulars: list[tuple[Cells, float]] = [
-            ((cell,), nm) for cell, nm in singular_table
-        ]
-        # High patterns whose singular extensions were already emitted; the
-        # singular alphabet is static, so this never needs redoing.
-        self._singular_extended: set[Cells] = set()
 
         if self.min_length > 1:
             self._warm_start(book, stats)
@@ -336,11 +341,13 @@ class TrajPatternMiner:
         # the form high + fresh-low.  By Lemma 1 the partners that can ever
         # matter are high patterns and lows satisfying the 1-extension
         # property -- so the loop is at a fixed point exactly when the high
-        # set and that *relevant* partner set both stop changing.  (Full Q
-        # stability would also be correct but ruins termination in the
-        # no-pruning ablation modes, where junk lows accumulate forever.)
+        # set and that *relevant* partner set both stop changing: the
+        # explicit relevant partners, and the live family roots that stand
+        # for the implicit ones.  (Full Q stability would also be correct
+        # but ruins termination in the no-pruning ablation modes, where
+        # junk lows accumulate forever.)
         prev_partners = self._relevant_partners(book, high)
-        converged = False
+        stats.stop_reason = "max_iterations"
         for _ in range(self.max_iterations):
             stats.iterations += 1
             evaluated_before = stats.candidates_evaluated
@@ -357,7 +364,7 @@ class TrajPatternMiner:
                 omega=book.omega,
                 n_high=len(new_high),
                 n_exact=book.n_exact,
-                n_bounded=book.n_bounded,
+                n_bounded=book.n_implicit,
                 candidates_evaluated=stats.candidates_evaluated - evaluated_before,
                 patterns_pruned=stats.patterns_pruned - pruned_before,
                 batch_size=stats.candidates_evaluated - evaluated_before,
@@ -377,7 +384,7 @@ class TrajPatternMiner:
             partners = self._relevant_partners(book, new_high)
             if partners == prev_partners and set(new_high) == set(high):
                 high = new_high
-                converged = True
+                stats.stop_reason = "converged"
                 break
             prev_partners = partners
             high = new_high
@@ -387,7 +394,7 @@ class TrajPatternMiner:
         _log.info(
             "mining finished",
             extra={
-                "converged": converged,
+                "stop_reason": stats.stop_reason,
                 "iterations": stats.iterations,
                 "omega": book.omega,
                 "candidates_evaluated": stats.candidates_evaluated,
@@ -410,9 +417,9 @@ class TrajPatternMiner:
         # the threshold.  Only the patterns that *set* the threshold are
         # worth carrying: the high set and the answer itself -- evaluating
         # them exactly starts the next run's omega at (about) this run's
-        # k-th best.  Anything broader backfires: the bounded membership
-        # runs to tens of thousands of never-promoted candidates on large
-        # alphabets, and re-evaluating those costs more than a cold run.
+        # k-th best.  Anything broader backfires: the implicit family
+        # members run to tens of thousands of never-promoted candidates on
+        # large alphabets, and re-evaluating those costs more than a cold run.
         frontier = set(high) | {c for c, _ in top}
         warm_seeds = tuple(
             sorted(cells for cells in frontier if len(cells) >= 2)
@@ -481,42 +488,42 @@ class TrajPatternMiner:
     @staticmethod
     def _relevant_partners(
         book: PatternBook, high: dict[Cells, float]
-    ) -> frozenset[Cells]:
-        """The active patterns that can still seed new candidates (Lemma 1).
+    ) -> tuple[frozenset[Cells], frozenset[Cells]]:
+        """The patterns that can still seed new candidates (Lemma 1).
 
         Every answer pattern is an extension of a high pattern by a high
         pattern or by a low satisfying the 1-extension property, so only
-        those partners participate in the convergence check.  Lows that fail
-        the property may stay in ``Q`` (when extension pruning is off)
-        without keeping the loop alive.
+        those partners participate in the convergence check: the explicit
+        ones, and the live family roots standing for the implicit ones.
+        Lows that fail the property may stay in ``Q`` (when extension
+        pruning is off) without keeping the loop alive.
         """
-        exact, bounded = book.membership()
-        return frozenset(
+        explicit, roots = book.membership()
+        relevant = frozenset(
             cells
-            for cells in exact | bounded
+            for cells in explicit
             if cells in high or satisfies_one_extension(cells, high)
         )
+        return relevant, roots
 
     # -- one iteration of the main loop ---------------------------------------------
 
     def _iterate(
         self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
     ) -> dict[Cells, float]:
-        to_evaluate, to_bound = self._generate_candidates(book, high, stats)
+        to_evaluate = self._generate_candidates(book, high, stats)
         self._evaluate_batch(book, to_evaluate, stats)
-        for cells, bound in to_bound:
-            book.insert_bounded(cells, bound)
-            stats.candidates_bounded += 1
 
         book.update_omega()
         new_high = book.high_patterns()
 
         if self.use_extension_pruning:
-            low = book.low_patterns()
-            _, pruned = prune_low_patterns(low.keys(), new_high)
+            implicit_before = book.n_implicit
+            _, pruned = prune_low_patterns(book.low_patterns().keys(), new_high)
             for cells in pruned:
                 book.remove(cells)
-            stats.patterns_pruned += len(pruned)
+            book.retire_roots(new_high)
+            stats.patterns_pruned += len(pruned) + implicit_before - book.n_implicit
         return new_high
 
     def _evaluate_batch(
@@ -542,78 +549,79 @@ class TrajPatternMiner:
 
     def _generate_candidates(
         self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
-    ) -> tuple[list[Cells], list[tuple[Cells, float]]]:
+    ) -> list[Cells]:
         """Both-sided extensions of high patterns by patterns in ``Q``.
 
-        Returns (candidates to evaluate exactly, provably-low candidates to
-        insert with their upper bound).
+        Returns the candidates to evaluate exactly.
         """
         omega = book.omega
         exhaustive = not self.use_bound_pruning or math.isinf(omega)
         seen: set[Cells] = set()
         to_evaluate: list[Cells] = []
-        to_bound: list[tuple[Cells, float]] = []
 
-        def handle(cells: Cells, bound: float) -> None:
+        def fresh(cells: Cells) -> bool:
+            """First sight of a candidate that ``Q`` does not hold yet."""
             if cells in seen:
-                return
+                return False
             seen.add(cells)
             stats.candidates_generated += 1
             if self.max_length is not None and len(cells) > self.max_length:
-                return
+                return False
             if cells in book:
-                return
+                return False
             if book.is_evaluated(cells):
                 # Previously pruned exact pattern; restore the cached score
                 # so the 1-extension re-check sees it again.
                 book.reactivate(cells)
                 stats.candidates_cached += 1
-                return
-            if exhaustive or bound >= omega:
-                to_evaluate.append(cells)
-            elif satisfies_one_extension(cells, high):
-                to_bound.append((cells, bound))
-            else:
-                stats.candidates_bound_pruned += 1
+                return False
+            return True
 
         high_sorted = sorted(high.items(), key=lambda item: sort_key(*item))
-        partners = book.partners_by_length()
-        # Ascending copies of the (descending) value lists, for bisect.
-        neg_values = {
-            j: [-v for v in values] for j, (values, _) in partners.items()
-        }
+        # Snapshotted before any root of this round is extended: new
+        # families become extension partners from the next round.
+        partners = book.partners()
 
         for p_cells, p_nm in high_sorted:
             i = len(p_cells)
-            # (a) Extensions by every singular pattern (both sides).  These
-            # are exactly the potential 1-extension patterns of Lemma 1, so
-            # they are always materialised (evaluated or bounded).  The
-            # singular alphabet never changes, so each high pattern needs
-            # this only once.
-            if p_cells not in self._singular_extended:
-                self._singular_extended.add(p_cells)
-                for s_cells, s_nm in self._singulars:
-                    bound = (i * p_nm + s_nm) / (i + 1)
-                    handle(p_cells + s_cells, bound)
-                    handle(s_cells + p_cells, bound)
+            # (a) Extensions by every singular pattern (both sides): the
+            # potential 1-extension patterns of Lemma 1.  Extending makes P
+            # a family root, whose members are in Q from then on; only those
+            # whose bound reaches omega are evaluated, the rest stay
+            # implicit.  The singular alphabet never changes, so each high
+            # pattern needs this only once.
+            if not book.is_root(p_cells):
+                threshold = -math.inf if exhaustive else omega
+                n_evaluable = 0
+                for cells in book.members_at_least(p_cells, threshold):
+                    n_evaluable += 1
+                    if fresh(cells):
+                        to_evaluate.append(cells)
+                if self.max_length is None or i < self.max_length:
+                    stats.candidates_bounded += 2 * book.n_singulars - n_evaluable
+                stats.candidates_cached += book.extend(p_cells)
 
             # (b) Extensions by longer partners.  Only partners whose value
             # keeps the concatenation bound at or above omega can produce a
             # high pattern; anything lower is provably low and, having both
             # parts of length >= 2 reachable some other way, redundant.
-            for j, (values, cells_list) in partners.items():
+            for j in partners.lengths():
                 if j == 1:
                     continue
                 if exhaustive:
-                    cutoff = len(values)
+                    tau = -math.inf
                 else:
                     tau = ((i + j) * omega - i * p_nm) / j
-                    # values is sorted descending: find how many are >= tau.
-                    cutoff = bisect_right(neg_values[j], -tau)
-                for idx in range(cutoff):
-                    q_cells = cells_list[idx]
-                    bound = (i * p_nm + j * values[idx]) / (i + j)
-                    handle(p_cells + q_cells, bound)
-                    handle(q_cells + p_cells, bound)
+                for q_cells, q_value in partners.at_least(j, tau):
+                    bound = concat_bound(i, p_nm, j, q_value)
+                    for cells in (p_cells + q_cells, q_cells + p_cells):
+                        if not fresh(cells):
+                            continue
+                        if exhaustive or bound >= omega:
+                            to_evaluate.append(cells)
+                        elif not satisfies_one_extension(cells, high):
+                            # A 1-extension candidate here is a member of a
+                            # family extended this round: it stays implicit.
+                            stats.candidates_bound_pruned += 1
 
-        return to_evaluate, to_bound
+        return to_evaluate

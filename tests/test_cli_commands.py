@@ -52,6 +52,7 @@ class TestMineCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "mined 5 patterns" in out
+        assert "converged after" in out
         document = json.loads(out_file.read_text())
         assert document["format"] == "repro.mining-result"
         assert len(document["patterns"]) == 5

@@ -59,15 +59,6 @@ class TestBatchEqualsScalar:
         assert small_engine.nm_batch([]).shape == (0,)
         assert small_engine.match_batch([]).shape == (0,)
 
-    def test_nm_many_routes_through_batch(self, small_engine, rng):
-        patterns = _random_patterns(rng, small_engine.active_cells, n=6)
-        before = small_engine.n_batches
-        values = small_engine.nm_many(patterns)
-        assert small_engine.n_batches > before
-        assert values == pytest.approx(
-            [small_engine.nm(p) for p in patterns], abs=1e-9
-        )
-
     def test_patterns_longer_than_all_trajectories(self, rng):
         trajs = [
             UncertainTrajectory(rng.normal(0.5, 0.05, (n, 2)), 0.05)

@@ -223,6 +223,60 @@ def test_steady_state_is_allocation_free(small_dataset, backend, dtype):
     assert eng._arena.requests > requests
 
 
+def _devmax_batch(n_patterns=200, m=3, n_cells=12, per_cell=700, n_traj=40, seed=3):
+    """A wide synthetic ``batch_devmax`` call: ~n_patterns * m * per_cell entries."""
+    rng = np.random.default_rng(seed)
+    n_rows = n_traj * 500
+    rows = np.concatenate(
+        [np.sort(rng.choice(n_rows, per_cell, replace=False)) for _ in range(n_cells)]
+    ).astype(np.int32)
+    row_traj = np.repeat(np.arange(n_traj, dtype=np.int64), n_rows // n_traj)
+    n_windows = n_rows - m + 1
+    return dict(
+        cells_matrix=rng.integers(0, n_cells, (n_patterns, m)),
+        start=np.arange(n_cells, dtype=np.int64) * per_cell,
+        count=np.full(n_cells, per_cell, dtype=np.int64),
+        rows=rows,
+        vals=rng.uniform(-6.0, -0.5, len(rows)),
+        floor=-7.0,
+        valid=row_traj[:n_windows] == row_traj[m - 1 :],
+        n_windows=n_windows,
+        win_traj=row_traj[:n_windows],
+        arena=None,
+        out=np.zeros((n_patterns, n_traj)),
+    )
+
+
+def test_numpy_devmax_gathers_a_bounded_run(monkeypatch):
+    """One numpy ``batch_devmax`` pass gathers at most ``_GATHER_BUDGET`` entries.
+
+    Its scratch is some tens of bytes per gathered entry, so the call's
+    traced peak follows the budget, not the batch (here 420k entries,
+    whose single gather peaks at 42 MiB); the split changes no bits.
+    """
+    import tracemalloc
+
+    from repro.core.kernels import numpy_ref
+
+    numpy_kernels = kernels.resolve_backend("numpy")
+    whole = _devmax_batch()
+    numpy_kernels.batch_devmax(**whole)
+    budget = 1 << 14
+    monkeypatch.setattr(numpy_ref, "_GATHER_BUDGET", budget, raising=False)
+    split = _devmax_batch()
+    tracemalloc.start()
+    try:
+        numpy_kernels.batch_devmax(**split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_bits(split["out"], whole["out"])
+    assert whole["out"].any()
+    # A run may exceed the budget by one pattern's entries (3 * 700);
+    # measured 85 bytes per entry of that.
+    assert peak <= 128 * (budget + 3 * 700), peak
+
+
 def test_arena_grows_geometrically():
     arena = kernels.ScratchArena()
     a = arena.get("buf", (100,))

@@ -47,3 +47,16 @@ class TestIterationTrace:
     def test_book_sizes_reported(self, traced):
         last = traced.stats.trace[-1]
         assert last.n_exact + last.n_bounded == traced.stats.final_q_size
+
+
+class TestStopReason:
+    def test_converged(self, traced):
+        assert traced.stats.stop_reason == "converged"
+        assert traced.stats.iterations > 1
+
+    def test_iteration_cap_is_reported(self, small_engine, traced):
+        capped = TrajPatternMiner(
+            small_engine, k=8, max_length=3, max_iterations=1
+        ).mine()
+        assert capped.stats.iterations == 1
+        assert capped.stats.stop_reason == "max_iterations"

@@ -4,7 +4,10 @@ Theorem 1 claims TrajPattern returns exactly the k patterns with the
 highest NM.  The fixture-based oracle tests pin one instance; these
 hypothesis tests draw many tiny instances (small alphabets, short
 trajectories) and compare the miner -- under every pruning configuration
--- and the PB baseline against exhaustive enumeration.
+-- and the PB baseline against exhaustive enumeration.  Each drawn seed
+is mined on a 2x2 grid up to length 4 and on a 3x3 grid up to length 3;
+the larger alphabet is where singular-extension families keep members
+implicit (:mod:`repro.core.topk`).
 """
 
 import itertools
@@ -25,15 +28,18 @@ from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 
-# A 2x2 grid keeps exhaustive enumeration over length <= 4 at 340 patterns.
+# A 2x2 grid keeps exhaustive enumeration over length <= 4 at 340 patterns,
+# a 3x3 grid over length <= 3 at 819.
 GRID = Grid(BoundingBox.unit(), nx=2, ny=2)
 MAX_LENGTH = 4
+GRID_3X3 = Grid(BoundingBox.unit(), nx=3, ny=3)
+INSTANCES = [(GRID, MAX_LENGTH), (GRID_3X3, 3)]
 
 seeds = st.integers(min_value=0, max_value=100_000)
 ks = st.integers(min_value=1, max_value=6)
 
 
-def tiny_engine(seed: int) -> NMEngine:
+def tiny_engine(seed: int, grid: Grid = GRID) -> NMEngine:
     rng = np.random.default_rng(seed)
     trajectories = []
     for _ in range(int(rng.integers(2, 5))):
@@ -44,57 +50,68 @@ def tiny_engine(seed: int) -> NMEngine:
         )
     return NMEngine(
         TrajectoryDataset(trajectories),
-        GRID,
+        grid,
         EngineConfig(delta=0.25, min_prob=1e-4),
     )
 
 
-def brute_force(engine, k, key):
+def brute_force(engine, k, key, max_length=MAX_LENGTH, min_length=1):
     scored = []
-    for length in range(1, MAX_LENGTH + 1):
-        for combo in itertools.product(range(GRID.n_cells), repeat=length):
+    for length in range(min_length, max_length + 1):
+        for combo in itertools.product(range(engine.grid.n_cells), repeat=length):
             scored.append((combo, key(TrajectoryPattern(combo))))
     scored.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return [c for c, _ in scored[:k]]
+
+
+def assert_exact(seed, k, min_length=1, **options):
+    """The miner's top-k equals brute force on both instances of ``seed``."""
+    for grid, max_length in INSTANCES:
+        engine = tiny_engine(seed, grid)
+        mined = TrajPatternMiner(
+            engine, k=k, min_length=min_length, max_length=max_length, **options
+        ).mine()
+        expected = brute_force(engine, k, engine.nm, max_length, min_length)
+        assert [p.cells for p in mined.patterns] == expected, (grid.nx, options)
 
 
 class TestTrajPatternExactness:
     @settings(max_examples=25, deadline=None)
     @given(seeds, ks)
     def test_default_configuration(self, seed, k):
-        engine = tiny_engine(seed)
-        mined = TrajPatternMiner(engine, k=k, max_length=MAX_LENGTH).mine()
-        expected = brute_force(engine, k, engine.nm)
-        assert [p.cells for p in mined.patterns] == expected
+        assert_exact(seed, k)
 
     @settings(max_examples=12, deadline=None)
     @given(seeds, ks)
     def test_exhaustive_configuration(self, seed, k):
         """The literal paper loop (no lazy bounds) agrees too."""
-        engine = tiny_engine(seed)
-        mined = TrajPatternMiner(
-            engine,
-            k=k,
-            max_length=MAX_LENGTH,
-            use_bound_pruning=False,
-            use_extension_pruning=False,
-        ).mine()
-        expected = brute_force(engine, k, engine.nm)
-        assert [p.cells for p in mined.patterns] == expected
+        assert_exact(seed, k, use_bound_pruning=False, use_extension_pruning=False)
+
+    @pytest.mark.parametrize(
+        "extension, bound", [(True, False), (False, True)], ids=["no-bound", "no-extension"]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(seeds, ks)
+    def test_single_pruning_configurations(self, extension, bound, seed, k):
+        assert_exact(
+            seed, k, use_extension_pruning=extension, use_bound_pruning=bound
+        )
 
     @settings(max_examples=12, deadline=None)
     @given(seeds)
     def test_min_length_variant(self, seed):
-        engine = tiny_engine(seed)
-        mined = TrajPatternMiner(
-            engine, k=4, min_length=2, max_length=MAX_LENGTH
-        ).mine()
-        scored = []
-        for length in range(2, MAX_LENGTH + 1):
-            for combo in itertools.product(range(GRID.n_cells), repeat=length):
-                scored.append((combo, engine.nm(TrajectoryPattern(combo))))
-        scored.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
-        assert [p.cells for p in mined.patterns] == [c for c, _ in scored[:4]]
+        assert_exact(seed, 4, min_length=2)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_families_keep_members_implicit(self, k):
+        """On the 3x3 grid every instance leaves family members implicit."""
+        for seed in range(20):
+            engine = tiny_engine(seed, GRID_3X3)
+            mined = TrajPatternMiner(engine, k=k, max_length=3).mine()
+            assert max(t.n_bounded for t in mined.stats.trace) > 0, seed
+            assert mined.stats.candidates_bounded > 0, seed
+            expected = brute_force(engine, k, engine.nm, max_length=3)
+            assert [p.cells for p in mined.patterns] == expected, seed
 
 
 class TestConvergenceRegression:

@@ -109,6 +109,27 @@ class TestResultsIo:
         assert loaded_grid.nx == grid.nx and loaded_grid.ny == grid.ny
         assert loaded_grid.bbox == grid.bbox
 
+    def test_stop_reason_and_trace_roundtrip(self, mined, tmp_path):
+        result, grid = mined
+        path = tmp_path / "patterns.json"
+        save_mining_result(result, grid, path)
+        loaded, _ = load_mining_result(path)
+        assert loaded.stats.stop_reason == result.stats.stop_reason == "converged"
+        assert loaded.stats.trace == result.stats.trace
+        assert len(loaded.stats.trace) == result.stats.iterations
+
+    def test_file_without_stop_reason_or_trace_loads(self, mined, tmp_path):
+        result, grid = mined
+        path = tmp_path / "patterns.json"
+        save_mining_result(result, grid, path)
+        document = json.loads(path.read_text())
+        del document["stats"]["stop_reason"], document["stats"]["trace"]
+        path.write_text(json.dumps(document))
+        loaded, _ = load_mining_result(path)
+        assert loaded.stats.stop_reason is None
+        assert loaded.stats.trace == []
+        assert loaded.stats.iterations == result.stats.iterations
+
     def test_groups_roundtrip(self, mined, tmp_path):
         result, grid = mined
         path = tmp_path / "patterns.json"

@@ -53,7 +53,7 @@ class TestEquivalence:
             for n in (1, 2, 3)
         ]
         with streamed(path, engine.grid, engine.config, chunk_size) as streaming:
-            got = streaming.nm_many(patterns)
+            got = streaming.nm_batch(patterns)
         expected = [engine.nm(p) for p in patterns]
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -94,7 +94,7 @@ class TestEquivalence:
     def test_empty_batch(self, stored):
         path, engine = stored
         with streamed(path, engine.grid, engine.config) as streaming:
-            assert len(streaming.nm_many([])) == 0
+            assert len(streaming.nm_batch([])) == 0
 
 
 class TestVerifyTopK:

@@ -52,7 +52,7 @@ def _patterns(engine, n=5):
 def _span_count(scenario, chunk_size) -> int:
     path, grid, config, engine = scenario
     with streamed(path, grid, config, chunk_size) as streaming:
-        streaming.nm_many(_patterns(engine))
+        streaming.nm_batch(_patterns(engine))
         assert all(hi > lo for lo, hi in streaming.spans)
         return streaming.n_spans
 
@@ -85,7 +85,7 @@ class TestBoundaryEquivalence:
         patterns = _patterns(engine)
         with streamed(path, grid, config, chunk_size) as streaming:
             np.testing.assert_allclose(
-                streaming.nm_many(patterns), engine.nm_batch(patterns), rtol=1e-12
+                streaming.nm_batch(patterns), engine.nm_batch(patterns), rtol=1e-12
             )
 
     @pytest.mark.parametrize("chunk_size", [1, 4, N_TRAJECTORIES])
@@ -120,7 +120,7 @@ class TestPerChunkCaching:
             delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
         )
         with streamed(path, grid, cached, chunk_size=3) as cold:
-            cold_values = cold.nm_many(patterns)
+            cold_values = cold.nm_batch(patterns)
         files = sorted(tmp_path.glob("index-*.npz"))
         assert len(files) == 3  # one per span
         assert list(tmp_path.glob("*.tmp")) == []
@@ -128,7 +128,7 @@ class TestPerChunkCaching:
 
         with streamed(path, grid, cached, chunk_size=3) as warm:
             assert warm.index_cache_hit
-            warm_values = warm.nm_many(patterns)
+            warm_values = warm.nm_batch(patterns)
         assert sorted(tmp_path.glob("index-*.npz")) == files
         # A rebuild would overwrite in place: unchanged mtimes prove every
         # span loaded from disk instead.
@@ -148,7 +148,7 @@ class TestPerChunkCaching:
             delta=config.delta, min_prob=config.min_prob, cache_dir=str(tmp_path)
         )
         with streamed(path, grid, cached, chunk_size=4) as streaming:
-            streaming_values = streaming.nm_many(patterns)
+            streaming_values = streaming.nm_batch(patterns)
         full = NMEngine(engine.dataset, grid, cached)
         assert not full.index_cache_hit  # distinct key from the spans
         assert len(list(tmp_path.glob("index-*.npz"))) == 3  # 2 spans + full

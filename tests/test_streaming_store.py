@@ -47,7 +47,7 @@ def test_store_matches_jsonl_streaming(paths, geometry, chunk_size):
         store, grid, config, chunk_size
     ) as b:
         assert a.spans == b.spans
-        assert np.array_equal(a.nm_many(patterns), b.nm_many(patterns))
+        assert np.array_equal(a.nm_batch(patterns), b.nm_batch(patterns))
         assert np.array_equal(a.match_batch(patterns), b.match_batch(patterns))
 
 
@@ -59,7 +59,7 @@ def test_span_cache_cold_then_warm(paths, geometry, tmp_path):
     )
     with streamed(store, grid, cached, chunk_size=4) as cold:
         assert cold.n_spans == 3  # ceil(11 / 4)
-        nm_cold = cold.nm_many(patterns)  # one scan per span, built and saved
+        nm_cold = cold.nm_batch(patterns)  # one scan per span, built and saved
         assert not cold.index_cache_hit
         snapshot = cold.obs_snapshot()
     assert snapshot["span_opens"] == 3
@@ -67,7 +67,7 @@ def test_span_cache_cold_then_warm(paths, geometry, tmp_path):
     assert len(list(tmp_path.glob("index-*.npz"))) == 3
 
     with streamed(store, grid, cached, chunk_size=4) as warm:
-        nm_warm = warm.nm_many(patterns)
+        nm_warm = warm.nm_batch(patterns)
         assert warm.index_cache_hit
         snapshot = warm.obs_snapshot()
     assert snapshot["span_cache_hits"] == snapshot["span_opens"] == 3
@@ -85,10 +85,10 @@ def test_span_cache_is_bit_exact(paths, geometry, tmp_path):
         delta=config.delta, min_prob=config.min_prob, cache_dir=tmp_path
     )
     with streamed(store, grid, config, chunk_size=4) as plain:
-        expected = plain.nm_many(patterns)
+        expected = plain.nm_batch(patterns)
     for _ in range(2):
         with streamed(store, grid, cached, chunk_size=4) as engine:
-            assert np.array_equal(engine.nm_many(patterns), expected)
+            assert np.array_equal(engine.nm_batch(patterns), expected)
 
 
 def test_empty_store_raises(tmp_path, geometry):

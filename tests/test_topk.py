@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from repro.core.topk import PatternBook, sort_key
+from repro.core.topk import PatternBook, concat_bound, sort_key
+
+
+def family_book(k=2, max_length=None):
+    """Singulars 0..2 with NM -1, -2, -3, and (0,) extended as a family root."""
+    book = PatternBook(k=k, max_length=max_length)
+    book.seed_alphabet([(0, -1.0), (1, -2.0), (2, -3.0)])
+    book.update_omega()
+    book.extend((0,))
+    return book
 
 
 class TestSortKey:
@@ -16,34 +25,35 @@ class TestSortKey:
 
 class TestInsertion:
     def test_exact_and_bounded_membership(self):
-        book = PatternBook(k=2)
-        book.insert_exact((1,), -1.0)
-        book.insert_bounded((2, 3), -9.0)
-        assert (1,) in book
-        assert (2, 3) in book
-        assert len(book) == 2
-        assert book.n_exact == 1
-        assert book.n_bounded == 1
+        book = family_book()
+        # (0,)'s members: (0, s) and (s, 0) for s in 0..2, (0, 0) once.
+        members = {(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}
+        assert all(cells in book for cells in members)
+        assert (1, 2) not in book and (0, 1, 2) not in book
+        assert book.n_exact == 3
+        assert book.n_implicit == len(members)
+        assert len(book) == 3 + len(members)
 
     def test_value_prefers_exact(self):
-        book = PatternBook(k=2)
-        book.insert_exact((1,), -1.0)
-        assert book.value((1,)) == -1.0
-        book.insert_bounded((2,), -4.0)
-        assert book.value((2,)) == -4.0
+        book = family_book()
+        assert book.value((1,)) == -2.0
+        assert book.value((0, 2)) == concat_bound(1, -1.0, 1, -3.0) == -2.0
+        with pytest.raises(KeyError):
+            book.value((1, 2))
 
     def test_exact_supersedes_bounded(self):
-        book = PatternBook(k=2)
-        book.insert_bounded((1, 2), -9.0)
-        book.insert_exact((1, 2), -10.0)
-        assert book.n_bounded == 0
-        assert book.value((1, 2)) == -10.0
+        book = family_book()
+        book.insert_exact((0, 1), -10.0)
+        assert book.n_implicit == 4
+        assert book.value((0, 1)) == -10.0
 
     def test_bounded_never_downgrades_exact(self):
         book = PatternBook(k=2)
-        book.insert_exact((1,), -1.0)
-        book.insert_bounded((1,), -9.0)
-        assert book.value((1,)) == -1.0
+        book.seed_alphabet([(0, -1.0), (1, -2.0)])
+        book.insert_exact((0, 1), -9.0)
+        book.extend((0,))
+        assert book.value((0, 1)) == -9.0
+        assert book.n_implicit == 2  # (0, 0) and (1, 0)
 
     def test_remove_keeps_exact_cache(self):
         book = PatternBook(k=1)
@@ -55,17 +65,63 @@ class TestInsertion:
         assert book.value((1, 2)) == -3.0
 
     def test_remove_bounded(self):
-        book = PatternBook(k=1)
-        book.insert_bounded((1, 2), -3.0)
-        book.remove((1, 2))
-        assert (1, 2) not in book
-        assert not book.is_evaluated((1, 2))
+        book = family_book()
+        book.retire_roots({})
+        assert (0, 1) not in book
+        assert not book.is_evaluated((0, 1))
+        assert book.n_implicit == 0
+
+    def test_extend_reactivates_cached_members(self):
+        book = PatternBook(k=2)
+        book.seed_alphabet([(0, -1.0), (1, -2.0)])
+        book.insert_exact((1, 0), -7.0)
+        book.remove((1, 0))
+        assert book.extend((0,)) == 1
+        assert book.value((1, 0)) == -7.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PatternBook(k=0)
         with pytest.raises(ValueError):
             PatternBook(k=1, min_length=0)
+
+
+class TestFamilies:
+    def test_two_roots_share_members(self):
+        book = family_book()
+        book.extend((1,))
+        # (0, 1) and (1, 0) belong to both families; (0, 0) and (1, 1) to one.
+        assert book.n_implicit == 2 * 2 * 3 - 2 - 2
+        # A shared member takes the smaller of its two bounds.
+        assert book.value((1, 0)) == min(
+            concat_bound(1, -1.0, 1, -2.0), concat_bound(1, -2.0, 1, -1.0)
+        )
+
+    def test_members_at_least_is_a_prefix_of_the_singular_table(self):
+        book = family_book()
+        book.extend((1,))
+        # (1,)'s bound with s: (-2 + NM(s)) / 2 -> -1.5, -2.0, -2.5.
+        assert list(book.members_at_least((1,), -2.0)) == [
+            (1, 0), (0, 1), (1, 1), (1, 1),
+        ]  # fmt: skip
+        assert list(book.members_at_least((1,), -1.0)) == []
+        assert len(list(book.members_at_least((1,), -math.inf))) == 6
+
+    def test_max_length_caps_members(self):
+        book = family_book(max_length=2)
+        book.insert_exact((0, 1), -1.5)
+        book.extend((0, 1))
+        assert (0, 1, 0) not in book
+        assert list(book.members_at_least((0, 1), -math.inf)) == []
+        assert book.n_implicit == 4  # (0,)'s five members, one explicit
+
+    def test_retired_root_keeps_members_of_live_roots(self):
+        book = family_book()
+        book.extend((1,))
+        book.retire_roots({(1,): -2.0})
+        assert (1, 0) in book and (0, 1) in book
+        assert (0, 2) not in book
+        assert book.value((1, 0)) == concat_bound(1, -2.0, 1, -1.0)
 
 
 class TestOmega:
@@ -88,8 +144,9 @@ class TestOmega:
         assert book.update_omega() == -1.0
 
     def test_omega_ignores_bounded(self):
-        book = PatternBook(k=1)
-        book.insert_bounded((0, 1), -0.5)
+        # (0, 0)'s bound -1.0 would be the 4th best value; omega ignores it.
+        book = family_book(k=4)
+        assert book.value((0, 0)) == -1.0
         assert math.isinf(book.update_omega())
 
     def test_min_length_variant(self):
@@ -102,33 +159,43 @@ class TestOmega:
 
 class TestHighLow:
     def make_book(self):
-        book = PatternBook(k=2)
-        book.insert_exact((0,), -1.0)
-        book.insert_exact((1,), -2.0)
-        book.insert_exact((2,), -3.0)
-        book.insert_bounded((0, 1), -9.0)
-        book.update_omega()
+        book = family_book()
+        book.insert_exact((1, 2), -9.0)
         return book
 
     def test_split(self):
         book = self.make_book()
         assert set(book.high_patterns()) == {(0,), (1,)}
-        assert set(book.low_patterns()) == {(2,), (0, 1)}
+        # Implicit members are low but counted, not listed.
+        assert set(book.low_patterns()) == {(2,), (1, 2)}
 
     def test_everything_high_while_omega_inf(self):
         book = PatternBook(k=5)
         book.insert_exact((0,), -1.0)
-        book.insert_bounded((0, 1), -9.0)
-        assert set(book.high_patterns()) == {(0,)}
-        assert set(book.low_patterns()) == {(0, 1)}
+        book.insert_exact((0, 1), -9.0)
+        assert set(book.high_patterns()) == {(0,), (0, 1)}
+        assert book.low_patterns() == {}
 
     def test_partners_by_length_sorted(self):
         book = self.make_book()
-        partners = book.partners_by_length()
-        values, cells = partners[1]
-        assert values == sorted(values, reverse=True)
-        assert cells[0] == (0,)
-        assert partners[2][1] == [(0, 1)]
+        partners = book.partners()
+        assert partners.lengths() == [1, 2]
+        singulars = list(partners.at_least(1, -math.inf))
+        assert [v for _, v in singulars] == [-1.0, -2.0, -3.0]
+        pairs = dict(partners.at_least(2, -math.inf))
+        # The explicit (1, 2) and (0,)'s five implicit members.
+        assert pairs.pop((1, 2)) == -9.0
+        assert pairs == {
+            (0, s): concat_bound(1, -1.0, 1, v) for s, v in ((0, -1.0), (1, -2.0), (2, -3.0))
+        } | {(s, 0): concat_bound(1, -1.0, 1, v) for s, v in ((1, -2.0), (2, -3.0))}
+        assert [c for c, _ in partners.at_least(2, -1.5)] == [(0, 0), (0, 1), (1, 0)]
+
+    def test_partners_ignore_roots_extended_after_the_snapshot(self):
+        book = self.make_book()
+        partners = book.partners()
+        book.extend((1,))
+        assert (1, 1) not in dict(partners.at_least(2, -math.inf))
+        assert (1, 1) in dict(book.partners().at_least(2, -math.inf))
 
 
 class TestTopK:
@@ -146,9 +213,3 @@ class TestTopK:
         book.insert_exact((1, 2), -5.0)
         top = book.top_k()
         assert [c for c, _ in top] == [(1, 2)]
-
-    def test_iter_sorted_exact_before_bounded(self):
-        book = PatternBook(k=1)
-        book.insert_exact((3,), -4.0)
-        book.insert_bounded((1, 1), -0.5)
-        assert [c for c, _ in book.iter_sorted()] == [(3,), (1, 1)]
