@@ -9,8 +9,8 @@ Two families of commands:
   ``convert`` (JSONL/CSV -> ``.tjc``), ``ingest`` (Porto-taxi-style CSV ->
   ``.tjc``) and ``store-info`` (print a store's header);
 * **reproduction commands** regenerating the paper's evaluation:
-  ``table1``, ``fig3``, ``fig4``, ``ablations``, ``all`` and ``report``
-  (everything into one markdown file);
+  ``run <experiment>`` (``table1``, ``fig3``, ``fig4``, ``ablations`` or
+  ``all``) and ``report`` (everything into one markdown file);
 * **serving commands**: ``serve`` (long-running NDJSON/TCP query server
   over a snapshot, :mod:`repro.serve`), ``loadgen`` (drive load against
   it, report latency percentiles; ``--trace-out`` originates a wire
@@ -264,7 +264,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     from repro.core import index_cache, kernels
     from repro.core.engine import EngineConfig, NMEngine
     from repro.core.parameters import suggest_parameters
-    from repro.core.results_io import save_mining_result
+    from repro.core.results_io import save_mining_result, stats_document
     from repro.core.trajpattern import TrajPatternMiner
     from repro.obs import manifest as obs_manifest
     from repro.obs import tracing
@@ -340,6 +340,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         timer=timer,
         extra_metrics={
             "kernel_backend": kernels.backend_summary(engine_config),
+            "mining": stats_document(result.stats),
             **({"parallel": parallel_snapshot} if parallel_snapshot else {}),
         },
         manifest_extra=_store_manifest_extra(store) if store is not None else None,
@@ -848,11 +849,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("experiment", choices=sorted(_EXPERIMENTS) + ["all"])
     exp.add_argument("--scale", choices=["small", "paper"], default="small")
     exp.set_defaults(func=_cmd_experiment)
-    # Back-compat: the experiment names also work as top-level commands.
-    for name in sorted(_EXPERIMENTS) + ["all"]:
-        alias = sub.add_parser(name, help=f"alias for: run {name}")
-        alias.add_argument("--scale", choices=["small", "paper"], default="small")
-        alias.set_defaults(func=_cmd_experiment, experiment=name)
 
     report = sub.add_parser(
         "report",

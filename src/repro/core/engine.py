@@ -30,8 +30,9 @@ of numpy operations over the whole dataset:
    sums duplicates, reduces segment maxima per ``(pattern, trajectory)``,
    and takes ``max(0, best deviation)`` -- untouched windows contribute the
    all-floor baseline.  Work is proportional to the touched index entries,
-   not to ``n_patterns * n_windows``.  The miner and both baselines
-   evaluate their candidates through this path.
+   not to ``n_patterns * n_windows``, and a batch runs in chunks whose
+   scratch matrix fits ``_BATCH_SCORE_BUDGET``.  The miner and both
+   baselines evaluate their candidates through this path.
 
 The index itself is built fully vectorised: all snapshot neighbourhoods are
 enumerated with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call
@@ -84,12 +85,24 @@ _INDEX_ROW_CHUNK = 2048
 #: live value is the ``EngineConfig.prob_chunk_size`` knob (see
 #: :func:`autotune_prob_chunk`).
 _INDEX_PAIR_CHUNK = 1 << 20
-#: Matrix cells per batched-evaluation round: nm/match batches are split so
-#: the per-round ``n_patterns * n_trajectories`` maxima matrix, and dense
-#: window-score batches so ``n_patterns * n_windows``, stay under this.
-_BATCH_SCORE_BUDGET = 1 << 24
+#: Matrix cells of one batched-evaluation scratch matrix (1 MiB of
+#: float64).  Batches are evaluated in chunks of patterns: nm/match chunks
+#: so their ``n_patterns * n_trajectories`` maxima matrix, and window-score
+#: chunks so their ``n_patterns * n_windows`` matrix, stay within it (a
+#: chunk holds at least one pattern).  Every row is computed and reduced
+#: on its own, so where a batch splits moves no bit.  Chosen from a sweep
+#: (docs/ARCHITECTURE.md): above ~2^18 cells a mine's peak RSS climbs,
+#: because the process heap keeps freed multi-MiB blocks resident; below
+#: it evaluation time does not change.
+_BATCH_SCORE_BUDGET = 1 << 17
 
 _log = logs.get_logger("engine")
+
+
+def _chunks(n: int, width: int):
+    """Row slices covering ``range(n)`` whose ``rows * width`` fits the budget."""
+    step = max(1, _BATCH_SCORE_BUDGET // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -101,8 +114,9 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     measures must be batch-composition-invariant -- warm-started mining
     re-evaluates lone frontier seeds and has to land on exactly the floats
     the cold run's wider batches produced -- so each row is reduced
-    independently (``np.add.reduceat`` sums every segment sequentially,
-    regardless of how many segments there are).
+    independently: ``np.add.reduceat`` reduces every segment on its own
+    (its first element plus numpy's pairwise sum of the rest), whatever
+    the number of segments.
     """
     n, width = matrix.shape
     flat = np.ascontiguousarray(matrix).reshape(-1)
@@ -871,26 +885,35 @@ class NMEngine:
 
     # -- batched evaluation --------------------------------------------------------
 
-    def _batch_deviation_maxima(
-        self, cells_matrix: np.ndarray, n_windows: int, valid: np.ndarray
+    def _batch_window_maxima(
+        self,
+        cells_matrix: np.ndarray,
+        n_spec: np.ndarray,
+        n_windows: int,
+        valid: np.ndarray,
+        eligible: np.ndarray,
     ) -> np.ndarray:
-        """Best per-``(pattern, trajectory)`` window deviation of a group.
+        """Best window log-sum per ``(pattern, eligible trajectory)`` of a chunk.
 
-        A window's score is its pattern's all-floor baseline plus the (all
-        strictly positive) deviations of the index entries it touches, so
-        the per-trajectory best window is the baseline plus ``max(0, best
-        summed deviation over the trajectory's valid windows)``.  The
-        reduction itself lives behind the kernel backend
-        (:mod:`repro.core.kernels`); nothing of size ``n_patterns *
+        A window's score is its pattern's all-floor baseline ``floor *
+        n_spec`` plus the (all strictly positive) deviations of the index
+        entries it touches, so the per-trajectory best window is the
+        baseline plus ``max(0, best summed deviation over the trajectory's
+        valid windows)``.  The deviation reduction lives behind the kernel
+        backend (:mod:`repro.core.kernels`); nothing of size ``n_patterns *
         n_windows`` is ever materialised.
 
-        The result is an arena-backed scratch matrix, valid until the next
-        batched call on this engine.
+        The result is a float64 arena-backed scratch matrix, valid until
+        the next batched call on this engine.  The baseline is added in
+        place on the kernel's output, so a chunk costs one matrix; the
+        eligible columns are gathered into a second one only when some
+        trajectory is shorter than the patterns, and the float32 mode
+        widens into a float64 one.
         """
-        n_patterns = cells_matrix.shape[0]
+        n_patterns, n_traj = cells_matrix.shape[0], len(self.dataset)
         start, count = self._entry_lookup()
         dev_max = self._arena.get(
-            "devmax.out", (n_patterns, len(self.dataset)), self._dtype, zero=True
+            "devmax.out", (n_patterns, n_traj), self._dtype, zero=True
         )
         self._kernels.batch_devmax(
             cells_matrix,
@@ -905,7 +928,26 @@ class NMEngine:
             self._arena,
             dev_max,
         )
-        return dev_max
+        if len(eligible) < n_traj:
+            # mode="clip": the default "raise" buffers ``out`` in a copy.
+            dev_max = np.take(
+                dev_max,
+                eligible,
+                axis=1,
+                mode="clip",
+                out=self._arena.get(
+                    "devmax.eligible", (n_patterns, len(eligible)), self._dtype
+                ),
+            )
+        baseline = (self._floor * n_spec)[:, None]
+        if dev_max.dtype == np.float64:
+            dev_max += baseline
+            return dev_max
+        return np.add(
+            dev_max,
+            baseline,
+            out=self._arena.get("devmax.f64", dev_max.shape, np.float64),
+        )
 
     def _batch_reduce(
         self, patterns: Sequence[TrajectoryPattern], kind: str
@@ -913,9 +955,9 @@ class NMEngine:
         """Shared driver of :meth:`nm_batch` / :meth:`match_batch`.
 
         Groups patterns by length and reduces each group through the sparse
-        deviation gather (:meth:`_batch_deviation_maxima`), in chunks sized
-        so the per-chunk ``(n_patterns, n_trajectories)`` maxima matrix
-        stays within the batch budget.
+        deviation gather (:meth:`_batch_window_maxima`), in chunks whose
+        ``(n_patterns, n_trajectories)`` maxima matrix fits the batch
+        budget; each chunk is reduced in place on its arena matrix.
         """
         patterns = list(patterns)
         out = np.empty(len(patterns))
@@ -933,24 +975,22 @@ class NMEngine:
                     out[idxs] = n_traj * np.exp(floor * n_spec)
                 continue
             n_windows = self._total_rows - m + 1
-            chunk = max(1, _BATCH_SCORE_BUDGET // max(n_traj, 1))
-            for start in range(0, len(idxs), chunk):
-                sub = idxs[start : start + chunk]
-                dev_max = self._batch_deviation_maxima(
-                    cells_all[start : start + chunk], n_windows, valid
+            n_short = n_traj - len(eligible)
+            for rows in _chunks(len(idxs), n_traj):
+                sub, spec = idxs[rows], n_spec[rows]
+                maxes = self._batch_window_maxima(
+                    cells_all[rows], spec, n_windows, valid, eligible
                 )
-                spec = n_spec[start : start + chunk]
-                # Baseline floor * n_spec plus the best (>= 0) deviation.
-                maxes = dev_max[:, eligible] + floor * spec[:, None]
                 if kind == "nm":
                     totals = _row_sums(maxes)
                     normalised = np.divide(
                         totals, spec, out=np.zeros(len(sub)), where=spec > 0
                     )
-                    out[sub] = normalised + floor * (n_traj - len(eligible))
+                    out[sub] = normalised + floor * n_short
                 else:
-                    out[sub] = _row_sums(np.exp(maxes)) + np.exp(floor * spec) * (
-                        n_traj - len(eligible)
+                    out[sub] = (
+                        _row_sums(np.exp(maxes, out=maxes))
+                        + np.exp(floor * spec) * n_short
                     )
                 self.n_batches += 1
         self.n_evaluations += len(patterns)
@@ -1002,9 +1042,8 @@ class NMEngine:
             n_windows = self._total_rows - m + 1
             if n_windows <= 0:
                 continue
-            chunk = max(1, _BATCH_SCORE_BUDGET // max(n_windows, 1))
-            for start in range(0, len(idxs), chunk):
-                sub = idxs[start : start + chunk]
+            for rows in _chunks(len(idxs), n_windows):
+                sub = idxs[rows]
                 scores = self._stacked_window_scores(
                     [patterns[i] for i in sub], n_windows
                 )
@@ -1137,9 +1176,8 @@ class NMEngine:
                     )
                 continue
             n_windows = self._total_rows - ext_len + 1
-            chunk = max(1, _BATCH_SCORE_BUDGET // max(n_windows, 1))
-            for start in range(0, len(idxs), chunk):
-                sub = idxs[start : start + chunk]
+            for rows in _chunks(len(idxs), n_windows):
+                sub = idxs[rows]
                 scores = self._stacked_window_scores(
                     [patterns[i] for i in sub], n_windows
                 )

@@ -1,8 +1,8 @@
 """Reference numpy implementation of the kernel backend surface.
 
-This is the exact vectorised code the engine ran before the backend split,
-moved here body-for-body: the stable-sort + ``reduceat`` deviation
-reduction behind ``nm_batch``/``match_batch``, the stacked window-score
+This is the vectorised code the engine ran before the backend split: the
+stable-sort deviation reduction behind ``nm_batch``/``match_batch`` (each
+window summed in gather order, see below), the stacked window-score
 scatter, the per-segment maxima sweep, the chunked ``prob_within``
 evaluation (delegated to :mod:`repro.uncertainty.gaussian`), the wildcard
 gap DP, and the index build's entry sort into a CSR index by cell
@@ -12,11 +12,14 @@ the differential oracle's ground truth: the compiled backend is tested
 
 Numerical contract (what the compiled backends must reproduce):
 
-* Deviations are accumulated per ``(pattern, window)`` in gather order --
-  pattern-major, then pattern offset ``j`` ascending, then index entries
-  in (cell, row) order.  ``np.argsort(kind="stable")`` + ``np.add.reduceat``
-  sum duplicates sequentially in exactly that order, so a compiled kernel
-  that accumulates in the same order is bit-identical, not merely close.
+* Deviations are accumulated per ``(pattern, window)`` sequentially in
+  gather order -- pattern-major, then pattern offset ``j`` ascending, then
+  index entries in (cell, row) order -- starting from zero: ``((d0 + d1) +
+  d2) ...``.  ``np.argsort(kind="stable")`` puts each window's deviations
+  in that order and ``np.add.at`` adds them one by one, so a compiled
+  kernel that accumulates in the same order is bit-identical, not merely
+  close.  (``np.add.reduceat`` would not do: it adds a segment's first
+  element to numpy's reduction of the rest, ``d0 + (d1 + d2 ...)``.)
 * Maxima (``np.maximum.reduceat``) are order-independent.
 * All kernel arithmetic runs in the backend dtype (float64 or float32);
   scalars are cast to the value dtype before entering the loops.
@@ -93,8 +96,14 @@ def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, wi
     key = (owner // m) * np.int64(n_windows) + wrow
     order = np.argsort(key, kind="stable")
     key, dev = key[order], dev[order]
-    window_starts = np.concatenate([[0], np.nonzero(np.diff(key))[0] + 1])
-    window_sums = np.add.reduceat(dev, window_starts)
+    new_window = np.empty(len(key), dtype=bool)
+    new_window[0] = True
+    np.not_equal(key[1:], key[:-1], out=new_window[1:])
+    window_starts = np.flatnonzero(new_window)
+    # np.add.at adds in gather order, ((d0 + d1) + d2) ..., as the compiled
+    # kernel does; np.add.reduceat would compute d0 + (d1 + d2 ...).
+    window_sums = np.zeros(len(window_starts), dtype=dev.dtype)
+    np.add.at(window_sums, np.cumsum(new_window) - 1, dev)
     u_key = key[window_starts]
     u_pat = u_key // n_windows
     u_traj = win_traj[u_key % n_windows]
@@ -143,7 +152,7 @@ class NumpyKernels:
 
         ``out`` is ``(n_patterns, n_trajectories)`` and must be zero-filled
         on entry; untouched pairs stay zero (the all-floor baseline).  See
-        :meth:`NMEngine._batch_deviation_maxima` for the calling context.
+        :meth:`NMEngine._batch_window_maxima` for the calling context.
         Pattern rows are gathered in runs of at most ``_GATHER_BUDGET``
         entries; rows are independent, so the split changes no bits.
         """

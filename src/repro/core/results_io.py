@@ -27,6 +27,27 @@ _FORMAT = "repro.mining-result"
 _VERSION = 1
 
 
+def stats_document(stats: MinerStats) -> dict:
+    """``stats`` as JSON: its counters, stop reason and per-iteration trace.
+
+    The result file's ``stats`` section, also the ``mining`` block of a
+    ``repro mine`` run manifest.
+    """
+    return {
+        "iterations": stats.iterations,
+        "candidates_generated": stats.candidates_generated,
+        "candidates_evaluated": stats.candidates_evaluated,
+        "candidates_bounded": stats.candidates_bounded,
+        "candidates_bound_pruned": stats.candidates_bound_pruned,
+        "candidates_cached": stats.candidates_cached,
+        "patterns_pruned": stats.patterns_pruned,
+        "final_q_size": stats.final_q_size,
+        "wall_time_s": stats.wall_time_s,
+        "stop_reason": stats.stop_reason,
+        "trace": [asdict(row) for row in stats.trace],
+    }
+
+
 def save_mining_result(
     result: MiningResult, grid: Grid, path: str | Path
 ) -> None:
@@ -45,19 +66,7 @@ def save_mining_result(
         "patterns": [list(p.cells) for p in result.patterns],
         "nm_values": result.nm_values,
         "omega": result.omega,
-        "stats": {
-            "iterations": result.stats.iterations,
-            "candidates_generated": result.stats.candidates_generated,
-            "candidates_evaluated": result.stats.candidates_evaluated,
-            "candidates_bounded": result.stats.candidates_bounded,
-            "candidates_bound_pruned": result.stats.candidates_bound_pruned,
-            "candidates_cached": result.stats.candidates_cached,
-            "patterns_pruned": result.stats.patterns_pruned,
-            "final_q_size": result.stats.final_q_size,
-            "wall_time_s": result.stats.wall_time_s,
-            "stop_reason": result.stats.stop_reason,
-            "trace": [asdict(row) for row in result.stats.trace],
-        },
+        "stats": stats_document(result.stats),
         "groups": (
             None
             if result.groups is None

@@ -2,7 +2,7 @@
 
 Each experiment is a pure function from a config dataclass to a result
 dataclass with a ``render()`` text table, so the same code serves the
-benchmarks (small scale), the CLI (``trajpattern fig3`` etc.) and
+benchmarks (small scale), the CLI (``trajpattern run fig3`` etc.) and
 EXPERIMENTS.md (paper-scale runs).
 
 * :func:`~repro.experiments.table1.run_table1` -- section 6.1's pattern

@@ -1,6 +1,6 @@
 """One-call reproduction report: every experiment, one markdown document.
 
-``trajpattern all`` prints each experiment's table; :func:`build_report`
+``trajpattern run all`` prints each experiment's table; :func:`build_report`
 goes one step further and assembles a single markdown report mirroring the
 structure of EXPERIMENTS.md, so a user can regenerate the whole
 paper-vs-measured comparison (at their chosen scale) with one function

@@ -242,8 +242,43 @@ def render_manifest_report(manifest: dict) -> str:
     if gauges:
         gauge_rows = [[n, f"{v:g}"] for n, v in sorted(gauges.items())]
         lines += ["", "gauges:", _table(["gauge", "value"], gauge_rows)]
+    lines += _mining_lines(metrics)
     lines += _span_lines(metrics)
     return "\n".join(lines)
+
+
+def _mining_lines(metrics: dict) -> list[str]:
+    """The ``mining`` block of a ``repro mine`` run: why it stopped, per iteration."""
+    mining = metrics.get("mining")
+    if not isinstance(mining, dict):
+        return []
+    rows = [
+        [
+            str(row.get("iteration")),
+            f"{row.get('omega', 0.0):.6g}",
+            str(row.get("n_high")),
+            str(row.get("candidates_evaluated")),
+            str(row.get("batch_size")),
+            f"{row.get('eval_time_s', 0.0) * 1e3:.1f}ms",
+        ]
+        for row in mining.get("trace") or ()
+    ]
+    lines = [
+        "",
+        f"mining: {mining.get('stop_reason')} after {mining.get('iterations')} "
+        f"iterations; candidates generated {mining.get('candidates_generated')}, "
+        f"evaluated {mining.get('candidates_evaluated')}, bound-pruned "
+        f"{mining.get('candidates_bound_pruned')}; patterns pruned "
+        f"{mining.get('patterns_pruned')}; final Q {mining.get('final_q_size')}",
+    ]
+    if rows:
+        lines.append(
+            _table(
+                ["iteration", "omega", "n_high", "evaluated", "batch", "eval time"],
+                rows,
+            )
+        )
+    return lines
 
 
 def _span_lines(metrics: dict) -> list[str]:
@@ -316,6 +351,7 @@ def render_metrics_report(snapshot: dict) -> str:
                 ]
             )
         lines += ["", _table(["histogram", "count", "mean", "p99", "unit"], rows)]
+    lines += _mining_lines(snapshot)
     lines += _span_lines(snapshot)
     if len(lines) == 1:
         return "metrics snapshot: no metrics recorded"

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine as engine_module
+from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine, build_engine
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -145,6 +147,104 @@ class TestExtensionTablesMany:
                 assert match_table[cell] == pytest.approx(
                     match_single[cell], rel=1e-9, abs=1e-300
                 )
+
+
+def _walks(rng, n, lengths, step=0.02):
+    """``n`` random walks in the unit square, lengths drawn from ``lengths``."""
+    return TrajectoryDataset(
+        [
+            UncertainTrajectory(
+                np.clip(
+                    rng.uniform(0.2, 0.8, 2)
+                    + np.cumsum(rng.normal(0, step, (int(rng.choice(lengths)), 2)), axis=0),
+                    0.0,
+                    1.0,
+                ),
+                0.02,
+            )
+            for _ in range(n)
+        ]
+    )
+
+
+class TestBoundedBatches:
+    """Batches are evaluated in chunks whose scratch matrix fits a budget."""
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_one_pattern_chunks_move_no_bit(self, backend, rng, monkeypatch):
+        # Trajectories of 2-12 snapshots: the longer patterns do not fit in
+        # some of them, so the eligible-column gather runs.
+        dataset = _walks(rng, 14, lengths=range(2, 13))
+        engine = NMEngine(
+            dataset,
+            Grid(BoundingBox.unit(), nx=12, ny=12),
+            EngineConfig(delta=0.05, min_prob=1e-5, backend=backend),
+        )
+        patterns = _random_patterns(rng, engine.active_cells, n=60, max_length=7)
+        assert {len(p) for p in patterns} >= {1, 4, 7}
+        assert min(len(t) for t in dataset) < 7 <= max(len(t) for t in dataset)
+        prefixes = [p for p in patterns if WILDCARD not in p.cells][:12]
+
+        def evaluate():
+            return (
+                engine.nm_batch(patterns),
+                engine.match_batch(patterns),
+                engine.window_scores_batch(patterns),
+                engine.extension_tables_many(prefixes),
+            )
+
+        whole = evaluate()
+        batches = engine.n_batches
+        monkeypatch.setattr(engine_module, "_BATCH_SCORE_BUDGET", 1)
+        split = evaluate()
+        # One nm and one match chunk per pattern.
+        assert engine.n_batches - batches == 2 * len(patterns)
+        for got, want in zip(split[:2], whole[:2]):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(split[2], whole[2]):
+            assert got.tobytes() == want.tobytes()
+        assert split[3] == whole[3]  # float fields compared with ==, 0 ULP
+
+    def test_nm_batch_peak_follows_the_budget(self, rng):
+        """One 12k-pattern ``nm_batch`` over 120 trajectories stays near the budget.
+
+        Unchunked, the call held its ``(patterns, trajectories)`` maxima
+        matrix three times, 3 * 12k * 120 * 8 bytes = 33 MiB.  Chunked and
+        reduced in place, it holds about one budget-sized matrix, and the
+        engine's arena keeps no more than that plus the kernel's
+        per-window scratch.
+        """
+        import tracemalloc
+
+        if kernels.compiled_unavailable_reason() is not None:
+            pytest.skip("the numpy gather's scratch follows its own budget")
+        dataset = _walks(rng, 120, lengths=[40])
+        engine = NMEngine(
+            dataset,
+            Grid(BoundingBox.unit(), nx=20, ny=20),
+            EngineConfig(delta=0.05, min_prob=1e-5, backend="compiled"),
+        )
+        cells = engine.active_cells
+        patterns = [
+            TrajectoryPattern(tuple(int(c) for c in rng.choice(cells, size=3)))
+            for _ in range(12_000)
+        ]
+        engine.nm_batch(patterns[:10])  # lazy lookups and per-length plumbing
+        budget_bytes = 8 * engine_module._BATCH_SCORE_BUDGET
+        tracemalloc.start()
+        try:
+            engine.nm_batch(patterns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The budget-sized matrix, plus ~100 bytes per pattern for its cells
+        # and result (measured 2.1 MiB).
+        limit = 2 * budget_bytes + 100 * len(patterns)
+        assert peak <= limit, (peak, limit)
+        unchunked = 3 * 8 * len(patterns) * len(dataset)
+        assert unchunked >= 3 * limit
+        n_windows = engine._total_rows - 3 + 1
+        assert engine._arena.nbytes() <= budget_bytes + 16 * n_windows
 
 
 class TestVectorisedIndexBuild:

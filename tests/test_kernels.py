@@ -173,6 +173,44 @@ def test_shared_index_bit_exact(small_dataset):
             assert max_ulps32(match, match_ref) <= 1024
 
 
+def _trajectory_patterns(engine, seed, starts=6) -> list[TrajectoryPattern]:
+    """Patterns of length 3-8 cut from the dataset's own trajectories.
+
+    ``starts`` random cuts per trajectory and length.  Their windows hit
+    one index entry per position, so many windows sum three or more
+    deviations -- where the order of the additions shows.
+    """
+    rng = np.random.default_rng(seed)
+    cells = [engine.grid.locate_many(traj.means) for traj in engine.dataset]
+    out = []
+    for m in range(3, 9):
+        for path in cells:
+            for lo in rng.integers(0, len(path) - m + 1, size=starts):
+                out.append(TrajectoryPattern(tuple(int(c) for c in path[lo : lo + m])))
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_sums_follow_gather_order(small_dataset, dtype, seed):
+    """numpy sums each window's deviations in the compiled kernel's order.
+
+    ``((d0 + d1) + d2) ...`` in gather order: on one shared index the two
+    backends agree to the bit on patterns whose windows sum many entries.
+    """
+    _require_compiled()
+    ref = _engine(small_dataset)
+    patterns = _trajectory_patterns(ref, seed)
+    assert len(patterns) >= 300
+    got = {}
+    for backend in ("numpy", "compiled"):
+        eng = _engine(small_dataset, backend=backend, dtype=dtype)
+        eng.install_index(*ref.index_arrays())
+        got[backend] = (eng.nm_batch(patterns), eng.match_batch(patterns))
+    for numpy_side, compiled_side in zip(got["numpy"], got["compiled"]):
+        _assert_same_bits(numpy_side, compiled_side)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_compiled_own_index_close(small_dataset, dtype):
     """Compiled engines building their own index stay within tolerance.

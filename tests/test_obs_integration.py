@@ -242,6 +242,37 @@ class TestCliObservability:
         assert "run manifest: mine" in rendered
         assert "spans: 2 over pools local-0" in rendered
 
+    def test_mine_manifest_and_report_show_the_miner(
+        self, dataset_file, tmp_path, capsys
+    ):
+        out = self._mine(dataset_file, tmp_path, "--manifest-out")
+        manifest_path = tmp_path / "patterns.json.manifest.json"
+        mining = obs_manifest.load_manifest(manifest_path)["metrics"]["mining"]
+        # The manifest carries the result file's stats, trace rows included.
+        assert mining == json.loads(out.read_text())["stats"]
+        assert mining["stop_reason"] in ("converged", "max_iterations")
+        assert len(mining["trace"]) == mining["iterations"] >= 1
+
+        capsys.readouterr()
+        assert cli.main(["report", str(manifest_path)]) == 0
+        rendered = capsys.readouterr().out
+        assert (
+            f"mining: {mining['stop_reason']} after {mining['iterations']} iterations"
+            in rendered
+        )
+        header = next(line for line in rendered.splitlines() if line.startswith("iteration"))
+        assert header.split() == [
+            "iteration", "omega", "n_high", "evaluated", "batch", "eval", "time"
+        ]  # fmt: skip
+        rows = rendered.split(header, 1)[1].splitlines()[2 : 2 + mining["iterations"]]
+        for row, trace in zip(rows, mining["trace"]):
+            iteration, omega, n_high, evaluated, batch, _ = row.split()
+            assert int(iteration) == trace["iteration"]
+            assert float(omega) == pytest.approx(trace["omega"], rel=1e-5)
+            assert int(n_high) == trace["n_high"]
+            assert int(evaluated) == trace["candidates_evaluated"]
+            assert int(batch) == trace["batch_size"]
+
     def test_manifest_deterministic_sections_stable(
         self, dataset_file, tmp_path
     ):
