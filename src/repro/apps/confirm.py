@@ -19,17 +19,25 @@ to the scalar loop's; only the final geometric-mean root goes through
 numpy's array-pow instead of scalar-pow, whose results can differ in the
 last ULP.  Both application classes and the serving path share this one
 code path.
+
+``Prob`` is the scipy reference by default.  Given a kernel backend it
+runs there instead: the serving layer passes its snapshot engine's, so a
+compiled server confirms through the C box-``Prob`` kernel (libm
+``erf``, within a couple of ULPs of scipy) and never loads scipy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.grid import Grid
 from repro.uncertainty.gaussian import ProbModel, prob_within
+
+if TYPE_CHECKING:
+    from repro.core.kernels import KernelBackend
 
 
 class ConfirmationIndex:
@@ -44,6 +52,9 @@ class ConfirmationIndex:
         The grid the pattern cells refer to.
     min_prefix:
         Shortest prefix allowed to confirm.
+    kernels:
+        Kernel backend whose ``prob_within`` evaluates ``Prob``
+        (:mod:`repro.core.kernels`); ``None`` keeps the scipy reference.
 
     One *candidate* is a pair ``(pattern i, prefix length q)`` with
     ``min_prefix <= q <= len(p_i) - 1``; its confirmation confidence for a
@@ -59,8 +70,10 @@ class ConfirmationIndex:
         patterns: Sequence[TrajectoryPattern],
         grid: Grid,
         min_prefix: int,
+        kernels: KernelBackend | None = None,
     ) -> None:
         self.min_prefix = min_prefix
+        self._prob_within = prob_within if kernels is None else kernels.prob_within
         pattern_idx: list[int] = []
         qs: list[int] = []
         next_cells: list[int] = []
@@ -134,9 +147,10 @@ class ConfirmationIndex:
         # probabilities are computed (vectorisation is cheaper than
         # compaction) and discarded through the mask.
         idx = np.clip(h + self._pos_rel, 0, h - 1)
-        probs = prob_within(
+        # One sigma per pair: the compiled box kernel takes no broadcast.
+        probs = self._prob_within(
             history[idx],
-            np.asarray(sigma, dtype=float),
+            np.full(len(idx), sigma, dtype=float),
             self._pos_centers,
             delta_eff,
             model=prob_model,

@@ -15,7 +15,7 @@ ratio per base model (LM / LKF / RMF) for match-mined vs NM-mined patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.mobility.models import MotionModel
 from repro.mobility.objects import GroundTruthPath
 from repro.mobility.reporting import ReportingConfig, dead_reckon
 from repro.uncertainty.gaussian import ProbModel
+
+if TYPE_CHECKING:
+    from repro.core.kernels import KernelBackend
 
 
 class PatternLibrary:
@@ -63,6 +66,11 @@ class PatternLibrary:
         error scale with probability >= threshold".
     prob_model:
         Geometry of ``Prob`` (box by default, matching the miner).
+    kernels:
+        Kernel backend that evaluates the confirmation ``Prob`` (see
+        :class:`~repro.apps.confirm.ConfirmationIndex`); ``None``, the
+        default, keeps the scipy reference.  The serving layer passes its
+        snapshot engine's backend.
     """
 
     def __init__(
@@ -75,6 +83,7 @@ class PatternLibrary:
         confirm_sigma_factor: float = 2.5,
         require_nonconstant_prefix: bool = True,
         prob_model: ProbModel = ProbModel.BOX,
+        kernels: KernelBackend | None = None,
     ) -> None:
         if not 0.0 < confirm_threshold <= 1.0:
             raise ValueError("confirm_threshold must be in (0, 1]")
@@ -97,7 +106,7 @@ class PatternLibrary:
         # All (pattern, prefix-length) confirmation candidates, flattened
         # for one-call vectorised evaluation (shared with the forecaster
         # and the serving layer; see repro.apps.confirm).
-        self._index = ConfirmationIndex(self.patterns, grid, min_prefix)
+        self._index = ConfirmationIndex(self.patterns, grid, min_prefix, kernels)
         self.max_prefix = max((len(p) - 1 for p in self.patterns), default=0)
 
     def __len__(self) -> int:

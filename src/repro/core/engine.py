@@ -47,8 +47,9 @@ them at every (cell, trajectory) change.  The compiled box ``Prob``
 kernel also reuses each axis mass along a snapshot's row-major cell
 block.  Every backend installs exactly the same index arrays from the
 same entries.  :meth:`NMEngine.index_arrays` rebuilds the classic
-``int64`` (cell, row, value) triples on demand for the index cache, the
-incremental folds and the serving layer's copies.
+``int64`` (cell, row, value) triples on demand for the index cache; the
+incremental folds and engines that share an index take the CSR arrays
+as they are (:meth:`NMEngine.index_csr`).
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -314,6 +315,7 @@ class NMEngine:
         config: EngineConfig,
         prebuilt: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         *,
+        csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
         cache_key: str | None = None,
     ) -> None:
         """Build (or adopt) the sparse index over ``dataset``.
@@ -321,8 +323,11 @@ class NMEngine:
         ``prebuilt`` short-circuits the expensive probability enumeration:
         it supplies already-computed ``(cells, rows, vals)`` entry triples
         (for example a cache payload) and the engine only runs the cheap
-        sort/segment post-processing.  The caller is responsible for the
-        triples matching ``(dataset, grid, config)``.
+        sort/segment post-processing.  ``csr`` adopts another engine's CSR
+        index (:meth:`index_csr`) as it is, without a copy: no engine
+        writes into installed index arrays, so engines can share them.
+        The caller is responsible for either matching ``(dataset, grid,
+        config)``.
 
         ``cache_key`` names the index-cache entry to load and save when
         ``config.cache_dir`` is set; by default it is the whole-dataset key.
@@ -331,7 +336,6 @@ class NMEngine:
         """
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
-        self.dataset = dataset
         self.grid = grid
         self.config = config
         self._floor = config.min_log_prob
@@ -339,12 +343,7 @@ class NMEngine:
         self._dtype = self._kernels.dtype
         self._arena = ScratchArena()
 
-        lengths = dataset.lengths()
-        self._lengths = lengths
-        self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        self._total_rows = int(lengths.sum())
-        _check_index_shape(self._total_rows, grid.n_cells)
-        self._row_traj = np.repeat(np.arange(len(dataset), dtype=np.int64), lengths)
+        self._set_dataset(dataset)
 
         self._column_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._valid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -354,7 +353,7 @@ class NMEngine:
         self.n_batches = 0  # batched-evaluation rounds (see nm_batch)
         self.index_cache_hit = False  # True when the index came from disk
         # Monotone counter bumped by every (re)install; in-place index
-        # mutation (incremental append/evict) must go through _install_index
+        # mutation (incremental append/evict) must go through _install_csr
         # so epoch-pinned consumers can detect staleness via require_epoch.
         self.index_epoch = 0
         self._cache_key = cache_key
@@ -374,10 +373,13 @@ class NMEngine:
         self._seg_traj = np.empty(0, dtype=np.int64)
         self._cell_seg_starts = np.empty(0, dtype=np.int64)
 
+        adopted = prebuilt is not None or csr is not None
         with tracing.span(
-            "index.build", prebuilt=prebuilt is not None
+            "index.build", prebuilt=adopted
         ) as span, metrics.timer("engine.index_build_ns"):
-            if prebuilt is not None:
+            if csr is not None:
+                self._install_csr(*csr)
+            elif prebuilt is not None:
                 self._install_index(*prebuilt)
             else:
                 self._build_index()
@@ -391,7 +393,7 @@ class NMEngine:
                 "n_trajectories": len(dataset),
                 "n_snapshots": self._total_rows,
                 "cache_hit": self.index_cache_hit,
-                "prebuilt": prebuilt is not None,
+                "prebuilt": adopted,
                 "backend": self._kernels.name,
                 "dtype": str(self._dtype),
             },
@@ -427,6 +429,11 @@ class NMEngine:
     def backend_dtype(self) -> str:
         """Value dtype of the evaluation kernels ("float64"/"float32")."""
         return str(self._dtype)
+
+    @property
+    def kernel_backend(self) -> kernels.KernelBackend:
+        """The kernel backend this engine resolved and evaluates on."""
+        return self._kernels
 
     # -- index construction ------------------------------------------------------
 
@@ -577,14 +584,23 @@ class NMEngine:
         if key is not None:
             index_cache.save_index(cache_dir, key, *self.index_arrays())
 
+    def index_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The engine's own CSR index ``(cell_ids, cell_bounds, rows, vals)``.
+
+        No copy: the arrays are never written after install (folds build
+        fresh ones), so another engine may adopt them through the ``csr``
+        constructor argument, and the incremental folds read them.
+        """
+        return self._cell_ids, self._cell_bounds, self._flat_rows, self._flat_vals
+
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flat ``(cells, rows, vals)`` entry triples, sorted by (cell, row).
 
         Built on demand from the CSR index: fresh ``int64`` cells and rows,
-        and the engine's own ``float64`` values, which no fold or install
-        ever writes to.  This is exactly the payload the index cache
-        persists; feeding it back through the ``prebuilt`` constructor
-        argument reproduces the engine's index bit-for-bit.
+        and the engine's own ``float64`` values.  This is exactly the
+        payload the index cache persists; feeding it back through the
+        ``prebuilt`` constructor argument reproduces the engine's index
+        bit-for-bit.
         """
         cells = np.repeat(
             self._cell_ids.astype(np.int64), np.diff(self._cell_bounds)
@@ -619,24 +635,28 @@ class NMEngine:
                 "the index was mutated in place under an active consumer"
             )
 
-    def replace_index(
+    def adopt_index(
         self,
         dataset: TrajectoryDataset,
-        cells: np.ndarray,
-        rows: np.ndarray,
-        vals: np.ndarray,
+        csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        """Adopt a new dataset plus matching entry triples, in place.
+        """Adopt a new dataset plus its CSR index, in place.
 
         This is the single mutation point the incremental maintenance layer
         (``repro.core.incremental``) goes through: it rewrites the
         dataset-shape state (lengths/starts/row->trajectory map) together
-        with the flat index so both change under one ``index_epoch`` bump.
-        The caller guarantees the triples were computed over ``dataset``
-        with this engine's grid and config.
+        with the index so both change under one ``index_epoch`` bump.  The
+        caller guarantees ``csr`` was computed over ``dataset`` with this
+        engine's grid and config.
         """
         if len(dataset) == 0:
             raise ValueError("cannot install an index over an empty dataset")
+        self._set_dataset(dataset)
+        self.index_cache_hit = False
+        self._install_csr(*csr)
+
+    def _set_dataset(self, dataset: TrajectoryDataset) -> None:
+        """The dataset and its row layout: lengths, starts, row owners."""
         lengths = dataset.lengths()
         _check_index_shape(int(lengths.sum()), self.grid.n_cells)
         self.dataset = dataset
@@ -646,8 +666,6 @@ class NMEngine:
         self._row_traj = np.repeat(
             np.arange(len(dataset), dtype=np.int64), lengths
         )
-        self.index_cache_hit = False
-        self._install_index(np.asarray(cells), np.asarray(rows), np.asarray(vals))
 
     def _install_index(
         self, cells: np.ndarray, rows: np.ndarray, vals: np.ndarray
@@ -656,10 +674,10 @@ class NMEngine:
 
         Idempotent over ordering: entries are keyed by unique (cell, row)
         pairs, so any permutation of the same triples installs identically.
-        Already-sorted input (a cache payload, an incremental merge) skips
-        the lexsort, keeping warm starts array-speed.  A repeated (cell,
-        row) pair, a cell outside the grid or a row outside the dataset
-        raises instead of installing.
+        Already-sorted input (a cache payload) skips the lexsort, keeping
+        warm starts array-speed.  A repeated (cell, row) pair, a cell
+        outside the grid or a row outside the dataset raises instead of
+        installing.
         """
         cells = np.ascontiguousarray(cells, dtype=np.int64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -700,6 +718,10 @@ class NMEngine:
         vals: np.ndarray,
     ) -> None:
         """Install a CSR index and derive every index structure from it."""
+        if not len(rows) == len(vals) == cell_bounds[-1]:
+            raise ValueError("CSR index arrays disagree in length")
+        if len(cell_ids) and (cell_ids[0] < 0 or cell_ids[-1] >= self.grid.n_cells):
+            raise ValueError(f"index entry cell outside [0, {self.grid.n_cells})")
         # Installing (or re-installing) invalidates everything derived
         # from the previous flat arrays.  _valid_cache keys on window width
         # but its payload is built from _row_traj/_lengths/_starts, which the

@@ -1,34 +1,36 @@
 """Incremental maintenance of the sparse NM index (append, evict, persist).
 
-The engine keeps its index CSR by cell; folds work on the three arrays
-sorted by ``(cell, row)`` that :meth:`NMEngine.index_arrays` builds on
-demand from it.  A full rebuild is a probability enumeration over every
-snapshot plus a sort by cell.  For a live report stream the delta per
-batch is tiny, so this module maintains the index without either cost:
+The engine keeps its index CSR by cell (:meth:`NMEngine.index_csr`:
+active cells, each cell's entry bounds, ``int32`` rows, ``float64``
+values, rows ascending within a cell).  A full rebuild is a probability
+enumeration over every snapshot plus a sort by cell.  For a live report
+stream the delta per batch is tiny, so this module maintains the CSR
+arrays directly, without either cost:
 
 * **Append** -- enumerate entries for the *new* trajectories only (a
-  throwaway engine over the delta, with rows offset past the existing
-  dataset), then splice them into the big sorted arrays with a single
-  ``np.searchsorted`` merge over composite ``cell * stride + row`` keys.
-  The merged arrays are presorted, so the engine's re-install skips the
-  lexsort entirely.
+  throwaway engine over the delta, rows offset past the existing
+  dataset), then splice them in per cell (:func:`append_csr`).  Every
+  appended row follows every existing row, so each cell's delta run goes
+  right after its base run: one boolean mask of delta positions and two
+  masked assignments place every entry, with no sort.
 * **Evict** -- sliding-window expiry drops the *oldest* trajectories.
   Because rows are assigned in dataset order, the expired snapshots are
-  exactly a prefix of the global row space: the inverse of the merge is a
-  mask-and-renumber (``rows >= cutoff`` keep, then ``rows - cutoff``),
-  which again yields presorted arrays.
+  exactly a prefix of the global row space, hence a prefix of every
+  cell's run: a per-cell prefix trim plus a renumber (:func:`evict_csr`).
 
 Both operations are bit-identical to a from-scratch build over the
 surviving trajectories (the oracle's ``incremental`` path and a hypothesis
 property test pin this at 0 ULP): per-row entry computation is independent
-of chunking and of neighbouring rows, and the merge/evict are
-permutation-free on already-sorted keys.
+of chunking and of neighbouring rows, and the splice and trim only move
+entries whose (cell, row) order is already the final one.
 
-Every mutation goes through :meth:`NMEngine.replace_index`, which rewrites
-the dataset-shape state together with the flat arrays under a single
+Every mutation goes through :meth:`NMEngine.adopt_index`, which rewrites
+the dataset-shape state together with the index under a single
 ``index_epoch`` bump -- epoch-pinned consumers (a miner mid-run) raise
 :class:`~repro.core.engine.StaleIndexError` instead of scoring a mix of
-index generations.
+index generations.  Folds allocate fresh arrays and never write into the
+ones they read, so an engine that shares an earlier generation's arrays
+(a published serving snapshot) stays frozen.
 """
 
 from __future__ import annotations
@@ -45,96 +47,92 @@ from repro.core.engine import NMEngine
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 
-__all__ = [
-    "IncrementalIndexer",
-    "collect_delta_entries",
-    "drop_leading_rows",
-    "merge_sorted_entries",
-]
+__all__ = ["IncrementalIndexer", "append_csr", "evict_csr"]
 
-_Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(cell_ids, cell_bounds, rows, vals)``, as :meth:`NMEngine.index_csr`.
+_CSR = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def collect_delta_entries(
-    trajectories: Sequence[UncertainTrajectory],
-    grid,
-    config,
-    row_offset: int,
-) -> _Entries:
-    """Index entries of ``trajectories`` alone, rows offset by ``row_offset``.
+def _delta_csr(
+    trajectories: Sequence[UncertainTrajectory], engine: NMEngine, row_offset: int
+) -> _CSR:
+    """CSR index of ``trajectories`` alone, rows offset by ``row_offset``.
 
-    A throwaway engine over just the delta computes them: per-row entry
+    A throwaway engine over just the delta computes it: per-row entry
     collection (cell neighbourhood, elementwise ``Prob``, per-snapshot cap)
-    never looks across rows, so the triples are bit-identical to the rows a
+    never looks across rows, so its entries are bit-identical to the rows a
     from-scratch build of the combined dataset would produce.  ``cache_dir``
     is stripped so the mini-build neither reads nor pollutes the on-disk
     index cache with a delta-sized payload.
     """
-    delta = TrajectoryDataset(list(trajectories))
-    mini = NMEngine(delta, grid, replace(config, cache_dir=None))
-    cells, rows, vals = mini.index_arrays()
-    return cells, rows + int(row_offset), vals
+    mini = NMEngine(
+        TrajectoryDataset(list(trajectories)),
+        engine.grid,
+        replace(engine.config, cache_dir=None),
+    )
+    cell_ids, cell_bounds, rows, vals = mini.index_csr()
+    return cell_ids, cell_bounds, rows + np.int32(row_offset), vals
 
 
-def merge_sorted_entries(
-    base: _Entries, delta: _Entries, n_rows: int
-) -> _Entries:
-    """Merge two (cell, row)-sorted entry triples into one sorted triple.
+def append_csr(base: _CSR, delta: _CSR, n_base_rows: int) -> _CSR:
+    """Splice ``delta``'s entries into ``base``'s, cell by cell.
 
-    ``n_rows`` must exceed every row id on either side; it is the stride of
-    the composite ``cell * n_rows + row`` sort key.  Keys are globally
-    unique -- each (cell, row) pair occurs at most once per side and the
-    incremental caller only feeds deltas whose rows are disjoint from the
-    base -- so one ``searchsorted`` places every delta entry and a scatter
-    builds the merged arrays without comparisons or a lexsort.  Falls back
-    to a concatenate-and-lexsort only if the composite key would overflow
-    int64 (astronomical grids).
+    ``base`` covers rows ``[0, n_base_rows)``; every ``delta`` row must
+    follow them.  Each cell's output run is then its base run followed by
+    its delta run, already in (cell, row) order.  The runs are placed with
+    one boolean mask of delta positions and two masked assignments per
+    array, so the only temporary beyond the output is 1 byte per entry.
     """
-    base_cells, base_rows, base_vals = base
-    delta_cells, delta_rows, delta_vals = delta
-    if not len(delta_cells):
+    base_ids, base_bounds, base_rows, base_vals = base
+    delta_ids, delta_bounds, delta_rows, delta_vals = delta
+    if not len(delta_rows):
         return base
-    if not len(base_cells):
+    if int(delta_rows.min()) < n_base_rows:
+        raise ValueError(
+            f"delta rows must follow the base's {n_base_rows} rows"
+        )
+    if not len(base_rows):
         return delta
-    stride = np.int64(n_rows)
-    max_cell = max(int(base_cells[-1]), int(delta_cells[-1]))
-    if (max_cell + 1) * int(stride) >= np.iinfo(np.int64).max:
-        cells = np.concatenate([base_cells, delta_cells])
-        rows = np.concatenate([base_rows, delta_rows])
-        vals = np.concatenate([base_vals, delta_vals])
-        order = np.lexsort((rows, cells))
-        return cells[order], rows[order], vals[order]
-    base_keys = base_cells * stride + base_rows
-    delta_keys = delta_cells * stride + delta_rows
-    positions = np.searchsorted(base_keys, delta_keys, side="left")
-    n_out = len(base_cells) + len(delta_cells)
-    delta_idx = positions + np.arange(len(delta_cells), dtype=np.int64)
-    base_mask = np.ones(n_out, dtype=bool)
-    base_mask[delta_idx] = False
-    out_cells = np.empty(n_out, dtype=np.int64)
-    out_rows = np.empty(n_out, dtype=np.int64)
-    out_vals = np.empty(n_out, dtype=np.float64)
-    out_cells[delta_idx] = delta_cells
-    out_cells[base_mask] = base_cells
-    out_rows[delta_idx] = delta_rows
-    out_rows[base_mask] = base_rows
-    out_vals[delta_idx] = delta_vals
-    out_vals[base_mask] = base_vals
-    return out_cells, out_rows, out_vals
+    # Not np.union1d: its first call imports numpy.ma inside the fold.
+    cell_ids = np.sort(np.concatenate([base_ids, delta_ids]))
+    cell_ids = cell_ids[np.append(True, cell_ids[1:] != cell_ids[:-1])]
+    runs = np.zeros((len(cell_ids), 2), dtype=np.int64)
+    runs[np.searchsorted(cell_ids, base_ids), 0] = np.diff(base_bounds)
+    runs[np.searchsorted(cell_ids, delta_ids), 1] = np.diff(delta_bounds)
+    cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
+    np.cumsum(runs.sum(axis=1), out=cell_bounds[1:])
+    n_out = int(cell_bounds[-1])
+    is_delta = np.repeat(
+        np.tile(np.array([False, True]), len(cell_ids)), runs.reshape(-1)
+    )
+    rows = np.empty(n_out, dtype=np.int32)
+    vals = np.empty(n_out, dtype=np.float64)
+    rows[is_delta] = delta_rows
+    vals[is_delta] = delta_vals
+    np.logical_not(is_delta, out=is_delta)
+    rows[is_delta] = base_rows
+    vals[is_delta] = base_vals
+    return cell_ids, cell_bounds, rows, vals
 
 
-def drop_leading_rows(entries: _Entries, n_dropped: int) -> _Entries:
-    """The merge run in reverse: expire the first ``n_dropped`` global rows.
+def evict_csr(csr: _CSR, n_dropped: int) -> _CSR:
+    """Expire the first ``n_dropped`` global rows: a per-cell prefix trim.
 
-    Filtering preserves (cell, row) order and the renumbering subtracts a
-    constant, so the result is still presorted -- the engine re-install
-    skips the lexsort exactly as it does for an append.
+    Rows ascend within a cell, so each cell loses a prefix of its run;
+    cells left empty drop out, and the survivors are renumbered by a
+    constant, so the result is still in (cell, row) order.
     """
-    cells, rows, vals = entries
-    if n_dropped <= 0:
-        return entries
+    cell_ids, cell_bounds, rows, vals = csr
+    if n_dropped <= 0 or not len(rows):
+        return csr
     keep = rows >= n_dropped
-    return cells[keep], rows[keep] - np.int64(n_dropped), vals[keep]
+    kept = np.add.reduceat(keep, cell_bounds[:-1], dtype=np.int64)
+    live = kept > 0
+    out_bounds = np.zeros(int(live.sum()) + 1, dtype=np.int64)
+    np.cumsum(kept[live], out=out_bounds[1:])
+    out_rows = rows[keep]
+    out_rows -= np.int32(n_dropped)
+    return cell_ids[live], out_bounds, out_rows, vals[keep]
 
 
 class IncrementalIndexer:
@@ -144,9 +142,10 @@ class IncrementalIndexer:
     append, the oldest trajectories beyond the window are evicted (FIFO,
     matching report-stream arrival order).  ``None`` keeps everything.
 
-    The engine's published snapshots stay safe to share: every fold
-    allocates *new* flat arrays and never writes into the ones a previous
-    ``index_arrays()`` caller may still hold.
+    Folds work on the engine's CSR arrays (:func:`append_csr`,
+    :func:`evict_csr`).  Engines built over an earlier generation with
+    ``NMEngine(..., csr=engine.index_csr())`` stay safe to share: every
+    fold allocates *new* arrays and never writes into the ones it read.
     """
 
     def __init__(self, engine: NMEngine, *, window: int | None = None) -> None:
@@ -171,14 +170,13 @@ class IncrementalIndexer:
         engine = self.engine
         old_dataset = engine.dataset
         row_offset = old_dataset.total_snapshots()
-        delta = collect_delta_entries(new, engine.grid, engine.config, row_offset)
+        delta = _delta_csr(new, engine, row_offset)
         merged_dataset = TrajectoryDataset(
             list(old_dataset) + new, metadata=old_dataset.metadata
         )
-        merged = merge_sorted_entries(
-            engine.index_arrays(), delta, merged_dataset.total_snapshots()
+        engine.adopt_index(
+            merged_dataset, append_csr(engine.index_csr(), delta, row_offset)
         )
-        engine.replace_index(merged_dataset, *merged)
         self.appends += 1
         self.rows_appended += merged_dataset.total_snapshots() - row_offset
         evicted = 0
@@ -200,11 +198,10 @@ class IncrementalIndexer:
                 "trajectories: the engine requires a non-empty dataset"
             )
         n_rows = int(old_dataset.lengths()[:n_trajectories].sum())
-        survived = drop_leading_rows(engine.index_arrays(), n_rows)
         surviving_dataset = TrajectoryDataset(
             list(old_dataset)[n_trajectories:], metadata=old_dataset.metadata
         )
-        engine.replace_index(surviving_dataset, *survived)
+        engine.adopt_index(surviving_dataset, evict_csr(engine.index_csr(), n_rows))
         self.evictions += 1
         self.rows_evicted += n_rows
         return self._stats(appended=0, evicted=n_trajectories)

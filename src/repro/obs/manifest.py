@@ -59,6 +59,25 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
+def process_gauges() -> dict[str, int | None]:
+    """Current resources of this process, read from ``/proc/self``.
+
+    ``rss_bytes`` is the resident set now (:func:`peak_rss_bytes` is the
+    high-water mark), ``open_fds`` and ``threads`` the live counts.  Each
+    is ``None`` where ``/proc/self`` does not exist.
+    """
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            resident_pages = int(fh.read().split()[1])
+        return {
+            "rss_bytes": resident_pages * os.sysconf("SC_PAGE_SIZE"),
+            "open_fds": len(os.listdir("/proc/self/fd")),
+            "threads": len(os.listdir("/proc/self/task")),
+        }
+    except OSError:
+        return {"rss_bytes": None, "open_fds": None, "threads": None}
+
+
 def peak_rss_children_bytes() -> int:
     """Peak resident set size among reaped child processes, in bytes.
 

@@ -116,11 +116,16 @@ class _LiveIngest:
     """The server's live mining state: one engine folded in place.
 
     Owns an :class:`IncrementalIndexer` over a private engine seeded from
-    the boot snapshot (eager dataset copy, index installed from the boot
-    engine's ``index_arrays()`` and sharing its values array -- folds
-    allocate fresh arrays, so the boot generation's index is never
-    written to).  All methods run on the server's single evaluation
-    thread; the event loop serialises ingest requests with a lock.
+    the boot snapshot: an eager dataset copy, and the boot engine's CSR
+    index arrays taken as they are.  Every republished engine likewise
+    takes the live engine's arrays without a copy.  Sharing is safe
+    because a fold allocates fresh arrays and never writes into the ones
+    it read, so a published generation's index stays frozen.  Each
+    republished pattern library keeps the boot snapshot's ``predict``
+    settings (``confirm_threshold``, ``min_prefix``) and evaluates on the
+    engine's kernel backend.  All methods run on the server's single
+    evaluation thread; the event loop serialises ingest requests with a
+    lock.
     """
 
     def __init__(
@@ -139,12 +144,14 @@ class _LiveIngest:
             dataset,
             snapshot.grid,
             engine_config,
-            prebuilt=snapshot.engine.index_arrays(),
+            csr=snapshot.engine.index_csr(),
         )
         self.indexer = IncrementalIndexer(engine, window=config.window)
         self.config = config
         self.cache_dir = cache_dir
         self.base_version = snapshot.version
+        self.confirm_threshold = snapshot.confirm_threshold
+        self.min_prefix = snapshot.min_prefix
         self.generation = 0
         self.batches = 0
         self.warm_state = None
@@ -183,15 +190,20 @@ class _LiveIngest:
             # Recomputes the content key over the *current* dataset -- an
             # in-place append must never overwrite the boot dataset's entry.
             self.indexer.persist(self.cache_dir)
-        # The published engine shares the live values array and holds its
-        # own int32 rows: the next fold replaces the live arrays wholesale
-        # instead of mutating them, so a published generation stays frozen.
+        # The published engine shares the live CSR arrays: the next fold
+        # replaces them wholesale instead of mutating them, so a published
+        # generation stays frozen.
         dataset = engine.dataset
         published = NMEngine(
-            dataset, engine.grid, engine.config, prebuilt=engine.index_arrays()
+            dataset, engine.grid, engine.config, csr=engine.index_csr()
         )
         library = PatternLibrary(
-            result.patterns, engine.grid, delta=engine.config.delta
+            result.patterns,
+            engine.grid,
+            delta=engine.config.delta,
+            confirm_threshold=self.confirm_threshold,
+            min_prefix=self.min_prefix,
+            kernels=published.kernel_backend,
         )
         snapshot = ServingSnapshot(
             f"{self.base_version}+g{self.generation}",
@@ -200,6 +212,8 @@ class _LiveIngest:
             published,
             library=library,
             source="<ingest>",
+            confirm_threshold=self.confirm_threshold,
+            min_prefix=self.min_prefix,
         )
         summary.update(
             republished=True,
@@ -215,14 +229,17 @@ class _LiveIngest:
         return summary, snapshot
 
     def stats(self) -> dict[str, Any]:
+        engine = self.indexer.engine
         return {
             "generation": self.generation,
             "batches": self.batches,
-            "n_trajectories": len(self.indexer.engine.dataset),
-            "total_snapshots": self.indexer.engine.dataset.total_snapshots(),
-            "index_epoch": self.indexer.engine.index_epoch,
+            "n_trajectories": len(engine.dataset),
+            "total_snapshots": engine.dataset.total_snapshots(),
+            "n_index_entries": engine.n_index_entries,
+            "index_epoch": engine.index_epoch,
             "appends": self.indexer.appends,
             "evictions": self.indexer.evictions,
+            "last_fold_s": self.indexer.last_fold_s,
             "last_mine_iterations": self.last_mine_iterations,
             "last_mine_s": self.last_mine_s,
         }
@@ -658,6 +675,7 @@ class PatternServer:
             "queue_depth": self._batcher.queue_depth,
             "batcher": self._batcher.stats.as_dict(),
             "rss_peak_bytes": manifest.peak_rss_bytes(),
+            **manifest.process_gauges(),
             "latency": self._latency_stats(),
             "ingest": (
                 self._ingest_state.stats()

@@ -90,6 +90,8 @@ class ServingSnapshot:
         "engine",
         "library",
         "delta",
+        "confirm_threshold",
+        "min_prefix",
         "owned_store",
         "_ref_lock",
         "_refs",
@@ -106,6 +108,8 @@ class ServingSnapshot:
         library: PatternLibrary | None = None,
         source: str = "<memory>",
         owned_store: Any | None = None,
+        confirm_threshold: float = 0.9,
+        min_prefix: int = 2,
     ) -> None:
         self.version = version
         self.dataset = dataset
@@ -113,6 +117,10 @@ class ServingSnapshot:
         self.engine = engine
         self.library = library
         self.delta = engine.config.delta
+        # The predict settings outlive a missing library: a live server
+        # builds every republished library with them.
+        self.confirm_threshold = confirm_threshold
+        self.min_prefix = min_prefix
         self.source = source
         # Resource lifecycle: a store-backed snapshot owns the open ``.tjc``
         # handle its lazy dataset reads through.  Dropping the snapshot
@@ -223,7 +231,8 @@ class ServingSnapshot:
         key (a content hash -- identical inputs get identical versions).
         ``backend`` / ``dtype`` pick the kernel backend the snapshot's
         engine evaluates on (serving defaults to ``"auto"``: compiled
-        when the machine has a toolchain, numpy otherwise).
+        when the machine has a toolchain, numpy otherwise); the pattern
+        library's confirmation ``Prob`` runs on the same backend.
         """
         if cell_size is None or delta is None:
             suggested = suggest_parameters(dataset)
@@ -259,6 +268,7 @@ class ServingSnapshot:
                 delta=delta,
                 confirm_threshold=confirm_threshold,
                 min_prefix=min_prefix,
+                kernels=engine.kernel_backend,
             )
         snapshot = cls(
             version,
@@ -268,6 +278,8 @@ class ServingSnapshot:
             library=library,
             source=source,
             owned_store=owned_store,
+            confirm_threshold=confirm_threshold,
+            min_prefix=min_prefix,
         )
         _log.info(
             "snapshot built",

@@ -128,7 +128,8 @@ def render_stats_frame(
     lines = [
         f"repro top — snapshot {stats.get('version', '?')}"
         f" (swaps: {stats.get('swaps', 0)})"
-        f"  uptime {uptime:.0f}s  rss {_fmt_bytes(stats.get('rss_peak_bytes'))}",
+        f"  uptime {uptime:.0f}s  rss {_fmt_bytes(stats.get('rss_bytes'))}"
+        f" (peak {_fmt_bytes(stats.get('rss_peak_bytes'))})",
         f"  requests {served}  qps {qps_label}"
         f"  queue depth {stats.get('queue_depth', 0)}"
         + (f"  reconnects {reconnects}" if reconnects else ""),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.apps.confirm import ConfirmationIndex
+from repro.core import kernels
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
@@ -158,6 +159,38 @@ def test_vote_matches_scalar_accumulation(grid, patterns):
             assert votes[cell] == pytest.approx(ref[cell], rel=1e-15)
         nonempty += bool(votes)
     assert nonempty, "no trial produced votes -- test is vacuous"
+
+
+def test_compiled_backend_agrees_with_the_reference(grid, patterns):
+    """The serving path's C box-Prob kernel (libm erf) vs the scipy default."""
+    reason = kernels.compiled_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"compiled backend unavailable: {reason}")
+    compiled = kernels.resolve_backend("compiled")
+    reference = ConfirmationIndex(patterns, grid, min_prefix=2)
+    native = ConfirmationIndex(patterns, grid, min_prefix=2, kernels=compiled)
+    rng = np.random.default_rng(11)
+    confirmed = voted = 0
+    for trial in range(200):
+        history = rng.uniform(-1.0, 1.0, size=(rng.integers(2, 9), 2))
+        sigma = float(rng.uniform(0.05, 0.3))
+        delta_eff = float(rng.uniform(0.2, 0.9))
+        threshold = float(rng.uniform(0.1, 0.6))
+        args = (history, sigma, delta_eff, ProbModel.BOX)
+        conf, valid = native.confidences(*args)
+        ref_conf, ref_valid = reference.confidences(*args)
+        np.testing.assert_array_equal(valid, ref_valid)
+        np.testing.assert_allclose(conf[valid], ref_conf[valid], rtol=1e-13, atol=0.0)
+        best = native.best_candidate(*args, threshold)
+        assert best == reference.best_candidate(*args, threshold)
+        votes = native.vote(*args, threshold)
+        ref_votes = reference.vote(*args, threshold)
+        assert votes.keys() == ref_votes.keys()
+        for cell, weight in ref_votes.items():
+            assert votes[cell] == pytest.approx(weight, rel=1e-13, abs=0.0)
+        confirmed += best is not None
+        voted += bool(votes)
+    assert confirmed and voted, "no trial confirmed anything -- test is vacuous"
 
 
 def test_empty_library_yields_no_candidates(grid):

@@ -106,6 +106,51 @@ def test_grouping_mine_loads_no_scipy():
     assert result["scipy"] == []
 
 
+def test_served_predict_loads_no_scipy():
+    """A compiled server confirms ``predict`` on the C box-Prob kernel."""
+    reason = kernels.compiled_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"compiled backend unavailable: {reason}")
+    result = _run(
+        """
+        import json, os, sys, tempfile
+        import numpy as np
+        from repro.core.pattern import TrajectoryPattern
+        from repro.core.results_io import save_mining_result
+        from repro.core.trajpattern import MinerStats, MiningResult
+        from repro.geometry.bbox import BoundingBox
+        from repro.geometry.grid import Grid
+        from repro.serve.server import _PredictWork, _evaluate_predict_batch
+        from repro.serve.snapshot import ServingSnapshot
+        from repro.testkit.datasets import seeded_dataset
+        # One velocity pattern; each history's velocities are its prefix.
+        vgrid = Grid(BoundingBox(-0.5, -0.5, 0.5, 0.5), nx=10, ny=10)
+        velocities = [(0.05, 0.05), (0.15, 0.05), (0.05, 0.15)]
+        cells = tuple(vgrid.locate(*v) for v in velocities)
+        result = MiningResult(patterns=[TrajectoryPattern(cells)],
+                              nm_values=[1.0], omega=0.0, stats=MinerStats())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "patterns.json")
+            save_mining_result(result, vgrid, path)
+            snapshot = ServingSnapshot.from_dataset(
+                seeded_dataset(101), patterns_path=path, cell_size=0.05,
+                delta=0.05, backend="compiled", confirm_threshold=0.5)
+        prefix = np.cumsum([(0.0, 0.0)] + velocities[:2], axis=0)
+        works = [_PredictWork(snapshot, prefix + offset, 0.001)
+                 for offset in np.linspace(-1.0, 1.0, 8)]
+        answers = _evaluate_predict_batch(works, "lm")
+        print(json.dumps({
+            "backend": snapshot.engine.backend_name,
+            "sources": [source for _, source in answers],
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        }))
+        """
+    )
+    assert result["backend"] != "numpy"
+    assert result["sources"] == ["pattern"] * 8
+    assert result["scipy"] == []
+
+
 def test_numpy_backend_loads_scipy_special_at_first_build():
     result = _run(
         """

@@ -1,29 +1,33 @@
 """Incremental index maintenance: append/evict folds vs from-scratch builds.
 
 The contract under test is *bit identity*: after any interleaving of
-appends and sliding-window evictions, the live engine's flat index arrays
--- and therefore every NM/match it will ever compute -- must equal a
+appends and sliding-window evictions, the live engine's index arrays --
+and therefore every NM/match it will ever compute -- must equal a
 from-scratch :class:`NMEngine` build over the surviving trajectories
 exactly, not approximately.  Hypothesis drives the interleavings; the
-fixed tests pin the merge/evict primitives, the epoch-staleness guard and
-the warm-started miner's exactness.
+fixed tests pin the CSR splice/trim primitives, the sharing of index
+arrays between engines, the memory of one fold, the epoch-staleness
+guard and the warm-started miner's exactness.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import index_cache
+from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, NMEngine, StaleIndexError
 from repro.core.incremental import (
     IncrementalIndexer,
-    collect_delta_entries,
-    drop_leading_rows,
-    merge_sorted_entries,
+    _delta_csr,
+    append_csr,
+    evict_csr,
 )
+from repro.core.pattern import TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.experiments.datasets import zebranet_dataset
 from repro.trajectory.dataset import TrajectoryDataset
@@ -52,92 +56,76 @@ def _assert_same_index(engine, trajectories, grid):
         np.testing.assert_array_equal(a, b, err_msg=f"{name} diverged")
 
 
+def _csr(cells, rows, vals):
+    """CSR form ``(cell_ids, cell_bounds, rows, vals)`` of entry triples."""
+    order = np.lexsort((rows, cells))
+    cells, rows, vals = cells[order], rows[order], vals[order]
+    cell_ids, counts = np.unique(cells, return_counts=True)
+    bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return cell_ids.astype(np.int32), bounds, rows.astype(np.int32), vals
+
+
+def _assert_same_csr(got, want):
+    for name, a, b in zip(("cell_ids", "cell_bounds", "rows", "vals"), got, want):
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=f"{name} diverged")
+
+
 class TestMergePrimitives:
+    @staticmethod
+    def _entries(rng, n, rows_lo, rows_hi):
+        """Random entry triples, unique per (cell, row)."""
+        keys = rng.choice(25 * (rows_hi - rows_lo), size=n, replace=False)
+        cells = keys // (rows_hi - rows_lo)
+        rows = rows_lo + keys % (rows_hi - rows_lo)
+        return cells, rows, -rng.uniform(0.1, 5.0, n)
+
     def test_merge_equals_lexsort_of_concatenation(self):
         rng = np.random.default_rng(5)
-        n_rows = 40
-
-        def sorted_entries(n, rows_lo, rows_hi):
-            cells = rng.integers(0, 25, n)
-            rows = rng.integers(rows_lo, rows_hi, n)
-            # make (cell, row) unique per side
-            seen, keep = set(), []
-            for i, (c, r) in enumerate(zip(cells, rows)):
-                if (c, r) not in seen:
-                    seen.add((c, r))
-                    keep.append(i)
-            cells, rows = cells[keep], rows[keep]
-            order = np.lexsort((rows, cells))
-            vals = -rng.uniform(0.1, 5.0, len(keep))
-            return (
-                cells[order].astype(np.int64),
-                rows[order].astype(np.int64),
-                vals,
-            )
-
-        base = sorted_entries(60, 0, 30)
-        delta = sorted_entries(25, 30, n_rows)  # disjoint row range
-        merged = merge_sorted_entries(base, delta, n_rows)
-        cells = np.concatenate([base[0], delta[0]])
-        rows = np.concatenate([base[1], delta[1]])
-        vals = np.concatenate([base[2], delta[2]])
-        order = np.lexsort((rows, cells))
-        np.testing.assert_array_equal(merged[0], cells[order])
-        np.testing.assert_array_equal(merged[1], rows[order])
-        np.testing.assert_array_equal(merged[2], vals[order])
+        base = self._entries(rng, 60, 0, 30)
+        delta = self._entries(rng, 25, 30, 40)  # rows follow the base's
+        merged = append_csr(_csr(*base), _csr(*delta), 30)
+        both = [np.concatenate([b, d]) for b, d in zip(base, delta)]
+        _assert_same_csr(merged, _csr(*both))
 
     def test_merge_empty_sides_are_identity(self):
-        empty = (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.float64),
-        )
-        side = (
-            np.array([1, 2], np.int64),
-            np.array([0, 1], np.int64),
-            np.array([-1.0, -2.0]),
-        )
-        assert merge_sorted_entries(side, empty, 2) == side
-        assert merge_sorted_entries(empty, side, 2) == side
+        empty = _csr(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        side = _csr(np.array([1, 2]), np.array([0, 1]), np.array([-1.0, -2.0]))
+        assert append_csr(side, empty, 2) is side
+        assert append_csr(empty, side, 0) is side
 
-    def test_overflow_guard_falls_back_to_lexsort(self):
-        # cell ids large enough that cell * n_rows overflows int64
-        huge = np.int64(2**40)
-        base = (np.array([huge], np.int64), np.array([0], np.int64), np.array([-1.0]))
-        delta = (
-            np.array([huge - 1], np.int64),
-            np.array([1], np.int64),
-            np.array([-2.0]),
-        )
-        merged = merge_sorted_entries(base, delta, 2**25)
-        np.testing.assert_array_equal(merged[0], [huge - 1, huge])
-        np.testing.assert_array_equal(merged[1], [1, 0])
+    def test_merge_rejects_delta_rows_inside_the_base(self):
+        base = _csr(np.array([1, 2]), np.array([0, 3]), np.array([-1.0, -2.0]))
+        delta = _csr(np.array([1]), np.array([3]), np.array([-3.0]))
+        with pytest.raises(ValueError, match="follow"):
+            append_csr(base, delta, 4)
 
     def test_drop_leading_rows_filters_and_renumbers(self):
-        entries = (
-            np.array([0, 0, 3, 7], np.int64),
-            np.array([1, 4, 2, 3], np.int64),
-            np.array([-1.0, -2.0, -3.0, -4.0]),
+        csr = _csr(
+            np.array([0, 0, 3, 7, 9]),
+            np.array([1, 4, 2, 3, 0]),
+            np.array([-1.0, -2.0, -3.0, -4.0, -5.0]),
         )
-        cells, rows, vals = drop_leading_rows(entries, 2)
-        np.testing.assert_array_equal(cells, [0, 3, 7])
+        cell_ids, bounds, rows, vals = evict_csr(csr, 2)
+        # Cell 9's only entry expired, so the cell drops out.
+        np.testing.assert_array_equal(cell_ids, [0, 3, 7])
+        np.testing.assert_array_equal(bounds, [0, 1, 2, 3])
         np.testing.assert_array_equal(rows, [2, 0, 1])
         np.testing.assert_array_equal(vals, [-2.0, -3.0, -4.0])
-        assert drop_leading_rows(entries, 0) == entries
+        assert rows.dtype == np.int32
+        assert evict_csr(csr, 0) is csr
 
-    def test_collect_delta_entries_matches_fresh_rows(self, pool):
+    def test_delta_entries_match_fresh_rows(self, pool):
         trajectories, grid = pool
         base, extra = trajectories[:4], trajectories[4:6]
-        offset = TrajectoryDataset(base).total_snapshots()
-        cells, rows, vals = collect_delta_entries(extra, grid, CONFIG, offset)
-        assert rows.min() >= offset
+        engine = NMEngine(TrajectoryDataset(base), grid, CONFIG)
+        offset = engine.dataset.total_snapshots()
+        delta = _delta_csr(extra, engine, offset)
+        assert delta[2].min() >= offset
         # The same rows appear (row-shifted) in the combined fresh build.
         full = _fresh_arrays(base + extra, grid)
         mask = full[1] >= offset
-        order = np.lexsort((rows, cells))
-        np.testing.assert_array_equal(cells[order], full[0][mask])
-        np.testing.assert_array_equal(rows[order], full[1][mask])
-        np.testing.assert_array_equal(vals[order], full[2][mask])
+        _assert_same_csr(delta, _csr(full[0][mask], full[1][mask], full[2][mask]))
 
 
 class TestIncrementalIndexer:
@@ -172,8 +160,6 @@ class TestIncrementalIndexer:
         engine = NMEngine(TrajectoryDataset(trajectories[:6]), grid, CONFIG)
         IncrementalIndexer(engine, window=7).append(trajectories[6:10])
         fresh = NMEngine(TrajectoryDataset(trajectories[3:10]), grid, CONFIG)
-        from repro.core.pattern import TrajectoryPattern
-
         cells = fresh.active_cells
         patterns = [
             TrajectoryPattern((int(cells[0]), int(cells[1]))),
@@ -185,6 +171,63 @@ class TestIncrementalIndexer:
         np.testing.assert_array_equal(
             engine.match_batch(patterns), fresh.match_batch(patterns)
         )
+
+    def test_append_leaves_published_arrays_unchanged(self, pool):
+        trajectories, grid = pool
+        engine = NMEngine(TrajectoryDataset(trajectories[:6]), grid, CONFIG)
+        published = NMEngine(
+            engine.dataset, grid, CONFIG, csr=engine.index_csr()
+        )
+        before = [a.tobytes() for a in published.index_csr()]
+        patterns = [TrajectoryPattern((c,)) for c in published.active_cells[:5]]
+        nm_before = published.nm_batch(patterns)
+        indexer = IncrementalIndexer(engine, window=7)
+        indexer.append(trajectories[6:9])
+        indexer.evict(1)
+        assert [a.tobytes() for a in published.index_csr()] == before
+        np.testing.assert_array_equal(published.nm_batch(patterns), nm_before)
+        _assert_same_index(published, trajectories[:6], grid)
+
+    def test_live_and_published_engines_share_their_source_arrays(self, pool):
+        from repro.serve import ServingSnapshot
+        from repro.serve.server import IngestConfig, _LiveIngest
+
+        trajectories, _ = pool
+        boot = ServingSnapshot.from_dataset(
+            TrajectoryDataset(trajectories[:8]), version="v-share"
+        )
+        live = _LiveIngest(boot, IngestConfig(k=3), None)
+        engine = live.indexer.engine
+        for mine, source in zip(engine.index_csr(), boot.engine.index_csr()):
+            assert mine is source
+        for wave in (trajectories[8:10], trajectories[10:12]):
+            _, snapshot = live.fold(wave)
+            for mine, source in zip(snapshot.engine.index_csr(), engine.index_csr()):
+                assert np.shares_memory(mine, source)
+
+    def test_append_traced_peak_per_entry(self):
+        """One fold allocates ~14 B per base entry: the output CSR and a mask.
+
+        On the compiled backend, whose segmentation is one pass; the numpy
+        reference segmentation adds ~17 B per entry of temporaries.
+        """
+        reason = kernels.compiled_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"compiled backend unavailable: {reason}")
+        trajectories = list(zebranet_dataset(n_trajectories=52, n_ticks=60, seed=5))
+        grid = TrajectoryDataset(trajectories).make_grid(0.01)
+        config = EngineConfig(delta=0.01, min_prob=1e-6, backend="compiled")
+        engine = NMEngine(TrajectoryDataset(trajectories[:50]), grid, config)
+        n_base = engine.n_index_entries
+        assert n_base >= 300_000
+        indexer = IncrementalIndexer(engine)
+        tracemalloc.start()
+        try:
+            indexer.append(trajectories[50:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_base <= 20.0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -223,7 +266,7 @@ class TestIncrementalIndexer:
 
 
 class TestEpochStaleness:
-    def test_replace_index_bumps_epoch_and_stale_check_raises(self, pool):
+    def test_fold_bumps_epoch_and_stale_check_raises(self, pool):
         trajectories, grid = pool
         engine = NMEngine(TrajectoryDataset(trajectories[:4]), grid, CONFIG)
         pinned = engine.index_epoch

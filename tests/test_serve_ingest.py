@@ -15,6 +15,7 @@ Three layers under test:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.serve import (
 )
 from repro.storage import write_store
 from repro.trajectory.dataset import TrajectoryDataset
+from repro.trajectory.io import save_dataset_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +221,10 @@ class TestIngestOp:
         assert second["generation"] == 2
         assert current.version == "v-ingest+g2"
         assert current.library is not None
-        assert stats["stats"]["ingest"]["batches"] == 2
+        ingest = stats["stats"]["ingest"]
+        assert ingest["batches"] == 2
+        assert ingest["n_index_entries"] == current.engine.n_index_entries
+        assert ingest["last_fold_s"] > 0.0
 
         # The republished top-k must equal a from-scratch mine, exactly.
         fresh = NMEngine(
@@ -228,6 +233,34 @@ class TestIngestOp:
         expected = TrajPatternMiner(fresh, k=4).mine()
         got = [(tuple(e["cells"]), e["nm"]) for e in second["top_k"]]
         assert got == [(p.cells, nm) for p, nm in expected.as_pairs()]
+
+    def test_republished_library_keeps_boot_predict_settings(self, pool, tmp_path):
+        save_dataset_jsonl(TrajectoryDataset(pool[:8]), tmp_path / "dataset.jsonl")
+        (tmp_path / "serve.json").write_text(
+            json.dumps({"confirm_threshold": 0.5, "min_prefix": 3})
+        )
+        boot = ServingSnapshot.load(tmp_path)
+        assert boot.library is None  # no patterns.json
+
+        async def scenario():
+            store = SnapshotStore(boot)
+            server = PatternServer(
+                store, ServeConfig(), ingest=IngestConfig(k=4, remine_every=1)
+            )
+            host, port = await server.start()
+            client = await _Client.connect(host, port)
+            response = await client.request(
+                {"op": "ingest", "id": 1, "reports": _reports(pool[8:11])}
+            )
+            await client.close()
+            await server.stop()
+            return response, store.current
+
+        response, current = asyncio.run(scenario())
+        assert response["republished"]
+        library = current.library
+        assert (library.confirm_threshold, library.min_prefix) == (0.5, 3)
+        assert (current.confirm_threshold, current.min_prefix) == (0.5, 3)
 
     def test_remine_cadence_skips_intermediate_batches(self, snapshot, pool):
         config = IngestConfig(k=3, remine_every=2)

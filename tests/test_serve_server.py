@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 import numpy as np
 import pytest
@@ -160,7 +161,13 @@ def test_admin_ops_and_unknown_op(snapshot):
     assert out["health"]["ok"] and out["health"]["status"] == "ok"
     assert out["health"]["version"] == "v-base"
     assert out["stats"]["ok"]
-    assert out["stats"]["stats"]["queue_depth"] == 0
+    stats = out["stats"]["stats"]
+    assert stats["queue_depth"] == 0
+    if os.path.isdir("/proc/self"):
+        assert stats["rss_bytes"] > 0 and stats["rss_peak_bytes"] > 0
+        assert stats["open_fds"] > 0 and stats["threads"] >= 1
+    else:
+        assert stats["rss_bytes"] is None and stats["open_fds"] is None
     describe = out["describe"]
     assert describe["grid"]["n_cells"] == snapshot.grid.n_cells
     assert describe["sample_active_cells"]

@@ -87,6 +87,13 @@ class TestStatsFrame:
         assert "score" in frame and "11.00ms" in frame
         assert "aaaa1111" in frame  # tail-trace exemplars surface
 
+    def test_shows_current_and_peak_rss(self):
+        frame = render_stats_frame(dict(_STATS, rss_bytes=96 << 20), None, None)
+        assert "rss 96.0MiB (peak 256.0MiB)" in frame
+        # Without /proc/self the current gauge is None.
+        frame = render_stats_frame(dict(_STATS, rss_bytes=None), None, None)
+        assert "rss - (peak 256.0MiB)" in frame
+
     def test_delta_qps_between_frames(self):
         prev = dict(_STATS, requests_served=1000)
         frame = render_stats_frame(_STATS, prev, 2.0)
