@@ -37,18 +37,19 @@ def test_bench_engine_index_build(benchmark, dataset):
 def test_bench_engine_index_entries_scalar(benchmark, engine):
     """Reference per-snapshot collection loop, kept for perf comparison."""
     benchmark.group = "engine"
-    cells, _, _ = benchmark.pedantic(
+    _, _, rows, _ = benchmark.pedantic(
         engine._collect_index_entries_scalar, rounds=3, iterations=1
     )
-    assert sum(len(c) for c in cells) == engine.n_index_entries
+    assert len(rows) == engine.n_index_entries
 
 
 def test_bench_engine_index_entries_vectorised(benchmark, engine):
+    """Capacity pass, fill and compaction straight into the CSR index."""
     benchmark.group = "engine"
-    cells, _, _ = benchmark.pedantic(
+    _, _, rows, _ = benchmark.pedantic(
         engine._collect_index_entries, rounds=3, iterations=1
     )
-    assert sum(len(c) for c in cells) == engine.n_index_entries
+    assert len(rows) == engine.n_index_entries
 
 
 def test_bench_engine_nm_evaluation(benchmark, engine):

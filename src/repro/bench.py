@@ -219,23 +219,16 @@ def _gap_frontier(engine, n: int, seed: int = 13) -> list[GapPattern]:
     return out
 
 
-def _enumerated_pairs(dataset, grid, config) -> int:
-    """(snapshot, cell) pairs an index build of ``config`` evaluates."""
-    sigmas = dataset.all_sigmas()
-    radii = config.effective_radius_sigmas() * sigmas + config.delta
-    cells, _ = grid.cells_near_many(dataset.all_means(), radii)
-    return int(len(cells))
-
-
 def bench_kernel_backends(rounds: int) -> dict:
     """Throughput of every kernel backend x dtype on the engine workload.
 
     Three axes per combination, all on the standard engine workload:
 
     * ``index_build_s`` -- a cold :class:`NMEngine` construction with the
-      index cache off: neighbourhood enumeration, ``Prob``, the entry
-      sort and the install.  ``index_pairs`` (snapshot, cell) pairs are
-      enumerated and ``index_entries`` of them kept;
+      index cache off: the capacity pass, neighbourhood enumeration,
+      ``Prob``, the fill and compaction, and the install.
+      ``index_pairs`` (snapshot, cell) pairs are enumerated (the build's
+      capacity) and ``index_entries`` of them kept;
       ``index_pairs_per_s`` / ``index_entries_per_s`` divide each by the
       build time.
     * ``eval_s`` / ``eval_candidates_per_s`` -- one mixed-length frontier
@@ -278,7 +271,7 @@ def bench_kernel_backends(rounds: int) -> dict:
             ]
             gap_frontier = _gap_frontier(engine, KERNEL_N_GAP_PATTERNS)
         build_s, _ = _best_of(lambda: NMEngine(dataset, grid, config), rounds)
-        n_pairs = _enumerated_pairs(dataset, grid, config)
+        n_pairs = engine.n_index_pairs
         eval_s, values = _best_of(lambda: engine.nm_batch(candidates), rounds)
         gap_s, gap_values = _best_of(
             lambda: [nm_gap_pattern(engine, gp) for gp in gap_frontier], rounds

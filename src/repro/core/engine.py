@@ -34,22 +34,25 @@ of numpy operations over the whole dataset:
    scratch matrix fits ``_BATCH_SCORE_BUDGET``.  The miner and both
    baselines evaluate their candidates through this path.
 
-The index itself is built fully vectorised: all snapshot neighbourhoods are
-enumerated with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call
-per row chunk and ``Prob`` is evaluated over the concatenated (snapshot,
-cell) pairs in bounded-size chunks, instead of per-snapshot Python
-iteration.  The kept entries arrive in ascending row order, 16 bytes each
-(``int32`` cell and row, ``float64`` value); the kernel backend puts them
-in (cell, row) order straight into CSR form -- a stable ``argsort`` by
-cell in the numpy reference, a counting sort by cell in the compiled
-backend -- so no per-entry cell array outlives the sort, and segments
-them at every (cell, trajectory) change.  The compiled box ``Prob``
-kernel also reuses each axis mass along a snapshot's row-major cell
-block.  Every backend installs exactly the same index arrays from the
-same entries.  :meth:`NMEngine.index_arrays` rebuilds the classic
-``int64`` (cell, row, value) triples on demand for the index cache; the
-incremental folds and engines that share an index take the CSR arrays
-as they are (:meth:`NMEngine.index_csr`).
+The index itself is built fully vectorised, straight into its CSR arrays.
+A capacity pass first counts each cell's (snapshot, cell) pairs from the
+snapshots' neighbourhood boxes
+(:meth:`~repro.geometry.grid.Grid.cells_near_counts`, which lists no
+pair), and the rows and values are allocated at that capacity, one run
+per cell.  Then all snapshot neighbourhoods of a row chunk are enumerated
+with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call, ``Prob``
+is evaluated over the concatenated pairs in bounded-size chunks, and the
+kernel backend scatters the kept entries into their cells' runs in
+ascending row order.  Moving the runs left closes the gaps the rejected
+pairs leave, and both arrays shrink in place to the entry count; the
+backend then segments them at every (cell, trajectory) change.  The
+compiled box ``Prob`` kernel also reuses each axis mass along a
+snapshot's row-major cell block.  Every backend installs exactly the
+same index arrays from the same entries.  :meth:`NMEngine.index_arrays`
+rebuilds the classic ``int64`` (cell, row, value) triples on demand; the
+index cache writes the same triples from the CSR arrays in bounded
+blocks, and the incremental folds and engines that share an index take
+the CSR arrays as they are (:meth:`NMEngine.index_csr`).
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -78,9 +81,11 @@ from repro.uncertainty.gaussian import ProbModel, prob_within
 
 #: Snapshots enumerated per vectorised index-build round.  It bounds the
 #: in-flight (snapshot, cell) pair arrays -- neighbourhood cells and owners,
-#: gathered means, cell centres and probabilities.  At 2048 rows they stay
-#: below the sort's peak (16-byte entry chunks plus the 12-byte CSR); at
-#: 8192 they set the build's peak (see TestBuildMemory).
+#: gathered means, cell centres and probabilities, ~60 bytes per pair --
+#: which are the build's largest transient after the 12-byte-per-pair
+#: capacity the rows and values are filled into (see TestBuildMemory).
+#: 1024 rows lower the serve-score benchmark herd's traced build peak by
+#: 2.9 MiB at 4-10 ms more build time.
 _INDEX_ROW_CHUNK = 2048
 #: Default (snapshot, cell) pairs evaluated per ``prob_within`` call; the
 #: live value is the ``EngineConfig.prob_chunk_size`` knob (see
@@ -122,6 +127,36 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     n, width = matrix.shape
     flat = np.ascontiguousarray(matrix).reshape(-1)
     return np.add.reduceat(flat, np.arange(0, n * width, width))
+
+
+def _fill_csr(backend, capacity: np.ndarray, chunks) -> tuple[np.ndarray, ...]:
+    """A CSR index ``(cell_ids, cell_bounds, rows, vals)`` filled from chunks.
+
+    ``capacity`` bounds each grid cell's entry count (``int64``, one per
+    cell) and ``chunks`` yields ``(cells, rows, vals)`` entry chunks --
+    ``int32``, ``int32``, ``float64`` -- in ascending row order.  Rows and
+    values are allocated at ``capacity.sum()``, one run per cell; the
+    kernel backend scatters each chunk into its cells' runs and, once all
+    are placed, moves the runs left to close the gaps.  Both arrays then
+    shrink in place to the entry count (a ``realloc``: nothing holds a view
+    of them yet).
+    """
+    bounds = np.zeros(len(capacity) + 1, dtype=np.int64)
+    np.cumsum(capacity, out=bounds[1:])
+    rows = np.empty(int(bounds[-1]), dtype=np.int32)
+    vals = np.empty(int(bounds[-1]), dtype=np.float64)
+    cursor = bounds[:-1].copy()
+    for chunk in chunks:
+        backend.scatter_entries(*chunk, bounds, cursor, rows, vals)
+        del chunk  # freed before the next chunk enumerates its pairs
+    n = backend.compact_entries(bounds, cursor, rows, vals)
+    rows.resize(n, refcheck=False)
+    vals.resize(n, refcheck=False)
+    counts = np.subtract(cursor, bounds[:-1], out=cursor)
+    cell_ids = np.flatnonzero(counts)
+    cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
+    np.cumsum(counts[cell_ids], out=cell_bounds[1:])
+    return cell_ids.astype(np.int32), cell_bounds, rows, vals
 
 
 def _check_index_shape(n_rows: int, n_cells: int) -> None:
@@ -352,6 +387,9 @@ class NMEngine:
         self.n_evaluations = 0  # instrumentation for the scalability benches
         self.n_batches = 0  # batched-evaluation rounds (see nm_batch)
         self.index_cache_hit = False  # True when the index came from disk
+        # (snapshot, cell) pairs the cold build enumerated -- its capacity;
+        # 0 when the index was adopted or loaded.
+        self.n_index_pairs = 0
         # Monotone counter bumped by every (re)install; in-place index
         # mutation (incremental append/evict) must go through _install_csr
         # so epoch-pinned consumers can detect staleness via require_epoch.
@@ -384,6 +422,7 @@ class NMEngine:
             else:
                 self._build_index()
             span.set_attr("n_entries", self.n_index_entries)
+            span.set_attr("n_pairs", self.n_index_pairs)
             span.set_attr("cache_hit", self.index_cache_hit)
         metrics.counter(f"engine.backend.{self._kernels.name}").inc()
         _log.debug(
@@ -421,6 +460,18 @@ class NMEngine:
         return int(len(self._flat_rows))
 
     @property
+    def index_nbytes(self) -> int:
+        """Bytes the installed index holds: its CSR and segment arrays, and
+        the kernels' value copy when it is not the stored values."""
+        arrays = [
+            self._cell_ids, self._cell_bounds, self._flat_rows, self._flat_vals,
+            self._seg_starts, self._seg_traj, self._cell_seg_starts,
+        ]  # fmt: skip
+        if self._flat_vals_k is not self._flat_vals:
+            arrays.append(self._flat_vals_k)
+        return int(sum(a.nbytes for a in arrays))
+
+    @property
     def backend_name(self) -> str:
         """The kernel implementation actually running ("numpy"/"cnative")."""
         return str(self._kernels.name)
@@ -437,92 +488,112 @@ class NMEngine:
 
     # -- index construction ------------------------------------------------------
 
-    def _collect_index_entries(
-        self,
-    ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-        """Above-floor (cell, row, log-prob) triples, fully vectorised.
+    def _row_chunks(self):
+        """``(lo, means, sigmas, radii)`` of each ``_INDEX_ROW_CHUNK`` rows.
 
-        All snapshot neighbourhoods of a row chunk are enumerated with one
-        :meth:`~repro.geometry.grid.Grid.cells_near_many` call and ``Prob``
-        is evaluated over the concatenated (snapshot, cell) pairs in bounded
-        chunks of ``config.prob_chunk_size`` pairs, through the configured
-        kernel backend; only the (rare) per-snapshot cap falls back to a
-        Python loop over the few snapshots that exceed it.  Each row chunk
-        yields ``int32`` cells, ``int32`` rows and ``float64`` values, 16
-        bytes per entry, in ascending row order.
+        ``radii`` are the half-widths of the snapshots' neighbourhood
+        boxes.  Eager datasets already hold dense columns; slicing views
+        is free.  Store-backed datasets instead decode each row chunk on
+        demand, so an out-of-core build never materialises the full span
+        -- peak RSS stays O(_INDEX_ROW_CHUNK + entries).
         """
         cfg = self.config
         radius_sigmas = cfg.effective_radius_sigmas()
-        cap = cfg.max_cells_per_snapshot
-        pair_chunk = cfg.prob_chunk_size
         row_columns = getattr(self.dataset, "row_columns", None)
         if row_columns is None:
-            # Eager datasets already hold dense columns; slicing views is
-            # free.  Store-backed datasets instead decode each row chunk on
-            # demand, so an out-of-core build never materialises the full
-            # span -- peak RSS stays O(_INDEX_ROW_CHUNK + entries).
             all_means = self.dataset.all_means()
             all_sigmas = self.dataset.all_sigmas()
 
             def row_columns(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
                 return all_means[lo:hi], all_sigmas[lo:hi]
 
-        cells_acc: list[np.ndarray] = []
-        rows_acc: list[np.ndarray] = []
-        vals_acc: list[np.ndarray] = []
         for lo in range(0, self._total_rows, _INDEX_ROW_CHUNK):
             hi = min(lo + _INDEX_ROW_CHUNK, self._total_rows)
             means, sigmas = row_columns(lo, hi)
-            radii = radius_sigmas * sigmas + cfg.delta
-            cells, owners = self.grid.cells_near_many(means, radii)
-            if not len(cells):
-                continue
-            probs = np.empty(len(cells))
-            for s in range(0, len(cells), pair_chunk):
-                e = min(s + pair_chunk, len(cells))
-                # np.take gathers (n, 2) rows an order of magnitude faster
-                # than fancy indexing, with the same values.
-                self._kernels.prob_within(
-                    np.take(means, owners[s:e], axis=0),
-                    sigmas[owners[s:e]],
-                    self.grid.cell_centers(cells[s:e]),
-                    cfg.delta,
-                    model=cfg.prob_model,
-                    out=probs[s:e],
-                )
-            keep = probs > cfg.min_prob
-            cells, owners, probs = cells[keep], owners[keep], probs[keep]
-            if not len(cells):
-                continue
-            # owners stays sorted through the mask, so each snapshot's
-            # entries are one contiguous run; trim the runs over the cap.
-            counts = np.bincount(owners, minlength=hi - lo)
-            if np.any(counts > cap):
-                sel = np.ones(len(cells), dtype=bool)
-                run_starts = np.concatenate([[0], np.cumsum(counts)])
-                for r in np.nonzero(counts > cap)[0]:
-                    run = slice(int(run_starts[r]), int(run_starts[r + 1]))
-                    drop = np.argpartition(probs[run], -cap)[:-cap]
-                    sel[np.arange(run.start, run.stop)[drop]] = False
-                cells, owners, probs = cells[sel], owners[sel], probs[sel]
-            cells_acc.append(cells.astype(np.int32))
-            rows_acc.append((owners + lo).astype(np.int32))
-            vals_acc.append(np.log(probs))
-        return cells_acc, rows_acc, vals_acc
+            yield lo, means, sigmas, radius_sigmas * sigmas + cfg.delta
+
+    def _collect_index_entries(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The above-floor index as CSR by cell, fully vectorised.
+
+        Returns ``(cell_ids, cell_bounds, rows, vals)``: the cells with
+        entries (``int32``, ascending), their entry ranges (``int64``) and
+        the entries' ``int32`` rows and ``float64`` log-probabilities in
+        (cell, row) order.  A first pass over the row chunks counts each
+        cell's (snapshot, cell) pairs from the neighbourhood boxes, listing
+        no pair; ``n_index_pairs`` is their total.  A second pass fills
+        each chunk's entries (:meth:`_chunk_entries`) into an index
+        allocated at that capacity (:func:`_fill_csr`).
+        """
+        capacity = self.grid.cells_near_counts(
+            (means, radii) for _, means, _, radii in self._row_chunks()
+        )
+        self.n_index_pairs = int(capacity.sum())
+        return _fill_csr(
+            self._kernels,
+            capacity,
+            (self._chunk_entries(*chunk) for chunk in self._row_chunks()),
+        )
+
+    def _chunk_entries(
+        self, lo: int, means: np.ndarray, sigmas: np.ndarray, radii: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Above-floor ``(cells, rows, vals)`` of the rows starting at ``lo``.
+
+        All the rows' neighbourhoods come from one
+        :meth:`~repro.geometry.grid.Grid.cells_near_many` call and ``Prob``
+        is evaluated over the concatenated (snapshot, cell) pairs in chunks
+        of ``config.prob_chunk_size`` through the kernel backend; only the
+        (rare) per-snapshot cap falls back to a Python loop over the few
+        snapshots that exceed it.  Returns ``int32`` cells and rows and
+        ``float64`` log-probabilities, in ascending row order.
+        """
+        cfg = self.config
+        cap = cfg.max_cells_per_snapshot
+        pair_chunk = cfg.prob_chunk_size
+        cells, owners = self.grid.cells_near_many(means, radii)
+        probs = np.empty(len(cells))
+        for s in range(0, len(cells), pair_chunk):
+            e = min(s + pair_chunk, len(cells))
+            # np.take gathers (n, 2) rows an order of magnitude faster
+            # than fancy indexing, with the same values.
+            self._kernels.prob_within(
+                np.take(means, owners[s:e], axis=0),
+                sigmas[owners[s:e]],
+                self.grid.cell_centers(cells[s:e]),
+                cfg.delta,
+                model=cfg.prob_model,
+                out=probs[s:e],
+            )
+        keep = probs > cfg.min_prob
+        cells, owners, probs = cells[keep], owners[keep], probs[keep]
+        # owners stays sorted through the mask, so each snapshot's entries
+        # are one contiguous run; trim the runs over the cap.
+        counts = np.bincount(owners, minlength=len(means))
+        if np.any(counts > cap):
+            sel = np.ones(len(cells), dtype=bool)
+            run_starts = np.concatenate([[0], np.cumsum(counts)])
+            for r in np.nonzero(counts > cap)[0]:
+                run = slice(int(run_starts[r]), int(run_starts[r + 1]))
+                drop = np.argpartition(probs[run], -cap)[:-cap]
+                sel[np.arange(run.start, run.stop)[drop]] = False
+            cells, owners, probs = cells[sel], owners[sel], probs[sel]
+        return cells.astype(np.int32), (owners + lo).astype(np.int32), np.log(probs)
 
     def _collect_index_entries_scalar(
         self,
-    ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-        """Reference per-snapshot collection loop.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Reference per-snapshot collection loop, as the same CSR.
 
         Kept as the oracle the vectorised path is tested against and as the
         baseline the index-build benchmarks compare to.
         """
         cfg = self.config
         radius_sigmas = cfg.effective_radius_sigmas()
-        cells_acc: list[np.ndarray] = []
-        rows_acc: list[np.ndarray] = []
-        vals_acc: list[np.ndarray] = []
+        cells_acc: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        rows_acc: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        vals_acc: list[np.ndarray] = [np.empty(0)]
 
         row = 0
         for traj in self.dataset:
@@ -541,12 +612,22 @@ class NMEngine:
                             -cfg.max_cells_per_snapshot :
                         ]
                         cells, probs = cells[top], probs[top]
-                    if len(cells):
-                        cells_acc.append(cells.astype(np.int32))
-                        rows_acc.append(np.full(len(cells), row, dtype=np.int32))
-                        vals_acc.append(np.log(probs))
+                    cells_acc.append(cells)
+                    rows_acc.append(np.full(len(cells), row, dtype=np.int64))
+                    vals_acc.append(np.log(probs))
                 row += 1
-        return cells_acc, rows_acc, vals_acc
+        cells, rows, vals = (
+            np.concatenate(acc) for acc in (cells_acc, rows_acc, vals_acc)
+        )
+        order = np.lexsort((rows, cells))
+        cells, rows, vals = cells[order], rows[order], vals[order]
+        cell_ids, firsts = np.unique(cells, return_index=True)
+        return (
+            cell_ids.astype(np.int32),
+            np.append(firsts, len(cells)).astype(np.int64),
+            rows.astype(np.int32),
+            vals,
+        )
 
     def _build_index(self) -> None:
         """Compute above-floor log-probabilities for every (snapshot, cell).
@@ -574,15 +655,9 @@ class NMEngine:
                 self.index_cache_hit = True
                 self._install_index(*loaded)
                 return
-        # Entries arrive in ascending row order; the backend orders them
-        # by (cell, row) into CSR, emptying the chunk lists as it goes.
-        self._install_csr(
-            *self._kernels.sort_entries(
-                *self._collect_index_entries(), self.grid.n_cells
-            )
-        )
+        self._install_csr(*self._collect_index_entries())
         if key is not None:
-            index_cache.save_index(cache_dir, key, *self.index_arrays())
+            index_cache.save_index_csr(cache_dir, key, *self.index_csr())
 
     def index_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The engine's own CSR index ``(cell_ids, cell_bounds, rows, vals)``.

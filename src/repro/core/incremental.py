@@ -227,7 +227,7 @@ class IncrementalIndexer:
             engine.config,
             kernel_tag=kernels.prob_kernel_tag(engine.config),
         )
-        return index_cache.save_index(cache_dir, key, *engine.index_arrays())
+        return index_cache.save_index_csr(cache_dir, key, *engine.index_csr())
 
     def _stats(self, *, appended: int, evicted: int) -> dict[str, int | float]:
         engine = self.engine

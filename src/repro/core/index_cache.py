@@ -9,7 +9,9 @@ with ``int64`` cells and rows and ``float64`` values -- that depend only on the
 dataset geometry, the grid and the index-affecting knobs of
 :class:`~repro.core.engine.EngineConfig`.  This module persists those
 arrays as one ``.npz`` per configuration under a cache directory, so
-repeated mining/experiment runs skip the build entirely.
+repeated mining/experiment runs skip the build entirely.  An engine's
+build writes them straight from its CSR index (:func:`save_index_csr`),
+a block of entries at a time.
 
 Cache key
 ---------
@@ -67,8 +69,11 @@ _log = logs.get_logger("index_cache")
 #: Bump when the stored array layout changes; part of the cache key.
 CACHE_FORMAT_VERSION = 1
 
-#: Arrays stored in the ``.npz`` payload, in order.
+#: Arrays stored in the ``.npz`` payload, in order, and their dtypes.
 _PAYLOAD_KEYS = ("cells", "rows", "vals")
+_PAYLOAD_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
+#: Entries a cache write converts and writes at a time (512 KiB of int64).
+_WRITE_BLOCK = 1 << 16
 
 
 def _hash_update_array(h: "hashlib._Hash", array: np.ndarray) -> None:
@@ -153,28 +158,88 @@ def save_index(
     rows: np.ndarray,
     vals: np.ndarray,
 ) -> Path:
-    """Atomically persist the flat index arrays under ``cache_dir``.
+    """Atomically persist flat ``(cell, row, value)`` triples under ``cache_dir``.
 
-    The write goes to a temp file *inside the cache directory* first --
-    same filesystem by construction, so ``os.replace`` is an atomic rename
-    (never the cross-device ``EXDEV`` a ``TMPDIR`` temp file could hit) and
-    a crash mid-write can never leave a half-written file under the final
-    name.  A crash between write and rename leaves only a ``*.tmp`` file,
-    which no reader ever opens.
+    See :func:`save_index_csr` for how the file is written.
     """
+    if not len(cells) == len(rows) == len(vals):
+        raise ValueError("index entry columns differ in length")
+    return _write_payload(
+        cache_dir,
+        key,
+        len(cells),
+        [lambda lo, hi, a=a: a[lo:hi] for a in (cells, rows, vals)],
+    )
+
+
+def save_index_csr(
+    cache_dir: str | Path,
+    key: str,
+    cell_ids: np.ndarray,
+    cell_bounds: np.ndarray,
+    rows: np.ndarray,
+    vals: np.ndarray,
+) -> Path:
+    """Atomically persist a CSR index (:meth:`NMEngine.index_csr`) as triples.
+
+    The file holds exactly the payload :func:`save_index` writes for the
+    engine's ``index_arrays()``, but no whole-index ``int64`` column is
+    built: each ``.npy`` member is streamed from the CSR arrays in blocks
+    of ``_WRITE_BLOCK`` entries, so a write adds well under a byte per
+    entry to the process's peak.
+    """
+
+    def cells(lo: int, hi: int) -> np.ndarray:
+        first = int(np.searchsorted(cell_bounds, lo, side="right")) - 1
+        last = int(np.searchsorted(cell_bounds, hi, side="left"))
+        spans = np.clip(cell_bounds[first : last + 1], lo, hi)
+        return np.repeat(cell_ids[first:last], np.diff(spans))
+
+    return _write_payload(
+        cache_dir,
+        key,
+        len(rows),
+        [cells, lambda lo, hi: rows[lo:hi], lambda lo, hi: vals[lo:hi]],
+    )
+
+
+def _write_payload(cache_dir: str | Path, key: str, n: int, columns) -> Path:
+    """Write the ``.npz`` payload of ``n`` entries from ``columns``.
+
+    ``columns`` holds one ``(lo, hi) -> block`` reader per payload array.
+    Each member gets a standard ``.npy`` header and its data block by
+    block, stored uncompressed as ``np.savez`` stores it, so ``np.load``
+    reads the file like any other.  The write goes to a temp file *inside
+    the cache directory* first -- same filesystem by construction, so
+    ``os.replace`` is an atomic rename (never the cross-device ``EXDEV`` a
+    ``TMPDIR`` temp file could hit) and a crash mid-write can never leave
+    a half-written file under the final name.  A crash between write and
+    rename leaves only a ``*.tmp`` file, which no reader ever opens.
+    """
+    from numpy.lib import format as npy_format
+
     target = cache_path(cache_dir, key)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.stem + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                cells=np.ascontiguousarray(cells, dtype=np.int64),
-                rows=np.ascontiguousarray(rows, dtype=np.int64),
-                vals=np.ascontiguousarray(vals, dtype=np.float64),
-            )
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(
+            fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+        ) as archive:
+            for name, dtype, column in zip(_PAYLOAD_KEYS, _PAYLOAD_DTYPES, columns):
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    npy_format.write_array_header_1_0(
+                        member,
+                        {
+                            "descr": npy_format.dtype_to_descr(dtype),
+                            "fortran_order": False,
+                            "shape": (n,),
+                        },
+                    )
+                    for lo in range(0, n, _WRITE_BLOCK):
+                        block = column(lo, min(lo + _WRITE_BLOCK, n))
+                        member.write(np.ascontiguousarray(block, dtype=dtype))
         faults.fire("index_cache.save", tmp=tmp_name, target=str(target))
         os.replace(tmp_name, target)
     except BaseException:
@@ -186,7 +251,7 @@ def save_index(
     metrics.counter("index.cache.write").inc()
     _log.debug(
         "index cache write",
-        extra={"path": str(target), "n_entries": int(len(cells))},
+        extra={"path": str(target), "n_entries": int(n)},
     )
     return target
 

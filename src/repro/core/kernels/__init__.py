@@ -3,9 +3,10 @@
 The engine's measured hot loops -- the deviation gather/sort/segment-reduce
 behind ``nm_batch``/``match_batch``, the stacked window-score scatter, the
 per-segment maxima sweep, the chunked ``prob_within`` evaluation, the
-entry sort of index construction (into a CSR index by cell with ``int32``
-rows) and its segmentation, and the wildcard gap DP -- are isolated
-behind the narrow :class:`KernelBackend` protocol.
+index build's scatter of entries into per-cell runs and their compaction
+(into a CSR index by cell with ``int32`` rows), its segmentation, and the
+wildcard gap DP -- are isolated behind the narrow :class:`KernelBackend`
+protocol.
 Everything else in the engine is orchestration and stays numpy.
 
 Backends
@@ -109,11 +110,22 @@ class KernelBackend(Protocol):
                length: int, arena) -> float:
         """Best summed log-prob over admissible gap alignments, or ``-inf``."""
 
-    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-chunk ``int32`` cell / ``int32`` row / ``float64`` value lists
-        (ascending rows) as a CSR index ``(cell_ids, cell_bounds, rows,
-        vals)`` in (cell, row) order; empties the lists."""
+    def scatter_entries(self, cells, rows, vals, bounds, cursor,
+                        out_rows, out_vals) -> None:
+        """Write one chunk of ``int32`` cells / ``int32`` rows / ``float64``
+        values into their cells' runs, in chunk order within a cell.
+
+        Cell ``c`` owns slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` /
+        ``out_vals`` and its next entry goes to slot ``cursor[c]``, which
+        then advances.  A cell outside ``[0, len(cursor))`` or a run with
+        no free slot raises ``ValueError``; nothing is written out of
+        bounds.
+        """
+
+    def compact_entries(self, bounds, cursor, rows, vals) -> int:
+        """Move each cell's filled run ``bounds[c]:cursor[c]`` left, in
+        place, so the runs lie back to back in cell order; returns the
+        entry count (``ValueError`` for a cursor outside its run)."""
 
     def index_segments(self, cell_bounds, rows, row_traj) -> tuple[np.ndarray, ...]:
         """``(seg_starts, seg_traj, cell_seg_starts)`` of a CSR index."""

@@ -1,9 +1,10 @@
 """Compiled kernel backend: a small C library driven through ``ctypes``.
 
-One provider, ``cnative``, implements the backend's seven kernels
+One provider, ``cnative``, implements the backend's eight kernels
 (deviation maxima, stacked scores, segment maxima, box ``Prob``, gap DP,
-the counting-sort scatter of index entries into a CSR index and its
-segmentation; every kernel reads ``int32`` rows):
+and the index build's scatter of entries into per-cell runs, their
+compaction into a CSR index and its segmentation; every kernel reads
+``int32`` rows):
 a C translation unit compiled on first use with the system C compiler
 (``cc``/``gcc``/``clang``) into a content-hashed shared library under a
 cache directory.
@@ -17,8 +18,8 @@ Numerical notes
 ---------------
 The evaluation kernels (devmax / stacked / segmax / gap DP) accumulate in
 exactly the reference order (see :mod:`repro.core.kernels.numpy_ref`), so
-they are bit-identical to numpy in both dtypes, and the sort and
-segmentation kernels only move integers and stored values.  The box
+they are bit-identical to numpy in both dtypes, and the scatter,
+compaction and segmentation kernels only move integers and stored values.  The box
 ``Prob`` kernel is the one exception: it uses the C library's ``erf``
 (libm), which may differ from scipy's by a couple of ULPs.  An index
 built through it is therefore tagged in the index-cache key
@@ -38,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.kernels.numpy_ref import check_fill_arrays
 from repro.obs import logs
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
@@ -214,32 +216,51 @@ void prob_box_f64(
     }
 }
 
-/* Per-cell entry counts of one chunk of index entries, added to counts.
- * Returns how many cells fall outside [0, n_cells); those are not counted. */
-int64_t count_cells(
-    const int32_t *cells, int64_t n, int64_t n_cells, int64_t *counts)
+/* Scatter of one chunk into per-cell runs: cell c owns slots
+ * [bounds[c], bounds[c + 1]) of out_rows/out_vals (n_out long), and entry i
+ * goes to slot cursor[cells[i]]++.  Chunks scattered in order keep their
+ * order within each cell.  Every slot is checked before it is written:
+ * returns 1 at the first cell outside [0, n_cells), 2 at the first entry
+ * whose cell's run has no free slot (or whose slot is outside the output),
+ * and 0 when the whole chunk is placed. */
+int64_t scatter_entries(
+    const int32_t *cells, const int32_t *rows, const double *vals, int64_t n,
+    int64_t n_cells, const int64_t *bounds, int64_t *cursor, int64_t n_out,
+    int32_t *out_rows, double *out_vals)
 {
-    int64_t bad = 0;
     for (int64_t i = 0; i < n; ++i) {
         const int64_t c = cells[i];
-        if (c < 0 || c >= n_cells) { ++bad; continue; }
-        ++counts[c];
-    }
-    return bad;
-}
-
-/* Counting-sort scatter of one chunk: entry i goes to slot cursor[cells[i]]++.
- * Chunks scattered in order keep their order within each cell, which is the
- * order a stable sort by cell gives. */
-void scatter_entries(
-    const int32_t *cells, const int32_t *rows, const double *vals, int64_t n,
-    int64_t *cursor, int32_t *out_rows, double *out_vals)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t slot = cursor[cells[i]]++;
+        if (c < 0 || c >= n_cells) return 1;
+        const int64_t slot = cursor[c];
+        if (slot < bounds[c] || slot >= bounds[c + 1] || slot < 0 || slot >= n_out)
+            return 2;
         out_rows[slot] = rows[i];
         out_vals[slot] = vals[i];
+        cursor[c] = slot + 1;
     }
+    return 0;
+}
+
+/* Compaction of a filled index: cell c's entries are [bounds[c], cursor[c]).
+ * Moves the runs left, in cell order, so they lie back to back, and returns
+ * the entry count; returns -1, moving nothing, when a cursor lies outside
+ * its cell's slots or the slots outside [0, n_out).  A run never moves
+ * right, so copying each one forward is safe. */
+int64_t compact_entries(
+    const int64_t *bounds, const int64_t *cursor, int64_t n_cells,
+    int64_t n_out, int32_t *rows, double *vals)
+{
+    if (bounds[0] < 0 || bounds[n_cells] > n_out) return -1;
+    for (int64_t c = 0; c < n_cells; ++c)
+        if (cursor[c] < bounds[c] || cursor[c] > bounds[c + 1]) return -1;
+    int64_t dst = 0;
+    for (int64_t c = 0; c < n_cells; ++c) {
+        for (int64_t e = bounds[c]; e < cursor[c]; ++e, ++dst) {
+            rows[dst] = rows[e];
+            vals[dst] = vals[e];
+        }
+    }
+    return dst;
 }
 
 /* Segments of a CSR index: cell c owns entries [bounds[c], bounds[c + 1]),
@@ -318,13 +339,13 @@ class _Provider:
     """Uniform callable bundle a :class:`CompiledKernels` drives.
 
     ``devmax`` / ``stacked_add`` / ``segmax`` take numpy arrays in the
-    value dtype; ``prob_box`` / ``gap_dp`` / ``scatter`` are float64 only.
-    ``count_cells`` / ``scatter`` / ``segments`` wrap the C functions of
-    the same purpose (see the C source for their contracts).
+    value dtype; ``prob_box`` / ``gap_dp`` / ``scatter`` / ``compact`` are
+    float64 only.  ``scatter`` / ``compact`` / ``segments`` wrap the C
+    functions of the same purpose (see the C source for their contracts).
     """
 
     __slots__ = ("name", "devmax", "stacked_add", "segmax", "prob_box",
-                 "gap_dp", "count_cells", "scatter", "segments")
+                 "gap_dp", "scatter", "compact", "segments")
 
     def __init__(self, name, **kernels):
         self.name = name
@@ -392,10 +413,11 @@ def _build_cnative_provider() -> _Provider:
     lib.prob_box_f64.argtypes = [ptr, ptr, ptr, f64, i64, ptr]
     lib.gap_dp_f64.restype = f64
     lib.gap_dp_f64.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-    lib.count_cells.restype = i64
-    lib.count_cells.argtypes = [ptr, i64, i64, ptr]
-    lib.scatter_entries.restype = None
-    lib.scatter_entries.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.scatter_entries.restype = i64
+    lib.scatter_entries.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64,
+                                    ptr, ptr]
+    lib.compact_entries.restype = i64
+    lib.compact_entries.argtypes = [ptr, ptr, i64, i64, ptr, ptr]
     lib.index_segments.restype = i64
     lib.index_segments.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
 
@@ -431,12 +453,15 @@ def _build_cnative_provider() -> _Provider:
                               len(seg_lens), _p(gap_min), _p(gap_max),
                               length, _p(best), _p(nxt))
 
-    def count_cells(cells, n_cells, counts) -> int:
-        return lib.count_cells(_p(cells), len(cells), n_cells, _p(counts))
+    def scatter(cells, rows, vals, bounds, cursor, out_rows, out_vals) -> int:
+        return lib.scatter_entries(
+            _p(cells), _p(rows), _p(vals), len(cells), len(cursor), _p(bounds),
+            _p(cursor), len(out_rows), _p(out_rows), _p(out_vals),
+        )
 
-    def scatter(cells, rows, vals, cursor, out_rows, out_vals):
-        lib.scatter_entries(_p(cells), _p(rows), _p(vals), len(cells),
-                            _p(cursor), _p(out_rows), _p(out_vals))
+    def compact(bounds, cursor, rows, vals) -> int:
+        return lib.compact_entries(_p(bounds), _p(cursor), len(cursor),
+                                   len(rows), _p(rows), _p(vals))
 
     def segments(cell_bounds, rows, row_traj, n_segs, cell_seg_starts=None,
                  seg_starts=None, seg_traj=None) -> int:
@@ -448,8 +473,8 @@ def _build_cnative_provider() -> _Provider:
 
     return _Provider(
         "cnative", devmax=devmax, stacked_add=stacked_add, segmax=segmax,
-        prob_box=prob_box, gap_dp=gap_dp, count_cells=count_cells,
-        scatter=scatter, segments=segments,
+        prob_box=prob_box, gap_dp=gap_dp, scatter=scatter, compact=compact,
+        segments=segments,
     )
 
 
@@ -543,32 +568,26 @@ class CompiledKernels:
         self._p.prob_box(mean, sigma, center, float(delta), out)
         return out
 
-    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
-        counts = np.zeros(n_cells, dtype=np.int64)
-        for i, cells in enumerate(cells_acc):
-            cells_acc[i] = cells = np.ascontiguousarray(cells, dtype=np.int32)
-            if self._p.count_cells(cells, n_cells, counts):
-                raise ValueError(f"index entry cell outside [0, {n_cells})")
-        cursor = np.zeros(n_cells, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cursor[1:])
-        total = int(counts.sum())
-        rows = np.empty(total, dtype=np.int32)
-        vals = np.empty(total, dtype=np.float64)
-        for i, cells in enumerate(cells_acc):
-            chunk_rows = np.ascontiguousarray(rows_acc[i], dtype=np.int32)
-            chunk_vals = np.ascontiguousarray(vals_acc[i], dtype=np.float64)
-            if not len(cells) == len(chunk_rows) == len(chunk_vals):
-                raise ValueError("entry chunk columns differ in length")
-            self._p.scatter(cells, chunk_rows, chunk_vals, cursor, rows, vals)
-            # Free each chunk as soon as it is placed.
-            cells_acc[i] = rows_acc[i] = vals_acc[i] = None
-        cells_acc.clear()
-        rows_acc.clear()
-        vals_acc.clear()
-        cell_ids = np.flatnonzero(counts)
-        cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
-        np.cumsum(counts[cell_ids], out=cell_bounds[1:])
-        return cell_ids.astype(np.int32), cell_bounds, rows, vals
+    def scatter_entries(self, cells, rows, vals, bounds, cursor,
+                        out_rows, out_vals) -> None:
+        cells = np.ascontiguousarray(cells, dtype=np.int32)
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        check_fill_arrays(bounds, cursor, out_rows, out_vals)
+        if not len(cells) == len(rows) == len(vals):
+            raise ValueError("entry chunk columns differ in length")
+        status = self._p.scatter(cells, rows, vals, bounds, cursor, out_rows, out_vals)
+        if status == 1:
+            raise ValueError(f"index entry cell outside [0, {len(cursor)})")
+        if status:
+            raise ValueError("index entry cell has no free slot in its run")
+
+    def compact_entries(self, bounds, cursor, rows, vals) -> int:
+        check_fill_arrays(bounds, cursor, rows, vals)
+        n = int(self._p.compact(bounds, cursor, rows, vals))
+        if n < 0:
+            raise ValueError("cell cursor outside its run")
+        return n
 
     def index_segments(self, cell_bounds, rows, row_traj):
         cell_bounds = np.ascontiguousarray(cell_bounds, dtype=np.int64)

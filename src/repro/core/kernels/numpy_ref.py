@@ -5,8 +5,9 @@ stable-sort deviation reduction behind ``nm_batch``/``match_batch`` (each
 window summed in gather order, see below), the stacked window-score
 scatter, the per-segment maxima sweep, the chunked ``prob_within``
 evaluation (delegated to :mod:`repro.uncertainty.gaussian`), the wildcard
-gap DP, and the index build's entry sort into a CSR index by cell
-(``int32`` rows) and its segmentation.  It remains
+gap DP, and the index build's scatter of entries into per-cell runs,
+their compaction into a CSR index by cell (``int32`` rows) and its
+segmentation.  It remains
 the differential oracle's ground truth: the compiled backend is tested
 *against* this one, never the other way around.
 
@@ -32,19 +33,36 @@ import numpy as np
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
 
-__all__ = ["NumpyKernels"]
+__all__ = ["NumpyKernels", "check_fill_arrays"]
 
 #: Index entries one :meth:`NumpyKernels.batch_devmax` pass gathers at most
 #: (a pattern touching more is gathered alone).  Each gathered entry holds
 #: about eight 8-byte scratch values, so a pass stays near 128 MiB.
 _GATHER_BUDGET = 1 << 21
+#: Entries one :meth:`NumpyKernels.compact_entries` step moves; its index
+#: temporaries (~36 bytes per entry) stay near 2 MiB.
+_COMPACT_BLOCK = 1 << 16
 
 
-def _join(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate ``chunks`` as ``dtype`` and empty the list, freeing each chunk."""
-    joined = np.concatenate(chunks, dtype=dtype) if chunks else np.empty(0, dtype=dtype)
-    chunks.clear()
-    return joined
+def check_fill_arrays(bounds, cursor, rows, vals) -> None:
+    """Reject arrays the index fill kernels of either backend cannot index.
+
+    ``bounds`` (``n_cells + 1``) and ``cursor`` (``n_cells``) are
+    ``int64``, ``rows`` ``int32`` and ``vals`` ``float64`` of one length,
+    all contiguous.
+    """
+    if not (
+        bounds.dtype == cursor.dtype == np.int64
+        and rows.dtype == np.int32
+        and vals.dtype == np.float64
+        and all(a.flags.c_contiguous for a in (bounds, cursor, rows, vals))
+        and bounds.shape == (len(cursor) + 1,)
+        and rows.shape == vals.shape == (len(rows),)
+    ):
+        raise ValueError(
+            "fill arrays must be contiguous int64 bounds (n_cells + 1) and "
+            "cursor (n_cells), int32 rows and float64 values of one length"
+        )
 
 
 def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
@@ -230,35 +248,78 @@ class NumpyKernels:
         """The scipy-backed ``Prob`` evaluation (always float64)."""
         return gaussian.prob_within(mean, sigma, center, delta, model=model, out=out)
 
-    # -- index sort and segmentation -----------------------------------------
+    # -- index fill, compaction and segmentation ------------------------------
 
-    def sort_entries(self, cells_acc, rows_acc, vals_acc, n_cells):
-        """Per-chunk entry lists joined into a CSR index by cell.
+    def scatter_entries(self, cells, rows, vals, bounds, cursor, out_rows, out_vals):
+        """Place one chunk of entries in their cells' runs.
 
-        Returns ``(cell_ids, cell_bounds, rows, vals)``: the cells with
-        entries (``int32``, ascending), their entry ranges
-        (``cell_bounds[i]:cell_bounds[i + 1]``, ``int64``) and the entries'
-        ``int32`` rows and ``float64`` values in (cell, row) order.  The
-        lists are emptied as they are joined.  Entries arrive in ascending
-        row order, so a stable sort by cell alone yields the (cell, row)
-        order of a lexsort.  The sorted cells are dropped once they have
-        given the bounds, before the values are permuted.
+        Cell ``c`` owns slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` /
+        ``out_vals``, filled up to ``cursor[c]``.  Sorting by (cell,
+        position in the chunk) ranks each entry within its cell, so entries
+        keep their chunk order within a cell; the cursors advance past
+        them.  Every slot is checked before anything is written: a cell
+        outside ``[0, len(cursor))`` or a run without room raises
+        ``ValueError``.
         """
-        cells = _join(cells_acc, np.int32)
-        rows = _join(rows_acc, np.int32)
-        vals = _join(vals_acc, np.float64)
-        order = np.argsort(cells, kind="stable")
-        cells = cells[order]
-        if len(cells) and (cells[0] < 0 or cells[-1] >= n_cells):
-            raise ValueError(f"index entry cell outside [0, {n_cells})")
-        starts = np.flatnonzero(np.diff(cells)) + 1
-        if len(cells):
-            starts = np.concatenate([[0], starts])
-        cell_ids, cell_bounds = cells[starts], np.append(starts, len(cells))
-        del cells
-        rows = rows[order]
-        vals = vals[order]
-        return cell_ids, cell_bounds, rows, vals
+        check_fill_arrays(bounds, cursor, out_rows, out_vals)
+        n = len(cells)
+        if not n == len(rows) == len(vals):
+            raise ValueError("entry chunk columns differ in length")
+        if not n:
+            return
+        if cells.min() < 0 or cells.max() >= len(cursor):
+            raise ValueError(f"index entry cell outside [0, {len(cursor)})")
+        # Unique keys: the default (unstable, faster) sort gives the order
+        # a stable sort by cell would.
+        order = np.argsort(cells.astype(np.int64) * n + np.arange(n))
+        by_cell = cells[order]
+        firsts = np.flatnonzero(np.diff(by_cell, prepend=by_cell[0] - 1))
+        run_cells = by_cell[firsts].astype(np.int64)
+        run_lens = np.diff(np.append(firsts, len(cells)))
+        slot0 = cursor[run_cells]
+        if (
+            np.any(slot0 < bounds[run_cells])
+            or np.any(slot0 + run_lens > bounds[run_cells + 1])
+            or slot0.min() < 0
+            or (slot0 + run_lens).max() > len(out_rows)
+        ):
+            raise ValueError("index entry cell has no free slot in its run")
+        slots = np.repeat(slot0 - firsts, run_lens) + np.arange(n)
+        out_rows[slots] = rows[order]
+        out_vals[slots] = vals[order]
+        cursor[run_cells] += run_lens
+
+    def compact_entries(self, bounds, cursor, rows, vals) -> int:
+        """Move each cell's run ``bounds[c]:cursor[c]`` left, in place, so
+        the runs lie back to back in cell order; returns the entry count.
+
+        Entries move in blocks of ``_COMPACT_BLOCK`` destination slots, in
+        ascending order.  An entry never moves right, so a block reads only
+        slots no earlier block wrote, and each block gathers its sources
+        before it writes.  Each block's sources are its slots shifted by
+        the gap before their cell's run.
+        """
+        check_fill_arrays(bounds, cursor, rows, vals)
+        if (
+            bounds[0] < 0
+            or bounds[-1] > len(rows)
+            or np.any(cursor < bounds[:-1])
+            or np.any(cursor > bounds[1:])
+        ):
+            raise ValueError("cell cursor outside its run")
+        dst = np.zeros(len(bounds), dtype=np.int64)
+        np.cumsum(cursor - bounds[:-1], out=dst[1:])
+        shift = bounds[:-1] - dst[:-1]
+        n = int(dst[-1])
+        for lo in range(0, n, _COMPACT_BLOCK):
+            hi = min(lo + _COMPACT_BLOCK, n)
+            first = int(np.searchsorted(dst, lo, side="right")) - 1
+            last = int(np.searchsorted(dst, hi, side="left"))
+            spans = np.clip(dst[first : last + 1], lo, hi)
+            src = np.arange(lo, hi) + np.repeat(shift[first:last], np.diff(spans))
+            rows[lo:hi] = rows[src]
+            vals[lo:hi] = vals[src]
+        return n
 
     def index_segments(self, cell_bounds, rows, row_traj):
         """Segment bounds of a CSR index.

@@ -182,17 +182,7 @@ class Grid:
         Within one box the ids come out in the same (row-major) order as
         :meth:`cells_in_box`; empty boxes simply contribute nothing.
         """
-        min_x = np.asarray(min_x, dtype=float)
-        min_y = np.asarray(min_y, dtype=float)
-        max_x = np.asarray(max_x, dtype=float)
-        max_y = np.asarray(max_y, dtype=float)
-        half_gx, half_gy = self.gx / 2.0, self.gy / 2.0
-        col_lo = np.ceil((min_x - self.bbox.min_x - half_gx) / self.gx - 1e-12).astype(np.int64)
-        col_hi = np.floor((max_x - self.bbox.min_x - half_gx) / self.gx + 1e-12).astype(np.int64)
-        row_lo = np.ceil((min_y - self.bbox.min_y - half_gy) / self.gy - 1e-12).astype(np.int64)
-        row_hi = np.floor((max_y - self.bbox.min_y - half_gy) / self.gy + 1e-12).astype(np.int64)
-        col_lo, col_hi = np.maximum(col_lo, 0), np.minimum(col_hi, self.nx - 1)
-        row_lo, row_hi = np.maximum(row_lo, 0), np.minimum(row_hi, self.ny - 1)
+        col_lo, col_hi, row_lo, row_hi = self._box_spans(min_x, min_y, max_x, max_y)
         n_cols = np.maximum(col_hi - col_lo + 1, 0)
         n_rows = np.maximum(row_hi - row_lo + 1, 0)
         counts = n_cols * n_rows
@@ -217,10 +207,65 @@ class Grid:
         sparse probability index uses this to enumerate every snapshot's
         candidate neighbourhood in one call.
         """
+        return self.cells_in_boxes(*self._near_boxes(points, radii))
+
+    def cells_near_counts(self, chunks) -> np.ndarray:
+        """Per-cell count of the pairs :meth:`cells_near_many` lists.
+
+        ``chunks`` yields ``(points, radii)`` arguments of
+        :meth:`cells_near_many`; the result (``int64``, one count per cell)
+        is the sum over the chunks of ``np.bincount(cells_near_many(points,
+        radii)[0], minlength=n_cells)``, but no pair is listed.  Each
+        non-empty box adds +1/-1 at its four corners of a 2-D difference
+        array, whose prefix sums along both axes are the counts: O(points
+        + cells).  The boxes come from the same helpers as
+        :meth:`cells_near_many`, so the two cannot disagree.
+        """
+        stride = self.nx + 1
+        diff = np.zeros((self.ny + 1) * stride, dtype=np.int64)
+        for points, radii in chunks:
+            col_lo, col_hi, row_lo, row_hi = self._box_spans(
+                *self._near_boxes(points, radii)
+            )
+            live = (col_lo <= col_hi) & (row_lo <= row_hi)
+            col_lo, col_hi = col_lo[live], col_hi[live] + 1
+            row_lo, row_hi = row_lo[live] * stride, (row_hi[live] + 1) * stride
+            np.add.at(diff, row_lo + col_lo, 1)
+            np.add.at(diff, row_lo + col_hi, -1)
+            np.add.at(diff, row_hi + col_lo, -1)
+            np.add.at(diff, row_hi + col_hi, 1)
+        counts = diff.reshape(self.ny + 1, stride)
+        np.cumsum(counts, axis=0, out=counts)
+        np.cumsum(counts, axis=1, out=counts)
+        return counts[: self.ny, : self.nx].ravel()
+
+    @staticmethod
+    def _near_boxes(points, radii) -> tuple[np.ndarray, ...]:
+        """``(min_x, min_y, max_x, max_y)`` of each point's square box."""
         points = np.asarray(points, dtype=float)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), len(points))
         xs, ys = points[:, 0], points[:, 1]
-        return self.cells_in_boxes(xs - radii, ys - radii, xs + radii, ys + radii)
+        return xs - radii, ys - radii, xs + radii, ys + radii
+
+    def _box_spans(self, min_x, min_y, max_x, max_y) -> tuple[np.ndarray, ...]:
+        """Inclusive ``(col_lo, col_hi, row_lo, row_hi)`` of the cells whose
+        centre lies in each closed box, clipped to the grid (``lo > hi`` for
+        an empty box)."""
+        min_x = np.asarray(min_x, dtype=float)
+        min_y = np.asarray(min_y, dtype=float)
+        max_x = np.asarray(max_x, dtype=float)
+        max_y = np.asarray(max_y, dtype=float)
+        half_gx, half_gy = self.gx / 2.0, self.gy / 2.0
+        col_lo = np.ceil((min_x - self.bbox.min_x - half_gx) / self.gx - 1e-12).astype(np.int64)
+        col_hi = np.floor((max_x - self.bbox.min_x - half_gx) / self.gx + 1e-12).astype(np.int64)
+        row_lo = np.ceil((min_y - self.bbox.min_y - half_gy) / self.gy - 1e-12).astype(np.int64)
+        row_hi = np.floor((max_y - self.bbox.min_y - half_gy) / self.gy + 1e-12).astype(np.int64)
+        return (
+            np.maximum(col_lo, 0),
+            np.minimum(col_hi, self.nx - 1),
+            np.maximum(row_lo, 0),
+            np.minimum(row_hi, self.ny - 1),
+        )
 
     def neighbors(self, cell: int, include_diagonal: bool = True) -> list[int]:
         """Adjacent cell ids (4- or 8-neighbourhood), excluding ``cell`` itself."""

@@ -676,6 +676,9 @@ class PatternServer:
             "batcher": self._batcher.stats.as_dict(),
             "rss_peak_bytes": manifest.peak_rss_bytes(),
             **manifest.process_gauges(),
+            # The served snapshot's index: entries and resident bytes.
+            "index_entries": current.engine.n_index_entries,
+            "index_bytes": current.engine.index_nbytes,
             "latency": self._latency_stats(),
             "ingest": (
                 self._ingest_state.stats()

@@ -399,6 +399,8 @@ class ServingSnapshot:
             "backend": self.engine.backend_name,
             "dtype": self.engine.backend_dtype,
             "n_active_cells": len(active),
+            "index_entries": self.engine.n_index_entries,
+            "index_bytes": self.engine.index_nbytes,
             "sample_active_cells": [int(c) for c in sample],
             "has_patterns": self.library is not None,
             "n_patterns": len(self.library) if self.library is not None else 0,

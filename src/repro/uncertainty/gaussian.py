@@ -54,8 +54,10 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 def _interval_prob(mean: np.ndarray, sigma: np.ndarray, center: np.ndarray, delta: float) -> np.ndarray:
     """P(|X - center| <= delta) for ``X ~ N(mean, sigma^2)``, elementwise."""
     lo = (center - delta - mean) / sigma
-    hi = (center + delta - mean) / sigma
-    return _normal_cdf(hi) - _normal_cdf(lo)
+    hi = _normal_cdf((center + delta - mean) / sigma)
+    # In place: one pair-sized array fewer while the second CDF runs.
+    hi -= _normal_cdf(lo)
+    return hi
 
 
 def prob_within_box(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.bbox import BoundingBox
@@ -137,6 +137,11 @@ class TestSpatialQueries:
         assert grid.cell_distance(0, 0) == 0.0
 
 
+def _half_cells(lo: int, hi: int):
+    """Multiples of half a cell in ``[lo / 2, hi / 2]``."""
+    return st.integers(lo, hi).map(lambda h: h / 2)
+
+
 class TestProperties:
     @given(
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -157,3 +162,35 @@ class TestProperties:
             c = grid.cell_center(cell)
             if max(abs(c.x - 0.5), abs(c.y - 0.5)) <= radius:
                 assert cell in near
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nx=st.integers(1, 9),
+        ny=st.integers(1, 9),
+        points=st.lists(
+            st.tuples(
+                # Coordinates in cell units from two cells outside the grid
+                # to two cells past it, some exactly on cell edges/centres;
+                # radii up to several grid widths, some on half cells.
+                st.one_of(st.floats(-2.0, 11.0), st.integers(-2, 11).map(float)),
+                st.one_of(st.floats(-2.0, 11.0), _half_cells(-4, 22)),
+                st.one_of(st.just(0.0), st.floats(0.0, 30.0), _half_cells(0, 6)),
+            ),
+            max_size=25,
+        ),
+        split=st.integers(0, 25),
+    )
+    def test_cells_near_counts_equal_listed_pairs(self, nx, ny, points, split):
+        """Per-cell pair counts equal a bincount of the pairs
+        ``cells_near_many`` lists -- points inside, on and outside the grid,
+        radii from 0 to several grid widths, empty boxes and a 1x1 grid --
+        whichever chunks the points arrive in."""
+        grid = Grid(BoundingBox(-1.0, 0.5, 2.0, 2.0), nx=nx, ny=ny)
+        xy = np.array([(x, y) for x, y, _ in points]).reshape(-1, 2)
+        xy = np.array([grid.bbox.min_x, grid.bbox.min_y]) + xy * [grid.gx, grid.gy]
+        radii = np.array([r for _, _, r in points]) * min(grid.gx, grid.gy)
+        want = np.bincount(grid.cells_near_many(xy, radii)[0], minlength=grid.n_cells)
+        got = grid.cells_near_counts(
+            [(xy[:split], radii[:split]), (xy[split:], radii[split:])]
+        )
+        assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -81,6 +81,55 @@ class TestCacheHit:
         assert leftovers == []
 
 
+class TestStreamedWrite:
+    """The payload is written from the CSR index a block at a time."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_streamed_csr_file_is_the_triple_payload(
+        self, dataset, grid, config, monkeypatch, block
+    ):
+        """Blocks that split cells anywhere, or hold the whole index, give
+        a file ``np.load`` reads as ``index_arrays()`` -- int64 / int64 /
+        float64 -- and that installs bit-identical through ``load_index``."""
+        monkeypatch.setattr(index_cache, "_WRITE_BLOCK", block)
+        engine = NMEngine(dataset, grid, replace(config, cache_dir=None))
+        path = index_cache.save_index_csr(config.cache_dir, "k", *engine.index_csr())
+        with np.load(path) as payload:
+            saved = [payload[k] for k in ("cells", "rows", "vals")]
+        for got, want in zip(saved, engine.index_arrays()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [a.dtype for a in saved] == [np.int64, np.int64, np.float64]
+        loaded = index_cache.load_index(config.cache_dir, "k")
+        warm = NMEngine(dataset, grid, config, prebuilt=loaded)
+        for name in ("_cell_ids", "_cell_bounds", "_flat_rows", "_flat_vals",
+                     "_seg_starts", "_seg_traj", "_cell_seg_starts"):  # fmt: skip
+            a, b = getattr(warm, name), getattr(engine, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_triples_and_csr_write_equal_arrays(self, dataset, grid, config):
+        engine = NMEngine(dataset, grid, replace(config, cache_dir=None))
+        via_csr = index_cache.save_index_csr(config.cache_dir, "a", *engine.index_csr())
+        via_triples = index_cache.save_index(config.cache_dir, "b", *engine.index_arrays())
+        with np.load(via_csr) as a, np.load(via_triples) as b:
+            assert sorted(a.files) == sorted(b.files) == ["cells", "rows", "vals"]
+            for k in a.files:
+                np.testing.assert_array_equal(a[k], b[k])
+                assert a[k].dtype == b[k].dtype
+
+    def test_empty_index_round_trips(self, config):
+        empty = np.empty(0, dtype=np.int64)
+        path = index_cache.save_index_csr(
+            config.cache_dir, "e",
+            np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=np.int32), np.empty(0),
+        )  # fmt: skip
+        with np.load(path) as payload:
+            assert [payload[k].shape for k in ("cells", "rows", "vals")] == [(0,)] * 3
+        cells, rows, vals = index_cache.load_index(config.cache_dir, "e")
+        assert len(cells) == len(rows) == len(vals) == 0
+        assert cells.dtype == empty.dtype
+
+
 class TestInvalidation:
     def test_grid_resolution_changes_key(self, dataset, grid, config):
         other_grid = dataset.make_grid(0.08)

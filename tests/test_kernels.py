@@ -2,7 +2,7 @@
 
 The compiled backend's contract is *bit-exactness* with the numpy
 reference on a shared index (the evaluation kernels perform the same
-reduction in the same order, and the index sort and segmentation kernels
+reduction in the same order, and the index fill and segmentation kernels
 install the same arrays from the same entries); only the Prob kernel used
 during index construction is allowed to differ (libm vs scipy ``erf``,
 tagged into the cache key), and it must equal itself evaluated one pair
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.engine import EngineConfig, NMEngine, autotune_prob_chunk
+from repro.core.engine import EngineConfig, NMEngine, _fill_csr, autotune_prob_chunk
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
 from repro.geometry.bbox import BoundingBox
@@ -447,20 +447,27 @@ def test_prob_box_reuse_past_the_row_buffer(compiled64):
 
 
 def _entry_chunks(seed, n_cells, n_rows, per_row, rows_per_chunk):
-    """Per-chunk (cells, rows, vals) lists in ascending row order, each row
+    """``(cells, rows, vals)`` chunks in ascending row order, each row
     holding ``per_row`` distinct random cells (or all cells if fewer)."""
     rng = np.random.default_rng(seed)
-    cells_acc, rows_acc, vals_acc = [], [], []
+    chunks = []
     for lo in range(0, n_rows, rows_per_chunk):
         hi = min(lo + rows_per_chunk, n_rows)
         take = min(per_row, n_cells)
         cells = np.concatenate(
             [rng.choice(n_cells, size=take, replace=False) for _ in range(lo, hi)]
         ).astype(np.int32)
-        cells_acc.append(cells)
-        rows_acc.append(np.repeat(np.arange(lo, hi, dtype=np.int32), take))
-        vals_acc.append(np.log(rng.uniform(1e-6, 1.0, len(cells))))
-    return cells_acc, rows_acc, vals_acc
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int32), take)
+        chunks.append((cells, rows, np.log(rng.uniform(1e-6, 1.0, len(cells)))))
+    return chunks
+
+
+def _capacity(chunks, n_cells, seed) -> np.ndarray:
+    """Each cell's entry count plus 0-2 spare slots, as the capacity pass
+    over-counts; some cells get slots but no entries."""
+    cells = [c for c, _, _ in chunks] + [np.empty(0, dtype=np.int32)]
+    counts = np.bincount(np.concatenate(cells), minlength=n_cells)
+    return counts + np.random.default_rng(seed).integers(0, 3, n_cells)
 
 
 def _assert_csr_of(csr, chunks) -> None:
@@ -469,7 +476,8 @@ def _assert_csr_of(csr, chunks) -> None:
     assert cell_ids.dtype == rows.dtype == np.int32
     assert cell_bounds.dtype == np.int64 and vals.dtype == np.float64
     cells, want_rows, want_vals = (
-        np.concatenate(acc) if acc else np.empty(0) for acc in chunks
+        np.concatenate([chunk[k] for chunk in chunks] + [np.empty(0)])
+        for k in range(3)
     )
     order = np.lexsort((want_rows, cells))
     counts = np.diff(cell_bounds)
@@ -479,13 +487,10 @@ def _assert_csr_of(csr, chunks) -> None:
     assert np.array_equal(vals, want_vals[order])
 
 
-def _sort_both(compiled, chunks, n_cells):
-    ref = kernels.resolve_backend("numpy")
-    copies = [[list(acc) for acc in chunks] for _ in range(2)]
-    got = compiled.sort_entries(*copies[0], n_cells)
-    want = ref.sort_entries(*copies[1], n_cells)
-    for acc in copies[0] + copies[1]:
-        assert acc == []  # both backends empty the chunk lists
+def _fill_both(compiled, chunks, capacity):
+    """The engine's capacity fill on both backends: bit-identical CSRs."""
+    got = _fill_csr(compiled, capacity, iter(chunks))
+    want = _fill_csr(kernels.resolve_backend("numpy"), capacity, iter(chunks))
     for a, b in zip(got, want):
         _assert_same_bits(a, b)
     _assert_csr_of(want, chunks)
@@ -503,8 +508,11 @@ def _sort_both(compiled, chunks, n_cells):
 def test_sort_and_segments_match_reference(
     compiled64, n_cells, n_rows, per_row, rows_per_chunk
 ):
+    """The fill puts entries in (cell, row) order on both backends, and the
+    segmentation of the result agrees."""
     chunks = _entry_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
-    cell_ids, cell_bounds, rows, _ = _sort_both(compiled64, chunks, n_cells)
+    capacity = _capacity(chunks, n_cells, 5)
+    cell_ids, cell_bounds, rows, _ = _fill_both(compiled64, chunks, capacity)
     # Trajectories of 1..9 rows, so segments split cells at every length.
     lengths = np.random.default_rng(4).integers(1, 10, n_rows)
     row_traj = np.repeat(np.arange(len(lengths)), lengths)[:n_rows]
@@ -526,10 +534,13 @@ def test_sort_and_segments_match_reference(
 def test_sort_and_segments_empty(compiled64):
     ref = kernels.resolve_backend("numpy")
     empty_i, empty_f = np.empty(0, dtype=np.int32), np.empty(0)
-    for chunks in ([[], [], []], [[empty_i], [empty_i.copy()], [empty_f]]):
-        cell_ids, cell_bounds, rows, vals = _sort_both(compiled64, chunks, 8)
-        assert len(cell_ids) == len(rows) == len(vals) == 0
-        assert cell_bounds.tolist() == [0]
+    for chunks in ([], [(empty_i, empty_i.copy(), empty_f)]):
+        # No capacity at all, and capacity that no entry uses.
+        for capacity in (np.zeros(8, dtype=np.int64), np.arange(8)):
+            csr = _fill_both(compiled64, chunks, capacity)
+            cell_ids, cell_bounds, rows, vals = csr
+            assert len(cell_ids) == len(rows) == len(vals) == 0
+            assert cell_bounds.tolist() == [0]
     row_traj = np.zeros(5, dtype=np.int64)
     bounds = np.zeros(1, dtype=np.int64)
     for a, b in zip(
@@ -540,20 +551,87 @@ def test_sort_and_segments_empty(compiled64):
         assert len(a) == 0
 
 
+def _fill_arrays(capacity):
+    bounds = np.zeros(len(capacity) + 1, dtype=np.int64)
+    np.cumsum(capacity, out=bounds[1:])
+    rows = np.full(bounds[-1], -7, dtype=np.int32)
+    vals = np.full(bounds[-1], -7.0)
+    return bounds, bounds[:-1].copy(), rows, vals
+
+
 def test_sort_and_segments_reject_out_of_range(compiled64):
     for backend in (compiled64, kernels.resolve_backend("numpy")):
         for cell in (9, -1):
-            cells = [np.array([0, cell], dtype=np.int32)]
             with pytest.raises(ValueError, match="outside"):
-                backend.sort_entries(
-                    cells, [np.array([0, 1], dtype=np.int32)], [np.zeros(2)], 9
-                )
+                backend.scatter_entries(
+                    np.array([0, cell], dtype=np.int32),
+                    np.array([0, 1], dtype=np.int32), np.zeros(2),
+                    *_fill_arrays(np.full(9, 2)),
+                )  # fmt: skip
         for row in (5, -1):
             with pytest.raises(IndexError, match="outside"):
                 backend.index_segments(
                     np.array([0, 2]), np.array([0, row], dtype=np.int32),
                     np.zeros(5, dtype=np.int64),
                 )  # fmt: skip
+
+
+@pytest.mark.parametrize("backend_name", ["numpy", "compiled"])
+def test_scatter_refuses_a_full_run(backend_name):
+    """A chunk with more entries for a cell than its run has slots raises
+    ``ValueError`` -- also at the last cell, where an unchecked write would
+    land past the arrays -- and writes nothing outside the runs; a cursor
+    outside its run makes the compaction raise."""
+    if backend_name == "compiled":
+        _require_compiled()
+    backend = kernels.resolve_backend(backend_name)
+    capacity = np.array([2, 1, 0, 1])
+    for cell in (1, 2, 3):
+        bounds, cursor, rows, vals = _fill_arrays(capacity)
+        cells = np.array([0, cell, cell], dtype=np.int32)
+        with pytest.raises(ValueError, match="no free slot"):
+            backend.scatter_entries(
+                cells, np.arange(3, dtype=np.int32), np.zeros(3),
+                bounds, cursor, rows, vals,
+            )  # fmt: skip
+        # Whatever was placed sits inside its cell's run, below its cursor.
+        placed = np.zeros(len(rows), dtype=bool)
+        for c in range(len(capacity)):
+            assert bounds[c] <= cursor[c] <= bounds[c + 1]
+            placed[bounds[c] : cursor[c]] = True
+        assert np.all(rows[~placed] == -7) and np.all(vals[~placed] == -7.0)
+    bounds, cursor, rows, vals = _fill_arrays(capacity)
+    for bad in ([3, 2, 3, 3], [0, 1, 3, 3]):
+        with pytest.raises(ValueError, match="outside its run"):
+            backend.compact_entries(
+                bounds, np.array(bad, dtype=np.int64), rows, vals
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(1, 40),
+    chunk_rows=st.lists(st.integers(0, 6), min_size=0, max_size=8),
+    per_row=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fill_matches_reference_on_random_streams(
+    compiled64, n_cells, chunk_rows, per_row, seed
+):
+    """Compiled and numpy scatter-then-compact give one CSR on random chunk
+    streams, with empty chunks and cells that have slots but no entries."""
+    rng = np.random.default_rng(seed)
+    chunks, lo = [], 0
+    for n_rows in chunk_rows:
+        take = min(per_row, n_cells)
+        cells = [rng.choice(n_cells, size=take, replace=False) for _ in range(n_rows)]
+        chunks.append((
+            np.concatenate(cells + [np.empty(0)]).astype(np.int32),
+            np.repeat(np.arange(lo, lo + n_rows, dtype=np.int32), take),
+            rng.normal(size=take * n_rows),
+        ))  # fmt: skip
+        lo += n_rows
+    _fill_both(compiled64, chunks, _capacity(chunks, n_cells, seed))
 
 
 def test_index_ids_must_fit_int32():
@@ -570,17 +648,33 @@ def test_index_ids_must_fit_int32():
 @pytest.mark.parametrize("cap", [None, 3])
 def test_compiled_build_matches_reference_install(compiled64, small_dataset, cap):
     """A compiled engine's own build installs exactly the CSR and segment
-    arrays that the numpy reference's sort and install derive from the same
+    arrays that the numpy reference's fill and install derive from the same
     entries -- with the per-snapshot cap trimming entries or not -- and so
     does a numpy engine given the compiled engine's entry triples."""
     kw = {} if cap is None else {"max_cells_per_snapshot": cap}
     eng = _engine(small_dataset, backend="compiled", **kw)
     if cap is not None:
         assert eng.n_index_entries <= cap * small_dataset.total_snapshots()
-    chunks = eng._collect_index_entries()
-    for acc in chunks[:2]:
-        assert all(chunk.dtype == np.int32 for chunk in acc)
-    sorted_ref = _sort_both(compiled64, [list(acc) for acc in chunks], eng.grid.n_cells)
+    csr = eng._collect_index_entries()
+    assert csr[0].dtype == csr[2].dtype == np.int32
+    for a, b in zip(csr, eng.index_csr()):
+        _assert_same_bits(a, b)
+    # The same entries as the build meets them: row-ordered chunks, filled
+    # at the capacity the grid counts for the engine's neighbourhoods.
+    cells, rows, vals = eng.index_arrays()
+    order = np.lexsort((cells, rows))
+    cells, rows, vals = cells[order], rows[order], vals[order]
+    cuts = np.searchsorted(rows, np.arange(16, eng._total_rows, 16))
+    chunks = list(zip(
+        np.split(cells.astype(np.int32), cuts),
+        np.split(rows.astype(np.int32), cuts),
+        np.split(vals, cuts),
+    ))  # fmt: skip
+    config = eng.config
+    radii = config.effective_radius_sigmas() * small_dataset.all_sigmas() + config.delta
+    capacity = eng.grid.cells_near_counts([(small_dataset.all_means(), radii)])
+    assert capacity.sum() == eng.n_index_pairs > eng.n_index_entries
+    sorted_ref = _fill_both(compiled64, chunks, capacity)
     ref = _engine(small_dataset, backend="numpy", **kw)
     ref._install_csr(*sorted_ref)
     via_triples = _engine(small_dataset, backend="numpy", **kw)

@@ -117,6 +117,35 @@ class TestTracedParallelMine:
         assert "per-shard spans:" in rendered
 
 
+class TestIndexBuildSpan:
+    def test_build_span_records_pairs_beside_entries(self, small_dataset, tmp_path):
+        """A cold build's ``index.build`` span records the (snapshot, cell)
+        pairs its capacity pass counted beside the entries it kept; a build
+        that loads or adopts its index enumerates none."""
+        from dataclasses import replace
+
+        trace_file = tmp_path / "trace.jsonl"
+        cached = replace(CONFIG, cache_dir=str(tmp_path / "cache"))
+        tracing.configure_tracing(path=trace_file)
+        cold = NMEngine(small_dataset, GRID, cached)
+        warm = NMEngine(small_dataset, GRID, cached)
+        NMEngine(small_dataset, GRID, CONFIG, csr=cold.index_csr())
+        NMEngine(small_dataset, GRID, CONFIG, prebuilt=cold.index_arrays())
+        tracing.disable_tracing()
+
+        builds = [s["attrs"] for s in report.load_trace(trace_file)
+                  if s["name"] == "index.build"]  # fmt: skip
+        assert len(builds) == 4
+        first, *others = builds
+        assert not first["cache_hit"] and not first["prebuilt"]
+        assert first["n_pairs"] == cold.n_index_pairs > first["n_entries"] > 0
+        assert others[0]["cache_hit"] and warm.n_index_pairs == 0
+        assert [s["prebuilt"] for s in others[1:]] == [True, True]
+        for attrs in others:
+            assert attrs["n_pairs"] == 0
+            assert attrs["n_entries"] == first["n_entries"]
+
+
 class TestDisabledModeProducesNothing:
     def test_mining_emits_no_metrics_or_spans(self, small_dataset, tmp_path):
         registry = metrics.get_registry()

@@ -171,6 +171,13 @@ def test_admin_ops_and_unknown_op(snapshot):
     describe = out["describe"]
     assert describe["grid"]["n_cells"] == snapshot.grid.n_cells
     assert describe["sample_active_cells"]
+    # Both report the served index: its entries and the resident bytes of
+    # its CSR (int32 row + float64 value per entry) and segment arrays.
+    engine = snapshot.engine
+    for payload in (stats, describe):
+        assert payload["index_entries"] == engine.n_index_entries > 0
+        assert payload["index_bytes"] == engine.index_nbytes
+    assert 12 * engine.n_index_entries < engine.index_nbytes
     assert out["unknown"] == {
         "ok": False,
         "error": "unknown_op",
