@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import NMEngine
 from repro.core.pattern import TrajectoryPattern
+from repro.core.trajpattern import frequent_grams
 
 Cells = tuple[int, ...]
 
@@ -204,31 +205,20 @@ class MatchMiner:
     ) -> None:
         """Bootstrap the threshold for min-length mining.
 
-        Identical in spirit to the TrajPattern warm start: until ``k``
-        patterns of length >= ``min_length`` exist the threshold is
-        ``-inf``, which makes the first levels a full cross product.
-        Evaluating the most frequent *observed* cell n-grams first gives a
-        realistic threshold that Apriori can prune against from level 1 on;
-        the final top-k is unchanged because every warm value is exact and
-        the threshold is a lower bound of the true one.
+        The TrajPattern warm start, on the same
+        :func:`~repro.core.trajpattern.frequent_grams`: until ``k`` patterns
+        of length >= ``min_length`` exist the threshold is ``-inf``, which
+        makes the first levels a full cross product.  Evaluating the most
+        frequent *observed* cell n-grams first gives a realistic threshold
+        that Apriori can prune against from level 1 on; the final top-k is
+        unchanged because every warm value is exact and the threshold is a
+        lower bound of the true one.
         """
-        grid = self.engine.grid
-        length = self.min_length
-        counts: dict[Cells, int] = {}
-        for traj in self.engine.dataset:
-            cells = tuple(int(c) for c in grid.locate_many(traj.means))
-            for i in range(len(cells) - length + 1):
-                gram = cells[i : i + length]
-                counts[gram] = counts.get(gram, 0) + 1
-        frequent = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        seeds = [
-            gram
-            for gram, _ in frequent[: self.WARM_START_CAP]
-            if gram not in scores
-        ]
-        values = self.engine.match_batch(
-            [TrajectoryPattern(gram) for gram in seeds]
+        grams = frequent_grams(
+            self.engine.dataset, self.engine.grid, self.min_length, self.WARM_START_CAP
         )
+        seeds = [gram for gram in grams if gram not in scores]
+        values = self.engine.match_batch(seeds)
         for gram, value in zip(seeds, values):
             scores[gram] = float(value)
             tracker.note(gram, float(value))

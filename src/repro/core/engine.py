@@ -74,7 +74,12 @@ import numpy as np
 from repro.core import index_cache, kernels
 from repro.core.kernels import ScratchArena
 from repro.obs import logs, metrics, tracing
-from repro.core.pattern import WILDCARD, TrajectoryPattern
+from repro.core.pattern import (
+    WILDCARD,
+    PatternLike,
+    TrajectoryPattern,
+    pattern_cells,
+)
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.uncertainty.gaussian import ProbModel, prob_within
@@ -1046,9 +1051,7 @@ class NMEngine:
             out=self._arena.get("devmax.f64", dev_max.shape, np.float64),
         )
 
-    def _batch_reduce(
-        self, patterns: Sequence[TrajectoryPattern], kind: str
-    ) -> np.ndarray:
+    def _batch_reduce(self, patterns: Sequence[PatternLike], kind: str) -> np.ndarray:
         """Shared driver of :meth:`nm_batch` / :meth:`match_batch`.
 
         Groups patterns by length and reduces each group through the sparse
@@ -1056,13 +1059,14 @@ class NMEngine:
         ``(n_patterns, n_trajectories)`` maxima matrix fits the batch
         budget; each chunk is reduced in place on its arena matrix.
         """
-        patterns = list(patterns)
         out = np.empty(len(patterns))
         n_traj = len(self.dataset)
         floor = self._floor
         for m, idxs in self._group_by_length(patterns).items():
             valid, _, eligible = self._window_plumbing(m)
-            cells_all = np.array([patterns[i].cells for i in idxs], dtype=np.int64)
+            cells_all = np.array(
+                [pattern_cells(patterns[i]) for i in idxs], dtype=np.int64
+            )
             n_spec = (cells_all != WILDCARD).sum(axis=1).astype(float)
             if len(eligible) == 0:
                 # Every trajectory is shorter than the pattern: floor terms only.
@@ -1093,13 +1097,13 @@ class NMEngine:
         self.n_evaluations += len(patterns)
         return out
 
-    def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+    def nm_batch(self, patterns: Sequence[PatternLike]) -> np.ndarray:
         """``NM(P)`` of a whole candidate batch, in order.
 
         Equal to ``[self.nm(p) for p in patterns]`` to floating-point
         accuracy, but evaluated through the stacked score-matrix path (see
         module docs, step 3) -- the miner's per-iteration frontier goes
-        through here.
+        through here, as plain cell tuples (:func:`pattern_cells`).
         """
         if not len(patterns):
             return np.empty(0)
@@ -1111,7 +1115,7 @@ class NMEngine:
         metrics.histogram("engine.batch_size").observe(len(patterns))
         return out
 
-    def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+    def match_batch(self, patterns: Sequence[PatternLike]) -> np.ndarray:
         """Dataset match of a whole candidate batch, in order."""
         if not len(patterns):
             return np.empty(0)

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, ExtensionTables, NMEngine
-from repro.core.pattern import TrajectoryPattern
+from repro.core.pattern import PatternLike, TrajectoryPattern, pattern_cells
 from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
 from repro.testkit import faults
@@ -957,20 +957,18 @@ class ParallelNMEngine:
 
     # -- batched measures --------------------------------------------------------
 
-    def nm_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+    def nm_batch(self, patterns: Sequence[PatternLike]) -> np.ndarray:
         """``NM(P)`` of a whole candidate batch: sum of per-span NM sums."""
-        patterns = list(patterns)
-        if not patterns:
+        if not len(patterns):
             return np.empty(0)
-        cells_list = [p.cells for p in patterns]
+        cells_list = [pattern_cells(p) for p in patterns]
         return merge_batch_sums(self._gather("nm_batch", cells_list))
 
-    def match_batch(self, patterns: Sequence[TrajectoryPattern]) -> np.ndarray:
+    def match_batch(self, patterns: Sequence[PatternLike]) -> np.ndarray:
         """Dataset match of a whole candidate batch, in order."""
-        patterns = list(patterns)
-        if not patterns:
+        if not len(patterns):
             return np.empty(0)
-        cells_list = [p.cells for p in patterns]
+        cells_list = [pattern_cells(p) for p in patterns]
         return merge_batch_sums(self._gather("match_batch", cells_list))
 
     def nm(self, pattern: TrajectoryPattern) -> float:

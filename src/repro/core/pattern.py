@@ -12,7 +12,7 @@ of the miner directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -183,3 +183,16 @@ class TrajectoryPattern:
 def patterns_from_cells(cell_lists: Sequence[Sequence[int]]) -> list[TrajectoryPattern]:
     """Bulk constructor used by tests and the experiment harness."""
     return [TrajectoryPattern(tuple(cells)) for cells in cell_lists]
+
+
+#: A batch entry: a :class:`TrajectoryPattern`, or its cell tuple.
+PatternLike = Union[TrajectoryPattern, tuple[int, ...]]
+
+
+def pattern_cells(pattern: PatternLike) -> tuple[int, ...]:
+    """The cells of a :class:`TrajectoryPattern`; a cell tuple passes as is.
+
+    Batched evaluation accepts either, so a caller that already holds
+    valid cell tuples (the miner) builds no validated copy of each.
+    """
+    return pattern.cells if isinstance(pattern, TrajectoryPattern) else pattern

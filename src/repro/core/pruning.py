@@ -27,18 +27,12 @@ def satisfies_one_extension(cells: Cells, high: set[Cells] | dict[Cells, float])
 
 def prune_low_patterns(
     low: Iterable[Cells], high: set[Cells] | dict[Cells, float]
-) -> tuple[list[Cells], list[Cells]]:
-    """Partition low patterns into (kept 1-extension patterns, pruned rest).
+) -> list[Cells]:
+    """The low patterns that fail Definition 5 against ``high``.
 
-    The caller removes the pruned ones from ``Q``; their scores stay cached
-    in the :class:`~repro.core.topk.PatternBook` so a later regeneration is
-    free.
+    The caller removes them from ``Q``; their scores stay cached in the
+    :class:`~repro.core.topk.PatternBook` so a later regeneration is free.
+    ``low`` may be any iterable of lows, such as the few whose status an
+    iteration changed; the kept ones are not collected.
     """
-    kept: list[Cells] = []
-    pruned: list[Cells] = []
-    for cells in low:
-        if satisfies_one_extension(cells, high):
-            kept.append(cells)
-        else:
-            pruned.append(cells)
-    return kept, pruned
+    return [cells for cells in low if not satisfies_one_extension(cells, high)]

@@ -69,12 +69,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.engine import NMEngine
 from repro.core.groups import PatternGroup, discover_pattern_groups
 from repro.core.pattern import TrajectoryPattern
-from repro.core.pruning import prune_low_patterns, satisfies_one_extension
+from repro.core.pruning import satisfies_one_extension
 from repro.core.topk import Cells, PatternBook, concat_bound, sort_key
-from repro.obs import logs, metrics, tracing
+from repro.obs import logs, manifest, metrics, tracing
 from repro.obs.metrics import MetricsRegistry
 
 _log = logs.get_logger("miner")
@@ -87,7 +89,9 @@ class IterationTrace:
     ``batch_size`` is the number of candidates the iteration scored through
     the engine's batched path in one call, and ``eval_time_s`` the wall time
     that evaluation took -- together they make the batching speedup visible
-    per iteration.
+    per iteration.  ``rss_bytes`` is this process's resident set when the
+    iteration ended (0 where ``/proc`` is missing); like ``eval_time_s`` it
+    varies between runs, so trace comparisons ignore it.
     """
 
     iteration: int
@@ -99,6 +103,7 @@ class IterationTrace:
     patterns_pruned: int
     batch_size: int = 0
     eval_time_s: float = 0.0
+    rss_bytes: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -223,6 +228,62 @@ def verify_top_k(
     return [(patterns[i], float(values[i])) for i in order[:k]]
 
 
+#: Rows per chunk of :func:`frequent_grams`' count (whole trajectories;
+#: a longer trajectory is a chunk of its own).
+_GRAM_CHUNK_ROWS = 2048
+
+
+def frequent_grams(dataset, grid, length: int, limit: int) -> list[Cells]:
+    """The ``limit`` most frequent observed cell ``length``-grams, most frequent first.
+
+    Each trajectory's most-likely cell sequence -- the cells of its means
+    -- contributes its contiguous ``length``-grams; ties go to the smaller
+    gram.  Both miners seed their minimum-length runs from these.  The
+    count runs on arrays, over chunks of whole trajectories: each chunk's
+    distinct grams are merged into one sorted table of (gram, count), so
+    memory follows the number of distinct grams, not of rows, and a
+    store-backed dataset is decoded one chunk at a time.
+    """
+    lengths = dataset.lengths()
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    row_columns = getattr(dataset, "row_columns", None)
+    # A gram's cells, big-endian, read as one opaque key: keys sort as the
+    # cell tuples do.
+    key_dtype = np.dtype((np.void, 4 * length))
+    keys = np.empty(0, key_dtype)
+    counts = np.empty(0, np.int64)
+    t_lo, n_traj = 0, len(lengths)
+    while t_lo < n_traj:
+        t_hi = int(np.searchsorted(bounds, bounds[t_lo] + _GRAM_CHUNK_ROWS, "right"))
+        t_hi = min(max(t_hi - 1, t_lo + 1), n_traj)
+        lo, hi = int(bounds[t_lo]), int(bounds[t_hi])
+        if row_columns is not None:
+            means = row_columns(lo, hi)[0]
+        else:
+            means = np.concatenate([dataset[t].means for t in range(t_lo, t_hi)])
+        cells = grid.locate_many(means)
+        # A gram starts at row i when its trajectory holds rows i..i+length-1.
+        ends = np.repeat(bounds[t_lo + 1 : t_hi + 1] - lo, lengths[t_lo:t_hi])
+        starts = np.nonzero(np.arange(hi - lo) + length <= ends)[0]
+        t_lo = t_hi
+        if not len(starts):
+            continue
+        grams = np.empty((len(starts), length), ">u4")
+        for j in range(length):
+            grams[:, j] = cells[starts + j]
+        chunk, chunk_counts = np.unique(
+            grams.view(key_dtype).ravel(), return_counts=True
+        )
+        at = np.searchsorted(keys, chunk)
+        known = at < len(keys)
+        known[known] = keys[at[known]] == chunk[known]
+        counts[at[known]] += chunk_counts[known]
+        keys = np.insert(keys, at[~known], chunk[~known])
+        counts = np.insert(counts, at[~known], chunk_counts[~known])
+    top = keys[np.argsort(-counts, kind="stable")[:limit]]
+    return [tuple(gram) for gram in top.view(">u4").reshape(-1, length).tolist()]
+
+
 class TrajPatternMiner:
     """Top-k NM pattern miner (the paper's TrajPattern algorithm).
 
@@ -331,8 +392,7 @@ class TrajPatternMiner:
             self._warm_start(book, stats)
         if self.warm_state is not None:
             self._seed_warm_state(book, stats)
-        book.update_omega()
-        high = book.high_patterns()
+        book.settle(prune=False)
 
         # Convergence needs more than a stable high set: a low added to Q in
         # the last iteration is a brand-new extension partner (the min-max
@@ -343,10 +403,10 @@ class TrajPatternMiner:
         # property -- so the loop is at a fixed point exactly when the high
         # set and that *relevant* partner set both stop changing: the
         # explicit relevant partners, and the live family roots that stand
-        # for the implicit ones.  (Full Q stability would also be correct
-        # but ruins termination in the no-pruning ablation modes, where
-        # junk lows accumulate forever.)
-        prev_partners = self._relevant_partners(book, high)
+        # for the implicit ones.  ``PatternBook.settle`` tests this from
+        # what the iteration changed.  (Full Q stability would also be
+        # correct but ruins termination in the no-pruning ablation modes,
+        # where junk lows accumulate forever.)
         stats.stop_reason = "max_iterations"
         for _ in range(self.max_iterations):
             stats.iterations += 1
@@ -356,19 +416,20 @@ class TrajPatternMiner:
             with tracing.span(
                 "miner.iteration", iteration=stats.iterations
             ) as it_span:
-                new_high = self._iterate(book, high, stats)
+                converged = self._iterate(book, stats)
                 it_span.set_attr("omega", book.omega)
-                it_span.set_attr("n_high", len(new_high))
+                it_span.set_attr("n_high", len(book.high))
             trace = IterationTrace(
                 iteration=stats.iterations,
                 omega=book.omega,
-                n_high=len(new_high),
+                n_high=len(book.high),
                 n_exact=book.n_exact,
                 n_bounded=book.n_implicit,
                 candidates_evaluated=stats.candidates_evaluated - evaluated_before,
                 patterns_pruned=stats.patterns_pruned - pruned_before,
                 batch_size=stats.candidates_evaluated - evaluated_before,
                 eval_time_s=stats.eval_time_s - eval_time_before,
+                rss_bytes=manifest.current_rss_bytes() or 0,
             )
             stats.trace.append(trace)
             _log.debug(
@@ -381,13 +442,9 @@ class TrajPatternMiner:
                     "patterns_pruned": trace.patterns_pruned,
                 },
             )
-            partners = self._relevant_partners(book, new_high)
-            if partners == prev_partners and set(new_high) == set(high):
-                high = new_high
+            if converged:
                 stats.stop_reason = "converged"
                 break
-            prev_partners = partners
-            high = new_high
 
         stats.final_q_size = len(book)
         stats.wall_time_s = time.perf_counter() - t0
@@ -420,7 +477,7 @@ class TrajPatternMiner:
         # k-th best.  Anything broader backfires: the implicit family
         # members run to tens of thousands of never-promoted candidates on
         # large alphabets, and re-evaluating those costs more than a cold run.
-        frontier = set(high) | {c for c, _ in top}
+        frontier = set(book.high) | {c for c, _ in top}
         warm_seeds = tuple(
             sorted(cells for cells in frontier if len(cells) >= 2)
         )
@@ -443,27 +500,17 @@ class TrajPatternMiner:
 
         Until ``k`` patterns of length >= ``min_length`` exist, ``omega`` is
         ``-inf`` and every candidate must be evaluated -- a full cross
-        product of the alphabet per iteration.  Seeding ``Q`` with the most
-        frequent *observed* cell n-grams (each trajectory's most-likely cell
-        sequence) establishes a realistic threshold immediately.  This is
-        purely a lower-bound warm start: every seed is evaluated exactly, so
-        the final answer is unchanged; only the amount of provably-useless
-        evaluation shrinks.
+        product of the alphabet per iteration.  Seeding ``Q`` with the
+        :func:`frequent_grams` of the observed cell sequences (each
+        trajectory's most-likely cells) establishes a realistic threshold
+        immediately.  This is purely a lower-bound warm start: every seed
+        is evaluated exactly, so the final answer is unchanged; only the
+        amount of provably-useless evaluation shrinks.
         """
-        grid = self.engine.grid
-        length = self.min_length
-        counts: dict[Cells, int] = {}
-        for traj in self.engine.dataset:
-            cells = tuple(int(c) for c in grid.locate_many(traj.means))
-            for i in range(len(cells) - length + 1):
-                gram = cells[i : i + length]
-                counts[gram] = counts.get(gram, 0) + 1
-        frequent = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        seeds = [
-            gram
-            for gram, _ in frequent[: self.WARM_START_CAP]
-            if not book.is_evaluated(gram)
-        ]
+        grams = frequent_grams(
+            self.engine.dataset, self.engine.grid, self.min_length, self.WARM_START_CAP
+        )
+        seeds = [gram for gram in grams if not book.is_evaluated(gram)]
         self._evaluate_batch(book, seeds, stats)
 
     def _seed_warm_state(self, book: PatternBook, stats: MinerStats) -> None:
@@ -483,48 +530,15 @@ class TrajPatternMiner:
         seeds = [cells for cells in seeds if not book.is_evaluated(cells)]
         self._evaluate_batch(book, seeds, stats)
 
-    # -- convergence ------------------------------------------------------------------
-
-    @staticmethod
-    def _relevant_partners(
-        book: PatternBook, high: dict[Cells, float]
-    ) -> tuple[frozenset[Cells], frozenset[Cells]]:
-        """The patterns that can still seed new candidates (Lemma 1).
-
-        Every answer pattern is an extension of a high pattern by a high
-        pattern or by a low satisfying the 1-extension property, so only
-        those partners participate in the convergence check: the explicit
-        ones, and the live family roots standing for the implicit ones.
-        Lows that fail the property may stay in ``Q`` (when extension
-        pruning is off) without keeping the loop alive.
-        """
-        explicit, roots = book.membership()
-        relevant = frozenset(
-            cells
-            for cells in explicit
-            if cells in high or satisfies_one_extension(cells, high)
-        )
-        return relevant, roots
-
     # -- one iteration of the main loop ---------------------------------------------
 
-    def _iterate(
-        self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
-    ) -> dict[Cells, float]:
-        to_evaluate = self._generate_candidates(book, high, stats)
+    def _iterate(self, book: PatternBook, stats: MinerStats) -> bool:
+        """Generate, score and settle one round; returns whether it converged."""
+        to_evaluate = self._generate_candidates(book, stats)
         self._evaluate_batch(book, to_evaluate, stats)
-
-        book.update_omega()
-        new_high = book.high_patterns()
-
-        if self.use_extension_pruning:
-            implicit_before = book.n_implicit
-            _, pruned = prune_low_patterns(book.low_patterns().keys(), new_high)
-            for cells in pruned:
-                book.remove(cells)
-            book.retire_roots(new_high)
-            stats.patterns_pruned += len(pruned) + implicit_before - book.n_implicit
-        return new_high
+        settled = book.settle(prune=self.use_extension_pruning)
+        stats.patterns_pruned += settled.pruned
+        return settled.converged
 
     def _evaluate_batch(
         self, book: PatternBook, to_evaluate: list[Cells], stats: MinerStats
@@ -536,9 +550,8 @@ class TrajPatternMiner:
             self.engine.require_epoch(self._engine_epoch)
         with tracing.span("miner.evaluate", n_candidates=len(to_evaluate)):
             with stats.metrics.timer("miner.eval_ns"):
-                nm_values = self.engine.nm_batch(
-                    [TrajectoryPattern(cells) for cells in to_evaluate]
-                )
+                # The book's cell tuples are already valid patterns.
+                nm_values = self.engine.nm_batch(to_evaluate)
         stats.metrics.counter("miner.eval_batches").inc()
         stats.metrics.histogram("miner.batch_size").observe(len(to_evaluate))
         for cells, nm in zip(to_evaluate, nm_values):
@@ -548,13 +561,13 @@ class TrajPatternMiner:
     # -- candidate generation -------------------------------------------------------
 
     def _generate_candidates(
-        self, book: PatternBook, high: dict[Cells, float], stats: MinerStats
+        self, book: PatternBook, stats: MinerStats
     ) -> list[Cells]:
         """Both-sided extensions of high patterns by patterns in ``Q``.
 
         Returns the candidates to evaluate exactly.
         """
-        omega = book.omega
+        omega, high = book.omega, book.high
         exhaustive = not self.use_bound_pruning or math.isinf(omega)
         seen: set[Cells] = set()
         to_evaluate: list[Cells] = []

@@ -59,6 +59,15 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
+def current_rss_bytes() -> int | None:
+    """Resident set size of this process now, in bytes (``None`` without ``/proc``)."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return None
+
+
 def process_gauges() -> dict[str, int | None]:
     """Current resources of this process, read from ``/proc/self``.
 
@@ -66,11 +75,10 @@ def process_gauges() -> dict[str, int | None]:
     high-water mark), ``open_fds`` and ``threads`` the live counts.  Each
     is ``None`` where ``/proc/self`` does not exist.
     """
+    rss = current_rss_bytes()
     try:
-        with open("/proc/self/statm", encoding="ascii") as fh:
-            resident_pages = int(fh.read().split()[1])
         return {
-            "rss_bytes": resident_pages * os.sysconf("SC_PAGE_SIZE"),
+            "rss_bytes": rss,
             "open_fds": len(os.listdir("/proc/self/fd")),
             "threads": len(os.listdir("/proc/self/task")),
         }

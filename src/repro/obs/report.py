@@ -248,7 +248,11 @@ def render_manifest_report(manifest: dict) -> str:
 
 
 def _mining_lines(metrics: dict) -> list[str]:
-    """The ``mining`` block of a ``repro mine`` run: why it stopped, per iteration."""
+    """The ``mining`` block of a ``repro mine`` run: why it stopped, per iteration.
+
+    ``rss`` is the miner process's resident set as each iteration ended
+    (``-`` for result files written before it was recorded).
+    """
     mining = metrics.get("mining")
     if not isinstance(mining, dict):
         return []
@@ -260,6 +264,7 @@ def _mining_lines(metrics: dict) -> list[str]:
             str(row.get("candidates_evaluated")),
             str(row.get("batch_size")),
             f"{row.get('eval_time_s', 0.0) * 1e3:.1f}ms",
+            f"{row['rss_bytes'] / 2**20:.1f}MiB" if row.get("rss_bytes") else "-",
         ]
         for row in mining.get("trace") or ()
     ]
@@ -274,7 +279,10 @@ def _mining_lines(metrics: dict) -> list[str]:
     if rows:
         lines.append(
             _table(
-                ["iteration", "omega", "n_high", "evaluated", "batch", "eval time"],
+                [
+                    "iteration", "omega", "n_high", "evaluated", "batch",
+                    "eval time", "rss",
+                ],  # fmt: skip
                 rows,
             )
         )

@@ -304,6 +304,12 @@ class MicroBatcher:
                         break
                 metrics.gauge("serve.queue_depth").set(len(self._queue))
                 await self._dispatch(lead.key, batch, close_on)
+                # Drop the dispatched items before waiting for the next
+                # one: their payloads pin the snapshot that admitted them,
+                # which an idle worker would otherwise keep alive after a
+                # swap retired it.
+                lead = None
+                batch = []
             except asyncio.CancelledError:
                 # close() cancelled the worker after it had popped items
                 # off the queue but before their futures resolved: shed

@@ -1,6 +1,8 @@
 """Tests for the miner's per-iteration introspection trace."""
 
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -60,3 +62,37 @@ class TestStopReason:
         ).mine()
         assert capped.stats.iterations == 1
         assert capped.stats.stop_reason == "max_iterations"
+
+
+class TestRss:
+    def test_every_iteration_records_the_process_rss(self, traced):
+        from repro.obs.manifest import current_rss_bytes
+
+        if current_rss_bytes() is None:
+            pytest.skip("no /proc on this platform")
+        assert all(t.rss_bytes > 0 for t in traced.stats.trace)
+
+    def test_trace_comparison_ignores_rss(self, traced):
+        row = traced.stats.trace[0]
+        assert row == replace(row, rss_bytes=row.rss_bytes + 4096)
+        assert row != replace(row, n_high=row.n_high + 1)
+
+    def test_result_files_keep_rss_and_older_files_load(self, traced, tmp_path):
+        from repro.core.results_io import load_mining_result, save_mining_result
+        from repro.geometry.bbox import BoundingBox
+        from repro.geometry.grid import Grid
+
+        grid = Grid(BoundingBox.unit(), nx=2, ny=2)
+        path = tmp_path / "result.json"
+        save_mining_result(traced, grid, path)
+        loaded, _ = load_mining_result(path)
+        assert [t.rss_bytes for t in loaded.stats.trace] == [
+            t.rss_bytes for t in traced.stats.trace
+        ]
+        document = json.loads(path.read_text())
+        for row in document["stats"]["trace"]:
+            del row["rss_bytes"]
+        path.write_text(json.dumps(document))
+        older, _ = load_mining_result(path)
+        assert [t.rss_bytes for t in older.stats.trace] == [0] * len(traced.stats.trace)
+        assert older.stats.trace == traced.stats.trace

@@ -291,11 +291,13 @@ class TestCliObservability:
         )
         header = next(line for line in rendered.splitlines() if line.startswith("iteration"))
         assert header.split() == [
-            "iteration", "omega", "n_high", "evaluated", "batch", "eval", "time"
+            "iteration", "omega", "n_high", "evaluated", "batch", "eval", "time", "rss"
         ]  # fmt: skip
         rows = rendered.split(header, 1)[1].splitlines()[2 : 2 + mining["iterations"]]
         for row, trace in zip(rows, mining["trace"]):
-            iteration, omega, n_high, evaluated, batch, _ = row.split()
+            iteration, omega, n_high, evaluated, batch, _, rss = row.split()
+            assert rss == f"{trace['rss_bytes'] / 2**20:.1f}MiB"
+            assert trace["rss_bytes"] > 0
             assert int(iteration) == trace["iteration"]
             assert float(omega) == pytest.approx(trace["omega"], rel=1e-5)
             assert int(n_high) == trace["n_high"]

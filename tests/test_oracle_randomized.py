@@ -11,6 +11,8 @@ implicit (:mod:`repro.core.topk`).
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from repro.baselines.match_miner import MatchMiner
 from repro.baselines.pb import PBMiner
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.pattern import TrajectoryPattern
-from repro.core.trajpattern import TrajPatternMiner
+from repro.core.pruning import satisfies_one_extension
+from repro.core.topk import PatternBook
+from repro.core.trajpattern import TrajPatternMiner, WarmStartState
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 
@@ -156,3 +160,129 @@ class TestBaselineExactness:
         result = MatchMiner(engine, k=k, max_length=MAX_LENGTH).mine()
         expected = brute_force(engine, k, engine.match)
         assert [p.cells for p in result.patterns] == expected
+
+
+def implicit_members(book: PatternBook) -> int:
+    """Live roots' distinct singular-extension members that are not explicit."""
+    members = {
+        cells
+        for root in book._roots
+        if book.max_length is None or len(root) < book.max_length
+        for s in book._alphabet
+        for cells in (root + (s,), (s,) + root)
+    }
+    return len(members - set(book._exact))
+
+
+class CheckedBook(PatternBook):
+    """A book that replays every settle from scratch and compares.
+
+    The reference is the whole-book computation the miner ran before its
+    bookkeeping became incremental: ``omega`` from every qualifying
+    explicit value, the high set by a scan, Definition 5 over every
+    explicit low, the roots filtered by the new high set, the relevant
+    partners as a set, and partner lists regrouped and sorted.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.previous = None  # (relevant, roots, high) at the last settle
+        self.settles = 0
+
+    def settle(self, prune):
+        exact = dict(self._exact)
+        qualifying = sorted(
+            (v for c, v in exact.items() if len(c) >= self.min_length), reverse=True
+        )
+        omega = self.omega
+        if len(qualifying) >= self.k:
+            omega = max(omega, qualifying[self.k - 1])
+        high = {c: v for c, v in exact.items() if math.isinf(omega) or v >= omega}
+        roots = set(self._roots)
+        pruned = []
+        if prune:
+            lows = [c for c in exact if c not in high]
+            pruned = [c for c in lows if not satisfies_one_extension(c, high)]
+            roots &= set(high)
+            implicit_before = implicit_members(self)
+        kept = set(exact) - set(pruned)
+        relevant = frozenset(
+            c for c in kept if c in high or satisfies_one_extension(c, high)
+        )
+
+        result = super().settle(prune)
+        self.settles += 1
+
+        assert self.omega == omega
+        assert self.high == high
+        assert set(self._exact) == kept
+        assert set(self._roots) == roots
+        groups = {}
+        for cells in self._exact:
+            groups.setdefault(len(cells), []).append(cells)
+        assert self._listed == {
+            length: sorted(cells, key=lambda c: (-self._exact[c], c))
+            for length, cells in groups.items()
+        }
+        assert self.n_implicit == implicit_members(self)
+        if prune:
+            assert result.pruned == (
+                len(pruned) + implicit_before - implicit_members(self)
+            )
+        if self.previous is not None:
+            assert result.converged == (self.previous == (relevant, roots, set(high)))
+        self.previous = (relevant, roots, set(high))
+        return result
+
+
+PRUNING = [(True, True), (True, False), (False, True), (False, False)]
+
+
+class TestIncrementalBookkeeping:
+    """Every settle of a mine agrees with a from-scratch recomputation."""
+
+    @staticmethod
+    def mine(engine, **options):
+        books = []
+
+        def checked(*args, **kwargs):
+            books.append(CheckedBook(*args, **kwargs))
+            return books[-1]
+
+        with mock.patch("repro.core.trajpattern.PatternBook", checked):
+            result = TrajPatternMiner(engine, **options).mine()
+        assert books and books[0].settles == result.stats.iterations + 1
+        return result
+
+    @pytest.mark.parametrize(
+        "extension, bound", PRUNING, ids=["both", "no-bound", "no-extension", "none"]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(seeds, ks, st.sampled_from([1, 2, 3]))
+    def test_every_settle_matches_a_full_recount(
+        self, extension, bound, seed, k, min_length
+    ):
+        for grid, max_length in INSTANCES:
+            engine = tiny_engine(seed, grid)
+            options = dict(
+                k=k,
+                min_length=min_length,
+                max_length=max_length,
+                use_extension_pruning=extension,
+                use_bound_pruning=bound,
+            )
+            cold = self.mine(engine, **options)
+            expected = brute_force(engine, k, engine.nm, max_length, min_length)
+            assert [p.cells for p in cold.patterns] == expected
+            # Warm seeds from a neighbouring dataset, plus patterns over
+            # every grid cell: some end in a cell outside the alphabet.
+            neighbour = TrajPatternMiner(tiny_engine(seed + 1, grid), **options).mine()
+            rng = np.random.default_rng(seed)
+            extra = tuple(
+                tuple(int(c) for c in rng.integers(0, grid.n_cells, n))
+                for n in rng.integers(2, max_length + 1, 6)
+            )
+            warm_state = WarmStartState(neighbour.warm_state.seeds + extra)
+            warm = self.mine(engine, warm_state=warm_state, **options)
+            assert [p.cells for p in warm.patterns] == expected
+

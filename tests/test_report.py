@@ -53,3 +53,31 @@ class TestBuildReport:
     def test_manual_assembly(self):
         report = Report(sections=[ReportSection("x", "body", 0.1)])
         assert "## x" in report.render()
+
+
+class TestMiningTable:
+    """``repro report``'s per-iteration table of a mine manifest."""
+
+    @staticmethod
+    def render(trace):
+        from repro.obs.report import render_manifest_report
+
+        mining = {"stop_reason": "converged", "iterations": len(trace), "trace": trace}
+        manifest = {"command": "mine", "metrics": {"mining": mining}}
+        return render_manifest_report(manifest)
+
+    ROW = {
+        "iteration": 1, "omega": -2.5, "n_high": 3, "candidates_evaluated": 7,
+        "batch_size": 7, "eval_time_s": 0.002,
+    }  # fmt: skip
+
+    def test_rss_column(self):
+        rendered = self.render([dict(self.ROW, rss_bytes=45 * 2**20 + 2**19)])
+        lines = rendered.splitlines()
+        header = next(line for line in lines if line.startswith("iteration"))
+        assert header.split()[-1] == "rss"
+        assert rendered.splitlines()[-1].split()[-1] == "45.5MiB"
+
+    def test_rows_without_rss_still_render(self):
+        rendered = self.render([dict(self.ROW)])
+        assert rendered.splitlines()[-1].split()[-1] == "-"

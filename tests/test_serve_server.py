@@ -7,8 +7,10 @@ loop with ``asyncio.run`` from a plain sync function.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -409,6 +411,34 @@ def test_hot_swap_under_load(tmp_path, dataset):
         assert by_id[i]["ok"], by_id[i]
         assert by_id[i]["version"] == "v2"
     assert health["version"] == "v2"
+
+
+def test_idle_server_releases_the_retired_generation(tmp_path, dataset):
+    """With no traffic after a swap, nothing pins the retired engine."""
+    dir_v2 = tmp_path / "v2"
+    v2 = zebranet_dataset(n_trajectories=10, n_ticks=20, seed=3)
+    _write_snapshot_dir(dir_v2, v2, "v2")
+
+    async def scenario():
+        snapshot = ServingSnapshot.from_dataset(dataset, version="v1")
+        retired = weakref.ref(snapshot.engine)
+        cell = snapshot.engine.active_cells[0]
+        server, _ = _serve(snapshot)
+        del snapshot
+        host, port = await server.start()
+        client = await _Client.connect(host, port)
+        scored = await client.request({"op": "score", "id": 1, "patterns": [[cell]]})
+        swap = await client.request({"op": "swap", "path": str(dir_v2)})
+        await asyncio.sleep(0.05)  # the batcher drains and idles
+        gc.collect()
+        alive = retired() is not None
+        await client.close()
+        await server.stop()
+        return scored, swap, alive
+
+    scored, swap, alive = asyncio.run(scenario())
+    assert scored["ok"] and swap["ok"] and swap["previous"] == "v1"
+    assert not alive, "the idle batcher still holds the retired snapshot"
 
 
 def test_swap_to_bad_path_is_an_error_and_keeps_serving(snapshot):

@@ -66,7 +66,7 @@ class TestInsertion:
 
     def test_remove_bounded(self):
         book = family_book()
-        book.retire_roots({})
+        book.retire_roots([(0,)])
         assert (0, 1) not in book
         assert not book.is_evaluated((0, 1))
         assert book.n_implicit == 0
@@ -118,7 +118,7 @@ class TestFamilies:
     def test_retired_root_keeps_members_of_live_roots(self):
         book = family_book()
         book.extend((1,))
-        book.retire_roots({(1,): -2.0})
+        book.retire_roots([(0,)])
         assert (1, 0) in book and (0, 1) in book
         assert (0, 2) not in book
         assert book.value((1, 0)) == concat_bound(1, -2.0, 1, -1.0)
@@ -161,20 +161,26 @@ class TestHighLow:
     def make_book(self):
         book = family_book()
         book.insert_exact((1, 2), -9.0)
+        book.settle(prune=False)
         return book
 
     def test_split(self):
         book = self.make_book()
-        assert set(book.high_patterns()) == {(0,), (1,)}
-        # Implicit members are low but counted, not listed.
-        assert set(book.low_patterns()) == {(2,), (1, 2)}
+        assert set(book.high) == {(0,), (1,)}
+        # The explicit lows; implicit members are low but counted, not listed.
+        assert {c for c in [(2,), (1, 2)] if book.value(c) < book.omega} == {
+            (2,), (1, 2)
+        }
+        assert book.n_exact == len(book.high) + 2
 
     def test_everything_high_while_omega_inf(self):
         book = PatternBook(k=5)
         book.insert_exact((0,), -1.0)
         book.insert_exact((0, 1), -9.0)
-        assert set(book.high_patterns()) == {(0,), (0, 1)}
-        assert book.low_patterns() == {}
+        book.settle(prune=True)
+        assert math.isinf(book.omega)
+        assert set(book.high) == {(0,), (0, 1)}
+        assert book.n_exact == 2
 
     def test_partners_by_length_sorted(self):
         book = self.make_book()
@@ -213,3 +219,88 @@ class TestTopK:
         book.insert_exact((1, 2), -5.0)
         top = book.top_k()
         assert [c for c, _ in top] == [(1, 2)]
+
+
+class TestSettle:
+    """The per-iteration update: omega, the high set, pruning, convergence."""
+
+    def make_book(self):
+        book = PatternBook(k=1)
+        book.seed_alphabet([(0, -1.0), (1, -2.0), (2, -3.0)])
+        book.settle(prune=False)
+        return book
+
+    def test_high_set_follows_inserts(self):
+        book = self.make_book()
+        assert book.omega == -1.0 and set(book.high) == {(0,)}
+        book.insert_exact((2, 2), -0.5)
+        book.settle(prune=False)
+        assert book.omega == -0.5 and set(book.high) == {(2, 2)}
+
+    def test_departed_high_takes_its_dependents(self):
+        book = self.make_book()
+        book.insert_exact((0, 1), -5.0)  # a low kept by Definition 5 via (0,)
+        assert book.settle(prune=True) == (0, False)
+        book.insert_exact((2, 2), -0.5)  # (0,) leaves the high set
+        pruned, converged = book.settle(prune=True)
+        assert (pruned, converged) == (1, False)
+        assert (0, 1) not in book and book.is_evaluated((0, 1))
+        assert book.n_exact == 4
+
+    def test_dependents_outside_the_alphabet(self):
+        # A warm-start seed can end in a cell with no singular entry.
+        book = self.make_book()
+        book.insert_exact((0, 7), -5.0)
+        book.settle(prune=True)
+        assert (0, 7) in book
+        book.insert_exact((2, 2), -0.5)
+        assert book.settle(prune=True).pruned == 1
+        assert (0, 7) not in book
+
+    def test_first_pruning_pass_checks_the_seeds(self):
+        book = PatternBook(k=1)
+        book.seed_alphabet([(0, -1.0), (1, -2.0)])
+        book.insert_exact((1, 1), -4.0)  # a seed no high end sub-pattern keeps
+        book.settle(prune=False)
+        assert (1, 1) in book
+        assert book.settle(prune=True).pruned == 1
+        assert (1, 1) not in book
+
+    def test_converges_once_nothing_relevant_changes(self):
+        book = self.make_book()
+        assert book.settle(prune=True).converged
+        book.extend((0,))
+        assert not book.settle(prune=True).converged  # a new root
+        book.insert_exact((1, 2), -9.0)  # fails Definition 5: pruned again
+        assert book.settle(prune=True) == (1, True)
+        book.reactivate((1, 2))
+        assert book.settle(prune=False) == (0, True)  # irrelevant, kept
+
+    def test_partner_lists_stay_sorted(self):
+        book = self.make_book()
+        for cells, nm in [((0, 1), -4.0), ((1, 0), -1.5), ((0, 0), -4.0)]:
+            book.insert_exact(cells, nm)
+        book.settle(prune=False)
+        assert [c for c, _ in book.partners().at_least(2, -math.inf)] == [
+            (1, 0), (0, 0), (0, 1)
+        ]
+        book.remove((0, 0))
+        assert [v for _, v in book.partners().at_least(2, -4.0)] == [-1.5, -4.0]
+
+    def test_omega_ignores_pruning(self):
+        book = PatternBook(k=2, min_length=2)
+        book.seed_alphabet([(0, -1.0)])
+        book.insert_exact((0, 0), -2.0)
+        book.insert_exact((1, 1), -3.0)
+        book.settle(prune=True)
+        assert book.omega == -3.0
+        book.remove((1, 1))
+        assert book.update_omega() == -3.0
+
+    def test_repeated_seed_counts_once(self):
+        book = PatternBook(k=2)
+        book.seed_alphabet([(0, -1.0), (1, -5.0)])
+        book.insert_exact((0, 0), -2.0)
+        book.insert_exact((0, 0), -2.0)  # a warm-state seed listed twice
+        book.settle(prune=False)
+        assert book.omega == -2.0 and book.n_exact == 3

@@ -5,11 +5,17 @@ enumerate *every* pattern up to a length cap, so the miner's top-k can be
 compared against ground truth exactly.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import trajpattern
 from repro.core.engine import EngineConfig, NMEngine
-from repro.core.trajpattern import TrajPatternMiner
+from repro.core.trajpattern import TrajPatternMiner, frequent_grams
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
@@ -209,3 +215,129 @@ class TestMemory:
             tracemalloc.stop()
         assert result.stats.final_q_size > 10 * result.stats.trace[-1].n_exact
         assert peak <= 4 * 2**20, peak
+
+
+class ReplayEngine:
+    """An engine front that scores each pattern once and then replays it.
+
+    A mine traced against a warmed-up replay measures the miner's own
+    bookkeeping: evaluation costs one lookup per candidate, as in a mine
+    whose kernels run in worker processes.
+    """
+
+    def __init__(self, engine):
+        self.engine, self.dataset, self.grid = engine, engine.dataset, engine.grid
+        self.table = engine.singular_nm_table()
+        self.scores = {}
+
+    def singular_nm_table(self):
+        return self.table
+
+    def nm_batch(self, patterns):
+        missing = [cells for cells in patterns if cells not in self.scores]
+        self.scores.update(zip(missing, self.engine.nm_batch(missing)))
+        return np.array([self.scores[cells] for cells in patterns])
+
+
+class TestWideHerdMemory:
+    def test_miner_peak_after_the_engine_build(self):
+        """The mine-wide herd's miner, evaluation replayed, peaks under 4.5 MiB.
+
+        250 trajectories x 100 ticks on a 0.02 grid (6,137 active cells),
+        ``k=5``, lengths 2..8 as ``repro mine`` runs it.  Measured 3.8
+        MiB; with per-iteration whole-book containers and a dict n-gram
+        count it was 5.4.
+        """
+        import tracemalloc
+
+        from repro.experiments.datasets import zebranet_dataset
+
+        dataset = zebranet_dataset(n_trajectories=250, n_ticks=100, sigma=0.01, seed=0)
+        config = EngineConfig(delta=0.02, min_prob=1e-5)
+        engine = ReplayEngine(NMEngine(dataset, dataset.make_grid(0.02), config))
+        options = dict(k=5, min_length=2, max_length=8)
+        expected = TrajPatternMiner(engine, **options).mine()  # scores every candidate
+        tracemalloc.start()
+        try:
+            result = TrajPatternMiner(engine, **options).mine()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.nm_values == expected.nm_values
+        assert peak <= 4.5 * 2**20, peak
+
+
+def dict_grams(dataset, grid, length, limit):
+    """The per-gram dict the miners counted warm-start seeds with before."""
+    counts = {}
+    for traj in dataset:
+        cells = tuple(int(c) for c in grid.locate_many(traj.means))
+        for i in range(len(cells) - length + 1):
+            gram = cells[i : i + length]
+            counts[gram] = counts.get(gram, 0) + 1
+    frequent = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return [gram for gram, _ in frequent[:limit]]
+
+
+class TestFrequentGrams:
+    """The array n-gram count behind both miners' warm starts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        length=st.integers(1, 4),
+        limit=st.integers(1, 40),
+        chunk_rows=st.sampled_from([1, 5, 2048]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_seeds_in_the_same_order_as_the_dict(
+        self, lengths, length, limit, chunk_rows, seed
+    ):
+        from repro.storage import open_store, write_store
+
+        # Walks on a 3x3 grid: few distinct grams, so counts tie often.
+        rng = np.random.default_rng(seed)
+        dataset = TrajectoryDataset(
+            UncertainTrajectory(rng.integers(0, 3, (n, 2)) / 3 + 1 / 6, 0.05)
+            for n in lengths
+        )
+        grid = Grid(BoundingBox.unit(), nx=3, ny=3)
+        expected = dict_grams(dataset, grid, length, limit)
+        original = trajpattern._GRAM_CHUNK_ROWS
+        trajpattern._GRAM_CHUNK_ROWS = chunk_rows
+        try:
+            assert frequent_grams(dataset, grid, length, limit) == expected
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_store(dataset, Path(tmp) / "walks.tjc")
+                with open_store(path) as store:
+                    stored = store.dataset()
+                    assert frequent_grams(stored, grid, length, limit) == expected
+        finally:
+            trajpattern._GRAM_CHUNK_ROWS = original
+
+    def test_no_trajectory_long_enough(self):
+        dataset = TrajectoryDataset(
+            [UncertainTrajectory(np.full((2, 2), 0.5), 0.05)] * 3
+        )
+        grid = Grid(BoundingBox.unit(), nx=2, ny=2)
+        assert frequent_grams(dataset, grid, 3, 10) == []
+        assert frequent_grams(dataset, grid, 2, 10) == [(3, 3)]
+
+    def test_counting_peak_on_the_wide_herd(self):
+        """The mine-wide herd's count peaks under 1 MiB (the dict: 4.2)."""
+        import tracemalloc
+
+        from repro.experiments.datasets import zebranet_dataset
+
+        dataset = zebranet_dataset(n_trajectories=250, n_ticks=100, sigma=0.01, seed=0)
+        grid = dataset.make_grid(0.02)
+        frequent_grams(dataset, grid, 2, 2000)  # warm-up
+        tracemalloc.start()
+        try:
+            grams = frequent_grams(dataset, grid, 2, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grams) == 2000
+        assert peak <= 2**20, peak
+
