@@ -1,8 +1,8 @@
 """Perf-trajectory benchmark suite: engine, kernels, mining and serving.
 
 Runs the engine micro-benchmarks (index construction, candidate
-evaluation), the kernel-backend comparison (numpy vs compiled, float64 vs
-float32, gap-DP throughput), a fig4a-style mining workload, the sharded
+evaluation), the kernel-backend comparison (numpy vs compiled, gap-DP
+throughput), a fig4a-style mining workload, the sharded
 parallel-scaling sweep (1/2/4/8 workers), the index-cache cold/warm
 comparison and the columnar-store suite (``.tjc`` open/scan/size
 economics plus an out-of-core RSS demonstration: a sharded mine over a
@@ -220,9 +220,10 @@ def _gap_frontier(engine, n: int, seed: int = 13) -> list[GapPattern]:
 
 
 def bench_kernel_backends(rounds: int) -> dict:
-    """Throughput of every kernel backend x dtype on the engine workload.
+    """Throughput of every kernel backend on the engine workload.
 
-    Three axes per combination, all on the standard engine workload:
+    Three axes per backend, keyed by the resolved name (``numpy``,
+    ``cnative``), all on the standard engine workload:
 
     * ``index_build_s`` -- a cold :class:`NMEngine` construction with the
       index cache off: the capacity pass, neighbourhood enumeration,
@@ -237,28 +238,21 @@ def bench_kernel_backends(rounds: int) -> dict:
     * ``gap_s`` / ``gap_evals_per_s`` -- :data:`KERNEL_N_GAP_PATTERNS`
       variable-gap patterns through the wildcard DP.
 
-    ``compiled_vs_numpy_eval_speedup`` (float64 candidate-eval throughput
-    ratio) is the acceptance number for the compiled backend; results are
+    ``compiled_vs_numpy_eval_speedup`` (candidate-eval throughput ratio)
+    is the acceptance number for the compiled backend; results are
     asserted bitwise-equal across backends before any ratio is reported.
     """
     dataset = zebranet_dataset(**ENGINE_WORKLOAD)
     grid = dataset.make_grid(ENGINE_CELL_SIZE)
 
-    combos = [("numpy", "float64"), ("numpy", "float32")]
     unavailable = kernels.compiled_unavailable_reason()
-    if unavailable is None:
-        combos += [("compiled", "float64"), ("compiled", "float32")]
-
     rng = np.random.default_rng(11)
     reference = None
     gap_reference = None
     backends: dict[str, dict] = {}
-    for backend, dtype in combos:
+    for backend in kernels.available_backends():
         config = EngineConfig(
-            delta=ENGINE_CELL_SIZE,
-            min_prob=ENGINE_MIN_PROB,
-            backend=backend,
-            dtype=dtype,
+            delta=ENGINE_CELL_SIZE, min_prob=ENGINE_MIN_PROB, backend=backend
         )
         engine = NMEngine(dataset, grid, config)
         if reference is None:
@@ -276,19 +270,14 @@ def bench_kernel_backends(rounds: int) -> dict:
         gap_s, gap_values = _best_of(
             lambda: [nm_gap_pattern(engine, gp) for gp in gap_frontier], rounds
         )
-        values = np.asarray(values, dtype=np.float64)
-        if dtype == "float64":
-            if reference is None:
-                reference, gap_reference = values, np.asarray(gap_values)
-            else:
-                assert np.allclose(values, reference, rtol=1e-12)
-                assert np.allclose(gap_values, gap_reference, rtol=1e-12)
+        if reference is None:
+            reference, gap_reference = values, np.asarray(gap_values)
         else:
-            assert np.allclose(values, reference, rtol=1e-4)
-        backends[f"{engine.backend_name}-{dtype}"] = {
+            assert np.allclose(values, reference, rtol=1e-12)
+            assert np.allclose(gap_values, gap_reference, rtol=1e-12)
+        backends[engine.backend_name] = {
             "requested": backend,
             "resolved": engine.backend_name,
-            "dtype": dtype,
             "index_build_s": build_s,
             "index_pairs": n_pairs,
             "index_entries": engine.n_index_entries,
@@ -320,21 +309,12 @@ def bench_kernel_backends(rounds: int) -> dict:
     if unavailable is not None:
         report["compiled_unavailable_reason"] = unavailable
     else:
-        numpy64 = backends["numpy-float64"]
-        compiled64 = next(
-            entry
-            for key, entry in backends.items()
-            if entry["requested"] == "compiled" and entry["dtype"] == "float64"
-        )
+        ref, fast = backends["numpy"], backends["cnative"]
         report["compiled_vs_numpy_eval_speedup"] = (
-            numpy64["eval_s"] / compiled64["eval_s"]
-            if compiled64["eval_s"] > 0
-            else float("inf")
+            ref["eval_s"] / fast["eval_s"] if fast["eval_s"] > 0 else float("inf")
         )
         report["compiled_vs_numpy_gap_speedup"] = (
-            numpy64["gap_s"] / compiled64["gap_s"]
-            if compiled64["gap_s"] > 0
-            else float("inf")
+            ref["gap_s"] / fast["gap_s"] if fast["gap_s"] > 0 else float("inf")
         )
     return report
 
@@ -1422,7 +1402,7 @@ def _print_kernels(kb: dict) -> None:
         )
     if "compiled_vs_numpy_eval_speedup" in kb:
         print(
-            f"kernels compiled vs numpy (f64): "
+            f"kernels compiled vs numpy: "
             f"eval {kb['compiled_vs_numpy_eval_speedup']:.1f}x  "
             f"gap {kb['compiled_vs_numpy_gap_speedup']:.1f}x"
         )

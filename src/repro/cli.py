@@ -290,11 +290,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
-        log_level=args.log_level,
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        store_path=str(store.path) if store is not None else None,
         radius_sigmas=args.radius_sigmas,
     )
     parallel_snapshot = None
@@ -312,7 +307,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 print(
                     f"dataset: {len(dataset)} trajectories, grid {grid.nx}x{grid.ny}, "
                     f"delta {delta:.6g}, jobs {engine_config.jobs}, "
-                    f"backend {engine.backend_name}/{engine.backend_dtype}"
+                    f"backend {engine.backend_name}"
                     + (", index cache hit" if engine.index_cache_hit else "")
                 )
                 result = TrajPatternMiner(
@@ -369,10 +364,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         min_prob=args.min_prob,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
-        log_level=args.log_level,
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
     )
     store_extra = None
     with obs_manifest.RunTimer() as timer:
@@ -538,7 +529,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.snapshot,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        dtype=args.dtype,
     )
     config = ServeConfig(
         host=args.host,
@@ -566,8 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving snapshot {snapshot.version} on {host}:{port} "
             f"(batch<={config.max_batch}, window {config.max_delay_ms}ms, "
-            f"queue<={config.max_queue}, backend "
-            f"{snapshot.engine.backend_name}/{snapshot.engine.backend_dtype}"
+            f"queue<={config.max_queue}, backend {snapshot.engine.backend_name}"
             + (
                 f", ingest k={ingest.k} every {ingest.remine_every} batch(es)"
                 + (f" window {ingest.window}" if ingest.window else "")
@@ -792,12 +781,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
             "numpy with a warning when no toolchain is available), 'numpy' "
             "(the reference), or 'auto' (compiled when available; default)"
         ),
-    )
-    group.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="value dtype the evaluation kernels run in (default float64)",
     )
 
 
@@ -1321,8 +1304,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["default", "all"],
         default="default",
         help=(
-            "'all': additionally score every kernel backend x dtype "
-            "combination (unavailable ones are reported as explicit skips)"
+            "'all': additionally score the frontier on the compiled kernel "
+            "backend (reported as an explicit skip when it is unavailable)"
         ),
     )
     selfcheck.set_defaults(func=_cmd_selfcheck)

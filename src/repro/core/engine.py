@@ -63,9 +63,11 @@ this property directly, for both the scalar and the batched paths.
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -92,10 +94,14 @@ from repro.uncertainty.gaussian import ProbModel, prob_within
 #: 1024 rows lower the serve-score benchmark herd's traced build peak by
 #: 2.9 MiB at 4-10 ms more build time.
 _INDEX_ROW_CHUNK = 2048
-#: Default (snapshot, cell) pairs evaluated per ``prob_within`` call; the
-#: live value is the ``EngineConfig.prob_chunk_size`` knob (see
-#: :func:`autotune_prob_chunk`).
+#: (snapshot, cell) pairs evaluated per ``prob_within`` call.  Each pair is
+#: evaluated on its own, so the split changes no bit.  A row chunk of the
+#: e2e benchmark herds enumerates at most ~94k pairs, so their sweeps never
+#: split.
 _INDEX_PAIR_CHUNK = 1 << 20
+#: Materialised per-cell dense columns kept in the engine's LRU cache;
+#: candidate patterns reuse cells heavily.
+_COLUMN_CACHE_SIZE = 256
 #: Matrix cells of one batched-evaluation scratch matrix (1 MiB of
 #: float64).  Batches are evaluated in chunks of patterns: nm/match chunks
 #: so their ``n_patterns * n_trajectories`` maxima matrix, and window-score
@@ -164,6 +170,11 @@ def _fill_csr(backend, capacity: np.ndarray, chunks) -> tuple[np.ndarray, ...]:
     return cell_ids.astype(np.int32), cell_bounds, rows, vals
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an integer above zero (``bool`` is not)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value > 0
+
+
 def _check_index_shape(n_rows: int, n_cells: int) -> None:
     """Reject row and cell counts whose ids overflow ``int32``.
 
@@ -186,7 +197,7 @@ class EngineConfig:
     Parameters
     ----------
     delta:
-        The indifference distance of section 3.3.
+        The indifference distance of section 3.3 (positive and finite).
     prob_model:
         Box (default) or disk geometry for ``Prob``.
     min_prob:
@@ -195,16 +206,13 @@ class EngineConfig:
         the cost of flattening the tail of the measure.
     radius_sigmas:
         Half-width (in sigmas, plus ``delta``) of the neighbourhood
-        enumerated around each snapshot mean.  ``None`` (default) derives
-        the radius from ``min_prob`` so no above-floor cell is missed.
+        enumerated around each snapshot mean (positive and finite).
+        ``None`` (default) derives the radius from ``min_prob`` so no
+        above-floor cell is missed.
     max_cells_per_snapshot:
         Memory guard: keep at most this many highest-probability cells per
-        snapshot.  The default is high enough to be inactive in ordinary
-        configurations.
-    column_cache_size:
-        Number of materialised per-cell dense columns kept in an LRU cache;
-        candidate patterns reuse cells heavily, so this trades memory for a
-        large constant-factor win during mining.
+        snapshot (a positive int).  The default is high enough to be
+        inactive in ordinary configurations.
     backend:
         Kernel backend for the hot loops (:mod:`repro.core.kernels`):
         ``"numpy"`` (default -- the reference implementation), ``"compiled"``
@@ -214,23 +222,10 @@ class EngineConfig:
         key except through the Prob-kernel tag: compiled box-``Prob``
         builds use libm ``erf`` and are keyed separately (see
         :func:`repro.core.kernels.prob_kernel_tag`).
-    dtype:
-        Value dtype of the evaluation kernels: ``"float64"`` (default) or
-        ``"float32"``.  The index is always *built* and cached in float64;
-        float32 mode casts the stored values once at install time and runs
-        the batched kernels in float32 (API outputs stay float64).
-        Excluded from the cache key.
-    prob_chunk_size:
-        (snapshot, cell) pairs evaluated per ``prob_within`` call during
-        index construction.  Bounds peak memory of the build; the default
-        (2^20) is a good fit for most machines and
-        :func:`autotune_prob_chunk` measures the best value empirically.
-        Chunking never changes results (each pair is evaluated
-        independently), which the test suite pins at 0 ULPs.
     jobs:
-        Spans for sharded evaluation.  The engine itself ignores this (one
-        :class:`NMEngine` is always single-process); it is read by
-        :func:`build_engine` and
+        Spans for sharded evaluation (a positive int).  The engine itself
+        ignores this (one :class:`NMEngine` is always single-process); it
+        is read by :func:`build_engine` and
         :class:`~repro.core.parallel.ParallelNMEngine` to decide how many
         spans to cut.  ``1`` (default) keeps everything in-process.
     cache_dir:
@@ -240,21 +235,6 @@ class EngineConfig:
         ``cache_dir/index-<key>.npz`` and falls back to a fresh build
         (persisting the result) on a miss.  ``None`` disables caching.
         Excluded from the cache key itself, as is ``jobs``.
-    store_path:
-        Path of a ``.tjc`` columnar store (:mod:`repro.storage`) backing
-        the dataset, or ``None`` for a purely in-RAM dataset.  Carried so
-        downstream consumers -- span-mode parallel workers, serving
-        snapshot loaders, run manifests -- can find the file; it never
-        affects evaluation results and is excluded from the index cache
-        key (the store's *content hash* is what names cache entries).
-    log_level, trace_out, metrics_out:
-        Observability knobs (all off / ``None`` by default): the
-        ``repro.*`` structured-log level, the span-trace JSONL path and
-        the metrics-snapshot JSON path.  They configure the *process
-        global* state in :mod:`repro.obs` -- applied by
-        :func:`build_engine` (and the CLI) via
-        :func:`repro.obs.apply_config` -- and never affect evaluation
-        results or the index cache key.
     """
 
     delta: float
@@ -262,41 +242,33 @@ class EngineConfig:
     min_prob: float = 1e-9
     radius_sigmas: float | None = None
     max_cells_per_snapshot: int = 4096
-    column_cache_size: int = 256
     backend: str = "numpy"
-    dtype: str = "float64"
-    prob_chunk_size: int = _INDEX_PAIR_CHUNK
     jobs: int = 1
     cache_dir: str | Path | None = None
-    store_path: str | Path | None = None
-    log_level: str | None = None
-    trace_out: str | Path | None = None
-    metrics_out: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if not 0.0 < self.min_prob < 1.0:
             raise ValueError("min_prob must be in (0, 1)")
-        if self.radius_sigmas is not None and self.radius_sigmas <= 0:
-            raise ValueError("radius_sigmas must be positive")
-        if self.max_cells_per_snapshot <= 0:
-            raise ValueError("max_cells_per_snapshot must be positive")
-        if self.column_cache_size <= 0:
-            raise ValueError("column_cache_size must be positive")
+        if self.radius_sigmas is not None and not (
+            math.isfinite(self.radius_sigmas) and self.radius_sigmas > 0
+        ):
+            raise ValueError(
+                f"radius_sigmas must be positive and finite, got {self.radius_sigmas!r}"
+            )
+        if not _positive_int(self.max_cells_per_snapshot):
+            raise ValueError(
+                "max_cells_per_snapshot must be a positive int, "
+                f"got {self.max_cells_per_snapshot!r}"
+            )
         if self.backend not in kernels.BACKEND_CHOICES:
             raise ValueError(
                 f"backend must be one of {kernels.BACKEND_CHOICES}, "
                 f"got {self.backend!r}"
             )
-        if self.dtype not in kernels.DTYPE_CHOICES:
-            raise ValueError(
-                f"dtype must be one of {kernels.DTYPE_CHOICES}, got {self.dtype!r}"
-            )
-        if self.prob_chunk_size < 1:
-            raise ValueError("prob_chunk_size must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if not _positive_int(self.jobs):
+            raise ValueError(f"jobs must be a positive int, got {self.jobs!r}")
 
     @property
     def min_log_prob(self) -> float:
@@ -379,8 +351,7 @@ class NMEngine:
         self.grid = grid
         self.config = config
         self._floor = config.min_log_prob
-        self._kernels = kernels.resolve_backend(config.backend, config.dtype)
-        self._dtype = self._kernels.dtype
+        self._kernels = kernels.resolve_backend(config.backend)
         self._arena = ScratchArena()
 
         self._set_dataset(dataset)
@@ -411,7 +382,6 @@ class NMEngine:
         self._cell_bounds = np.zeros(1, dtype=np.int64)
         self._flat_rows = np.empty(0, dtype=np.int32)
         self._flat_vals = np.empty(0)
-        self._flat_vals_k = np.empty(0, dtype=self._dtype)
         self._seg_starts = np.empty(0, dtype=np.int64)
         self._seg_traj = np.empty(0, dtype=np.int64)
         self._cell_seg_starts = np.empty(0, dtype=np.int64)
@@ -439,7 +409,6 @@ class NMEngine:
                 "cache_hit": self.index_cache_hit,
                 "prebuilt": adopted,
                 "backend": self._kernels.name,
-                "dtype": str(self._dtype),
             },
         )
 
@@ -466,25 +435,17 @@ class NMEngine:
 
     @property
     def index_nbytes(self) -> int:
-        """Bytes the installed index holds: its CSR and segment arrays, and
-        the kernels' value copy when it is not the stored values."""
-        arrays = [
+        """Bytes the installed index holds: its CSR and segment arrays."""
+        arrays = (
             self._cell_ids, self._cell_bounds, self._flat_rows, self._flat_vals,
             self._seg_starts, self._seg_traj, self._cell_seg_starts,
-        ]  # fmt: skip
-        if self._flat_vals_k is not self._flat_vals:
-            arrays.append(self._flat_vals_k)
+        )  # fmt: skip
         return int(sum(a.nbytes for a in arrays))
 
     @property
     def backend_name(self) -> str:
         """The kernel implementation actually running ("numpy"/"cnative")."""
         return str(self._kernels.name)
-
-    @property
-    def backend_dtype(self) -> str:
-        """Value dtype of the evaluation kernels ("float64"/"float32")."""
-        return str(self._dtype)
 
     @property
     def kernel_backend(self) -> kernels.KernelBackend:
@@ -549,18 +510,17 @@ class NMEngine:
         All the rows' neighbourhoods come from one
         :meth:`~repro.geometry.grid.Grid.cells_near_many` call and ``Prob``
         is evaluated over the concatenated (snapshot, cell) pairs in chunks
-        of ``config.prob_chunk_size`` through the kernel backend; only the
+        of ``_INDEX_PAIR_CHUNK`` through the kernel backend; only the
         (rare) per-snapshot cap falls back to a Python loop over the few
         snapshots that exceed it.  Returns ``int32`` cells and rows and
         ``float64`` log-probabilities, in ascending row order.
         """
         cfg = self.config
         cap = cfg.max_cells_per_snapshot
-        pair_chunk = cfg.prob_chunk_size
         cells, owners = self.grid.cells_near_many(means, radii)
         probs = np.empty(len(cells))
-        for s in range(0, len(cells), pair_chunk):
-            e = min(s + pair_chunk, len(cells))
+        for s in range(0, len(cells), _INDEX_PAIR_CHUNK):
+            e = min(s + _INDEX_PAIR_CHUNK, len(cells))
             # np.take gathers (n, 2) rows an order of magnitude faster
             # than fancy indexing, with the same values.
             self._kernels.prob_within(
@@ -654,7 +614,11 @@ class NMEngine:
                 kernel_tag=kernels.prob_kernel_tag(self.config),
             )
             loaded = index_cache.load_index(
-                cache_dir, key, n_rows=self._total_rows, n_cells=self.grid.n_cells
+                cache_dir,
+                key,
+                n_rows=self._total_rows,
+                n_cells=self.grid.n_cells,
+                floor=self._floor,
             )
             if loaded is not None:
                 self.index_cache_hit = True
@@ -756,14 +720,22 @@ class NMEngine:
         pairs, so any permutation of the same triples installs identically.
         Already-sorted input (a cache payload) skips the lexsort, keeping
         warm starts array-speed.  A repeated (cell, row) pair, a cell
-        outside the grid or a row outside the dataset raises instead of
-        installing.
+        outside the grid, a row outside the dataset or a value outside
+        ``[floor, 0]`` raises instead of installing: the two backends
+        disagree on such a value (the compiled ``batch_devmax`` skips a
+        deviation at or below zero, numpy adds it), and no probability
+        lies above 1.
         """
         cells = np.ascontiguousarray(cells, dtype=np.int64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         vals = np.ascontiguousarray(vals, dtype=np.float64)
         if not len(cells) == len(rows) == len(vals):
             raise ValueError("index entry columns differ in length")
+        if not index_cache.values_in_range(vals, self._floor):
+            raise ValueError(
+                f"index entry value outside [{self._floor!r}, 0] (the log-space "
+                "floor and log 1)"
+            )
         if not index_cache.keys_strictly_increasing(cells, rows):
             order = np.lexsort((rows, cells))
             cells, rows, vals = cells[order], rows[order], vals[order]
@@ -816,11 +788,6 @@ class NMEngine:
         self._cell_bounds = cell_bounds
         self._flat_rows = rows
         self._flat_vals = vals
-        # The kernels run in the configured dtype; float64 shares storage,
-        # float32 casts once here (the cache stays float64 either way).
-        self._flat_vals_k = (
-            vals if self._dtype == np.float64 else vals.astype(self._dtype)
-        )
         # Flat segment index for the vectorised bulk-extension path: entries
         # segmented at every (cell, trajectory) change.  Pattern-independent,
         # built once.
@@ -849,7 +816,7 @@ class NMEngine:
             col[self._flat_rows[sl]] = self._flat_vals[sl]
         col.setflags(write=False)
         self._column_cache[cell] = col
-        if len(self._column_cache) > self.config.column_cache_size:
+        if len(self._column_cache) > _COLUMN_CACHE_SIZE:
             self._column_cache.popitem(last=False)
         return col
 
@@ -927,16 +894,14 @@ class NMEngine:
         cells_matrix = np.array([p.cells for p in patterns], dtype=np.int64)
         n_spec = (cells_matrix != WILDCARD).sum(axis=1)
         start, count = self._entry_lookup()
-        scores = self._arena.get(
-            "stacked.out", (len(patterns), n_windows), self._dtype
-        )
+        scores = self._arena.get("stacked.out", (len(patterns), n_windows))
         self._kernels.stacked_scores(
             cells_matrix,
             n_spec,
             start,
             count,
             self._flat_rows,
-            self._flat_vals_k,
+            self._flat_vals,
             self._floor,
             n_windows,
             scores,
@@ -1005,24 +970,21 @@ class NMEngine:
         backend (:mod:`repro.core.kernels`); nothing of size ``n_patterns *
         n_windows`` is ever materialised.
 
-        The result is a float64 arena-backed scratch matrix, valid until
-        the next batched call on this engine.  The baseline is added in
-        place on the kernel's output, so a chunk costs one matrix; the
-        eligible columns are gathered into a second one only when some
-        trajectory is shorter than the patterns, and the float32 mode
-        widens into a float64 one.
+        The result is an arena-backed scratch matrix, valid until the next
+        batched call on this engine.  The baseline is added in place on the
+        kernel's output, so a chunk costs one matrix; the eligible columns
+        are gathered into a second one only when some trajectory is shorter
+        than the patterns.
         """
         n_patterns, n_traj = cells_matrix.shape[0], len(self.dataset)
         start, count = self._entry_lookup()
-        dev_max = self._arena.get(
-            "devmax.out", (n_patterns, n_traj), self._dtype, zero=True
-        )
+        dev_max = self._arena.get("devmax.out", (n_patterns, n_traj), zero=True)
         self._kernels.batch_devmax(
             cells_matrix,
             start,
             count,
             self._flat_rows,
-            self._flat_vals_k,
+            self._flat_vals,
             self._floor,
             valid,
             n_windows,
@@ -1037,19 +999,10 @@ class NMEngine:
                 eligible,
                 axis=1,
                 mode="clip",
-                out=self._arena.get(
-                    "devmax.eligible", (n_patterns, len(eligible)), self._dtype
-                ),
+                out=self._arena.get("devmax.eligible", (n_patterns, len(eligible))),
             )
-        baseline = (self._floor * n_spec)[:, None]
-        if dev_max.dtype == np.float64:
-            dev_max += baseline
-            return dev_max
-        return np.add(
-            dev_max,
-            baseline,
-            out=self._arena.get("devmax.f64", dev_max.shape, np.float64),
-        )
+        dev_max += (self._floor * n_spec)[:, None]
+        return dev_max
 
     def _batch_reduce(self, patterns: Sequence[PatternLike], kind: str) -> np.ndarray:
         """Shared driver of :meth:`nm_batch` / :meth:`match_batch`.
@@ -1149,9 +1102,9 @@ class NMEngine:
                     [patterns[i] for i in sub], n_windows
                 )
                 for row, i in enumerate(sub):
-                    # Copy out of the arena-backed scratch (and upcast the
-                    # float32 mode): these rows outlive the next batch.
-                    out[i] = np.array(scores[row], dtype=np.float64)
+                    # Copy out of the arena-backed scratch: these rows
+                    # outlive the next batch.
+                    out[i] = scores[row].copy()
         return out
 
     # -- bulk singular evaluation ---------------------------------------------------------
@@ -1166,7 +1119,7 @@ class NMEngine:
         """
         if self._seg_max is None:
             self._seg_max = self._kernels.segment_maxima(
-                self._flat_vals_k, self._seg_starts
+                self._flat_vals, self._seg_starts
             )
         return self._seg_max
 
@@ -1443,54 +1396,9 @@ def build_engine(
     """
     grid = dataset.make_grid(cell_size)
     config = EngineConfig(delta=delta if delta is not None else cell_size, **config_kwargs)
-    from repro import obs  # deferred: repro/__init__ imports this module
-
-    obs.apply_config(config)
     if config.jobs > 1:
         from repro.core.parallel import ParallelNMEngine
 
         return ParallelNMEngine(dataset, grid, config)
     return NMEngine(dataset, grid, config)
 
-
-def autotune_prob_chunk(
-    dataset: TrajectoryDataset,
-    grid: Grid,
-    config: EngineConfig,
-    candidates: Sequence[int] = (1 << 16, 1 << 18, 1 << 20, 1 << 22),
-    rounds: int = 2,
-) -> int:
-    """Empirically pick the fastest ``prob_chunk_size`` for this machine.
-
-    Times the full index-entry collection (the chunked ``prob_within``
-    sweep) at each candidate size and returns the fastest.  Chunking is
-    purely an execution-shape knob -- every (snapshot, cell) pair is
-    evaluated independently, so results are bit-identical at any size (a
-    regression test pins this at 0 ULPs) and the choice is safe to apply
-    blindly via ``replace(config, prob_chunk_size=...)``.
-
-    A quick helper, not a benchmark: one engine build plus
-    ``rounds * len(candidates)`` collection sweeps over the given dataset.
-    """
-    import time
-    from dataclasses import replace as _replace
-
-    if not candidates:
-        raise ValueError("autotune needs at least one candidate chunk size")
-    base = _replace(config, cache_dir=None)
-    engine = NMEngine(dataset, grid, base)
-    best_chunk, best_t = None, float("inf")
-    for chunk in candidates:
-        engine.config = _replace(base, prob_chunk_size=int(chunk))
-        elapsed = float("inf")
-        for _ in range(max(1, rounds)):
-            t0 = time.perf_counter()
-            engine._collect_index_entries()
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_t:
-            best_chunk, best_t = int(chunk), elapsed
-    _log.debug(
-        "prob_chunk autotune",
-        extra={"best": best_chunk, "candidates": [int(c) for c in candidates]},
-    )
-    return best_chunk

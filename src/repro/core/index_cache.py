@@ -35,14 +35,15 @@ parallel engine over the same data share one entry; a span engine of
 :class:`~repro.core.parallel.ParallelNMEngine` keeps its own entry, with
 span-local row indices.
 
-Knobs that do not change the stored entries (``column_cache_size``,
-``jobs``, ``cache_dir`` itself, evaluation ``backend``/``dtype``) are
-deliberately excluded.
+Knobs that do not change the stored entries (``jobs``, ``cache_dir``
+itself, and the evaluation ``backend`` apart from its ``Prob`` kernel
+tag) are deliberately excluded.
 
 Robustness: files are written atomically (temp file + ``os.replace``) and
 :func:`load_index` treats *any* unreadable, truncated or
-wrong-format file as a miss -- the engine then falls back to a fresh
-build and overwrites the bad file.
+wrong-format file as a miss, and so is a payload holding a value no
+build could produce -- the engine then falls back to a fresh build and
+overwrites the bad file.
 
 Observability: every load outcome is logged on the ``repro.index_cache``
 logger and counted on the global metrics registry -- ``index.cache.hit``,
@@ -262,6 +263,7 @@ def load_index(
     *,
     n_rows: int | None = None,
     n_cells: int | None = None,
+    floor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Load the flat index arrays for ``key``, or ``None`` on any failure.
 
@@ -274,7 +276,9 @@ def load_index(
     or bit rot that survived the zip CRC) is rejected as corrupt rather
     than handed to the engine, where an out-of-range row would raise an
     ``IndexError`` deep inside index installation -- or worse, silently
-    score against the wrong trajectories.
+    score against the wrong trajectories.  ``floor`` (the engine's
+    log-space floor) likewise bounds the values: a log-probability outside
+    ``[floor, 0]`` is rejected as corrupt.
     """
     target = cache_path(cache_dir, key)
     try:
@@ -300,6 +304,8 @@ def load_index(
             return _corrupt(target, "row indices out of range")
         if not np.isfinite(vals).all():
             return _corrupt(target, "non-finite log-probabilities")
+        if floor is not None and not values_in_range(vals, floor):
+            return _corrupt(target, "log-probabilities outside [floor, 0]")
         # The writer only ever saves an engine's sorted, unique entries, so
         # keys that fail to increase strictly (a repeated or reordered
         # entry) mean the payload is not one it wrote.
@@ -311,6 +317,11 @@ def load_index(
         extra={"path": str(target), "n_entries": int(len(cells))},
     )
     return cells, rows, vals
+
+
+def values_in_range(vals: np.ndarray, floor: float) -> bool:
+    """Whether every log-probability lies in ``[floor, 0]``."""
+    return not len(vals) or bool(floor <= vals.min() and vals.max() <= 0.0)
 
 
 def keys_strictly_increasing(cells: np.ndarray, rows: np.ndarray) -> bool:

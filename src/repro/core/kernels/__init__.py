@@ -6,7 +6,7 @@ per-segment maxima sweep, the chunked ``prob_within`` evaluation, the
 index build's scatter of entries into per-cell runs and their compaction
 (into a CSR index by cell with ``int32`` rows), its segmentation, and the
 wildcard gap DP -- are isolated behind the narrow :class:`KernelBackend`
-protocol.
+protocol.  Every kernel runs in float64.
 Everything else in the engine is orchestration and stays numpy.
 
 Backends
@@ -22,20 +22,12 @@ Backends
 ``auto``
     ``compiled`` when available, else ``numpy`` -- silently (debug log).
 
-Selection is config-driven end to end: ``EngineConfig(backend=...,
-dtype=...)``, CLI ``--backend/--dtype``, the ``serve.json`` snapshot
-fields, and the obs manifest record what actually ran.  The environment
-variable ``REPRO_KERNELS`` is the operational escape hatch: ``cnative``
-requires the C provider, ``none`` disables compiled kernels entirely
-(useful to assert the fallback path).
-
-Precision modes
----------------
-``dtype="float32"`` stores the flat index values (and runs the evaluation
-kernels) in float32; the index is always *built* in float64 and cached in
-float64, so the cache is dtype-independent and a float32 engine warm-starts
-from a float64-built file.  API outputs remain float64.  See
-``docs/KERNELS.md`` for the ULP policy.
+Selection is config-driven end to end: ``EngineConfig(backend=...)``,
+CLI ``--backend``, the ``serve.json`` snapshot field, and the obs
+manifest records what actually ran.  The environment variable
+``REPRO_KERNELS`` is the operational escape hatch: ``cnative`` requires
+the C library, ``none`` disables compiled kernels entirely (useful to
+assert the fallback path).
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from repro.uncertainty.gaussian import ProbModel
 
 __all__ = [
     "BACKEND_CHOICES",
-    "DTYPE_CHOICES",
     "KernelBackend",
     "NumpyKernels",
     "ScratchArena",
@@ -67,8 +58,6 @@ _log = logs.get_logger("kernels")
 
 #: Values accepted by ``EngineConfig.backend`` / ``--backend``.
 BACKEND_CHOICES = ("numpy", "compiled", "auto")
-#: Values accepted by ``EngineConfig.dtype`` / ``--dtype``.
-DTYPE_CHOICES = ("float64", "float32")
 
 
 @runtime_checkable
@@ -86,8 +75,6 @@ class KernelBackend(Protocol):
     """
 
     name: str        #: resolved implementation ("numpy", "cnative")
-    provider: str    #: toolchain behind it (same as name today)
-    dtype: np.dtype  #: value dtype the evaluation kernels run in
     compiled: bool   #: True for native implementations
     prob_tag: str    #: identity of the Prob kernel ("ref" = scipy erf)
 
@@ -131,112 +118,97 @@ class KernelBackend(Protocol):
         """``(seg_starts, seg_traj, cell_seg_starts)`` of a CSR index."""
 
 
-# -- provider resolution ------------------------------------------------------
+# -- resolution ---------------------------------------------------------------
 
-#: Cached (provider | None, unavailable-reason | None) per REPRO_KERNELS value.
-_provider_state: dict[str, tuple[object | None, str | None]] = {}
-#: Cached backend instances keyed by (resolved name, dtype).
-_instances: dict[tuple[str, str], KernelBackend] = {}
+#: Cached (library | None, unavailable-reason | None) per REPRO_KERNELS value.
+_library_state: dict[str, tuple[object | None, str | None]] = {}
+#: Cached backend instances keyed by resolved name.
+_instances: dict[str, KernelBackend] = {}
 
 
 def _forced() -> str:
     return os.environ.get("REPRO_KERNELS", "").strip().lower()
 
 
-def _load_provider_state(forced: str) -> tuple[object | None, str | None]:
+def _load_library_state(forced: str) -> tuple[object | None, str | None]:
     if forced == "none":
         return None, "disabled via REPRO_KERNELS=none"
-    from repro.core.kernels import compiled
-
-    if forced and forced not in compiled.PROVIDER_CHOICES:
+    if forced not in ("", "cnative"):
         return None, (
             f"unknown REPRO_KERNELS value {forced!r} "
-            f"(expected one of {('none',) + compiled.PROVIDER_CHOICES})"
+            "(expected one of ('none', 'cnative'))"
         )
-    candidates = (forced,) if forced else compiled.PROVIDER_CHOICES
-    reasons = []
-    for name in candidates:
-        try:
-            provider = compiled.load_provider(name)
-        except Exception as exc:  # toolchain probing: any failure is a reason
-            reasons.append(f"{name}: {exc}")
-        else:
-            _log.debug(
-                "compiled kernel provider ready", extra={"provider": name}
-            )
-            return provider, None
-    return None, "; ".join(reasons)
+    from repro.core.kernels import compiled
+
+    try:
+        lib = compiled.load_library()
+    except Exception as exc:  # toolchain probing: any failure is a reason
+        return None, f"cnative: {exc}"
+    _log.debug("compiled kernel library ready")
+    return lib, None
 
 
-def _provider() -> tuple[object | None, str | None]:
+def _library() -> tuple[object | None, str | None]:
     forced = _forced()
-    state = _provider_state.get(forced)
+    state = _library_state.get(forced)
     if state is None:
-        state = _load_provider_state(forced)
-        _provider_state[forced] = state
+        state = _load_library_state(forced)
+        _library_state[forced] = state
     return state
 
 
 def compiled_unavailable_reason() -> str | None:
     """Why the compiled backend cannot run here, or ``None`` if it can."""
-    provider, reason = _provider()
-    return None if provider is not None else (reason or "unavailable")
+    lib, reason = _library()
+    return None if lib is not None else (reason or "unavailable")
 
 
 def available_backends() -> list[str]:
     """Backend names that resolve to themselves on this machine."""
     out = ["numpy"]
-    if _provider()[0] is not None:
+    if _library()[0] is not None:
         out.append("compiled")
     return out
 
 
-def resolve_backend(backend: str, dtype: str = "float64") -> KernelBackend:
-    """The backend instance a config ``(backend, dtype)`` pair runs on.
+def resolve_backend(backend: str) -> KernelBackend:
+    """The backend instance a config's ``backend`` runs on.
 
-    ``"compiled"`` degrades to numpy with a structured warning when no
-    native provider is available; ``"auto"`` degrades silently.  Instances
-    are cached per (implementation, dtype), so resolution is cheap enough
-    to call per engine construction (including inside forked workers,
-    where it naturally re-resolves against the worker's own process).
+    ``"compiled"`` degrades to numpy with a structured warning when the C
+    library is unavailable; ``"auto"`` degrades silently.  Instances are
+    cached per implementation, so resolution is cheap enough to call per
+    engine construction (including inside forked workers, where it
+    naturally re-resolves against the worker's own process).
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown kernel backend {backend!r} (expected one of {BACKEND_CHOICES})"
         )
-    if dtype not in DTYPE_CHOICES:
-        raise ValueError(
-            f"unknown kernel dtype {dtype!r} (expected one of {DTYPE_CHOICES})"
-        )
     if backend == "numpy":
-        return _instance("numpy", dtype)
-    provider, reason = _provider()
-    if provider is None:
+        return _instance("numpy")
+    lib, reason = _library()
+    if lib is None:
         if backend == "compiled":
             _log.warning(
                 "compiled kernel backend unavailable; falling back to numpy",
-                extra={"requested": backend, "dtype": dtype, "reason": reason},
+                extra={"requested": backend, "reason": reason},
             )
         else:
-            _log.debug(
-                "auto backend resolved to numpy",
-                extra={"dtype": dtype, "reason": reason},
-            )
-        return _instance("numpy", dtype)
-    return _instance(provider.name, dtype, provider)
+            _log.debug("auto backend resolved to numpy", extra={"reason": reason})
+        return _instance("numpy")
+    return _instance("cnative", lib)
 
 
-def _instance(name: str, dtype: str, provider=None) -> KernelBackend:
-    key = (name, dtype)
-    inst = _instances.get(key)
+def _instance(name: str, lib=None) -> KernelBackend:
+    inst = _instances.get(name)
     if inst is None:
         if name == "numpy":
-            inst = NumpyKernels(dtype)
+            inst = NumpyKernels()
         else:
             from repro.core.kernels.compiled import CompiledKernels
 
-            inst = CompiledKernels(provider, dtype)
-        _instances[key] = inst
+            inst = CompiledKernels(lib)
+        _instances[name] = inst
     return inst
 
 
@@ -246,22 +218,21 @@ def prob_kernel_tag(config) -> str:
     ``"ref"`` is the scipy path the index cache has always stored (so
     default configurations keep their existing cache keys); compiled box
     kernels use libm ``erf`` (within ~2 ULPs of scipy, not bit-identical)
-    and are tagged by provider name so reference- and compiled-built
-    index files never alias.  The disk geometry always evaluates through
+    and are tagged with the compiled backend's name so reference- and
+    compiled-built index files never alias.  The disk geometry always evaluates through
     scipy regardless of backend.
     """
     if config.prob_model is not ProbModel.BOX:
         return "ref"
-    return resolve_backend(config.backend, config.dtype).prob_tag
+    return resolve_backend(config.backend).prob_tag
 
 
 def backend_summary(config) -> dict:
     """What a config resolves to on this machine (for manifests/metrics)."""
-    resolved = resolve_backend(config.backend, config.dtype)
+    resolved = resolve_backend(config.backend)
     summary = {
         "requested": config.backend,
         "resolved": resolved.name,
-        "dtype": str(resolved.dtype),
         "compiled": bool(resolved.compiled),
     }
     reason = compiled_unavailable_reason()

@@ -1,15 +1,14 @@
 """Compiled kernel backend: a small C library driven through ``ctypes``.
 
-One provider, ``cnative``, implements the backend's eight kernels
-(deviation maxima, stacked scores, segment maxima, box ``Prob``, gap DP,
-and the index build's scatter of entries into per-cell runs, their
-compaction into a CSR index and its segmentation; every kernel reads
-``int32`` rows):
-a C translation unit compiled on first use with the system C compiler
-(``cc``/``gcc``/``clang``) into a content-hashed shared library under a
-cache directory.
+The library implements the backend's eight kernels (deviation maxima,
+stacked scores, segment maxima, box ``Prob``, gap DP, and the index
+build's scatter of entries into per-cell runs, their compaction into a
+CSR index and its segmentation; every kernel reads ``int32`` rows and
+``float64`` values): a C translation unit compiled on first use with the
+system C compiler (``cc``/``gcc``/``clang``) into a content-hashed shared
+library under a cache directory.
 
-It is not required: :func:`load_provider` raises with a precise reason
+It is not required: :func:`load_library` raises with a precise reason
 when the library cannot be built, and the registry in
 :mod:`repro.core.kernels` degrades to the numpy backend with a structured
 log warning.  ``REPRO_KERNELS=cnative|none`` forces it on or off.
@@ -18,8 +17,8 @@ Numerical notes
 ---------------
 The evaluation kernels (devmax / stacked / segmax / gap DP) accumulate in
 exactly the reference order (see :mod:`repro.core.kernels.numpy_ref`), so
-they are bit-identical to numpy in both dtypes, and the scatter,
-compaction and segmentation kernels only move integers and stored values.  The box
+they are bit-identical to numpy, and the scatter, compaction and
+segmentation kernels only move integers and stored values.  The box
 ``Prob`` kernel is the one exception: it uses the C library's ``erf``
 (libm), which may differ from scipy's by a couple of ULPs.  An index
 built through it is therefore tagged in the index-cache key
@@ -46,9 +45,7 @@ from repro.uncertainty.gaussian import ProbModel
 
 _log = logs.get_logger("kernels.compiled")
 
-__all__ = ["CompiledKernels", "load_provider", "PROVIDER_CHOICES"]
-
-PROVIDER_CHOICES = ("cnative",)
+__all__ = ["CompiledKernels", "load_library"]
 
 
 # -- the C translation unit ---------------------------------------------------
@@ -64,90 +61,79 @@ _C_SOURCE = r"""
  * bit-identical.  scratch must be all zeros on entry and is restored to
  * zeros before returning; touched holds the windows dirtied per pattern.
  * out is (n_patterns, n_traj), zero-filled by the caller. */
-#define DEVMAX(SUF, T)                                                        \
-void batch_devmax_##SUF(                                                      \
-    const int64_t *cells, int64_t n_patterns, int64_t m,                      \
-    const int64_t *start, const int64_t *count,                               \
-    const int32_t *rows, const T *vals, double floor_,                        \
-    const uint8_t *valid, int64_t n_windows, const int64_t *win_traj,         \
-    int64_t n_traj, T *scratch, int64_t *touched, T *out)                     \
-{                                                                             \
-    const T floorv = (T)floor_;                                               \
-    for (int64_t p = 0; p < n_patterns; ++p) {                                \
-        int64_t nt = 0;                                                       \
-        const int64_t *pc = cells + p * m;                                    \
-        for (int64_t j = 0; j < m; ++j) {                                     \
-            const int64_t c = pc[j];                                          \
-            if (c < 0) continue;                                              \
-            const int64_t e0 = start[c], e1 = e0 + count[c];                  \
-            for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = (int64_t)rows[e] - j;                       \
-                if (w < 0 || w >= n_windows || !valid[w]) continue;           \
-                const T d = vals[e] - floorv;                                 \
-                /* d == 0 adds nothing to the reference sum; skipping it      \
-                 * keeps the touched list duplicate-free. */                  \
-                if (d <= (T)0) continue;                                      \
-                if (scratch[w] == (T)0) touched[nt++] = w;                    \
-                scratch[w] += d;                                              \
-            }                                                                 \
-        }                                                                     \
-        T *orow = out + p * n_traj;                                           \
-        for (int64_t t = 0; t < nt; ++t) {                                    \
-            const int64_t w = touched[t];                                     \
-            const T s = scratch[w];                                           \
-            scratch[w] = (T)0;                                                \
-            const int64_t tr = win_traj[w];                                   \
-            if (s > orow[tr]) orow[tr] = s;                                   \
-        }                                                                     \
-    }                                                                         \
+void batch_devmax(
+    const int64_t *cells, int64_t n_patterns, int64_t m,
+    const int64_t *start, const int64_t *count,
+    const int32_t *rows, const double *vals, double floor_,
+    const uint8_t *valid, int64_t n_windows, const int64_t *win_traj,
+    int64_t n_traj, double *scratch, int64_t *touched, double *out)
+{
+    for (int64_t p = 0; p < n_patterns; ++p) {
+        int64_t nt = 0;
+        const int64_t *pc = cells + p * m;
+        for (int64_t j = 0; j < m; ++j) {
+            const int64_t c = pc[j];
+            if (c < 0) continue;
+            const int64_t e0 = start[c], e1 = e0 + count[c];
+            for (int64_t e = e0; e < e1; ++e) {
+                const int64_t w = (int64_t)rows[e] - j;
+                if (w < 0 || w >= n_windows || !valid[w]) continue;
+                const double d = vals[e] - floor_;
+                /* d == 0 adds nothing to the reference sum; skipping it
+                 * keeps the touched list duplicate-free. */
+                if (d <= 0.0) continue;
+                if (scratch[w] == 0.0) touched[nt++] = w;
+                scratch[w] += d;
+            }
+        }
+        double *orow = out + p * n_traj;
+        for (int64_t t = 0; t < nt; ++t) {
+            const int64_t w = touched[t];
+            const double s = scratch[w];
+            scratch[w] = 0.0;
+            const int64_t tr = win_traj[w];
+            if (s > orow[tr]) orow[tr] = s;
+        }
+    }
 }
-DEVMAX(f64, double)
-DEVMAX(f32, float)
 
 /* Scatter deviations on top of a caller-prefilled baseline matrix. */
-#define STACKED(SUF, T)                                                       \
-void stacked_add_##SUF(                                                       \
-    const int64_t *cells, int64_t n_patterns, int64_t m,                      \
-    const int64_t *start, const int64_t *count,                               \
-    const int32_t *rows, const T *vals, double floor_,                        \
-    int64_t n_windows, T *out)                                                \
-{                                                                             \
-    const T floorv = (T)floor_;                                               \
-    for (int64_t p = 0; p < n_patterns; ++p) {                                \
-        T *orow = out + p * n_windows;                                        \
-        const int64_t *pc = cells + p * m;                                    \
-        for (int64_t j = 0; j < m; ++j) {                                     \
-            const int64_t c = pc[j];                                          \
-            if (c < 0) continue;                                              \
-            const int64_t e0 = start[c], e1 = e0 + count[c];                  \
-            for (int64_t e = e0; e < e1; ++e) {                               \
-                const int64_t w = (int64_t)rows[e] - j;                       \
-                if (w < 0 || w >= n_windows) continue;                        \
-                orow[w] += vals[e] - floorv;                                  \
-            }                                                                 \
-        }                                                                     \
-    }                                                                         \
+void stacked_add(
+    const int64_t *cells, int64_t n_patterns, int64_t m,
+    const int64_t *start, const int64_t *count,
+    const int32_t *rows, const double *vals, double floor_,
+    int64_t n_windows, double *out)
+{
+    for (int64_t p = 0; p < n_patterns; ++p) {
+        double *orow = out + p * n_windows;
+        const int64_t *pc = cells + p * m;
+        for (int64_t j = 0; j < m; ++j) {
+            const int64_t c = pc[j];
+            if (c < 0) continue;
+            const int64_t e0 = start[c], e1 = e0 + count[c];
+            for (int64_t e = e0; e < e1; ++e) {
+                const int64_t w = (int64_t)rows[e] - j;
+                if (w < 0 || w >= n_windows) continue;
+                orow[w] += vals[e] - floor_;
+            }
+        }
+    }
 }
-STACKED(f64, double)
-STACKED(f32, float)
 
 /* np.maximum.reduceat over non-empty segments. */
-#define SEGMAX(SUF, T)                                                        \
-void segment_maxima_##SUF(                                                    \
-    const T *vals, int64_t n_vals, const int64_t *seg_starts,                 \
-    int64_t n_segs, T *out)                                                   \
-{                                                                             \
-    for (int64_t s = 0; s < n_segs; ++s) {                                    \
-        const int64_t lo = seg_starts[s];                                     \
-        const int64_t hi = (s + 1 < n_segs) ? seg_starts[s + 1] : n_vals;     \
-        T best = vals[lo];                                                    \
-        for (int64_t e = lo + 1; e < hi; ++e)                                 \
-            if (vals[e] > best) best = vals[e];                               \
-        out[s] = best;                                                        \
-    }                                                                         \
+void segment_maxima(
+    const double *vals, int64_t n_vals, const int64_t *seg_starts,
+    int64_t n_segs, double *out)
+{
+    for (int64_t s = 0; s < n_segs; ++s) {
+        const int64_t lo = seg_starts[s];
+        const int64_t hi = (s + 1 < n_segs) ? seg_starts[s + 1] : n_vals;
+        double best = vals[lo];
+        for (int64_t e = lo + 1; e < hi; ++e)
+            if (vals[e] > best) best = vals[e];
+        out[s] = best;
+    }
 }
-SEGMAX(f64, double)
-SEGMAX(f32, float)
 
 /* One axis factor of box Prob: the normal-CDF mass of [c - delta, c + delta]
  * around mean m with deviation s, libm erf. */
@@ -176,7 +162,7 @@ static int same_bits(double a, double b)
  * order gives the same bits; the layout only decides how often a mass is
  * reused.  Positions past X_SLOTS along a row are always computed. */
 #define X_SLOTS 256
-void prob_box_f64(
+void prob_box(
     const double *mean, const double *sigma, const double *center,
     double delta, int64_t n, double *out)
 {
@@ -296,7 +282,7 @@ int64_t index_segments(
 
 /* Gap DP over flattened per-segment window scores; returns the best summed
  * log-prob (or -inf).  best/nxt are caller scratch of size `length`. */
-double gap_dp_f64(
+double gap_dp(
     const double *scores, const int64_t *offsets, const int64_t *seg_lens,
     int64_t n_segments, const int64_t *gap_min, const int64_t *gap_max,
     int64_t length, double *best, double *nxt)
@@ -332,25 +318,7 @@ double gap_dp_f64(
 """
 
 
-# -- providers ----------------------------------------------------------------
-
-
-class _Provider:
-    """Uniform callable bundle a :class:`CompiledKernels` drives.
-
-    ``devmax`` / ``stacked_add`` / ``segmax`` take numpy arrays in the
-    value dtype; ``prob_box`` / ``gap_dp`` / ``scatter`` / ``compact`` are
-    float64 only.  ``scatter`` / ``compact`` / ``segments`` wrap the C
-    functions of the same purpose (see the C source for their contracts).
-    """
-
-    __slots__ = ("name", "devmax", "stacked_add", "segmax", "prob_box",
-                 "gap_dp", "scatter", "compact", "segments")
-
-    def __init__(self, name, **kernels):
-        self.name = name
-        for attr, fn in kernels.items():
-            setattr(self, attr, fn)
+# -- the library --------------------------------------------------------------
 
 
 def _lib_cache_dir() -> Path:
@@ -360,7 +328,13 @@ def _lib_cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / "repro-kernels"
 
 
-def _build_cnative_provider() -> _Provider:
+def load_library() -> ctypes.CDLL:
+    """The kernel library with its ``ctypes`` signatures declared.
+
+    Compiles :data:`_C_SOURCE` on first use into a content-hashed shared
+    library under the cache directory and loads it; raises with a precise
+    reason when no C compiler works.
+    """
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
@@ -398,113 +372,43 @@ def _build_cnative_provider() -> _Provider:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     ptr = ctypes.c_void_p
-    for suf in ("f64", "f32"):
-        fn = getattr(lib, f"batch_devmax_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, ptr, i64, ptr,
-                       i64, ptr, ptr, ptr]
-        fn = getattr(lib, f"stacked_add_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, i64, ptr]
-        fn = getattr(lib, f"segment_maxima_{suf}")
-        fn.restype = None
-        fn.argtypes = [ptr, i64, ptr, i64, ptr]
-    lib.prob_box_f64.restype = None
-    lib.prob_box_f64.argtypes = [ptr, ptr, ptr, f64, i64, ptr]
-    lib.gap_dp_f64.restype = f64
-    lib.gap_dp_f64.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-    lib.scatter_entries.restype = i64
-    lib.scatter_entries.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr, i64,
-                                    ptr, ptr]
-    lib.compact_entries.restype = i64
-    lib.compact_entries.argtypes = [ptr, ptr, i64, i64, ptr, ptr]
-    lib.index_segments.restype = i64
-    lib.index_segments.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]
-
-    def _p(arr: np.ndarray | None):
-        return None if arr is None else ctypes.c_void_p(arr.ctypes.data)
-
-    def devmax(cells, start, count, rows, vals, floor_t, valid, n_windows,
-               win_traj, scratch, touched, out):
-        fn = lib.batch_devmax_f32 if vals.dtype == np.float32 else lib.batch_devmax_f64
-        fn(_p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
-           _p(rows), _p(vals), float(floor_t), _p(valid), n_windows,
-           _p(win_traj), out.shape[1], _p(scratch), _p(touched), _p(out))
-
-    def stacked_add(cells, start, count, rows, vals, floor_t, n_windows, out):
-        fn = lib.stacked_add_f32 if vals.dtype == np.float32 else lib.stacked_add_f64
-        fn(_p(cells), cells.shape[0], cells.shape[1], _p(start), _p(count),
-           _p(rows), _p(vals), float(floor_t), n_windows, _p(out))
-
-    def segmax(vals, seg_starts, out):
-        fn = (
-            lib.segment_maxima_f32
-            if vals.dtype == np.float32
-            else lib.segment_maxima_f64
-        )
-        fn(_p(vals), len(vals), _p(seg_starts), len(seg_starts), _p(out))
-
-    def prob_box(mean, sigma, center, delta, out):
-        lib.prob_box_f64(_p(mean), _p(sigma), _p(center), float(delta),
-                         len(out), _p(out))
-
-    def gap_dp(scores, offsets, seg_lens, gap_min, gap_max, length, best, nxt):
-        return lib.gap_dp_f64(_p(scores), _p(offsets), _p(seg_lens),
-                              len(seg_lens), _p(gap_min), _p(gap_max),
-                              length, _p(best), _p(nxt))
-
-    def scatter(cells, rows, vals, bounds, cursor, out_rows, out_vals) -> int:
-        return lib.scatter_entries(
-            _p(cells), _p(rows), _p(vals), len(cells), len(cursor), _p(bounds),
-            _p(cursor), len(out_rows), _p(out_rows), _p(out_vals),
-        )
-
-    def compact(bounds, cursor, rows, vals) -> int:
-        return lib.compact_entries(_p(bounds), _p(cursor), len(cursor),
-                                   len(rows), _p(rows), _p(vals))
-
-    def segments(cell_bounds, rows, row_traj, n_segs, cell_seg_starts=None,
-                 seg_starts=None, seg_traj=None) -> int:
-        return lib.index_segments(
-            _p(cell_bounds), len(cell_bounds) - 1, _p(rows), _p(row_traj),
-            len(row_traj), _p(n_segs), _p(cell_seg_starts), _p(seg_starts),
-            _p(seg_traj),
-        )
-
-    return _Provider(
-        "cnative", devmax=devmax, stacked_add=stacked_add, segmax=segmax,
-        prob_box=prob_box, gap_dp=gap_dp, scatter=scatter, compact=compact,
-        segments=segments,
-    )
+    signatures = {
+        "batch_devmax": (None, [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, ptr,
+                                i64, ptr, i64, ptr, ptr, ptr]),
+        "stacked_add": (None, [ptr, i64, i64, ptr, ptr, ptr, ptr, f64, i64, ptr]),
+        "segment_maxima": (None, [ptr, i64, ptr, i64, ptr]),
+        "prob_box": (None, [ptr, ptr, ptr, f64, i64, ptr]),
+        "gap_dp": (f64, [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]),
+        "scatter_entries": (i64, [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr]),
+        "compact_entries": (i64, [ptr, ptr, i64, i64, ptr, ptr]),
+        "index_segments": (i64, [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]),
+    }  # fmt: skip
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
+    return lib
 
 
-def load_provider(name: str) -> _Provider:
-    """Build the named provider, raising with a precise reason on failure."""
-    if name == "cnative":
-        return _build_cnative_provider()
-    raise ValueError(f"unknown compiled provider {name!r}")
+def _p(arr: np.ndarray | None):
+    return None if arr is None else ctypes.c_void_p(arr.ctypes.data)
 
 
 # -- the backend --------------------------------------------------------------
 
 
 class CompiledKernels:
-    """Kernel backend driving the compiled ``cnative`` provider."""
+    """Kernel backend driving the compiled library (:func:`load_library`)."""
 
     compiled = True
+    name = "cnative"
+    #: The box Prob kernel uses libm erf, which may differ from scipy's by
+    #: ~2 ULPs -- indexes built through it get a distinct cache-key tag so
+    #: they never alias reference-built files.
+    prob_tag = "cnative"
 
-    def __init__(self, provider: _Provider, dtype: np.dtype | str = np.float64) -> None:
-        self._p = provider
-        self.provider = provider.name
-        self.name = provider.name
-        self.dtype = np.dtype(dtype)
-        #: The box Prob kernel uses libm erf, which may differ from
-        #: scipy's by ~2 ULPs -- indexes built through it get a distinct
-        #: cache-key tag so they never alias reference-built files.
-        self.prob_tag = provider.name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledKernels(provider={self.provider}, dtype={self.dtype})"
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib
 
     def batch_devmax(self, cells_matrix, start, count, rows, vals, floor,
                      valid, n_windows, win_traj, arena, out) -> None:
@@ -512,29 +416,35 @@ class CompiledKernels:
             return
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
         rows = np.ascontiguousarray(rows, dtype=np.int32)
-        scratch = arena.get("devmax.scratch", (n_windows,), self.dtype)
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        scratch = arena.get("devmax.scratch", (n_windows,))
         touched = arena.get("devmax.touched", (n_windows,), np.int64)
-        self._p.devmax(
-            cells_matrix, start, count, rows, vals, self.dtype.type(floor),
-            valid.view(np.uint8), n_windows, win_traj, scratch, touched, out,
+        self._lib.batch_devmax(
+            _p(cells_matrix), cells_matrix.shape[0], cells_matrix.shape[1],
+            _p(start), _p(count), _p(rows), _p(vals), float(floor), _p(valid),
+            n_windows, _p(win_traj), out.shape[1], _p(scratch), _p(touched),
+            _p(out),
         )
 
     def stacked_scores(self, cells_matrix, n_spec, start, count, rows, vals,
                        floor, n_windows, out) -> None:
         cells_matrix = np.ascontiguousarray(cells_matrix, dtype=np.int64)
         rows = np.ascontiguousarray(rows, dtype=np.int32)
-        # Same float64-then-cast baseline as the reference backend.
-        out[:] = (floor * n_spec.astype(np.float64))[:, None]
-        self._p.stacked_add(
-            cells_matrix, start, count, rows, vals, self.dtype.type(floor),
-            n_windows, out,
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        out[:] = (floor * n_spec)[:, None]  # the same baseline as numpy's
+        self._lib.stacked_add(
+            _p(cells_matrix), cells_matrix.shape[0], cells_matrix.shape[1],
+            _p(start), _p(count), _p(rows), _p(vals), float(floor), n_windows,
+            _p(out),
         )
 
     def segment_maxima(self, vals, seg_starts) -> np.ndarray:
-        if not seg_starts.size:
-            return np.empty(0, dtype=vals.dtype)
-        out = np.empty(len(seg_starts), dtype=vals.dtype)
-        self._p.segmax(vals, seg_starts, out)
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        out = np.empty(len(seg_starts))
+        if len(seg_starts):
+            self._lib.segment_maxima(
+                _p(vals), len(vals), _p(seg_starts), len(seg_starts), _p(out)
+            )
         return out
 
     def prob_within(self, mean, sigma, center, delta,
@@ -565,7 +475,9 @@ class CompiledKernels:
             or not out.flags.c_contiguous
         ):
             raise ValueError("out must be a contiguous float64 array, one per pair")
-        self._p.prob_box(mean, sigma, center, float(delta), out)
+        self._lib.prob_box(
+            _p(mean), _p(sigma), _p(center), float(delta), len(out), _p(out)
+        )
         return out
 
     def scatter_entries(self, cells, rows, vals, bounds, cursor,
@@ -576,7 +488,10 @@ class CompiledKernels:
         check_fill_arrays(bounds, cursor, out_rows, out_vals)
         if not len(cells) == len(rows) == len(vals):
             raise ValueError("entry chunk columns differ in length")
-        status = self._p.scatter(cells, rows, vals, bounds, cursor, out_rows, out_vals)
+        status = self._lib.scatter_entries(
+            _p(cells), _p(rows), _p(vals), len(cells), len(cursor), _p(bounds),
+            _p(cursor), len(out_rows), _p(out_rows), _p(out_vals),
+        )
         if status == 1:
             raise ValueError(f"index entry cell outside [0, {len(cursor)})")
         if status:
@@ -584,7 +499,9 @@ class CompiledKernels:
 
     def compact_entries(self, bounds, cursor, rows, vals) -> int:
         check_fill_arrays(bounds, cursor, rows, vals)
-        n = int(self._p.compact(bounds, cursor, rows, vals))
+        n = int(self._lib.compact_entries(
+            _p(bounds), _p(cursor), len(cursor), len(rows), _p(rows), _p(vals)
+        ))
         if n < 0:
             raise ValueError("cell cursor outside its run")
         return n
@@ -596,17 +513,21 @@ class CompiledKernels:
         if cell_bounds[-1] != len(rows):
             raise ValueError("cell bounds do not cover the index rows")
         n_segs = np.zeros(1, dtype=np.int64)
-        if self._p.segments(cell_bounds, rows, row_traj, n_segs):
+
+        def segments(*out):
+            return self._lib.index_segments(
+                _p(cell_bounds), len(cell_bounds) - 1, _p(rows), _p(row_traj),
+                len(row_traj), _p(n_segs), *(_p(a) for a in out),
+            )
+
+        # A first pass with null outputs only counts the segments.
+        if segments(None, None, None):
             raise IndexError(f"index entry row outside [0, {len(row_traj)})")
-        out = (
-            np.empty(int(n_segs[0]), dtype=np.int64),
-            np.empty(int(n_segs[0]), dtype=np.int64),
-            np.empty(len(cell_bounds) - 1, dtype=np.int64),
-        )
-        seg_starts, seg_traj, cell_seg_starts = out
-        self._p.segments(cell_bounds, rows, row_traj, n_segs, cell_seg_starts,
-                         seg_starts, seg_traj)
-        return out
+        seg_starts = np.empty(int(n_segs[0]), dtype=np.int64)
+        seg_traj = np.empty(int(n_segs[0]), dtype=np.int64)
+        cell_seg_starts = np.empty(len(cell_bounds) - 1, dtype=np.int64)
+        segments(cell_seg_starts, seg_starts, seg_traj)
+        return seg_starts, seg_traj, cell_seg_starts
 
     def gap_dp(self, seg_scores, seg_lens, gap_mins, gap_maxs, length, arena) -> float:
         scores = [np.ascontiguousarray(s, dtype=np.float64) for s in seg_scores]
@@ -616,10 +537,13 @@ class CompiledKernels:
         flat = np.concatenate(scores) if scores else np.empty(0)
         best = arena.get("gap.best", (length,), np.float64)
         nxt = arena.get("gap.nxt", (length,), np.float64)
+        # Named locals: each array must outlive the call that reads it.
+        seg_lens = np.asarray(seg_lens, dtype=np.int64)
+        gap_mins = np.asarray(gap_mins, dtype=np.int64)
+        gap_maxs = np.asarray(gap_maxs, dtype=np.int64)
         return float(
-            self._p.gap_dp(
-                flat, offsets, np.asarray(seg_lens, dtype=np.int64),
-                np.asarray(gap_mins, dtype=np.int64),
-                np.asarray(gap_maxs, dtype=np.int64), length, best, nxt,
+            self._lib.gap_dp(
+                _p(flat), _p(offsets), _p(seg_lens), len(seg_lens),
+                _p(gap_mins), _p(gap_maxs), length, _p(best), _p(nxt),
             )
         )

@@ -22,8 +22,7 @@ Numerical contract (what the compiled backends must reproduce):
   close.  (``np.add.reduceat`` would not do: it adds a segment's first
   element to numpy's reduction of the rest, ``d0 + (d1 + d2 ...)``.)
 * Maxima (``np.maximum.reduceat``) are order-independent.
-* All kernel arithmetic runs in the backend dtype (float64 or float32);
-  scalars are cast to the value dtype before entering the loops.
+* All kernel arithmetic runs in float64.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
     flat_pos = np.repeat(start[safe], counts_j) + rank
     wrow = rows[flat_pos] - j
     keep = (wrow >= 0) & (wrow < n_windows)
-    return pat[keep], wrow[keep], vals[flat_pos[keep]] - vals.dtype.type(floor)
+    return pat[keep], wrow[keep], vals[flat_pos[keep]] - floor
 
 
 def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, win_traj, out):
@@ -110,7 +109,7 @@ def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, wi
     wrow, owner, flat_pos = wrow[keep], owner[keep], flat_pos[keep]
     if not len(wrow):
         return
-    dev = vals[flat_pos] - vals.dtype.type(floor)
+    dev = vals[flat_pos] - floor
     key = (owner // m) * np.int64(n_windows) + wrow
     order = np.argsort(key, kind="stable")
     key, dev = key[order], dev[order]
@@ -120,7 +119,7 @@ def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, wi
     window_starts = np.flatnonzero(new_window)
     # np.add.at adds in gather order, ((d0 + d1) + d2) ..., as the compiled
     # kernel does; np.add.reduceat would compute d0 + (d1 + d2 ...).
-    window_sums = np.zeros(len(window_starts), dtype=dev.dtype)
+    window_sums = np.zeros(len(window_starts))
     np.add.at(window_sums, np.cumsum(new_window) - 1, dev)
     u_key = key[window_starts]
     u_pat = u_key // n_windows
@@ -134,21 +133,14 @@ def _devmax_rows(m, safe, counts, start, rows, vals, floor, valid, n_windows, wi
 
 
 class NumpyKernels:
-    """The reference backend; one instance per value dtype."""
+    """The reference backend."""
 
     compiled = False
-    provider = "numpy"
     name = "numpy"
     #: Prob-kernel identity for the index-cache key.  "ref" marks the
     #: scipy ``erf`` path the cache format has always used, so default
     #: configurations keep their existing cache keys.
     prob_tag = "ref"
-
-    def __init__(self, dtype: np.dtype | str = np.float64) -> None:
-        self.dtype = np.dtype(dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NumpyKernels(dtype={self.dtype})"
 
     # -- batched deviation maxima -----------------------------------------
 
@@ -211,9 +203,7 @@ class NumpyKernels:
         per position.
         """
         m = cells_matrix.shape[1]
-        # Baselines are computed in float64 and cast on assignment, so the
-        # float32 mode rounds the product once (matching the compiled path).
-        out[:] = (floor * n_spec.astype(np.float64))[:, None]
+        out[:] = (floor * n_spec)[:, None]
         flat = out.ravel()
         for j in range(m):
             triples = _offset_entries(
@@ -231,7 +221,7 @@ class NumpyKernels:
     def segment_maxima(self, vals: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
         """Max stored entry of every (cell, trajectory) segment."""
         if not seg_starts.size:
-            return np.empty(0, dtype=vals.dtype)
+            return np.empty(0)
         return np.maximum.reduceat(vals, seg_starts)
 
     # -- Prob(l, sigma, p, delta) ------------------------------------------
@@ -245,7 +235,7 @@ class NumpyKernels:
         model: ProbModel = ProbModel.BOX,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The scipy-backed ``Prob`` evaluation (always float64)."""
+        """The scipy-backed ``Prob`` evaluation."""
         return gaussian.prob_within(mean, sigma, center, delta, model=model, out=out)
 
     # -- index fill, compaction and segmentation ------------------------------

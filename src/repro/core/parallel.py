@@ -635,9 +635,7 @@ class ParallelNMEngine:
         self.spans = shard_dataset(dataset, jobs)
         self.n_spans = len(self.spans)
         self._closed = False
-        self._worker_config = replace(
-            config, jobs=1, trace_out=None, metrics_out=None
-        )
+        self._worker_config = replace(config, jobs=1)
         self._fingerprint = (
             index_cache.dataset_fingerprint(dataset)
             if config.cache_dir is not None
@@ -681,7 +679,6 @@ class ParallelNMEngine:
             extra={
                 "pools": self.pool_names,
                 "spans": self.spans,
-                "dtype": self.config.dtype,
             },
         )
 
@@ -870,11 +867,6 @@ class ParallelNMEngine:
         return str(self._span_metas()[0]["backend"])
 
     @property
-    def backend_dtype(self) -> str:
-        """Value dtype the span engines' evaluation kernels run in."""
-        return self.config.dtype
-
-    @property
     def pool_names(self) -> list[str]:
         """Names of the pools still alive, in spec order."""
         return [pool.name for pool in self._live]
@@ -924,7 +916,6 @@ class ParallelNMEngine:
             "n_spans": self.n_spans,
             "pools": self.pool_names,
             "backend": spans[0]["backend"],
-            "dtype": self.config.dtype,
             "n_index_entries": sum(s["n_entries"] for s in spans),
             "n_evaluations": sum(s["n_evaluations"] for s in spans),
             "n_batches": sum(s["n_batches"] for s in spans),

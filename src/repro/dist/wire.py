@@ -132,19 +132,10 @@ def config_to_wire(config: EngineConfig) -> dict:
     """JSON-safe engine config for shipping to a worker pool.
 
     Worker-irrelevant fields are normalised away first (a pool is a plain
-    single-process engine: no nested jobs, no cache files, no file-writing
-    observability of its own), so two coordinators with different local
-    paths ship identical configs.
+    single-process engine: no nested jobs, no cache files of its own), so
+    two coordinators with different local paths ship identical configs.
     """
-    shipped = replace(
-        config,
-        jobs=1,
-        cache_dir=None,
-        store_path=None,
-        trace_out=None,
-        metrics_out=None,
-        log_level=None,
-    )
+    shipped = replace(config, jobs=1, cache_dir=None)
     out: dict = {}
     for field in dataclass_fields(EngineConfig):
         value = getattr(shipped, field.name)

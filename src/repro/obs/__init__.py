@@ -16,8 +16,7 @@ One import point for the four instruments this package provides:
   over the exported series.
 
 Everything is off by default: no handlers installed, metrics registry
-disabled, no tracer.  :func:`configure` (or :func:`apply_config` with an
-:class:`~repro.core.engine.EngineConfig`) switches the pieces on; the CLI
+disabled, no tracer.  :func:`configure` switches the pieces on; the CLI
 drives it from ``--log-level`` / ``--trace-out`` / ``--metrics-out``.
 This package deliberately imports nothing from :mod:`repro.core`, so any
 layer of the stack can instrument itself without import cycles.
@@ -44,7 +43,6 @@ __all__ = [
     "BufferSink",
     "MetricsRegistry",
     "SpanContext",
-    "apply_config",
     "begin",
     "configure",
     "configure_logging",
@@ -81,20 +79,6 @@ def configure(
         registry = get_registry()
         registry.reset()
         registry.enable()
-
-
-def apply_config(config) -> None:
-    """Apply the observability fields of an engine config, if any are set.
-
-    Reads ``log_level`` / ``trace_out`` / ``metrics_out`` by attribute so
-    this package never imports :mod:`repro.core.engine`.  Called by
-    :func:`repro.core.engine.build_engine` and the CLI commands.
-    """
-    configure(
-        log_level=getattr(config, "log_level", None),
-        trace_out=getattr(config, "trace_out", None),
-        enable_metrics=getattr(config, "metrics_out", None) is not None,
-    )
 
 
 def shutdown() -> None:

@@ -32,11 +32,11 @@ columnar store, sniffed by magic) or a directory:
 ``serve.json``
     optional -- overrides: ``{"version": ..., "cell_size": ...,
     "delta": ..., "min_prob": ..., "confirm_threshold": ...,
-    "min_prefix": ..., "backend": ..., "dtype": ..., "store": ...}``.
+    "min_prefix": ..., "backend": ..., "store": ...}``.
     Anything absent falls back to the section 5 parameter suggestions
-    derived from the dataset; ``backend``/``dtype`` select the kernel
-    backend (:mod:`repro.core.kernels`) the snapshot's engine evaluates
-    on; ``store`` names a ``.tjc`` file (relative to the directory) to
+    derived from the dataset; ``backend`` selects the kernel backend
+    (:mod:`repro.core.kernels`) the snapshot's engine evaluates on;
+    ``store`` names a ``.tjc`` file (relative to the directory) to
     serve instead of the ``dataset.*`` convention.
 """
 
@@ -70,7 +70,6 @@ _CONFIG_KEYS = (
     "confirm_threshold",
     "min_prefix",
     "backend",
-    "dtype",
     "store",
 )
 
@@ -219,7 +218,6 @@ class ServingSnapshot:
         confirm_threshold: float = 0.9,
         min_prefix: int = 2,
         backend: str = "auto",
-        dtype: str = "float64",
         version: str | None = None,
         source: str = "<memory>",
         owned_store: Any | None = None,
@@ -229,10 +227,10 @@ class ServingSnapshot:
         ``cell_size`` / ``delta`` default to the section 5 suggestions
         derived from the dataset; ``version`` defaults to the index cache
         key (a content hash -- identical inputs get identical versions).
-        ``backend`` / ``dtype`` pick the kernel backend the snapshot's
-        engine evaluates on (serving defaults to ``"auto"``: compiled
-        when the machine has a toolchain, numpy otherwise); the pattern
-        library's confirmation ``Prob`` runs on the same backend.
+        ``backend`` picks the kernel backend the snapshot's engine
+        evaluates on (serving defaults to ``"auto"``: compiled when the
+        machine has a toolchain, numpy otherwise); the pattern library's
+        confirmation ``Prob`` runs on the same backend.
         """
         if cell_size is None or delta is None:
             suggested = suggest_parameters(dataset)
@@ -244,7 +242,6 @@ class ServingSnapshot:
             min_prob=min_prob,
             cache_dir=cache_dir,
             backend=backend,
-            dtype=dtype,
         )
         key = index_cache.span_cache_key(
             index_cache.dataset_fingerprint(dataset),
@@ -290,7 +287,6 @@ class ServingSnapshot:
                 "n_patterns": len(library) if library is not None else 0,
                 "source": source,
                 "backend": engine.backend_name,
-                "dtype": engine.backend_dtype,
             },
         )
         return snapshot
@@ -302,14 +298,12 @@ class ServingSnapshot:
         *,
         cache_dir: str | Path | None = None,
         backend: str = "auto",
-        dtype: str = "float64",
     ) -> "ServingSnapshot":
         """Load a snapshot from ``path`` (dataset file or snapshot directory).
 
-        ``backend`` / ``dtype`` are the operator-level defaults (e.g. the
-        ``repro serve --backend`` flags); a ``serve.json`` carrying its own
-        ``backend``/``dtype`` keys wins, since those are pinned per
-        snapshot.
+        ``backend`` is the operator-level default (the ``repro serve
+        --backend`` flag); a ``serve.json`` carrying its own ``backend`` key
+        wins, since it is pinned per snapshot.
         """
         from repro.storage import is_store_path, open_store
 
@@ -357,13 +351,13 @@ class ServingSnapshot:
             dataset = owned_store.dataset()
         else:
             dataset = load_dataset_jsonl(dataset_path)
-        kwargs: dict[str, Any] = {"backend": backend, "dtype": dtype}
+        kwargs: dict[str, Any] = {"backend": backend}
         for numeric in ("cell_size", "delta", "min_prob", "confirm_threshold"):
             if overrides.get(numeric) is not None:
                 kwargs[numeric] = float(overrides[numeric])
         if overrides.get("min_prefix") is not None:
             kwargs["min_prefix"] = int(overrides["min_prefix"])
-        for text in ("version", "backend", "dtype"):
+        for text in ("version", "backend"):
             if overrides.get(text) is not None:
                 kwargs[text] = str(overrides[text])
         return cls.from_dataset(
@@ -397,7 +391,6 @@ class ServingSnapshot:
             },
             "delta": self.delta,
             "backend": self.engine.backend_name,
-            "dtype": self.engine.backend_dtype,
             "n_active_cells": len(active),
             "index_entries": self.engine.n_index_entries,
             "index_bytes": self.engine.index_nbytes,

@@ -58,7 +58,6 @@ __all__ = [
     "OracleReport",
     "candidate_frontier",
     "max_ulps",
-    "max_ulps32",
     "run_oracle",
     "ulps_between",
 ]
@@ -96,7 +95,7 @@ ULP_BUDGETS = {
     # a socket hop must not move a bit, whichever pool computed a span.
     "dist": 0,
     # Kernel-backend paths (``--backends all``).  ``kernel`` covers
-    # float64 engines on alternative backends building their *own* index:
+    # engines on the compiled backend building their *own* index:
     # compiled Prob kernels use libm ``erf`` (<= 2 ULPs from scipy in
     # probability space), which propagates to a handful of float64 ULPs in
     # the final scores; 4096 keeps the scalar path's headroom policy.  The
@@ -109,12 +108,6 @@ ULP_BUDGETS = {
     # build over the surviving trajectories, and warm-started mining must
     # return the cold run's exact top-k.
     "incremental": 0,
-    # ``kernel32`` paths run the evaluation kernels in float32 and are
-    # compared in *float32* ULPs against the float64 baseline rounded to
-    # float32.  Accumulating ~100-snapshot windows in float32 costs a few
-    # float32 ULPs; 1024 (~1e-4 relative) is generous headroom while still
-    # catching wrong-kernel bugs (which show up as >1e6 ULPs).
-    "kernel32": 1024,
 }
 
 #: ULP distance reported for a NaN-vs-number disagreement (worse than any
@@ -151,34 +144,6 @@ def max_ulps(a: Sequence[float], b: Sequence[float]) -> int:
     return max(
         (ulps_between(float(x), float(y)) for x, y in zip(a, b)), default=0
     )
-
-
-def _ordered32(x: np.float32) -> int:
-    """:func:`_ordered` for float32 (int32 bits, reflected negatives)."""
-    bits = int(np.float32(x).view(np.int32))
-    return bits if bits >= 0 else -(1 << 31) - bits
-
-
-def max_ulps32(a: Sequence[float], b: Sequence[float]) -> int:
-    """Worst per-element *float32* ULP distance.
-
-    Both vectors are rounded to float32 first; this is the right ruler for
-    the ``dtype="float32"`` kernel paths, whose outputs carry float32
-    precision however they are transported (a float64 ULP count against a
-    float64 baseline would be a meaningless ~1e9).
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    worst = 0
-    for x, y in zip(a, b):
-        if np.isnan(x) or np.isnan(y):
-            if not (np.isnan(x) and np.isnan(y)):
-                return _ULPS_INCOMPARABLE
-            continue
-        worst = max(worst, abs(_ordered32(x) - _ordered32(y)))
-    return worst
 
 
 # -- frontier -----------------------------------------------------------------
@@ -298,12 +263,11 @@ def run_oracle(
     pool with one loopback socket worker pool scores the frontier,
     compared bit-for-bit against the same-width in-RAM parallel run.
 
-    ``backends="all"`` additionally scores the frontier on every kernel
-    backend x dtype combination (``repro selfcheck --backends all``):
-    ``kernel[...]`` paths for float64 engines on non-default backends and
-    ``kernel32[...]`` paths for float32 engines, the latter judged in
-    float32 ULPs.  Combinations the machine cannot run (no compiled
-    toolchain) are reported as explicit skips, never silently dropped.
+    ``backends="all"`` additionally scores the frontier on the compiled
+    kernel backend (``repro selfcheck --backends all``): a
+    ``kernel[cnative]`` path.  When the machine cannot run it (no compiled
+    toolchain) it is reported as an explicit ``kernel[compiled]`` skip,
+    never silently dropped.
     """
     if backends not in ("default", "all"):
         raise ValueError(
@@ -554,50 +518,33 @@ def run_oracle(
                                 )
                             )
 
-    # Path 6: every kernel backend x dtype combination beyond the numpy
-    # float64 baseline.  Each engine builds its own index (so a compiled
-    # combination also exercises its Prob kernel); float32 paths are judged
-    # in float32 ULPs.  Unavailable combinations become explicit skips.
+    # Path 6: the compiled kernel backend.  Its engine builds its own index,
+    # so the path also exercises the compiled Prob kernel.  An unavailable
+    # backend becomes an explicit skip.
     if backends == "all":
         unavailable = kernels.compiled_unavailable_reason()
-        for backend_name in ("numpy", "compiled"):
-            for dt in ("float64", "float32"):
-                if backend_name == "numpy" and dt == "float64":
-                    continue  # the baseline itself
-                if backend_name == "compiled" and unavailable is not None:
-                    checks.append(
-                        PathCheck(
-                            path=f"kernel[compiled-{dt}]",
-                            budget_ulps=0,
-                            nm_ulps=0,
-                            match_ulps=0,
-                            detail=unavailable,
-                            skipped=True,
-                        )
-                    )
-                    continue
-                eng = NMEngine(
-                    setup.dataset,
-                    setup.grid,
-                    replace(cfg, backend=backend_name, dtype=dt),
+        if unavailable is not None:
+            checks.append(
+                PathCheck(
+                    path="kernel[compiled]",
+                    budget_ulps=0,
+                    nm_ulps=0,
+                    match_ulps=0,
+                    detail=unavailable,
+                    skipped=True,
                 )
-                nm_k = eng.nm_batch(frontier)
-                match_k = eng.match_batch(frontier)
-                if dt == "float32":
-                    path = f"kernel32[{eng.backend_name}]"
-                    checks.append(
-                        PathCheck(
-                            path=path,
-                            budget_ulps=budgets["kernel32"],
-                            nm_ulps=max_ulps32(nm_ref, nm_k),
-                            match_ulps=max_ulps32(match_ref, match_k),
-                            detail="float32 ulps",
-                        )
-                    )
-                else:
-                    checks.append(
-                        check(f"kernel[{eng.backend_name}]", nm_k, match_k)
-                    )
+            )
+        else:
+            eng = NMEngine(
+                setup.dataset, setup.grid, replace(cfg, backend="compiled")
+            )
+            checks.append(
+                check(
+                    f"kernel[{eng.backend_name}]",
+                    eng.nm_batch(frontier),
+                    eng.match_batch(frontier),
+                )
+            )
 
     # Path 7: a live server round-trip over the baseline engine -- isolates
     # the protocol + batcher + JSON layers, which must not move a bit.

@@ -19,6 +19,22 @@ class TestArgumentHandling:
             with pytest.raises(SystemExit):
                 cli.main([name])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "d.jsonl"],
+            ["score", "p.json", "d.jsonl", "--delta", "0.1"],
+            ["serve", "snap"],
+        ],
+        ids=["mine", "score", "serve"],
+    )
+    def test_dtype_option_is_refused(self, capsys, command):
+        # Every kernel runs in float64: there is no --dtype to pass.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, "--dtype", "float32"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --dtype float32" in capsys.readouterr().err
+
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--help"])

@@ -47,19 +47,12 @@ def test_config_roundtrip_normalises_coordinator_fields():
         min_prob=1e-7,
         jobs=8,
         cache_dir="/tmp/nope",
-        store_path="/tmp/nope.tjc",
-        trace_out="/tmp/trace.jsonl",
-        metrics_out="/tmp/metrics.json",
-        log_level="DEBUG",
     )
     shipped = _hop(wire.config_to_wire(config))
     back = wire.config_from_wire(shipped)
     # Worker-local engine: coordinator-side knobs are normalised away...
     assert back.jobs == 1
     assert back.cache_dir is None
-    assert back.store_path is None
-    assert back.trace_out is None and back.metrics_out is None
-    assert back.log_level is None
     # ...while everything that affects numbers survives exactly.
     assert back.delta == config.delta
     assert back.prob_model is ProbModel.DISK
@@ -70,6 +63,33 @@ def test_config_roundtrip_normalises_coordinator_fields():
 def test_config_from_wire_rejects_unknown_fields():
     shipped = wire.config_to_wire(EngineConfig(delta=0.5))
     shipped["surprise"] = 1
+    with pytest.raises(wire.ProtocolError, match="unknown config fields"):
+        wire.config_from_wire(shipped)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta", math.inf),
+        ("delta", math.nan),
+        ("radius_sigmas", math.inf),
+        ("max_cells_per_snapshot", 1.5),
+        ("jobs", 1.5),
+    ],
+)
+def test_config_from_wire_rejects_values_that_build_nothing(field, value):
+    """Non-finite distances build an empty index and a fractional cap fails
+    deep inside the build: the worker refuses both at the handshake."""
+    shipped = wire.config_to_wire(EngineConfig(delta=0.5))
+    shipped[field] = value
+    with pytest.raises(wire.ProtocolError, match="malformed config"):
+        wire.config_from_wire(shipped)
+
+
+def test_config_from_wire_rejects_removed_fields():
+    """A config from a coordinator that still ships ``dtype`` is refused."""
+    shipped = wire.config_to_wire(EngineConfig(delta=0.5))
+    shipped["dtype"] = "float64"
     with pytest.raises(wire.ProtocolError, match="unknown config fields"):
         wire.config_from_wire(shipped)
 

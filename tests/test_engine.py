@@ -35,6 +35,31 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(delta=0.1, radius_sigmas=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta", np.inf),
+            ("delta", np.nan),
+            ("radius_sigmas", np.inf),
+            ("radius_sigmas", np.nan),
+            ("max_cells_per_snapshot", 1.5),
+            ("jobs", 1.5),
+            ("jobs", True),
+        ],
+    )
+    def test_rejects_values_that_build_nothing(self, field, value):
+        """A non-finite distance builds an index with no entries, and a
+        fractional cap fails deep inside the build: both are refused when
+        the config is made."""
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{"delta": 0.1, field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = EngineConfig(
+            delta=np.float64(0.1), max_cells_per_snapshot=np.int64(8), jobs=np.int32(2)
+        )
+        assert config.max_cells_per_snapshot == 8 and config.jobs == 2
+
     def test_auto_radius_covers_min_prob(self):
         config = EngineConfig(delta=0.1, min_prob=1e-6)
         from scipy.stats import norm

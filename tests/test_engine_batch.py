@@ -281,13 +281,14 @@ class TestVectorisedIndexBuild:
 
 
 class TestColumnCacheEviction:
-    def test_evicts_at_configured_size_and_stays_correct(self, small_dataset):
+    def test_evicts_at_configured_size_and_stays_correct(
+        self, small_dataset, monkeypatch
+    ):
         grid = small_dataset.make_grid(0.03)
         size = 4
+        monkeypatch.setattr(engine_module, "_COLUMN_CACHE_SIZE", size)
         engine = NMEngine(
-            small_dataset,
-            grid,
-            EngineConfig(delta=0.03, min_prob=1e-6, column_cache_size=size),
+            small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)
         )
         reference = NMEngine(
             small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)

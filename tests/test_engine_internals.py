@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -72,23 +73,24 @@ class TestBuildMemory:
         return dataset, dataset.make_grid(0.05)
 
     @pytest.mark.parametrize(
-        "backend, prob_chunk_size, peak_bound",
+        "backend, pair_chunk, peak_bound",
         [
             # numpy's Prob evaluation holds several float64 temporaries per
-            # (snapshot, cell) pair, which at the default 2^20-pair sweep
-            # alone exceed the bound; 2^18 keeps them below the
-            # fill-and-install peak this test is about.
+            # (snapshot, cell) pair; sweeps of at most 2^18 pairs keep them
+            # below the fill-and-install peak this test is about.  A row
+            # chunk here lists at most 225,724 pairs, so none splits yet.
             ("numpy", 1 << 18, 36),
             ("compiled", None, 26),
         ],
         ids=["numpy", "compiled"],
     )
     def test_peak_and_resident_bytes_per_entry(
-        self, backend, prob_chunk_size, peak_bound
+        self, backend, pair_chunk, peak_bound, monkeypatch
     ):
         dataset, grid = self._seeded()
-        extra = {} if prob_chunk_size is None else {"prob_chunk_size": prob_chunk_size}
-        config = EngineConfig(delta=0.05, backend=backend, **extra)
+        if pair_chunk is not None:
+            monkeypatch.setattr(engine_mod, "_INDEX_PAIR_CHUNK", pair_chunk)
+        config = EngineConfig(delta=0.05, backend=backend)
         engine, peak = self._traced_build(dataset, grid, config)
         n = engine.n_index_entries
         assert n > 1_000_000
@@ -170,11 +172,10 @@ class TestIndexCaps:
 
 
 class TestColumnCache:
-    def test_cache_eviction_preserves_values(self, wide_dataset):
+    def test_cache_eviction_preserves_values(self, wide_dataset, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_COLUMN_CACHE_SIZE", 2)
         engine = NMEngine(
-            wide_dataset,
-            GRID,
-            EngineConfig(delta=0.05, min_prob=1e-5, column_cache_size=2),
+            wide_dataset, GRID, EngineConfig(delta=0.05, min_prob=1e-5)
         )
         cells = engine.active_cells[:6]
         first_pass = [engine.nm(TrajectoryPattern((c,))) for c in cells]

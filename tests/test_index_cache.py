@@ -18,8 +18,11 @@ import pytest
 from repro.core import index_cache
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.parallel import ParallelNMEngine
+from repro.geometry.bbox import BoundingBox
+from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from repro.uncertainty.gaussian import ProbModel
 from tests.conftest import dataset_cache_key
 
 
@@ -130,6 +133,52 @@ class TestStreamedWrite:
         assert cells.dtype == empty.dtype
 
 
+class TestPinnedKeys:
+    """Cache keys are stable across releases: a cache directory written by
+    an earlier version keeps hitting.  The digests below were computed
+    while ``EngineConfig`` still had fifteen fields; it now has the eight
+    that engines read, and the key never read the other seven."""
+
+    DATASET = TrajectoryDataset(
+        [
+            UncertainTrajectory(
+                np.array([[0.1, 0.2], [0.15, 0.25], [0.2, 0.3]]),
+                np.array([0.01, 0.02, 0.015]),
+            ),
+            UncertainTrajectory(np.array([[0.7, 0.6], [0.65, 0.55]]), 0.02),
+        ]
+    )
+    GRID = Grid(BoundingBox(0.0, 0.0, 1.0, 1.0), nx=20, ny=20)
+    CONFIGS = {
+        "box": EngineConfig(delta=0.05, min_prob=1e-6),
+        "disk": EngineConfig(
+            delta=0.05,
+            prob_model=ProbModel.DISK,
+            min_prob=1e-5,
+            radius_sigmas=3.0,
+            max_cells_per_snapshot=16,
+        ),
+    }
+    DIGESTS = {
+        ("box", "ref"): "e4efe54ffdeb13ff28aace7e41b7e9fbf30899164bcc28e7230d0af9b6f5a78f",
+        ("box", "cnative"): "5caa27c5de75e80901f41585f3555e4738d5f5f5f5c2750fafff98a89612f639",
+        ("disk", "ref"): "8a4b44e66eddd7978a6597558df88dae44de4ad20985e067f8271884b79199d2",
+        ("disk", "cnative"): "135559b14d649fde0ecf532b70d6c06f7cfb54947d15bcf5a10d4e4c8f35baef",
+    }
+
+    @pytest.mark.parametrize("config, tag", list(DIGESTS))
+    def test_key_matches_pinned_digest(self, config, tag):
+        key = index_cache.span_cache_key(
+            index_cache.dataset_fingerprint(self.DATASET),
+            0,
+            len(self.DATASET),
+            self.GRID,
+            self.CONFIGS[config],
+            kernel_tag=tag,
+        )
+        assert key == self.DIGESTS[config, tag]
+
+
 class TestInvalidation:
     def test_grid_resolution_changes_key(self, dataset, grid, config):
         other_grid = dataset.make_grid(0.08)
@@ -154,7 +203,7 @@ class TestInvalidation:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(jobs=4), dict(cache_dir=None), dict(column_cache_size=3)],
+        [dict(jobs=4), dict(cache_dir=None), dict(backend="compiled")],
     )
     def test_non_index_knobs_do_not_change_key(self, dataset, grid, config, change):
         changed = replace(config, **change)

@@ -179,6 +179,33 @@ class TestPayloadValidation:
         # The rebuild overwrote the bad file with the clean payload.
         assert NMEngine(dataset, grid, config).index_cache_hit
 
+    @pytest.mark.parametrize("where", ["above-zero", "below-floor"])
+    def test_value_outside_floor_and_zero_is_corrupt_and_rebuilt(
+        self, scenario, live_metrics, where
+    ):
+        # Regression: a payload value above log 1 (0.7, a probability stored
+        # raw) or below the floor is in range, finite and sorted, and used
+        # to load as a hit -- and the two backends score such a value
+        # differently.
+        dataset, grid, config, key, tmp_path = scenario
+        clean = NMEngine(dataset, grid, config)  # builds + persists
+        cells, rows, vals = clean.index_arrays()
+        bad = vals.copy()
+        floor = config.min_log_prob
+        bad[len(bad) // 2] = 0.7 if where == "above-zero" else floor - 5.0
+        index_cache.save_index(tmp_path, key, cells, rows, bad)
+        # Unbounded load still accepts it: the floor comes from the caller.
+        assert index_cache.load_index(tmp_path, key) is not None
+
+        before = _corrupt_count()
+        assert index_cache.load_index(tmp_path, key, floor=floor) is None
+        engine = NMEngine(dataset, grid, config)
+        assert not engine.index_cache_hit
+        assert _corrupt_count() == before + 2
+        for got, want in zip(engine.index_arrays(), clean.index_arrays()):
+            np.testing.assert_array_equal(got, want)
+        assert NMEngine(dataset, grid, config).index_cache_hit
+
 
 class TestInPlaceAppendKeying:
     def test_persist_after_append_never_poisons_the_boot_entry(

@@ -1,4 +1,4 @@
-"""Kernel backend protocol: equivalence, precision modes, scratch arena.
+"""Kernel backend protocol: equivalence, scratch arena, index build kernels.
 
 The compiled backend's contract is *bit-exactness* with the numpy
 reference on a shared index (the evaluation kernels perform the same
@@ -6,15 +6,13 @@ reduction in the same order, and the index fill and segmentation kernels
 install the same arrays from the same entries); only the Prob kernel used
 during index construction is allowed to differ (libm vs scipy ``erf``,
 tagged into the cache key), and it must equal itself evaluated one pair
-at a time, whatever the pair layout.  float32 mode is judged in float32
-ULPs.  Tests that need the compiled backend skip with the registry's own
-unavailability reason.
+at a time, whatever the pair layout.  Tests that need the compiled
+backend skip with the registry's own unavailability reason.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.engine import EngineConfig, NMEngine, _fill_csr, autotune_prob_chunk
+from repro.core import engine as engine_mod
+from repro.core.engine import EngineConfig, NMEngine, _fill_csr
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
 from repro.geometry.bbox import BoundingBox
@@ -33,24 +32,15 @@ CELL = 0.03
 BASE = dict(delta=CELL, min_prob=1e-6)
 
 
-def _combos() -> list[tuple[str, str]]:
-    out = [("numpy", "float64"), ("numpy", "float32")]
-    if kernels.compiled_unavailable_reason() is None:
-        out += [("compiled", "float64"), ("compiled", "float32")]
-    return out
-
-
 def _require_compiled() -> None:
     reason = kernels.compiled_unavailable_reason()
     if reason is not None:
         pytest.skip(f"compiled backend unavailable: {reason}")
 
 
-def _engine(dataset, backend="numpy", dtype="float64", **kw) -> NMEngine:
+def _engine(dataset, backend="numpy", **kw) -> NMEngine:
     grid = dataset.make_grid(CELL)
-    return NMEngine(
-        dataset, grid, EngineConfig(backend=backend, dtype=dtype, **BASE, **kw)
-    )
+    return NMEngine(dataset, grid, EngineConfig(backend=backend, **BASE, **kw))
 
 
 def _candidates(engine, n=40, seed=5) -> list[TrajectoryPattern]:
@@ -82,19 +72,17 @@ def _gap_patterns(engine, n=8, seed=6) -> list[GapPattern]:
 def test_resolution_validation():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.resolve_backend("cuda")
-    with pytest.raises(ValueError, match="unknown kernel dtype"):
-        kernels.resolve_backend("numpy", "float16")
     with pytest.raises(ValueError, match="backend"):
         EngineConfig(delta=0.03, backend="cuda")
-    with pytest.raises(ValueError, match="dtype"):
-        EngineConfig(delta=0.03, dtype="float16")
+    # Every kernel runs in float64: there is no dtype to choose.
+    with pytest.raises(TypeError, match="dtype"):
+        EngineConfig(delta=0.03, dtype="float64")
 
 
 def test_resolved_instances_satisfy_protocol():
-    for backend, dtype in _combos():
-        inst = kernels.resolve_backend(backend, dtype)
+    for backend in kernels.available_backends():
+        inst = kernels.resolve_backend(backend)
         assert isinstance(inst, kernels.KernelBackend)
-        assert np.dtype(inst.dtype) == np.dtype(dtype)
         assert inst.name in ("numpy", "cnative")
 
 
@@ -142,7 +130,7 @@ def test_cache_key_kernel_tag(small_dataset, unit_grid):
 
 
 def test_shared_index_bit_exact(small_dataset):
-    """On one shared index every backend x dtype reduction is bit-identical."""
+    """On one shared index every backend's reduction is bit-identical."""
     ref = _engine(small_dataset)
     patterns = _candidates(ref)
     gaps = _gap_patterns(ref)
@@ -151,26 +139,15 @@ def test_shared_index_bit_exact(small_dataset):
     windows_ref = ref.window_scores_batch(patterns[:6])
     gap_ref = np.array([nm_gap_pattern(ref, gp) for gp in gaps])
 
-    for backend, dtype in _combos():
-        eng = _engine(small_dataset, backend=backend, dtype=dtype)
+    for backend in kernels.available_backends():
+        eng = _engine(small_dataset, backend=backend)
         eng.install_index(*ref.index_arrays())
-        nm = eng.nm_batch(patterns)
-        match = eng.match_batch(patterns)
-        windows = eng.window_scores_batch(patterns[:6])
+        assert np.array_equal(eng.nm_batch(patterns), nm_ref), backend
+        assert np.array_equal(eng.match_batch(patterns), match_ref)
+        for got, want in zip(eng.window_scores_batch(patterns[:6]), windows_ref):
+            assert np.array_equal(got, want)
         gap = np.array([nm_gap_pattern(eng, gp) for gp in gaps])
-        if dtype == "float64":
-            assert np.array_equal(nm, nm_ref), (backend, dtype)
-            assert np.array_equal(match, match_ref)
-            for got, want in zip(windows, windows_ref):
-                assert np.array_equal(got, want)
-            assert np.array_equal(gap, gap_ref)
-        else:
-            # float32 paths: both sides rounded to f32 must stay within a
-            # small ULP budget of the f64 reference.
-            from repro.testkit.oracle import max_ulps32
-
-            assert max_ulps32(nm, nm_ref) <= 1024
-            assert max_ulps32(match, match_ref) <= 1024
+        assert np.array_equal(gap, gap_ref)
 
 
 def _trajectory_patterns(engine, seed, starts=6) -> list[TrajectoryPattern]:
@@ -190,9 +167,8 @@ def _trajectory_patterns(engine, seed, starts=6) -> list[TrajectoryPattern]:
     return out
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_window_sums_follow_gather_order(small_dataset, dtype, seed):
+def test_window_sums_follow_gather_order(small_dataset, seed):
     """numpy sums each window's deviations in the compiled kernel's order.
 
     ``((d0 + d1) + d2) ...`` in gather order: on one shared index the two
@@ -204,15 +180,14 @@ def test_window_sums_follow_gather_order(small_dataset, dtype, seed):
     assert len(patterns) >= 300
     got = {}
     for backend in ("numpy", "compiled"):
-        eng = _engine(small_dataset, backend=backend, dtype=dtype)
+        eng = _engine(small_dataset, backend=backend)
         eng.install_index(*ref.index_arrays())
         got[backend] = (eng.nm_batch(patterns), eng.match_batch(patterns))
     for numpy_side, compiled_side in zip(got["numpy"], got["compiled"]):
         _assert_same_bits(numpy_side, compiled_side)
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_compiled_own_index_close(small_dataset, dtype):
+def test_compiled_own_index_close(small_dataset):
     """Compiled engines building their own index stay within tolerance.
 
     The erf difference (libm vs scipy, <= 2 ULPs per entry) propagates
@@ -221,35 +196,24 @@ def test_compiled_own_index_close(small_dataset, dtype):
     """
     _require_compiled()
     ref = _engine(small_dataset)
-    eng = _engine(small_dataset, backend="compiled", dtype=dtype)
+    eng = _engine(small_dataset, backend="compiled")
     assert eng.backend_name == "cnative"
-    assert eng.backend_dtype == dtype
     patterns = _candidates(ref)
-    rtol = 1e-12 if dtype == "float64" else 1e-4
     np.testing.assert_allclose(
-        eng.nm_batch(patterns), ref.nm_batch(patterns), rtol=rtol, atol=1e-12
+        eng.nm_batch(patterns), ref.nm_batch(patterns), rtol=1e-12, atol=1e-12
     )
     np.testing.assert_allclose(
         eng.match_batch(patterns), ref.match_batch(patterns),
-        rtol=rtol, atol=1e-12,
+        rtol=1e-12, atol=1e-12,
     )
-
-
-def test_float32_outputs_are_float64(small_dataset):
-    eng = _engine(small_dataset, dtype="float32")
-    patterns = _candidates(eng, n=8)
-    assert eng._flat_vals_k.dtype == np.float32
-    assert eng._flat_vals.dtype == np.float64  # cache/build side stays f64
-    assert eng.nm_batch(patterns).dtype == np.float64
-    assert eng.match_batch(patterns).dtype == np.float64
 
 
 # -- scratch arena ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend,dtype", _combos())
-def test_steady_state_is_allocation_free(small_dataset, backend, dtype):
-    eng = _engine(small_dataset, backend=backend, dtype=dtype)
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_steady_state_is_allocation_free(small_dataset, backend):
+    eng = _engine(small_dataset, backend=backend)
     patterns = _candidates(eng)
     eng.nm_batch(patterns)  # warm the arena (and any lazy caches)
     eng.nm_batch(patterns)
@@ -329,31 +293,15 @@ def test_arena_grows_geometrically():
 # -- prob chunking ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_prob_chunk_size_is_bit_exact(small_dataset, dtype):
-    """Chunked == unchunked index construction, 0 ULPs, both dtypes."""
-    big = _engine(small_dataset, dtype=dtype)  # default 2^20: one chunk
+def test_prob_chunking_is_bit_exact(small_dataset, monkeypatch):
+    """Chunked == unchunked index construction, 0 ULPs."""
+    big = _engine(small_dataset)  # 2^20 pairs: one chunk
     for chunk in (64, 1021):
-        small = _engine(small_dataset, dtype=dtype, prob_chunk_size=chunk)
+        monkeypatch.setattr(engine_mod, "_INDEX_PAIR_CHUNK", chunk)
+        small = _engine(small_dataset)
         assert small.n_index_entries == big.n_index_entries
-        for name in INDEX_ARRAYS + ("_flat_vals_k",):
+        for name in INDEX_ARRAYS:
             _assert_same_bits(getattr(small, name), getattr(big, name))
-
-
-def test_prob_chunk_validation():
-    with pytest.raises(ValueError, match="prob_chunk_size"):
-        EngineConfig(delta=0.03, prob_chunk_size=0)
-
-
-def test_autotune_prob_chunk(small_dataset):
-    grid = small_dataset.make_grid(CELL)
-    cfg = EngineConfig(**BASE)
-    best = autotune_prob_chunk(
-        small_dataset, grid, cfg, candidates=(1 << 10, 1 << 14), rounds=1
-    )
-    assert best in (1 << 10, 1 << 14)
-    # The knob is safe to apply blindly.
-    NMEngine(small_dataset, grid, replace(cfg, prob_chunk_size=best))
 
 
 # -- index build kernels ------------------------------------------------------
@@ -369,9 +317,9 @@ PROB_DELTA = 0.02
 
 
 @pytest.fixture(scope="module")
-def compiled64():
+def compiled_kernels():
     _require_compiled()
-    return kernels.resolve_backend("compiled", "float64")
+    return kernels.resolve_backend("compiled")
 
 
 def _prob_one_at_a_time(kern, mean, sigma, center, delta) -> np.ndarray:
@@ -405,7 +353,7 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     shuffle=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prob_box_reuse_matches_pairwise(compiled64, snapshots, shuffle, seed):
+def test_prob_box_reuse_matches_pairwise(compiled_kernels, snapshots, shuffle, seed):
     """Bulk box Prob == one pair per call, bit for bit, in any pair layout.
 
     Pairs come out of ``cells_near_many`` in the engine's row-major
@@ -421,13 +369,13 @@ def test_prob_box_reuse_matches_pairwise(compiled64, snapshots, shuffle, seed):
     if shuffle:
         perm = np.random.default_rng(seed).permutation(len(cells))
         mean, sigma, center = mean[perm], sigma[perm], center[perm]
-    bulk = compiled64.prob_within(mean, sigma, center, PROB_DELTA)
+    bulk = compiled_kernels.prob_within(mean, sigma, center, PROB_DELTA)
     _assert_same_bits(
-        bulk, _prob_one_at_a_time(compiled64, mean, sigma, center, PROB_DELTA)
+        bulk, _prob_one_at_a_time(compiled_kernels, mean, sigma, center, PROB_DELTA)
     )
 
 
-def test_prob_box_reuse_past_the_row_buffer(compiled64):
+def test_prob_box_reuse_past_the_row_buffer(compiled_kernels):
     """A row wider than the kernel's x-mass buffer, twice (a parked object),
     with a near-equal mean in between: positions past the buffer are
     computed, never taken from a stale slot."""
@@ -440,9 +388,9 @@ def test_prob_box_reuse_past_the_row_buffer(compiled64):
     mean = np.concatenate([np.tile(m, (len(block), 1)) for m in means])
     center = np.tile(block, (len(means), 1))
     sigma = np.full(len(mean), 0.05)
-    bulk = compiled64.prob_within(mean, sigma, center, 5e-4)
+    bulk = compiled_kernels.prob_within(mean, sigma, center, 5e-4)
     _assert_same_bits(
-        bulk, _prob_one_at_a_time(compiled64, mean, sigma, center, 5e-4)
+        bulk, _prob_one_at_a_time(compiled_kernels, mean, sigma, center, 5e-4)
     )
 
 
@@ -506,18 +454,18 @@ def _fill_both(compiled, chunks, capacity):
     ],
 )
 def test_sort_and_segments_match_reference(
-    compiled64, n_cells, n_rows, per_row, rows_per_chunk
+    compiled_kernels, n_cells, n_rows, per_row, rows_per_chunk
 ):
     """The fill puts entries in (cell, row) order on both backends, and the
     segmentation of the result agrees."""
     chunks = _entry_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
     capacity = _capacity(chunks, n_cells, 5)
-    cell_ids, cell_bounds, rows, _ = _fill_both(compiled64, chunks, capacity)
+    cell_ids, cell_bounds, rows, _ = _fill_both(compiled_kernels, chunks, capacity)
     # Trajectories of 1..9 rows, so segments split cells at every length.
     lengths = np.random.default_rng(4).integers(1, 10, n_rows)
     row_traj = np.repeat(np.arange(len(lengths)), lengths)[:n_rows]
     ref = kernels.resolve_backend("numpy")
-    got = compiled64.index_segments(cell_bounds, rows, row_traj)
+    got = compiled_kernels.index_segments(cell_bounds, rows, row_traj)
     want = ref.index_segments(cell_bounds, rows, row_traj)
     for a, b in zip(got, want):
         _assert_same_bits(a, b)
@@ -531,20 +479,20 @@ def test_sort_and_segments_match_reference(
     assert np.array_equal(seg_traj, row_traj[rows[seg_starts]])
 
 
-def test_sort_and_segments_empty(compiled64):
+def test_sort_and_segments_empty(compiled_kernels):
     ref = kernels.resolve_backend("numpy")
     empty_i, empty_f = np.empty(0, dtype=np.int32), np.empty(0)
     for chunks in ([], [(empty_i, empty_i.copy(), empty_f)]):
         # No capacity at all, and capacity that no entry uses.
         for capacity in (np.zeros(8, dtype=np.int64), np.arange(8)):
-            csr = _fill_both(compiled64, chunks, capacity)
+            csr = _fill_both(compiled_kernels, chunks, capacity)
             cell_ids, cell_bounds, rows, vals = csr
             assert len(cell_ids) == len(rows) == len(vals) == 0
             assert cell_bounds.tolist() == [0]
     row_traj = np.zeros(5, dtype=np.int64)
     bounds = np.zeros(1, dtype=np.int64)
     for a, b in zip(
-        compiled64.index_segments(bounds, empty_i, row_traj),
+        compiled_kernels.index_segments(bounds, empty_i, row_traj),
         ref.index_segments(bounds, empty_i, row_traj),
     ):
         _assert_same_bits(a, b)
@@ -559,8 +507,8 @@ def _fill_arrays(capacity):
     return bounds, bounds[:-1].copy(), rows, vals
 
 
-def test_sort_and_segments_reject_out_of_range(compiled64):
-    for backend in (compiled64, kernels.resolve_backend("numpy")):
+def test_sort_and_segments_reject_out_of_range(compiled_kernels):
+    for backend in (compiled_kernels, kernels.resolve_backend("numpy")):
         for cell in (9, -1):
             with pytest.raises(ValueError, match="outside"):
                 backend.scatter_entries(
@@ -616,7 +564,7 @@ def test_scatter_refuses_a_full_run(backend_name):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fill_matches_reference_on_random_streams(
-    compiled64, n_cells, chunk_rows, per_row, seed
+    compiled_kernels, n_cells, chunk_rows, per_row, seed
 ):
     """Compiled and numpy scatter-then-compact give one CSR on random chunk
     streams, with empty chunks and cells that have slots but no entries."""
@@ -631,7 +579,7 @@ def test_fill_matches_reference_on_random_streams(
             rng.normal(size=take * n_rows),
         ))  # fmt: skip
         lo += n_rows
-    _fill_both(compiled64, chunks, _capacity(chunks, n_cells, seed))
+    _fill_both(compiled_kernels, chunks, _capacity(chunks, n_cells, seed))
 
 
 def test_index_ids_must_fit_int32():
@@ -646,7 +594,7 @@ def test_index_ids_must_fit_int32():
 
 
 @pytest.mark.parametrize("cap", [None, 3])
-def test_compiled_build_matches_reference_install(compiled64, small_dataset, cap):
+def test_compiled_build_matches_reference_install(compiled_kernels, small_dataset, cap):
     """A compiled engine's own build installs exactly the CSR and segment
     arrays that the numpy reference's fill and install derive from the same
     entries -- with the per-snapshot cap trimming entries or not -- and so
@@ -674,7 +622,7 @@ def test_compiled_build_matches_reference_install(compiled64, small_dataset, cap
     radii = config.effective_radius_sigmas() * small_dataset.all_sigmas() + config.delta
     capacity = eng.grid.cells_near_counts([(small_dataset.all_means(), radii)])
     assert capacity.sum() == eng.n_index_pairs > eng.n_index_entries
-    sorted_ref = _fill_both(compiled64, chunks, capacity)
+    sorted_ref = _fill_both(compiled_kernels, chunks, capacity)
     ref = _engine(small_dataset, backend="numpy", **kw)
     ref._install_csr(*sorted_ref)
     via_triples = _engine(small_dataset, backend="numpy", **kw)
@@ -762,6 +710,26 @@ def test_install_index_rejects_repeated_entries(small_dataset):
     assert eng.singular_nm_table() == singular
 
 
+def test_install_index_rejects_values_outside_floor_and_zero(small_dataset):
+    """An entry value below the floor or above log 1 raises instead of
+    installing, through ``install_index`` and ``prebuilt`` alike, and
+    leaves the installed index as it was.  The backends disagree on such
+    a value: the compiled ``batch_devmax`` skips a deviation at or below
+    zero, numpy adds it."""
+    eng = _engine(small_dataset)
+    singular, epoch = eng.singular_nm_table(), eng.index_epoch
+    cells, rows, vals = eng.index_arrays()
+    for bad in (eng.floor_log_prob - 5.0, 0.7):
+        changed = vals.copy()
+        changed[len(changed) // 2] = bad
+        with pytest.raises(ValueError, match="value outside"):
+            eng.install_index(cells, rows, changed)
+        with pytest.raises(ValueError, match="value outside"):
+            NMEngine(small_dataset, eng.grid, eng.config, prebuilt=(cells, rows, changed))
+    assert eng.index_epoch == epoch
+    assert eng.singular_nm_table() == singular
+
+
 # -- edge cases ---------------------------------------------------------------
 
 
@@ -807,10 +775,8 @@ def test_parallel_engine_reports_backend(small_dataset):
     )
     try:
         assert engine.backend_name in ("numpy", "cnative")
-        assert engine.backend_dtype == "float64"
         snap = engine.obs_snapshot()
         assert snap["backend"] == engine.backend_name
-        assert snap["dtype"] == "float64"
         serial = _engine(small_dataset, backend="auto")
         patterns = _candidates(serial)
         np.testing.assert_allclose(

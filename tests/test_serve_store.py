@@ -66,6 +66,26 @@ def test_serve_json_missing_store_raises(tmp_path):
         ServingSnapshot.load(snapdir)
 
 
+def test_serve_json_dtype_key_is_refused(eager, tmp_path):
+    # Every kernel runs in float64, so a pinned dtype is an unknown key.
+    snapdir = tmp_path / "snap"
+    snapdir.mkdir()
+    write_store(eager, snapdir / "dataset.tjc")
+    (snapdir / "serve.json").write_text(json.dumps({"dtype": "float64"}))
+    with pytest.raises(ValueError, match=r"unknown keys \['dtype'\]"):
+        ServingSnapshot.load(snapdir)
+
+
+def test_serve_json_nan_delta_is_refused(eager, tmp_path):
+    # A NaN delta used to build an index with no entries, without an error.
+    snapdir = tmp_path / "snap"
+    snapdir.mkdir()
+    write_store(eager, snapdir / "dataset.tjc")
+    (snapdir / "serve.json").write_text(json.dumps({"delta": float("nan")}))
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        ServingSnapshot.load(snapdir)
+
+
 def test_directory_without_dataset_raises(tmp_path):
     snapdir = tmp_path / "snap"
     snapdir.mkdir()
