@@ -726,14 +726,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    return bench.run_suites(
-        suite=args.suite, output_dir=args.output_dir, rounds=args.rounds
-    )
-
-
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from repro.testkit.oracle import DEFAULT_SEEDS, run_oracle
 
@@ -1309,37 +1301,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     selfcheck.set_defaults(func=_cmd_selfcheck)
-
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run the performance benchmark suite (engine, scaling, kernel "
-            "backends, serving) and append to the BENCH_*.json history files"
-        ),
-    )
-    bench.add_argument(
-        "--suite",
-        choices=["all", "engine", "kernels", "serve", "store", "dist", "incremental"],
-        default="all",
-        help=(
-            "which benchmark family to run (default all = engine + serve + "
-            "store; 'kernels' is the fast backend-comparison loop; 'dist' "
-            "re-runs only the distributed dispatch and routed-serving legs)"
-        ),
-    )
-    bench.add_argument(
-        "--output-dir",
-        default=None,
-        dest="output_dir",
-        help="where the BENCH_*.json history files live (default: repo root)",
-    )
-    bench.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="timing rounds per measurement (default 3)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

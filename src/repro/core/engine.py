@@ -249,6 +249,11 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        if not isinstance(self.prob_model, ProbModel):
+            raise ValueError(
+                f"prob_model must be one of {', '.join(map(str, ProbModel))}, "
+                f"got {self.prob_model!r}"
+            )
         if not 0.0 < self.min_prob < 1.0:
             raise ValueError("min_prob must be in (0, 1)")
         if self.radius_sigmas is not None and not (

@@ -829,21 +829,6 @@ class TrajectoryStore:
             else np.empty(0, dtype=np.int64)
         )
 
-    def iter_row_chunks(self, *, mode: str = "read"):
-        """Yield ``(row_lo, row_hi, means, sigmas)`` per stored chunk, in order.
-
-        The sequential-scan primitive: one chunk resident at a time in
-        ``"read"`` mode, zero-copy views in ``"mmap"`` mode.
-        """
-        for ci, chunk in enumerate(self._chunks):
-            lo, hi = chunk["row_lo"], chunk["row_hi"]
-            if self._resolve_mode(mode) == "mmap":
-                yield lo, hi, self._xy_map()[lo:hi], self._sigma_map()[lo:hi]
-            else:
-                means, sigmas = self._decoded_chunk(ci)
-                self._chunk_cache.pop(ci, None)  # sequential: no reuse
-                yield lo, hi, means, sigmas
-
     # -- trajectory access ---------------------------------------------------------
 
     def trajectory(self, index: int) -> UncertainTrajectory:

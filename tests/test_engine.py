@@ -45,12 +45,15 @@ class TestEngineConfig:
             ("max_cells_per_snapshot", 1.5),
             ("jobs", 1.5),
             ("jobs", True),
+            ("prob_model", "box"),
+            ("prob_model", 3),
         ],
     )
     def test_rejects_values_that_build_nothing(self, field, value):
-        """A non-finite distance builds an index with no entries, and a
-        fractional cap fails deep inside the build: both are refused when
-        the config is made."""
+        """A non-finite distance builds an index with no entries; a
+        fractional cap, or a probability model that is not a ``ProbModel``,
+        fails deep inside the build: all are refused when the config is
+        made."""
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{"delta": 0.1, field: value})
 

@@ -16,6 +16,7 @@ from repro.storage import (
     open_store,
     write_store,
 )
+from repro.storage import columnar
 from repro.testkit.datasets import seeded_dataset
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
@@ -134,6 +135,61 @@ class TestRoundTrip:
             assert not store.supports_mmap
             with pytest.raises(ValueError, match="mmap"):
                 store.means(0, 1, mode="mmap")
+
+
+class _CountingFile:
+    """A file object that counts the bytes read through it."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.bytes_read = 0
+
+    def read(self, n=-1):
+        data = self._fh.read(n)
+        self.bytes_read += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestOpenCost:
+    @pytest.mark.parametrize(
+        "n_trajectories, writer_kwargs",
+        [
+            (4, dict(compression="none", positions="f64")),
+            (9, dict(chunk_rows=16, compression="zlib")),
+        ],
+        ids=["one-chunk", "multi-chunk"],
+    )
+    def test_open_reads_only_magic_trailer_and_footer(
+        self, tmp_path, monkeypatch, n_trajectories, writer_kwargs
+    ):
+        """Opening costs O(footer) whatever the row count: the leading
+        magic, the trailer and the footer are read, and no row data is
+        mapped or decoded."""
+        data = seeded_dataset(11, n_trajectories=n_trajectories, n_ticks=23)
+        path = write_store(data, tmp_path / "d.tjc", **writer_kwargs)
+        (footer_len,) = struct.unpack("<Q", path.read_bytes()[-16:-8])
+
+        files = []
+
+        def counting_open(*args, **kwargs):
+            files.append(_CountingFile(open(*args, **kwargs)))
+            return files[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("open_store touched row data")
+
+        monkeypatch.setattr(columnar, "open", counting_open, raising=False)
+        monkeypatch.setattr(columnar.np, "memmap", refuse)
+        monkeypatch.setattr(columnar.os, "pread", refuse)
+        monkeypatch.setattr(columnar, "_decode_chunk_blobs", refuse)
+        with open_store(path) as store:
+            n_chunks = store.describe()["n_chunks"]
+            assert store.total_snapshots == n_trajectories * 23
+        assert (n_chunks == 1) == (n_trajectories == 4)
+        assert [f.bytes_read for f in files] == [2 * len(columnar.MAGIC) + 8 + footer_len]
 
 
 class TestWriterValidation:
