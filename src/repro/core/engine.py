@@ -39,20 +39,25 @@ A capacity pass first counts each cell's (snapshot, cell) pairs from the
 snapshots' neighbourhood boxes
 (:meth:`~repro.geometry.grid.Grid.cells_near_counts`, which lists no
 pair), and the rows and values are allocated at that capacity, one run
-per cell.  Then all snapshot neighbourhoods of a row chunk are enumerated
-with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call, ``Prob``
-is evaluated over the concatenated pairs in bounded-size chunks, and the
-kernel backend scatters the kept entries into their cells' runs in
-ascending row order.  Moving the runs left closes the gaps the rejected
-pairs leave, and both arrays shrink in place to the entry count; the
-backend then segments them at every (cell, trajectory) change.  The
-compiled box ``Prob`` kernel also reuses each axis mass along a
-snapshot's row-major cell block.  Every backend installs exactly the
-same index arrays from the same entries.  :meth:`NMEngine.index_arrays`
-rebuilds the classic ``int64`` (cell, row, value) triples on demand; the
-index cache writes the same triples from the CSR arrays in bounded
-blocks, and the incremental folds and engines that share an index take
-the CSR arrays as they are (:meth:`NMEngine.index_csr`).
+per cell.  Then all snapshot neighbourhoods of a row chunk are listed
+with one :meth:`~repro.geometry.grid.Grid.cells_near_many` call, as
+``int32`` cells and owners (8 bytes per pair), and the kernel backend's
+``place_pairs`` evaluates ``Prob`` of every listed pair, keeps those above
+the floor (at most ``max_cells_per_snapshot`` per snapshot) and writes
+each kept probability into its cell's run in ascending row order.  On the
+compiled backend that is one C pass over the pairs, which allocates
+nothing per pair and reuses each box axis mass along a snapshot's
+row-major cell block; the numpy reference gathers, evaluates, masks,
+caps and scatters.  Moving the runs left closes the gaps the rejected
+pairs leave, both arrays shrink in place to the entry count, one
+``np.log`` turns the probabilities into log-probabilities, and the
+backend segments the index at every (cell, trajectory) change.  Every
+backend installs exactly the same index arrays from the same entries.
+:meth:`NMEngine.index_arrays` rebuilds the classic ``int64`` (cell, row,
+value) triples on demand; the index cache writes the same triples from
+the CSR arrays in bounded blocks, and the incremental folds and engines
+that share an index take the CSR arrays as they are
+(:meth:`NMEngine.index_csr`).
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -86,19 +91,17 @@ from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.uncertainty.gaussian import ProbModel, prob_within
 
-#: Snapshots enumerated per vectorised index-build round.  It bounds the
-#: in-flight (snapshot, cell) pair arrays -- neighbourhood cells and owners,
-#: gathered means, cell centres and probabilities, ~60 bytes per pair --
+#: Snapshots listed per vectorised index-build round.  It bounds the
+#: in-flight (snapshot, cell) pair arrays -- ``int32`` neighbourhood cells
+#: and owners, 8 bytes per pair on the compiled backend (the numpy
+#: reference adds its gathers and probabilities, ~60 bytes per pair) --
 #: which are the build's largest transient after the 12-byte-per-pair
 #: capacity the rows and values are filled into (see TestBuildMemory).
-#: 1024 rows lower the serve-score benchmark herd's traced build peak by
-#: 2.9 MiB at 4-10 ms more build time.
+#: On the serve-score benchmark herd (compiled backend), 1024 rows lower
+#: the traced build peak by 0.9 MiB (2.9 MiB at ~60 bytes per pair) at
+#: 10-20 ms more build time, and 4096 rows raise it by 1.8 MiB for ~6 ms
+#: less.
 _INDEX_ROW_CHUNK = 2048
-#: (snapshot, cell) pairs evaluated per ``prob_within`` call.  Each pair is
-#: evaluated on its own, so the split changes no bit.  A row chunk of the
-#: e2e benchmark herds enumerates at most ~94k pairs, so their sweeps never
-#: split.
-_INDEX_PAIR_CHUNK = 1 << 20
 #: Materialised per-cell dense columns kept in the engine's LRU cache;
 #: candidate patterns reuse cells heavily.
 _COLUMN_CACHE_SIZE = 256
@@ -140,29 +143,36 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduceat(flat, np.arange(0, n * width, width))
 
 
-def _fill_csr(backend, capacity: np.ndarray, chunks) -> tuple[np.ndarray, ...]:
-    """A CSR index ``(cell_ids, cell_bounds, rows, vals)`` filled from chunks.
+def _fill_csr(backend, capacity: np.ndarray, chunks, **pairs) -> tuple[np.ndarray, ...]:
+    """A CSR index ``(cell_ids, cell_bounds, rows, vals)`` built from listed pairs.
 
     ``capacity`` bounds each grid cell's entry count (``int64``, one per
-    cell) and ``chunks`` yields ``(cells, rows, vals)`` entry chunks --
-    ``int32``, ``int32``, ``float64`` -- in ascending row order.  Rows and
-    values are allocated at ``capacity.sum()``, one run per cell; the
-    kernel backend scatters each chunk into its cells' runs and, once all
-    are placed, moves the runs left to close the gaps.  Both arrays then
-    shrink in place to the entry count (a ``realloc``: nothing holds a view
-    of them yet).
+    cell).  ``chunks`` yields the ``(cells, owners, row0, means, sigmas)``
+    arguments of the backend's ``place_pairs`` in ascending row order, and
+    ``pairs`` holds its other arguments (``centres``, ``delta``, ``model``,
+    ``min_prob``, ``cap``).  Rows and values are allocated at
+    ``capacity.sum()``, one run per cell; ``place_pairs`` writes each
+    chunk's kept probabilities into their cells' runs and, once all are
+    placed, the backend moves the runs left to close the gaps.  Both arrays
+    then shrink in place to the entry count (a ``realloc``: nothing holds a
+    view of them yet), and one ``np.log`` over the values, element by
+    element as a per-chunk log would be, makes them log-probabilities.
     """
     bounds = np.zeros(len(capacity) + 1, dtype=np.int64)
     np.cumsum(capacity, out=bounds[1:])
     rows = np.empty(int(bounds[-1]), dtype=np.int32)
     vals = np.empty(int(bounds[-1]), dtype=np.float64)
     cursor = bounds[:-1].copy()
-    for chunk in chunks:
-        backend.scatter_entries(*chunk, bounds, cursor, rows, vals)
-        del chunk  # freed before the next chunk enumerates its pairs
+    for cells, owners, row0, means, sigmas in chunks:
+        backend.place_pairs(
+            cells, owners, row0, means, sigmas, bounds=bounds, cursor=cursor,
+            out_rows=rows, out_vals=vals, **pairs,
+        )  # fmt: skip
+        del cells, owners  # freed before the next chunk lists its pairs
     n = backend.compact_entries(bounds, cursor, rows, vals)
     rows.resize(n, refcheck=False)
     vals.resize(n, refcheck=False)
+    np.log(vals, out=vals)
     counts = np.subtract(cursor, bounds[:-1], out=cursor)
     cell_ids = np.flatnonzero(counts)
     cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
@@ -493,63 +503,30 @@ class NMEngine:
         the entries' ``int32`` rows and ``float64`` log-probabilities in
         (cell, row) order.  A first pass over the row chunks counts each
         cell's (snapshot, cell) pairs from the neighbourhood boxes, listing
-        no pair; ``n_index_pairs`` is their total.  A second pass fills
-        each chunk's entries (:meth:`_chunk_entries`) into an index
-        allocated at that capacity (:func:`_fill_csr`).
+        no pair; ``n_index_pairs`` is their total.  A second pass lists
+        each row chunk's pairs with one
+        :meth:`~repro.geometry.grid.Grid.cells_near_many` call and the
+        kernel backend's ``place_pairs`` writes the kept ones into an
+        index allocated at that capacity (:func:`_fill_csr`).
         """
         capacity = self.grid.cells_near_counts(
             (means, radii) for _, means, _, radii in self._row_chunks()
         )
         self.n_index_pairs = int(capacity.sum())
+        cfg = self.config
         return _fill_csr(
             self._kernels,
             capacity,
-            (self._chunk_entries(*chunk) for chunk in self._row_chunks()),
+            (
+                (*self.grid.cells_near_many(means, radii), lo, means, sigmas)
+                for lo, means, sigmas, radii in self._row_chunks()
+            ),
+            centres=self.grid.cell_centers(),
+            delta=cfg.delta,
+            model=cfg.prob_model,
+            min_prob=cfg.min_prob,
+            cap=cfg.max_cells_per_snapshot,
         )
-
-    def _chunk_entries(
-        self, lo: int, means: np.ndarray, sigmas: np.ndarray, radii: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Above-floor ``(cells, rows, vals)`` of the rows starting at ``lo``.
-
-        All the rows' neighbourhoods come from one
-        :meth:`~repro.geometry.grid.Grid.cells_near_many` call and ``Prob``
-        is evaluated over the concatenated (snapshot, cell) pairs in chunks
-        of ``_INDEX_PAIR_CHUNK`` through the kernel backend; only the
-        (rare) per-snapshot cap falls back to a Python loop over the few
-        snapshots that exceed it.  Returns ``int32`` cells and rows and
-        ``float64`` log-probabilities, in ascending row order.
-        """
-        cfg = self.config
-        cap = cfg.max_cells_per_snapshot
-        cells, owners = self.grid.cells_near_many(means, radii)
-        probs = np.empty(len(cells))
-        for s in range(0, len(cells), _INDEX_PAIR_CHUNK):
-            e = min(s + _INDEX_PAIR_CHUNK, len(cells))
-            # np.take gathers (n, 2) rows an order of magnitude faster
-            # than fancy indexing, with the same values.
-            self._kernels.prob_within(
-                np.take(means, owners[s:e], axis=0),
-                sigmas[owners[s:e]],
-                self.grid.cell_centers(cells[s:e]),
-                cfg.delta,
-                model=cfg.prob_model,
-                out=probs[s:e],
-            )
-        keep = probs > cfg.min_prob
-        cells, owners, probs = cells[keep], owners[keep], probs[keep]
-        # owners stays sorted through the mask, so each snapshot's entries
-        # are one contiguous run; trim the runs over the cap.
-        counts = np.bincount(owners, minlength=len(means))
-        if np.any(counts > cap):
-            sel = np.ones(len(cells), dtype=bool)
-            run_starts = np.concatenate([[0], np.cumsum(counts)])
-            for r in np.nonzero(counts > cap)[0]:
-                run = slice(int(run_starts[r]), int(run_starts[r + 1]))
-                drop = np.argpartition(probs[run], -cap)[:-cap]
-                sel[np.arange(run.start, run.stop)[drop]] = False
-            cells, owners, probs = cells[sel], owners[sel], probs[sel]
-        return cells.astype(np.int32), (owners + lo).astype(np.int32), np.log(probs)
 
     def _collect_index_entries_scalar(
         self,

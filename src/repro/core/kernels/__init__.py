@@ -2,11 +2,12 @@
 
 The engine's measured hot loops -- the deviation gather/sort/segment-reduce
 behind ``nm_batch``/``match_batch``, the stacked window-score scatter, the
-per-segment maxima sweep, the chunked ``prob_within`` evaluation, the
-index build's scatter of entries into per-cell runs and their compaction
-(into a CSR index by cell with ``int32`` rows), its segmentation, and the
-wildcard gap DP -- are isolated behind the narrow :class:`KernelBackend`
-protocol.  Every kernel runs in float64.
+per-segment maxima sweep, the ``prob_within`` evaluation, the index
+build's placement of listed (snapshot, cell) pairs into per-cell runs
+(``Prob``, floor, per-snapshot cap and scatter in one op) and their
+compaction (into a CSR index by cell with ``int32`` rows), its
+segmentation, and the wildcard gap DP -- are isolated behind the narrow
+:class:`KernelBackend` protocol.  Every kernel runs in float64.
 Everything else in the engine is orchestration and stays numpy.
 
 Backends
@@ -97,16 +98,24 @@ class KernelBackend(Protocol):
                length: int, arena) -> float:
         """Best summed log-prob over admissible gap alignments, or ``-inf``."""
 
-    def scatter_entries(self, cells, rows, vals, bounds, cursor,
-                        out_rows, out_vals) -> None:
-        """Write one chunk of ``int32`` cells / ``int32`` rows / ``float64``
-        values into their cells' runs, in chunk order within a cell.
+    def place_pairs(self, cells, owners, row0, means, sigmas, centres, delta,
+                    model: ProbModel, min_prob, cap, bounds, cursor,
+                    out_rows, out_vals) -> None:
+        """Write one row chunk's kept (snapshot, cell) pairs into their
+        cells' runs.
 
-        Cell ``c`` owns slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` /
-        ``out_vals`` and its next entry goes to slot ``cursor[c]``, which
-        then advances.  A cell outside ``[0, len(cursor))`` or a run with
-        no free slot raises ``ValueError``; nothing is written out of
-        bounds.
+        Pair ``i`` is ``int32`` cell ``cells[i]`` of snapshot ``owners[i]``
+        (``int32``, non-decreasing: one run per snapshot), whose mean and
+        sigma are ``means[o]`` / ``sigmas[o]`` and whose global row is
+        ``row0 + o``; ``centres`` holds every grid cell's centre.  A pair
+        is kept when its ``Prob`` exceeds ``min_prob``, and a snapshot
+        keeps at most its ``cap`` most probable cells.  Cell ``c`` owns
+        slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` / ``out_vals``;
+        each kept pair writes its row and its *probability* (not its log)
+        to slot ``cursor[c]``, which then advances, so rows ascend within
+        a cell.  A cell outside ``[0, len(cursor))``, an owner outside the
+        chunk or out of order, or a run with no free slot raises
+        ``ValueError``; nothing is written out of bounds.
         """
 
     def compact_entries(self, bounds, cursor, rows, vals) -> int:

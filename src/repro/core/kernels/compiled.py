@@ -2,8 +2,9 @@
 
 The library implements the backend's eight kernels (deviation maxima,
 stacked scores, segment maxima, box ``Prob``, gap DP, and the index
-build's scatter of entries into per-cell runs, their compaction into a
-CSR index and its segmentation; every kernel reads ``int32`` rows and
+build's pass that evaluates box ``Prob`` of listed (snapshot, cell) pairs
+and places the kept ones into per-cell runs, their compaction into a CSR
+index and its segmentation; every kernel reads ``int32`` rows and
 ``float64`` values): a C translation unit compiled on first use with the
 system C compiler (``cc``/``gcc``/``clang``) into a content-hashed shared
 library under a cache directory.
@@ -17,9 +18,10 @@ Numerical notes
 ---------------
 The evaluation kernels (devmax / stacked / segmax / gap DP) accumulate in
 exactly the reference order (see :mod:`repro.core.kernels.numpy_ref`), so
-they are bit-identical to numpy, and the scatter, compaction and
-segmentation kernels only move integers and stored values.  The box
-``Prob`` kernel is the one exception: it uses the C library's ``erf``
+they are bit-identical to numpy, and the compaction and segmentation
+kernels only move integers and stored values.  Box ``Prob`` -- in
+``prob_box`` and in the index build's ``place_pairs_box``, through one
+``axis_mass`` -- is the one exception: it uses the C library's ``erf``
 (libm), which may differ from scipy's by a couple of ULPs.  An index
 built through it is therefore tagged in the index-cache key
 (``prob_tag``) so it never masquerades as a reference-built index, and
@@ -38,7 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels.numpy_ref import check_fill_arrays
+from repro.core.kernels.numpy_ref import (
+    check_fill_arrays,
+    check_pair_arrays,
+    place_pairs_reference,
+)
 from repro.obs import logs
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
@@ -153,24 +159,63 @@ static int same_bits(double a, double b)
     return x == y;
 }
 
-/* Box Prob: the product px * py of two axis masses.  px depends only on
- * (mean x, sigma, centre x) and py only on (mean y, sigma, centre y), and
- * the index build lists each snapshot's cells row-major, so the kernel
- * keeps the current row's py and the px of each position along the row.
- * A kept mass is reused only when all three of its inputs are bit-equal
- * to the current ones, and every mass comes from axis_mass, so any pair
- * order gives the same bits; the layout only decides how often a mass is
- * reused.  Positions past X_SLOTS along a row are always computed. */
+/* The axis masses the box Prob kernels keep for reuse: the px of each
+ * position along the current row and the current row's py. */
 #define X_SLOTS 256
+typedef struct {
+    double xm[X_SLOTS], xs[X_SLOTS], xc[X_SLOTS], xv[X_SLOTS];
+    int64_t kept;  /* slots [0, kept) hold an x mass */
+    double ym, ys, yc, yv;
+    int have_y;
+} mass_cache;
+
+static void mass_cache_init(mass_cache *mc)
+{
+    mc->kept = 0;
+    mc->ym = mc->ys = mc->yc = mc->yv = 0.0;
+    mc->have_y = 0;
+}
+
+/* Box Prob: the product px * py of two axis masses for mean (mx, my),
+ * deviation s and centre (cx, cy), the pair at position col along its
+ * row.  px depends only on (mean x, sigma, centre x) and py only on
+ * (mean y, sigma, centre y), and the index build lists each snapshot's
+ * cells row-major, so the cache keeps the current row's py and the px of
+ * each position along the row.  A kept mass is reused only when all three
+ * of its inputs are bit-equal to the current ones, and every mass comes
+ * from axis_mass, so any pair order gives the same bits; the layout only
+ * decides how often a mass is reused.  Positions past X_SLOTS along a row
+ * are always computed. */
+static inline double box_prob(mass_cache *mc, int64_t col, double mx, double my,
+                              double s, double cx, double cy, double delta)
+{
+    double px;
+    if (col < mc->kept && same_bits(mc->xm[col], mx) && same_bits(mc->xs[col], s)
+        && same_bits(mc->xc[col], cx)) {
+        px = mc->xv[col];
+    } else {
+        px = axis_mass(cx, delta, mx, s);
+        if (col < X_SLOTS) {
+            mc->xm[col] = mx; mc->xs[col] = s; mc->xc[col] = cx; mc->xv[col] = px;
+            if (col >= mc->kept) mc->kept = col + 1;
+        }
+    }
+    if (!(mc->have_y && same_bits(mc->ym, my) && same_bits(mc->ys, s)
+          && same_bits(mc->yc, cy))) {
+        mc->yv = axis_mass(cy, delta, my, s);
+        mc->ym = my; mc->ys = s; mc->yc = cy; mc->have_y = 1;
+    }
+    return px * mc->yv;
+}
+
+/* Box Prob of n pairs, any layout (see box_prob). */
 void prob_box(
     const double *mean, const double *sigma, const double *center,
     double delta, int64_t n, double *out)
 {
-    double xm[X_SLOTS], xs[X_SLOTS], xc[X_SLOTS], xv[X_SLOTS];
-    int64_t kept = 0;  /* slots [0, kept) hold a mass */
-    int64_t col = 0;   /* position of pair i along its row */
-    double ym = 0.0, ys = 0.0, yc = 0.0, yv = 0.0;
-    int have_y = 0;
+    mass_cache mc;
+    int64_t col = 0;  /* position of pair i along its row */
+    mass_cache_init(&mc);
     for (int64_t i = 0; i < n; ++i) {
         const double s = sigma[i];
         const double mx = mean[2 * i], my = mean[2 * i + 1];
@@ -182,48 +227,85 @@ void prob_box(
             ++col;
         else
             col = 0;
-        double px;
-        if (col < kept && same_bits(xm[col], mx) && same_bits(xs[col], s)
-            && same_bits(xc[col], cx)) {
-            px = xv[col];
-        } else {
-            px = axis_mass(cx, delta, mx, s);
-            if (col < X_SLOTS) {
-                xm[col] = mx; xs[col] = s; xc[col] = cx; xv[col] = px;
-                if (col >= kept) kept = col + 1;
-            }
-        }
-        if (!(have_y && same_bits(ym, my) && same_bits(ys, s)
-              && same_bits(yc, cy))) {
-            yv = axis_mass(cy, delta, my, s);
-            ym = my; ys = s; yc = cy; have_y = 1;
-        }
-        out[i] = px * yv;
+        out[i] = box_prob(&mc, col, mx, my, s, cx, cy, delta);
     }
 }
 
-/* Scatter of one chunk into per-cell runs: cell c owns slots
- * [bounds[c], bounds[c + 1]) of out_rows/out_vals (n_out long), and entry i
- * goes to slot cursor[cells[i]]++.  Chunks scattered in order keep their
- * order within each cell.  Every slot is checked before it is written:
- * returns 1 at the first cell outside [0, n_cells), 2 at the first entry
- * whose cell's run has no free slot (or whose slot is outside the output),
- * and 0 when the whole chunk is placed. */
-int64_t scatter_entries(
-    const int32_t *cells, const int32_t *rows, const double *vals, int64_t n,
-    int64_t n_cells, const int64_t *bounds, int64_t *cursor, int64_t n_out,
-    int32_t *out_rows, double *out_vals)
+/* The index build's pass over one row chunk's listed pairs: pair i is
+ * cell cells[i] of snapshot o = owners[i], whose mean is means[2o..2o+1],
+ * sigma sigmas[o] and global row row0 + o; each snapshot's pairs are one
+ * run (owners non-decreasing).  Each pair's box Prob comes from box_prob,
+ * so it has the bits prob_box gives that pair.  A snapshot's pairs above
+ * min_prob are kept in keep_p / keep_c (cap slots); then each kept
+ * probability and the row go to slot cursor[c]++ of the cell's run
+ * [bounds[c], bounds[c + 1]) of out_rows / out_vals (n_out long), every
+ * slot checked before it is written.  The walk starts at span[0] and
+ * returns with span[0] at the first snapshot's run not placed:
+ *   0  every pair placed;
+ *   1  a cell outside [0, n_cells): nothing of that snapshot written;
+ *   2  a kept pair whose cell's run has no free slot;
+ *   3  an owner outside [0, n_owners) or below the one before it;
+ *   4  the snapshot keeps more than cap cells: nothing of it written,
+ *      and span[1] is the end of its run. */
+int64_t place_pairs_box(
+    const int32_t *cells, const int32_t *owners, int64_t n, int64_t *span,
+    int64_t row0, const double *means, const double *sigmas, int64_t n_owners,
+    const double *centres, int64_t n_cells, double delta, double min_prob,
+    int64_t cap, double *keep_p, int32_t *keep_c, const int64_t *bounds,
+    int64_t *cursor, int64_t n_out, int32_t *out_rows, double *out_vals)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t c = cells[i];
-        if (c < 0 || c >= n_cells) return 1;
-        const int64_t slot = cursor[c];
-        if (slot < bounds[c] || slot >= bounds[c + 1] || slot < 0 || slot >= n_out)
-            return 2;
-        out_rows[slot] = rows[i];
-        out_vals[slot] = vals[i];
-        cursor[c] = slot + 1;
+    mass_cache mc;
+    int64_t i = span[0];
+    mass_cache_init(&mc);
+    while (i < n) {
+        const int64_t o = owners[i];
+        if (o < 0 || o >= n_owners || (i > 0 && o < owners[i - 1])) {
+            span[0] = i;
+            return 3;
+        }
+        const double mx = means[2 * o], my = means[2 * o + 1], s = sigmas[o];
+        int64_t kept = 0, col = 0, j;
+        for (j = i; j < n && owners[j] == o; ++j) {
+            const int64_t c = cells[j];
+            if (c < 0 || c >= n_cells) {
+                span[0] = i;
+                return 1;
+            }
+            const double cx = centres[2 * c], cy = centres[2 * c + 1];
+            /* A row goes on while the snapshot steps right at the same y. */
+            if (j > i && cx > centres[2 * (int64_t)cells[j - 1]]
+                && same_bits(cy, centres[2 * (int64_t)cells[j - 1] + 1]))
+                ++col;
+            else
+                col = 0;
+            const double p = box_prob(&mc, col, mx, my, s, cx, cy, delta);
+            if (!(p > min_prob)) continue;
+            if (kept == cap) {
+                while (j < n && owners[j] == o) ++j;
+                span[0] = i;
+                span[1] = j;
+                return 4;
+            }
+            keep_p[kept] = p;
+            keep_c[kept] = (int32_t)c;
+            ++kept;
+        }
+        const int32_t row = (int32_t)(row0 + o);
+        for (int64_t k = 0; k < kept; ++k) {
+            const int64_t c = keep_c[k];
+            const int64_t slot = cursor[c];
+            if (slot < bounds[c] || slot >= bounds[c + 1] || slot < 0
+                || slot >= n_out) {
+                span[0] = i;
+                return 2;
+            }
+            out_rows[slot] = row;
+            out_vals[slot] = keep_p[k];
+            cursor[c] = slot + 1;
+        }
+        i = j;
     }
+    span[0] = n;
     return 0;
 }
 
@@ -379,7 +461,8 @@ def load_library() -> ctypes.CDLL:
         "segment_maxima": (None, [ptr, i64, ptr, i64, ptr]),
         "prob_box": (None, [ptr, ptr, ptr, f64, i64, ptr]),
         "gap_dp": (f64, [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]),
-        "scatter_entries": (i64, [ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr]),
+        "place_pairs_box": (i64, [ptr, ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64,
+                                  f64, f64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr]),
         "compact_entries": (i64, [ptr, ptr, i64, i64, ptr, ptr]),
         "index_segments": (i64, [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr]),
     }  # fmt: skip
@@ -480,22 +563,49 @@ class CompiledKernels:
         )
         return out
 
-    def scatter_entries(self, cells, rows, vals, bounds, cursor,
-                        out_rows, out_vals) -> None:
-        cells = np.ascontiguousarray(cells, dtype=np.int32)
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)
-        check_fill_arrays(bounds, cursor, out_rows, out_vals)
-        if not len(cells) == len(rows) == len(vals):
-            raise ValueError("entry chunk columns differ in length")
-        status = self._lib.scatter_entries(
-            _p(cells), _p(rows), _p(vals), len(cells), len(cursor), _p(bounds),
-            _p(cursor), len(out_rows), _p(out_rows), _p(out_vals),
-        )
+    def place_pairs(self, cells, owners, row0, means, sigmas, centres, delta,
+                    model, min_prob, cap, bounds, cursor, out_rows, out_vals) -> None:
+        means = np.ascontiguousarray(means, dtype=np.float64)
+        sigmas = np.ascontiguousarray(sigmas, dtype=np.float64)
+        centres = np.ascontiguousarray(centres, dtype=np.float64)
+        pairs = (cells, owners, row0, means, sigmas, centres, delta, model,
+                 min_prob, cap, bounds, cursor, out_rows, out_vals)  # fmt: skip
+        if model is not ProbModel.BOX:
+            # The disk geometry evaluates through scipy, as prob_within does.
+            return place_pairs_reference(self.prob_within, *pairs)
+        check_pair_arrays(cells, owners, row0, means, sigmas, centres, delta, cap,
+                          bounds, cursor, out_rows, out_vals)  # fmt: skip
+        n = len(cells)
+        cells = np.ascontiguousarray(cells)
+        owners = np.ascontiguousarray(owners)
+        # A snapshot keeps at most min(cap, n) pairs, so the kernel's kept
+        # buffers need no more slots than that.
+        cap_slots = min(int(cap), n)
+        keep_p = np.empty(cap_slots)
+        keep_c = np.empty(cap_slots, dtype=np.int32)
+        span = np.zeros(2, dtype=np.int64)
+        while True:
+            status = self._lib.place_pairs_box(
+                _p(cells), _p(owners), n, _p(span), int(row0), _p(means),
+                _p(sigmas), len(sigmas), _p(centres), len(cursor), float(delta),
+                float(min_prob), cap_slots, _p(keep_p), _p(keep_c), _p(bounds),
+                _p(cursor), len(out_rows), _p(out_rows), _p(out_vals),
+            )  # fmt: skip
+            if status != 4:
+                break
+            # A snapshot over the cap: the reference picks its cap most
+            # probable cells (the same Prob bits), then the walk resumes.
+            lo, hi = int(span[0]), int(span[1])
+            place_pairs_reference(
+                self.prob_within, cells[lo:hi], owners[lo:hi], *pairs[2:]
+            )
+            span[0] = hi
         if status == 1:
-            raise ValueError(f"index entry cell outside [0, {len(cursor)})")
-        if status:
+            raise ValueError(f"pair cell outside [0, {len(cursor)})")
+        if status == 2:
             raise ValueError("index entry cell has no free slot in its run")
+        if status == 3:
+            raise ValueError(f"pair owner outside [0, {len(sigmas)}) or out of order")
 
     def compact_entries(self, bounds, cursor, rows, vals) -> int:
         check_fill_arrays(bounds, cursor, rows, vals)

@@ -5,11 +5,12 @@ stable-sort deviation reduction behind ``nm_batch``/``match_batch`` (each
 window summed in gather order, see below), the stacked window-score
 scatter, the per-segment maxima sweep, the chunked ``prob_within``
 evaluation (delegated to :mod:`repro.uncertainty.gaussian`), the wildcard
-gap DP, and the index build's scatter of entries into per-cell runs,
-their compaction into a CSR index by cell (``int32`` rows) and its
-segmentation.  It remains
-the differential oracle's ground truth: the compiled backend is tested
-*against* this one, never the other way around.
+gap DP, and the index build's placement of listed (snapshot, cell) pairs
+into per-cell runs (gather, ``Prob``, mask, per-snapshot cap, scatter:
+:func:`place_pairs_reference`), their compaction into a CSR index by cell
+(``int32`` rows) and its segmentation.  It remains the differential
+oracle's ground truth: the compiled backend is tested *against* this one,
+never the other way around.
 
 Numerical contract (what the compiled backends must reproduce):
 
@@ -32,7 +33,12 @@ import numpy as np
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
 
-__all__ = ["NumpyKernels", "check_fill_arrays"]
+__all__ = [
+    "NumpyKernels",
+    "check_fill_arrays",
+    "check_pair_arrays",
+    "place_pairs_reference",
+]
 
 #: Index entries one :meth:`NumpyKernels.batch_devmax` pass gathers at most
 #: (a pattern touching more is gathered alone).  Each gathered entry holds
@@ -41,6 +47,11 @@ _GATHER_BUDGET = 1 << 21
 #: Entries one :meth:`NumpyKernels.compact_entries` step moves; its index
 #: temporaries (~36 bytes per entry) stay near 2 MiB.
 _COMPACT_BLOCK = 1 << 16
+#: (snapshot, cell) pairs :func:`place_pairs_reference` evaluates per
+#: ``prob_within`` call.  Each pair is evaluated on its own, so the split
+#: changes no bit.  A row chunk of the e2e benchmark herds lists at most
+#: ~94k pairs, so their sweeps never split.
+_PROB_SWEEP = 1 << 20
 
 
 def check_fill_arrays(bounds, cursor, rows, vals) -> None:
@@ -62,6 +73,128 @@ def check_fill_arrays(bounds, cursor, rows, vals) -> None:
             "fill arrays must be contiguous int64 bounds (n_cells + 1) and "
             "cursor (n_cells), int32 rows and float64 values of one length"
         )
+
+
+def check_pair_arrays(cells, owners, row0, means, sigmas, centres, delta, cap,
+                      bounds, cursor, out_rows, out_vals) -> None:
+    """Reject ``place_pairs`` arguments either backend cannot read.
+
+    ``cells`` and ``owners`` are ``int32`` of one length, ``means`` is
+    ``(n_owners, 2)`` for the ``n_owners`` sigmas, ``centres`` holds one
+    ``(x, y)`` per grid cell (``len(cursor)``), every global row
+    ``row0 + owner`` fits ``int32``, sigmas and ``delta`` are positive and
+    ``cap`` is a positive int; the fill arrays pass
+    :func:`check_fill_arrays`.  The pairs themselves (cells, owner order)
+    are checked by the kernels, which raise before writing a bad pair.
+    """
+    check_fill_arrays(bounds, cursor, out_rows, out_vals)
+    n_owners = len(sigmas)
+    if not (
+        cells.dtype == owners.dtype == np.int32
+        and cells.shape == owners.shape == (len(cells),)
+        and np.shape(means) == (n_owners, 2)
+        and np.shape(centres) == (len(cursor), 2)
+    ):
+        raise ValueError(
+            "pairs must be int32 cells and owners of one length, with one "
+            "(x, y) mean per sigma and one (x, y) centre per grid cell"
+        )
+    if not 0 <= row0 <= np.iinfo(np.int32).max - n_owners:
+        raise ValueError("the chunk's global rows must fit int32")
+    if not delta > 0 or np.any(np.asarray(sigmas) <= 0):
+        raise ValueError("sigma and delta must be positive")
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError(f"cap must be a positive int, got {cap!r}")
+
+
+def place_pairs_reference(prob_within, cells, owners, row0, means, sigmas,
+                          centres, delta, model, min_prob, cap, bounds, cursor,
+                          out_rows, out_vals) -> None:
+    """Place one row chunk's listed pairs into their cells' runs.
+
+    Pair ``i`` is cell ``cells[i]`` of snapshot ``owners[i]`` (a row of
+    ``means`` / ``sigmas``; its global row is ``row0 + owners[i]``), and
+    each snapshot's pairs are one run (owners non-decreasing).  ``Prob``
+    comes from ``prob_within`` in sweeps of ``_PROB_SWEEP`` pairs; the
+    pairs above ``min_prob`` are kept, and a snapshot keeping more than
+    ``cap`` keeps its ``cap`` most probable (``np.argpartition``).  Each
+    kept probability and its row go to the next free slot of the cell's
+    run, so a cell's rows ascend.  A cell outside the grid, an owner
+    outside the chunk or out of order, or a run without a free slot
+    raises ``ValueError`` before anything is written.  This is the
+    composition :meth:`NumpyKernels.place_pairs` runs and the compiled
+    backend's reference.
+    """
+    check_pair_arrays(cells, owners, row0, means, sigmas, centres, delta, cap,
+                      bounds, cursor, out_rows, out_vals)  # fmt: skip
+    if len(cells):
+        if cells.min() < 0 or cells.max() >= len(cursor):
+            raise ValueError(f"pair cell outside [0, {len(cursor)})")
+        n_owners = len(sigmas)
+        if owners[0] < 0 or owners[-1] >= n_owners or np.any(owners[1:] < owners[:-1]):
+            raise ValueError(f"pair owner outside [0, {n_owners}) or out of order")
+    probs = np.empty(len(cells))
+    for s in range(0, len(cells), _PROB_SWEEP):
+        e = min(s + _PROB_SWEEP, len(cells))
+        # np.take gathers (n, 2) rows an order of magnitude faster than
+        # fancy indexing, with the same values.
+        prob_within(
+            np.take(means, owners[s:e], axis=0),
+            sigmas[owners[s:e]],
+            np.take(centres, cells[s:e], axis=0),
+            delta,
+            model=model,
+            out=probs[s:e],
+        )
+    keep = probs > min_prob
+    cells, owners, probs = cells[keep], owners[keep], probs[keep]
+    # owners stays sorted through the mask, so each snapshot's entries are
+    # one contiguous run; trim the runs over the cap.
+    counts = np.bincount(owners, minlength=len(sigmas))
+    if np.any(counts > cap):
+        sel = np.ones(len(cells), dtype=bool)
+        run_starts = np.concatenate([[0], np.cumsum(counts)])
+        for r in np.nonzero(counts > cap)[0]:
+            run = slice(int(run_starts[r]), int(run_starts[r + 1]))
+            drop = np.argpartition(probs[run], -cap)[:-cap]
+            sel[np.arange(run.start, run.stop)[drop]] = False
+        cells, owners, probs = cells[sel], owners[sel], probs[sel]
+    owners += np.int32(row0)  # the masked copy becomes the global rows
+    _scatter_entries(cells, owners, probs, bounds, cursor, out_rows, out_vals)
+
+
+def _scatter_entries(cells, rows, vals, bounds, cursor, out_rows, out_vals) -> None:
+    """Place ``int32`` cells / ``int32`` rows / ``float64`` values in their
+    cells' runs.
+
+    Cell ``c`` owns slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` /
+    ``out_vals``, filled up to ``cursor[c]``.  Sorting by (cell, position)
+    ranks each entry within its cell, so entries keep their order within a
+    cell; the cursors advance past them.  Every slot is checked before
+    anything is written: a run without room raises ``ValueError``.
+    """
+    n = len(cells)
+    if not n:
+        return
+    # Unique keys: the default (unstable, faster) sort gives the order a
+    # stable sort by cell would.
+    order = np.argsort(cells.astype(np.int64) * n + np.arange(n))
+    by_cell = cells[order]
+    firsts = np.flatnonzero(np.diff(by_cell, prepend=by_cell[0] - 1))
+    run_cells = by_cell[firsts].astype(np.int64)
+    run_lens = np.diff(np.append(firsts, n))
+    slot0 = cursor[run_cells]
+    if (
+        np.any(slot0 < bounds[run_cells])
+        or np.any(slot0 + run_lens > bounds[run_cells + 1])
+        or slot0.min() < 0
+        or (slot0 + run_lens).max() > len(out_rows)
+    ):
+        raise ValueError("index entry cell has no free slot in its run")
+    slots = np.repeat(slot0 - firsts, run_lens) + np.arange(n)
+    out_rows[slots] = rows[order]
+    out_vals[slots] = vals[order]
+    cursor[run_cells] += run_lens
 
 
 def _offset_entries(cells_j, j, n_windows, start, count, rows, vals, floor):
@@ -240,44 +373,14 @@ class NumpyKernels:
 
     # -- index fill, compaction and segmentation ------------------------------
 
-    def scatter_entries(self, cells, rows, vals, bounds, cursor, out_rows, out_vals):
-        """Place one chunk of entries in their cells' runs.
-
-        Cell ``c`` owns slots ``bounds[c]:bounds[c + 1]`` of ``out_rows`` /
-        ``out_vals``, filled up to ``cursor[c]``.  Sorting by (cell,
-        position in the chunk) ranks each entry within its cell, so entries
-        keep their chunk order within a cell; the cursors advance past
-        them.  Every slot is checked before anything is written: a cell
-        outside ``[0, len(cursor))`` or a run without room raises
-        ``ValueError``.
-        """
-        check_fill_arrays(bounds, cursor, out_rows, out_vals)
-        n = len(cells)
-        if not n == len(rows) == len(vals):
-            raise ValueError("entry chunk columns differ in length")
-        if not n:
-            return
-        if cells.min() < 0 or cells.max() >= len(cursor):
-            raise ValueError(f"index entry cell outside [0, {len(cursor)})")
-        # Unique keys: the default (unstable, faster) sort gives the order
-        # a stable sort by cell would.
-        order = np.argsort(cells.astype(np.int64) * n + np.arange(n))
-        by_cell = cells[order]
-        firsts = np.flatnonzero(np.diff(by_cell, prepend=by_cell[0] - 1))
-        run_cells = by_cell[firsts].astype(np.int64)
-        run_lens = np.diff(np.append(firsts, len(cells)))
-        slot0 = cursor[run_cells]
-        if (
-            np.any(slot0 < bounds[run_cells])
-            or np.any(slot0 + run_lens > bounds[run_cells + 1])
-            or slot0.min() < 0
-            or (slot0 + run_lens).max() > len(out_rows)
-        ):
-            raise ValueError("index entry cell has no free slot in its run")
-        slots = np.repeat(slot0 - firsts, run_lens) + np.arange(n)
-        out_rows[slots] = rows[order]
-        out_vals[slots] = vals[order]
-        cursor[run_cells] += run_lens
+    def place_pairs(self, cells, owners, row0, means, sigmas, centres, delta,
+                    model, min_prob, cap, bounds, cursor, out_rows, out_vals) -> None:
+        """One row chunk's kept pairs into their cells' runs
+        (:func:`place_pairs_reference` over :meth:`prob_within`)."""
+        place_pairs_reference(
+            self.prob_within, cells, owners, row0, means, sigmas, centres, delta,
+            model, min_prob, cap, bounds, cursor, out_rows, out_vals,
+        )  # fmt: skip
 
     def compact_entries(self, bounds, cursor, rows, vals) -> int:
         """Move each cell's run ``bounds[c]:cursor[c]`` left, in place, so

@@ -63,6 +63,8 @@ from repro.geometry.grid import Grid
 from repro.serve.protocol import (  # noqa: F401  (re-exported framing)
     MAX_LINE_BYTES,
     ProtocolError,
+    checked_float,
+    checked_int,
     decode_line,
     encode,
     error_response,
@@ -117,13 +119,10 @@ def grid_from_wire(obj: Any) -> Grid:
     if not isinstance(obj, dict):
         raise ProtocolError("grid must be an object")
     try:
-        bbox = BoundingBox(
-            float(obj["min_x"]),
-            float(obj["min_y"]),
-            float(obj["max_x"]),
-            float(obj["max_y"]),
-        )
-        return Grid(bbox, int(obj["nx"]), int(obj["ny"]))
+        corners = ("min_x", "min_y", "max_x", "max_y")
+        bbox = BoundingBox(*(checked_float(obj[k], f"grid {k}") for k in corners))
+        nx, ny = (checked_int(obj[k], f"grid {k}") for k in ("nx", "ny"))
+        return Grid(bbox, nx, ny)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed grid: {exc}") from exc
 
@@ -157,7 +156,7 @@ def config_from_wire(obj: Any) -> EngineConfig:
         if "prob_model" in kwargs:
             kwargs["prob_model"] = ProbModel(kwargs["prob_model"])
         return EngineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed config: {exc}") from exc
 
 
@@ -214,10 +213,13 @@ def gap_pattern_from_wire(obj: Any) -> GapPattern:
         raise ProtocolError("pattern must be an object")
     try:
         segments = tuple(
-            TrajectoryPattern(tuple(int(c) for c in seg))
+            TrajectoryPattern(tuple(checked_int(c, "segment cell") for c in seg))
             for seg in obj["segments"]
         )
-        gaps = tuple(Gap(int(lo), int(hi)) for lo, hi in obj["gaps"])
+        gaps = tuple(
+            Gap(checked_int(lo, "gap length"), checked_int(hi, "gap length"))
+            for lo, hi in obj["gaps"]
+        )
         return GapPattern(segments, gaps)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed gap pattern: {exc}") from exc
@@ -227,7 +229,13 @@ def gap_pattern_from_wire(obj: Any) -> GapPattern:
 #
 # Int-keyed float tables travel as [cell, value] pair lists (JSON object
 # keys are strings); ndarray results travel as plain float lists.  Both
-# directions preserve every bit: values are float64 end to end.
+# directions preserve every bit: values are float64 end to end.  Decoded
+# numbers go through the protocol's checked conversions, so a value no
+# double holds is a ProtocolError; non-finite values pass, as encoded.
+
+
+def _result_float(value: Any) -> float:
+    return checked_float(value, "result value", finite=False)
 
 
 def array_to_wire(values: np.ndarray) -> list[float]:
@@ -237,7 +245,7 @@ def array_to_wire(values: np.ndarray) -> list[float]:
 def array_from_wire(obj: Any) -> np.ndarray:
     if not isinstance(obj, list):
         raise ProtocolError("expected a list of numbers")
-    return np.asarray(obj, dtype=np.float64)
+    return np.array([_result_float(v) for v in obj], dtype=np.float64)
 
 
 def table_to_wire(table: dict[int, float]) -> list[list]:
@@ -248,7 +256,9 @@ def table_from_wire(obj: Any) -> dict[int, float]:
     if not isinstance(obj, list):
         raise ProtocolError("expected a [cell, value] pair list")
     try:
-        return {int(cell): float(value) for cell, value in obj}
+        return {
+            checked_int(cell, "table cell"): _result_float(value) for cell, value in obj
+        }
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed table: {exc}") from exc
 
@@ -269,8 +279,8 @@ def ext_tables_from_wire(obj: Any) -> ExtensionTables:
         return ExtensionTables(
             nm_by_cell=table_from_wire(obj["nm"]),
             match_by_cell=table_from_wire(obj["match"]),
-            nm_base_total=float(obj["nm_base"]),
-            match_base_total=float(obj["match_base"]),
+            nm_base_total=_result_float(obj["nm_base"]),
+            match_base_total=_result_float(obj["match_base"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed extension tables: {exc}") from exc
@@ -288,7 +298,7 @@ def best_window_from_wire(obj: Any) -> tuple[int, float] | None:
         return None
     if not isinstance(obj, list) or len(obj) != 2:
         raise ProtocolError("best_window result must be [start, nm] or null")
-    return int(obj[0]), float(obj[1])
+    return checked_int(obj[0], "best_window start"), _result_float(obj[1])
 
 
 # -- per-op payload / result codecs ------------------------------------------------
@@ -347,7 +357,7 @@ _RESULT_CODECS = {
         lambda tables: [ext_tables_to_wire(t) for t in tables],
         lambda obj: [ext_tables_from_wire(t) for t in obj],
     ),
-    "gap_nm": (float, float),
+    "gap_nm": (float, _result_float),
     "best_window": (best_window_to_wire, best_window_from_wire),
     "stats": (list, tuple),
     "obs_snapshot": (_identity, _identity),

@@ -177,35 +177,45 @@ class Grid:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`cells_in_box` over ``n`` query boxes at once.
 
-        Returns ``(cells, owners)``: the concatenated cell ids of every box
-        and, aligned with them, the index of the box each id belongs to.
-        Within one box the ids come out in the same (row-major) order as
-        :meth:`cells_in_box`; empty boxes simply contribute nothing.
+        Returns ``(cells, owners)``, both ``int32``: the concatenated cell
+        ids of every box and, aligned with them, the index of the box each
+        id belongs to.  Within one box the ids come out in the same
+        (row-major) order as :meth:`cells_in_box`; empty boxes simply
+        contribute nothing.  Each box row is one run of consecutive ids,
+        so the ids are one ``np.repeat`` of the run starts (less the run's
+        offset in the output) plus one ``arange``.  A grid or pair count
+        that ``int32`` cannot hold raises ``ValueError``.
         """
+        limit = np.iinfo(np.int32).max
+        if self.n_cells > limit:
+            raise ValueError(f"{self.n_cells} cell ids exceed int32 (at most {limit})")
         col_lo, col_hi, row_lo, row_hi = self._box_spans(min_x, min_y, max_x, max_y)
         n_cols = np.maximum(col_hi - col_lo + 1, 0)
-        n_rows = np.maximum(row_hi - row_lo + 1, 0)
+        n_rows = np.where(n_cols > 0, np.maximum(row_hi - row_lo + 1, 0), 0)
         counts = n_cols * n_rows
         total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        owners = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        # Rank of each entry within its own box, then row-major (a, b) -> id.
-        box_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        rank = np.arange(total, dtype=np.int64) - np.repeat(box_starts, counts)
-        width = n_cols[owners]
-        rows = row_lo[owners] + rank // width
-        cols = col_lo[owners] + rank % width
-        return rows * self.nx + cols, owners
+        if total > limit:
+            raise ValueError(f"{total} listed pairs exceed int32 (at most {limit})")
+        owners = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        # One run per box row: its box, row, first id and offset in the output.
+        run_box = np.repeat(np.arange(len(counts)), n_rows)
+        run_firsts = np.cumsum(n_rows) - n_rows
+        run_rows = row_lo[run_box] + np.arange(len(run_box)) - run_firsts[run_box]
+        run_lens = n_cols[run_box]
+        run_offsets = np.cumsum(run_lens) - run_lens
+        shift = (run_rows * self.nx + col_lo[run_box] - run_offsets).astype(np.int32)
+        cells = np.repeat(shift, run_lens)
+        cells += np.arange(total, dtype=np.int32)
+        return cells, owners
 
     def cells_near_many(
         self, points: np.ndarray, radii: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`cells_near` for ``(n, 2)`` points with per-point radii.
 
-        Returns ``(cells, owners)`` exactly like :meth:`cells_in_boxes`; the
-        sparse probability index uses this to enumerate every snapshot's
-        candidate neighbourhood in one call.
+        Returns ``int32`` ``(cells, owners)`` exactly like
+        :meth:`cells_in_boxes`; the sparse probability index uses this to
+        enumerate every snapshot's candidate neighbourhood in one call.
         """
         return self.cells_in_boxes(*self._near_boxes(points, radii))
 

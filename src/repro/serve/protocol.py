@@ -39,13 +39,17 @@ of ``bad_request``, ``unknown_op``, ``overloaded`` (explicit load-shed;
 ``shutdown``), ``forbidden`` or ``internal``.
 
 Untrusted input: every field is validated here before it reaches the
-engine; oversized lines are bounded by :data:`MAX_LINE_BYTES` at the
-socket layer.
+engine, every number through a checked conversion (:func:`checked_float`,
+:func:`checked_int`) so that no value -- an integer too large for a
+double included -- escapes as anything but :class:`ProtocolError`;
+oversized lines are bounded by :data:`MAX_LINE_BYTES` at the socket
+layer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -108,6 +112,46 @@ class ProtocolError(Exception):
         self.code = code
         self.detail = detail
         self.fields = fields
+
+
+def checked_float(value: Any, what: str, *, finite: bool = True) -> float:
+    """``value`` as a float, when it is a JSON number a double can hold.
+
+    A bool, a non-number or an integer too large for a double (which
+    ``float()`` refuses with ``OverflowError``) raises
+    :class:`ProtocolError`, and so does ``NaN`` or an infinity unless
+    ``finite`` is false.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ProtocolError(f"{what} is outside the float range") from None
+    if finite and not math.isfinite(number):
+        raise ProtocolError(f"{what} must be finite")
+    return number
+
+
+def checked_int(value: Any, what: str) -> int:
+    """``value`` when it is a JSON integer (not a bool), else
+    :class:`ProtocolError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{what} must be an integer")
+    return value
+
+
+def _finite_points(raw: list, what: str) -> np.ndarray:
+    """Type-checked ``[x, y]`` number pairs as a finite float64 array."""
+    try:
+        points = np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise ProtocolError(
+            f"{what} contain a number outside the float range"
+        ) from None
+    if not np.all(np.isfinite(points)):
+        raise ProtocolError(f"{what} contain non-finite coordinates")
+    return points
 
 
 def encode(obj: dict) -> bytes:
@@ -211,9 +255,10 @@ def parse_timeout_ms(request: dict, default_ms: float | None) -> float | None:
     raw = request.get("timeout_ms", default_ms)
     if raw is None:
         return None
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
+    timeout = checked_float(raw, "timeout_ms")
+    if timeout <= 0:
         raise ProtocolError("timeout_ms must be a positive number")
-    return float(raw)
+    return timeout
 
 
 def parse_score(request: dict, n_cells: int) -> tuple[list[TrajectoryPattern], str]:
@@ -266,18 +311,11 @@ def parse_predict(request: dict) -> tuple[np.ndarray, float]:
             )
         ):
             raise ProtocolError(f"recent[{i}] must be [x, y] numbers")
-    recent = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(recent)):
-        raise ProtocolError("recent contains non-finite coordinates")
-    sigma = request.get("sigma")
-    if (
-        not isinstance(sigma, (int, float))
-        or isinstance(sigma, bool)
-        or not np.isfinite(sigma)
-        or sigma <= 0
-    ):
+    recent = _finite_points(raw, "recent points")
+    sigma = checked_float(request.get("sigma"), "sigma")
+    if sigma <= 0:
         raise ProtocolError("sigma must be a positive finite number")
-    return recent, float(sigma)
+    return recent, sigma
 
 
 def parse_trace(request: dict) -> SpanContext | None:
@@ -349,37 +387,24 @@ def parse_ingest(request: dict) -> list:
                 )
             ):
                 raise ProtocolError(f"reports[{i}].points[{j}] must be [x, y] numbers")
-        means = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(means)):
-            raise ProtocolError(f"reports[{i}].points contain non-finite coordinates")
+        means = _finite_points(points, f"reports[{i}].points")
         sigma = report.get("sigma")
         if isinstance(sigma, list):
             if len(sigma) != len(points):
                 raise ProtocolError(
                     f"reports[{i}].sigma list must match the number of points"
                 )
-            if not all(
-                isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and np.isfinite(v)
-                and v > 0
-                for v in sigma
-            ):
+            sigmas = np.array([checked_float(v, f"reports[{i}].sigma") for v in sigma])
+            if not np.all(sigmas > 0):
                 raise ProtocolError(
                     f"reports[{i}].sigma values must be positive finite numbers"
                 )
-            sigmas = np.asarray(sigma, dtype=float)
-        elif (
-            isinstance(sigma, (int, float))
-            and not isinstance(sigma, bool)
-            and np.isfinite(sigma)
-            and sigma > 0
-        ):
-            sigmas = float(sigma)
         else:
-            raise ProtocolError(
-                f"reports[{i}].sigma must be a positive finite number or list"
-            )
+            sigmas = checked_float(sigma, f"reports[{i}].sigma")
+            if sigmas <= 0:
+                raise ProtocolError(
+                    f"reports[{i}].sigma must be a positive finite number or list"
+                )
         object_id = report.get("object_id", "")
         if not isinstance(object_id, str):
             raise ProtocolError(f"reports[{i}].object_id must be a string")

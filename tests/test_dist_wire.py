@@ -171,3 +171,48 @@ def test_check_dist_version():
         wire.check_dist_version({"version": wire.DIST_PROTOCOL_VERSION + 1})
     assert exc.value.fields["server_version"] == wire.DIST_PROTOCOL_VERSION
     assert exc.value.fields["client_version"] == wire.DIST_PROTOCOL_VERSION + 1
+
+
+#: A JSON integer no double can hold: ``1`` followed by 400 zeros.
+HUGE = json.loads("1" + "0" * 400)
+_GRID = {"min_x": 0.0, "min_y": 0.0, "max_x": 1.0, "max_y": 1.0, "nx": 2, "ny": 2}
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        (wire.grid_from_wire, {**_GRID, "max_x": HUGE}),
+        (wire.grid_from_wire, {**_GRID, "nx": float("inf")}),
+        (wire.config_from_wire, {"delta": HUGE}),
+        (wire.table_from_wire, [[3, HUGE]]),
+        (wire.table_from_wire, [[float("inf"), 1.0]]),
+        (wire.array_from_wire, [0.5, HUGE]),
+        (wire.ext_tables_from_wire, {"nm": [], "match": [], "nm_base": HUGE, "match_base": 0.0}),
+        (wire.ext_tables_from_wire, {"nm": [[1, HUGE]], "match": [], "nm_base": 0.0, "match_base": 0.0}),
+        (wire.best_window_from_wire, [float("inf"), -1.5]),
+        (wire.best_window_from_wire, [3, HUGE]),
+        (wire.best_window_from_wire, ["3", -1.5]),
+        (wire.gap_pattern_from_wire, {"segments": [[float("inf")]], "gaps": []}),
+        (lambda obj: wire.result_from_wire("gap_nm", obj), HUGE),
+    ],
+    ids=[
+        "grid.corner", "grid.nx", "config.delta", "table.value", "table.cell",
+        "array", "ext_tables.base", "ext_tables.table", "best_window.start",
+        "best_window.nm", "best_window.string_start", "gap_pattern.cell", "gap_nm",
+    ],
+)
+def test_numbers_no_double_or_int_holds_are_protocol_errors(decode, obj):
+    """Every decoded number goes through a checked conversion: an integer
+    too large for a double, an infinity where an integer belongs or a
+    string is a ``ProtocolError``, not an escaping ``OverflowError`` or
+    ``ValueError``."""
+    with pytest.raises(wire.ProtocolError):
+        decode(obj)
+
+
+def test_result_codecs_keep_non_finite_values():
+    """Results may be infinite or NaN on purpose; only values no double
+    holds are refused."""
+    back = wire.array_from_wire(_hop(wire.array_to_wire(np.array([-np.inf, np.nan]))))
+    assert back[0] == -np.inf and np.isnan(back[1])
+    assert wire.result_from_wire("gap_nm", _hop(float("-inf"))) == float("-inf")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import engine as engine_mod
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.kernels import numpy_ref
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
@@ -37,7 +38,9 @@ class TestBuildMemory:
     Bounds are per entry, not relative to ``index_arrays()``: that view is
     built on demand at 24 bytes per entry, twice what the engine keeps.
     The build fills an index allocated at its (snapshot, cell) pair count,
-    so its peak is 12 bytes per pair plus one row chunk's pair arrays.
+    so its peak is 12 bytes per pair plus one row chunk's listed pairs
+    (8 bytes each on the compiled backend, whose ``place_pairs`` allocates
+    nothing per pair).
     """
 
     #: The CSR index and its segments: int32 rows, float64 values, and
@@ -80,7 +83,7 @@ class TestBuildMemory:
             # below the fill-and-install peak this test is about.  A row
             # chunk here lists at most 225,724 pairs, so none splits yet.
             ("numpy", 1 << 18, 36),
-            ("compiled", None, 26),
+            ("compiled", None, 19),
         ],
         ids=["numpy", "compiled"],
     )
@@ -89,15 +92,16 @@ class TestBuildMemory:
     ):
         dataset, grid = self._seeded()
         if pair_chunk is not None:
-            monkeypatch.setattr(engine_mod, "_INDEX_PAIR_CHUNK", pair_chunk)
+            monkeypatch.setattr(numpy_ref, "_PROB_SWEEP", pair_chunk)
         config = EngineConfig(delta=0.05, backend=backend)
         engine, peak = self._traced_build(dataset, grid, config)
         n = engine.n_index_entries
         assert n > 1_000_000
         # 1.21 pairs per entry here: 14.6 B/entry of capacity plus a row
-        # chunk's pair arrays (compiled measured 23.1 B/entry).  The numpy
-        # install's segmentation temporaries set its peak (30.1).  Entry
-        # chunks sorted into the CSR measured 28.1 and 30.1.
+        # chunk's listed pairs (compiled measured 17.0 B/entry; 23.1 while
+        # each chunk gathered, evaluated, masked and cast per-pair arrays).
+        # The numpy install's segmentation temporaries set its peak (30.1).
+        # Entry chunks sorted into the CSR measured 28.1 and 30.1.
         assert peak / n <= peak_bound, peak / n
         resident = sum(getattr(engine, name).nbytes for name in self.RESIDENT)
         assert resident / n <= 13, resident / n  # measured 12.6
@@ -105,8 +109,10 @@ class TestBuildMemory:
 
     def test_serve_score_herd_build_peak(self):
         """The serve-score benchmark's herd (1.19 pairs per entry) builds
-        within 21 B/entry on the compiled backend (measured 18.8).  Sorting
-        collected entry chunks into the CSR peaked at 28.3."""
+        within 17.5 B/entry on the compiled backend (measured 16.4).  With
+        per-pair gather, mask, log and cast arrays in each row chunk it
+        peaked at 18.9, and sorting collected entry chunks into the CSR at
+        28.3."""
         from repro.experiments.datasets import zebranet_dataset
 
         dataset = zebranet_dataset(n_trajectories=300, n_ticks=150, sigma=0.01, seed=2)
@@ -114,7 +120,7 @@ class TestBuildMemory:
         engine, peak = self._traced_build(dataset, dataset.make_grid(0.02), config)
         n = engine.n_index_entries
         assert n > 1_500_000
-        assert peak / n <= 21, peak / n
+        assert peak / n <= 17.5, peak / n
         assert engine.n_index_pairs > n
 
     def test_cache_miss_build_adds_under_a_byte_per_entry(self, tmp_path):

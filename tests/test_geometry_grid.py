@@ -104,6 +104,7 @@ class TestSpatialQueries:
         radii = rng.uniform(0.0, 0.4, 40)
         cells, owners = grid.cells_near_many(points, radii)
         assert len(cells) == len(owners)
+        assert cells.dtype == owners.dtype == np.int32
         for i, (point, radius) in enumerate(zip(points, radii)):
             expected = grid.cells_near(point[0], point[1], radius)
             got = cells[owners == i]
@@ -124,6 +125,15 @@ class TestSpatialQueries:
             np.array([3.0, 6.0]),
         )
         assert len(cells) == 0 and len(owners) == 0
+
+    def test_cells_in_boxes_refuses_ids_beyond_int32(self):
+        """The lister returns int32 ids, so a grid of 2^32 cells is refused
+        (built without its 64 GiB of centres, which the lister never reads)."""
+        huge = object.__new__(Grid)
+        for name, value in (("bbox", BoundingBox.unit()), ("nx", 1 << 16), ("ny", 1 << 16)):
+            object.__setattr__(huge, name, value)
+        with pytest.raises(ValueError, match="int32"):
+            huge.cells_near_many(np.array([[0.5, 0.5]]), 0.0)
 
     def test_neighbors_interior(self, grid):
         assert len(grid.neighbors(35)) == 8

@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core import engine as engine_mod
 from repro.core.engine import EngineConfig, NMEngine, _fill_csr
+from repro.core.kernels import numpy_ref
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
+from repro.uncertainty.gaussian import ProbModel
 from tests.conftest import dataset_cache_key
 
 CELL = 0.03
@@ -295,9 +296,9 @@ def test_arena_grows_geometrically():
 
 def test_prob_chunking_is_bit_exact(small_dataset, monkeypatch):
     """Chunked == unchunked index construction, 0 ULPs."""
-    big = _engine(small_dataset)  # 2^20 pairs: one chunk
+    big = _engine(small_dataset)  # 2^20 pairs: one sweep
     for chunk in (64, 1021):
-        monkeypatch.setattr(engine_mod, "_INDEX_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(numpy_ref, "_PROB_SWEEP", chunk)
         small = _engine(small_dataset)
         assert small.n_index_entries == big.n_index_entries
         for name in INDEX_ARRAYS:
@@ -394,54 +395,107 @@ def test_prob_box_reuse_past_the_row_buffer(compiled_kernels):
     )
 
 
-def _entry_chunks(seed, n_cells, n_rows, per_row, rows_per_chunk):
-    """``(cells, rows, vals)`` chunks in ascending row order, each row
-    holding ``per_row`` distinct random cells (or all cells if fewer)."""
+#: Box half-width and floor of the random pair chunks: a pair's Prob then
+#: falls on either side of the floor.
+PAIR_DELTA = 0.05
+PAIR_MIN_PROB = 1e-3
+
+
+def _pair_spec(centres, min_prob=PAIR_MIN_PROB, cap=4096, delta=PAIR_DELTA) -> dict:
+    """The ``place_pairs`` arguments every chunk of one build shares."""
+    return dict(
+        centres=centres, delta=delta, model=ProbModel.BOX, min_prob=min_prob, cap=cap
+    )
+
+
+def _pair_chunks(seed, n_cells, n_rows, per_row, rows_per_chunk):
+    """``(chunks, centres)``: ``place_pairs`` chunks of ``rows_per_chunk``
+    snapshots in ascending row order, each snapshot listing ``per_row``
+    distinct random cells (or all cells if fewer) of ``n_cells`` random
+    centres."""
     rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, (n_cells, 2))
     chunks = []
     for lo in range(0, n_rows, rows_per_chunk):
         hi = min(lo + rows_per_chunk, n_rows)
         take = min(per_row, n_cells)
         cells = np.concatenate(
             [rng.choice(n_cells, size=take, replace=False) for _ in range(lo, hi)]
+            + [np.empty(0)]
         ).astype(np.int32)
-        rows = np.repeat(np.arange(lo, hi, dtype=np.int32), take)
-        chunks.append((cells, rows, np.log(rng.uniform(1e-6, 1.0, len(cells)))))
-    return chunks
+        owners = np.repeat(np.arange(hi - lo, dtype=np.int32), take)
+        means = rng.uniform(0.0, 1.0, (hi - lo, 2))
+        chunks.append((cells, owners, lo, means, rng.uniform(0.05, 0.3, hi - lo)))
+    return chunks, centres
 
 
 def _capacity(chunks, n_cells, seed) -> np.ndarray:
-    """Each cell's entry count plus 0-2 spare slots, as the capacity pass
-    over-counts; some cells get slots but no entries."""
-    cells = [c for c, _, _ in chunks] + [np.empty(0, dtype=np.int32)]
+    """Each cell's listed pairs plus 0-2 spare slots, as the capacity pass
+    over-counts the kept ones; some cells get slots but no entries."""
+    cells = [chunk[0] for chunk in chunks] + [np.empty(0, dtype=np.int32)]
     counts = np.bincount(np.concatenate(cells), minlength=n_cells)
     return counts + np.random.default_rng(seed).integers(0, 3, n_cells)
 
 
-def _assert_csr_of(csr, chunks) -> None:
-    """``csr`` is the (cell, row)-lexsorted ``chunks`` in CSR form."""
+def _expected_entries(kern, chunks, centres, delta, model, min_prob, cap):
+    """``(cells, rows, log-probs)`` of the chunks' pairs, one snapshot at a
+    time: ``kern``'s Prob, the floor, and the ``cap`` most probable."""
+    out = [np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64), np.empty(0)]
+    for cells, owners, row0, means, sigmas in chunks:
+        for o in np.unique(owners):
+            mine = cells[owners == o]
+            probs = kern.prob_within(
+                np.tile(means[o], (len(mine), 1)), np.full(len(mine), sigmas[o]),
+                centres[mine], delta, model=model,
+            )  # fmt: skip
+            keep = probs > min_prob
+            mine, probs = mine[keep], probs[keep]
+            if len(mine) > cap:
+                top = np.argpartition(probs, -cap)[-cap:]
+                mine, probs = mine[top], probs[top]
+            rows = np.full(len(mine), row0 + o, dtype=np.int64)
+            for k, part in enumerate((mine, rows, np.log(probs))):
+                out[k] = np.concatenate([out[k], part])
+    return out
+
+
+def _assert_csr_of(csr, entries) -> None:
+    """``csr`` is the (cell, row)-lexsorted ``entries`` in CSR form: rows
+    ascend within each cell."""
     cell_ids, cell_bounds, rows, vals = csr
     assert cell_ids.dtype == rows.dtype == np.int32
     assert cell_bounds.dtype == np.int64 and vals.dtype == np.float64
-    cells, want_rows, want_vals = (
-        np.concatenate([chunk[k] for chunk in chunks] + [np.empty(0)])
-        for k in range(3)
-    )
+    cells, want_rows, want_vals = entries
     order = np.lexsort((want_rows, cells))
     counts = np.diff(cell_bounds)
     assert np.all(counts > 0)  # only cells with entries are listed
     assert np.array_equal(np.repeat(cell_ids, counts), cells[order])
     assert np.array_equal(rows, want_rows[order])
-    assert np.array_equal(vals, want_vals[order])
+    _assert_same_bits(vals, want_vals[order])
 
 
-def _fill_both(compiled, chunks, capacity):
-    """The engine's capacity fill on both backends: bit-identical CSRs."""
-    got = _fill_csr(compiled, capacity, iter(chunks))
-    want = _fill_csr(kernels.resolve_backend("numpy"), capacity, iter(chunks))
+class _ReferenceOverCompiledProb:
+    """The reference composition (gather, Prob, floor, cap, scatter) with
+    the compiled Prob kernel: what the compiled ``place_pairs`` must give
+    bit for bit."""
+
+    def __init__(self, compiled):
+        self.prob_within = compiled.prob_within
+        self.compact_entries = kernels.resolve_backend("numpy").compact_entries
+
+    def place_pairs(self, *args, **kwargs):
+        numpy_ref.place_pairs_reference(self.prob_within, *args, **kwargs)
+
+
+def _fill_both(compiled, chunks, capacity, **pairs):
+    """The engine's capacity fill through the compiled ``place_pairs`` and
+    through the reference composition over the compiled Prob: bit-identical
+    CSRs, equal to the pairs placed one snapshot at a time."""
+    got = _fill_csr(compiled, capacity, iter(chunks), **pairs)
+    want = _fill_csr(_ReferenceOverCompiledProb(compiled), capacity, iter(chunks), **pairs)
     for a, b in zip(got, want):
         _assert_same_bits(a, b)
-    _assert_csr_of(want, chunks)
+    _assert_csr_of(want, _expected_entries(compiled, chunks, **pairs))
     return want
 
 
@@ -458,9 +512,12 @@ def test_sort_and_segments_match_reference(
 ):
     """The fill puts entries in (cell, row) order on both backends, and the
     segmentation of the result agrees."""
-    chunks = _entry_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
+    chunks, centres = _pair_chunks(3, n_cells, n_rows, per_row, rows_per_chunk)
     capacity = _capacity(chunks, n_cells, 5)
-    cell_ids, cell_bounds, rows, _ = _fill_both(compiled_kernels, chunks, capacity)
+    spec = _pair_spec(centres)
+    cell_ids, cell_bounds, rows, _ = _fill_both(compiled_kernels, chunks, capacity, **spec)
+    numpy_csr = _fill_csr(kernels.resolve_backend("numpy"), capacity, iter(chunks), **spec)
+    _assert_csr_of(numpy_csr, _expected_entries(kernels.resolve_backend("numpy"), chunks, **spec))
     # Trajectories of 1..9 rows, so segments split cells at every length.
     lengths = np.random.default_rng(4).integers(1, 10, n_rows)
     row_traj = np.repeat(np.arange(len(lengths)), lengths)[:n_rows]
@@ -482,10 +539,11 @@ def test_sort_and_segments_match_reference(
 def test_sort_and_segments_empty(compiled_kernels):
     ref = kernels.resolve_backend("numpy")
     empty_i, empty_f = np.empty(0, dtype=np.int32), np.empty(0)
-    for chunks in ([], [(empty_i, empty_i.copy(), empty_f)]):
+    spec = _pair_spec(np.zeros((8, 2)))
+    for chunks in ([], [(empty_i, empty_i.copy(), 0, np.empty((0, 2)), empty_f)]):
         # No capacity at all, and capacity that no entry uses.
         for capacity in (np.zeros(8, dtype=np.int64), np.arange(8)):
-            csr = _fill_both(compiled_kernels, chunks, capacity)
+            csr = _fill_both(compiled_kernels, chunks, capacity, **spec)
             cell_ids, cell_bounds, rows, vals = csr
             assert len(cell_ids) == len(rows) == len(vals) == 0
             assert cell_bounds.tolist() == [0]
@@ -499,23 +557,68 @@ def test_sort_and_segments_empty(compiled_kernels):
         assert len(a) == 0
 
 
+#: Sentinel filling the fill arrays and the guard slots around them.
+UNWRITTEN = -7
+
+
 def _fill_arrays(capacity):
+    """``(bounds, cursor, rows, vals)`` at ``capacity``, the rows and values
+    as views between two guard slots on each side."""
     bounds = np.zeros(len(capacity) + 1, dtype=np.int64)
     np.cumsum(capacity, out=bounds[1:])
-    rows = np.full(bounds[-1], -7, dtype=np.int32)
-    vals = np.full(bounds[-1], -7.0)
+    rows = np.full(bounds[-1] + 4, UNWRITTEN, dtype=np.int32)[2:-2]
+    vals = np.full(bounds[-1] + 4, float(UNWRITTEN))[2:-2]
     return bounds, bounds[:-1].copy(), rows, vals
 
 
+def _assert_written_inside_runs(bounds, cursor, rows, vals) -> None:
+    """Whatever was placed sits inside its cell's run, below its cursor;
+    every other slot, and the guard slots, still hold the sentinel."""
+    placed = np.zeros(len(rows), dtype=bool)
+    for c in range(len(cursor)):
+        assert bounds[c] <= cursor[c] <= bounds[c + 1]
+        placed[bounds[c] : cursor[c]] = True
+    assert np.all(rows[~placed] == UNWRITTEN) and np.all(vals[~placed] == UNWRITTEN)
+    for buf in (rows.base, vals.base):
+        assert np.all(buf[:2] == UNWRITTEN) and np.all(buf[-2:] == UNWRITTEN)
+
+
+def _place(backend, cells, owners, fill, centres, n_owners=None, cap=4096):
+    """``place_pairs`` of snapshots that sit on their first listed cell's
+    centre, so each snapshot keeps that cell."""
+    cells = np.asarray(cells, dtype=np.int32)
+    owners = np.asarray(owners, dtype=np.int32)
+    n_owners = int(owners.max()) + 1 if n_owners is None else n_owners
+    means = np.zeros((n_owners, 2))
+    for o in range(n_owners):
+        first = cells[owners == o][:1]
+        if len(first) and 0 <= first[0] < len(centres):
+            means[o] = centres[first[0]]
+    backend.place_pairs(
+        cells, owners, 0, means, np.full(n_owners, 0.1), centres, 0.5,
+        ProbModel.BOX, 1e-6, cap, *fill,
+    )  # fmt: skip
+
+
 def test_sort_and_segments_reject_out_of_range(compiled_kernels):
+    """A pair whose cell lies outside the grid, whose owner lies outside
+    the chunk, or whose owner comes before the previous pair's raises
+    ``ValueError`` on both backends and writes nothing outside the runs
+    (the compiled backend places the snapshots before it); an index row
+    outside the dataset makes the segmentation raise."""
+    centres = np.column_stack([np.arange(9.0), np.zeros(9)])
     for backend in (compiled_kernels, kernels.resolve_backend("numpy")):
-        for cell in (9, -1):
-            with pytest.raises(ValueError, match="outside"):
-                backend.scatter_entries(
-                    np.array([0, cell], dtype=np.int32),
-                    np.array([0, 1], dtype=np.int32), np.zeros(2),
-                    *_fill_arrays(np.full(9, 2)),
-                )  # fmt: skip
+        for cells, owners, n_owners, match in [
+            ([0, 9], [0, 1], None, "cell outside"),
+            ([0, -1], [0, 1], None, "cell outside"),
+            ([0, 1, 2], [0, 1, 3], 3, "owner outside"),
+            ([0, 1], [0, -1], 2, "owner outside"),
+            ([0, 1, 2], [0, 1, 0], None, "out of order"),
+        ]:
+            fill = _fill_arrays(np.full(9, 2))
+            with pytest.raises(ValueError, match=match):
+                _place(backend, cells, owners, fill, centres, n_owners)
+            _assert_written_inside_runs(*fill)
         for row in (5, -1):
             with pytest.raises(IndexError, match="outside"):
                 backend.index_segments(
@@ -526,28 +629,20 @@ def test_sort_and_segments_reject_out_of_range(compiled_kernels):
 
 @pytest.mark.parametrize("backend_name", ["numpy", "compiled"])
 def test_scatter_refuses_a_full_run(backend_name):
-    """A chunk with more entries for a cell than its run has slots raises
-    ``ValueError`` -- also at the last cell, where an unchecked write would
-    land past the arrays -- and writes nothing outside the runs; a cursor
-    outside its run makes the compaction raise."""
+    """A chunk whose kept pairs need more slots in a cell's run than it has
+    raises ``ValueError`` -- also at the last cell, where an unchecked
+    write would land past the arrays -- and writes nothing outside the
+    runs; a cursor outside its run makes the compaction raise."""
     if backend_name == "compiled":
         _require_compiled()
     backend = kernels.resolve_backend(backend_name)
     capacity = np.array([2, 1, 0, 1])
+    centres = np.column_stack([np.arange(4.0), np.zeros(4)])
     for cell in (1, 2, 3):
-        bounds, cursor, rows, vals = _fill_arrays(capacity)
-        cells = np.array([0, cell, cell], dtype=np.int32)
+        fill = _fill_arrays(capacity)
         with pytest.raises(ValueError, match="no free slot"):
-            backend.scatter_entries(
-                cells, np.arange(3, dtype=np.int32), np.zeros(3),
-                bounds, cursor, rows, vals,
-            )  # fmt: skip
-        # Whatever was placed sits inside its cell's run, below its cursor.
-        placed = np.zeros(len(rows), dtype=bool)
-        for c in range(len(capacity)):
-            assert bounds[c] <= cursor[c] <= bounds[c + 1]
-            placed[bounds[c] : cursor[c]] = True
-        assert np.all(rows[~placed] == -7) and np.all(vals[~placed] == -7.0)
+            _place(backend, [0, cell, cell], [0, 1, 2], fill, centres)
+        _assert_written_inside_runs(*fill)
     bounds, cursor, rows, vals = _fill_arrays(capacity)
     for bad in ([3, 2, 3, 3], [0, 1, 3, 3]):
         with pytest.raises(ValueError, match="outside its run"):
@@ -556,30 +651,101 @@ def test_scatter_refuses_a_full_run(backend_name):
             )
 
 
+def _half_cells(lo: int, hi: int):
+    """Multiples of half a cell in ``[lo / 2, hi / 2]``."""
+    return st.integers(lo, hi).map(lambda h: h / 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    n_cells=st.integers(1, 40),
-    chunk_rows=st.lists(st.integers(0, 6), min_size=0, max_size=8),
-    per_row=st.integers(0, 6),
-    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    snapshots=st.lists(
+        st.tuples(
+            # Means in cell units from two cells outside the grid to two
+            # past it, some on cell edges or centres; sigmas in cell units;
+            # a snapshot repeated k times in a row is a parked object.
+            st.one_of(st.floats(-2.0, 14.0), st.integers(-2, 14).map(float)),
+            st.one_of(st.floats(-2.0, 14.0), _half_cells(-4, 28)),
+            st.sampled_from([0.05, 0.3, 1.0, 2.5]),
+            st.integers(1, 3),
+        ),
+        max_size=10,
+    ),
+    rows_per_chunk=st.integers(1, 8),
+    min_prob=st.sampled_from([1e-9, 1e-4, 0.05, 0.4]),
+    cap=st.integers(1, 150),
 )
 def test_fill_matches_reference_on_random_streams(
-    compiled_kernels, n_cells, chunk_rows, per_row, seed
+    compiled_kernels, nx, ny, snapshots, rows_per_chunk, min_prob, cap
 ):
-    """Compiled and numpy scatter-then-compact give one CSR on random chunk
-    streams, with empty chunks and cells that have slots but no entries."""
-    rng = np.random.default_rng(seed)
-    chunks, lo = [], 0
-    for n_rows in chunk_rows:
-        take = min(per_row, n_cells)
-        cells = [rng.choice(n_cells, size=take, replace=False) for _ in range(n_rows)]
-        chunks.append((
-            np.concatenate(cells + [np.empty(0)]).astype(np.int32),
-            np.repeat(np.arange(lo, lo + n_rows, dtype=np.int32), take),
-            rng.normal(size=take * n_rows),
-        ))  # fmt: skip
-        lo += n_rows
-    _fill_both(compiled_kernels, chunks, _capacity(chunks, n_cells, seed))
+    """Compiled ``place_pairs``, then compaction and the log, equals the
+    reference composition over the compiled Prob bit for bit -- cell ids,
+    bounds, rows and values -- on the engine's own pair layout: means
+    inside, on and outside the grid, parked objects, several floors and
+    caps from 1 to above the largest neighbourhood (144 cells)."""
+    grid = Grid(BoundingBox(-1.0, 0.5, 2.0, 2.0), nx=nx, ny=ny)
+    scale = np.array([grid.gx, grid.gy])
+    corner = np.array([grid.bbox.min_x, grid.bbox.min_y])
+    means = np.array([(x, y) for x, y, _, k in snapshots for _ in range(k)]).reshape(-1, 2)
+    means = corner + means * scale
+    sigmas = np.array([s for _, _, s, k in snapshots for _ in range(k)]) * scale.min()
+    delta = scale.min() / 2
+    radii = 3.0 * sigmas + delta
+    spans = [
+        (lo, min(lo + rows_per_chunk, len(means)))
+        for lo in range(0, len(means), rows_per_chunk)
+    ]
+    chunks = [
+        (*grid.cells_near_many(means[lo:hi], radii[lo:hi]), lo, means[lo:hi], sigmas[lo:hi])
+        for lo, hi in spans
+    ]
+    capacity = grid.cells_near_counts([(means, radii)])
+    spec = _pair_spec(grid.cell_centers(), min_prob=min_prob, cap=cap, delta=delta)
+    _fill_both(compiled_kernels, chunks, capacity, **spec)
+
+
+def test_compiled_hands_back_a_snapshot_over_the_cap(compiled_kernels, monkeypatch):
+    """A snapshot keeping more than ``cap`` cells is placed by the reference
+    composition alone -- the C pass writes nothing of it -- and the walk
+    resumes after it; the CSR equals the reference's."""
+    from repro.core.kernels import compiled as compiled_mod
+
+    # Snapshots 0 and 2 sit on a cell centre with a tiny sigma and keep 9
+    # cells each; snapshot 1 is wide and keeps far more than the cap.
+    means = np.array([[0.51, 0.51], [0.3, 0.3], [0.11, 0.71]])
+    sigmas = np.array([0.002, 0.05, 0.002])
+    radii = 4.0 * sigmas + PROB_DELTA
+    cells, owners = PROB_GRID.cells_near_many(means, radii)
+    spec = _pair_spec(PROB_GRID.cell_centers(), min_prob=1e-6, cap=20, delta=PROB_DELTA)
+    chunk = (cells, owners, 0, means, sigmas)
+    uncapped = _expected_entries(compiled_kernels, [chunk], **{**spec, "cap": len(cells)})
+    kept = np.bincount(uncapped[1], minlength=3)
+    assert kept[0] == kept[2] == 9 and kept[1] > spec["cap"]
+    handed = []
+    reference = compiled_mod.place_pairs_reference
+
+    def spy(prob_within, cells_, owners_, *rest):
+        handed.append(owners_.copy())
+        return reference(prob_within, cells_, owners_, *rest)
+
+    monkeypatch.setattr(compiled_mod, "place_pairs_reference", spy)
+    capacity = PROB_GRID.cells_near_counts([(means, radii)])
+    _fill_both(compiled_kernels, [chunk], capacity, **spec)
+    assert len(handed) == 1 and np.array_equal(handed[0], owners[owners == 1])
+
+
+@pytest.mark.parametrize("cap", [4096, 3])
+def test_compiled_disk_build_is_the_reference_build(compiled_kernels, small_dataset, cap):
+    """The disk model evaluates through scipy on both backends, so a
+    compiled engine's disk-model build -- capped or not -- installs the
+    numpy engine's CSR bit for bit."""
+    kw = dict(prob_model=ProbModel.DISK, max_cells_per_snapshot=cap)
+    got = _engine(small_dataset, backend="compiled", **kw)
+    want = _engine(small_dataset, backend="numpy", **kw)
+    assert got.n_index_entries > 0
+    for name in INDEX_ARRAYS:
+        _assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 def test_index_ids_must_fit_int32():
@@ -596,9 +762,10 @@ def test_index_ids_must_fit_int32():
 @pytest.mark.parametrize("cap", [None, 3])
 def test_compiled_build_matches_reference_install(compiled_kernels, small_dataset, cap):
     """A compiled engine's own build installs exactly the CSR and segment
-    arrays that the numpy reference's fill and install derive from the same
-    entries -- with the per-snapshot cap trimming entries or not -- and so
-    does a numpy engine given the compiled engine's entry triples."""
+    arrays that the reference composition over the compiled Prob and the
+    numpy install derive from the same pairs -- with the per-snapshot cap
+    trimming entries or not -- and so does a numpy engine given the
+    compiled engine's entry triples."""
     kw = {} if cap is None else {"max_cells_per_snapshot": cap}
     eng = _engine(small_dataset, backend="compiled", **kw)
     if cap is not None:
@@ -607,22 +774,23 @@ def test_compiled_build_matches_reference_install(compiled_kernels, small_datase
     assert csr[0].dtype == csr[2].dtype == np.int32
     for a, b in zip(csr, eng.index_csr()):
         _assert_same_bits(a, b)
-    # The same entries as the build meets them: row-ordered chunks, filled
-    # at the capacity the grid counts for the engine's neighbourhoods.
-    cells, rows, vals = eng.index_arrays()
-    order = np.lexsort((cells, rows))
-    cells, rows, vals = cells[order], rows[order], vals[order]
-    cuts = np.searchsorted(rows, np.arange(16, eng._total_rows, 16))
-    chunks = list(zip(
-        np.split(cells.astype(np.int32), cuts),
-        np.split(rows.astype(np.int32), cuts),
-        np.split(vals, cuts),
-    ))  # fmt: skip
+    # The same pairs as the build lists them, in row chunks of 16, placed
+    # by the reference composition at the capacity the grid counts.
     config = eng.config
-    radii = config.effective_radius_sigmas() * small_dataset.all_sigmas() + config.delta
-    capacity = eng.grid.cells_near_counts([(small_dataset.all_means(), radii)])
+    means, sigmas = small_dataset.all_means(), small_dataset.all_sigmas()
+    radii = config.effective_radius_sigmas() * sigmas + config.delta
+    chunks = [
+        (*eng.grid.cells_near_many(means[lo : lo + 16], radii[lo : lo + 16]), lo,
+         means[lo : lo + 16], sigmas[lo : lo + 16])
+        for lo in range(0, eng._total_rows, 16)
+    ]  # fmt: skip
+    capacity = eng.grid.cells_near_counts([(means, radii)])
     assert capacity.sum() == eng.n_index_pairs > eng.n_index_entries
-    sorted_ref = _fill_both(compiled_kernels, chunks, capacity)
+    sorted_ref = _fill_both(
+        compiled_kernels, chunks, capacity, centres=eng.grid.cell_centers(),
+        delta=config.delta, model=config.prob_model, min_prob=config.min_prob,
+        cap=config.max_cells_per_snapshot,
+    )  # fmt: skip
     ref = _engine(small_dataset, backend="numpy", **kw)
     ref._install_csr(*sorted_ref)
     via_triples = _engine(small_dataset, backend="numpy", **kw)

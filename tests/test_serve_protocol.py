@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,37 @@ def test_parse_hello_rejects_version_skew():
     with pytest.raises(protocol.ProtocolError) as exc:
         protocol.parse_hello({"version": 99})
     assert exc.value.fields["server_version"] == protocol.PROTOCOL_VERSION
+
+
+#: A JSON integer no double can hold: ``1`` followed by 400 zeros.
+HUGE = json.loads("1" + "0" * 400)
+_POINTS = [[0.0, 0.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "parse, request_",
+    [
+        (protocol.parse_predict, {"recent": [[0, 0], [HUGE, 1]], "sigma": 0.1}),
+        (protocol.parse_predict, {"recent": _POINTS, "sigma": HUGE}),
+        (protocol.parse_ingest, {"reports": [{"points": [[0, HUGE]], "sigma": 0.1}]}),
+        (protocol.parse_ingest, {"reports": [{"points": _POINTS, "sigma": HUGE}]}),
+        (protocol.parse_ingest, {"reports": [{"points": _POINTS, "sigma": [0.1, HUGE]}]}),
+        (lambda request: protocol.parse_timeout_ms(request, None), {"timeout_ms": HUGE}),
+    ],
+    ids=[
+        "predict.recent", "predict.sigma", "ingest.points", "ingest.sigma",
+        "ingest.sigma_list", "timeout_ms",
+    ],
+)
+def test_numbers_outside_the_float_range_are_bad_requests(parse, request_):
+    """An integer too large for a double is a ``bad_request``, not an
+    ``OverflowError`` or ``TypeError`` answered as ``internal``."""
+    with pytest.raises(protocol.ProtocolError, match="outside the float range"):
+        parse(request_)
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity"])
+def test_parse_timeout_ms_rejects_non_finite(raw):
+    """``timeout_ms: NaN`` was accepted and acted as no deadline."""
+    with pytest.raises(protocol.ProtocolError, match="finite"):
+        protocol.parse_timeout_ms(json.loads(f'{{"timeout_ms": {raw}}}'), None)

@@ -207,6 +207,38 @@ def test_malformed_lines_get_error_responses_not_disconnects(snapshot):
     assert second["ok"] is True
 
 
+def test_numbers_outside_the_float_range_answer_bad_request(snapshot):
+    """A number no double holds, or a NaN deadline, is a ``bad_request``
+    over the socket -- not an ``internal`` error -- and the connection
+    keeps serving."""
+    huge = "1" + "0" * 400
+    lines = [
+        b'{"op": "predict", "recent": [[0, 0], [%s, 1]], "sigma": 0.1}' % huge.encode(),
+        b'{"op": "predict", "recent": [[0, 0], [1, 1]], "sigma": %s}' % huge.encode(),
+        b'{"op": "score", "patterns": [[0]], "timeout_ms": %s}' % huge.encode(),
+        b'{"op": "score", "patterns": [[0]], "timeout_ms": NaN}',
+    ]
+
+    async def scenario():
+        server, _ = _serve(snapshot)
+        host, port = await server.start()
+        client = await _Client.connect(host, port)
+        answers = []
+        for line in lines:
+            client.writer.write(line + b"\n")
+            await client.writer.drain()
+            answers.append(await client.recv())
+        health = await client.request({"op": "health"})
+        await client.close()
+        await server.stop()
+        return answers, health
+
+    answers, health = asyncio.run(scenario())
+    for answer in answers:
+        assert answer["ok"] is False and answer["error"] == "bad_request", answer
+    assert health["ok"] is True
+
+
 def test_predict_without_patterns_answers_from_motion_model(snapshot):
     async def scenario():
         server, _ = _serve(snapshot)
