@@ -53,11 +53,11 @@ pairs leave, both arrays shrink in place to the entry count, one
 ``np.log`` turns the probabilities into log-probabilities, and the
 backend segments the index at every (cell, trajectory) change.  Every
 backend installs exactly the same index arrays from the same entries.
-:meth:`NMEngine.index_arrays` rebuilds the classic ``int64`` (cell, row,
-value) triples on demand; the index cache writes the same triples from
-the CSR arrays in bounded blocks, and the incremental folds and engines
-that share an index take the CSR arrays as they are
-(:meth:`NMEngine.index_csr`).
+An index is built, folded, adopted, written and read as these same four
+CSR arrays (:meth:`NMEngine.index_csr`): the index cache stores them as
+they are, a warm load installs them as a cold build does, and the
+incremental folds and engines that share an index take them without a
+copy.
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -185,19 +185,19 @@ def _positive_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and value > 0
 
 
-def _check_index_shape(n_rows: int, n_cells: int) -> None:
-    """Reject row and cell counts whose ids overflow ``int32``.
+def _check_index_shape(n_rows: int) -> None:
+    """Reject a row count whose ids overflow ``int32``.
 
-    The index stores rows and cell ids as ``int32`` (see
-    :meth:`NMEngine._install_csr`); checking the two counts up front keeps a
-    cast from ever wrapping an id.
+    The index stores rows as ``int32`` (see :meth:`NMEngine._install_csr`);
+    checking the count up front keeps a cast from ever wrapping a row.
+    Cell ids cannot overflow: :class:`~repro.geometry.grid.Grid` refuses a
+    grid with more cells than ``int32`` holds.
     """
     limit = np.iinfo(np.int32).max
-    for count, what in ((n_rows, "snapshots"), (n_cells, "grid cells")):
-        if count > limit:
-            raise ValueError(
-                f"{count} {what} exceed the index's int32 ids (at most {limit})"
-            )
+    if n_rows > limit:
+        raise ValueError(
+            f"{n_rows} snapshots exceed the index's int32 ids (at most {limit})"
+        )
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ class EngineConfig:
             return self.radius_sigmas
         # P(|X - c| <= delta) <= Phi(-(R - delta)/sigma); force it <= min_prob.
         # The stdlib quantile is within 1 ULP of scipy's ndtri here and
-        # yields the same index triples, without importing scipy.special.
+        # yields the same index, without importing scipy.special.
         return -statistics.NormalDist().inv_cdf(self.min_prob)
 
 
@@ -340,21 +340,17 @@ class NMEngine:
         dataset: TrajectoryDataset,
         grid: Grid,
         config: EngineConfig,
-        prebuilt: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         *,
         csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
         cache_key: str | None = None,
     ) -> None:
         """Build (or adopt) the sparse index over ``dataset``.
 
-        ``prebuilt`` short-circuits the expensive probability enumeration:
-        it supplies already-computed ``(cells, rows, vals)`` entry triples
-        (for example a cache payload) and the engine only runs the cheap
-        sort/segment post-processing.  ``csr`` adopts another engine's CSR
-        index (:meth:`index_csr`) as it is, without a copy: no engine
-        writes into installed index arrays, so engines can share them.
-        The caller is responsible for either matching ``(dataset, grid,
-        config)``.
+        ``csr`` adopts another engine's CSR index (:meth:`index_csr`) as it
+        is, without a copy, and skips the expensive probability
+        enumeration: no engine writes into installed index arrays, so
+        engines can share them.  The caller is responsible for matching
+        ``(dataset, grid, config)``.
 
         ``cache_key`` names the index-cache entry to load and save when
         ``config.cache_dir`` is set; by default it is the whole-dataset key.
@@ -401,14 +397,12 @@ class NMEngine:
         self._seg_traj = np.empty(0, dtype=np.int64)
         self._cell_seg_starts = np.empty(0, dtype=np.int64)
 
-        adopted = prebuilt is not None or csr is not None
+        adopted = csr is not None
         with tracing.span(
             "index.build", prebuilt=adopted
         ) as span, metrics.timer("engine.index_build_ns"):
-            if csr is not None:
+            if adopted:
                 self._install_csr(*csr)
-            elif prebuilt is not None:
-                self._install_index(*prebuilt)
             else:
                 self._build_index()
             span.set_attr("n_entries", self.n_index_entries)
@@ -580,20 +574,15 @@ class NMEngine:
         """Compute above-floor log-probabilities for every (snapshot, cell).
 
         With ``config.cache_dir`` set, a content-hashed on-disk copy of the
-        flat entry arrays is tried first; a fresh build persists its result
-        so the next construction over the same (dataset, grid, config) is a
-        pure load.
+        CSR index is tried first and, when it loads, installed exactly as a
+        cold build's CSR is; a fresh build persists its result so the next
+        construction over the same (dataset, grid, config) is a pure load.
         """
         cache_dir = self.config.cache_dir
         key = None
         if cache_dir is not None:
-            key = self._cache_key or index_cache.span_cache_key(
-                index_cache.dataset_fingerprint(self.dataset),
-                0,
-                len(self.dataset),
-                self.grid,
-                self.config,
-                kernel_tag=kernels.prob_kernel_tag(self.config),
+            key = self._cache_key or index_cache.dataset_key(
+                self.dataset, self.grid, self.config
             )
             loaded = index_cache.load_index(
                 cache_dir,
@@ -604,11 +593,11 @@ class NMEngine:
             )
             if loaded is not None:
                 self.index_cache_hit = True
-                self._install_index(*loaded)
+                self._install_csr(*loaded)
                 return
         self._install_csr(*self._collect_index_entries())
         if key is not None:
-            index_cache.save_index_csr(cache_dir, key, *self.index_csr())
+            index_cache.save_index(cache_dir, key, *self.index_csr())
 
     def index_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The engine's own CSR index ``(cell_ids, cell_bounds, rows, vals)``.
@@ -618,34 +607,6 @@ class NMEngine:
         constructor argument, and the incremental folds read them.
         """
         return self._cell_ids, self._cell_bounds, self._flat_rows, self._flat_vals
-
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat ``(cells, rows, vals)`` entry triples, sorted by (cell, row).
-
-        Built on demand from the CSR index: fresh ``int64`` cells and rows,
-        and the engine's own ``float64`` values.  This is exactly the
-        payload the index cache persists; feeding it back through the
-        ``prebuilt`` constructor argument reproduces the engine's index
-        bit-for-bit.
-        """
-        cells = np.repeat(
-            self._cell_ids.astype(np.int64), np.diff(self._cell_bounds)
-        )
-        return cells, self._flat_rows.astype(np.int64), self._flat_vals
-
-    def install_index(
-        self, cells: np.ndarray, rows: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """Replace the engine's flat index with new entry triples, in place.
-
-        Every derived structure (per-cell bounds, segment maxima, dense
-        columns, entry lookup) is rebuilt or invalidated, so a replaced
-        engine is indistinguishable from one constructed cold over the
-        same triples -- the invalidation tests pin this bit-exactly.
-        """
-        self._install_index(
-            np.asarray(cells), np.asarray(rows), np.asarray(vals)
-        )
 
     def require_epoch(self, epoch: int) -> None:
         """Fail fast when the caller's pinned ``index_epoch`` is stale.
@@ -684,64 +645,13 @@ class NMEngine:
     def _set_dataset(self, dataset: TrajectoryDataset) -> None:
         """The dataset and its row layout: lengths, starts, row owners."""
         lengths = dataset.lengths()
-        _check_index_shape(int(lengths.sum()), self.grid.n_cells)
+        _check_index_shape(int(lengths.sum()))
         self.dataset = dataset
         self._lengths = lengths
         self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         self._total_rows = int(lengths.sum())
         self._row_traj = np.repeat(
             np.arange(len(dataset), dtype=np.int64), lengths
-        )
-
-    def _install_index(
-        self, cells: np.ndarray, rows: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """Turn raw entry triples into the CSR index and install it.
-
-        Idempotent over ordering: entries are keyed by unique (cell, row)
-        pairs, so any permutation of the same triples installs identically.
-        Already-sorted input (a cache payload) skips the lexsort, keeping
-        warm starts array-speed.  A repeated (cell, row) pair, a cell
-        outside the grid, a row outside the dataset or a value outside
-        ``[floor, 0]`` raises instead of installing: the two backends
-        disagree on such a value (the compiled ``batch_devmax`` skips a
-        deviation at or below zero, numpy adds it), and no probability
-        lies above 1.
-        """
-        cells = np.ascontiguousarray(cells, dtype=np.int64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)
-        if not len(cells) == len(rows) == len(vals):
-            raise ValueError("index entry columns differ in length")
-        if not index_cache.values_in_range(vals, self._floor):
-            raise ValueError(
-                f"index entry value outside [{self._floor!r}, 0] (the log-space "
-                "floor and log 1)"
-            )
-        if not index_cache.keys_strictly_increasing(cells, rows):
-            order = np.lexsort((rows, cells))
-            cells, rows, vals = cells[order], rows[order], vals[order]
-            if not index_cache.keys_strictly_increasing(cells, rows):
-                raise ValueError("index entries repeat a (cell, row) pair")
-        if len(cells):
-            if cells[0] < 0 or cells[-1] >= self.grid.n_cells:
-                raise ValueError(
-                    f"index entry cell outside [0, {self.grid.n_cells})"
-                )
-            if rows.min() < 0 or rows.max() >= self._total_rows:
-                raise IndexError(
-                    f"index entry row outside [0, {self._total_rows})"
-                )
-            starts = np.concatenate(
-                [[0], np.flatnonzero(cells[1:] != cells[:-1]) + 1]
-            )
-        else:
-            starts = np.empty(0, dtype=np.int64)
-        self._install_csr(
-            cells[starts].astype(np.int32),
-            np.append(starts, len(cells)),
-            rows.astype(np.int32),
-            vals,
         )
 
     def _install_csr(
@@ -757,7 +667,7 @@ class NMEngine:
         if len(cell_ids) and (cell_ids[0] < 0 or cell_ids[-1] >= self.grid.n_cells):
             raise ValueError(f"index entry cell outside [0, {self.grid.n_cells})")
         # Installing (or re-installing) invalidates everything derived
-        # from the previous flat arrays.  _valid_cache keys on window width
+        # from the previous index arrays.  _valid_cache keys on window width
         # but its payload is built from _row_traj/_lengths/_starts, which the
         # incremental path rewrites together with the index -- it must drop
         # here too, not only the per-cell structures.

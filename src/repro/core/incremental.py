@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core import index_cache, kernels
+from repro.core import index_cache
 from repro.core.engine import NMEngine
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
@@ -219,15 +219,8 @@ class IncrementalIndexer:
         cache_dir = cache_dir if cache_dir is not None else engine.config.cache_dir
         if cache_dir is None:
             return None
-        key = index_cache.span_cache_key(
-            index_cache.dataset_fingerprint(engine.dataset),
-            0,
-            len(engine.dataset),
-            engine.grid,
-            engine.config,
-            kernel_tag=kernels.prob_kernel_tag(engine.config),
-        )
-        return index_cache.save_index_csr(cache_dir, key, *engine.index_csr())
+        key = index_cache.dataset_key(engine.dataset, engine.grid, engine.config)
+        return index_cache.save_index(cache_dir, key, *engine.index_csr())
 
     def _stats(self, *, appended: int, evicted: int) -> dict[str, int | float]:
         engine = self.engine

@@ -2,23 +2,25 @@
 
 Building the index is the expensive part of engine construction: every
 snapshot neighbourhood is enumerated and ``Prob`` evaluated per (snapshot,
-cell) pair.  The *result* however is three flat arrays -- ``(cell, row,
-log-prob)`` triples sorted by (cell, row), the engine's
-:meth:`~repro.core.engine.NMEngine.index_arrays` view of its CSR index,
-with ``int64`` cells and rows and ``float64`` values -- that depend only on the
-dataset geometry, the grid and the index-affecting knobs of
-:class:`~repro.core.engine.EngineConfig`.  This module persists those
-arrays as one ``.npz`` per configuration under a cache directory, so
-repeated mining/experiment runs skip the build entirely.  An engine's
-build writes them straight from its CSR index (:func:`save_index_csr`),
-a block of entries at a time.
+cell) pair.  The *result* however is the engine's CSR index
+(:meth:`~repro.core.engine.NMEngine.index_csr`): the active cells
+(``int32``), each cell's entry bounds (``int64``), and per entry an
+``int32`` row and a ``float64`` log-probability -- 12 bytes per entry --
+which depend only on the dataset geometry, the grid and the
+index-affecting knobs of :class:`~repro.core.engine.EngineConfig`.  This
+module persists those four arrays, exactly as the engine holds them, as
+one ``.npz`` per configuration under a cache directory, so repeated
+mining/experiment runs skip the build entirely.  A build writes them
+straight from its index and a warm load hands them to the engine as they
+are read: nothing is converted either way.
 
 Cache key
 ---------
 One key function, :func:`span_cache_key`: a SHA-256 over
 
-* a format-version tag (bump :data:`CACHE_FORMAT_VERSION` when the stored
-  layout changes),
+* a format-version tag (:data:`CACHE_FORMAT_VERSION`, bumped whenever the
+  stored layout changes, so files of an older layout miss under their old
+  keys and are rebuilt once),
 * the dataset fingerprint (:func:`dataset_fingerprint`: every
   trajectory's means, sigmas and length, so *any* change to the dataset,
   including reordering, changes it) plus a trajectory span ``[lo, hi)``
@@ -29,21 +31,21 @@ One key function, :func:`span_cache_key`: a SHA-256 over
 * the ``Prob`` kernel identity when it is not the scipy reference
   (compiled libm-``erf`` builds differ by a couple of ULPs).
 
-A whole-dataset index is the span ``[0, len(dataset))``, so a serial
-engine, a serving snapshot, a persisted incremental index and a one-span
-parallel engine over the same data share one entry; a span engine of
-:class:`~repro.core.parallel.ParallelNMEngine` keeps its own entry, with
-span-local row indices.
+A whole-dataset index is the span ``[0, len(dataset))``
+(:func:`dataset_key`), so a serial engine, a serving snapshot, a persisted
+incremental index and a one-span parallel engine over the same data share
+one entry; a span engine of :class:`~repro.core.parallel.ParallelNMEngine`
+keeps its own entry, with span-local row indices.
 
 Knobs that do not change the stored entries (``jobs``, ``cache_dir``
 itself, and the evaluation ``backend`` apart from its ``Prob`` kernel
 tag) are deliberately excluded.
 
 Robustness: files are written atomically (temp file + ``os.replace``) and
-:func:`load_index` treats *any* unreadable, truncated or
-wrong-format file as a miss, and so is a payload holding a value no
-build could produce -- the engine then falls back to a fresh build and
-overwrites the bad file.
+:func:`load_index` treats *any* unreadable, truncated or wrong-format file
+as a miss, and so is a payload no build could have written -- the engine
+then falls back to a fresh build and overwrites the bad file.  These are
+the only checks of index bytes that come from outside the process.
 
 Observability: every load outcome is logged on the ``repro.index_cache``
 logger and counted on the global metrics registry -- ``index.cache.hit``,
@@ -62,19 +64,22 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import kernels
 from repro.obs import logs, metrics
 from repro.testkit import faults
 
 _log = logs.get_logger("index_cache")
 
 #: Bump when the stored array layout changes; part of the cache key.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
-#: Arrays stored in the ``.npz`` payload, in order, and their dtypes.
-_PAYLOAD_KEYS = ("cells", "rows", "vals")
-_PAYLOAD_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
-#: Entries a cache write converts and writes at a time (512 KiB of int64).
-_WRITE_BLOCK = 1 << 16
+#: The CSR arrays stored in the ``.npz`` payload, in order, with their dtypes.
+_PAYLOAD = (
+    ("cell_ids", np.dtype(np.int32)),
+    ("cell_bounds", np.dtype(np.int64)),
+    ("rows", np.dtype(np.int32)),
+    ("vals", np.dtype(np.float64)),
+)
 
 
 def _hash_update_array(h: "hashlib._Hash", array: np.ndarray) -> None:
@@ -152,28 +157,25 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"index-{key}.npz"
 
 
-def save_index(
-    cache_dir: str | Path,
-    key: str,
-    cells: np.ndarray,
-    rows: np.ndarray,
-    vals: np.ndarray,
-) -> Path:
-    """Atomically persist flat ``(cell, row, value)`` triples under ``cache_dir``.
+def dataset_key(dataset, grid, config) -> str:
+    """Cache key of ``dataset``'s whole-dataset index, built by ``config``.
 
-    See :func:`save_index_csr` for how the file is written.
+    The span ``[0, len(dataset))`` under the ``Prob`` kernel ``config``
+    resolves to (:func:`repro.core.kernels.prob_kernel_tag`): the entry a
+    serial engine, a serving snapshot and a persisted incremental index
+    share.
     """
-    if not len(cells) == len(rows) == len(vals):
-        raise ValueError("index entry columns differ in length")
-    return _write_payload(
-        cache_dir,
-        key,
-        len(cells),
-        [lambda lo, hi, a=a: a[lo:hi] for a in (cells, rows, vals)],
+    return span_cache_key(
+        dataset_fingerprint(dataset),
+        0,
+        len(dataset),
+        grid,
+        config,
+        kernel_tag=kernels.prob_kernel_tag(config),
     )
 
 
-def save_index_csr(
+def save_index(
     cache_dir: str | Path,
     key: str,
     cell_ids: np.ndarray,
@@ -181,37 +183,28 @@ def save_index_csr(
     rows: np.ndarray,
     vals: np.ndarray,
 ) -> Path:
-    """Atomically persist a CSR index (:meth:`NMEngine.index_csr`) as triples.
+    """Atomically persist a CSR index (:meth:`NMEngine.index_csr`) under ``cache_dir``.
 
-    The file holds exactly the payload :func:`save_index` writes for the
-    engine's ``index_arrays()``, but no whole-index ``int64`` column is
-    built: each ``.npy`` member is streamed from the CSR arrays in blocks
-    of ``_WRITE_BLOCK`` entries, so a write adds well under a byte per
-    entry to the process's peak.
+    Each array must already have its payload dtype (``int32`` cell ids,
+    ``int64`` bounds, ``int32`` rows, ``float64`` values) and the lengths
+    must agree; otherwise ``ValueError`` is raised and nothing is written.
+    Each ``.npy`` member is written straight from its array: no entry is
+    converted and no array copied.
     """
-
-    def cells(lo: int, hi: int) -> np.ndarray:
-        first = int(np.searchsorted(cell_bounds, lo, side="right")) - 1
-        last = int(np.searchsorted(cell_bounds, hi, side="left"))
-        spans = np.clip(cell_bounds[first : last + 1], lo, hi)
-        return np.repeat(cell_ids[first:last], np.diff(spans))
-
-    return _write_payload(
-        cache_dir,
-        key,
-        len(rows),
-        [cells, lambda lo, hi: rows[lo:hi], lambda lo, hi: vals[lo:hi]],
-    )
+    arrays = tuple(np.asarray(a) for a in (cell_ids, cell_bounds, rows, vals))
+    fault = _layout_fault(arrays)
+    if fault is not None:
+        raise ValueError(f"not a CSR index: {fault}")
+    return _write_payload(cache_dir, key, arrays)
 
 
-def _write_payload(cache_dir: str | Path, key: str, n: int, columns) -> Path:
-    """Write the ``.npz`` payload of ``n`` entries from ``columns``.
+def _write_payload(cache_dir: str | Path, key: str, arrays) -> Path:
+    """Write the ``.npz`` payload of the four CSR ``arrays``.
 
-    ``columns`` holds one ``(lo, hi) -> block`` reader per payload array.
-    Each member gets a standard ``.npy`` header and its data block by
-    block, stored uncompressed as ``np.savez`` stores it, so ``np.load``
-    reads the file like any other.  The write goes to a temp file *inside
-    the cache directory* first -- same filesystem by construction, so
+    Each member gets a standard ``.npy`` header and its array's bytes,
+    stored uncompressed as ``np.savez`` stores it, so ``np.load`` reads
+    the file like any other.  The write goes to a temp file *inside the
+    cache directory* first -- same filesystem by construction, so
     ``os.replace`` is an atomic rename (never the cross-device ``EXDEV`` a
     ``TMPDIR`` temp file could hit) and a crash mid-write can never leave
     a half-written file under the final name.  A crash between write and
@@ -228,19 +221,17 @@ def _write_payload(cache_dir: str | Path, key: str, n: int, columns) -> Path:
         with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(
             fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
         ) as archive:
-            for name, dtype, column in zip(_PAYLOAD_KEYS, _PAYLOAD_DTYPES, columns):
+            for (name, dtype), array in zip(_PAYLOAD, arrays):
                 with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                     npy_format.write_array_header_1_0(
                         member,
                         {
                             "descr": npy_format.dtype_to_descr(dtype),
                             "fortran_order": False,
-                            "shape": (n,),
+                            "shape": array.shape,
                         },
                     )
-                    for lo in range(0, n, _WRITE_BLOCK):
-                        block = column(lo, min(lo + _WRITE_BLOCK, n))
-                        member.write(np.ascontiguousarray(block, dtype=dtype))
+                    member.write(np.ascontiguousarray(array))
         faults.fire("index_cache.save", tmp=tmp_name, target=str(target))
         os.replace(tmp_name, target)
     except BaseException:
@@ -252,7 +243,7 @@ def _write_payload(cache_dir: str | Path, key: str, n: int, columns) -> Path:
     metrics.counter("index.cache.write").inc()
     _log.debug(
         "index cache write",
-        extra={"path": str(target), "n_entries": int(n)},
+        extra={"path": str(target), "n_entries": len(arrays[2])},
     )
     return target
 
@@ -261,79 +252,86 @@ def load_index(
     cache_dir: str | Path,
     key: str,
     *,
-    n_rows: int | None = None,
-    n_cells: int | None = None,
-    floor: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Load the flat index arrays for ``key``, or ``None`` on any failure.
+    n_rows: int,
+    n_cells: int,
+    floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Load the CSR index ``(cell_ids, cell_bounds, rows, vals)`` for ``key``.
 
-    Missing, truncated, corrupted or wrong-shape files are all treated as
-    cache misses; the caller rebuilds and overwrites, and so are payloads
-    whose entries are not in strictly increasing (cell, row) order -- a
-    duplicated entry would otherwise count twice in every NM.  ``n_rows`` /
-    ``n_cells`` optionally bound the valid row / cell ranges: a file whose
-    payload parses but points outside the dataset or grid (a key collision
-    or bit rot that survived the zip CRC) is rejected as corrupt rather
-    than handed to the engine, where an out-of-range row would raise an
-    ``IndexError`` deep inside index installation -- or worse, silently
-    score against the wrong trajectories.  ``floor`` (the engine's
-    log-space floor) likewise bounds the values: a log-probability outside
-    ``[floor, 0]`` is rejected as corrupt.
+    Returns ``None`` on any failure: a missing file is a miss, and an
+    unreadable one, or one whose payload no build could have written, is
+    counted as corrupt; the caller rebuilds and overwrites.  ``n_rows``,
+    ``n_cells`` and ``floor`` (the engine's log-space floor) bound the
+    rows, cells and values a payload may hold: an out-of-range row would
+    otherwise score against the wrong trajectories (or raise deep inside
+    installation), a repeated entry would count twice in every NM, and a
+    value outside ``[floor, 0]`` scores differently on the two backends.
     """
     target = cache_path(cache_dir, key)
     try:
-        with np.load(target) as payload:
-            arrays = tuple(np.asarray(payload[k]) for k in _PAYLOAD_KEYS)
+        # Opened here, not by np.load, which leaves its own handle open
+        # when the zip directory does not parse.
+        with open(target, "rb") as fh, np.load(fh) as payload:
+            arrays = tuple(np.asarray(payload[name]) for name, _ in _PAYLOAD)
     except FileNotFoundError:
         metrics.counter("index.cache.miss").inc()
         _log.debug("index cache miss", extra={"path": str(target)})
         return None
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         return _corrupt(target, f"unreadable: {exc}")
-    cells, rows, vals = arrays
-    if not (cells.ndim == rows.ndim == vals.ndim == 1):
-        return _corrupt(target, "arrays are not one-dimensional")
-    if not (len(cells) == len(rows) == len(vals)):
-        return _corrupt(target, "array lengths disagree")
-    if cells.dtype.kind != "i" or rows.dtype.kind != "i" or vals.dtype.kind != "f":
-        return _corrupt(target, "unexpected array dtypes")
-    if len(cells):
-        if cells.min() < 0 or (n_cells is not None and cells.max() >= n_cells):
-            return _corrupt(target, "cell ids out of range")
-        if rows.min() < 0 or (n_rows is not None and rows.max() >= n_rows):
-            return _corrupt(target, "row indices out of range")
-        if not np.isfinite(vals).all():
-            return _corrupt(target, "non-finite log-probabilities")
-        if floor is not None and not values_in_range(vals, floor):
-            return _corrupt(target, "log-probabilities outside [floor, 0]")
-        # The writer only ever saves an engine's sorted, unique entries, so
-        # keys that fail to increase strictly (a repeated or reordered
-        # entry) mean the payload is not one it wrote.
-        if not keys_strictly_increasing(cells, rows):
-            return _corrupt(target, "(cell, row) keys not strictly increasing")
+    fault = _layout_fault(arrays) or _content_fault(arrays, n_rows, n_cells, floor)
+    if fault is not None:
+        return _corrupt(target, fault)
     metrics.counter("index.cache.hit").inc()
     _log.info(
         "index cache hit",
-        extra={"path": str(target), "n_entries": int(len(cells))},
+        extra={"path": str(target), "n_entries": int(len(arrays[2]))},
     )
-    return cells, rows, vals
+    return arrays
 
 
-def values_in_range(vals: np.ndarray, floor: float) -> bool:
-    """Whether every log-probability lies in ``[floor, 0]``."""
-    return not len(vals) or bool(floor <= vals.min() and vals.max() <= 0.0)
+def _layout_fault(arrays) -> str | None:
+    """Why four arrays do not have a CSR index's dtypes and lengths, or ``None``."""
+    for (name, dtype), array in zip(_PAYLOAD, arrays):
+        if array.ndim != 1 or array.dtype != dtype:
+            return f"{name} is a {array.ndim}-D {array.dtype} array, not 1-D {dtype}"
+    cell_ids, cell_bounds, rows, vals = arrays
+    if len(cell_bounds) != len(cell_ids) + 1 or len(rows) != len(vals):
+        return "array lengths disagree"
+    if cell_bounds[0] != 0 or cell_bounds[-1] != len(rows):
+        return "cell bounds do not span the entries"
+    return None
 
 
-def keys_strictly_increasing(cells: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether entry keys are in (cell, row) order with no pair repeated.
+def _content_fault(arrays, n_rows: int, n_cells: int, floor: float) -> str | None:
+    """Why a CSR index's contents are not ones a build wrote, or ``None``.
 
-    Compares neighbours directly rather than through ``np.diff``: one
-    byte per entry of temporaries instead of an ``int64`` per column.
+    The per-entry checks allocate no per-entry temporary beyond one byte
+    (the within-run row order).
     """
-    same_cell = cells[1:] == cells[:-1]
-    return bool(
-        np.all((cells[1:] > cells[:-1]) | (same_cell & (rows[1:] > rows[:-1])))
-    )
+    cell_ids, cell_bounds, rows, vals = arrays
+    if not np.all(cell_bounds[1:] > cell_bounds[:-1]):
+        return "cell bounds not strictly increasing"
+    if not np.all(cell_ids[1:] > cell_ids[:-1]):
+        return "cell ids not strictly increasing"
+    if not len(rows):
+        return None
+    if cell_ids[0] < 0 or cell_ids[-1] >= n_cells:
+        return "cell ids out of range"
+    if rows.min() < 0 or rows.max() >= n_rows:
+        return "row indices out of range"
+    # A repeated or reordered entry within a cell's run; each run's first
+    # entry follows the previous cell's last, so it is exempt.
+    increasing = rows[1:] > rows[:-1]
+    increasing[cell_bounds[1:-1] - 1] = True
+    if not increasing.all():
+        return "rows not strictly increasing within a cell"
+    lo, hi = vals.min(), vals.max()  # NaN propagates to both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return "non-finite log-probabilities"
+    if not floor <= lo <= hi <= 0.0:
+        return "log-probabilities outside [floor, 0]"
+    return None
 
 
 def _corrupt(target: Path, reason: str) -> None:

@@ -50,6 +50,11 @@ class Grid:
             raise ValueError(f"grid must have positive dimensions, got {self.nx}x{self.ny}")
         if self.bbox.width <= 0 or self.bbox.height <= 0:
             raise ValueError("grid bounding box must have positive area")
+        # Cell ids are int32 throughout the index; refuse before the
+        # nx * ny centre array is built.
+        limit = np.iinfo(np.int32).max
+        if self.n_cells > limit:
+            raise ValueError(f"{self.n_cells} cell ids exceed int32 (at most {limit})")
         xs = self.bbox.min_x + (np.arange(self.nx) + 0.5) * self.gx
         ys = self.bbox.min_y + (np.arange(self.ny) + 0.5) * self.gy
         cx, cy = np.meshgrid(xs, ys)  # row-major: row = y index
@@ -183,17 +188,16 @@ class Grid:
         (row-major) order as :meth:`cells_in_box`; empty boxes simply
         contribute nothing.  Each box row is one run of consecutive ids,
         so the ids are one ``np.repeat`` of the run starts (less the run's
-        offset in the output) plus one ``arange``.  A grid or pair count
-        that ``int32`` cannot hold raises ``ValueError``.
+        offset in the output) plus one ``arange``.  A pair count that
+        ``int32`` cannot hold raises ``ValueError`` (a grid whose ids it
+        cannot hold is refused when it is made).
         """
-        limit = np.iinfo(np.int32).max
-        if self.n_cells > limit:
-            raise ValueError(f"{self.n_cells} cell ids exceed int32 (at most {limit})")
         col_lo, col_hi, row_lo, row_hi = self._box_spans(min_x, min_y, max_x, max_y)
         n_cols = np.maximum(col_hi - col_lo + 1, 0)
         n_rows = np.where(n_cols > 0, np.maximum(row_hi - row_lo + 1, 0), 0)
         counts = n_cols * n_rows
         total = int(counts.sum())
+        limit = np.iinfo(np.int32).max
         if total > limit:
             raise ValueError(f"{total} listed pairs exceed int32 (at most {limit})")
         owners = np.repeat(np.arange(len(counts), dtype=np.int32), counts)

@@ -50,7 +50,7 @@ from typing import Any
 import numpy as np
 
 from repro.apps.prediction import PatternLibrary
-from repro.core import index_cache, kernels
+from repro.core import index_cache
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.parameters import suggest_parameters
 from repro.core.results_io import load_mining_result
@@ -243,14 +243,7 @@ class ServingSnapshot:
             cache_dir=cache_dir,
             backend=backend,
         )
-        key = index_cache.span_cache_key(
-            index_cache.dataset_fingerprint(dataset),
-            0,
-            len(dataset),
-            grid,
-            config,
-            kernel_tag=kernels.prob_kernel_tag(config),
-        )
+        key = index_cache.dataset_key(dataset, grid, config)
         if version is None:
             version = key[:12]
         # The engine loads the index from cache_dir when present and

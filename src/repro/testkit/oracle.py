@@ -379,9 +379,10 @@ def run_oracle(
         # Path 5b: incremental index maintenance.  Build over a prefix,
         # fold the remaining trajectories in as two report waves, evict the
         # oldest -- the live engine must agree with a from-scratch build of
-        # the surviving dataset bit-for-bit (budget 0), and the flat arrays
-        # themselves must be identical.  The frontier is scored on both
-        # engines directly (nm_ref covers the *full* dataset, not this one).
+        # the surviving dataset bit-for-bit (budget 0), and the CSR arrays
+        # themselves must be identical in dtype and bytes.  The frontier is
+        # scored on both engines directly (nm_ref covers the *full*
+        # dataset, not this one).
         trajs = list(setup.dataset)
         n_base = max(2, len(trajs) - 4)
         n_evict = min(2, n_base - 1)
@@ -395,8 +396,8 @@ def run_oracle(
         final_dataset = TrajectoryDataset(trajs[n_evict:])
         fresh = NMEngine(final_dataset, setup.grid, cfg)
         arrays_equal = all(
-            np.array_equal(a, b)
-            for a, b in zip(live.index_arrays(), fresh.index_arrays())
+            a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(live.index_csr(), fresh.index_csr())
         )
         inc_check = PathCheck(
             path="incremental",

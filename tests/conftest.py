@@ -108,7 +108,21 @@ def streamed(path, grid, config, chunk_size=64):
 
 
 def dataset_cache_key(dataset, grid, config, **kwargs) -> str:
-    """The whole-dataset index-cache key: the span ``[0, len(dataset))``."""
+    """The whole-dataset index-cache key: the span ``[0, len(dataset))``.
+
+    Without an explicit ``kernel_tag`` this is the key engines use
+    (:func:`~repro.core.index_cache.dataset_key`).
+    """
+    if not kwargs:
+        return index_cache.dataset_key(dataset, grid, config)
     return index_cache.span_cache_key(
         index_cache.dataset_fingerprint(dataset), 0, len(dataset), grid, config, **kwargs
     )
+
+
+#: An engine's installed index: the CSR arrays and the segment arrays an
+#: install derives from them.
+INDEX_ARRAYS = (
+    "_cell_ids", "_cell_bounds", "_flat_rows", "_flat_vals",
+    "_seg_starts", "_seg_traj", "_cell_seg_starts",
+)  # fmt: skip

@@ -34,8 +34,23 @@ def test_grid_roundtrip():
     assert back.bbox == grid.bbox
 
 
-@pytest.mark.parametrize("bad", [None, [], {"min_x": 0.0}, {"nx": 2, "ny": 2}])
-def test_grid_from_wire_rejects_malformed(bad):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        None,
+        [],
+        {"min_x": 0.0},
+        {"nx": 2, "ny": 2},
+        # 10^12 cells: refused before any centre is built.
+        {"min_x": 0.0, "min_y": 0.0, "max_x": 1.0, "max_y": 1.0,
+         "nx": 10**6, "ny": 10**6},
+    ],
+)  # fmt: skip
+def test_grid_from_wire_rejects_malformed(bad, monkeypatch):
+    def no_centres(*args, **kwargs):
+        pytest.fail("the grid built its cell centres")
+
+    monkeypatch.setattr(np, "meshgrid", no_centres)
     with pytest.raises(wire.ProtocolError):
         wire.grid_from_wire(bad)
 

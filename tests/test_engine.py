@@ -116,8 +116,8 @@ class TestAutoRadius:
                     backend=backend,
                     radius_sigmas=float(-special.ndtri(min_prob)),
                 )
-                auto = NMEngine(dataset, grid, config).index_arrays()
-                ref = NMEngine(dataset, grid, pinned).index_arrays()
+                auto = NMEngine(dataset, grid, config).index_csr()
+                ref = NMEngine(dataset, grid, pinned).index_csr()
                 for got, want in zip(auto, ref):
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)

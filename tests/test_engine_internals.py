@@ -35,9 +35,9 @@ GRID = Grid(BoundingBox.unit(), nx=20, ny=20)
 class TestBuildMemory:
     """The index costs a bounded number of bytes per entry, built and resident.
 
-    Bounds are per entry, not relative to ``index_arrays()``: that view is
-    built on demand at 24 bytes per entry, twice what the engine keeps.
-    The build fills an index allocated at its (snapshot, cell) pair count,
+    Bounds are per entry: the engine keeps 12 bytes per entry (an
+    ``int32`` row and a ``float64`` value) plus its per-cell and
+    per-segment arrays.  The build fills an index allocated at its (snapshot, cell) pair count,
     so its peak is 12 bytes per pair plus one row chunk's listed pairs
     (8 bytes each on the compiled backend, whose ``place_pairs`` allocates
     nothing per pair).
@@ -123,11 +123,33 @@ class TestBuildMemory:
         assert peak / n <= 17.5, peak / n
         assert engine.n_index_pairs > n
 
+    def test_serve_score_herd_warm_load_peak(self, tmp_path):
+        """A warm index-cache load of the serve-score herd (compiled
+        backend) peaks within 15 B/entry (measured 13.3): the payload is
+        the engine's CSR, read and installed as it is.  Loading ``int64``
+        (cell, row, value) triples and converting them back peaked at
+        29.3."""
+        from repro.experiments.datasets import zebranet_dataset
+
+        dataset = zebranet_dataset(n_trajectories=300, n_ticks=150, sigma=0.01, seed=2)
+        grid = dataset.make_grid(0.02)
+        config = EngineConfig(
+            delta=0.02, min_prob=1e-6, backend="compiled", cache_dir=str(tmp_path)
+        )
+        engine, peak = self._traced_build(dataset, grid, config)  # cold: writes
+        assert not engine.index_cache_hit
+        del engine
+        engine, peak = self._traced_build(dataset, grid, config)
+        assert engine.index_cache_hit
+        n = engine.n_index_entries
+        assert n > 1_500_000
+        assert peak / n <= 15, peak / n
+
     def test_cache_miss_build_adds_under_a_byte_per_entry(self, tmp_path):
         """A build that misses the index cache and saves its result peaks
         within 1 B/entry of the same build without a cache: the payload is
-        streamed from the CSR, not built as whole int64 triples (which
-        measured 37.3 B/entry against 28.1)."""
+        the CSR, written straight from the engine's arrays.  Building whole
+        int64 triples for the write measured 37.3 B/entry against 28.1."""
         dataset, grid = self._seeded()
         config = EngineConfig(delta=0.05, backend="auto")
         plain, plain_peak = self._traced_build(dataset, grid, config)

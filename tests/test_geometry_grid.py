@@ -126,14 +126,16 @@ class TestSpatialQueries:
         )
         assert len(cells) == 0 and len(owners) == 0
 
-    def test_cells_in_boxes_refuses_ids_beyond_int32(self):
+    def test_cells_in_boxes_refuses_ids_beyond_int32(self, monkeypatch):
         """The lister returns int32 ids, so a grid of 2^32 cells is refused
-        (built without its 64 GiB of centres, which the lister never reads)."""
-        huge = object.__new__(Grid)
-        for name, value in (("bbox", BoundingBox.unit()), ("nx", 1 << 16), ("ny", 1 << 16)):
-            object.__setattr__(huge, name, value)
+        when it is made, before it builds its 64 GiB of centres."""
+
+        def no_centres(*args, **kwargs):
+            pytest.fail("the grid built its cell centres")
+
+        monkeypatch.setattr(np, "meshgrid", no_centres)
         with pytest.raises(ValueError, match="int32"):
-            huge.cells_near_many(np.array([[0.5, 0.5]]), 0.0)
+            Grid(BoundingBox.unit(), 1 << 16, 1 << 16)
 
     def test_neighbors_interior(self, grid):
         assert len(grid.neighbors(35)) == 8

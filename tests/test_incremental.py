@@ -43,17 +43,12 @@ def pool():
     return list(dataset), dataset.make_grid(0.05)
 
 
-def _fresh_arrays(trajectories, grid):
-    return NMEngine(
-        TrajectoryDataset(list(trajectories)), grid, CONFIG
-    ).index_arrays()
+def _fresh_csr(trajectories, grid):
+    return NMEngine(TrajectoryDataset(list(trajectories)), grid, CONFIG).index_csr()
 
 
 def _assert_same_index(engine, trajectories, grid):
-    expected = _fresh_arrays(trajectories, grid)
-    got = engine.index_arrays()
-    for name, a, b in zip(("cells", "rows", "vals"), got, expected):
-        np.testing.assert_array_equal(a, b, err_msg=f"{name} diverged")
+    _assert_same_csr(engine.index_csr(), _fresh_csr(trajectories, grid))
 
 
 def _csr(cells, rows, vals):
@@ -123,9 +118,10 @@ class TestMergePrimitives:
         delta = _delta_csr(extra, engine, offset)
         assert delta[2].min() >= offset
         # The same rows appear (row-shifted) in the combined fresh build.
-        full = _fresh_arrays(base + extra, grid)
-        mask = full[1] >= offset
-        _assert_same_csr(delta, _csr(full[0][mask], full[1][mask], full[2][mask]))
+        cell_ids, cell_bounds, rows, vals = _fresh_csr(base + extra, grid)
+        cells = np.repeat(cell_ids, np.diff(cell_bounds))
+        mask = rows >= offset
+        _assert_same_csr(delta, _csr(cells[mask], rows[mask], vals[mask]))
 
 
 class TestIncrementalIndexer:

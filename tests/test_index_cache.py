@@ -1,11 +1,11 @@
 """The persistent index cache: hits, invalidation, corruption fallback.
 
-Covers the satellite requirements: a cache hit reproduces the index
-bit-for-bit; any change to the dataset or to an index-affecting config
-knob invalidates the key; unreadable files of every stripe fall back to a
-fresh build instead of crashing; and serial and parallel engines share
-one whole-dataset cache entry in both directions, while a multi-span
-engine keeps one entry per span.
+A cache file holds the engine's CSR index as it is, and a hit installs
+the cold build's arrays bit-for-bit; any change to the dataset or to an
+index-affecting config knob invalidates the key; unreadable files of
+every stripe fall back to a fresh build instead of crashing; and serial
+and parallel engines share one whole-dataset cache entry in both
+directions, while a multi-span engine keeps one entry per span.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import index_cache
+from repro.core import engine as engine_module
+from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, NMEngine
-from repro.core.parallel import ParallelNMEngine
+from repro.core.parallel import ParallelNMEngine, span_dataset
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 from repro.uncertainty.gaussian import ProbModel
-from tests.conftest import dataset_cache_key
+from tests.conftest import INDEX_ARRAYS, dataset_cache_key
 
 
 @pytest.fixture
@@ -47,6 +48,20 @@ def config(tmp_path):
     return EngineConfig(delta=0.04, min_prob=1e-5, cache_dir=tmp_path / "cache")
 
 
+def _assert_same_install(got: NMEngine, want: NMEngine) -> None:
+    for name in INDEX_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _load(dataset, grid, config, key):
+    """``load_index`` bounded by ``dataset``, ``grid`` and ``config``."""
+    return index_cache.load_index(
+        config.cache_dir, key, n_rows=dataset.total_snapshots(),
+        n_cells=grid.n_cells, floor=config.min_log_prob,
+    )  # fmt: skip
+
+
 class TestCacheHit:
     def test_cold_build_writes_then_warm_hit_is_identical(
         self, dataset, grid, config
@@ -58,8 +73,7 @@ class TestCacheHit:
 
         warm = NMEngine(dataset, grid, config)
         assert warm.index_cache_hit
-        for a, b in zip(warm.index_arrays(), cold.index_arrays()):
-            np.testing.assert_array_equal(a, b)
+        _assert_same_install(warm, cold)
         assert warm.active_cells == cold.active_cells
 
         patterns_cells = cold.active_cells[:3]
@@ -85,59 +99,124 @@ class TestCacheHit:
 
 
 class TestStreamedWrite:
-    """The payload is written from the CSR index a block at a time."""
+    """A cache file holds exactly the engine's CSR arrays, each ``.npy``
+    member written straight from its array, and loads back to them."""
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_streamed_csr_file_is_the_triple_payload(
         self, dataset, grid, config, monkeypatch, block
     ):
-        """Blocks that split cells anywhere, or hold the whole index, give
-        a file ``np.load`` reads as ``index_arrays()`` -- int64 / int64 /
-        float64 -- and that installs bit-identical through ``load_index``."""
-        monkeypatch.setattr(index_cache, "_WRITE_BLOCK", block)
-        engine = NMEngine(dataset, grid, replace(config, cache_dir=None))
-        path = index_cache.save_index_csr(config.cache_dir, "k", *engine.index_csr())
-        with np.load(path) as payload:
-            saved = [payload[k] for k in ("cells", "rows", "vals")]
-        for got, want in zip(saved, engine.index_arrays()):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert [a.dtype for a in saved] == [np.int64, np.int64, np.float64]
-        loaded = index_cache.load_index(config.cache_dir, "k")
-        warm = NMEngine(dataset, grid, config, prebuilt=loaded)
-        for name in ("_cell_ids", "_cell_bounds", "_flat_rows", "_flat_vals",
-                     "_seg_starts", "_seg_traj", "_cell_seg_starts"):  # fmt: skip
-            a, b = getattr(warm, name), getattr(engine, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        """A build that streams the rows in blocks splitting cells anywhere,
+        or holding the whole dataset, writes a file ``np.load`` reads as
+        exactly its ``index_csr()`` -- int32 / int64 / int32 / float64 --
+        equal to an unblocked build's, and a warm engine installs it
+        bit-identical.  (The name is format 1's, whose payload held
+        ``(cell, row, value)`` triples.)"""
+        want = NMEngine(dataset, grid, replace(config, cache_dir=None)).index_csr()
+        monkeypatch.setattr(engine_module, "_INDEX_ROW_CHUNK", block)
+        engine = NMEngine(dataset, grid, config)
+        key = dataset_cache_key(dataset, grid, config)
+        with np.load(index_cache.cache_path(config.cache_dir, key)) as payload:
+            assert payload.files == ["cell_ids", "cell_bounds", "rows", "vals"]
+            saved = [payload[k] for k in payload.files]
+        assert [a.dtype for a in saved] == [np.int32, np.int64, np.int32, np.float64]
+        for got, built, cold in zip(saved, engine.index_csr(), want):
+            assert got.dtype == built.dtype and got.tobytes() == built.tobytes()
+            assert got.tobytes() == cold.tobytes()
+        assert index_cache.CACHE_FORMAT_VERSION == 2
+        warm = NMEngine(dataset, grid, config)
+        assert warm.index_cache_hit
+        _assert_same_install(warm, engine)
 
-    def test_triples_and_csr_write_equal_arrays(self, dataset, grid, config):
-        engine = NMEngine(dataset, grid, replace(config, cache_dir=None))
-        via_csr = index_cache.save_index_csr(config.cache_dir, "a", *engine.index_csr())
-        via_triples = index_cache.save_index(config.cache_dir, "b", *engine.index_arrays())
-        with np.load(via_csr) as a, np.load(via_triples) as b:
-            assert sorted(a.files) == sorted(b.files) == ["cells", "rows", "vals"]
-            for k in a.files:
-                np.testing.assert_array_equal(a[k], b[k])
-                assert a[k].dtype == b[k].dtype
+    @pytest.mark.parametrize("model", [ProbModel.BOX, ProbModel.DISK], ids=["box", "disk"])
+    @pytest.mark.parametrize("backend", ["numpy", "compiled"])
+    def test_warm_load_installs_the_cold_arrays(
+        self, dataset, grid, config, backend, model
+    ):
+        if backend == "compiled" and kernels.compiled_unavailable_reason():
+            pytest.skip(kernels.compiled_unavailable_reason())
+        config = replace(config, backend=backend, prob_model=model)
+        cold = NMEngine(dataset, grid, config)
+        warm = NMEngine(dataset, grid, config)
+        assert not cold.index_cache_hit and warm.index_cache_hit
+        assert warm.n_index_entries > 0
+        _assert_same_install(warm, cold)
+        _assert_same_install(warm, NMEngine(dataset, grid, replace(config, cache_dir=None)))
 
-    def test_empty_index_round_trips(self, config):
-        empty = np.empty(0, dtype=np.int64)
-        path = index_cache.save_index_csr(
-            config.cache_dir, "e",
-            np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int32), np.empty(0),
-        )  # fmt: skip
-        with np.load(path) as payload:
-            assert [payload[k].shape for k in ("cells", "rows", "vals")] == [(0,)] * 3
-        cells, rows, vals = index_cache.load_index(config.cache_dir, "e")
-        assert len(cells) == len(rows) == len(vals) == 0
-        assert cells.dtype == empty.dtype
+    def test_empty_index_round_trips(self, dataset, grid, config):
+        """No cell reaches a 0.999 floor: the empty index is written and
+        loads back as itself."""
+        config = replace(config, min_prob=0.999)
+        cold = NMEngine(dataset, grid, config)
+        assert cold.n_index_entries == 0
+        key = dataset_cache_key(dataset, grid, config)
+        cell_ids, cell_bounds, rows, vals = _load(dataset, grid, config, key)
+        assert len(cell_ids) == len(rows) == len(vals) == 0
+        assert cell_bounds.tolist() == [0]
+        warm = NMEngine(dataset, grid, config)
+        assert warm.index_cache_hit
+        _assert_same_install(warm, cold)
+
+    def test_span_entries_round_trip_with_span_local_rows(
+        self, dataset, grid, config
+    ):
+        """Each span worker of a 2-span engine writes its own entry, with
+        rows local to its span, and an engine over that span loads it."""
+        with ParallelNMEngine(dataset, grid, config, jobs=2) as par:
+            spans = par.spans
+        assert len(spans) == 2
+        fingerprint = index_cache.dataset_fingerprint(dataset)
+        for lo, hi in spans:
+            key = index_cache.span_cache_key(
+                fingerprint, lo, hi, grid, config,
+                kernel_tag=kernels.prob_kernel_tag(config),
+            )  # fmt: skip
+            span = span_dataset(dataset, lo, hi)
+            cold = NMEngine(span, grid, replace(config, cache_dir=None))
+            warm = NMEngine(span, grid, config, cache_key=key)
+            assert warm.index_cache_hit
+            assert warm.index_csr()[2].max() < span.total_snapshots()
+            _assert_same_install(warm, cold)
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [
+            ("rows", np.int64),
+            ("vals", np.float32),
+            ("cell_ids", np.int64),
+            ("cell_bounds", np.int32),
+        ],
+        ids=["int64-rows", "float32-vals", "int64-cell-ids", "int32-bounds"],
+    )
+    def test_save_refuses_other_dtypes(self, dataset, grid, config, name, dtype):
+        engine = NMEngine(dataset, grid, replace(config, cache_dir=None))
+        csr = dict(zip(("cell_ids", "cell_bounds", "rows", "vals"), engine.index_csr()))
+        csr[name] = csr[name].astype(dtype)
+        with pytest.raises(ValueError, match=name):
+            index_cache.save_index(config.cache_dir, "k", **csr)
+        assert not config.cache_dir.exists()
+
+    def test_save_refuses_inconsistent_lengths(self, dataset, grid, config):
+        cell_ids, cell_bounds, rows, vals = NMEngine(
+            dataset, grid, replace(config, cache_dir=None)
+        ).index_csr()
+        for bad in (
+            (cell_ids[:-1], cell_bounds, rows, vals),
+            (cell_ids, cell_bounds, rows[:-1], vals),
+            (cell_ids, cell_bounds, rows[:-1], vals[:-1]),
+        ):
+            with pytest.raises(ValueError, match="not a CSR index"):
+                index_cache.save_index(config.cache_dir, "k", *bad)
+        assert not config.cache_dir.exists()
 
 
 class TestPinnedKeys:
-    """Cache keys are stable across releases: a cache directory written by
-    an earlier version keeps hitting.  The digests below were computed
-    while ``EngineConfig`` still had fifteen fields; it now has the eight
-    that engines read, and the key never read the other seven."""
+    """Cache keys change only with ``CACHE_FORMAT_VERSION``: within one
+    format, a cache directory written by an earlier version keeps hitting.
+    The digests below are format 2's (the CSR payload); format 1's, which
+    stored ``(cell, row, value)`` triples, were computed while
+    ``EngineConfig`` still had fifteen fields, and the key never read the
+    seven it lost."""
 
     DATASET = TrajectoryDataset(
         [
@@ -160,10 +239,10 @@ class TestPinnedKeys:
         ),
     }
     DIGESTS = {
-        ("box", "ref"): "e4efe54ffdeb13ff28aace7e41b7e9fbf30899164bcc28e7230d0af9b6f5a78f",
-        ("box", "cnative"): "5caa27c5de75e80901f41585f3555e4738d5f5f5f5c2750fafff98a89612f639",
-        ("disk", "ref"): "8a4b44e66eddd7978a6597558df88dae44de4ad20985e067f8271884b79199d2",
-        ("disk", "cnative"): "135559b14d649fde0ecf532b70d6c06f7cfb54947d15bcf5a10d4e4c8f35baef",
+        ("box", "ref"): "98ace36cb4cacc125ae85317b5730d2e9b98f4f1091568743d8aecdf3933b525",
+        ("box", "cnative"): "a211dfb142c3f35c020b6746092ee3534509fcea3676dcde32c431991927013c",
+        ("disk", "ref"): "9d8203ec98f8e17e1342f4204166882734084dc6d7e6b8ffec0ea44f2badb944",
+        ("disk", "cnative"): "4ed35c59e8c791160a7fea8f86d13d444d16e08bdca11b5507c7e87f4d6bb810",
     }
 
     @pytest.mark.parametrize("config, tag", list(DIGESTS))
@@ -206,10 +285,12 @@ class TestInvalidation:
         [dict(jobs=4), dict(cache_dir=None), dict(backend="compiled")],
     )
     def test_non_index_knobs_do_not_change_key(self, dataset, grid, config, change):
+        # The backend reaches the key only through its Prob kernel tag
+        # (tests/test_kernels.py::test_cache_key_kernel_tag), held fixed here.
         changed = replace(config, **change)
-        assert dataset_cache_key(dataset, grid, config) == dataset_cache_key(
-            dataset, grid, changed
-        )
+        assert dataset_cache_key(
+            dataset, grid, config, kernel_tag="ref"
+        ) == dataset_cache_key(dataset, grid, changed, kernel_tag="ref")
 
     def test_sigma_change_invalidates(self, dataset, grid, config):
         key = dataset_cache_key(dataset, grid, config)
@@ -262,37 +343,33 @@ class TestCorruptionFallback:
 
     def test_missing_payload_key_falls_back(self, dataset, grid, config):
         path = self._populate(dataset, grid, config)
-        np.savez(path, cells=np.zeros(1, dtype=np.int64))  # rows/vals missing
-        assert index_cache.load_index(config.cache_dir, path.stem[6:]) is None
+        # rows and vals missing
+        np.savez(path, cell_ids=np.zeros(1, dtype=np.int32),
+                 cell_bounds=np.array([0, 1]))  # fmt: skip
+        assert _load(dataset, grid, config, path.stem[6:]) is None
         assert not NMEngine(dataset, grid, config).index_cache_hit
 
     def test_wrong_shape_or_dtype_falls_back(self, dataset, grid, config):
         path = self._populate(dataset, grid, config)
         key = path.stem[len("index-") :]
-        np.savez(
-            path,
-            cells=np.zeros((2, 2), dtype=np.int64),
-            rows=np.zeros(4, dtype=np.int64),
-            vals=np.zeros(4),
+        good = dict(
+            cell_ids=np.array([0, 1], dtype=np.int32),
+            cell_bounds=np.array([0, 2, 4]),
+            rows=np.array([0, 1, 0, 1], dtype=np.int32),
+            vals=np.full(4, -1.0),
         )
-        assert index_cache.load_index(config.cache_dir, key) is None
-        np.savez(
-            path,
-            cells=np.zeros(4, dtype=np.float64),  # float cells
-            rows=np.zeros(4, dtype=np.int64),
-            vals=np.zeros(4),
-        )
-        assert index_cache.load_index(config.cache_dir, key) is None
-        np.savez(
-            path,
-            cells=np.zeros(4, dtype=np.int64),
-            rows=np.zeros(3, dtype=np.int64),  # length mismatch
-            vals=np.zeros(4),
-        )
-        assert index_cache.load_index(config.cache_dir, key) is None
+        np.savez(path, **good)
+        assert _load(dataset, grid, config, key) is not None
+        for name, bad in (
+            ("cell_ids", np.array([[0, 1]], dtype=np.int32)),  # not 1-D
+            ("cell_ids", np.array([0.0, 1.0])),  # float cells
+            ("rows", np.array([0, 1, 0], dtype=np.int32)),  # length mismatch
+        ):
+            np.savez(path, **{**good, name: bad})
+            assert _load(dataset, grid, config, key) is None, (name, bad)
 
-    def test_missing_file_is_a_miss(self, config):
-        assert index_cache.load_index(config.cache_dir, "0" * 64) is None
+    def test_missing_file_is_a_miss(self, dataset, grid, config):
+        assert _load(dataset, grid, config, "0" * 64) is None
 
 
 class TestSerialParallelSharing:
@@ -303,8 +380,7 @@ class TestSerialParallelSharing:
         reference = NMEngine(dataset, grid, replace(config, cache_dir=None))
         warm = NMEngine(dataset, grid, config)
         assert warm.index_cache_hit
-        for a, b in zip(warm.index_arrays(), reference.index_arrays()):
-            np.testing.assert_array_equal(a, b)
+        _assert_same_install(warm, reference)
 
     def test_serial_cold_write_parallel_warm_read(self, dataset, grid, config):
         reference = NMEngine(dataset, grid, config)

@@ -13,13 +13,14 @@ backend skip with the registry's own unavailability reason.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
+from repro.core import index_cache, kernels
 from repro.core.engine import EngineConfig, NMEngine, _fill_csr
 from repro.core.kernels import numpy_ref
 from repro.core.pattern import TrajectoryPattern
@@ -27,7 +28,7 @@ from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.uncertainty.gaussian import ProbModel
-from tests.conftest import dataset_cache_key
+from tests.conftest import INDEX_ARRAYS, dataset_cache_key
 
 CELL = 0.03
 BASE = dict(delta=CELL, min_prob=1e-6)
@@ -39,9 +40,17 @@ def _require_compiled() -> None:
         pytest.skip(f"compiled backend unavailable: {reason}")
 
 
-def _engine(dataset, backend="numpy", **kw) -> NMEngine:
+def _engine(dataset, backend="numpy", csr=None, **kw) -> NMEngine:
+    """An engine over ``dataset``: its own build, or ``csr`` adopted."""
     grid = dataset.make_grid(CELL)
-    return NMEngine(dataset, grid, EngineConfig(backend=backend, **BASE, **kw))
+    return NMEngine(dataset, grid, EngineConfig(backend=backend, **BASE, **kw), csr=csr)
+
+
+#: A CSR index with no entries (:meth:`NMEngine.index_csr` layout).
+EMPTY_CSR = (
+    np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64),
+    np.empty(0, dtype=np.int32), np.empty(0),
+)  # fmt: skip
 
 
 def _candidates(engine, n=40, seed=5) -> list[TrajectoryPattern]:
@@ -141,8 +150,7 @@ def test_shared_index_bit_exact(small_dataset):
     gap_ref = np.array([nm_gap_pattern(ref, gp) for gp in gaps])
 
     for backend in kernels.available_backends():
-        eng = _engine(small_dataset, backend=backend)
-        eng.install_index(*ref.index_arrays())
+        eng = _engine(small_dataset, backend=backend, csr=ref.index_csr())
         assert np.array_equal(eng.nm_batch(patterns), nm_ref), backend
         assert np.array_equal(eng.match_batch(patterns), match_ref)
         for got, want in zip(eng.window_scores_batch(patterns[:6]), windows_ref):
@@ -181,8 +189,7 @@ def test_window_sums_follow_gather_order(small_dataset, seed):
     assert len(patterns) >= 300
     got = {}
     for backend in ("numpy", "compiled"):
-        eng = _engine(small_dataset, backend=backend)
-        eng.install_index(*ref.index_arrays())
+        eng = _engine(small_dataset, backend=backend, csr=ref.index_csr())
         got[backend] = (eng.nm_batch(patterns), eng.match_batch(patterns))
     for numpy_side, compiled_side in zip(got["numpy"], got["compiled"]):
         _assert_same_bits(numpy_side, compiled_side)
@@ -306,12 +313,6 @@ def test_prob_chunking_is_bit_exact(small_dataset, monkeypatch):
 
 
 # -- index build kernels ------------------------------------------------------
-
-#: The CSR index and the segment arrays an install derives from it.
-INDEX_ARRAYS = (
-    "_cell_ids", "_cell_bounds", "_flat_rows", "_flat_vals",
-    "_seg_starts", "_seg_traj", "_cell_seg_starts",
-)  # fmt: skip
 
 PROB_GRID = Grid(BoundingBox(0.0, 0.0, 1.0, 1.0), nx=50, ny=50)
 PROB_DELTA = 0.02
@@ -748,15 +749,22 @@ def test_compiled_disk_build_is_the_reference_build(compiled_kernels, small_data
         _assert_same_bits(getattr(got, name), getattr(want, name))
 
 
-def test_index_ids_must_fit_int32():
+def test_index_ids_must_fit_int32(monkeypatch):
+    """Rows beyond ``int32`` are refused by the engine; cell ids beyond it
+    by the grid itself, before it builds its 2^32 cell centres."""
     from repro.core.engine import _check_index_shape
 
+    def no_centres(*args, **kwargs):
+        pytest.fail("the grid built its cell centres")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "meshgrid", no_centres)
+        with pytest.raises(ValueError, match="int32"):
+            Grid(BoundingBox.unit(), 1 << 16, 1 << 16)
     limit = np.iinfo(np.int32).max
-    _check_index_shape(limit, limit)
+    _check_index_shape(limit)
     with pytest.raises(ValueError, match="snapshots"):
-        _check_index_shape(limit + 1, 10)
-    with pytest.raises(ValueError, match="grid cells"):
-        _check_index_shape(10, limit + 1)
+        _check_index_shape(limit + 1)
 
 
 @pytest.mark.parametrize("cap", [None, 3])
@@ -764,8 +772,8 @@ def test_compiled_build_matches_reference_install(compiled_kernels, small_datase
     """A compiled engine's own build installs exactly the CSR and segment
     arrays that the reference composition over the compiled Prob and the
     numpy install derive from the same pairs -- with the per-snapshot cap
-    trimming entries or not -- and so does a numpy engine given the
-    compiled engine's entry triples."""
+    trimming entries or not -- and so does a numpy engine adopting the
+    compiled engine's CSR."""
     kw = {} if cap is None else {"max_cells_per_snapshot": cap}
     eng = _engine(small_dataset, backend="compiled", **kw)
     if cap is not None:
@@ -793,22 +801,21 @@ def test_compiled_build_matches_reference_install(compiled_kernels, small_datase
     )  # fmt: skip
     ref = _engine(small_dataset, backend="numpy", **kw)
     ref._install_csr(*sorted_ref)
-    via_triples = _engine(small_dataset, backend="numpy", **kw)
-    via_triples.install_index(*eng.index_arrays())
+    adopted = _engine(small_dataset, backend="numpy", csr=eng.index_csr(), **kw)
     for name in INDEX_ARRAYS:
         _assert_same_bits(getattr(eng, name), getattr(ref, name))
-        _assert_same_bits(getattr(eng, name), getattr(via_triples, name))
+        _assert_same_bits(getattr(eng, name), getattr(adopted, name))
 
 
 # -- index replacement & cache invalidation ----------------------------------
 
 
-def test_install_index_invalidates_caches(small_dataset):
-    """A warmed engine given a new index must match a cold engine bit-exactly.
+def test_adopt_index_invalidates_caches(small_dataset):
+    """A warmed engine adopting a new index must match a cold engine bit-exactly.
 
     Exercises the ``_segment_maxima`` / entry-bounds / column caches: all
     are populated by the first evaluation round and must not leak across
-    ``install_index``.
+    ``adopt_index``.
     """
     warm = _engine(small_dataset)
     patterns = _candidates(warm)
@@ -817,17 +824,18 @@ def test_install_index_invalidates_caches(small_dataset):
     warm_singular = warm.singular_nm_table()  # populates _seg_max
     assert warm._seg_max is not None
 
-    # A genuinely different index over the same dataset/grid: half the
-    # entries, rescaled values, handed over in shuffled order.
-    cells, rows, vals = warm.index_arrays()
-    half = warm.n_index_entries // 2
-    new_cells, new_rows, new_vals = cells[:half], rows[:half], vals[:half] * 0.75
-    perm = np.random.default_rng(3).permutation(half)
-    warm.install_index(new_cells[perm], new_rows[perm], new_vals[perm])
+    # A genuinely different index over the same dataset/grid: the first
+    # half of the active cells, with rescaled values.
+    cell_ids, cell_bounds, rows, vals = warm.index_csr()
+    half = len(cell_ids) // 2
+    n = int(cell_bounds[half])
+    new = (cell_ids[:half], cell_bounds[: half + 1], rows[:n], vals[:n] * 0.75)
+    epoch = warm.index_epoch
+    warm.adopt_index(small_dataset, new)
+    assert warm.index_epoch == epoch + 1
     assert warm._seg_max is None  # caches dropped with the old index
 
-    cold = _engine(small_dataset)
-    cold.install_index(new_cells, new_rows, new_vals)
+    cold = _engine(small_dataset, csr=new)
     assert np.array_equal(warm.match_batch(patterns), cold.match_batch(patterns))
     assert np.array_equal(warm.nm_batch(patterns), cold.nm_batch(patterns))
     assert warm.singular_nm_table() == cold.singular_nm_table()
@@ -835,67 +843,67 @@ def test_install_index_invalidates_caches(small_dataset):
 
     # Shrinking to an empty index must also reset every derived structure.
     warm.nm_batch(patterns)
-    empty = np.empty(0, dtype=np.int64)
-    warm.install_index(empty, empty, np.empty(0))
+    warm.adopt_index(small_dataset, EMPTY_CSR)
     assert warm.n_index_entries == 0
     floor = warm.nm_batch(patterns)
     assert np.all(np.isfinite(floor))
 
 
-def test_cache_payload_keeps_the_triple_format(small_dataset, tmp_path):
-    """The CSR index is saved as the int64 / int64 / float64 (cell, row,
-    value) triples the cache has always held, and loads back to itself."""
-    eng = _engine(small_dataset, cache_dir=str(tmp_path))
-    (path,) = tmp_path.glob("index-*.npz")
-    with np.load(path) as payload:
-        saved = [payload[k] for k in ("cells", "rows", "vals")]
-    assert [a.dtype for a in saved] == [np.int64, np.int64, np.float64]
-    for got, want in zip(saved, eng.index_arrays()):
-        _assert_same_bits(got, want)
-    warm = _engine(small_dataset, cache_dir=str(tmp_path))
-    assert warm.index_cache_hit
-    for name in INDEX_ARRAYS:
-        _assert_same_bits(getattr(warm, name), getattr(eng, name))
+def _assert_cache_refuses(dataset, tmp_path, bad_csr) -> None:
+    """On every backend, an engine whose index cache holds ``bad_csr``
+    rebuilds instead of installing it, scores exactly as a build without
+    the cache, and overwrites the file with its own index."""
+    grid = dataset.make_grid(CELL)
+    for backend in kernels.available_backends():
+        config = EngineConfig(backend=backend, **BASE, cache_dir=str(tmp_path))
+        clean = NMEngine(dataset, grid, replace(config, cache_dir=None))
+        patterns = _candidates(clean)
+        key = dataset_cache_key(dataset, grid, config)
+        index_cache.save_index(tmp_path, key, *bad_csr)
+        eng = NMEngine(dataset, grid, config)
+        assert not eng.index_cache_hit, backend
+        for name in INDEX_ARRAYS:
+            _assert_same_bits(getattr(eng, name), getattr(clean, name))
+        assert np.array_equal(eng.nm_batch(patterns), clean.nm_batch(patterns))
+        assert eng.singular_nm_table() == clean.singular_nm_table()
+        assert NMEngine(dataset, grid, config).index_cache_hit
 
 
-def test_install_index_rejects_repeated_entries(small_dataset):
-    """Entries are unique per (cell, row): a repeated pair, in sorted or
-    shuffled triples, raises instead of counting twice in every NM, and
-    leaves the installed index as it was."""
+def test_install_index_rejects_repeated_entries(small_dataset, tmp_path):
+    """Entries are unique per (cell, row): an index that repeats one --
+    next to itself, later in its cell's run, or in a second run of its
+    cell -- with the same or another value, never installs from the
+    cache, so no entry counts twice in an NM."""
+    cell_ids, cell_bounds, rows, vals = _engine(small_dataset).index_csr()
+    k = int(np.argmax(np.diff(cell_bounds)))  # the longest run
+    lo, hi = int(cell_bounds[k]), int(cell_bounds[k + 1])
+    assert hi - lo >= 2
+    shifted = np.concatenate([cell_bounds[: k + 1], cell_bounds[k + 1 :] + 1])
+    for value in (vals[lo], vals[lo] - 1.0):
+        for at in (lo + 1, hi):  # next to the original, or at the run's end
+            _assert_cache_refuses(
+                small_dataset, tmp_path,
+                (cell_ids, shifted, np.insert(rows, at, rows[lo]), np.insert(vals, at, value)),
+            )  # fmt: skip
+        second_run = (
+            np.insert(cell_ids, k + 1, cell_ids[k]),
+            np.concatenate([cell_bounds[: k + 2], [hi + 1], cell_bounds[k + 2 :] + 1]),
+            np.insert(rows, hi, rows[lo]),
+            np.insert(vals, hi, value),
+        )
+        _assert_cache_refuses(small_dataset, tmp_path, second_run)
+
+
+def test_install_index_rejects_values_outside_floor_and_zero(small_dataset, tmp_path):
+    """An entry value below the floor or above log 1 never installs from
+    the cache.  The backends disagree on such a value: the compiled
+    ``batch_devmax`` skips a deviation at or below zero, numpy adds it."""
     eng = _engine(small_dataset)
-    singular, epoch = eng.singular_nm_table(), eng.index_epoch
-    cells, rows, vals = eng.index_arrays()
-    i = len(cells) // 2
-    repeated = [np.insert(a, i, a[i]) for a in (cells, rows, vals)]
-    repeated[2][i] -= 1.0  # a repeat need not carry the same value
-    perm = np.random.default_rng(8).permutation(len(repeated[0]))
-    for triples in (repeated, [a[perm] for a in repeated]):
-        with pytest.raises(ValueError, match="repeat"):
-            eng.install_index(*triples)
-        with pytest.raises(ValueError, match="repeat"):
-            NMEngine(small_dataset, eng.grid, eng.config, prebuilt=tuple(triples))
-    assert eng.index_epoch == epoch
-    assert eng.singular_nm_table() == singular
-
-
-def test_install_index_rejects_values_outside_floor_and_zero(small_dataset):
-    """An entry value below the floor or above log 1 raises instead of
-    installing, through ``install_index`` and ``prebuilt`` alike, and
-    leaves the installed index as it was.  The backends disagree on such
-    a value: the compiled ``batch_devmax`` skips a deviation at or below
-    zero, numpy adds it."""
-    eng = _engine(small_dataset)
-    singular, epoch = eng.singular_nm_table(), eng.index_epoch
-    cells, rows, vals = eng.index_arrays()
+    cell_ids, cell_bounds, rows, vals = eng.index_csr()
     for bad in (eng.floor_log_prob - 5.0, 0.7):
         changed = vals.copy()
         changed[len(changed) // 2] = bad
-        with pytest.raises(ValueError, match="value outside"):
-            eng.install_index(cells, rows, changed)
-        with pytest.raises(ValueError, match="value outside"):
-            NMEngine(small_dataset, eng.grid, eng.config, prebuilt=(cells, rows, changed))
-    assert eng.index_epoch == epoch
-    assert eng.singular_nm_table() == singular
+        _assert_cache_refuses(small_dataset, tmp_path, (cell_ids, cell_bounds, rows, changed))
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -923,8 +931,7 @@ def test_empty_inputs(small_dataset, backend):
     assert np.isfinite(value)
 
     # Empty-index engine: every path still returns finite floors.
-    empty = np.empty(0, dtype=np.int64)
-    eng.install_index(empty, empty, np.empty(0))
+    eng.adopt_index(small_dataset, EMPTY_CSR)
     patterns = [seg, dead]
     assert np.all(np.isfinite(eng.nm_batch(patterns)))
     assert np.all(np.isfinite(eng.window_scores_batch(patterns)[0]))

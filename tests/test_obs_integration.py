@@ -130,17 +130,16 @@ class TestIndexBuildSpan:
         cold = NMEngine(small_dataset, GRID, cached)
         warm = NMEngine(small_dataset, GRID, cached)
         NMEngine(small_dataset, GRID, CONFIG, csr=cold.index_csr())
-        NMEngine(small_dataset, GRID, CONFIG, prebuilt=cold.index_arrays())
         tracing.disable_tracing()
 
         builds = [s["attrs"] for s in report.load_trace(trace_file)
                   if s["name"] == "index.build"]  # fmt: skip
-        assert len(builds) == 4
+        assert len(builds) == 3
         first, *others = builds
         assert not first["cache_hit"] and not first["prebuilt"]
         assert first["n_pairs"] == cold.n_index_pairs > first["n_entries"] > 0
         assert others[0]["cache_hit"] and warm.n_index_pairs == 0
-        assert [s["prebuilt"] for s in others[1:]] == [True, True]
+        assert [s["prebuilt"] for s in others] == [False, True]
         for attrs in others:
             assert attrs["n_pairs"] == 0
             assert attrs["n_entries"] == first["n_entries"]

@@ -21,9 +21,7 @@ def eager():
 def _same_snapshot(a: ServingSnapshot, b: ServingSnapshot) -> None:
     assert a.grid == b.grid
     assert a.engine.active_cells == b.engine.active_cells
-    assert np.array_equal(
-        a.engine.index_arrays()[2], b.engine.index_arrays()[2]
-    )
+    assert np.array_equal(a.engine.index_csr()[3], b.engine.index_csr()[3])
 
 
 def test_bare_store_path_is_sniffed(eager, tmp_path):

@@ -107,8 +107,8 @@ class TestEngineEquivalence:
         config = EngineConfig(delta=0.08, min_prob=1e-6)
         ram = NMEngine(eager, grid, config)
         lazy = NMEngine(store.dataset(), grid, config)
-        for a, b in zip(ram.index_arrays(), lazy.index_arrays()):
-            assert np.array_equal(a, b)
+        for a, b in zip(ram.index_csr(), lazy.index_csr()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         cells = ram.active_cells
         patterns = [TrajectoryPattern((c,)) for c in cells[:6]] + [
             TrajectoryPattern((cells[0], cells[1])),
