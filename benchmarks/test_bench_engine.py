@@ -73,14 +73,6 @@ def _frontier(engine, n=256, seed=11):
     ]
 
 
-def test_bench_engine_nm_scalar_frontier(benchmark, engine):
-    """Per-pattern loop over a frontier -- the pre-batching evaluation path."""
-    benchmark.group = "engine"
-    patterns = _frontier(engine)
-    values = benchmark(lambda: [engine.nm(p) for p in patterns])
-    assert len(values) == len(patterns)
-
-
 def test_bench_engine_nm_batch_frontier(benchmark, engine):
     benchmark.group = "engine"
     patterns = _frontier(engine)
@@ -97,5 +89,5 @@ def test_bench_engine_singular_table(benchmark, engine):
 def test_bench_engine_extension_tables(benchmark, engine):
     benchmark.group = "engine"
     base = TrajectoryPattern(tuple(engine.active_cells[:2]))
-    nm_table, _ = benchmark(lambda: engine.extend_right_tables(base))
-    assert len(nm_table) == len(engine.active_cells)
+    (tables,) = benchmark(lambda: engine.extension_tables_many([base]))
+    assert len(tables.nm_by_cell) == len(engine.active_cells)

@@ -161,16 +161,16 @@ class MatchMiner:
                 ]
                 if not live:
                     continue
-                tables = self.engine.extend_right_tables_many(
+                tables = self.engine.extension_tables_many(
                     [TrajectoryPattern(p) for p in live]
                 )
-                for prefix, (_, match_table) in zip(live, tables):
+                for prefix, table in zip(live, tables):
                     for cell in cells_alphabet:
                         candidate = prefix + (cell,)
                         if candidate in scores:
                             value = scores[candidate]  # warm-started earlier
                         else:
-                            value = match_table[cell]
+                            value = table.match_by_cell[cell]
                             scores[candidate] = value
                             tracker.note(candidate, value)
                             stats.candidates_evaluated += 1

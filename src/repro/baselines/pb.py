@@ -126,14 +126,14 @@ class PBMiner:
             for pos in range(0, len(prefixes), self.FRONTIER_BATCH):
                 chunk = prefixes[pos : pos + self.FRONTIER_BATCH]
                 # All single-cell right-extensions of the whole chunk in
-                # one batched engine pass (shared column slices).
-                tables = self.engine.extend_right_tables_many(
+                # one batched engine pass.
+                tables = self.engine.extension_tables_many(
                     [TrajectoryPattern(p) for p in chunk]
                 )
-                for prefix, (nm_table, _) in zip(chunk, tables):
+                for prefix, table in zip(chunk, tables):
                     for cell in alphabet:
                         candidate = prefix + (cell,)
-                        nm = nm_table[cell]
+                        nm = table.nm_by_cell[cell]
                         scores[candidate] = nm
                         stats.prefixes_evaluated += 1
                         if (

@@ -13,26 +13,25 @@ of numpy operations over the whole dataset:
    ``float64`` value -- 12 bytes per entry -- where global rows
    concatenate all trajectories along the time axis.
 
-2. **Pattern evaluation**: for pattern ``(p_1..p_m)`` the window score of
-   the window starting at global row ``r`` is ``sum_j column(p_j)[r + j]``.
-   All window sums are computed with ``m`` shifted slice-adds, windows that
-   cross a trajectory boundary are masked out, and the per-trajectory maxima
-   (Eq. 4) fall out of one ``np.maximum.reduceat``.
-
-3. **Batched evaluation** (:meth:`NMEngine.nm_batch` /
-   :meth:`NMEngine.match_batch`): a whole candidate frontier is scored in
-   one pass without materialising dense columns at all.  Every window sum
-   decomposes as ``n_specified * floor`` plus the *deviations* ``value -
-   floor`` of the index entries the window touches, and those deviations
-   are strictly positive (entries exist only above ``min_prob``).  So per
-   length group the engine gathers the touched ``(pattern, window)`` pairs
-   straight from the sparse index with one shifted lookup per position,
-   sums duplicates, reduces segment maxima per ``(pattern, trajectory)``,
-   and takes ``max(0, best deviation)`` -- untouched windows contribute the
-   all-floor baseline.  Work is proportional to the touched index entries,
-   not to ``n_patterns * n_windows``, and a batch runs in chunks whose
-   scratch matrix fits ``_BATCH_SCORE_BUDGET``.  The miner and both
-   baselines evaluate their candidates through this path.
+2. **Pattern evaluation** (:meth:`NMEngine.nm_batch` /
+   :meth:`NMEngine.match_batch`): the window score of pattern ``(p_1..p_m)``
+   at global row ``r`` is ``sum_j log Prob(p_j)[r + j]``, and Eq. 4 takes
+   its maximum over each trajectory's windows.  A whole candidate frontier
+   is scored in one pass without materialising a per-cell column.  Every
+   window sum decomposes as ``n_specified * floor`` plus the *deviations*
+   ``value - floor`` of the index entries the window touches, and those
+   deviations are strictly positive (entries exist only above
+   ``min_prob``).  So per length group the engine gathers the touched
+   ``(pattern, window)`` pairs straight from the sparse index with one
+   shifted lookup per position, sums duplicates, reduces segment maxima
+   per ``(pattern, trajectory)``, and takes ``max(0, best deviation)`` --
+   untouched windows contribute the all-floor baseline.  Work is
+   proportional to the touched index entries, not to ``n_patterns *
+   n_windows``, and a batch runs in chunks whose scratch matrix fits
+   ``_BATCH_SCORE_BUDGET``.  This is the engine's one scorer: the miner,
+   both baselines, the single-pattern :meth:`NMEngine.nm` /
+   :meth:`NMEngine.match` and the extension tables all evaluate through
+   it.
 
 The index itself is built fully vectorised, straight into its CSR arrays.
 A capacity pass first counts each cell's (snapshot, cell) pairs from the
@@ -62,15 +61,14 @@ copy.
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
 the normal quantile of ``min_prob``), so the engine agrees with the scalar
-reference implementation to floating-point accuracy -- the test suite checks
-this property directly, for both the scalar and the batched paths.
+reference implementation (:mod:`repro.core.measures`) to floating-point
+accuracy -- the test suite checks this property directly.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import OrderedDict
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -102,9 +100,6 @@ from repro.uncertainty.gaussian import ProbModel, prob_within
 #: 10-20 ms more build time, and 4096 rows raise it by 1.8 MiB for ~6 ms
 #: less.
 _INDEX_ROW_CHUNK = 2048
-#: Materialised per-cell dense columns kept in the engine's LRU cache;
-#: candidate patterns reuse cells heavily.
-_COLUMN_CACHE_SIZE = 256
 #: Matrix cells of one batched-evaluation scratch matrix (1 MiB of
 #: float64).  Batches are evaluated in chunks of patterns: nm/match chunks
 #: so their ``n_patterns * n_trajectories`` maxima matrix, and window-score
@@ -318,16 +313,12 @@ class ExtensionTables:
     nm_base_total: float
     match_base_total: float
 
-    def as_pair(self) -> tuple[dict[int, float], dict[int, float]]:
-        """The legacy ``(nm_by_cell, match_by_cell)`` view."""
-        return self.nm_by_cell, self.match_by_cell
-
 
 class StaleIndexError(RuntimeError):
     """An evaluation pinned to an index epoch ran after the index changed.
 
     Raised instead of silently scoring the old index: callers that captured
-    derived state (a miner mid-run, a cached column) must observe in-place
+    derived state (a miner mid-run) must observe in-place
     append/evict mutations, not race them.
     """
 
@@ -367,7 +358,6 @@ class NMEngine:
 
         self._set_dataset(dataset)
 
-        self._column_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._valid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._seg_max: np.ndarray | None = None
         self._entry_bounds: tuple[np.ndarray, np.ndarray] | None = None
@@ -674,7 +664,6 @@ class NMEngine:
         self.index_epoch += 1
         self._seg_max = None
         self._entry_bounds = None
-        self._column_cache.clear()
         self._valid_cache.clear()
         self._cell_ids = cell_ids
         self._cell_bounds = cell_bounds
@@ -687,30 +676,7 @@ class NMEngine:
             self._kernels.index_segments(cell_bounds, rows, self._row_traj)
         )
 
-    # -- columns -------------------------------------------------------------------
-
-    def _cell_slice(self, cell: int) -> slice | None:
-        """Range of ``cell``'s entries in the flat arrays, or ``None``."""
-        i = int(np.searchsorted(self._cell_ids, cell))
-        if i == len(self._cell_ids) or self._cell_ids[i] != cell:
-            return None
-        return slice(int(self._cell_bounds[i]), int(self._cell_bounds[i + 1]))
-
-    def _column(self, cell: int) -> np.ndarray:
-        """Dense log-prob column of ``cell`` over all global rows (LRU cached)."""
-        cached = self._column_cache.get(cell)
-        if cached is not None:
-            self._column_cache.move_to_end(cell)
-            return cached
-        col = np.full(self._total_rows, self._floor)
-        sl = self._cell_slice(cell)
-        if sl is not None:
-            col[self._flat_rows[sl]] = self._flat_vals[sl]
-        col.setflags(write=False)
-        self._column_cache[cell] = col
-        if len(self._column_cache) > _COLUMN_CACHE_SIZE:
-            self._column_cache.popitem(last=False)
-        return col
+    # -- window plumbing -----------------------------------------------------------
 
     def _window_plumbing(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-length cached (validity mask, reduceat bounds, eligible trajs)."""
@@ -731,21 +697,6 @@ class NMEngine:
             plumbing = (valid, bounds, eligible)
         self._valid_cache[m] = plumbing
         return plumbing
-
-    def _window_scores(self, pattern: TrajectoryPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masked window log-sums plus reduceat plumbing for ``pattern``."""
-        m = len(pattern)
-        valid, bounds, eligible = self._window_plumbing(m)
-        if len(eligible) == 0:
-            return np.empty(0), bounds, eligible
-        n_windows = self._total_rows - m + 1
-        scores = np.zeros(n_windows)
-        for j, cell in enumerate(pattern.cells):
-            if cell == WILDCARD:
-                continue  # log 1 contribution
-            scores += self._column(cell)[j : j + n_windows]
-        scores[~valid] = -np.inf
-        return scores, bounds, eligible
 
     def _entry_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense ``(start, count)`` arrays locating each cell's flat entries.
@@ -783,7 +734,7 @@ class NMEngine:
         until the next stacked call on this engine, so callers that let
         rows escape must copy them.
         """
-        cells_matrix = np.array([p.cells for p in patterns], dtype=np.int64)
+        cells_matrix = self._cells_matrix(patterns)
         n_spec = (cells_matrix != WILDCARD).sum(axis=1)
         start, count = self._entry_lookup()
         scores = self._arena.get("stacked.out", (len(patterns), n_windows))
@@ -800,6 +751,20 @@ class NMEngine:
         )
         return scores
 
+    def _cells_matrix(self, patterns: Sequence[PatternLike]) -> np.ndarray:
+        """The ``int64`` cell matrix of equal-length patterns, one row each.
+
+        Cell ids index the per-cell entry lookup, so an id outside the grid
+        is refused here rather than read past it by a kernel.
+        """
+        cells = np.array([pattern_cells(p) for p in patterns], dtype=np.int64)
+        if cells.size and cells.max() >= self.grid.n_cells:
+            raise ValueError(
+                f"pattern cell {int(cells.max())} outside the grid's "
+                f"{self.grid.n_cells} cells"
+            )
+        return cells
+
     def _group_by_length(
         self, patterns: Sequence[TrajectoryPattern]
     ) -> dict[int, list[int]]:
@@ -807,40 +772,6 @@ class NMEngine:
         for i, pattern in enumerate(patterns):
             groups.setdefault(len(pattern), []).append(i)
         return groups
-
-    # -- measures ----------------------------------------------------------------------
-
-    def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Eq. 4 per trajectory: array of ``NM(P, T_i)`` over the dataset."""
-        self.n_evaluations += 1
-        n_spec = len(pattern.specified_positions())
-        out = np.full(len(self.dataset), self._floor)
-        scores, bounds, eligible = self._window_scores(pattern)
-        if len(eligible) == 0:
-            return out
-        maxes = np.maximum.reduceat(scores, bounds)
-        out[eligible] = maxes / n_spec if n_spec else 0.0
-        return out
-
-    def nm(self, pattern: TrajectoryPattern) -> float:
-        """``NM(P)`` over the dataset (section 3.3)."""
-        return float(self.nm_per_trajectory(pattern).sum())
-
-    def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Un-normalised match of [14] per trajectory."""
-        self.n_evaluations += 1
-        n_spec = len(pattern.specified_positions())
-        out = np.full(len(self.dataset), np.exp(self._floor * n_spec))
-        scores, bounds, eligible = self._window_scores(pattern)
-        if len(eligible) == 0:
-            return out
-        maxes = np.maximum.reduceat(scores, bounds)
-        out[eligible] = np.exp(maxes)
-        return out
-
-    def match(self, pattern: TrajectoryPattern) -> float:
-        """Dataset match: sum of per-trajectory max window probabilities."""
-        return float(self.match_per_trajectory(pattern).sum())
 
     # -- batched evaluation --------------------------------------------------------
 
@@ -909,9 +840,7 @@ class NMEngine:
         floor = self._floor
         for m, idxs in self._group_by_length(patterns).items():
             valid, _, eligible = self._window_plumbing(m)
-            cells_all = np.array(
-                [pattern_cells(patterns[i]) for i in idxs], dtype=np.int64
-            )
+            cells_all = self._cells_matrix([patterns[i] for i in idxs])
             n_spec = (cells_all != WILDCARD).sum(axis=1).astype(float)
             if len(eligible) == 0:
                 # Every trajectory is shorter than the pattern: floor terms only.
@@ -945,10 +874,10 @@ class NMEngine:
     def nm_batch(self, patterns: Sequence[PatternLike]) -> np.ndarray:
         """``NM(P)`` of a whole candidate batch, in order.
 
-        Equal to ``[self.nm(p) for p in patterns]`` to floating-point
-        accuracy, but evaluated through the stacked score-matrix path (see
-        module docs, step 3) -- the miner's per-iteration frontier goes
-        through here, as plain cell tuples (:func:`pattern_cells`).
+        Evaluated through the sparse deviation gather (see module docs,
+        step 2) -- the miner's per-iteration frontier goes through here, as
+        plain cell tuples (:func:`pattern_cells`).  Each value is
+        independent of the rest of the batch, bit for bit.
         """
         if not len(patterns):
             return np.empty(0)
@@ -972,6 +901,14 @@ class NMEngine:
         metrics.histogram("engine.batch_size").observe(len(patterns))
         return out
 
+    def nm(self, pattern: PatternLike) -> float:
+        """``NM(P)`` over the dataset (section 3.3): a one-pattern batch."""
+        return float(self.nm_batch([pattern])[0])
+
+    def match(self, pattern: PatternLike) -> float:
+        """Dataset match of ``pattern``: a one-pattern batch."""
+        return float(self.match_batch([pattern])[0])
+
     def window_scores_batch(
         self, patterns: Sequence[TrajectoryPattern]
     ) -> list[np.ndarray]:
@@ -980,7 +917,7 @@ class NMEngine:
         Entry ``i`` has one score per global window start of length
         ``len(patterns[i])``; windows that cross a trajectory boundary are
         *not* masked.  Consumers that slice per-trajectory ranges (the
-        wildcard gap DP) use this to share the batched column machinery.
+        wildcard gap DP) use this to share the batched scorer.
         """
         patterns = list(patterns)
         out: list[np.ndarray] = [np.empty(0)] * len(patterns)
@@ -1016,7 +953,7 @@ class NMEngine:
         return self._seg_max
 
     def singular_nm_table(self) -> dict[int, float]:
-        """``NM`` of every active singular pattern, without column building.
+        """``NM`` of every active singular pattern, straight from the index.
 
         For length-1 patterns the per-trajectory max is just the max stored
         entry (or the floor when a trajectory never touches the cell), so
@@ -1050,58 +987,20 @@ class NMEngine:
 
     # -- bulk single-cell extensions --------------------------------------------------------
 
-    def extend_right_tables(
-        self, pattern: TrajectoryPattern
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """NM and match of ``pattern + (c,)`` for every active cell ``c`` at once.
-
-        The level-wise miners (match/Apriori, PB) extend each frontier
-        prefix by the whole alphabet; evaluating those extensions one by one
-        costs ``G`` full passes.  This method shares the prefix's window
-        scores across all extensions and then visits every index entry once,
-        so the whole table costs one prefix evaluation plus ``O(index)``.
-
-        Returns ``(nm_by_cell, match_by_cell)`` over the active alphabet.
-        """
-        return self.extension_tables(pattern).as_pair()
-
-    def extension_tables(self, pattern: TrajectoryPattern) -> ExtensionTables:
-        """:meth:`extend_right_tables` plus the inactive-cell base totals."""
-        m = len(pattern)
-        n_spec = len(pattern.specified_positions())
-        ext_len = m + 1
-
-        # Prefix window scores aligned to extended-window starts.
-        valid, bounds, eligible = self._window_plumbing(ext_len)
-        if len(eligible) == 0:
-            return self._extension_floor_tables(n_spec)
-
-        n_windows = self._total_rows - ext_len + 1
-        prefix_scores = np.zeros(n_windows)
-        for j, cell in enumerate(pattern.cells):
-            if cell == WILDCARD:
-                continue
-            prefix_scores += self._column(cell)[j : j + n_windows]
-        return self._extension_tables_from_scores(
-            m, n_spec, prefix_scores, valid, bounds, eligible
-        )
-
-    def extend_right_tables_many(
-        self, patterns: Sequence[TrajectoryPattern]
-    ) -> list[tuple[dict[int, float], dict[int, float]]]:
-        """:meth:`extend_right_tables` of a whole frontier at once.
-
-        The per-prefix window scores are built through the stacked batch
-        scorer (each distinct cell column sliced once per offset for the
-        whole frontier) before the shared flat-index pass; the level-wise
-        miners call this once per level instead of once per prefix.
-        """
-        return [t.as_pair() for t in self.extension_tables_many(patterns)]
-
     def extension_tables_many(
         self, patterns: Sequence[TrajectoryPattern]
     ) -> list[ExtensionTables]:
-        """:meth:`extend_right_tables_many` plus inactive-cell base totals."""
+        """NM and match of ``prefix + (c,)`` for every prefix and active cell ``c``.
+
+        The level-wise miners (match/Apriori, PB) extend each frontier
+        prefix by the whole alphabet; evaluating those extensions one by
+        one costs ``G`` full passes per prefix.  Here the prefixes' window
+        scores are built through the stacked batch scorer, and one pass
+        over the flat index then scores every extension, so a prefix costs
+        one window-score row plus ``O(index)``.  Each table carries the
+        base totals an inactive extension cell scores (see
+        :class:`ExtensionTables`).
+        """
         patterns = list(patterns)
         with tracing.span("engine.ext_tables", n_prefixes=len(patterns)), (
             metrics.timer("engine.ext_tables_ns")
@@ -1159,7 +1058,7 @@ class NMEngine:
         bounds: np.ndarray,
         eligible: np.ndarray,
     ) -> ExtensionTables:
-        """Flat-index extension pass shared by the single and batched paths."""
+        """The flat-index extension pass over one prefix's window scores."""
         n_traj = len(self.dataset)
         floor = self._floor
         nm_default = np.full(n_traj, floor)
@@ -1227,49 +1126,6 @@ class NMEngine:
         return ExtensionTables(
             nm_by_cell, match_by_cell, nm_base_total, match_base_total
         )
-
-    # -- point queries -----------------------------------------------------------------------
-
-    def log_prob_at(self, traj_index: int, snapshot: int, cell: int) -> float:
-        """``log Prob`` of one (trajectory, snapshot, cell) triple."""
-        if not 0 <= traj_index < len(self.dataset):
-            raise IndexError(f"trajectory index {traj_index} out of range")
-        if not 0 <= snapshot < self._lengths[traj_index]:
-            raise IndexError(
-                f"snapshot {snapshot} out of range for trajectory {traj_index}"
-            )
-        sl = self._cell_slice(int(cell))
-        if sl is None:
-            return self._floor
-        rows, vals = self._flat_rows[sl], self._flat_vals[sl]
-        row = int(self._starts[traj_index] + snapshot)
-        pos = int(np.searchsorted(rows, row))
-        if pos < len(rows) and rows[pos] == row:
-            return float(vals[pos])
-        return self._floor
-
-    def best_window(
-        self, pattern: TrajectoryPattern, traj_index: int
-    ) -> tuple[int, float] | None:
-        """Best (start, NM) window of ``pattern`` in one trajectory, or ``None``.
-
-        ``None`` when the trajectory is shorter than the pattern.
-        """
-        m = len(pattern)
-        length = int(self._lengths[traj_index])
-        if length < m:
-            return None
-        start_row = int(self._starts[traj_index])
-        scores = np.zeros(length - m + 1)
-        for j, cell in enumerate(pattern.cells):
-            if cell == WILDCARD:
-                continue
-            col = self._column(cell)
-            scores += col[start_row + j : start_row + j + len(scores)]
-        best = int(np.argmax(scores))
-        n_spec = len(pattern.specified_positions())
-        nm = float(scores[best] / n_spec) if n_spec else 0.0
-        return best, nm
 
 
 def build_engine(

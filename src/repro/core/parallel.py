@@ -193,11 +193,6 @@ def merge_batch_sums(parts: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def merge_per_trajectory(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-span per-trajectory arrays back into dataset order."""
-    return np.concatenate([np.asarray(p) for p in parts])
-
-
 def merge_scalar_sums(parts: Sequence[float]) -> float:
     """Left-fold sum of per-span scalar totals (gap-pattern NM)."""
     total = 0.0
@@ -231,15 +226,14 @@ def merge_singular_tables(
     }
 
 
-def merge_extension_tables(
-    span_tables: Sequence[ExtensionTables],
-) -> tuple[dict[int, float], dict[int, float]]:
+def merge_extension_tables(span_tables: Sequence[ExtensionTables]) -> ExtensionTables:
     """Merge one prefix's per-span extension tables into full-dataset ones.
 
     Each span reports its extension tables *plus* the base totals an
     inactive cell would score there; a cell missing from a span's table
     contributes that span's base -- making the merged table exactly the
-    full-dataset one.  ``span_tables`` must be in span order.
+    full-dataset one.  The merged base totals are the sums of the span
+    bases.  ``span_tables`` must be in span order.
     """
     nm_merged: dict[int, float] = {}
     match_merged: dict[int, float] = {}
@@ -253,7 +247,12 @@ def merge_extension_tables(
         match_merged[cell] = sum(
             t.match_by_cell.get(cell, t.match_base_total) for t in span_tables
         )
-    return nm_merged, match_merged
+    return ExtensionTables(
+        nm_merged,
+        match_merged,
+        sum(t.nm_base_total for t in span_tables),
+        sum(t.match_base_total for t in span_tables),
+    )
 
 
 # -- the span op table ----------------------------------------------------------------
@@ -280,19 +279,16 @@ def _obs(engine, _payload) -> dict:
 
 
 #: The one table of what a span can be asked.  Payloads are plain python
-#: (cell tuples, a gap pattern, ``(cells, span-local trajectory)``), so the
-#: fork pipe carries them as they are and the dist wire only encodes and
-#: decodes them (:mod:`repro.dist.wire`).
+#: (cell tuples or a gap pattern), so the fork pipe carries them as they
+#: are and the dist wire only encodes and decodes them
+#: (:mod:`repro.dist.wire`, whose op list derives from this table).
 SPAN_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "nm_batch": lambda e, p: e.nm_batch(_patterns(p)),
     "match_batch": lambda e, p: e.match_batch(_patterns(p)),
-    "nm_per_traj": lambda e, p: e.nm_per_trajectory(TrajectoryPattern(tuple(p))),
-    "match_per_traj": lambda e, p: e.match_per_trajectory(TrajectoryPattern(tuple(p))),
     "singular_nm": lambda e, p: e.singular_nm_table(),
     "singular_match": lambda e, p: e.singular_match_table(),
     "ext_tables": lambda e, p: e.extension_tables_many(_patterns(p)),
     "gap_nm": _gap_nm,
-    "best_window": lambda e, p: e.best_window(TrajectoryPattern(tuple(p[0])), p[1]),
     "stats": lambda e, p: (int(e.n_evaluations), int(e.n_batches)),
     "obs_snapshot": _obs,
 }
@@ -784,15 +780,15 @@ class ParallelNMEngine:
         """
         return pool.collect()
 
-    def _run(self, op: str, payload=None, indices=None) -> dict[int, Any]:
-        """Run one op over spans (default: all), surviving pool deaths.
+    def _run(self, op: str, payload=None) -> dict[int, Any]:
+        """Run one op over every span, surviving pool deaths.
 
         Results come back keyed by span ordinal; the callers fold them in
         global span order through the merge functions.
         """
         if self._closed:
             raise RuntimeError("ParallelNMEngine is closed")
-        todo = list(range(self.n_spans)) if indices is None else list(indices)
+        todo = list(range(self.n_spans))
         results: dict[int, Any] = {}
         while todo:
             dispatched = []
@@ -962,33 +958,13 @@ class ParallelNMEngine:
         cells_list = [pattern_cells(p) for p in patterns]
         return merge_batch_sums(self._gather("match_batch", cells_list))
 
-    def nm(self, pattern: TrajectoryPattern) -> float:
-        """``NM(P)`` over the dataset."""
+    def nm(self, pattern: PatternLike) -> float:
+        """``NM(P)`` over the dataset: a one-pattern batch."""
         return float(self.nm_batch([pattern])[0])
 
-    def match(self, pattern: TrajectoryPattern) -> float:
-        """Dataset match of ``pattern``."""
+    def match(self, pattern: PatternLike) -> float:
+        """Dataset match of ``pattern``: a one-pattern batch."""
         return float(self.match_batch([pattern])[0])
-
-    def nm_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Eq. 4 per trajectory; span arrays concatenate in dataset order."""
-        return merge_per_trajectory(self._gather("nm_per_traj", pattern.cells))
-
-    def match_per_trajectory(self, pattern: TrajectoryPattern) -> np.ndarray:
-        """Un-normalised match per trajectory, in dataset order."""
-        return merge_per_trajectory(self._gather("match_per_traj", pattern.cells))
-
-    def best_window(
-        self, pattern: TrajectoryPattern, traj_index: int
-    ) -> tuple[int, float] | None:
-        """Best (start, NM) window in one trajectory (routed to its span)."""
-        if not 0 <= traj_index < len(self.dataset):
-            raise IndexError(f"trajectory index {traj_index} out of range")
-        for i, (lo, hi) in enumerate(self.spans):
-            if lo <= traj_index < hi:
-                payload = (pattern.cells, traj_index - lo)
-                return self._run("best_window", payload, indices=[i])[i]
-        raise AssertionError("unreachable: spans cover the dataset")
 
     # -- singular tables -----------------------------------------------------------
 
@@ -1015,16 +991,10 @@ class ParallelNMEngine:
 
     # -- extension tables ----------------------------------------------------------
 
-    def extend_right_tables(
-        self, pattern: TrajectoryPattern
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """NM and match of ``pattern + (c,)`` for every active cell ``c``."""
-        return self.extend_right_tables_many([pattern])[0]
-
-    def extend_right_tables_many(
+    def extension_tables_many(
         self, patterns: Sequence[TrajectoryPattern]
-    ) -> list[tuple[dict[int, float], dict[int, float]]]:
-        """Span-sharded :meth:`NMEngine.extend_right_tables_many`."""
+    ) -> list[ExtensionTables]:
+        """Span-sharded :meth:`NMEngine.extension_tables_many`."""
         patterns = list(patterns)
         if not patterns:
             return []

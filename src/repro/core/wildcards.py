@@ -17,7 +17,11 @@ with inclusive length bounds::
 The NM of a gap pattern against a trajectory is the maximum over all
 admissible alignments (gap lengths) of the geometric-mean log probability
 of the *specified* positions -- consistent with the fixed-wild-card
-convention.  The DP runs over (segment boundary, snapshot) states in
+convention.  Every segment is scored over the whole dataset by one call to
+the engine's batched scorer
+(:meth:`~repro.core.engine.NMEngine.window_scores_batch`); the DP then
+runs on the engine's kernel backend over each trajectory's slice of those
+scores, in (segment boundary, snapshot) states, in
 ``O(n_segments * L * max_gap)`` per trajectory.
 """
 
@@ -116,8 +120,8 @@ def nm_gap_pattern(engine: NMEngine, pattern: GapPattern) -> float:
     admissible alignment (section 5's DP evaluation).
 
     All segments' window scores over the *whole* dataset are computed with
-    one batched engine call (shared column slices,
-    :meth:`~repro.core.engine.NMEngine.window_scores_batch`); the DP then
+    one batched engine call
+    (:meth:`~repro.core.engine.NMEngine.window_scores_batch`); the DP then
     runs per trajectory on slices of those global arrays.
 
     Sharded engines (:class:`~repro.core.parallel.ParallelNMEngine`)
@@ -140,12 +144,13 @@ def nm_gap_pattern_trajectory(
 ) -> float:
     """Best-alignment NM of a gap pattern within one trajectory.
 
-    Prefer :func:`nm_gap_pattern` for the dataset total -- it batches the
-    segment scoring across all trajectories at once.
+    The segments are scored by the same batched engine call as in
+    :func:`nm_gap_pattern`, and this trajectory's windows are sliced out;
+    prefer :func:`nm_gap_pattern` for the dataset total, which scores the
+    segments once for every trajectory.
     """
-    seg_scores = [
-        _segment_window_scores(engine, seg, traj_index) for seg in pattern.segments
-    ]
+    global_scores = engine.window_scores_batch(list(pattern.segments))
+    seg_scores = _slice_segment_scores(engine, pattern, global_scores, traj_index)
     return _best_alignment_nm(engine, pattern, seg_scores, traj_index)
 
 
@@ -167,41 +172,20 @@ def _best_alignment_nm(
     (:meth:`~repro.core.kernels.KernelBackend.gap_dp`); the floor guard
     and ``n_specified`` normalisation stay here.
     """
-    length = len(engine.dataset[traj_index])
+    length = int(engine._lengths[traj_index])
     floor = engine.floor_log_prob
     if length < pattern.min_span():
         return floor
 
-    backend, arena = _gap_backend(engine)
     seg_lens = np.array([len(s) for s in pattern.segments], dtype=np.int64)
     gap_mins = np.array([g.min_length for g in pattern.gaps], dtype=np.int64)
     gap_maxs = np.array([g.max_length for g in pattern.gaps], dtype=np.int64)
-    top = backend.gap_dp(seg_scores, seg_lens, gap_mins, gap_maxs, length, arena)
+    top = engine.kernel_backend.gap_dp(
+        seg_scores, seg_lens, gap_mins, gap_maxs, length, engine._arena
+    )
     if top == -np.inf:
         return floor
     return top / pattern.n_specified
-
-
-#: Lazily-built (backend, arena) pair for engine-like objects that predate
-#: the kernel backends (duck-typed test doubles); real engines carry their
-#: own via ``_kernels`` / ``_arena``.
-_fallback_state: tuple | None = None
-
-
-def _gap_backend(engine) -> tuple:
-    """The kernel backend and scratch arena to run the gap DP on."""
-    backend = getattr(engine, "_kernels", None)
-    if backend is not None:
-        return backend, engine._arena
-    global _fallback_state
-    if _fallback_state is None:
-        from repro.core import kernels
-
-        _fallback_state = (
-            kernels.resolve_backend("numpy", "float64"),
-            kernels.ScratchArena(),
-        )
-    return _fallback_state
 
 
 def _slice_segment_scores(
@@ -215,28 +199,10 @@ def _slice_segment_scores(
     Window starts fully inside the trajectory never cross a boundary, so
     the raw global sums equal the per-trajectory ones.
     """
-    length = len(engine.dataset[traj_index])
+    length = int(engine._lengths[traj_index])
     start_row = int(engine._starts[traj_index])
     out = []
     for seg, scores in zip(pattern.segments, global_scores):
         n_windows = max(length - len(seg) + 1, 0)
         out.append(scores[start_row : start_row + n_windows])
     return out
-
-
-def _segment_window_scores(
-    engine: NMEngine, segment: TrajectoryPattern, traj_index: int
-) -> np.ndarray:
-    """Summed log-prob of ``segment`` at every window start of a trajectory.
-
-    Index ``s`` holds the score of the window ``[s, s + len - 1]``; windows
-    past the end are excluded by construction (array length L - n + 1).
-    """
-    length = len(engine.dataset[traj_index])
-    n = len(segment)
-    start_row = int(engine._starts[traj_index])
-    scores = np.zeros(length - n + 1)
-    for j, cell in enumerate(segment.cells):
-        col = engine._column(cell)
-        scores += col[start_row + j : start_row + j + len(scores)]
-    return scores

@@ -37,11 +37,9 @@ Requests
 * ``open`` -- build one engine per span (the worker mmaps its local
   ``.tjc`` copy; no dataset bytes ever travel);
 * ``nm_batch`` / ``match_batch`` -- ``patterns`` (cell-id lists);
-* ``nm_per_traj`` / ``match_per_traj`` -- ``cells``;
 * ``singular_nm`` / ``singular_match`` -- no fields;
 * ``ext_tables`` -- ``patterns``;
 * ``gap_nm`` -- ``pattern`` (see :func:`gap_pattern_to_wire`);
-* ``best_window`` -- ``cells`` + ``traj`` (span-local index; single span);
 * ``stats`` / ``obs_snapshot`` / ``obs_drain`` -- no fields;
 * ``ping`` -- heartbeat, answered immediately;
 * ``close`` -- drop the session's engines.
@@ -56,6 +54,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.engine import EngineConfig, ExtensionTables
+from repro.core.parallel import SPAN_OPS
 from repro.core.wildcards import Gap, GapPattern
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -75,29 +74,17 @@ from repro.uncertainty.gaussian import ProbModel
 #: Version of the worker wire protocol.  Bumped on any change to op
 #: semantics or codecs; coordinator and worker refuse to talk across
 #: versions (bit-identity cannot be audited across protocol revisions).
-DIST_PROTOCOL_VERSION = 1
+DIST_PROTOCOL_VERSION = 2
 
-#: Every op a worker pool answers.  Advertised in the ``hello`` reply as
-#: the capability list, so a newer coordinator can detect a worker that
-#: predates an op instead of discovering it via ``unknown_op`` mid-mine.
-DIST_OPS = (
-    "hello",
-    "open",
-    "ping",
-    "nm_batch",
-    "match_batch",
-    "nm_per_traj",
-    "match_per_traj",
-    "singular_nm",
-    "singular_match",
-    "ext_tables",
-    "gap_nm",
-    "best_window",
-    "stats",
-    "obs_snapshot",
-    "obs_drain",
-    "close",
-)
+#: Ops a worker session answers itself, beside the span ops.
+SESSION_OPS = ("hello", "open", "ping", "obs_drain", "close")
+
+#: Every op a worker pool answers: the session ops plus every span op of
+#: :data:`repro.core.parallel.SPAN_OPS`.  Advertised in the ``hello``
+#: reply as the capability list, so a newer coordinator can detect a
+#: worker that predates an op instead of discovering it via ``unknown_op``
+#: mid-mine.
+DIST_OPS = SESSION_OPS + tuple(SPAN_OPS)
 
 
 # -- geometry / config codecs -------------------------------------------------------
@@ -286,21 +273,6 @@ def ext_tables_from_wire(obj: Any) -> ExtensionTables:
         raise ProtocolError(f"malformed extension tables: {exc}") from exc
 
 
-def best_window_to_wire(result: tuple[int, float] | None) -> list | None:
-    if result is None:
-        return None
-    start, nm = result
-    return [int(start), float(nm)]
-
-
-def best_window_from_wire(obj: Any) -> tuple[int, float] | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ProtocolError("best_window result must be [start, nm] or null")
-    return checked_int(obj[0], "best_window start"), _result_float(obj[1])
-
-
 # -- per-op payload / result codecs ------------------------------------------------
 #
 # Span-op payloads are the plain python values :func:`repro.core.parallel.
@@ -308,20 +280,14 @@ def best_window_from_wire(obj: Any) -> tuple[int, float] | None:
 # onto its JSON form in both directions.
 
 _PATTERN_OPS = ("nm_batch", "match_batch", "ext_tables")
-_CELLS_OPS = ("nm_per_traj", "match_per_traj")
 
 
 def payload_to_wire(op: str, payload) -> dict:
     """Request fields carrying ``payload`` of span op ``op``."""
     if op in _PATTERN_OPS:
         return {"patterns": patterns_to_wire(payload)}
-    if op in _CELLS_OPS:
-        return {"cells": [int(c) for c in payload]}
     if op == "gap_nm":
         return {"pattern": gap_pattern_to_wire(payload)}
-    if op == "best_window":
-        cells, traj = payload
-        return {"cells": [int(c) for c in cells], "traj": int(traj)}
     return {}
 
 
@@ -329,15 +295,8 @@ def payload_from_wire(op: str, request: dict):
     """The span-op payload a request carries (inverse of :func:`payload_to_wire`)."""
     if op in _PATTERN_OPS:
         return patterns_from_wire(request.get("patterns"))
-    if op in _CELLS_OPS:
-        return patterns_from_wire([request.get("cells")])[0]
     if op == "gap_nm":
         return gap_pattern_from_wire(request.get("pattern"))
-    if op == "best_window":
-        traj = request.get("traj")
-        if not isinstance(traj, int) or isinstance(traj, bool):
-            raise ProtocolError("traj must be an integer")
-        return patterns_from_wire([request.get("cells")])[0], traj
     return None
 
 
@@ -345,12 +304,11 @@ def _identity(value):
     return value
 
 
-#: ``op -> (to_wire, from_wire)`` for span-op results.
+#: ``op -> (to_wire, from_wire)`` for span-op results: one entry per
+#: :data:`~repro.core.parallel.SPAN_OPS` key.
 _RESULT_CODECS = {
     "nm_batch": (array_to_wire, array_from_wire),
     "match_batch": (array_to_wire, array_from_wire),
-    "nm_per_traj": (array_to_wire, array_from_wire),
-    "match_per_traj": (array_to_wire, array_from_wire),
     "singular_nm": (table_to_wire, table_from_wire),
     "singular_match": (table_to_wire, table_from_wire),
     "ext_tables": (
@@ -358,7 +316,6 @@ _RESULT_CODECS = {
         lambda obj: [ext_tables_from_wire(t) for t in obj],
     ),
     "gap_nm": (float, _result_float),
-    "best_window": (best_window_to_wire, best_window_from_wire),
     "stats": (list, tuple),
     "obs_snapshot": (_identity, _identity),
 }

@@ -257,13 +257,8 @@ class _Session:
         # Everything else is a span op, evaluated through the one op table.
         engines = self._span_engines(request)
         payload = wire.payload_from_wire(op, request)
-        if op == "best_window":
-            (span, engine), = engines  # single span by construction
-            if not 0 <= payload[1] < len(engine.dataset):
-                raise ProtocolError(f"traj {payload[1]} outside span {span}")
         results = [
-            wire.result_to_wire(op, span_op(engine, op, payload))
-            for _, engine in engines
+            wire.result_to_wire(op, span_op(engine, op, payload)) for engine in engines
         ]
         return wire.ok_response(rid, results=results)
 
@@ -334,14 +329,14 @@ class _Session:
             metas.append(span_meta(self.engines[(lo, hi)]))
         return wire.ok_response(rid, metas=metas)
 
-    def _span_engines(self, request: dict) -> list[tuple[tuple[int, int], NMEngine]]:
+    def _span_engines(self, request: dict) -> list[NMEngine]:
         spans = wire.spans_from_wire(request.get("spans"))
         out = []
         for span in spans:
             engine = self.engines.get(span)
             if engine is None:
                 raise ProtocolError(f"span {list(span)} was never opened")
-            out.append((span, engine))
+            out.append(engine)
         return out
 
     def teardown(self) -> None:

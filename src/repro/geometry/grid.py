@@ -14,7 +14,7 @@ responsible for never overshooting the bounding box by a ULP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +43,18 @@ class Grid:
     bbox: BoundingBox
     nx: int
     ny: int
-    _centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.nx <= 0 or self.ny <= 0:
             raise ValueError(f"grid must have positive dimensions, got {self.nx}x{self.ny}")
         if self.bbox.width <= 0 or self.bbox.height <= 0:
             raise ValueError("grid bounding box must have positive area")
-        # Cell ids are int32 throughout the index; refuse before the
-        # nx * ny centre array is built.
+        # Cell ids are int32 throughout the index.  A grid holds no per-cell
+        # array (centres are computed from the ids on demand), so making
+        # one costs nothing whatever its size.
         limit = np.iinfo(np.int32).max
         if self.n_cells > limit:
             raise ValueError(f"{self.n_cells} cell ids exceed int32 (at most {limit})")
-        xs = self.bbox.min_x + (np.arange(self.nx) + 0.5) * self.gx
-        ys = self.bbox.min_y + (np.arange(self.ny) + 0.5) * self.gy
-        cx, cy = np.meshgrid(xs, ys)  # row-major: row = y index
-        centers = np.column_stack([cx.ravel(), cy.ravel()])
-        centers.setflags(write=False)
-        object.__setattr__(self, "_centers", centers)
 
     # -- construction helpers -------------------------------------------------
 
@@ -132,16 +126,26 @@ class Grid:
 
     def cell_center(self, cell: int) -> Point:
         """Centre of ``cell`` as a :class:`Point`."""
-        self._check_cell(cell)
-        x, y = self._centers[cell]
+        x, y = self.cell_centers([cell])[0]
         return Point(float(x), float(y))
 
     def cell_centers(self, cells: np.ndarray | list[int] | None = None) -> np.ndarray:
-        """Centres of ``cells`` (or of every cell) as an ``(n, 2)`` array."""
+        """Centres of ``cells`` (or of every cell) as an ``(n, 2)`` array.
+
+        A centre is ``min + (index + 0.5) * g`` along each axis, computed
+        from the cell ids; ids outside ``[0, n_cells)`` raise ``IndexError``.
+        """
         if cells is None:
-            return self._centers
-        # np.take copies (n, 2) rows far faster than fancy indexing does.
-        return np.take(self._centers, np.asarray(cells, dtype=np.int64), axis=0)
+            ids = np.arange(self.n_cells, dtype=np.int64)
+        else:
+            ids = np.asarray(cells, dtype=np.int64).reshape(-1)
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n_cells):
+                raise IndexError(f"cell ids outside grid with {self.n_cells} cells")
+        rows, cols = np.divmod(ids, self.nx)
+        centers = np.empty((len(ids), 2))
+        centers[:, 0] = self.bbox.min_x + (cols + 0.5) * self.gx
+        centers[:, 1] = self.bbox.min_y + (rows + 0.5) * self.gy
+        return centers
 
     def row_col(self, cell: int) -> tuple[int, int]:
         """Decompose a cell id into ``(row, col)``."""
@@ -298,16 +302,14 @@ class Grid:
 
     def cell_distance(self, a: int, b: int) -> float:
         """Euclidean distance between the centres of cells ``a`` and ``b``."""
-        self._check_cell(a)
-        self._check_cell(b)
-        dx = self._centers[a] - self._centers[b]
+        dx = np.subtract(*self.cell_centers([a, b]))
         return float(np.hypot(dx[0], dx[1]))
 
     def _check_cell(self, cell: int) -> None:
         if not 0 <= cell < self.n_cells:
             raise IndexError(f"cell {cell} outside grid with {self.n_cells} cells")
 
-    def __repr__(self) -> str:  # compact -- the dataclass default prints the centres
+    def __repr__(self) -> str:
         return (
             f"Grid({self.nx}x{self.ny} cells of {self.gx:.4g}x{self.gy:.4g} "
             f"over [{self.bbox.min_x:.4g},{self.bbox.max_x:.4g}]x"

@@ -692,7 +692,7 @@ class TrajectoryStore:
     def object_ids(self) -> list[str]:
         if self._object_ids is None:
             ref = self._traj_columns["object_ids"]
-            raw = _read_blob(self._fh, ref)
+            raw = self._pread(ref)
             ids = json.loads(raw.decode("utf-8"))
             if not isinstance(ids, list) or len(ids) != self.n_trajectories:
                 raise StoreFormatError(f"{self.path}: corrupt object_ids column")

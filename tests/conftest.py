@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import index_cache
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.measures import match_pattern_dataset, nm_pattern_dataset
 from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -74,6 +75,15 @@ def tiny_engine(tiny_corridor_dataset):
     return NMEngine(
         tiny_corridor_dataset, grid, EngineConfig(delta=0.1, min_prob=1e-4)
     )
+
+
+def scalar_measures(engine, pattern) -> tuple[float, float]:
+    """``(NM, match)`` of ``pattern`` over ``engine``'s dataset from the
+    scalar specification (:mod:`repro.core.measures`), with the engine's
+    grid, distance, probability model and floor."""
+    args = (pattern, engine.dataset, engine.grid, engine.config.delta)
+    kwargs = dict(model=engine.config.prob_model, min_log_prob=engine.floor_log_prob)
+    return nm_pattern_dataset(*args, **kwargs), match_pattern_dataset(*args, **kwargs)
 
 
 def brute_force_top_k(engine, k, max_length, min_length=1):

@@ -34,7 +34,6 @@ from repro.core.parallel import (
     ParallelNMEngine,
     merge_batch_sums,
     merge_extension_tables,
-    merge_per_trajectory,
     merge_scalar_sums,
     merge_singular_tables,
 )
@@ -122,16 +121,7 @@ class TestBatchSums:
 
 
 class TestPerTrajectoryAndScalars:
-    @given(
-        values=st.lists(_real, min_size=2, max_size=20),
-        seed=st.integers(0, 10**6),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_concat_recovers_dataset_order_exactly(self, values, seed):
-        data = np.asarray(values)
-        for spans in _partitions(len(values), seed):
-            merged = merge_per_trajectory([data[lo:hi] for lo, hi in spans])
-            assert merged.tobytes() == data.tobytes()
+    """Per-trajectory terms summed to one scalar (the gap-pattern NM)."""
 
     @given(
         values=st.lists(_exact, min_size=2, max_size=20),
@@ -237,9 +227,12 @@ class TestExtensionTables:
                         match_base_total=match_floor * len(rows),
                     )
                 )
-            nm_merged, match_merged = merge_extension_tables(span_tables)
-            assert nm_merged == nm_ref, spans
-            assert match_merged == match_ref, spans
+            merged = merge_extension_tables(span_tables)
+            assert merged.nm_by_cell == nm_ref, spans
+            assert merged.match_by_cell == match_ref, spans
+            # The merged base totals are the full-dataset ones.
+            assert merged.nm_base_total == nm_floor * n, spans
+            assert merged.match_base_total == match_floor * n, spans
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +252,7 @@ def _surfaces(engine, patterns, gap) -> tuple:
         engine.match_batch(patterns).tobytes(),
         engine.singular_nm_table(),
         engine.singular_match_table(),
-        engine.extend_right_tables_many(patterns[:3]),
+        engine.extension_tables_many(patterns[:3]),
         engine.nm_gap_pattern_total(gap),
     )
 

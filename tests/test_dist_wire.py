@@ -13,12 +13,18 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.engine import EngineConfig, ExtensionTables
+from repro.core.parallel import SPAN_OPS
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern
 from repro.dist import wire
+from repro.dist.worker import WorkerPoolConfig, WorkerPoolServer, _Session
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
+from repro.obs import metrics
+from repro.storage import write_store
+from repro.testkit.datasets import seeded_dataset
 from repro.uncertainty.gaussian import ProbModel
 
 
@@ -166,16 +172,6 @@ def test_ext_tables_roundtrip():
     assert back == tables
 
 
-def test_best_window_roundtrip():
-    assert wire.best_window_from_wire(_hop(wire.best_window_to_wire(None))) is None
-    assert wire.best_window_from_wire(_hop(wire.best_window_to_wire((3, -1.5)))) == (
-        3,
-        -1.5,
-    )
-    with pytest.raises(wire.ProtocolError):
-        wire.best_window_from_wire([1])
-
-
 def test_check_dist_version():
     wire.check_dist_version({"version": wire.DIST_PROTOCOL_VERSION})
     with pytest.raises(wire.ProtocolError):
@@ -204,16 +200,12 @@ _GRID = {"min_x": 0.0, "min_y": 0.0, "max_x": 1.0, "max_y": 1.0, "nx": 2, "ny": 
         (wire.array_from_wire, [0.5, HUGE]),
         (wire.ext_tables_from_wire, {"nm": [], "match": [], "nm_base": HUGE, "match_base": 0.0}),
         (wire.ext_tables_from_wire, {"nm": [[1, HUGE]], "match": [], "nm_base": 0.0, "match_base": 0.0}),
-        (wire.best_window_from_wire, [float("inf"), -1.5]),
-        (wire.best_window_from_wire, [3, HUGE]),
-        (wire.best_window_from_wire, ["3", -1.5]),
         (wire.gap_pattern_from_wire, {"segments": [[float("inf")]], "gaps": []}),
         (lambda obj: wire.result_from_wire("gap_nm", obj), HUGE),
     ],
     ids=[
         "grid.corner", "grid.nx", "config.delta", "table.value", "table.cell",
-        "array", "ext_tables.base", "ext_tables.table", "best_window.start",
-        "best_window.nm", "best_window.string_start", "gap_pattern.cell", "gap_nm",
+        "array", "ext_tables.base", "ext_tables.table", "gap_pattern.cell", "gap_nm",
     ],
 )
 def test_numbers_no_double_or_int_holds_are_protocol_errors(decode, obj):
@@ -231,3 +223,88 @@ def test_result_codecs_keep_non_finite_values():
     back = wire.array_from_wire(_hop(wire.array_to_wire(np.array([-np.inf, np.nan]))))
     assert back[0] == -np.inf and np.isnan(back[1])
     assert wire.result_from_wire("gap_nm", _hop(float("-inf"))) == float("-inf")
+
+
+def test_op_list_is_the_span_ops_plus_the_session_ops():
+    """One op list: the wire answers exactly the span ops, each with a
+    result codec, plus the five ops a session handles itself."""
+    session_ops = {"hello", "open", "ping", "obs_drain", "close"}
+    assert set(wire.DIST_OPS) == set(SPAN_OPS) | session_ops
+    assert len(wire.DIST_OPS) == len(SPAN_OPS) + len(session_ops)
+    assert set(wire._RESULT_CODECS) == set(SPAN_OPS)
+
+
+#: One payload of every span op, as :func:`repro.core.parallel.span_op`
+#: takes it.
+_SPAN_PAYLOADS = {
+    "nm_batch": [(3, 4), (5,), (-1, 7, 2)],
+    "match_batch": [(0,), (9, -1, -1, 1)],
+    "singular_nm": None,
+    "singular_match": None,
+    "ext_tables": [(1, 2), (6,)],
+    "gap_nm": GapPattern(
+        (TrajectoryPattern((1, 2)), TrajectoryPattern((5,))), (Gap(0, 3),)
+    ),
+    "stats": None,
+    "obs_snapshot": None,
+}
+
+
+@pytest.mark.parametrize("op", sorted(SPAN_OPS))
+def test_every_span_op_payload_survives_a_hop(op):
+    payload = _SPAN_PAYLOADS[op]
+    request = _hop({"op": op, **wire.payload_to_wire(op, payload)})
+    assert wire.payload_from_wire(op, request) == payload
+
+
+def test_protocol_v2_refuses_a_v1_coordinator_at_hello(session):
+    """The op set changed in version 2; a version 1 coordinator is told so
+    at ``hello``, with both versions named, not mid-mine."""
+    assert wire.DIST_PROTOCOL_VERSION == 2
+    reply = session.handle_line(_hello(session, version=1))
+    assert reply["ok"] is False and reply["error"] == "bad_request"
+    assert (reply["client_version"], reply["server_version"]) == (1, 2)
+
+
+def test_hello_with_a_huge_grid_is_answered(session, monkeypatch):
+    """A 40,000 x 40,000 grid (1.6e9 cells, ids within int32) builds no
+    per-cell array: decoding it and greeting a worker with it allocate
+    nothing of the grid's size."""
+
+    def no_centres(*args, **kwargs):
+        pytest.fail("the grid built its cell centres")
+
+    monkeypatch.setattr(np, "meshgrid", no_centres)
+    shipped = {"min_x": -10.0, "min_y": 0.0, "max_x": 30.0, "max_y": 40.0}
+    grid = wire.grid_from_wire(_hop({**shipped, "nx": 40_000, "ny": 40_000}))
+    assert grid.n_cells == 1_600_000_000
+    reply = session.handle_line(_hello(session, grid=grid))
+    assert reply["ok"] is True, reply
+    assert session.grid == grid
+
+
+@pytest.fixture
+def session(tmp_path):
+    path = write_store(seeded_dataset(3), tmp_path / "data.tjc")
+    server = WorkerPoolServer(WorkerPoolConfig(store_path=str(path), name="w"))
+    try:
+        yield _Session(server)
+    finally:
+        server.store.close()
+
+
+def _hello(session, version=wire.DIST_PROTOCOL_VERSION, grid=None) -> bytes:
+    config = EngineConfig(delta=0.05, min_prob=1e-5)
+    grid = grid or Grid(BoundingBox.unit(), nx=4, ny=4)
+    return wire.encode(
+        {
+            "op": "hello",
+            "id": 1,
+            "version": version,
+            "store_hash": session.store.content_hash,
+            "grid": wire.grid_to_wire(grid),
+            "config": wire.config_to_wire(config),
+            "kernel_tag": kernels.prob_kernel_tag(config),
+            "metrics": metrics.get_registry().enabled,
+        }
+    )

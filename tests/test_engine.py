@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine, build_engine
 from repro.core.measures import (
     match_pattern_dataset,
@@ -22,6 +23,7 @@ from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 from repro.uncertainty.gaussian import ProbModel
+from tests.conftest import scalar_measures
 
 
 class TestEngineConfig:
@@ -140,12 +142,22 @@ class TestEngineBasics:
         engine = build_engine(small_dataset, cell_size=0.05)
         assert engine.config.delta == 0.05
 
+    @staticmethod
+    def _point_engine(engine, traj, snapshot):
+        """An engine over one snapshot of ``traj``, on ``engine``'s grid.
+
+        A length-1 pattern scores exactly the index's ``log Prob`` at that
+        (snapshot, cell) point.
+        """
+        dataset = TrajectoryDataset([traj.window(snapshot, 1)])
+        return NMEngine(dataset, engine.grid, engine.config)
+
     def test_log_prob_at_point_query(self, small_engine, small_dataset):
         from repro.core.measures import position_log_probs
 
         traj = small_dataset[0]
         cell = int(small_engine.grid.locate(*traj.means[3]))
-        got = small_engine.log_prob_at(0, 3, cell)
+        got = self._point_engine(small_engine, traj, 3).nm(TrajectoryPattern((cell,)))
         expected = position_log_probs(
             TrajectoryPattern((cell,)),
             traj.window(3, 1),
@@ -153,20 +165,30 @@ class TestEngineBasics:
             small_engine.config.delta,
             min_log_prob=small_engine.floor_log_prob,
         )[0]
+        assert got > small_engine.floor_log_prob
         assert got == pytest.approx(float(expected))
 
-    def test_log_prob_at_bounds(self, small_engine):
-        with pytest.raises(IndexError):
-            small_engine.log_prob_at(99, 0, 0)
-        with pytest.raises(IndexError):
-            small_engine.log_prob_at(0, 99, 0)
+    def test_log_prob_at_bounds(self, small_engine, small_dataset):
+        """A cell id outside the grid is refused, not read past the index."""
+        point = self._point_engine(small_engine, small_dataset[0], 0)
+        outside = small_engine.grid.n_cells
+        for engine in (small_engine, point):
+            with pytest.raises(ValueError, match="outside the grid"):
+                engine.nm(TrajectoryPattern((outside,)))
+            with pytest.raises(ValueError, match="outside the grid"):
+                engine.match_batch([(0, outside)])
+        with pytest.raises(ValueError, match="outside the grid"):
+            small_engine.window_scores_batch([TrajectoryPattern((outside, 0))])
+        with pytest.raises(ValueError, match="outside the grid"):
+            small_engine.extension_tables_many([TrajectoryPattern((outside,))])
 
-    def test_log_prob_at_inactive_cell_is_floor(self, small_engine):
+    def test_log_prob_at_inactive_cell_is_floor(self, small_engine, small_dataset):
         inactive = set(range(small_engine.grid.n_cells)) - set(
             small_engine.active_cells
         )
         cell = next(iter(inactive))
-        assert small_engine.log_prob_at(0, 0, cell) == small_engine.floor_log_prob
+        point = self._point_engine(small_engine, small_dataset[0], 0)
+        assert point.nm(TrajectoryPattern((cell,))) == small_engine.floor_log_prob
 
 
 class TestScalarEquivalence:
@@ -248,10 +270,14 @@ class TestScalarEquivalence:
         self._check(engine, small_dataset, TrajectoryPattern((cells[3], cells[5])))
 
     def test_per_trajectory_values(self, small_engine, small_dataset):
+        """Each trajectory's term of the sum is Eq. 4 on that trajectory: an
+        engine over one trajectory scores exactly that term."""
         cells = small_engine.active_cells
         pattern = TrajectoryPattern((cells[2], cells[3]))
-        per_traj = small_engine.nm_per_trajectory(pattern)
         for i, traj in enumerate(small_dataset):
+            one = NMEngine(
+                small_dataset.subset([i]), small_engine.grid, small_engine.config
+            )
             expected = nm_pattern_trajectory(
                 pattern,
                 traj,
@@ -259,7 +285,7 @@ class TestScalarEquivalence:
                 small_engine.config.delta,
                 min_log_prob=small_engine.floor_log_prob,
             )
-            assert per_traj[i] == pytest.approx(expected, abs=1e-9)
+            assert one.nm(pattern) == pytest.approx(expected, abs=1e-9)
 
 
 class TestSingularTables:
@@ -267,14 +293,14 @@ class TestSingularTables:
         table = small_engine.singular_nm_table()
         for cell in list(table)[::53]:
             assert table[cell] == pytest.approx(
-                small_engine.nm(TrajectoryPattern((cell,))), abs=1e-9
+                scalar_measures(small_engine, TrajectoryPattern((cell,)))[0], abs=1e-9
             )
 
     def test_match_table_matches_direct(self, small_engine):
         table = small_engine.singular_match_table()
         for cell in list(table)[::53]:
             assert table[cell] == pytest.approx(
-                small_engine.match(TrajectoryPattern((cell,))), rel=1e-9
+                scalar_measures(small_engine, TrajectoryPattern((cell,)))[1], rel=1e-9
             )
 
     def test_tables_cover_active_cells(self, small_engine):
@@ -288,15 +314,16 @@ class TestExtensionTables:
             base = TrajectoryPattern(
                 tuple(int(c) for c in rng.choice(cells, size=length))
             )
-            nm_table, match_table = small_engine.extend_right_tables(base)
+            (tables,) = small_engine.extension_tables_many([base])
+            nm_table, match_table = tables.nm_by_cell, tables.match_by_cell
             assert set(nm_table) == set(cells)
             for cell in rng.choice(cells, size=8):
                 ext = TrajectoryPattern(base.cells + (int(cell),))
                 assert nm_table[int(cell)] == pytest.approx(
-                    small_engine.nm(ext), abs=1e-9
+                    scalar_measures(small_engine, ext)[0], abs=1e-9
                 )
                 assert match_table[int(cell)] == pytest.approx(
-                    small_engine.match(ext), rel=1e-9, abs=1e-300
+                    scalar_measures(small_engine, ext)[1], rel=1e-9, abs=1e-300
                 )
 
     def test_extension_with_short_trajectories(self, rng):
@@ -306,19 +333,24 @@ class TestExtensionTables:
         dataset = TrajectoryDataset(trajs)
         engine = build_engine(dataset, cell_size=0.05, min_prob=1e-4)
         base = TrajectoryPattern(tuple(engine.active_cells[:2]))
-        nm_table, _ = engine.extend_right_tables(base)
-        for cell in list(nm_table)[:5]:
+        (tables,) = engine.extension_tables_many([base])
+        for cell in list(tables.nm_by_cell)[:5]:
             ext = TrajectoryPattern(base.cells + (cell,))
-            assert nm_table[cell] == pytest.approx(engine.nm(ext), abs=1e-9)
+            assert tables.nm_by_cell[cell] == pytest.approx(
+                scalar_measures(engine, ext)[0], abs=1e-9
+            )
 
 
 class TestBestWindow:
+    """Eq. 4's per-trajectory term: the best window's NM, or the floor
+    when the trajectory is shorter than the pattern."""
+
     def test_best_window_position(self, small_engine, small_dataset):
         traj = small_dataset[0]
         grid = small_engine.grid
         # Pattern traced from snapshots 4..6 of trajectory 0.
         pattern = TrajectoryPattern.from_points(traj.means[4:7], grid)
-        start, nm = small_engine.best_window(pattern, 0)
+        one = NMEngine(small_dataset.subset([0]), grid, small_engine.config)
         direct = [
             nm_pattern_trajectory(
                 pattern,
@@ -329,12 +361,18 @@ class TestBestWindow:
             )
             for s in range(len(traj) - 2)
         ]
-        assert nm == pytest.approx(max(direct), abs=1e-9)
-        assert start == int(np.argmax(direct))
+        assert int(np.argmax(direct)) == 4
+        assert one.nm(pattern) == pytest.approx(max(direct), abs=1e-9)
 
-    def test_best_window_too_short(self, small_engine):
+    def test_best_window_too_short(self, small_engine, small_dataset):
         pattern = TrajectoryPattern(tuple(small_engine.active_cells[:25]))
-        assert small_engine.best_window(pattern, 0) is None
+        assert len(pattern) > len(small_dataset[0])
+        one = NMEngine(
+            small_dataset.subset([0]), small_engine.grid, small_engine.config
+        )
+        floor = small_engine.floor_log_prob
+        assert one.nm(pattern) == floor
+        assert one.match(pattern) == pytest.approx(np.exp(floor * len(pattern)))
 
 
 class TestPropertyEquivalence:
@@ -358,3 +396,62 @@ class TestPropertyEquivalence:
             pattern, dataset, grid, 0.1, min_log_prob=engine.floor_log_prob
         )
         assert engine.nm(pattern) == pytest.approx(expected, abs=1e-9)
+
+
+class TestOneScorer:
+    """``nm`` / ``match`` of one pattern are one-pattern batches."""
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_single_pattern_measures_are_batch_bits(self, small_dataset, backend, rng):
+        """Bit for bit, also against the same pattern inside a wider batch."""
+        engine = NMEngine(
+            small_dataset,
+            small_dataset.make_grid(0.03),
+            EngineConfig(delta=0.03, min_prob=1e-6, backend=backend),
+        )
+        cells = engine.active_cells
+        patterns = [TrajectoryPattern((cells[0],)), TrajectoryPattern((WILDCARD,) * 2)]
+        for length in (2, 3, 4, 6):
+            for _ in range(8):
+                chosen = [int(c) for c in rng.choice(cells, size=length)]
+                patterns.append(TrajectoryPattern(tuple(chosen)))
+                chosen[int(rng.integers(0, length))] = WILDCARD
+                patterns.append(TrajectoryPattern(tuple(chosen)))
+        nm_all, match_all = engine.nm_batch(patterns), engine.match_batch(patterns)
+        for i, pattern in enumerate(patterns):
+            nm, match = engine.nm(pattern), engine.match(pattern)
+            assert type(nm) is float and type(match) is float
+            assert nm == engine.nm_batch([pattern])[0] == nm_all[i]
+            assert match == engine.match_batch([pattern])[0] == match_all[i]
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_single_pattern_calls_retain_no_memory(self, backend):
+        """300 distinct ``nm`` calls keep nothing per pattern: no per-cell
+        column of every row is built or cached along the way."""
+        import tracemalloc
+
+        from repro.testkit.datasets import seeded_dataset
+
+        dataset = seeded_dataset(7, n_trajectories=200, n_ticks=100)
+        engine = NMEngine(
+            dataset,
+            dataset.make_grid(0.05),
+            EngineConfig(delta=0.05, min_prob=1e-5, backend=backend),
+        )
+        rng = np.random.default_rng(7)
+        cells = engine.active_cells
+        patterns = {
+            tuple(int(c) for c in rng.choice(cells, size=3)) for _ in range(400)
+        }
+        patterns = [TrajectoryPattern(p) for p in sorted(patterns)[:300]]
+        assert len(patterns) == 300
+        engine.nm(patterns[0])  # lazily built per-engine lookups
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for pattern in patterns:
+                engine.nm(pattern)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 1 << 20, after - before

@@ -1,11 +1,12 @@
 """Tests of the engine's batched evaluation and vectorised index build.
 
 The batched paths (``nm_batch`` / ``match_batch`` / ``window_scores_batch``
-/ ``extend_right_tables_many``) are pure rearrangements of the scalar
-arithmetic, so they must agree with the scalar methods to floating-point
-accuracy -- including wildcards, length-1 patterns and mixed-length
-batches.  Likewise the vectorised index construction must produce exactly
-the same (cell, row, value) triples as the reference per-snapshot loop.
+/ ``extension_tables_many``) are pure rearrangements of the scalar
+arithmetic, so they must agree with the scalar reference
+(:mod:`repro.core.measures`) to floating-point accuracy -- including
+wildcards, length-1 patterns and mixed-length batches.  Likewise the
+vectorised index construction must produce exactly the same CSR index as
+the reference per-snapshot loop.
 """
 
 import numpy as np
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from repro.core import engine as engine_module
 from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine, build_engine
+from repro.core.measures import position_log_probs
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import scalar_measures
 
 
 def _random_patterns(rng, cells, n=24, max_length=5, wildcard_rate=0.3):
@@ -35,16 +38,19 @@ def _random_patterns(rng, cells, n=24, max_length=5, wildcard_rate=0.3):
     return patterns
 
 
+def _assert_batch_equals_scalar(engine, patterns):
+    nm_batch = engine.nm_batch(patterns)
+    match_batch = engine.match_batch(patterns)
+    for i, pattern in enumerate(patterns):
+        nm, match = scalar_measures(engine, pattern)
+        assert nm_batch[i] == pytest.approx(nm, abs=1e-9)
+        assert match_batch[i] == pytest.approx(match, rel=1e-9, abs=1e-300)
+
+
 class TestBatchEqualsScalar:
     def test_random_mixed_batch(self, small_engine, rng):
         patterns = _random_patterns(rng, small_engine.active_cells)
-        nm_batch = small_engine.nm_batch(patterns)
-        match_batch = small_engine.match_batch(patterns)
-        for i, pattern in enumerate(patterns):
-            assert nm_batch[i] == pytest.approx(small_engine.nm(pattern), abs=1e-9)
-            assert match_batch[i] == pytest.approx(
-                small_engine.match(pattern), rel=1e-9, abs=1e-300
-            )
+        _assert_batch_equals_scalar(small_engine, patterns)
 
     def test_singular_and_wildcard_only(self, small_engine):
         cells = small_engine.active_cells
@@ -53,9 +59,7 @@ class TestBatchEqualsScalar:
             TrajectoryPattern((WILDCARD, WILDCARD)),
             TrajectoryPattern((cells[1], WILDCARD, cells[2])),
         ]
-        got = small_engine.nm_batch(patterns)
-        for i, pattern in enumerate(patterns):
-            assert got[i] == pytest.approx(small_engine.nm(pattern), abs=1e-9)
+        _assert_batch_equals_scalar(small_engine, patterns)
 
     def test_empty_batch(self, small_engine):
         assert small_engine.nm_batch([]).shape == (0,)
@@ -73,13 +77,7 @@ class TestBatchEqualsScalar:
         long = TrajectoryPattern(tuple(int(c) for c in rng.choice(cells, size=9)))
         wild_long = TrajectoryPattern((WILDCARD,) * 8 + (int(cells[0]),))
         batch = [long, wild_long, TrajectoryPattern((int(cells[0]),))]
-        nm = engine.nm_batch(batch)
-        match = engine.match_batch(batch)
-        for i, pattern in enumerate(batch):
-            assert nm[i] == pytest.approx(engine.nm(pattern), abs=1e-9)
-            assert match[i] == pytest.approx(
-                engine.match(pattern), rel=1e-9, abs=1e-300
-            )
+        _assert_batch_equals_scalar(engine, batch)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -107,46 +105,65 @@ class TestBatchEqualsScalar:
             )
             for cells in raw_patterns
         ]
-        nm_batch = engine.nm_batch(patterns)
-        match_batch = engine.match_batch(patterns)
-        for i, pattern in enumerate(patterns):
-            assert nm_batch[i] == pytest.approx(engine.nm(pattern), abs=1e-9)
-            assert match_batch[i] == pytest.approx(
-                engine.match(pattern), rel=1e-9, abs=1e-300
-            )
+        _assert_batch_equals_scalar(engine, patterns)
 
 
 class TestWindowScoresBatch:
     def test_matches_single_pattern_scores(self, small_engine, rng):
+        """Every in-trajectory window sum equals the scalar per-position
+        log-probabilities summed; windows that cross a trajectory boundary
+        are left unmasked."""
         patterns = _random_patterns(
-            rng, small_engine.active_cells, n=8, wildcard_rate=0.0
+            rng, small_engine.active_cells, n=8, wildcard_rate=0.3
         )
         batched = small_engine.window_scores_batch(patterns)
+        engine = small_engine
         for pattern, scores in zip(patterns, batched):
-            expected, _, _ = small_engine._window_scores(pattern)
-            n_windows = small_engine._total_rows - len(pattern) + 1
-            valid, _, _ = small_engine._window_plumbing(len(pattern))
-            # window_scores_batch is unmasked; compare on valid windows.
-            assert scores.shape == (n_windows,)
-            assert scores[valid] == pytest.approx(expected[valid], abs=1e-9)
+            m = len(pattern)
+            assert scores.shape == (engine._total_rows - m + 1,)
+            assert scores.tobytes() == engine.window_scores_batch([pattern])[0].tobytes()
+            for i, traj in enumerate(engine.dataset):
+                start_row = int(engine._starts[i])
+                for s in range(len(traj) - m + 1):
+                    expected = position_log_probs(
+                        pattern,
+                        traj.window(s, m),
+                        engine.grid,
+                        engine.config.delta,
+                        min_log_prob=engine.floor_log_prob,
+                    ).sum()
+                    assert scores[start_row + s] == pytest.approx(expected, abs=1e-9)
 
 
 class TestExtensionTablesMany:
     def test_matches_single_prefix_tables(self, small_engine, rng):
+        """A prefix's tables do not depend on the frontier it is batched
+        with, and every extension matches the scalar reference."""
         cells = small_engine.active_cells
         prefixes = [
             TrajectoryPattern(tuple(int(c) for c in rng.choice(cells, size=length)))
             for length in (1, 1, 2, 2, 3)
         ]
-        many = small_engine.extend_right_tables_many(prefixes)
-        for prefix, (nm_table, match_table) in zip(prefixes, many):
-            nm_single, match_single = small_engine.extend_right_tables(prefix)
-            assert nm_table.keys() == nm_single.keys()
-            for cell in nm_single:
-                assert nm_table[cell] == pytest.approx(nm_single[cell], abs=1e-9)
-                assert match_table[cell] == pytest.approx(
-                    match_single[cell], rel=1e-9, abs=1e-300
+        inactive = min(set(range(small_engine.grid.n_cells)) - set(cells))
+        many = small_engine.extension_tables_many(prefixes)
+        for prefix, tables in zip(prefixes, many):
+            (single,) = small_engine.extension_tables_many([prefix])
+            assert tables == single  # float fields compared with ==, 0 ULP
+            assert set(tables.nm_by_cell) == set(cells)
+            for cell in rng.choice(cells, size=3):
+                nm, match = scalar_measures(
+                    small_engine, TrajectoryPattern(prefix.cells + (int(cell),))
                 )
+                assert tables.nm_by_cell[int(cell)] == pytest.approx(nm, abs=1e-9)
+                assert tables.match_by_cell[int(cell)] == pytest.approx(
+                    match, rel=1e-9, abs=1e-300
+                )
+            # An inactive extension cell scores the base totals.
+            nm, match = scalar_measures(
+                small_engine, TrajectoryPattern(prefix.cells + (inactive,))
+            )
+            assert tables.nm_base_total == pytest.approx(nm, abs=1e-9)
+            assert tables.match_base_total == pytest.approx(match, rel=1e-9, abs=1e-300)
 
 
 def _walks(rng, n, lengths, step=0.02):
@@ -278,38 +295,3 @@ class TestVectorisedIndexBuild:
         best_full = max(full.singular_nm_table().items(), key=lambda kv: kv[1])
         best_capped = max(engine.singular_nm_table().items(), key=lambda kv: kv[1])
         assert best_full[0] == best_capped[0]
-
-
-class TestColumnCacheEviction:
-    def test_evicts_at_configured_size_and_stays_correct(
-        self, small_dataset, monkeypatch
-    ):
-        grid = small_dataset.make_grid(0.03)
-        size = 4
-        monkeypatch.setattr(engine_module, "_COLUMN_CACHE_SIZE", size)
-        engine = NMEngine(
-            small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)
-        )
-        reference = NMEngine(
-            small_dataset, grid, EngineConfig(delta=0.03, min_prob=1e-6)
-        )
-        cells = engine.active_cells[: 3 * size]
-        assert len(cells) > size
-        for cell in cells:
-            engine._column(cell)
-            assert len(engine._column_cache) <= size
-        # The cache is full and the early columns were evicted.
-        assert len(engine._column_cache) == size
-        assert cells[0] not in engine._column_cache
-        # Re-requesting an evicted column rebuilds it correctly.
-        rebuilt = engine._column(cells[0])
-        assert np.array_equal(rebuilt, reference._column(cells[0]))
-        # Batched evaluation under cache pressure still equals scalar.
-        patterns = [
-            TrajectoryPattern((a, b)) for a, b in zip(cells, cells[1:])
-        ]
-        got = engine.nm_batch(patterns)
-        assert got == pytest.approx(
-            [reference.nm(p) for p in patterns], abs=1e-9
-        )
-        assert len(engine._column_cache) <= size

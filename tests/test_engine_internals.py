@@ -199,26 +199,6 @@ class TestIndexCaps:
         assert loose.n_index_entries < tight.n_index_entries
 
 
-class TestColumnCache:
-    def test_cache_eviction_preserves_values(self, wide_dataset, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_COLUMN_CACHE_SIZE", 2)
-        engine = NMEngine(
-            wide_dataset, GRID, EngineConfig(delta=0.05, min_prob=1e-5)
-        )
-        cells = engine.active_cells[:6]
-        first_pass = [engine.nm(TrajectoryPattern((c,))) for c in cells]
-        # Re-query in reverse: every column is a cache miss now.
-        second_pass = [engine.nm(TrajectoryPattern((c,))) for c in reversed(cells)]
-        assert first_pass == pytest.approx(list(reversed(second_pass)))
-        assert len(engine._column_cache) <= 2
-
-    def test_columns_are_immutable(self, wide_dataset):
-        engine = NMEngine(wide_dataset, GRID, EngineConfig(delta=0.05, min_prob=1e-5))
-        col = engine._column(engine.active_cells[0])
-        with pytest.raises(ValueError):
-            col[0] = 0.0
-
-
 class TestInterpolatedTrajectory:
     def _tracked(self):
         t = np.arange(30, dtype=float)

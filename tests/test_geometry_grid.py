@@ -77,6 +77,43 @@ class TestLocate:
             grid.cell_center(80)
         with pytest.raises(IndexError):
             grid.row_col(-1)
+        for bad in ([80], [0, -1], np.array([3, 95])):
+            with pytest.raises(IndexError):
+                grid.cell_centers(bad)
+        with pytest.raises(IndexError):
+            grid.cell_distance(0, 80)
+
+
+class TestCellCentres:
+    """Centres are computed from the ids, in the bits of the centre table
+    the grid once built at construction."""
+
+    @staticmethod
+    def _meshgrid_centres(grid):
+        xs = grid.bbox.min_x + (np.arange(grid.nx) + 0.5) * grid.gx
+        ys = grid.bbox.min_y + (np.arange(grid.ny) + 0.5) * grid.gy
+        cx, cy = np.meshgrid(xs, ys)
+        return np.column_stack([cx.ravel(), cy.ravel()])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_equal_to_the_meshgrid_table(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(n) for n in rng.integers(1, 40, 2))
+        min_x, min_y = rng.uniform(-50.0, -0.5, 2)
+        width, height = rng.uniform(0.01, 30.0, 2)
+        grid = Grid(BoundingBox(min_x, min_y, min_x + width, min_y + height), nx, ny)
+        table = self._meshgrid_centres(grid)
+        assert grid.cell_centers().tobytes() == table.tobytes()
+        ids = rng.integers(0, grid.n_cells, 25)
+        assert grid.cell_centers(ids).tobytes() == table[ids].tobytes()
+        assert grid.cell_centers(list(ids)).tobytes() == table[ids].tobytes()
+        a, b = (int(c) for c in ids[:2])
+        assert grid.cell_center(a).as_tuple() == (float(table[a][0]), float(table[a][1]))
+        dx = table[a] - table[b]
+        assert grid.cell_distance(a, b) == float(np.hypot(dx[0], dx[1]))
+
+    def test_empty_selection(self, grid):
+        assert grid.cell_centers([]).shape == (0, 2)
 
 
 class TestSpatialQueries:

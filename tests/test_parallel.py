@@ -114,18 +114,25 @@ class TestParallelEqualsSerial:
             )
 
     def test_per_trajectory_arrays(self, serial, jobs):
+        """NM and match are sums of per-trajectory terms (Eq. 4 summed),
+        which is what lets spans evaluate independently: the sharded value
+        is the sum of the terms one-trajectory engines give.  With one
+        trajectory per span the span engines are those engines, and the
+        span-order fold is the left fold of the terms, bit for bit."""
         pattern = _candidates(serial)[5]
+        terms = [
+            NMEngine(serial.dataset.subset([i]), serial.grid, serial.config)
+            for i in range(len(serial.dataset))
+        ]
+        nm_terms = [t.nm(pattern) for t in terms]
+        match_terms = [t.match(pattern) for t in terms]
         with _parallel(serial, jobs) as par:
-            np.testing.assert_allclose(
-                par.nm_per_trajectory(pattern),
-                serial.nm_per_trajectory(pattern),
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                par.match_per_trajectory(pattern),
-                serial.match_per_trajectory(pattern),
-                rtol=1e-12,
-            )
+            nm, match = par.nm(pattern), par.match(pattern)
+            one_per_span = par.n_spans == len(serial.dataset)
+        assert nm == pytest.approx(sum(nm_terms), rel=1e-12)
+        assert match == pytest.approx(sum(match_terms), rel=1e-12)
+        if one_per_span:
+            assert nm == sum(nm_terms) and match == sum(match_terms)
 
     def test_singular_tables(self, serial, jobs):
         with _parallel(serial, jobs) as par:
@@ -138,16 +145,21 @@ class TestParallelEqualsSerial:
 
     def test_extension_tables(self, serial, jobs):
         prefixes = _candidates(serial)[:6]
-        expected = serial.extend_right_tables_many(prefixes)
+        expected = serial.extension_tables_many(prefixes)
         with _parallel(serial, jobs) as par:
-            got = par.extend_right_tables_many(prefixes)
-        for (nm_e, match_e), (nm_g, match_g) in zip(expected, got):
-            assert set(nm_g) == set(nm_e)
-            for cell in nm_e:
-                assert nm_g[cell] == pytest.approx(nm_e[cell], rel=1e-12, abs=1e-12)
-                assert match_g[cell] == pytest.approx(
-                    match_e[cell], rel=1e-12, abs=1e-12
+            got = par.extension_tables_many(prefixes)
+        assert len(got) == len(expected)
+        for e, g in zip(expected, got):
+            assert set(g.nm_by_cell) == set(e.nm_by_cell)
+            for cell in e.nm_by_cell:
+                assert g.nm_by_cell[cell] == pytest.approx(
+                    e.nm_by_cell[cell], rel=1e-12, abs=1e-12
                 )
+                assert g.match_by_cell[cell] == pytest.approx(
+                    e.match_by_cell[cell], rel=1e-12, abs=1e-12
+                )
+            assert g.nm_base_total == pytest.approx(e.nm_base_total, rel=1e-12)
+            assert g.match_base_total == pytest.approx(e.match_base_total, rel=1e-12)
 
     def test_wildcard_patterns(self, serial, jobs):
         cells = serial.active_cells
@@ -168,15 +180,6 @@ class TestParallelEqualsSerial:
             assert nm_gap_pattern(par, pattern) == pytest.approx(
                 nm_gap_pattern(serial, pattern), rel=1e-12
             )
-
-    def test_best_window_routing(self, serial, jobs):
-        pattern = _candidates(serial)[4]
-        with _parallel(serial, jobs) as par:
-            for traj_index in (0, 5, len(serial.dataset) - 1):
-                expected = serial.best_window(pattern, traj_index)
-                got = par.best_window(pattern, traj_index)
-                assert got[0] == expected[0]
-                assert got[1] == pytest.approx(expected[1], rel=1e-12)
 
 
 class TestTopKMining:

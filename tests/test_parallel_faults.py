@@ -144,20 +144,18 @@ class TestCrashDuringStartup:
         _assert_nothing_leaked()
 
 
-class TestBestWindowDispatch:
-    """``best_window`` goes through the same guarded dispatch as batches."""
+class TestSingularTableDispatch:
+    """``singular_nm_table`` goes through the same guarded dispatch as batches."""
 
-    def test_best_window_after_close_raises_closed(self, scenario):
+    def test_singular_table_after_close_raises_closed(self, scenario):
         dataset, grid, config = scenario
-        pattern = _patterns(dataset, grid, config)[0]
         engine = ParallelNMEngine(dataset, grid, config, jobs=2)
         engine.close()
         with pytest.raises(RuntimeError, match="ParallelNMEngine is closed"):
-            engine.best_window(pattern, 0)
+            engine.singular_nm_table()
 
-    def test_best_window_to_dead_worker_raises_worker_crash(self, scenario):
+    def test_singular_table_to_dead_worker_raises_worker_crash(self, scenario):
         dataset, grid, config = scenario
-        pattern = _patterns(dataset, grid, config)[0]
         before = set(mp.active_children())
         engine = ParallelNMEngine(dataset, grid, config, jobs=2)
         try:
@@ -165,7 +163,7 @@ class TestBestWindowDispatch:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join(timeout=5)
             with pytest.raises(WorkerCrashError):
-                engine.best_window(pattern, len(dataset) - 1)
+                engine.singular_nm_table()
         finally:
             engine.close()
 

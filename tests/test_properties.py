@@ -4,7 +4,8 @@ These complement the per-module tests with randomised checks of the
 properties the algorithms *rely* on, generated over small random datasets:
 
 * engine == scalar reference (already covered per-module; here the
-  singular and extension fast paths are cross-checked on random instances);
+  singular and extension fast paths are cross-checked on random instances
+  against the scalar measures);
 * min-max property at the dataset level through the engine;
 * miner invariance under trajectory permutation;
 * gap-pattern evaluation equals explicit enumeration over alignments.
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.measures import nm_pattern_trajectory
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern_trajectory
@@ -23,6 +25,7 @@ from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+from tests.conftest import scalar_measures
 
 GRID = Grid(BoundingBox(-0.2, -0.2, 1.2, 1.2), nx=7, ny=7)
 
@@ -52,22 +55,21 @@ class TestEngineFastPaths:
         engine = random_engine(seed)
         table = engine.singular_nm_table()
         if cell in table:
-            assert table[cell] == pytest.approx(
-                engine.nm(TrajectoryPattern((cell,))), abs=1e-9
-            )
+            nm, _ = scalar_measures(engine, TrajectoryPattern((cell,)))
+            assert table[cell] == pytest.approx(nm, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(seeds, st.lists(cells, min_size=1, max_size=3), cells)
     def test_extension_table_agrees_with_nm(self, seed, base_cells, ext):
         engine = random_engine(seed)
         base = TrajectoryPattern(tuple(base_cells))
-        nm_table, match_table = engine.extend_right_tables(base)
-        if ext in nm_table:
-            extended = TrajectoryPattern(base.cells + (ext,))
-            assert nm_table[ext] == pytest.approx(engine.nm(extended), abs=1e-9)
-            assert match_table[ext] == pytest.approx(
-                engine.match(extended), rel=1e-9, abs=1e-300
-            )
+        (tables,) = engine.extension_tables_many([base])
+        nm, match = scalar_measures(engine, TrajectoryPattern(base.cells + (ext,)))
+        # An inactive extension cell scores the base totals.
+        got_nm = tables.nm_by_cell.get(ext, tables.nm_base_total)
+        got_match = tables.match_by_cell.get(ext, tables.match_base_total)
+        assert got_nm == pytest.approx(nm, abs=1e-9)
+        assert got_match == pytest.approx(match, rel=1e-9, abs=1e-300)
 
 
 class TestMinMaxThroughEngine:
@@ -147,16 +149,21 @@ class TestGapPatternEquivalence:
             (TrajectoryPattern(tuple(left_cells)), TrajectoryPattern(tuple(right_cells))),
             (Gap(gap_min, gap_max),),
         )
-        for traj_index in range(len(engine.dataset)):
-            floor = engine.floor_log_prob
-            best = -np.inf
-            for g in range(gap_min, gap_max + 1):
-                fixed = TrajectoryPattern(
-                    tuple(left_cells) + (WILDCARD,) * g + tuple(right_cells)
+        for traj_index, traj in enumerate(engine.dataset):
+            # A fixed alternative longer than the trajectory scores the
+            # floor, as does the gap pattern when no alternative fits.
+            expected = max(
+                nm_pattern_trajectory(
+                    TrajectoryPattern(
+                        tuple(left_cells) + (WILDCARD,) * g + tuple(right_cells)
+                    ),
+                    traj,
+                    engine.grid,
+                    engine.config.delta,
+                    model=engine.config.prob_model,
+                    min_log_prob=engine.floor_log_prob,
                 )
-                found = engine.best_window(fixed, traj_index)
-                if found is not None:
-                    best = max(best, found[1])
-            expected = best if best > -np.inf else floor
+                for g in range(gap_min, gap_max + 1)
+            )
             got = nm_gap_pattern_trajectory(engine, pattern, traj_index)
             assert got == pytest.approx(expected, abs=1e-9)

@@ -80,3 +80,14 @@ class TestSpanPlumbing:
                     assert np.array_equal(
                         par.nm_batch(patterns), shm.nm_batch(patterns)
                     )
+
+    def test_reads_leave_the_shared_file_offset_alone(self, setup):
+        """Fork workers share the store's open file, offset included, with
+        the parent and each other; every read is positional, so one
+        process's seek cannot land under another's read."""
+        path, _, _, _, _ = setup
+        with open_store(path) as store:
+            store._fh.seek(5)
+            assert len(store.object_ids) == store.n_trajectories
+            store.trajectory(store.n_trajectories - 1)
+            assert store._fh.tell() == 5

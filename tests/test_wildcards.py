@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, NMEngine
+from repro.core.measures import nm_pattern_trajectory
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.core.wildcards import (
     Gap,
@@ -120,18 +121,19 @@ class TestEvaluation:
         flexible = GapPattern(
             (TrajectoryPattern((1,)), TrajectoryPattern((3,))), (Gap(0, 2),)
         )
-        for traj_index in range(len(corridor_engine.dataset)):
-            alternatives = [
-                corridor_engine.best_window(TrajectoryPattern((1, 3)), traj_index),
-                corridor_engine.best_window(
-                    TrajectoryPattern((1, WILDCARD, 3)), traj_index
-                ),
-                corridor_engine.best_window(
-                    TrajectoryPattern((1, WILDCARD, WILDCARD, 3)), traj_index
-                ),
-            ]
-            best_fixed = max(nm for res in alternatives if res for _, nm in [res])
-            got = nm_gap_pattern_trajectory(corridor_engine, flexible, traj_index)
+        engine = corridor_engine
+        for traj_index, traj in enumerate(engine.dataset):
+            best_fixed = max(
+                nm_pattern_trajectory(
+                    TrajectoryPattern(cells),
+                    traj,
+                    engine.grid,
+                    engine.config.delta,
+                    min_log_prob=engine.floor_log_prob,
+                )
+                for cells in ((1, 3), (1, WILDCARD, 3), (1, WILDCARD, WILDCARD, 3))
+            )
+            got = nm_gap_pattern_trajectory(engine, flexible, traj_index)
             assert got == pytest.approx(best_fixed, abs=1e-9)
 
     def test_too_short_trajectory_scores_floor(self, corridor_engine):
@@ -145,3 +147,22 @@ class TestEvaluation:
         assert nm_gap_pattern_trajectory(
             corridor_engine, long_pattern, short_index
         ) == corridor_engine.floor_log_prob
+
+    def test_segment_longer_than_trajectory_scores_floor(self, corridor_engine):
+        """A solid segment two or more snapshots longer than the trajectory
+        has a negative number of windows in it, and scores the floor."""
+        pattern = GapPattern.parse("0 1 2 2 2 3 4 [0-1] 4")
+        short_index = 0
+        assert len(pattern.segments[0]) - len(corridor_engine.dataset[short_index]) >= 2
+        assert nm_gap_pattern_trajectory(
+            corridor_engine, pattern, short_index
+        ) == corridor_engine.floor_log_prob
+
+    def test_trajectory_values_sum_to_dataset_total(self, corridor_engine):
+        """The per-trajectory DP and the dataset total slice the same
+        batched segment scores, so the terms add up to the total bit for bit."""
+        pattern = GapPattern.parse("0 1 [1-2] 3 4")
+        total = 0.0
+        for traj_index in range(len(corridor_engine.dataset)):
+            total += nm_gap_pattern_trajectory(corridor_engine, pattern, traj_index)
+        assert total == nm_gap_pattern(corridor_engine, pattern)
