@@ -931,8 +931,8 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=["none", "zlib"],
             default="none",
             help=(
-                "per-chunk compression; 'none' keeps positions memory-mappable "
-                "(default), 'zlib' trades zero-copy reads for size"
+                "per-chunk compression; 'none' (default) reads chunks as "
+                "stored, 'zlib' trades decompression on every read for size"
             ),
         )
         group.add_argument(

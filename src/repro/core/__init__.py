@@ -21,7 +21,6 @@ _EXPORTS = {
     "EngineConfig": "repro.core.engine",
     "ExtensionTables": "repro.core.engine",
     "NMEngine": "repro.core.engine",
-    "StaleIndexError": "repro.core.engine",
     "build_engine": "repro.core.engine",
     "PatternGroup": "repro.core.groups",
     "discover_pattern_groups": "repro.core.groups",
@@ -67,7 +66,6 @@ __all__ = [
     "MiningResult",
     "WarmStartState",
     "IncrementalIndexer",
-    "StaleIndexError",
     "PatternGroup",
     "discover_pattern_groups",
     "Gap",

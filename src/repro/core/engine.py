@@ -314,17 +314,14 @@ class ExtensionTables:
     match_base_total: float
 
 
-class StaleIndexError(RuntimeError):
-    """An evaluation pinned to an index epoch ran after the index changed.
-
-    Raised instead of silently scoring the old index: callers that captured
-    derived state (a miner mid-run) must observe in-place
-    append/evict mutations, not race them.
-    """
-
-
 class NMEngine:
-    """Evaluates NM / match of patterns over a whole dataset (see module docs)."""
+    """Evaluates NM / match of patterns over a whole dataset (see module docs).
+
+    An engine is a value: its dataset and index are fixed at construction.
+    A live stream that changes the dataset builds a new engine over the
+    folded index (:mod:`repro.core.incremental`), so a miner or a reader
+    holding an engine never sees it change.
+    """
 
     def __init__(
         self,
@@ -356,8 +353,19 @@ class NMEngine:
         self._kernels = kernels.resolve_backend(config.backend)
         self._arena = ScratchArena()
 
-        self._set_dataset(dataset)
+        # The dataset's row layout: lengths, starts, row owners.
+        lengths = dataset.lengths()
+        self._total_rows = int(lengths.sum())
+        _check_index_shape(self._total_rows)
+        self.dataset = dataset
+        self._lengths = lengths
+        self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        self._row_traj = np.repeat(
+            np.arange(len(dataset), dtype=np.int64), lengths
+        )
 
+        # Derived from the index on first use; they live as long as the
+        # engine, whose index never changes.
         self._valid_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._seg_max: np.ndarray | None = None
         self._entry_bounds: tuple[np.ndarray, np.ndarray] | None = None
@@ -367,25 +375,7 @@ class NMEngine:
         # (snapshot, cell) pairs the cold build enumerated -- its capacity;
         # 0 when the index was adopted or loaded.
         self.n_index_pairs = 0
-        # Monotone counter bumped by every (re)install; in-place index
-        # mutation (incremental append/evict) must go through _install_csr
-        # so epoch-pinned consumers can detect staleness via require_epoch.
-        self.index_epoch = 0
         self._cache_key = cache_key
-
-        # The index is CSR by cell (filled by _install_csr): active cell
-        # _cell_ids[i] owns entries _cell_bounds[i]:_cell_bounds[i + 1] of
-        # the int32 rows and float64 values, rows ascending within a cell
-        # -- 12 bytes per entry.  Per-cell lookup is O(log C) by
-        # searchsorted, and install stays pure array work (which is what
-        # makes warm cache loads fast).
-        self._cell_ids = np.empty(0, dtype=np.int32)
-        self._cell_bounds = np.zeros(1, dtype=np.int64)
-        self._flat_rows = np.empty(0, dtype=np.int32)
-        self._flat_vals = np.empty(0)
-        self._seg_starts = np.empty(0, dtype=np.int64)
-        self._seg_traj = np.empty(0, dtype=np.int64)
-        self._cell_seg_starts = np.empty(0, dtype=np.int64)
 
         adopted = csr is not None
         with tracing.span(
@@ -598,52 +588,6 @@ class NMEngine:
         """
         return self._cell_ids, self._cell_bounds, self._flat_rows, self._flat_vals
 
-    def require_epoch(self, epoch: int) -> None:
-        """Fail fast when the caller's pinned ``index_epoch`` is stale.
-
-        Consumers that snapshot derived index state (the miner captures the
-        epoch at the start of a run) call this before every evaluation batch
-        so an incremental append/evict landing mid-run raises instead of
-        silently mixing scores from two index generations.
-        """
-        if epoch != self.index_epoch:
-            raise StaleIndexError(
-                f"index epoch changed from {epoch} to {self.index_epoch}; "
-                "the index was mutated in place under an active consumer"
-            )
-
-    def adopt_index(
-        self,
-        dataset: TrajectoryDataset,
-        csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Adopt a new dataset plus its CSR index, in place.
-
-        This is the single mutation point the incremental maintenance layer
-        (``repro.core.incremental``) goes through: it rewrites the
-        dataset-shape state (lengths/starts/row->trajectory map) together
-        with the index so both change under one ``index_epoch`` bump.  The
-        caller guarantees ``csr`` was computed over ``dataset`` with this
-        engine's grid and config.
-        """
-        if len(dataset) == 0:
-            raise ValueError("cannot install an index over an empty dataset")
-        self._set_dataset(dataset)
-        self.index_cache_hit = False
-        self._install_csr(*csr)
-
-    def _set_dataset(self, dataset: TrajectoryDataset) -> None:
-        """The dataset and its row layout: lengths, starts, row owners."""
-        lengths = dataset.lengths()
-        _check_index_shape(int(lengths.sum()))
-        self.dataset = dataset
-        self._lengths = lengths
-        self._starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        self._total_rows = int(lengths.sum())
-        self._row_traj = np.repeat(
-            np.arange(len(dataset), dtype=np.int64), lengths
-        )
-
     def _install_csr(
         self,
         cell_ids: np.ndarray,
@@ -651,20 +595,18 @@ class NMEngine:
         rows: np.ndarray,
         vals: np.ndarray,
     ) -> None:
-        """Install a CSR index and derive every index structure from it."""
+        """Install the engine's CSR index and its segmentation, once.
+
+        Active cell ``cell_ids[i]`` owns entries ``cell_bounds[i]:
+        cell_bounds[i + 1]`` of the ``int32`` rows and ``float64`` values,
+        rows ascending within a cell -- 12 bytes per entry.  Per-cell
+        lookup is O(log C) by searchsorted, and install stays pure array
+        work (which is what makes warm cache loads fast).
+        """
         if not len(rows) == len(vals) == cell_bounds[-1]:
             raise ValueError("CSR index arrays disagree in length")
         if len(cell_ids) and (cell_ids[0] < 0 or cell_ids[-1] >= self.grid.n_cells):
             raise ValueError(f"index entry cell outside [0, {self.grid.n_cells})")
-        # Installing (or re-installing) invalidates everything derived
-        # from the previous index arrays.  _valid_cache keys on window width
-        # but its payload is built from _row_traj/_lengths/_starts, which the
-        # incremental path rewrites together with the index -- it must drop
-        # here too, not only the per-cell structures.
-        self.index_epoch += 1
-        self._seg_max = None
-        self._entry_bounds = None
-        self._valid_cache.clear()
         self._cell_ids = cell_ids
         self._cell_bounds = cell_bounds
         self._flat_rows = rows

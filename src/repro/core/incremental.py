@@ -24,13 +24,11 @@ property test pin this at 0 ULP): per-row entry computation is independent
 of chunking and of neighbouring rows, and the splice and trim only move
 entries whose (cell, row) order is already the final one.
 
-Every mutation goes through :meth:`NMEngine.adopt_index`, which rewrites
-the dataset-shape state together with the index under a single
-``index_epoch`` bump -- epoch-pinned consumers (a miner mid-run) raise
-:class:`~repro.core.engine.StaleIndexError` instead of scoring a mix of
-index generations.  Folds allocate fresh arrays and never write into the
-ones they read, so an engine that shares an earlier generation's arrays
-(a published serving snapshot) stays frozen.
+No engine changes in a fold: :class:`IncrementalIndexer` replaces its
+engine with a new :class:`NMEngine` over the folded dataset and CSR.
+Folds allocate fresh arrays and never write into the ones they read, so
+an earlier generation's engine (one a miner is running on, or a
+published serving snapshot's) stays exactly as it was built.
 """
 
 from __future__ import annotations
@@ -136,16 +134,17 @@ def evict_csr(csr: _CSR, n_dropped: int) -> _CSR:
 
 
 class IncrementalIndexer:
-    """Owns in-place append/evict maintenance of one :class:`NMEngine`.
+    """Folds appends and evictions into a new :class:`NMEngine` each time.
+
+    ``engine`` is the current generation.  Each fold works on its CSR
+    arrays (:func:`append_csr`, :func:`evict_csr`) and sets ``engine`` to
+    a new engine over the folded dataset that adopts the folded CSR; the
+    previous engine is left as it was, so whoever holds it keeps a frozen
+    generation.
 
     ``window`` bounds the number of resident trajectories: after every
     append, the oldest trajectories beyond the window are evicted (FIFO,
     matching report-stream arrival order).  ``None`` keeps everything.
-
-    Folds work on the engine's CSR arrays (:func:`append_csr`,
-    :func:`evict_csr`).  Engines built over an earlier generation with
-    ``NMEngine(..., csr=engine.index_csr())`` stay safe to share: every
-    fold allocates *new* arrays and never writes into the ones it read.
     """
 
     def __init__(self, engine: NMEngine, *, window: int | None = None) -> None:
@@ -174,8 +173,11 @@ class IncrementalIndexer:
         merged_dataset = TrajectoryDataset(
             list(old_dataset) + new, metadata=old_dataset.metadata
         )
-        engine.adopt_index(
-            merged_dataset, append_csr(engine.index_csr(), delta, row_offset)
+        self.engine = NMEngine(
+            merged_dataset,
+            engine.grid,
+            engine.config,
+            csr=append_csr(engine.index_csr(), delta, row_offset),
         )
         self.appends += 1
         self.rows_appended += merged_dataset.total_snapshots() - row_offset
@@ -201,7 +203,12 @@ class IncrementalIndexer:
         surviving_dataset = TrajectoryDataset(
             list(old_dataset)[n_trajectories:], metadata=old_dataset.metadata
         )
-        engine.adopt_index(surviving_dataset, evict_csr(engine.index_csr(), n_rows))
+        self.engine = NMEngine(
+            surviving_dataset,
+            engine.grid,
+            engine.config,
+            csr=evict_csr(engine.index_csr(), n_rows),
+        )
         self.evictions += 1
         self.rows_evicted += n_rows
         return self._stats(appended=0, evicted=n_trajectories)
@@ -210,8 +217,8 @@ class IncrementalIndexer:
         """Write the live index to the on-disk cache under a *fresh* key.
 
         The content fingerprint is recomputed over the engine's *current*
-        dataset here -- after in-place appends the dataset object is a new
-        eager :class:`TrajectoryDataset`, so no stale ``content_fingerprint``
+        dataset here -- after a fold the dataset object is a new eager
+        :class:`TrajectoryDataset`, so no stale ``content_fingerprint``
         attribute (from a store-backed snapshot the stream started from) can
         leak into the key and poison the entry the original dataset owns.
         """
@@ -230,7 +237,6 @@ class IncrementalIndexer:
             "n_trajectories": len(engine.dataset),
             "total_snapshots": engine.dataset.total_snapshots(),
             "n_index_entries": engine.n_index_entries,
-            "index_epoch": engine.index_epoch,
             "appends": self.appends,
             "evictions": self.evictions,
             "fold_s": self.last_fold_s,

@@ -26,9 +26,10 @@ Backends
 Selection is config-driven end to end: ``EngineConfig(backend=...)``,
 CLI ``--backend``, the ``serve.json`` snapshot field, and the obs
 manifest records what actually ran.  The environment variable
-``REPRO_KERNELS`` is the operational escape hatch: ``cnative`` requires
-the C library, ``none`` disables compiled kernels entirely (useful to
-assert the fallback path).
+``REPRO_KERNELS`` takes one value, ``none``, which disables compiled
+kernels entirely (useful to assert the fallback path).  To require the
+C library, check that :func:`compiled_unavailable_reason` returns
+``None``.
 """
 
 from __future__ import annotations
@@ -142,11 +143,8 @@ def _forced() -> str:
 def _load_library_state(forced: str) -> tuple[object | None, str | None]:
     if forced == "none":
         return None, "disabled via REPRO_KERNELS=none"
-    if forced not in ("", "cnative"):
-        return None, (
-            f"unknown REPRO_KERNELS value {forced!r} "
-            "(expected one of ('none', 'cnative'))"
-        )
+    if forced:
+        return None, f"unknown REPRO_KERNELS value {forced!r} (expected 'none')"
     from repro.core.kernels import compiled
 
     try:

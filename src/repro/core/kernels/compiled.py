@@ -12,7 +12,7 @@ library under a cache directory.
 It is not required: :func:`load_library` raises with a precise reason
 when the library cannot be built, and the registry in
 :mod:`repro.core.kernels` degrades to the numpy backend with a structured
-log warning.  ``REPRO_KERNELS=cnative|none`` forces it on or off.
+log warning.  ``REPRO_KERNELS=none`` turns it off.
 
 Numerical notes
 ---------------

@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 #: Index entries one :meth:`NumpyKernels.batch_devmax` pass gathers at most
-#: (a pattern touching more is gathered alone).  Each gathered entry holds
-#: about eight 8-byte scratch values, so a pass stays near 128 MiB.
-_GATHER_BUDGET = 1 << 21
+#: (a pattern touching more is gathered alone).  Each gathered entry costs
+#: about 85 bytes of scratch, so a pass stays near 5.5 MiB.
+_GATHER_BUDGET = 1 << 16
 #: Entries one :meth:`NumpyKernels.compact_entries` step moves; its index
 #: temporaries (~36 bytes per entry) stay near 2 MiB.
 _COMPACT_BLOCK = 1 << 16

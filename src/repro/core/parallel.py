@@ -157,14 +157,13 @@ def _skew(values: Sequence[float]) -> float:
 def span_dataset(dataset: TrajectoryDataset, lo: int, hi: int) -> TrajectoryDataset:
     """Trajectories ``[lo, hi)`` of ``dataset`` as a dataset, without copies.
 
-    A store-backed dataset yields a lazy span of the same store (same
-    access mode); an in-RAM dataset yields a slice sharing its trajectory
-    objects.
+    A store-backed dataset yields a lazy span of the same store; an
+    in-RAM dataset yields a slice sharing its trajectory objects.
     """
     store = getattr(dataset, "store", None)
     if store is not None:
         base = dataset.traj_lo
-        return store.span(base + lo, base + hi, mode=dataset.mode)
+        return store.span(base + lo, base + hi)
     return TrajectoryDataset(dataset.trajectories[lo:hi])
 
 

@@ -339,11 +339,6 @@ class TrajPatternMiner:
         self.use_bound_pruning = use_bound_pruning
         self.max_iterations = max_iterations
         self.warm_state = warm_state
-        # Pinned at the start of every run; evaluation batches check it so
-        # an in-place index mutation mid-mine raises StaleIndexError instead
-        # of silently scoring a mix of index generations.  None for engines
-        # without epochs (parallel/distributed front-ends).
-        self._engine_epoch: int | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -375,7 +370,6 @@ class TrajPatternMiner:
     def _mine(self, discover_groups: bool, gamma: float | None) -> MiningResult:
         stats = MinerStats()
         t0 = time.perf_counter()
-        self._engine_epoch = getattr(self.engine, "index_epoch", None)
         book = PatternBook(self.k, self.min_length, self.max_length)
 
         # Seeding: all singular patterns over the active alphabet.  Inactive
@@ -546,8 +540,6 @@ class TrajPatternMiner:
         """Score a candidate list through the engine's batched path."""
         if not to_evaluate:
             return
-        if self._engine_epoch is not None:
-            self.engine.require_epoch(self._engine_epoch)
         with tracing.span("miner.evaluate", n_candidates=len(to_evaluate)):
             with stats.metrics.timer("miner.eval_ns"):
                 # The book's cell tuples are already valid patterns.

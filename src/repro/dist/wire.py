@@ -34,7 +34,7 @@ Requests
 
 * ``hello`` -- ``version``, ``store_hash``, ``grid``, ``config``,
   ``kernel_tag``, optional ``trace`` + ``metrics``;
-* ``open`` -- build one engine per span (the worker mmaps its local
+* ``open`` -- build one engine per span (the worker reads its local
   ``.tjc`` copy; no dataset bytes ever travel);
 * ``nm_batch`` / ``match_batch`` -- ``patterns`` (cell-id lists);
 * ``singular_nm`` / ``singular_match`` -- no fields;

@@ -5,9 +5,9 @@ session begins with ``hello`` (protocol version, store identity, grid,
 engine config, Prob-kernel tag -- all refused on mismatch, see
 :mod:`repro.dist.wire`), then ``open`` builds one single-process
 :class:`~repro.core.engine.NMEngine` per assigned trajectory span.  The
-worker opens its **local** copy of the ``.tjc`` store and memory-maps the
-span -- the coordinator ships span coordinates, never data, so the wire
-cost of a mine is the op stream, not the dataset.
+worker opens its **local** copy of the ``.tjc`` store and reads the span
+from it -- the coordinator ships span coordinates, never data, so the
+wire cost of a mine is the op stream, not the dataset.
 
 Sessions are handled in their own threads, so a monitoring connection
 can ``ping`` while a coordinator session computes (numpy releases the

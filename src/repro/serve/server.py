@@ -113,19 +113,18 @@ class IngestConfig:
 
 
 class _LiveIngest:
-    """The server's live mining state: one engine folded in place.
+    """The server's live mining state: an indexer and its current engine.
 
-    Owns an :class:`IncrementalIndexer` over a private engine seeded from
-    the boot snapshot: an eager dataset copy, and the boot engine's CSR
-    index arrays taken as they are.  Every republished engine likewise
-    takes the live engine's arrays without a copy.  Sharing is safe
-    because a fold allocates fresh arrays and never writes into the ones
-    it read, so a published generation's index stays frozen.  Each
-    republished pattern library keeps the boot snapshot's ``predict``
-    settings (``confirm_threshold``, ``min_prefix``) and evaluates on the
-    engine's kernel backend.  All methods run on the server's single
-    evaluation thread; the event loop serialises ingest requests with a
-    lock.
+    Owns an :class:`IncrementalIndexer` seeded from the boot snapshot: an
+    eager dataset copy, and the boot engine's CSR index arrays taken as
+    they are.  Each fold replaces the indexer's engine with a new one and
+    never writes into the arrays it read, so the boot engine and every
+    published engine stay frozen.  A republish re-mines the indexer's
+    engine and publishes that same engine; its pattern library keeps the
+    boot snapshot's ``predict`` settings (``confirm_threshold``,
+    ``min_prefix``) and evaluates on the engine's kernel backend.  All
+    methods run on the server's single evaluation thread; the event loop
+    serialises ingest requests with a lock.
     """
 
     def __init__(
@@ -187,29 +186,22 @@ class _LiveIngest:
         self.last_mine_s = result.stats.wall_time_s
         self.generation += 1
         if self.cache_dir is not None:
-            # Recomputes the content key over the *current* dataset -- an
-            # in-place append must never overwrite the boot dataset's entry.
+            # Recomputes the content key over the *current* dataset -- a
+            # fold must never overwrite the boot dataset's entry.
             self.indexer.persist(self.cache_dir)
-        # The published engine shares the live CSR arrays: the next fold
-        # replaces them wholesale instead of mutating them, so a published
-        # generation stays frozen.
-        dataset = engine.dataset
-        published = NMEngine(
-            dataset, engine.grid, engine.config, csr=engine.index_csr()
-        )
         library = PatternLibrary(
             result.patterns,
             engine.grid,
             delta=engine.config.delta,
             confirm_threshold=self.confirm_threshold,
             min_prefix=self.min_prefix,
-            kernels=published.kernel_backend,
+            kernels=engine.kernel_backend,
         )
         snapshot = ServingSnapshot(
             f"{self.base_version}+g{self.generation}",
-            dataset,
+            engine.dataset,
             engine.grid,
-            published,
+            engine,
             library=library,
             source="<ingest>",
             confirm_threshold=self.confirm_threshold,
@@ -236,7 +228,6 @@ class _LiveIngest:
             "n_trajectories": len(engine.dataset),
             "total_snapshots": engine.dataset.total_snapshots(),
             "n_index_entries": engine.n_index_entries,
-            "index_epoch": engine.index_epoch,
             "appends": self.indexer.appends,
             "evictions": self.indexer.evictions,
             "last_fold_s": self.indexer.last_fold_s,
@@ -613,9 +604,9 @@ class PatternServer:
         reports = protocol.parse_ingest(request)
         loop = asyncio.get_running_loop()
         # One fold at a time: report batches are order-dependent (the
-        # sliding window evicts in arrival order) and the live engine is a
-        # single mutable structure.  The fold itself runs on the evaluation
-        # thread, serialised with score/predict batches.
+        # sliding window evicts in arrival order) and each fold starts from
+        # the engine the previous one built.  The fold itself runs on the
+        # evaluation thread, serialised with score/predict batches.
         async with self._ingest_lock:
             if self._ingest_state is None:
                 boot = self.store.acquire()

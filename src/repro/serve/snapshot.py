@@ -123,7 +123,7 @@ class ServingSnapshot:
         self.source = source
         # Resource lifecycle: a store-backed snapshot owns the open ``.tjc``
         # handle its lazy dataset reads through.  Dropping the snapshot
-        # reference alone leaks the fd/mmap, so retirement is refcounted:
+        # reference alone leaks the fd, so retirement is refcounted:
         # ``retain``/``release`` bracket every admission that may still read
         # the dataset, ``retire`` marks the generation replaced, and the
         # store closes exactly once, when both have happened.

@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`TrajectoryStore` / :func:`open_store` -- O(footer) reader with
-  zero-copy memmap or bounded ``pread`` access;
+* :class:`TrajectoryStore` / :func:`open_store` -- O(footer) reader
+  whose row reads are bounded ``pread`` + decode;
 * :class:`StoreWriter` / :func:`write_store` -- streaming atomic writer;
 * :class:`StoreDataset` -- lazy drop-in ``TrajectoryDataset`` over a
   store span (what engines consume);

@@ -20,9 +20,10 @@ the chunk table, summary statistics (bounding box, sigma extrema) and a
 -- one identity shared by the index cache, manifests and span cache keys.
 
 Opening a store costs O(footer): the trajectory table (lengths, start
-times, dts) is memory-mapped, not parsed, and row columns are only
-touched when sliced.  Row data comes in *chunks* -- contiguous row ranges
-aligned to trajectory boundaries -- so each chunk decodes independently:
+times, dts) is read with one ``pread`` per column on first use, and row
+columns are only touched when sliced.  Row data comes in *chunks* --
+contiguous row ranges aligned to trajectory boundaries -- so each chunk
+decodes independently:
 
 * positions: raw little-endian float64 (bit-exact, the default) or
   delta-encoded quantised int32 (``positions="q32"``, lossy, opt-in);
@@ -31,11 +32,9 @@ aligned to trajectory boundaries -- so each chunk decodes independently:
   ``start_time + i * dt``;
 * each chunk blob optionally zlib-compressed (``compression="zlib"``).
 
-With the default ``compression="none"`` + ``positions="f64"`` the xy and
-sigma columns are contiguous in the file and reads are **zero-copy**
-``numpy.memmap`` slices (:attr:`TrajectoryStore.supports_mmap`); every
-other codec combination reads through bounded ``pread`` + decode.  See
-``docs/STORAGE.md`` for the full spec.
+Every codec combination reads rows one way: bounded ``pread`` + decode
+of the chunks a row range covers, so a reader maps nothing of the file.
+See ``docs/STORAGE.md`` for the full spec.
 """
 
 from __future__ import annotations
@@ -535,16 +534,11 @@ def _decode_chunk_blobs(
 class TrajectoryStore:
     """Read side of the ``.tjc`` format; open cost is O(footer).
 
-    Row access modes:
-
-    * ``mode="mmap"`` -- zero-copy ``numpy.memmap`` slices; only for
-      uncompressed float64 stores (:attr:`supports_mmap`).  Pages become
-      resident as they are touched and stay shareable between processes
-      mapping the same file.
-    * ``mode="read"`` -- bounded ``pread`` + decode into fresh arrays;
-      works for every codec and never grows the mapping, which is what
-      the streaming engine uses to keep peak RSS at one chunk.
-    * ``mode="auto"`` (default) -- mmap when supported, read otherwise.
+    Rows are read by bounded ``pread`` + decode of the chunks a row range
+    covers, for every codec, and a two-chunk decoded cache serves
+    sequential access; the streaming engine reads one row chunk at a time
+    this way, so its peak RSS stays at one chunk.  Nothing of the file is
+    memory-mapped.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -605,27 +599,18 @@ class TrajectoryStore:
         self._start_times: np.ndarray | None = None
         self._dts: np.ndarray | None = None
         self._object_ids: list[str] | None = None
-        self._xy_mmap: np.ndarray | None = None
-        self._sigma_mmap: np.ndarray | None = None
-        # Tiny decoded-chunk cache so per-trajectory iteration over a
-        # compressed store does not re-inflate its chunk every call.
+        # Tiny decoded-chunk cache so per-trajectory iteration does not
+        # re-read (and re-inflate) its chunk every call.
         self._chunk_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Drop the file handle and mapped views (idempotent)."""
+        """Drop the file handle and the decoded columns (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._xy_mmap = None
-        self._sigma_mmap = None
-        # The per-trajectory columns are np.memmap instances, each holding
-        # its own mapping of the file: dropping the references here is what
-        # lets a retired serving snapshot release every fd it owns, not
-        # just the footer handle.  Consumers that already took views keep
-        # the underlying mappings alive through numpy's base chain.
         self._lengths = None
         self._row_offsets = None
         self._start_times = None
@@ -652,17 +637,11 @@ class TrajectoryStore:
     # -- trajectory table ----------------------------------------------------------
 
     def _traj_column(self, name: str, dtype: str) -> np.ndarray:
-        ref = self._traj_columns[name]
-        count = ref["nbytes"] // np.dtype(dtype).itemsize
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        return np.memmap(
-            self.path, dtype=dtype, mode="r", offset=ref["offset"], shape=(count,)
-        )
+        return np.frombuffer(self._pread(self._traj_columns[name]), dtype=dtype)
 
     @property
     def lengths(self) -> np.ndarray:
-        """Per-trajectory snapshot counts (int64, memory-mapped)."""
+        """Per-trajectory snapshot counts (int64, read on first use)."""
         if self._lengths is None:
             self._lengths = self._traj_column("lengths", "<i8")
         return self._lengths
@@ -701,41 +680,6 @@ class TrajectoryStore:
 
     # -- row columns ---------------------------------------------------------------
 
-    @property
-    def supports_mmap(self) -> bool:
-        """True when xy/sigma slices can be served as zero-copy memmap views."""
-        return self.compression == "none" and self.positions == "f64"
-
-    def _resolve_mode(self, mode: str) -> str:
-        if mode == "auto":
-            return "mmap" if self.supports_mmap else "read"
-        if mode == "mmap" and not self.supports_mmap:
-            raise ValueError(
-                f"store {self.path.name} ({self.compression}/{self.positions}) "
-                "does not support zero-copy mmap access"
-            )
-        if mode not in ("mmap", "read"):
-            raise ValueError(f"unknown access mode {mode!r}")
-        return mode
-
-    def _xy_map(self) -> np.ndarray:
-        if self._xy_mmap is None:
-            base = self._chunks[0]["xy"]["offset"] if self._chunks else len(MAGIC)
-            self._xy_mmap = np.memmap(
-                self.path, dtype="<f8", mode="r", offset=base,
-                shape=(self.total_snapshots, 2),
-            )
-        return self._xy_mmap
-
-    def _sigma_map(self) -> np.ndarray:
-        if self._sigma_mmap is None:
-            base = self._chunks[0]["sigma"]["offset"] if self._chunks else len(MAGIC)
-            self._sigma_mmap = np.memmap(
-                self.path, dtype="<f8", mode="r", offset=base,
-                shape=(self.total_snapshots,),
-            )
-        return self._sigma_mmap
-
     def _decoded_chunk(self, ci: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._chunk_cache.get(ci)
         if cached is not None:
@@ -773,18 +717,14 @@ class TrajectoryStore:
                 f"[0, {self.total_snapshots})"
             )
 
-    def means(self, row_lo: int, row_hi: int, *, mode: str = "auto") -> np.ndarray:
+    def means(self, row_lo: int, row_hi: int) -> np.ndarray:
         """Snapshot means of global rows ``[row_lo, row_hi)`` as ``(n, 2)``."""
         self._check_rows(row_lo, row_hi)
-        if self._resolve_mode(mode) == "mmap":
-            return self._xy_map()[row_lo:row_hi]
         return self._gather(row_lo, row_hi, 0)
 
-    def sigmas(self, row_lo: int, row_hi: int, *, mode: str = "auto") -> np.ndarray:
+    def sigmas(self, row_lo: int, row_hi: int) -> np.ndarray:
         """Snapshot sigmas of global rows ``[row_lo, row_hi)``."""
         self._check_rows(row_lo, row_hi)
-        if self._resolve_mode(mode) == "mmap":
-            return self._sigma_map()[row_lo:row_hi]
         return self._gather(row_lo, row_hi, 1)
 
     def _gather(self, row_lo: int, row_hi: int, which: int) -> np.ndarray:
@@ -834,11 +774,8 @@ class TrajectoryStore:
     def trajectory(self, index: int) -> UncertainTrajectory:
         """Materialise one trajectory (validating value object, copies).
 
-        Always reads via bounded ``pread`` (``mode="read"``): a sweep of
-        single-trajectory accesses must not fault the whole file into the
-        process mapping, or a "scan one at a time" loop would carry the
-        dataset's full RSS anyway.  Sequential sweeps still decode each
-        column chunk once thanks to the chunk LRU.
+        Sequential sweeps decode each column chunk once thanks to the
+        chunk cache.
         """
         if not 0 <= index < self.n_trajectories:
             raise IndexError(
@@ -847,8 +784,8 @@ class TrajectoryStore:
         offsets = self.row_offsets
         lo, hi = int(offsets[index]), int(offsets[index + 1])
         return UncertainTrajectory(
-            self.means(lo, hi, mode="read"),
-            self.sigmas(lo, hi, mode="read"),
+            self.means(lo, hi),
+            self.sigmas(lo, hi),
             object_id=self.object_ids[index],
             start_time=float(self.start_times[index]),
             dt=float(self.dts[index]),
@@ -869,17 +806,17 @@ class TrajectoryStore:
             metadata=self.metadata,
         )
 
-    def dataset(self, *, mode: str = "auto"):
+    def dataset(self):
         """Lazy store-backed dataset over every trajectory (see storage.dataset)."""
         from repro.storage.dataset import StoreDataset
 
-        return StoreDataset(self, 0, self.n_trajectories, mode=mode)
+        return StoreDataset(self, 0, self.n_trajectories)
 
-    def span(self, traj_lo: int, traj_hi: int, *, mode: str = "auto"):
+    def span(self, traj_lo: int, traj_hi: int):
         """Lazy store-backed dataset over the trajectory span ``[lo, hi)``."""
         from repro.storage.dataset import StoreDataset
 
-        return StoreDataset(self, traj_lo, traj_hi, mode=mode)
+        return StoreDataset(self, traj_lo, traj_hi)
 
     def describe(self) -> dict:
         """Header summary (what ``repro store-info`` prints)."""
@@ -895,7 +832,6 @@ class TrajectoryStore:
             "quant": self.quant,
             "timestamps": self.has_timestamps,
             "n_chunks": len(self._chunks),
-            "supports_mmap": self.supports_mmap,
             "content_hash": self.content_hash,
             "stats": self.stats,
             "metadata": self.metadata,

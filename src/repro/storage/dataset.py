@@ -89,19 +89,17 @@ class _LazySpanTrajectories(Sequence):
 class StoreDataset(TrajectoryDataset):
     """A ``TrajectoryDataset`` served lazily from a :class:`TrajectoryStore`."""
 
-    __slots__ = ("store", "traj_lo", "traj_hi", "mode")
+    __slots__ = ("store", "traj_lo", "traj_hi")
 
-    def __init__(self, store, traj_lo: int, traj_hi: int, *, mode: str = "auto") -> None:
+    def __init__(self, store, traj_lo: int, traj_hi: int) -> None:
         if not 0 <= traj_lo <= traj_hi <= store.n_trajectories:
             raise IndexError(
                 f"trajectory span [{traj_lo}, {traj_hi}) out of range "
                 f"[0, {store.n_trajectories})"
             )
-        store._resolve_mode(mode)  # fail fast on mmap over a compressed store
         self.store = store
         self.traj_lo = int(traj_lo)
         self.traj_hi = int(traj_hi)
-        self.mode = mode
         # Base-class slots, assigned directly: the lazy sequence stands in
         # for the usual tuple (everything downstream duck-types on
         # len/iter/getitem/slicing).
@@ -155,11 +153,11 @@ class StoreDataset(TrajectoryDataset):
 
     def all_means(self) -> np.ndarray:
         lo, hi = self._row_span()
-        return self.store.means(lo, hi, mode=self.mode)
+        return self.store.means(lo, hi)
 
     def all_sigmas(self) -> np.ndarray:
         lo, hi = self._row_span()
-        return self.store.sigmas(lo, hi, mode=self.mode)
+        return self.store.sigmas(lo, hi)
 
     def row_columns(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode span rows ``[lo, hi)`` of the mean/sigma columns on demand.
@@ -174,8 +172,8 @@ class StoreDataset(TrajectoryDataset):
         if not 0 <= lo <= hi <= top - base:
             raise IndexError(f"row span [{lo}, {hi}) out of range [0, {top - base})")
         return (
-            self.store.means(base + lo, base + hi, mode="read"),
-            self.store.sigmas(base + lo, base + hi, mode="read"),
+            self.store.means(base + lo, base + hi),
+            self.store.sigmas(base + lo, base + hi),
         )
 
     def lengths(self) -> np.ndarray:

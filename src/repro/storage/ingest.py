@@ -58,14 +58,13 @@ def convert_jsonl_to_store(
 
 
 @contextmanager
-def open_as_store(path: str | Path, *, mode: str = "read"):
+def open_as_store(path: str | Path):
     """Yield a store-backed dataset over ``path``, a ``.tjc`` store or JSONL.
 
     A JSONL dataset is first stream-converted to a temporary ``.tjc``
     (one pass, bounded memory) that lives as long as the context.  Its
     content hash is that of the data, so span-cache entries written for
-    one conversion are hit by the next.  ``mode="read"`` (the default)
-    decodes rows through bounded ``pread`` so the mapping never grows.
+    one conversion are hit by the next.
     """
     with ExitStack() as stack:
         path = Path(path)
@@ -74,7 +73,7 @@ def open_as_store(path: str | Path, *, mode: str = "read"):
             converted = Path(tmp) / f"{path.stem}.tjc"
             convert_jsonl_to_store(path, converted)
             path = converted
-        yield stack.enter_context(open_store(path)).dataset(mode=mode)
+        yield stack.enter_context(open_store(path)).dataset()
 
 
 def convert_csv_to_store(

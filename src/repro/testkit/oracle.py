@@ -446,7 +446,7 @@ def run_oracle(
         )
 
         # Paths 6+7: the columnar store.  Writing the dataset to a ``.tjc``
-        # file and evaluating over the store-backed (lazy, memory-mapped)
+        # file and evaluating over the store-backed (lazy, pread-decoded)
         # dataset must not move a bit; fork workers over store spans must
         # agree bit-for-bit with fork workers over in-RAM slices of the
         # same width.

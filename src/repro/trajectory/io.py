@@ -49,17 +49,6 @@ def save_dataset_jsonl(dataset: TrajectoryDataset, path: str | Path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_jsonl_header(path: str | Path) -> dict:
-    """Parse and validate only the header line; returns its metadata dict.
-
-    Cheap eager validation (the streaming engines use it to fail fast on a
-    bad file before any mining starts).
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        return _parse_header(path, fh.readline())
-
-
 def _parse_header(path: Path, first: str) -> dict:
     if not first or not first.strip():
         raise ValueError(f"{path}: empty file")

@@ -6,8 +6,9 @@ and therefore every NM/match it will ever compute -- must equal a
 from-scratch :class:`NMEngine` build over the surviving trajectories
 exactly, not approximately.  Hypothesis drives the interleavings; the
 fixed tests pin the CSR splice/trim primitives, the sharing of index
-arrays between engines, the memory of one fold, the epoch-staleness
-guard and the warm-started miner's exactness.
+arrays between engines, the memory of one fold, that a fold leaves the
+engine a miner is running on untouched, and the warm-started miner's
+exactness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import index_cache, kernels
-from repro.core.engine import EngineConfig, NMEngine, StaleIndexError
+from repro.core.engine import EngineConfig, NMEngine
 from repro.core.incremental import (
     IncrementalIndexer,
     _delta_csr,
@@ -130,10 +131,14 @@ class TestIncrementalIndexer:
         engine = NMEngine(TrajectoryDataset(trajectories[:5]), grid, CONFIG)
         indexer = IncrementalIndexer(engine)
         indexer.append(trajectories[5:9])
-        _assert_same_index(engine, trajectories[:9], grid)
+        appended = indexer.engine
+        _assert_same_index(appended, trajectories[:9], grid)
         indexer.evict(3)
-        _assert_same_index(engine, trajectories[3:9], grid)
-        assert engine.index_epoch == 3  # build + append + evict
+        _assert_same_index(indexer.engine, trajectories[3:9], grid)
+        # Each fold built a new engine and left the one it folded intact.
+        assert len({id(engine), id(appended), id(indexer.engine)}) == 3
+        _assert_same_index(engine, trajectories[:5], grid)
+        _assert_same_index(appended, trajectories[:9], grid)
 
     def test_window_auto_evicts_oldest(self, pool):
         trajectories, grid = pool
@@ -141,8 +146,8 @@ class TestIncrementalIndexer:
         indexer = IncrementalIndexer(engine, window=6)
         stats = indexer.append(trajectories[5:9])
         assert stats["appended"] == 4 and stats["evicted"] == 3
-        assert len(engine.dataset) == 6
-        _assert_same_index(engine, trajectories[3:9], grid)
+        assert len(indexer.engine.dataset) == 6
+        _assert_same_index(indexer.engine, trajectories[3:9], grid)
 
     def test_evict_everything_is_refused(self, pool):
         trajectories, grid = pool
@@ -153,8 +158,11 @@ class TestIncrementalIndexer:
 
     def test_scoring_after_folds_matches_fresh_engine(self, pool):
         trajectories, grid = pool
-        engine = NMEngine(TrajectoryDataset(trajectories[:6]), grid, CONFIG)
-        IncrementalIndexer(engine, window=7).append(trajectories[6:10])
+        indexer = IncrementalIndexer(
+            NMEngine(TrajectoryDataset(trajectories[:6]), grid, CONFIG), window=7
+        )
+        indexer.append(trajectories[6:10])
+        engine = indexer.engine
         fresh = NMEngine(TrajectoryDataset(trajectories[3:10]), grid, CONFIG)
         cells = fresh.active_cells
         patterns = [
@@ -193,13 +201,25 @@ class TestIncrementalIndexer:
             TrajectoryDataset(trajectories[:8]), version="v-share"
         )
         live = _LiveIngest(boot, IngestConfig(k=3), None)
-        engine = live.indexer.engine
-        for mine, source in zip(engine.index_csr(), boot.engine.index_csr()):
+        for mine, source in zip(
+            live.indexer.engine.index_csr(), boot.engine.index_csr()
+        ):
             assert mine is source
+        boot_bytes = [a.tobytes() for a in boot.engine.index_csr()]
+        published = []
         for wave in (trajectories[8:10], trajectories[10:12]):
             _, snapshot = live.fold(wave)
-            for mine, source in zip(snapshot.engine.index_csr(), engine.index_csr()):
-                assert np.shares_memory(mine, source)
+            # The republished snapshot serves the engine the fold built.
+            assert snapshot.engine is live.indexer.engine
+            assert snapshot.dataset is snapshot.engine.dataset
+            published.append(snapshot.engine)
+        assert published[0] is not published[1]
+        assert [a.tobytes() for a in boot.engine.index_csr()] == boot_bytes
+        for engine, n in zip(published, (10, 12)):
+            fresh = NMEngine(
+                TrajectoryDataset(trajectories[:n]), boot.grid, boot.engine.config
+            )
+            _assert_same_csr(engine.index_csr(), fresh.index_csr())
 
     def test_append_traced_peak_per_entry(self):
         """One fold allocates ~14 B per base entry: the output CSR and a mask.
@@ -258,40 +278,42 @@ class TestIncrementalIndexer:
                     continue  # never empty the engine
                 indexer.evict(count)
                 del surviving[:count]
-        _assert_same_index(engine, surviving, grid)
+        _assert_same_index(indexer.engine, surviving, grid)
 
 
-class TestEpochStaleness:
-    def test_fold_bumps_epoch_and_stale_check_raises(self, pool):
-        trajectories, grid = pool
-        engine = NMEngine(TrajectoryDataset(trajectories[:4]), grid, CONFIG)
-        pinned = engine.index_epoch
-        engine.require_epoch(pinned)  # current epoch passes
-        IncrementalIndexer(engine).append(trajectories[4:5])
-        assert engine.index_epoch == pinned + 1
-        with pytest.raises(StaleIndexError, match="epoch changed"):
-            engine.require_epoch(pinned)
-
-    def test_miner_raises_on_mid_run_mutation(self, pool):
+class TestFoldDuringMine:
+    def test_fold_during_a_mine_leaves_its_engine_untouched(self, pool):
+        """A fold landing mid-mine builds a new engine: the running mine
+        finishes on the engine it started with and returns exactly the
+        cold top-k over the pre-fold dataset."""
         trajectories, grid = pool
         engine = NMEngine(TrajectoryDataset(trajectories[:5]), grid, CONFIG)
+        before = [a.tobytes() for a in engine.index_csr()]
         miner = TrajPatternMiner(engine, k=3)
         indexer = IncrementalIndexer(engine)
 
-        # Sabotage: the first batch evaluation mutates the index in place,
-        # as a buggy concurrent ingest would.
+        # The first batch evaluation folds a wave in, as a concurrent
+        # ingest would.
         original = miner._evaluate_batch
-        armed = {"done": False}
+        folds = []
 
-        def sabotaged(book, batch, stats):
-            if not armed["done"]:
-                armed["done"] = True
-                indexer.append(trajectories[5:6])
+        def folding(book, batch, stats):
+            if not folds:
+                folds.append(indexer.append(trajectories[5:6]))
             return original(book, batch, stats)
 
-        miner._evaluate_batch = sabotaged
-        with pytest.raises(StaleIndexError):
-            miner.mine()
+        miner._evaluate_batch = folding
+        result = miner.mine()
+        assert folds and indexer.engine is not engine
+        assert miner.engine is engine and len(engine.dataset) == 5
+        assert [a.tobytes() for a in engine.index_csr()] == before
+        cold = TrajPatternMiner(
+            NMEngine(TrajectoryDataset(trajectories[:5]), grid, CONFIG), k=3
+        ).mine()
+        assert [(p.cells, nm) for p, nm in result.as_pairs()] == [
+            (p.cells, nm) for p, nm in cold.as_pairs()
+        ]
+        assert result.omega == cold.omega
 
 
 class TestWarmStartedMining:
@@ -305,7 +327,7 @@ class TestWarmStartedMining:
         indexer = IncrementalIndexer(engine)
         indexer.append(trajectories[8:11])
         warm = TrajPatternMiner(
-            engine, k=4, warm_state=previous.warm_state
+            indexer.engine, k=4, warm_state=previous.warm_state
         ).mine()
         cold = TrajPatternMiner(
             NMEngine(TrajectoryDataset(trajectories[:11]), grid, CONFIG), k=4
@@ -337,6 +359,6 @@ class TestPersist:
         indexer.append(trajectories[5:7])
         path = indexer.persist()
         assert path is not None and path.exists()
-        new_key = dataset_cache_key(engine.dataset, grid, config)
+        new_key = dataset_cache_key(indexer.engine.dataset, grid, config)
         assert new_key != original_key
         assert path == index_cache.cache_path(tmp_path, new_key)

@@ -379,8 +379,8 @@ class TestInPlaceAppendKeying:
         # Regression: a live ingest stream that starts from a store-backed
         # snapshot inherits a dataset carrying ``content_fingerprint``.
         # If the indexer persisted under a key derived from that stale
-        # fingerprint after appending in place (same identity, new
-        # contents), it would overwrite the *original* dataset's cache
+        # fingerprint after an append (the old identity, new contents),
+        # it would overwrite the *original* dataset's cache
         # entry with an index describing more rows -- a poisoned entry
         # every later boot of the original dataset would load.
         from repro.core.incremental import IncrementalIndexer
@@ -409,7 +409,7 @@ class TestInPlaceAppendKeying:
         indexer.append([UncertainTrajectory(means, 0.02, object_id="new")])
         persisted = indexer.persist()
 
-        fresh_key = dataset_cache_key(live.dataset, grid, config)
+        fresh_key = dataset_cache_key(indexer.engine.dataset, grid, config)
         assert fresh_key != boot_key
         assert persisted == index_cache.cache_path(cache_dir, fresh_key)
         # The boot dataset's entry is byte-identical: not poisoned.

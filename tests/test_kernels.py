@@ -110,6 +110,17 @@ def test_forced_none_disables_compiled(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="repro.kernels"):
         assert kernels.resolve_backend("auto").name == "numpy"
     assert not caplog.records
+
+
+def test_repro_kernels_accepts_only_none(monkeypatch):
+    """Any other value, the retired ``cnative`` included, disables compiled
+    kernels and names itself in the reason, so it cannot pass for a check
+    that the C library loaded."""
+    monkeypatch.setenv("REPRO_KERNELS", "cnative")
+    assert kernels.available_backends() == ["numpy"]
+    assert "unknown REPRO_KERNELS value 'cnative'" in (
+        kernels.compiled_unavailable_reason()
+    )
     summary = kernels.backend_summary(
         EngineConfig(delta=0.03, backend="compiled")
     )
@@ -269,6 +280,7 @@ def test_numpy_devmax_gathers_a_bounded_run(monkeypatch):
     from repro.core.kernels import numpy_ref
 
     numpy_kernels = kernels.resolve_backend("numpy")
+    monkeypatch.setattr(numpy_ref, "_GATHER_BUDGET", 1 << 30, raising=False)
     whole = _devmax_batch()
     numpy_kernels.batch_devmax(**whole)
     budget = 1 << 14
@@ -285,6 +297,39 @@ def test_numpy_devmax_gathers_a_bounded_run(monkeypatch):
     # A run may exceed the budget by one pattern's entries (3 * 700);
     # measured 85 bytes per entry of that.
     assert peak <= 128 * (budget + 3 * 700), peak
+
+
+def test_numpy_nm_batch_peak_follows_the_default_gather_budget():
+    """A 300-pattern numpy ``nm_batch`` over 20,000 rows peaks at a few MiB.
+
+    The batch touches ~2.8 M index entries.  With a 2^21-entry gather
+    budget its passes held 197 MiB traced; the default 2^16 keeps a pass
+    near 5.5 MiB.  The batch returns the bits of 300 one-pattern calls.
+    """
+    import tracemalloc
+
+    from repro.testkit.datasets import seeded_dataset
+
+    dataset = seeded_dataset(7, n_trajectories=200, n_ticks=100)
+    eng = NMEngine(
+        dataset,
+        dataset.make_grid(0.05),
+        EngineConfig(delta=0.05, min_prob=1e-5, backend="numpy"),
+    )
+    rng = np.random.default_rng(0)
+    patterns = [
+        TrajectoryPattern(tuple(int(c) for c in rng.choice(eng.active_cells, size=3)))
+        for _ in range(300)
+    ]
+    eng.nm_batch(patterns[:5])  # lazy lookups and per-length plumbing
+    tracemalloc.start()
+    try:
+        batch = eng.nm_batch(patterns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+    _assert_same_bits(batch, np.array([eng.nm(p) for p in patterns]))
 
 
 def test_arena_grows_geometrically():
@@ -799,54 +844,14 @@ def test_compiled_build_matches_reference_install(compiled_kernels, small_datase
         delta=config.delta, model=config.prob_model, min_prob=config.min_prob,
         cap=config.max_cells_per_snapshot,
     )  # fmt: skip
-    ref = _engine(small_dataset, backend="numpy", **kw)
-    ref._install_csr(*sorted_ref)
+    ref = _engine(small_dataset, backend="numpy", csr=sorted_ref, **kw)
     adopted = _engine(small_dataset, backend="numpy", csr=eng.index_csr(), **kw)
     for name in INDEX_ARRAYS:
         _assert_same_bits(getattr(eng, name), getattr(ref, name))
         _assert_same_bits(getattr(eng, name), getattr(adopted, name))
 
 
-# -- index replacement & cache invalidation ----------------------------------
-
-
-def test_adopt_index_invalidates_caches(small_dataset):
-    """A warmed engine adopting a new index must match a cold engine bit-exactly.
-
-    Exercises the ``_segment_maxima`` / entry-bounds / column caches: all
-    are populated by the first evaluation round and must not leak across
-    ``adopt_index``.
-    """
-    warm = _engine(small_dataset)
-    patterns = _candidates(warm)
-    warm.match_batch(patterns)
-    warm.nm_batch(patterns)
-    warm_singular = warm.singular_nm_table()  # populates _seg_max
-    assert warm._seg_max is not None
-
-    # A genuinely different index over the same dataset/grid: the first
-    # half of the active cells, with rescaled values.
-    cell_ids, cell_bounds, rows, vals = warm.index_csr()
-    half = len(cell_ids) // 2
-    n = int(cell_bounds[half])
-    new = (cell_ids[:half], cell_bounds[: half + 1], rows[:n], vals[:n] * 0.75)
-    epoch = warm.index_epoch
-    warm.adopt_index(small_dataset, new)
-    assert warm.index_epoch == epoch + 1
-    assert warm._seg_max is None  # caches dropped with the old index
-
-    cold = _engine(small_dataset, csr=new)
-    assert np.array_equal(warm.match_batch(patterns), cold.match_batch(patterns))
-    assert np.array_equal(warm.nm_batch(patterns), cold.nm_batch(patterns))
-    assert warm.singular_nm_table() == cold.singular_nm_table()
-    assert warm.singular_nm_table() != warm_singular
-
-    # Shrinking to an empty index must also reset every derived structure.
-    warm.nm_batch(patterns)
-    warm.adopt_index(small_dataset, EMPTY_CSR)
-    assert warm.n_index_entries == 0
-    floor = warm.nm_batch(patterns)
-    assert np.all(np.isfinite(floor))
+# -- index cache refusals -----------------------------------------------------
 
 
 def _assert_cache_refuses(dataset, tmp_path, bad_csr) -> None:
@@ -931,7 +936,7 @@ def test_empty_inputs(small_dataset, backend):
     assert np.isfinite(value)
 
     # Empty-index engine: every path still returns finite floors.
-    eng.adopt_index(small_dataset, EMPTY_CSR)
+    eng = _engine(small_dataset, backend=backend, csr=EMPTY_CSR)
     patterns = [seg, dead]
     assert np.all(np.isfinite(eng.nm_batch(patterns)))
     assert np.all(np.isfinite(eng.window_scores_batch(patterns)[0]))

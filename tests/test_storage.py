@@ -56,12 +56,10 @@ class TestRoundTrip:
         path = write_store(dataset, tmp_path / "d.tjc", compression="zlib")
         with open_store(path) as store:
             assert np.array_equal(
-                store.means(0, store.total_snapshots, mode="read"),
-                dataset.all_means(),
+                store.means(0, store.total_snapshots), dataset.all_means()
             )
             assert np.array_equal(
-                store.sigmas(0, store.total_snapshots, mode="read"),
-                dataset.all_sigmas(),
+                store.sigmas(0, store.total_snapshots), dataset.all_sigmas()
             )
             assert np.array_equal(store.lengths, dataset.lengths())
 
@@ -89,13 +87,10 @@ class TestRoundTrip:
         with open_store(path) as store:
             assert store.describe()["n_chunks"] > 1
             assert np.array_equal(
-                store.means(0, store.total_snapshots, mode="read"),
-                dataset.all_means(),
+                store.means(0, store.total_snapshots), dataset.all_means()
             )
             # straddling reads cross chunk boundaries
-            assert np.array_equal(
-                store.means(10, 40, mode="read"), dataset.all_means()[10:40]
-            )
+            assert np.array_equal(store.means(10, 40), dataset.all_means()[10:40])
 
     def test_content_hash_matches_dataset_fingerprint(self, dataset, tmp_path):
         path = write_store(dataset, tmp_path / "d.tjc", compression="zlib")
@@ -121,20 +116,6 @@ class TestRoundTrip:
         assert info["version"] == FORMAT_VERSION
         assert info["n_trajectories"] == len(dataset)
         assert info["compression"] == "zlib"
-        assert info["supports_mmap"] is False
-
-    def test_mmap_only_for_raw_f64(self, dataset, tmp_path):
-        raw = write_store(dataset, tmp_path / "raw.tjc")
-        packed = write_store(dataset, tmp_path / "z.tjc", compression="zlib")
-        with open_store(raw) as store:
-            assert store.supports_mmap
-            assert np.array_equal(
-                store.means(3, 17, mode="mmap"), dataset.all_means()[3:17]
-            )
-        with open_store(packed) as store:
-            assert not store.supports_mmap
-            with pytest.raises(ValueError, match="mmap"):
-                store.means(0, 1, mode="mmap")
 
 
 class _CountingFile:
@@ -310,4 +291,4 @@ class TestEmptyAndEdge:
         store = open_store(path)
         store.close()
         with pytest.raises(ValueError):
-            store.means(0, 1, mode="read")
+            store.means(0, 1)

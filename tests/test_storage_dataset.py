@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,12 +63,23 @@ class TestAggregateEquivalence:
         with pytest.raises(IndexError):
             lazy.row_columns(0, eager.total_snapshots() + 1)
 
-    def test_mmap_mode_returns_views(self, store):
-        lazy = store.dataset(mode="mmap")
-        means = lazy.all_means()
-        # zero-copy: the array must be backed by the store's memory map,
-        # not a decoded copy.
-        assert isinstance(means.base, np.memmap) or isinstance(means, np.memmap)
+    def test_reads_map_nothing_of_the_file(self, eager, store):
+        """Every read of a raw float64 store goes through ``pread``: after
+        the aggregate queries, a row chunk and a trajectory, the process
+        holds no mapping of the store's file."""
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps on this platform")
+        lazy = store.dataset()
+        assert store.compression == "none" and store.positions == "f64"
+        assert np.array_equal(lazy.lengths(), eager.lengths())
+        assert np.array_equal(lazy.all_means(), eager.all_means())
+        assert np.array_equal(lazy.all_sigmas(), eager.all_sigmas())
+        assert np.array_equal(lazy.row_columns(0, 10)[0], eager.all_means()[:10])
+        assert lazy[0].object_id == eager[0].object_id
+        path = str(store.path.resolve())
+        mapped = [line for line in maps.read_text().splitlines() if path in line]
+        assert mapped == []
 
 
 class TestSpans:

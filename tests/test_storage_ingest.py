@@ -95,7 +95,7 @@ class TestConvertCsv:
         convert_csv_to_store(src, tmp_path / "d.tjc", default_sigma=0.05)
         with open_store(tmp_path / "d.tjc") as store:
             assert np.array_equal(
-                store.sigmas(0, 2, mode="read"), np.array([0.05, 0.05])
+                store.sigmas(0, 2), np.array([0.05, 0.05])
             )
 
     def test_interleaved_objects_raise_with_line(self, tmp_path):
@@ -139,7 +139,7 @@ class TestIngestPorto:
         assert summary["n_skipped"] == 1
         with open_store(tmp_path / "p.tjc") as store:
             assert store.object_ids == ["0", "2"]
-            assert np.allclose(store.sigmas(0, 5, mode="read"), 1e-4)
+            assert np.allclose(store.sigmas(0, 5), 1e-4)
             assert store.metadata["source"] == "porto-csv"
 
     def test_strict_mode_raises_on_malformed(self, tmp_path):
