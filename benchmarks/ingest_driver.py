@@ -4,13 +4,15 @@ Boots a :class:`PatternServer` with ingest enabled, feeds it three waves of
 dead-reckoned trajectory reports over a real socket, and asserts that the
 top-k the server republished after the last wave is *identical* -- cells
 and NM values, no tolerance -- to a from-scratch
-:class:`TrajPatternMiner` run over the final trajectory set.  Exits
-non-zero on any mismatch, so CI fails loudly if the incremental fold or
-the warm-started miner ever drifts from the batch path.
+:class:`TrajPatternMiner` run over the final trajectory set.  With
+``--window N`` the server keeps only the newest N trajectories, each fold
+evicting past the window as it appends, and the reference mines the last
+N.  Exits non-zero on any mismatch, so CI fails loudly if the incremental
+fold or the warm-started miner ever drifts from the batch path.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/ingest_driver.py [--k 4] [--waves 3]
+    PYTHONPATH=src python benchmarks/ingest_driver.py [--k 4] [--waves 3] [--window N]
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base-objects", type=int, default=8)
     parser.add_argument("--n-ticks", type=int, default=25)
     parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--window", type=int, default=None)
     args = parser.parse_args(argv)
 
     total = args.base_objects + args.waves * args.objects_per_wave
@@ -108,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     server = PatternServer(
         store,
         ServeConfig(),
-        ingest=IngestConfig(k=args.k, remine_every=1),
+        ingest=IngestConfig(k=args.k, remine_every=1, window=args.window),
     )
 
     async def scenario():
@@ -137,11 +140,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: unexpected version {store.current.version}", file=sys.stderr)
         return 1
 
-    # From-scratch reference over the final trajectory set, same grid and
-    # engine config as the serving snapshot.
+    # From-scratch reference over the final trajectory set (the last
+    # ``window`` of them with a window), same grid and engine config as
+    # the serving snapshot.
+    resident = reports if args.window is None else reports[-args.window :]
     final_dataset = TrajectoryDataset(
-        [trajectory_from_report(r) for r in reports]
+        [trajectory_from_report(r) for r in resident]
     )
+    if last["n_trajectories"] != len(final_dataset):
+        print(
+            f"FAIL: server holds {last['n_trajectories']} trajectories, "
+            f"expected {len(final_dataset)}",
+            file=sys.stderr,
+        )
+        return 1
     fresh = NMEngine(final_dataset, snapshot.grid, snapshot.engine.config)
     expected = TrajPatternMiner(fresh, k=args.k).mine()
     want = [(tuple(p.cells), float(nm)) for p, nm in expected.as_pairs()]

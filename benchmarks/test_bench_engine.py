@@ -7,7 +7,7 @@ bulk singular tables and the bulk extension tables.
 
 import pytest
 
-from repro.core.engine import EngineConfig, NMEngine
+from repro.core.engine import EngineConfig, NMEngine, build_csr
 from repro.core.pattern import TrajectoryPattern
 from repro.experiments.datasets import zebranet_dataset
 
@@ -46,8 +46,11 @@ def test_bench_engine_index_entries_scalar(benchmark, engine):
 def test_bench_engine_index_entries_vectorised(benchmark, engine):
     """Capacity pass, fill and compaction straight into the CSR index."""
     benchmark.group = "engine"
-    _, _, rows, _ = benchmark.pedantic(
-        engine._collect_index_entries, rounds=3, iterations=1
+    (_, _, rows, _), _ = benchmark.pedantic(
+        build_csr,
+        args=(engine.dataset, engine.grid, engine.config, engine.kernel_backend),
+        rounds=3,
+        iterations=1,
     )
     assert len(rows) == engine.n_index_entries
 

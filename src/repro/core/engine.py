@@ -52,11 +52,12 @@ pairs leave, both arrays shrink in place to the entry count, one
 ``np.log`` turns the probabilities into log-probabilities, and the
 backend segments the index at every (cell, trajectory) change.  Every
 backend installs exactly the same index arrays from the same entries.
-An index is built, folded, adopted, written and read as these same four
-CSR arrays (:meth:`NMEngine.index_csr`): the index cache stores them as
-they are, a warm load installs them as a cold build does, and the
-incremental folds and engines that share an index take them without a
-copy.
+An index is built (:func:`build_csr`, for a cold engine and for an
+incremental fold's delta), folded, adopted, written and read as these
+same four CSR arrays (:meth:`NMEngine.index_csr`): the index cache
+stores them as they are, a warm load installs them as a cold build
+does, and the incremental folds and engines that share an index take
+them without a copy.
 
 Exactness: with the default auto radius the index stores every cell whose
 probability can exceed ``min_prob`` (the enumeration radius is derived from
@@ -173,6 +174,64 @@ def _fill_csr(backend, capacity: np.ndarray, chunks, **pairs) -> tuple[np.ndarra
     cell_bounds = np.zeros(len(cell_ids) + 1, dtype=np.int64)
     np.cumsum(counts[cell_ids], out=cell_bounds[1:])
     return cell_ids.astype(np.int32), cell_bounds, rows, vals
+
+
+def build_csr(
+    dataset: TrajectoryDataset,
+    grid: Grid,
+    config: EngineConfig,
+    backend: kernels.KernelBackend,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+    """The above-floor index of ``dataset`` as CSR by cell, and its pair count.
+
+    Returns ``((cell_ids, cell_bounds, rows, vals), n_pairs)``: the cells
+    with entries (``int32``, ascending), their entry ranges (``int64``),
+    the entries' ``int32`` rows and ``float64`` log-probabilities in
+    (cell, row) order, and the (snapshot, cell) pairs enumerated.  A cold
+    :class:`NMEngine` build and an incremental fold's delta both run it.
+
+    Rows are read ``_INDEX_ROW_CHUNK`` at a time: views of an eager
+    dataset's dense columns, or decoded on demand from a store-backed
+    one, so an out-of-core build never materialises the full span -- peak
+    RSS stays O(_INDEX_ROW_CHUNK + entries).  A first pass counts each
+    cell's pairs from the snapshots' neighbourhood boxes, listing none; a
+    second lists each chunk's pairs with one
+    :meth:`~repro.geometry.grid.Grid.cells_near_many` call, and the
+    backend's ``place_pairs`` writes the kept ones into an index allocated
+    at that capacity (:func:`_fill_csr`).
+    """
+    n_rows = int(dataset.lengths().sum())
+    radius_sigmas = config.effective_radius_sigmas()
+    row_columns = getattr(dataset, "row_columns", None)
+    if row_columns is None:
+        all_means = dataset.all_means()
+        all_sigmas = dataset.all_sigmas()
+
+        def row_columns(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            return all_means[lo:hi], all_sigmas[lo:hi]
+
+    def row_chunks():  # (lo, means, sigmas, neighbourhood box half-widths)
+        for lo in range(0, n_rows, _INDEX_ROW_CHUNK):
+            means, sigmas = row_columns(lo, min(lo + _INDEX_ROW_CHUNK, n_rows))
+            yield lo, means, sigmas, radius_sigmas * sigmas + config.delta
+
+    capacity = grid.cells_near_counts(
+        (means, radii) for _, means, _, radii in row_chunks()
+    )
+    csr = _fill_csr(
+        backend,
+        capacity,
+        (
+            (*grid.cells_near_many(means, radii), lo, means, sigmas)
+            for lo, means, sigmas, radii in row_chunks()
+        ),
+        centres=grid.cell_centers(),
+        delta=config.delta,
+        model=config.prob_model,
+        min_prob=config.min_prob,
+        cap=config.max_cells_per_snapshot,
+    )
+    return csr, int(capacity.sum())
 
 
 def _positive_int(value) -> bool:
@@ -443,65 +502,6 @@ class NMEngine:
 
     # -- index construction ------------------------------------------------------
 
-    def _row_chunks(self):
-        """``(lo, means, sigmas, radii)`` of each ``_INDEX_ROW_CHUNK`` rows.
-
-        ``radii`` are the half-widths of the snapshots' neighbourhood
-        boxes.  Eager datasets already hold dense columns; slicing views
-        is free.  Store-backed datasets instead decode each row chunk on
-        demand, so an out-of-core build never materialises the full span
-        -- peak RSS stays O(_INDEX_ROW_CHUNK + entries).
-        """
-        cfg = self.config
-        radius_sigmas = cfg.effective_radius_sigmas()
-        row_columns = getattr(self.dataset, "row_columns", None)
-        if row_columns is None:
-            all_means = self.dataset.all_means()
-            all_sigmas = self.dataset.all_sigmas()
-
-            def row_columns(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-                return all_means[lo:hi], all_sigmas[lo:hi]
-
-        for lo in range(0, self._total_rows, _INDEX_ROW_CHUNK):
-            hi = min(lo + _INDEX_ROW_CHUNK, self._total_rows)
-            means, sigmas = row_columns(lo, hi)
-            yield lo, means, sigmas, radius_sigmas * sigmas + cfg.delta
-
-    def _collect_index_entries(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The above-floor index as CSR by cell, fully vectorised.
-
-        Returns ``(cell_ids, cell_bounds, rows, vals)``: the cells with
-        entries (``int32``, ascending), their entry ranges (``int64``) and
-        the entries' ``int32`` rows and ``float64`` log-probabilities in
-        (cell, row) order.  A first pass over the row chunks counts each
-        cell's (snapshot, cell) pairs from the neighbourhood boxes, listing
-        no pair; ``n_index_pairs`` is their total.  A second pass lists
-        each row chunk's pairs with one
-        :meth:`~repro.geometry.grid.Grid.cells_near_many` call and the
-        kernel backend's ``place_pairs`` writes the kept ones into an
-        index allocated at that capacity (:func:`_fill_csr`).
-        """
-        capacity = self.grid.cells_near_counts(
-            (means, radii) for _, means, _, radii in self._row_chunks()
-        )
-        self.n_index_pairs = int(capacity.sum())
-        cfg = self.config
-        return _fill_csr(
-            self._kernels,
-            capacity,
-            (
-                (*self.grid.cells_near_many(means, radii), lo, means, sigmas)
-                for lo, means, sigmas, radii in self._row_chunks()
-            ),
-            centres=self.grid.cell_centers(),
-            delta=cfg.delta,
-            model=cfg.prob_model,
-            min_prob=cfg.min_prob,
-            cap=cfg.max_cells_per_snapshot,
-        )
-
     def _collect_index_entries_scalar(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -575,7 +575,10 @@ class NMEngine:
                 self.index_cache_hit = True
                 self._install_csr(*loaded)
                 return
-        self._install_csr(*self._collect_index_entries())
+        csr, self.n_index_pairs = build_csr(
+            self.dataset, self.grid, self.config, self._kernels
+        )
+        self._install_csr(*csr)
         if key is not None:
             index_cache.save_index(cache_dir, key, *self.index_csr())
 

@@ -1,4 +1,4 @@
-"""Incremental maintenance of the sparse NM index (append, evict, persist).
+"""Incremental maintenance of the sparse NM index (append, evict).
 
 The engine keeps its index CSR by cell (:meth:`NMEngine.index_csr`:
 active cells, each cell's entry bounds, ``int32`` rows, ``float64``
@@ -7,12 +7,13 @@ enumeration over every snapshot plus a sort by cell.  For a live report
 stream the delta per batch is tiny, so this module maintains the CSR
 arrays directly, without either cost:
 
-* **Append** -- enumerate entries for the *new* trajectories only (a
-  throwaway engine over the delta, rows offset past the existing
-  dataset), then splice them in per cell (:func:`append_csr`).  Every
-  appended row follows every existing row, so each cell's delta run goes
-  right after its base run: one boolean mask of delta positions and two
-  masked assignments place every entry, with no sort.
+* **Append** -- enumerate entries for the *new* trajectories only
+  (:func:`~repro.core.engine.build_csr`, the code a cold engine build
+  runs, with rows offset past the existing dataset), then splice them in
+  per cell (:func:`append_csr`).  Every appended row follows every
+  existing row, so each cell's delta run goes right after its base run:
+  one boolean mask of delta positions and two masked assignments place
+  every entry, with no sort.
 * **Evict** -- sliding-window expiry drops the *oldest* trajectories.
   Because rows are assigned in dataset order, the expired snapshots are
   exactly a prefix of the global row space, hence a prefix of every
@@ -25,23 +26,21 @@ of chunking and of neighbouring rows, and the splice and trim only move
 entries whose (cell, row) order is already the final one.
 
 No engine changes in a fold: :class:`IncrementalIndexer` replaces its
-engine with a new :class:`NMEngine` over the folded dataset and CSR.
-Folds allocate fresh arrays and never write into the ones they read, so
-an earlier generation's engine (one a miner is running on, or a
-published serving snapshot's) stays exactly as it was built.
+engine with one new :class:`NMEngine` over the folded dataset and CSR,
+an append past the window and its eviction included.  Folds allocate
+fresh arrays and never write into the ones they read, so an earlier
+generation's engine (one a miner is running on, or a published serving
+snapshot's) stays exactly as it was built.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core import index_cache
-from repro.core.engine import NMEngine
+from repro.core.engine import NMEngine, build_csr
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
 
@@ -56,20 +55,21 @@ def _delta_csr(
 ) -> _CSR:
     """CSR index of ``trajectories`` alone, rows offset by ``row_offset``.
 
-    A throwaway engine over just the delta computes it: per-row entry
-    collection (cell neighbourhood, elementwise ``Prob``, per-snapshot cap)
-    never looks across rows, so its entries are bit-identical to the rows a
-    from-scratch build of the combined dataset would produce.  ``cache_dir``
-    is stripped so the mini-build neither reads nor pollutes the on-disk
-    index cache with a delta-sized payload.
+    :func:`~repro.core.engine.build_csr` over just the delta computes it:
+    per-row entry collection (cell neighbourhood, elementwise ``Prob``,
+    per-snapshot cap) never looks across rows, so its entries are
+    bit-identical to the rows a from-scratch build of the combined dataset
+    would produce.  No engine is built and the on-disk index cache is
+    neither read nor written.
     """
-    mini = NMEngine(
-        TrajectoryDataset(list(trajectories)),
+    (cell_ids, cell_bounds, rows, vals), _ = build_csr(
+        TrajectoryDataset(trajectories),
         engine.grid,
-        replace(engine.config, cache_dir=None),
+        engine.config,
+        engine.kernel_backend,
     )
-    cell_ids, cell_bounds, rows, vals = mini.index_csr()
-    return cell_ids, cell_bounds, rows + np.int32(row_offset), vals
+    rows += np.int32(row_offset)  # fresh arrays: offset in place
+    return cell_ids, cell_bounds, rows, vals
 
 
 def append_csr(base: _CSR, delta: _CSR, n_base_rows: int) -> _CSR:
@@ -138,13 +138,14 @@ class IncrementalIndexer:
 
     ``engine`` is the current generation.  Each fold works on its CSR
     arrays (:func:`append_csr`, :func:`evict_csr`) and sets ``engine`` to
-    a new engine over the folded dataset that adopts the folded CSR; the
+    one new engine over the folded dataset that adopts the folded CSR; the
     previous engine is left as it was, so whoever holds it keeps a frozen
     generation.
 
-    ``window`` bounds the number of resident trajectories: after every
-    append, the oldest trajectories beyond the window are evicted (FIFO,
-    matching report-stream arrival order).  ``None`` keeps everything.
+    ``window`` bounds the number of resident trajectories: an append that
+    takes the dataset past the window evicts the oldest trajectories
+    beyond it (FIFO, matching report-stream arrival order) in the same
+    fold.  ``None`` keeps everything.
     """
 
     def __init__(self, engine: NMEngine, *, window: int | None = None) -> None:
@@ -165,69 +166,52 @@ class IncrementalIndexer:
         new = list(trajectories)
         if not new:
             return self._stats(appended=0, evicted=0)
-        started = time.perf_counter()
-        engine = self.engine
-        old_dataset = engine.dataset
-        row_offset = old_dataset.total_snapshots()
-        delta = _delta_csr(new, engine, row_offset)
-        merged_dataset = TrajectoryDataset(
-            list(old_dataset) + new, metadata=old_dataset.metadata
-        )
-        self.engine = NMEngine(
-            merged_dataset,
-            engine.grid,
-            engine.config,
-            csr=append_csr(engine.index_csr(), delta, row_offset),
-        )
-        self.appends += 1
-        self.rows_appended += merged_dataset.total_snapshots() - row_offset
-        evicted = 0
-        if self.window is not None and len(merged_dataset) > self.window:
-            evicted = len(merged_dataset) - self.window
-            self.evict(evicted)
-        self.last_fold_s = time.perf_counter() - started
+        n_resident = len(self.engine.dataset) + len(new)
+        evicted = 0 if self.window is None else max(0, n_resident - self.window)
+        self._fold(new, evicted)
         return self._stats(appended=len(new), evicted=evicted)
 
     def evict(self, n_trajectories: int) -> dict[str, int | float]:
         """Expire the ``n_trajectories`` oldest trajectories from the index."""
         if n_trajectories <= 0:
             return self._stats(appended=0, evicted=0)
-        engine = self.engine
-        old_dataset = engine.dataset
-        if n_trajectories >= len(old_dataset):
+        n_resident = len(self.engine.dataset)
+        if n_trajectories >= n_resident:
             raise ValueError(
-                f"cannot evict {n_trajectories} of {len(old_dataset)} "
+                f"cannot evict {n_trajectories} of {n_resident} "
                 "trajectories: the engine requires a non-empty dataset"
             )
-        n_rows = int(old_dataset.lengths()[:n_trajectories].sum())
-        surviving_dataset = TrajectoryDataset(
-            list(old_dataset)[n_trajectories:], metadata=old_dataset.metadata
-        )
-        self.engine = NMEngine(
-            surviving_dataset,
-            engine.grid,
-            engine.config,
-            csr=evict_csr(engine.index_csr(), n_rows),
-        )
-        self.evictions += 1
-        self.rows_evicted += n_rows
+        self._fold([], n_trajectories)
         return self._stats(appended=0, evicted=n_trajectories)
 
-    def persist(self, cache_dir: str | Path | None = None) -> Path | None:
-        """Write the live index to the on-disk cache under a *fresh* key.
-
-        The content fingerprint is recomputed over the engine's *current*
-        dataset here -- after a fold the dataset object is a new eager
-        :class:`TrajectoryDataset`, so no stale ``content_fingerprint``
-        attribute (from a store-backed snapshot the stream started from) can
-        leak into the key and poison the entry the original dataset owns.
-        """
+    def _fold(self, new: list[UncertainTrajectory], n_evict: int) -> None:
+        """Append ``new``, then expire the ``n_evict`` oldest: one new engine."""
+        started = time.perf_counter()
         engine = self.engine
-        cache_dir = cache_dir if cache_dir is not None else engine.config.cache_dir
-        if cache_dir is None:
-            return None
-        key = index_cache.dataset_key(engine.dataset, engine.grid, engine.config)
-        return index_cache.save_index(cache_dir, key, *engine.index_csr())
+        trajectories = list(engine.dataset) + new
+        n_rows = engine.dataset.total_snapshots()
+        n_dropped = sum(len(t) for t in trajectories[:n_evict])
+        csr = engine.index_csr()
+        if new:
+            csr = append_csr(csr, _delta_csr(new, engine, n_rows), n_rows)
+        # Rebound, so the spliced arrays are freed before the engine
+        # segments the trimmed ones.
+        csr = evict_csr(csr, n_dropped)
+        self.engine = NMEngine(
+            TrajectoryDataset(
+                trajectories[n_evict:], metadata=engine.dataset.metadata
+            ),
+            engine.grid,
+            engine.config,
+            csr=csr,
+        )
+        if new:
+            self.appends += 1
+            self.rows_appended += sum(len(t) for t in new)
+        if n_evict:
+            self.evictions += 1
+            self.rows_evicted += n_dropped
+        self.last_fold_s = time.perf_counter() - started
 
     def _stats(self, *, appended: int, evicted: int) -> dict[str, int | float]:
         engine = self.engine

@@ -32,10 +32,12 @@ One key function, :func:`span_cache_key`: a SHA-256 over
   (compiled libm-``erf`` builds differ by a couple of ULPs).
 
 A whole-dataset index is the span ``[0, len(dataset))``
-(:func:`dataset_key`), so a serial engine, a serving snapshot, a persisted
-incremental index and a one-span parallel engine over the same data share
-one entry; a span engine of :class:`~repro.core.parallel.ParallelNMEngine`
-keeps its own entry, with span-local row indices.
+(:func:`dataset_key`), so a serial engine, a serving snapshot and a
+one-span parallel engine over the same data share one entry; a span
+engine of :class:`~repro.core.parallel.ParallelNMEngine` keeps its own
+entry, with span-local row indices.  Only builds write entries: an
+engine that adopts a CSR (:mod:`repro.core.incremental`'s folds, the
+live ingest engine) neither reads nor writes the cache.
 
 Knobs that do not change the stored entries (``jobs``, ``cache_dir``
 itself, and the evaluation ``backend`` apart from its ``Prob`` kernel
@@ -162,8 +164,7 @@ def dataset_key(dataset, grid, config) -> str:
 
     The span ``[0, len(dataset))`` under the ``Prob`` kernel ``config``
     resolves to (:func:`repro.core.kernels.prob_kernel_tag`): the entry a
-    serial engine, a serving snapshot and a persisted incremental index
-    share.
+    serial engine and a serving snapshot share.
     """
     return span_cache_key(
         dataset_fingerprint(dataset),

@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -50,6 +50,14 @@ from repro.testkit import faults
 from repro.trajectory.dataset import TrajectoryDataset
 
 _log = logs.get_logger("serve.server")
+
+#: Requests of one connection in flight at once.  Past it the connection's
+#: reader takes no more lines until one of its requests is answered, so a
+#: client that pipelines without reading its responses is held back by TCP
+#: flow control instead of growing the server's tasks and pending
+#: responses without bound.  It is twice ``ServeConfig.max_batch``'s
+#: default, so one pipelining client can still fill a whole batch.
+_MAX_INFLIGHT_PER_CONN = 128
 
 
 @dataclass
@@ -71,7 +79,6 @@ class ServeConfig:
     max_delay_ms: float = 2.0
     max_queue: int = 512
     default_timeout_ms: float | None = 1000.0
-    max_inflight_per_conn: int = 128
     fallback_model: str = "lm"
     allow_shutdown: bool = True
     cache_dir: str | None = None
@@ -79,8 +86,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_delay_ms < 0:
             raise ValueError("max_delay_ms must be non-negative")
-        if self.max_inflight_per_conn < 1:
-            raise ValueError("max_inflight_per_conn must be at least 1")
 
 
 @dataclass
@@ -119,35 +124,31 @@ class _LiveIngest:
     eager dataset copy, and the boot engine's CSR index arrays taken as
     they are.  Each fold replaces the indexer's engine with a new one and
     never writes into the arrays it read, so the boot engine and every
-    published engine stay frozen.  A republish re-mines the indexer's
-    engine and publishes that same engine; its pattern library keeps the
-    boot snapshot's ``predict`` settings (``confirm_threshold``,
-    ``min_prefix``) and evaluates on the engine's kernel backend.  All
-    methods run on the server's single evaluation thread; the event loop
-    serialises ingest requests with a lock.
+    published engine stay frozen.  Every engine here adopts a CSR, so
+    ingest neither reads nor writes the on-disk index cache: no boot
+    loads a grown dataset, so an entry for one would never be read.  A
+    republish re-mines the indexer's engine and publishes that same
+    engine; its pattern library keeps the boot snapshot's ``predict``
+    settings (``confirm_threshold``, ``min_prefix``) and evaluates on the
+    engine's kernel backend.  All methods run on the server's single
+    evaluation thread; the event loop serialises ingest requests with a
+    lock.
     """
 
-    def __init__(
-        self,
-        snapshot: ServingSnapshot,
-        config: IngestConfig,
-        cache_dir: str | None,
-    ) -> None:
+    def __init__(self, snapshot: ServingSnapshot, config: IngestConfig) -> None:
         # An eager copy detaches the live dataset from a store-backed boot
         # snapshot, so retiring that generation can close its file handle.
         dataset = TrajectoryDataset(
             list(snapshot.dataset), metadata={"origin": snapshot.version}
         )
-        engine_config = replace(snapshot.engine.config, cache_dir=None)
         engine = NMEngine(
             dataset,
             snapshot.grid,
-            engine_config,
+            snapshot.engine.config,
             csr=snapshot.engine.index_csr(),
         )
         self.indexer = IncrementalIndexer(engine, window=config.window)
         self.config = config
-        self.cache_dir = cache_dir
         self.base_version = snapshot.version
         self.confirm_threshold = snapshot.confirm_threshold
         self.min_prefix = snapshot.min_prefix
@@ -185,10 +186,6 @@ class _LiveIngest:
         self.last_mine_iterations = result.stats.iterations
         self.last_mine_s = result.stats.wall_time_s
         self.generation += 1
-        if self.cache_dir is not None:
-            # Recomputes the content key over the *current* dataset -- a
-            # fold must never overwrite the boot dataset's entry.
-            self.indexer.persist(self.cache_dir)
         library = PatternLibrary(
             result.patterns,
             engine.grid,
@@ -323,7 +320,7 @@ class PatternServer:
     ) -> None:
         metrics.counter("serve.connections").inc()
         write_lock = asyncio.Lock()
-        inflight = asyncio.Semaphore(self.config.max_inflight_per_conn)
+        inflight = asyncio.Semaphore(_MAX_INFLIGHT_PER_CONN)
         tasks: set[asyncio.Task] = set()
         try:
             while not self._shutdown.is_set():
@@ -612,11 +609,7 @@ class PatternServer:
                 boot = self.store.acquire()
                 try:
                     self._ingest_state = await loop.run_in_executor(
-                        self._executor,
-                        _LiveIngest,
-                        boot,
-                        self.ingest_config,
-                        self.config.cache_dir,
+                        self._executor, _LiveIngest, boot, self.ingest_config
                     )
                 finally:
                     self.store.release(boot)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import engine as engine_module
 from repro.core import kernels
-from repro.core.engine import EngineConfig, NMEngine, build_engine
+from repro.core.engine import EngineConfig, NMEngine, build_csr, build_engine
 from repro.core.measures import position_log_probs
 from repro.core.pattern import WILDCARD, TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
@@ -268,7 +268,12 @@ class TestVectorisedIndexBuild:
     def test_identical_to_scalar_collection(self, small_engine):
         """The vectorised capacity fill and the per-snapshot loop give the
         same CSR index: cell ids, bounds, rows and values, dtypes included."""
-        vec = small_engine._collect_index_entries()
+        vec, _ = build_csr(
+            small_engine.dataset,
+            small_engine.grid,
+            small_engine.config,
+            small_engine.kernel_backend,
+        )
         ref = small_engine._collect_index_entries_scalar()
         assert [a.dtype for a in vec] == [np.int32, np.int64, np.int32, np.float64]
         for got, want in zip(vec, ref):

@@ -6,9 +6,9 @@ and therefore every NM/match it will ever compute -- must equal a
 from-scratch :class:`NMEngine` build over the surviving trajectories
 exactly, not approximately.  Hypothesis drives the interleavings; the
 fixed tests pin the CSR splice/trim primitives, the sharing of index
-arrays between engines, the memory of one fold, that a fold leaves the
-engine a miner is running on untouched, and the warm-started miner's
-exactness.
+arrays between engines, the memory of one fold and the one engine it
+builds, that a fold leaves the engine a miner is running on untouched,
+and the warm-started miner's exactness.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import index_cache, kernels
+from repro.core import kernels
 from repro.core.engine import EngineConfig, NMEngine
 from repro.core.incremental import (
     IncrementalIndexer,
@@ -32,7 +32,6 @@ from repro.core.pattern import TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.experiments.datasets import zebranet_dataset
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import dataset_cache_key
 
 CONFIG = EngineConfig(delta=0.05, min_prob=1e-6)
 
@@ -200,7 +199,7 @@ class TestIncrementalIndexer:
         boot = ServingSnapshot.from_dataset(
             TrajectoryDataset(trajectories[:8]), version="v-share"
         )
-        live = _LiveIngest(boot, IngestConfig(k=3), None)
+        live = _LiveIngest(boot, IngestConfig(k=3))
         for mine, source in zip(
             live.indexer.engine.index_csr(), boot.engine.index_csr()
         ):
@@ -221,8 +220,9 @@ class TestIncrementalIndexer:
             )
             _assert_same_csr(engine.index_csr(), fresh.index_csr())
 
-    def test_append_traced_peak_per_entry(self):
-        """One fold allocates ~14 B per base entry: the output CSR and a mask.
+    @staticmethod
+    def _traced_append_peak_per_entry(window: int | None) -> float:
+        """Traced peak of appending 2 trajectories to 50, per base entry.
 
         On the compiled backend, whose segmentation is one pass; the numpy
         reference segmentation adds ~17 B per entry of temporaries.
@@ -236,14 +236,50 @@ class TestIncrementalIndexer:
         engine = NMEngine(TrajectoryDataset(trajectories[:50]), grid, config)
         n_base = engine.n_index_entries
         assert n_base >= 300_000
-        indexer = IncrementalIndexer(engine)
+        indexer = IncrementalIndexer(engine, window=window)
         tracemalloc.start()
         try:
-            indexer.append(trajectories[50:])
+            stats = indexer.append(trajectories[50:])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n_base <= 20.0
+        assert stats["evicted"] == (0 if window is None else 52 - window)
+        return peak / n_base
+
+    def test_append_traced_peak_per_entry(self):
+        """One fold allocates ~14 B per base entry: the output CSR and a mask."""
+        assert self._traced_append_peak_per_entry(None) <= 20.0
+
+    def test_windowed_append_traced_peak_per_entry(self):
+        """An append that evicts past the window allocates ~26 B per base
+        entry: the spliced CSR, the trim's keep mask and the trimmed CSR,
+        with the spliced arrays freed before the one engine segments."""
+        assert self._traced_append_peak_per_entry(50) <= 27.5
+
+    def test_each_fold_builds_one_engine(self, pool, monkeypatch):
+        """An append, an append that evicts past the window, and an evict
+        each construct exactly one engine: the one the fold leaves live."""
+        trajectories, grid = pool
+        indexer = IncrementalIndexer(
+            NMEngine(TrajectoryDataset(trajectories[:5]), grid, CONFIG), window=8
+        )
+        built = []
+        init = NMEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(NMEngine, "__init__", counting_init)
+        for fold, evicted in (
+            (lambda: indexer.append(trajectories[5:7]), 0),
+            (lambda: indexer.append(trajectories[7:10]), 2),
+            (lambda: indexer.evict(3), 3),
+        ):
+            built.clear()
+            assert fold()["evicted"] == evicted
+            assert built == [indexer.engine]
+        _assert_same_index(indexer.engine, trajectories[5:10], grid)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -256,14 +292,17 @@ class TestIncrementalIndexer:
             max_size=6,
         ),
         n_base=st.integers(2, 4),
+        window=st.one_of(st.none(), st.integers(1, 4)),
     )
-    def test_any_interleaving_is_bit_identical(self, pool, ops, n_base):
-        """Property: every append/evict interleaving == fresh build, 0 ULP."""
+    def test_any_interleaving_is_bit_identical(self, pool, ops, n_base, window):
+        """Property: after every fold of any append/evict interleaving, with
+        or without a window evicting in the same fold as an append, the
+        index == a fresh build over the surviving trajectories, 0 ULP."""
         trajectories, grid = pool
         surviving = list(trajectories[:n_base])
         cursor = n_base
         engine = NMEngine(TrajectoryDataset(surviving), grid, CONFIG)
-        indexer = IncrementalIndexer(engine)
+        indexer = IncrementalIndexer(engine, window=window)
         for kind, count in ops:
             if kind == "append":
                 batch = trajectories[cursor : cursor + count]
@@ -272,13 +311,15 @@ class TestIncrementalIndexer:
                 cursor += len(batch)
                 indexer.append(batch)
                 surviving.extend(batch)
+                if window is not None:
+                    del surviving[:-window]
             else:
                 count = min(count, len(surviving) - 1)
                 if count <= 0:
                     continue  # never empty the engine
                 indexer.evict(count)
                 del surviving[:count]
-        _assert_same_index(indexer.engine, surviving, grid)
+            _assert_same_index(indexer.engine, surviving, grid)
 
 
 class TestFoldDuringMine:
@@ -347,18 +388,3 @@ class TestWarmStartedMining:
         assert [p.cells for p in again.patterns] == [
             p.cells for p in result.patterns
         ]
-
-
-class TestPersist:
-    def test_persist_uses_fresh_content_key(self, pool, tmp_path):
-        trajectories, grid = pool
-        config = EngineConfig(delta=0.05, min_prob=1e-6, cache_dir=str(tmp_path))
-        engine = NMEngine(TrajectoryDataset(trajectories[:5]), grid, config)
-        original_key = dataset_cache_key(engine.dataset, grid, config)
-        indexer = IncrementalIndexer(engine)
-        indexer.append(trajectories[5:7])
-        path = indexer.persist()
-        assert path is not None and path.exists()
-        new_key = dataset_cache_key(indexer.engine.dataset, grid, config)
-        assert new_key != original_key
-        assert path == index_cache.cache_path(tmp_path, new_key)

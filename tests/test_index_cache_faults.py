@@ -372,58 +372,6 @@ class TestPayloadValidation:
         assert NMEngine(dataset, grid, config).index_cache_hit
 
 
-class TestInPlaceAppendKeying:
-    def test_persist_after_append_never_poisons_the_boot_entry(
-        self, dataset, tmp_path
-    ):
-        # Regression: a live ingest stream that starts from a store-backed
-        # snapshot inherits a dataset carrying ``content_fingerprint``.
-        # If the indexer persisted under a key derived from that stale
-        # fingerprint after an append (the old identity, new contents),
-        # it would overwrite the *original* dataset's cache
-        # entry with an index describing more rows -- a poisoned entry
-        # every later boot of the original dataset would load.
-        from repro.core.incremental import IncrementalIndexer
-        from repro.storage import open_store, write_store
-
-        store_path = tmp_path / "boot.tjc"
-        write_store(dataset, store_path)
-        cache_dir = tmp_path / "cache"
-        grid = dataset.make_grid(0.05)
-        config = EngineConfig(delta=0.05, min_prob=1e-6, cache_dir=str(cache_dir))
-        with open_store(store_path) as store:
-            lazy = store.dataset()
-            assert lazy.content_fingerprint  # the stale-key ingredient
-            engine = NMEngine(lazy, grid, config)
-            boot_key = dataset_cache_key(lazy, grid, config)
-            boot_payload = index_cache.cache_path(cache_dir, boot_key).read_bytes()
-
-            live = NMEngine(
-                TrajectoryDataset(list(lazy)), grid, config, csr=engine.index_csr()
-            )
-        indexer = IncrementalIndexer(live)
-        rng = np.random.default_rng(11)
-        means = rng.uniform(0.3, 0.5, 2) + np.cumsum(
-            rng.normal(0.02, 0.005, (10, 2)), axis=0
-        )
-        indexer.append([UncertainTrajectory(means, 0.02, object_id="new")])
-        persisted = indexer.persist()
-
-        fresh_key = dataset_cache_key(indexer.engine.dataset, grid, config)
-        assert fresh_key != boot_key
-        assert persisted == index_cache.cache_path(cache_dir, fresh_key)
-        # The boot dataset's entry is byte-identical: not poisoned.
-        assert (
-            index_cache.cache_path(cache_dir, boot_key).read_bytes()
-            == boot_payload
-        )
-        loaded = index_cache.load_index(
-            cache_dir, boot_key, n_rows=dataset.total_snapshots(),
-            n_cells=grid.n_cells, floor=config.min_log_prob,
-        )  # fmt: skip
-        assert loaded is not None
-
-
 class TestCrashAndRaceDuringSave:
     def test_temp_file_lives_inside_cache_dir(self, scenario):
         # Pin the EXDEV fix: the temp file must share the target's

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import index_cache, kernels
-from repro.core.engine import EngineConfig, NMEngine, _fill_csr
+from repro.core.engine import EngineConfig, NMEngine, _fill_csr, build_csr
 from repro.core.kernels import numpy_ref
 from repro.core.pattern import TrajectoryPattern
 from repro.core.wildcards import Gap, GapPattern, nm_gap_pattern
@@ -823,7 +823,7 @@ def test_compiled_build_matches_reference_install(compiled_kernels, small_datase
     eng = _engine(small_dataset, backend="compiled", **kw)
     if cap is not None:
         assert eng.n_index_entries <= cap * small_dataset.total_snapshots()
-    csr = eng._collect_index_entries()
+    csr, _ = build_csr(small_dataset, eng.grid, eng.config, eng.kernel_backend)
     assert csr[0].dtype == csr[2].dtype == np.int32
     for a, b in zip(csr, eng.index_csr()):
         _assert_same_bits(a, b)

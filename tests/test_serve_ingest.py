@@ -306,6 +306,41 @@ class TestIngestOp:
         assert response["appended"] == 4 and response["evicted"] == 3
         assert response["n_trajectories"] == 9
 
+    def test_republishing_leaves_the_index_cache_as_booted(self, pool, tmp_path):
+        """Folds write no index-cache entry: after three republishing waves
+        from a store-backed boot, the cache directory holds the boot entry
+        alone, byte for byte.  No boot loads a grown dataset, so any other
+        entry would go unread."""
+        store_path = tmp_path / "dataset.tjc"
+        write_store(TrajectoryDataset(pool[:8]), store_path)
+        cache = tmp_path / "cache"
+        boot = ServingSnapshot.load(store_path, cache_dir=cache)
+        (entry,) = cache.iterdir()
+        booted = entry.read_bytes()
+
+        async def scenario():
+            store = SnapshotStore(boot)
+            server = PatternServer(
+                store, ServeConfig(cache_dir=str(cache)), ingest=IngestConfig(k=3)
+            )
+            host, port = await server.start()
+            client = await _Client.connect(host, port)
+            responses = [
+                await client.request(
+                    {"op": "ingest", "id": i, "reports": _reports(pool[lo : lo + 2])}
+                )
+                for i, lo in enumerate((8, 10, 12))
+            ]
+            await client.close()
+            await server.stop()
+            return responses, store.current.version
+
+        responses, version = asyncio.run(scenario())
+        assert [r["generation"] for r in responses if r["republished"]] == [1, 2, 3]
+        assert version == f"{boot.version}+g3"
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == booted
+
 
 # -- snapshot lifecycle (the fd-leak and drain bugfixes) ---------------------
 
