@@ -287,7 +287,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     engine_config = EngineConfig(
         delta=delta,
         min_prob=args.min_prob,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
         radius_sigmas=args.radius_sigmas,
@@ -296,17 +295,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     with obs_manifest.RunTimer() as timer:
         with tracing.span("run", command="mine", dataset=str(args.dataset)):
             with ExitStack() as stack:
-                if engine_config.jobs > 1:
+                if args.jobs > 1:
                     from repro.core.parallel import ParallelNMEngine
 
                     engine = stack.enter_context(
-                        ParallelNMEngine(dataset, grid, engine_config)
+                        ParallelNMEngine(dataset, grid, engine_config, jobs=args.jobs)
                     )
                 else:
                     engine = NMEngine(dataset, grid, engine_config)
                 print(
                     f"dataset: {len(dataset)} trajectories, grid {grid.nx}x{grid.ny}, "
-                    f"delta {delta:.6g}, jobs {engine_config.jobs}, "
+                    f"delta {delta:.6g}, jobs {args.jobs}, "
                     f"backend {engine.backend_name}"
                     + (", index cache hit" if engine.index_cache_hit else "")
                 )
@@ -525,10 +524,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(every {exporter.interval_s:g}s)",
             flush=True,
         )
-    snapshot = ServingSnapshot.load(
-        args.snapshot,
-        cache_dir=args.cache_dir,
-        backend=args.backend,
+    # Only the store references the boot snapshot, so a swap that replaces
+    # it frees its engine and closes its store file.
+    store = SnapshotStore(
+        ServingSnapshot.load(
+            args.snapshot,
+            cache_dir=args.cache_dir,
+            backend=args.backend,
+        )
     )
     config = ServeConfig(
         host=args.host,
@@ -551,12 +554,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     async def run() -> None:
-        server = PatternServer(SnapshotStore(snapshot), config, ingest=ingest)
+        server = PatternServer(store, config, ingest=ingest)
         host, port = await server.start()
         print(
-            f"serving snapshot {snapshot.version} on {host}:{port} "
+            f"serving snapshot {store.current.version} on {host}:{port} "
             f"(batch<={config.max_batch}, window {config.max_delay_ms}ms, "
-            f"queue<={config.max_queue}, backend {snapshot.engine.backend_name}"
+            f"queue<={config.max_queue}, "
+            f"backend {store.current.engine.backend_name}"
             + (
                 f", ingest k={ingest.k} every {ingest.remine_every} batch(es)"
                 + (f" window {ingest.window}" if ingest.window else "")

@@ -286,19 +286,13 @@ class EngineConfig:
         key except through the Prob-kernel tag: compiled box-``Prob``
         builds use libm ``erf`` and are keyed separately (see
         :func:`repro.core.kernels.prob_kernel_tag`).
-    jobs:
-        Spans for sharded evaluation (a positive int).  The engine itself
-        ignores this (one :class:`NMEngine` is always single-process); it
-        is read by :func:`build_engine` and
-        :class:`~repro.core.parallel.ParallelNMEngine` to decide how many
-        spans to cut.  ``1`` (default) keeps everything in-process.
     cache_dir:
         Directory for the persistent on-disk index cache
         (:mod:`repro.core.index_cache`).  When set, engine construction
         first tries to load the built index from
         ``cache_dir/index-<key>.npz`` and falls back to a fresh build
         (persisting the result) on a miss.  ``None`` disables caching.
-        Excluded from the cache key itself, as is ``jobs``.
+        Excluded from the cache key itself.
     """
 
     delta: float
@@ -307,7 +301,6 @@ class EngineConfig:
     radius_sigmas: float | None = None
     max_cells_per_snapshot: int = 4096
     backend: str = "numpy"
-    jobs: int = 1
     cache_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -336,8 +329,6 @@ class EngineConfig:
                 f"backend must be one of {kernels.BACKEND_CHOICES}, "
                 f"got {self.backend!r}"
             )
-        if not _positive_int(self.jobs):
-            raise ValueError(f"jobs must be a positive int, got {self.jobs!r}")
 
     @property
     def min_log_prob(self) -> float:
@@ -1077,21 +1068,22 @@ def build_engine(
     dataset: TrajectoryDataset,
     cell_size: float,
     delta: float | None = None,
+    jobs: int = 1,
     **config_kwargs,
 ):
     """Convenience constructor: grid covering the dataset + engine in one call.
 
     ``delta`` defaults to ``cell_size`` (the paper sets ``g_x = g_y = delta``).
     With ``jobs > 1`` the returned engine is a
-    :class:`~repro.core.parallel.ParallelNMEngine` (same evaluation surface,
-    sharded across worker processes); close it -- or use it as a context
-    manager -- to release the workers.
+    :class:`~repro.core.parallel.ParallelNMEngine` over ``jobs`` spans (same
+    evaluation surface, sharded across worker processes); close it -- or
+    use it as a context manager -- to release the workers.
     """
     grid = dataset.make_grid(cell_size)
     config = EngineConfig(delta=delta if delta is not None else cell_size, **config_kwargs)
-    if config.jobs > 1:
+    if jobs > 1:
         from repro.core.parallel import ParallelNMEngine
 
-        return ParallelNMEngine(dataset, grid, config)
+        return ParallelNMEngine(dataset, grid, config, jobs=jobs)
     return NMEngine(dataset, grid, config)
 

@@ -155,8 +155,6 @@ class IncrementalIndexer:
         self.window = window
         self.appends = 0
         self.evictions = 0
-        self.rows_appended = 0
-        self.rows_evicted = 0
         self.last_fold_s = 0.0
 
     def append(
@@ -207,10 +205,8 @@ class IncrementalIndexer:
         )
         if new:
             self.appends += 1
-            self.rows_appended += sum(len(t) for t in new)
         if n_evict:
             self.evictions += 1
-            self.rows_evicted += n_dropped
         self.last_fold_s = time.perf_counter() - started
 
     def _stats(self, *, appended: int, evicted: int) -> dict[str, int | float]:

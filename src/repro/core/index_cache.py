@@ -39,9 +39,9 @@ entry, with span-local row indices.  Only builds write entries: an
 engine that adopts a CSR (:mod:`repro.core.incremental`'s folds, the
 live ingest engine) neither reads nor writes the cache.
 
-Knobs that do not change the stored entries (``jobs``, ``cache_dir``
-itself, and the evaluation ``backend`` apart from its ``Prob`` kernel
-tag) are deliberately excluded.
+Knobs that do not change the stored entries (``cache_dir`` itself, and
+the evaluation ``backend`` apart from its ``Prob`` kernel tag) are
+deliberately excluded.
 
 Robustness: files are written atomically (temp file + ``os.replace``) and
 :func:`load_index` treats *any* unreadable, truncated or wrong-format file

@@ -48,13 +48,13 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core import index_cache, kernels
-from repro.core.engine import EngineConfig, ExtensionTables, NMEngine
+from repro.core.engine import EngineConfig, ExtensionTables, NMEngine, _positive_int
 from repro.core.pattern import PatternLike, TrajectoryPattern, pattern_cells
 from repro.geometry.grid import Grid
 from repro.obs import logs, metrics, tracing
@@ -288,7 +288,6 @@ SPAN_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "singular_match": lambda e, p: e.singular_match_table(),
     "ext_tables": lambda e, p: e.extension_tables_many(_patterns(p)),
     "gap_nm": _gap_nm,
-    "stats": lambda e, p: (int(e.n_evaluations), int(e.n_batches)),
     "obs_snapshot": _obs,
 }
 
@@ -319,7 +318,7 @@ class _SpanTask:
     index: int  # span ordinal in global span order
     dataset: TrajectoryDataset  # the span's trajectories (lazy for stores)
     grid: Grid
-    config: EngineConfig  # jobs=1, no observability outputs of its own
+    config: EngineConfig
     cache_key: str | None  # span cache entry (None: no cache_dir)
     trace: tracing.SpanContext | None = None  # parent trace propagation
     metrics_enabled: bool = False  # mirror the parent registry's state
@@ -381,9 +380,9 @@ class InlinePool:
         out = {}
         for i in indices:
             tally = self._tallies[i]
-            if op == "obs_snapshot" and not tally.backend_name:
-                self.scan(i)  # never scanned: its entry count is not known yet
-            if op in ("stats", "obs_snapshot"):
+            if op == "obs_snapshot":
+                if not tally.backend_name:
+                    self.scan(i)  # never scanned: its entry count is not known yet
                 out[i] = span_op(tally, op, payload)
                 continue
             engine = self.scan(i)
@@ -587,8 +586,8 @@ class ParallelNMEngine:
         Exactly as for :class:`~repro.core.engine.NMEngine`.
         ``config.cache_dir`` enables the per-span index cache.
     jobs:
-        Number of spans to cut (default ``config.jobs``; capped at the
-        trajectory count).
+        Number of spans to cut (a positive int, capped at the trajectory
+        count).
     pools:
         Pool specs, assigned spans round-robin: ``"inline"``, ``"local"``
         (fork workers, the default) or ``"host:port"`` (a ``repro worker``
@@ -606,15 +605,14 @@ class ParallelNMEngine:
         dataset: TrajectoryDataset,
         grid: Grid,
         config: EngineConfig,
-        jobs: int | None = None,
+        jobs: int,
         *,
         pools: Sequence[str] = ("local",),
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("cannot build an engine over an empty dataset")
-        jobs = config.jobs if jobs is None else jobs
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        if not _positive_int(jobs):
+            raise ValueError(f"jobs must be a positive int, got {jobs!r}")
         if not pools:
             raise ValueError("at least one pool is required")
         specs = [parse_pool_spec(spec) for spec in pools]
@@ -630,7 +628,6 @@ class ParallelNMEngine:
         self.spans = shard_dataset(dataset, jobs)
         self.n_spans = len(self.spans)
         self._closed = False
-        self._worker_config = replace(config, jobs=1)
         self._fingerprint = (
             index_cache.dataset_fingerprint(dataset)
             if config.cache_dir is not None
@@ -694,7 +691,7 @@ class ParallelNMEngine:
             index=i,
             dataset=span_dataset(self.dataset, lo, hi),
             grid=self.grid,
-            config=self._worker_config,
+            config=self.config,
             cache_key=key,
             trace=self._trace_ctx,
             metrics_enabled=self._metrics_enabled,
@@ -865,16 +862,6 @@ class ParallelNMEngine:
     def pool_names(self) -> list[str]:
         """Names of the pools still alive, in spec order."""
         return [pool.name for pool in self._live]
-
-    @property
-    def n_evaluations(self) -> int:
-        """Total pattern evaluations across all spans."""
-        return sum(n for n, _ in self._gather("stats"))
-
-    @property
-    def n_batches(self) -> int:
-        """Total batched-evaluation rounds across all spans."""
-        return sum(b for _, b in self._gather("stats"))
 
     # -- observability ------------------------------------------------------------
 

@@ -53,6 +53,16 @@ _FORWARD_OPS = ("score", "predict", "health", "describe")
 _RECONNECT_BASE_S = 0.25
 _RECONNECT_CAP_S = 5.0
 
+#: Bound on a replica connect and on a ``stats`` poll: a replica on the
+#: same network answers either in milliseconds, so a silent one counts as
+#: down (and is retried on the backoff above) instead of stalling the poll.
+_CONNECT_TIMEOUT_S = 5.0
+
+#: Bound on one replica's ``swap`` or ``ingest`` answer.  Both load, index
+#: or re-mine a whole snapshot before they answer, which takes seconds on
+#: a large one; past a minute the replica is reported as not landed.
+_SWAP_TIMEOUT_S = 60.0
+
 
 @dataclass
 class RouterConfig:
@@ -60,8 +70,6 @@ class RouterConfig:
     port: int = 0
     replicas: tuple[tuple[str, int], ...] = ()
     stats_interval_s: float = 2.0
-    connect_timeout_s: float = 5.0
-    swap_timeout_s: float = 60.0
 
     def __post_init__(self) -> None:
         if not self.replicas:
@@ -190,7 +198,7 @@ class PatternRouter:
             asyncio.open_connection(
                 *replica.address, limit=protocol.MAX_LINE_BYTES
             ),
-            timeout=self.config.connect_timeout_s,
+            timeout=_CONNECT_TIMEOUT_S,
         )
         replica.reader = reader
         replica.writer = writer
@@ -316,7 +324,7 @@ class PatternRouter:
                     continue
                 try:
                     response = await self._roundtrip(
-                        replica, {"op": "stats"}, timeout=self.config.connect_timeout_s
+                        replica, {"op": "stats"}, timeout=_CONNECT_TIMEOUT_S
                     )
                 except (ConnectionError, asyncio.TimeoutError):
                     continue
@@ -513,7 +521,7 @@ class PatternRouter:
                 response = await self._roundtrip(
                     replica,
                     {"op": "swap", "path": path},
-                    timeout=self.config.swap_timeout_s,
+                    timeout=_SWAP_TIMEOUT_S,
                 )
                 outcomes[replica.name] = response
             except (ConnectionError, asyncio.TimeoutError) as exc:
@@ -562,7 +570,7 @@ class PatternRouter:
                 response = await self._roundtrip(
                     replica,
                     {"op": "ingest", "reports": request.get("reports")},
-                    timeout=self.config.swap_timeout_s,
+                    timeout=_SWAP_TIMEOUT_S,
                 )
                 outcomes[replica.name] = response
             except (ConnectionError, asyncio.TimeoutError) as exc:

@@ -40,7 +40,7 @@ Requests
 * ``singular_nm`` / ``singular_match`` -- no fields;
 * ``ext_tables`` -- ``patterns``;
 * ``gap_nm`` -- ``pattern`` (see :func:`gap_pattern_to_wire`);
-* ``stats`` / ``obs_snapshot`` / ``obs_drain`` -- no fields;
+* ``obs_snapshot`` / ``obs_drain`` -- no fields;
 * ``ping`` -- heartbeat, answered immediately;
 * ``close`` -- drop the session's engines.
 """
@@ -74,7 +74,7 @@ from repro.uncertainty.gaussian import ProbModel
 #: Version of the worker wire protocol.  Bumped on any change to op
 #: semantics or codecs; coordinator and worker refuse to talk across
 #: versions (bit-identity cannot be audited across protocol revisions).
-DIST_PROTOCOL_VERSION = 2
+DIST_PROTOCOL_VERSION = 3
 
 #: Ops a worker session answers itself, beside the span ops.
 SESSION_OPS = ("hello", "open", "ping", "obs_drain", "close")
@@ -117,11 +117,11 @@ def grid_from_wire(obj: Any) -> Grid:
 def config_to_wire(config: EngineConfig) -> dict:
     """JSON-safe engine config for shipping to a worker pool.
 
-    Worker-irrelevant fields are normalised away first (a pool is a plain
-    single-process engine: no nested jobs, no cache files of its own), so
-    two coordinators with different local paths ship identical configs.
+    The worker-irrelevant ``cache_dir`` is normalised away first (a pool
+    writes no cache files of its own), so two coordinators with different
+    local paths ship identical configs.
     """
-    shipped = replace(config, jobs=1, cache_dir=None)
+    shipped = replace(config, cache_dir=None)
     out: dict = {}
     for field in dataclass_fields(EngineConfig):
         value = getattr(shipped, field.name)
@@ -316,7 +316,6 @@ _RESULT_CODECS = {
         lambda obj: [ext_tables_from_wire(t) for t in obj],
     ),
     "gap_nm": (float, _result_float),
-    "stats": (list, tuple),
     "obs_snapshot": (_identity, _identity),
 }
 

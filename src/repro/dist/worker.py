@@ -28,7 +28,7 @@ from __future__ import annotations
 import socket
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import kernels
 from repro.core.engine import NMEngine
@@ -40,6 +40,10 @@ from repro.storage import open_store
 from repro.testkit import faults
 
 _log = logs.get_logger("dist.worker")
+
+#: How long the accept loop blocks before it looks at the stop flag again:
+#: ``stop`` joins that loop, so it returns within this.
+_ACCEPT_TIMEOUT_S = 0.5
 
 
 @dataclass
@@ -55,8 +59,6 @@ class WorkerPoolConfig:
     host: str = "127.0.0.1"
     port: int = 0
     name: str = ""
-    accept_timeout_s: float = 0.5
-    extra_span_attrs: dict = field(default_factory=dict)
 
 
 class WorkerPoolServer:
@@ -85,7 +87,7 @@ class WorkerPoolServer:
         sock = socket.create_server(
             (self.config.host, self.config.port), reuse_port=False
         )
-        sock.settimeout(self.config.accept_timeout_s)
+        sock.settimeout(_ACCEPT_TIMEOUT_S)
         self._sock = sock
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="dist-worker-accept", daemon=True
@@ -294,10 +296,7 @@ class _Session:
                 sink=self.trace_sink,
                 trace_id=ctx.trace_id,
                 ambient_parent=ctx.span_id,
-                base_attrs={
-                    "pool": self.server.config.name,
-                    **self.server.config.extra_span_attrs,
-                },
+                base_attrs={"pool": self.server.config.name},
             )
         registry = metrics.get_registry()
         registry.enabled = bool(request.get("metrics", False))

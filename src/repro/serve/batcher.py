@@ -305,9 +305,10 @@ class MicroBatcher:
                 metrics.gauge("serve.queue_depth").set(len(self._queue))
                 await self._dispatch(lead.key, batch, close_on)
                 # Drop the dispatched items before waiting for the next
-                # one: their payloads pin the snapshot that admitted them,
-                # which an idle worker would otherwise keep alive after a
-                # swap retired it.
+                # one: their payloads hold the snapshot that admitted them,
+                # which an idle worker would otherwise keep alive (a
+                # store-backed one with its file open) after a swap
+                # replaced it.
                 lead = None
                 batch = []
             except asyncio.CancelledError:

@@ -33,6 +33,21 @@ import numpy as np
 from repro.obs import tracing
 from repro.serve import protocol
 
+#: The shape of synthesized requests is fixed, so every run against one
+#: snapshot with one seed sends the same stream and recorded serving
+#: numbers stay comparable across runs.  Cells per ``score`` pattern:
+#: about the mean length of mined patterns (section 6.1 reports 3.2-4.2).
+_PATTERN_LENGTH = 3
+
+#: Position reports per ``predict`` request: five velocity steps, more
+#: than the prediction library's default ``min_prefix`` of two, so a
+#: pattern can confirm before the motion model has to answer.
+_RECENT_POINTS = 6
+
+#: How long a run waits for responses still in flight after its last send;
+#: requests unanswered by then are reported as ``no_response``.
+_DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclass
 class LoadgenConfig:
@@ -53,11 +68,8 @@ class LoadgenConfig:
     op: str = "score"  # "score", "predict" or "mixed"
     measure: str = "nm"
     patterns_per_request: int = 1
-    pattern_length: int = 3
-    recent_points: int = 6
     timeout_ms: float | None = None
     seed: int = 0
-    drain_timeout_s: float = 30.0
     trace: bool = False
     reconnect_backoff_s: float = 0.25
     reconnect_cap_s: float = 5.0
@@ -205,7 +217,7 @@ def _make_requests(config: LoadgenConfig, describe: dict) -> list[dict]:
                 "id": i,
                 "measure": config.measure,
                 "patterns": [
-                    [int(c) for c in rng.choice(cells, size=config.pattern_length)]
+                    [int(c) for c in rng.choice(cells, size=_PATTERN_LENGTH)]
                     for _ in range(config.patterns_per_request)
                 ],
             }
@@ -216,7 +228,7 @@ def _make_requests(config: LoadgenConfig, describe: dict) -> list[dict]:
                     grid["min_y"] + rng.random() * span_y,
                 ]
             )
-            step = rng.normal(scale=2.0 * sigma, size=(config.recent_points, 2))
+            step = rng.normal(scale=2.0 * sigma, size=(_RECENT_POINTS, 2))
             recent = start + np.cumsum(step, axis=0)
             request = {
                 "op": "predict",
@@ -347,7 +359,7 @@ async def _open_loop(
             except (ConnectionError, OSError):
                 continue
     try:
-        await asyncio.wait_for(done.wait(), timeout=config.drain_timeout_s)
+        await asyncio.wait_for(done.wait(), timeout=_DRAIN_TIMEOUT_S)
     except asyncio.TimeoutError:
         pass
     for task in readers:

@@ -30,6 +30,7 @@ pattern confirms.
 from __future__ import annotations
 
 import asyncio
+import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -137,7 +138,8 @@ class _LiveIngest:
 
     def __init__(self, snapshot: ServingSnapshot, config: IngestConfig) -> None:
         # An eager copy detaches the live dataset from a store-backed boot
-        # snapshot, so retiring that generation can close its file handle.
+        # snapshot, so once a swap drops that generation its store is
+        # collected and closes its file.
         dataset = TrajectoryDataset(
             list(snapshot.dataset), metadata={"origin": snapshot.version}
         )
@@ -161,7 +163,23 @@ class _LiveIngest:
     def fold(
         self, reports: list
     ) -> tuple[dict[str, Any], ServingSnapshot | None]:
-        """Append one report batch; re-mine and build a snapshot on cadence."""
+        """Fold one report batch whole or not at all; re-mine on cadence.
+
+        Engines are values, so the indexer as it was before the batch (a
+        shallow copy: its engine reference and fold counts) is the previous
+        generation.  Any failure after the fold puts it back, so a client
+        that retries a refused batch folds it once.
+        """
+        indexer, batches = copy.copy(self.indexer), self.batches
+        try:
+            return self._fold(reports)
+        except BaseException:
+            self.indexer, self.batches = indexer, batches
+            raise
+
+    def _fold(
+        self, reports: list
+    ) -> tuple[dict[str, Any], ServingSnapshot | None]:
         stats = self.indexer.append(reports)
         self.batches += 1
         summary: dict[str, Any] = {
@@ -181,11 +199,13 @@ class _LiveIngest:
             min_length=self.config.min_length,
             warm_state=self.warm_state,
         )
-        result = miner.mine()
-        self.warm_state = result.warm_state
-        self.last_mine_iterations = result.stats.iterations
-        self.last_mine_s = result.stats.wall_time_s
-        self.generation += 1
+        try:
+            result = miner.mine()
+        except ValueError as exc:
+            # The residents left no index entry on the boot grid (they all
+            # lie outside it): there is nothing to mine or to publish.
+            raise protocol.ProtocolError(f"batch not applied: {exc}") from exc
+        generation = self.generation + 1
         library = PatternLibrary(
             result.patterns,
             engine.grid,
@@ -195,18 +215,22 @@ class _LiveIngest:
             kernels=engine.kernel_backend,
         )
         snapshot = ServingSnapshot(
-            f"{self.base_version}+g{self.generation}",
-            engine.dataset,
-            engine.grid,
+            f"{self.base_version}+g{generation}",
             engine,
             library=library,
             source="<ingest>",
             confirm_threshold=self.confirm_threshold,
             min_prefix=self.min_prefix,
         )
+        # Kept only once the generation is built, so a refused batch
+        # leaves the re-mine state as it was.
+        self.generation = generation
+        self.warm_state = result.warm_state
+        self.last_mine_iterations = result.stats.iterations
+        self.last_mine_s = result.stats.wall_time_s
         summary.update(
             republished=True,
-            generation=self.generation,
+            generation=generation,
             version=snapshot.version,
             mine_iterations=result.stats.iterations,
             omega=result.omega,
@@ -493,11 +517,7 @@ class PatternServer:
         if op == "stats":
             return protocol.ok_response(rid, stats=self.stats())
         if op == "describe":
-            snapshot = self.store.acquire()
-            try:
-                return protocol.ok_response(rid, **snapshot.describe())
-            finally:
-                self.store.release(snapshot)
+            return protocol.ok_response(rid, **self.store.current.describe())
         if op == "swap":
             return await self._handle_swap(request, rid)
         if op == "ingest":
@@ -521,20 +541,18 @@ class PatternServer:
     async def _handle_score(
         self, request: dict, rid: Any, ctx: tracing.SpanContext | None
     ) -> dict:
-        # Pin the admitted generation until evaluation finishes: a swap
-        # landing mid-batch retires the old snapshot, and a store-backed one
-        # closes its file handle the moment the last pin drops.
-        snapshot = self.store.acquire()
-        try:
-            patterns, measure = protocol.parse_score(request, snapshot.grid.n_cells)
-            values = await self._batcher.submit(
-                (id(snapshot), measure),
-                _ScoreWork(snapshot, measure, patterns),
-                deadline=self._deadline(request),
-                ctx=ctx,
-            )
-        finally:
-            self.store.release(snapshot)
+        # The admitted generation travels in the work item: a swap landing
+        # mid-batch only replaces the store's reference, and this one keeps
+        # the old snapshot whole (a store-backed one's file open) until the
+        # batch is answered.
+        snapshot = self.store.current
+        patterns, measure = protocol.parse_score(request, snapshot.grid.n_cells)
+        values = await self._batcher.submit(
+            (id(snapshot), measure),
+            _ScoreWork(snapshot, measure, patterns),
+            deadline=self._deadline(request),
+            ctx=ctx,
+        )
         return protocol.ok_response(
             rid,
             measure=measure,
@@ -545,9 +563,9 @@ class PatternServer:
     async def _handle_predict(
         self, request: dict, rid: Any, ctx: tracing.SpanContext | None
     ) -> dict:
-        snapshot = self.store.acquire()
+        snapshot = self.store.current
+        recent, sigma = protocol.parse_predict(request)
         try:
-            recent, sigma = protocol.parse_predict(request)
             result = await self._batcher.submit(
                 (id(snapshot), "predict"),
                 _PredictWork(snapshot, recent, sigma),
@@ -567,8 +585,6 @@ class PatternServer:
                 reason=exc.reason,
                 version=snapshot.version,
             )
-        finally:
-            self.store.release(snapshot)
         position, source = result
         return protocol.ok_response(
             rid,
@@ -606,13 +622,12 @@ class PatternServer:
         # evaluation thread, serialised with score/predict batches.
         async with self._ingest_lock:
             if self._ingest_state is None:
-                boot = self.store.acquire()
-                try:
-                    self._ingest_state = await loop.run_in_executor(
-                        self._executor, _LiveIngest, boot, self.ingest_config
-                    )
-                finally:
-                    self.store.release(boot)
+                self._ingest_state = await loop.run_in_executor(
+                    self._executor,
+                    _LiveIngest,
+                    self.store.current,
+                    self.ingest_config,
+                )
             summary, snapshot = await loop.run_in_executor(
                 self._executor, self._ingest_state.fold, reports
             )

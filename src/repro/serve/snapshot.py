@@ -1,15 +1,18 @@
 """Immutable versioned serving state and its hot-swappable store.
 
 A :class:`ServingSnapshot` bundles everything one generation of the server
-needs to answer queries: the dataset, the grid, a fully built
-:class:`~repro.core.engine.NMEngine` and (optionally) a
+needs to answer queries: a fully built :class:`~repro.core.engine.NMEngine`
+(whose dataset, grid and ``delta`` the snapshot serves) and (optionally) a
 :class:`~repro.apps.prediction.PatternLibrary` for the ``predict`` op.
 Snapshots are immutable once constructed -- the server never mutates one,
 it *replaces* the store's current reference atomically.  Requests capture
 the snapshot reference at admission, so an in-flight batch always
 evaluates against the generation that admitted it even if a ``swap``
-lands mid-batch; the old generation is garbage-collected once its last
-in-flight request drains.
+lands mid-batch.  A snapshot lives exactly as long as something
+references it: the store while it is current, and each admitted request
+until it is answered.  A store-backed snapshot's open ``.tjc`` file
+belongs to its :class:`~repro.storage.TrajectoryStore`, which closes it
+when the last reference goes (see ``TrajectoryStore.close``).
 
 Loading goes through :mod:`repro.core.index_cache` when a ``cache_dir``
 is configured: the first boot of a snapshot persists its built index, so
@@ -78,130 +81,49 @@ class ServingSnapshot:
     """One immutable generation of serving state.
 
     Build via :meth:`load` (from disk) or :meth:`from_dataset` (in
-    process); the constructor itself just pins the already-built pieces.
+    process); the constructor itself just holds the already-built pieces.
+    ``dataset``, ``grid`` and ``delta`` are the engine's own, so a
+    snapshot cannot serve one grid while its engine indexes another.
     """
 
     __slots__ = (
         "version",
         "source",
-        "dataset",
-        "grid",
         "engine",
         "library",
-        "delta",
         "confirm_threshold",
         "min_prefix",
-        "owned_store",
-        "_ref_lock",
-        "_refs",
-        "_retired",
-        "_closed",
     )
 
     def __init__(
         self,
         version: str,
-        dataset: TrajectoryDataset,
-        grid: Grid,
         engine: NMEngine,
         library: PatternLibrary | None = None,
         source: str = "<memory>",
-        owned_store: Any | None = None,
         confirm_threshold: float = 0.9,
         min_prefix: int = 2,
     ) -> None:
         self.version = version
-        self.dataset = dataset
-        self.grid = grid
         self.engine = engine
         self.library = library
-        self.delta = engine.config.delta
         # The predict settings outlive a missing library: a live server
         # builds every republished library with them.
         self.confirm_threshold = confirm_threshold
         self.min_prefix = min_prefix
         self.source = source
-        # Resource lifecycle: a store-backed snapshot owns the open ``.tjc``
-        # handle its lazy dataset reads through.  Dropping the snapshot
-        # reference alone leaks the fd, so retirement is refcounted:
-        # ``retain``/``release`` bracket every admission that may still read
-        # the dataset, ``retire`` marks the generation replaced, and the
-        # store closes exactly once, when both have happened.
-        self.owned_store = owned_store
-        self._ref_lock = threading.Lock()
-        self._refs = 0
-        self._retired = False
-        self._closed = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def retain(self) -> "ServingSnapshot":
-        """Pin the snapshot for one in-flight admission; pair with release."""
-        with self._ref_lock:
-            # Only a snapshot whose backing store is actually gone must
-            # refuse work; a retired in-memory generation swapped back in
-            # (tests and blue/green flips do this) is still fully readable.
-            if self._closed and self.owned_store is not None:
-                raise RuntimeError(
-                    f"snapshot {self.version} is closed; cannot admit new work"
-                )
-            self._refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one admission pin; closes a retired snapshot once drained."""
-        with self._ref_lock:
-            if self._refs <= 0:
-                raise RuntimeError(
-                    f"snapshot {self.version}: release without matching retain"
-                )
-            self._refs -= 1
-            should_close = self._retired and self._refs == 0 and not self._closed
-            if should_close:
-                self._closed = True
-        if should_close:
-            self._close_store()
-
-    def retire(self) -> None:
-        """Mark the generation replaced; closes now or when in-flight drains."""
-        with self._ref_lock:
-            if self._retired:
-                return
-            self._retired = True
-            should_close = self._refs == 0 and not self._closed
-            if should_close:
-                self._closed = True
-        if should_close:
-            self._close_store()
 
     @property
-    def closed(self) -> bool:
-        """True once the owned store (if any) has been closed."""
-        with self._ref_lock:
-            return self._closed
+    def dataset(self) -> TrajectoryDataset:
+        return self.engine.dataset
 
     @property
-    def inflight(self) -> int:
-        """Current number of unreleased admissions (introspection/tests)."""
-        with self._ref_lock:
-            return self._refs
+    def grid(self) -> Grid:
+        return self.engine.grid
 
-    def _close_store(self) -> None:
-        if self.owned_store is None:
-            return
-        try:
-            self.owned_store.close()
-        except Exception:  # noqa: BLE001 - closing must never kill serving
-            _log.warning(
-                "snapshot store close failed",
-                extra={"version": self.version, "source": self.source},
-                exc_info=True,
-            )
-        else:
-            _log.info(
-                "snapshot store closed",
-                extra={"version": self.version, "source": self.source},
-            )
+    @property
+    def delta(self) -> float:
+        return self.engine.config.delta
 
     # -- construction ------------------------------------------------------
 
@@ -220,7 +142,6 @@ class ServingSnapshot:
         backend: str = "auto",
         version: str | None = None,
         source: str = "<memory>",
-        owned_store: Any | None = None,
     ) -> "ServingSnapshot":
         """Build a snapshot from an in-memory dataset.
 
@@ -262,12 +183,9 @@ class ServingSnapshot:
             )
         snapshot = cls(
             version,
-            dataset,
-            grid,
             engine,
             library=library,
             source=source,
-            owned_store=owned_store,
             confirm_threshold=confirm_threshold,
             min_prefix=min_prefix,
         )
@@ -335,13 +253,12 @@ class ServingSnapshot:
                 )
         else:
             dataset_path = path
-        owned_store = None
         if is_store_path(dataset_path):
-            # Lazy store-backed dataset: the snapshot owns the open store
-            # handle and closes it on refcounted retirement (see __init__),
-            # so a republish-every-minute server does not leak fds.
-            owned_store = open_store(dataset_path)
-            dataset = owned_store.dataset()
+            # Lazy store-backed dataset: the engine's dataset holds the
+            # open store, whose file closes when the generation's last
+            # reference goes, so a republish-every-minute server holds its
+            # fds flat.
+            dataset = open_store(dataset_path).dataset()
         else:
             dataset = load_dataset_jsonl(dataset_path)
         kwargs: dict[str, Any] = {"backend": backend}
@@ -358,7 +275,6 @@ class ServingSnapshot:
             patterns_path=patterns_path,
             cache_dir=cache_dir,
             source=str(path),
-            owned_store=owned_store,
             **kwargs,
         )
 
@@ -399,13 +315,10 @@ class SnapshotStore:
 
     ``swap`` replaces the reference under a lock and returns the previous
     generation; readers grab :attr:`current` without locking (attribute
-    reads are atomic in CPython) for metadata, while evaluation paths that
-    may still *read the dataset* after a swap go through
-    :meth:`acquire`/:meth:`release` -- the pin is taken under the same lock
-    as ``swap``, so a retiring generation can never close its backing store
-    between admission and evaluation.  ``swap`` retires the replaced
-    generation: its store-backed resources close once the last in-flight
-    admission drains (immediately when there are none).
+    reads are atomic in CPython) and keep the snapshot they read for as
+    long as they use it.  A replaced generation stays whole while any
+    admitted request still holds it, and is collected -- a store-backed
+    one closing its file -- once nothing does.
     """
 
     def __init__(self, snapshot: ServingSnapshot) -> None:
@@ -417,18 +330,8 @@ class SnapshotStore:
     def current(self) -> ServingSnapshot:
         return self._current
 
-    def acquire(self) -> ServingSnapshot:
-        """Pin and return the current generation; pair with :meth:`release`."""
-        with self._lock:
-            return self._current.retain()
-
-    @staticmethod
-    def release(snapshot: ServingSnapshot) -> None:
-        """Drop an :meth:`acquire` pin (closes a drained retired generation)."""
-        snapshot.release()
-
     def swap(self, snapshot: ServingSnapshot) -> ServingSnapshot:
-        """Install ``snapshot``; retires and returns the replaced generation."""
+        """Install ``snapshot``; returns the replaced generation."""
         with self._lock:
             previous = self._current
             self._current = snapshot
@@ -437,5 +340,4 @@ class SnapshotStore:
             "snapshot swapped",
             extra={"from": previous.version, "to": snapshot.version},
         )
-        previous.retire()
         return previous

@@ -35,6 +35,11 @@ _CLEAR = "\x1b[2J\x1b[H"
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
+#: Bound on one ``stats`` round-trip: a live server answers in
+#: milliseconds, so a frame waits at most this long before it reports the
+#: source unreachable and backs off.
+_FETCH_TIMEOUT_S = 5.0
+
 
 @dataclass
 class TopConfig:
@@ -45,7 +50,6 @@ class TopConfig:
     interval_s: float = 2.0
     once: bool = False
     series: str | None = None  # telemetry.jsonl path -> series mode
-    timeout_s: float = 5.0
     max_frames: int | None = None  # stop after N frames (tests)
 
     def __post_init__(self) -> None:
@@ -53,7 +57,7 @@ class TopConfig:
             raise ValueError("interval_s must be positive")
 
 
-def fetch_stats(host: str, port: int, timeout_s: float = 5.0) -> dict:
+def fetch_stats(host: str, port: int, timeout_s: float = _FETCH_TIMEOUT_S) -> dict:
     """One blocking ``stats`` round-trip; raises ``OSError`` on failure."""
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         sock.sendall(b'{"op":"stats"}\n')
@@ -237,7 +241,7 @@ def run_top(config: TopConfig, out=None) -> int:
                 prev = record
         else:
             try:
-                stats = fetch_stats(config.host, config.port, config.timeout_s)
+                stats = fetch_stats(config.host, config.port)
             except (OSError, RuntimeError, ValueError) as exc:
                 error = f"cannot fetch stats from {config.host}:{config.port}: {exc}"
             else:

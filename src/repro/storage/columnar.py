@@ -44,6 +44,7 @@ import json
 import os
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,10 @@ class TrajectoryStore:
         except BaseException:
             self._fh.close()
             raise
+        # The file closes with the store: on close(), or when nothing
+        # references the store any more (a served snapshot's dataset holds
+        # it), so dropping a store neither leaks its fd nor warns.
+        self._close_file = weakref.finalize(self, self._fh.close)
         self.size_bytes = size
         self.metadata: dict = dict(footer.get("metadata") or {})
         self.n_trajectories = int(footer["n_trajectories"])
@@ -618,7 +623,7 @@ class TrajectoryStore:
         self._object_ids = None
         self._chunk_cache.clear()
         try:
-            self._fh.close()
+            self._close_file()
         except OSError:
             pass
 

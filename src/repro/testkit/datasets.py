@@ -80,7 +80,7 @@ def oracle_setup(seed: int, *, quick: bool = False) -> OracleSetup:
     n_trajectories, n_ticks = (8, 12) if quick else (12, 20)
     dataset = seeded_dataset(seed, n_trajectories=n_trajectories, n_ticks=n_ticks)
     grid = dataset.make_grid(0.1)
-    # jobs/cache_dir deliberately unset: the oracle itself decides which
+    # cache_dir deliberately unset: the oracle itself decides which
     # paths run sharded or cached, against this as the common baseline.
     config = EngineConfig(delta=0.08, min_prob=1e-6)
     return OracleSetup(

@@ -572,9 +572,7 @@ def _serve_roundtrip(
     encode/decode) -- and JSON round-trips float64 exactly (shortest-repr),
     so the budget is zero.
     """
-    snapshot = ServingSnapshot(
-        f"oracle-{setup.seed}", setup.dataset, setup.grid, engine
-    )
+    snapshot = ServingSnapshot(f"oracle-{setup.seed}", engine)
 
     async def go() -> tuple[np.ndarray, np.ndarray]:
         server = PatternServer(

@@ -66,13 +66,11 @@ def test_config_roundtrip_normalises_coordinator_fields():
         delta=0.375,
         prob_model=ProbModel.DISK,
         min_prob=1e-7,
-        jobs=8,
         cache_dir="/tmp/nope",
     )
     shipped = _hop(wire.config_to_wire(config))
     back = wire.config_from_wire(shipped)
-    # Worker-local engine: coordinator-side knobs are normalised away...
-    assert back.jobs == 1
+    # Worker-local engine: the coordinator's cache path is normalised away...
     assert back.cache_dir is None
     # ...while everything that affects numbers survives exactly.
     assert back.delta == config.delta
@@ -95,7 +93,6 @@ def test_config_from_wire_rejects_unknown_fields():
         ("delta", math.nan),
         ("radius_sigmas", math.inf),
         ("max_cells_per_snapshot", 1.5),
-        ("jobs", 1.5),
     ],
 )
 def test_config_from_wire_rejects_values_that_build_nothing(field, value):
@@ -108,11 +105,13 @@ def test_config_from_wire_rejects_values_that_build_nothing(field, value):
 
 
 def test_config_from_wire_rejects_removed_fields():
-    """A config from a coordinator that still ships ``dtype`` is refused."""
-    shipped = wire.config_to_wire(EngineConfig(delta=0.5))
-    shipped["dtype"] = "float64"
-    with pytest.raises(wire.ProtocolError, match="unknown config fields"):
-        wire.config_from_wire(shipped)
+    """A config from a coordinator that still ships ``dtype`` or ``jobs``
+    is refused."""
+    for field, value in (("dtype", "float64"), ("jobs", 1)):
+        shipped = wire.config_to_wire(EngineConfig(delta=0.5))
+        shipped[field] = value
+        with pytest.raises(wire.ProtocolError, match="unknown config fields"):
+            wire.config_from_wire(shipped)
 
 
 def test_spans_roundtrip_and_validation():
@@ -245,7 +244,6 @@ _SPAN_PAYLOADS = {
     "gap_nm": GapPattern(
         (TrajectoryPattern((1, 2)), TrajectoryPattern((5,))), (Gap(0, 3),)
     ),
-    "stats": None,
     "obs_snapshot": None,
 }
 
@@ -257,13 +255,14 @@ def test_every_span_op_payload_survives_a_hop(op):
     assert wire.payload_from_wire(op, request) == payload
 
 
-def test_protocol_v2_refuses_a_v1_coordinator_at_hello(session):
-    """The op set changed in version 2; a version 1 coordinator is told so
-    at ``hello``, with both versions named, not mid-mine."""
-    assert wire.DIST_PROTOCOL_VERSION == 2
-    reply = session.handle_line(_hello(session, version=1))
+def test_protocol_v3_refuses_a_v2_coordinator_at_hello(session):
+    """The op set and the config fields changed in version 3; a version 2
+    coordinator is told so at ``hello``, with both versions named, not
+    mid-mine."""
+    assert wire.DIST_PROTOCOL_VERSION == 3
+    reply = session.handle_line(_hello(session, version=2))
     assert reply["ok"] is False and reply["error"] == "bad_request"
-    assert (reply["client_version"], reply["server_version"]) == (1, 2)
+    assert (reply["client_version"], reply["server_version"]) == (2, 3)
 
 
 def test_hello_with_a_huge_grid_is_answered(session, monkeypatch):

@@ -45,8 +45,6 @@ class TestEngineConfig:
             ("radius_sigmas", np.inf),
             ("radius_sigmas", np.nan),
             ("max_cells_per_snapshot", 1.5),
-            ("jobs", 1.5),
-            ("jobs", True),
             ("prob_model", "box"),
             ("prob_model", 3),
         ],
@@ -60,10 +58,8 @@ class TestEngineConfig:
             EngineConfig(**{"delta": 0.1, field: value})
 
     def test_accepts_numpy_integers(self):
-        config = EngineConfig(
-            delta=np.float64(0.1), max_cells_per_snapshot=np.int64(8), jobs=np.int32(2)
-        )
-        assert config.max_cells_per_snapshot == 8 and config.jobs == 2
+        config = EngineConfig(delta=np.float64(0.1), max_cells_per_snapshot=np.int64(8))
+        assert config.max_cells_per_snapshot == 8
 
     def test_auto_radius_covers_min_prob(self):
         config = EngineConfig(delta=0.1, min_prob=1e-6)

@@ -282,7 +282,7 @@ class TestInvalidation:
 
     @pytest.mark.parametrize(
         "change",
-        [dict(jobs=4), dict(cache_dir=None), dict(backend="compiled")],
+        [dict(cache_dir="elsewhere"), dict(cache_dir=None), dict(backend="compiled")],
     )
     def test_non_index_knobs_do_not_change_key(self, dataset, grid, config, change):
         # The backend reaches the key only through its Prob kernel tag

@@ -257,7 +257,7 @@ class TestCliObservability:
         manifest_path = tmp_path / "patterns.json.manifest.json"
         document = obs_manifest.load_manifest(manifest_path)
         assert document["command"] == "mine"
-        assert document["config"]["jobs"] == 2
+        assert document["arguments"]["jobs"] == 2
         assert document["runtime"]["wall_time_s"] > 0
         assert document["metrics"]["counters"]
 

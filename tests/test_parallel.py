@@ -215,12 +215,13 @@ class TestLifecycle:
         assert all(not proc.is_alive() for proc in workers)
 
     def test_invalid_jobs_rejected(self, serial):
-        with pytest.raises(ValueError, match="jobs"):
-            ParallelNMEngine(serial.dataset, serial.grid, serial.config, jobs=0)
+        for jobs in (0, 1.5, True):
+            with pytest.raises(ValueError, match="jobs"):
+                ParallelNMEngine(serial.dataset, serial.grid, serial.config, jobs=jobs)
 
     def test_empty_dataset_rejected(self, serial):
         with pytest.raises(ValueError, match="empty"):
-            ParallelNMEngine(TrajectoryDataset([]), serial.grid, serial.config)
+            ParallelNMEngine(TrajectoryDataset([]), serial.grid, serial.config, jobs=2)
 
 
 class TestPropertyEquivalence:

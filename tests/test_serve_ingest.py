@@ -7,24 +7,28 @@ Three layers under test:
   live index;
 * **server**: a fed server republishes generation-keyed snapshots whose
   top-k equals a from-scratch mine of the same trajectories, exactly;
-* **lifecycle** (the bugfixes): swapping store-backed snapshots closes
-  their fd/mmap exactly once -- after the last in-flight admission drains
-  -- and 50 republishes leave the process fd count flat.
+* **lifecycle**: a snapshot lives as long as something references it --
+  a replaced store-backed generation closes its file once the last
+  in-flight request holding it is answered, a generation swapped back in
+  is served, and 50 swaps leave the process fd count flat.
 """
 
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.engine import NMEngine
+from repro.core.pattern import TrajectoryPattern
 from repro.core.trajpattern import TrajPatternMiner
 from repro.experiments.datasets import zebranet_dataset
-from repro.mobility.reporting import trajectory_to_report
+from repro.mobility.reporting import trajectory_from_report, trajectory_to_report
 from repro.serve import (
     IngestConfig,
     PatternServer,
@@ -62,10 +66,16 @@ class _Client:
         )
         return cls(reader, writer)
 
-    async def request(self, payload: dict) -> dict:
+    async def send(self, payload: dict) -> None:
         self.writer.write(protocol.encode(payload))
         await self.writer.drain()
+
+    async def recv(self) -> dict:
         return protocol.decode_line(await self.reader.readline())
+
+    async def request(self, payload: dict) -> dict:
+        await self.send(payload)
+        return await self.recv()
 
     async def close(self):
         self.writer.close()
@@ -73,6 +83,15 @@ class _Client:
             await self.writer.wait_closed()
         except ConnectionError:
             pass
+
+
+def _driver():
+    """``benchmarks/ingest_driver.py``, loaded by path for its report herd."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "ingest_driver.py"
+    spec = importlib.util.spec_from_file_location("ingest_driver", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _reports(trajectories):
@@ -306,6 +325,59 @@ class TestIngestOp:
         assert response["appended"] == 4 and response["evicted"] == 3
         assert response["n_trajectories"] == 9
 
+    def test_a_refused_wave_leaves_no_trace(self):
+        """A wave whose re-mine fails is applied not at all: with a window
+        of 3, the ingest driver's second wave leaves only residents that lie
+        outside the boot grid, so there is nothing to mine.  It is answered
+        ``bad_request``, and a retry is refused the same way, with the fold
+        state and the served generation still those of the first wave."""
+        reports = json.loads(json.dumps(_driver().build_reports(20, 25, 17)))
+        boot = ServingSnapshot.from_dataset(
+            TrajectoryDataset([trajectory_from_report(r) for r in reports[:8]]),
+            version="boot",
+        )
+        waves = [reports[8:11], reports[11:14]]
+        keys = ("batches", "appends", "evictions", "n_trajectories", "generation")
+
+        async def scenario():
+            store = SnapshotStore(boot)
+            server = PatternServer(
+                store, ServeConfig(), ingest=IngestConfig(k=4, window=3)
+            )
+            host, port = await server.start()
+            client = await _Client.connect(host, port)
+            first = await client.request({"op": "ingest", "id": 0, "reports": waves[0]})
+            stats = [(await client.request({"op": "stats"}))["stats"]]
+            refused = []
+            for attempt in (1, 2):
+                refused.append(
+                    await client.request(
+                        {"op": "ingest", "id": attempt, "reports": waves[1]}
+                    )
+                )
+                stats.append((await client.request({"op": "stats"}))["stats"])
+            await client.close()
+            await server.stop()
+            return first, refused, stats
+
+        first, refused, stats = asyncio.run(scenario())
+        assert first["ok"] and first["republished"], first
+        for response in refused:
+            assert response["ok"] is False, response
+            assert response["error"] == "bad_request"
+            assert "no active grid cells" in response["detail"]
+        after_first = {key: stats[0]["ingest"][key] for key in keys}
+        assert after_first == {
+            "batches": 1,
+            "appends": 1,
+            "evictions": 1,
+            "n_trajectories": 3,
+            "generation": 1,
+        }
+        for later in stats[1:]:
+            assert {key: later["ingest"][key] for key in keys} == after_first
+            assert later["version"] == "boot+g1"
+
     def test_republishing_leaves_the_index_cache_as_booted(self, pool, tmp_path):
         """Folds write no index-cache entry: after three republishing waves
         from a store-backed boot, the cache directory holds the boot entry
@@ -342,7 +414,7 @@ class TestIngestOp:
         assert entry.read_bytes() == booted
 
 
-# -- snapshot lifecycle (the fd-leak and drain bugfixes) ---------------------
+# -- snapshot lifecycle: a generation lives by its references ---------------
 
 
 def _fd_count() -> int:
@@ -352,6 +424,24 @@ def _fd_count() -> int:
 _NEEDS_PROCFS = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
 )
+
+
+def _store_file(snapshot: ServingSnapshot):
+    """The open ``.tjc`` file a store-backed snapshot reads its rows from.
+
+    Holding the file object keeps neither the store nor the snapshot
+    alive, so a test can watch it close.
+    """
+    return snapshot.dataset.store._fh
+
+
+def _store_snapdir(path, trajectories, version, delta):
+    path.mkdir()
+    write_store(TrajectoryDataset(trajectories), path / "dataset.tjc")
+    (path / "serve.json").write_text(
+        json.dumps({"version": version, "cell_size": 0.05, "delta": delta})
+    )
+    return path
 
 
 class TestSnapshotLifecycle:
@@ -369,52 +459,128 @@ class TestSnapshotLifecycle:
         baseline = _fd_count()
         for _ in range(50):
             store.swap(ServingSnapshot.load(store_path, cache_dir=cache))
-        assert not store.current.closed
         assert _fd_count() == baseline
+        assert len(store.current.dataset[0]) == len(pool[0])
 
     def test_swap_closes_store_backed_snapshot_once_drained(self, pool, tmp_path):
         store_path = tmp_path / "dataset.tjc"
         write_store(TrajectoryDataset(pool[:6]), store_path)
-        old = ServingSnapshot.load(store_path)
-        replacement = ServingSnapshot.from_dataset(
-            TrajectoryDataset(pool[:4]), version="v-next"
-        )
-        store = SnapshotStore(old)
-
-        pinned = store.acquire()
-        assert pinned is old and old.inflight == 1
-        store.swap(replacement)
-        # An in-flight admission defers the close: the dataset stays readable.
-        assert not old.closed
-        assert len(old.dataset[0]) == len(pool[0])
-        store.release(pinned)
-        assert old.closed and old.inflight == 0
+        store = SnapshotStore(ServingSnapshot.load(store_path))
+        held = store.current  # what an admitted request's work item holds
+        file = _store_file(held)
+        store.swap(ServingSnapshot.from_dataset(TrajectoryDataset(pool[:4])))
+        # A held reference keeps the replaced generation whole: its file
+        # stays open and its dataset readable.
+        assert not file.closed
+        assert len(held.dataset[0]) == len(pool[0])
+        del held
+        assert file.closed
 
     def test_swap_with_no_inflight_closes_immediately(self, pool, tmp_path):
         store_path = tmp_path / "dataset.tjc"
         write_store(TrajectoryDataset(pool[:6]), store_path)
-        old = ServingSnapshot.load(store_path)
-        store = SnapshotStore(old)
+        store = SnapshotStore(ServingSnapshot.load(store_path))
+        file = _store_file(store.current)
         store.swap(ServingSnapshot.from_dataset(TrajectoryDataset(pool[:4])))
-        assert old.closed
+        assert file.closed
 
-    def test_closed_store_backed_snapshot_refuses_admission(self, pool, tmp_path):
-        store_path = tmp_path / "dataset.tjc"
-        write_store(TrajectoryDataset(pool[:6]), store_path)
-        old = ServingSnapshot.load(store_path)
-        old.retire()
-        assert old.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            old.retain()
+    @pytest.mark.parametrize("backing", ["memory", "store"])
+    def test_swapped_out_snapshot_serves_when_swapped_back(
+        self, pool, tmp_path, backing
+    ):
+        """A blue/green flip back to a replaced generation is served: the
+        store reference the flip restores is all a snapshot needs."""
+        trajectories = TrajectoryDataset(pool[:6])
+        if backing == "store":
+            write_store(trajectories, tmp_path / "dataset.tjc")
+            blue = ServingSnapshot.load(tmp_path / "dataset.tjc")
+        else:
+            blue = ServingSnapshot.from_dataset(trajectories)
+        green = ServingSnapshot.from_dataset(
+            TrajectoryDataset(pool[6:10]), version="green"
+        )
+        cell = blue.engine.active_cells[0]
+        expected = blue.engine.nm_batch([TrajectoryPattern((cell,))])
 
-    def test_retired_in_memory_snapshot_stays_admittable(self, pool):
-        snap = ServingSnapshot.from_dataset(TrajectoryDataset(pool[:4]))
-        snap.retire()
-        # No backing store to lose: a blue/green flip back must still work.
-        snap.retain()
-        snap.release()
+        async def scenario():
+            store = SnapshotStore(blue)
+            server = PatternServer(store, ServeConfig(default_timeout_ms=None))
+            host, port = await server.start()
+            store.swap(green)
+            store.swap(blue)
+            client = await _Client.connect(host, port)
+            response = await client.request(
+                {"op": "score", "id": 1, "patterns": [[cell]]}
+            )
+            await client.close()
+            await server.stop()
+            return response
 
-    def test_release_without_retain_is_an_error(self, pool):
-        snap = ServingSnapshot.from_dataset(TrajectoryDataset(pool[:4]))
-        with pytest.raises(RuntimeError, match="without matching retain"):
-            snap.release()
+        response = asyncio.run(scenario())
+        assert response["ok"], response
+        assert response["version"] == blue.version
+        assert response["values"] == [float(v) for v in expected]
+
+    @_NEEDS_PROCFS
+    def test_50_served_swaps_with_scores_in_flight(self, pool, tmp_path):
+        """Fifty ``swap`` ops between two store-backed snapshots, each with
+        score requests in flight: every response carries the values of the
+        generation it names, a request sent after a swap's answer names the
+        new one, and the process ends with the fds it had after warm-up."""
+        # One grid, two deltas: the generations score the same patterns
+        # to different values.
+        dirs = {
+            "blue": _store_snapdir(tmp_path / "blue", pool[:6], "blue", 0.05),
+            "green": _store_snapdir(tmp_path / "green", pool[:6], "green", 0.08),
+        }
+        cells = ServingSnapshot.load(dirs["blue"]).engine.active_cells
+        patterns = [[cells[0]], [cells[1]], [cells[0], cells[1]]]
+        expected = {
+            version: ServingSnapshot.load(path)
+            .engine.nm_batch([TrajectoryPattern(tuple(p)) for p in patterns])
+            .tolist()
+            for version, path in dirs.items()
+        }
+        assert expected["blue"] != expected["green"]
+        cache = tmp_path / "cache"
+        responses: dict[int, dict] = {}
+
+        async def swap_round(i, client, admin) -> None:
+            """Three unread scores, a swap, then one score after its answer."""
+            target = "green" if i % 2 == 0 else "blue"
+            for j in range(1, 4):
+                await client.send({"op": "score", "id": 4 * i + j, "patterns": patterns})
+            swap = await admin.request({"op": "swap", "path": str(dirs[target])})
+            assert swap["ok"] and swap["version"] == target, swap
+            await client.send({"op": "score", "id": 4 * i + 4, "patterns": patterns})
+            for _ in range(4):
+                response = await client.recv()
+                responses[response["id"]] = response
+            assert responses[4 * i + 4]["version"] == target
+
+        async def scenario():
+            store = SnapshotStore(ServingSnapshot.load(dirs["blue"], cache_dir=cache))
+            server = PatternServer(
+                store, ServeConfig(default_timeout_ms=None, cache_dir=str(cache))
+            )
+            host, port = await server.start()
+            client = await _Client.connect(host, port)
+            admin = await _Client.connect(host, port)
+            # Warm-up: both generations loaded and their indexes cached.
+            for i in range(2):
+                await swap_round(i, client, admin)
+            baseline = _fd_count()
+            for i in range(2, 52):
+                await swap_round(i, client, admin)
+            final = _fd_count()
+            await client.close()
+            await admin.close()
+            await server.stop()
+            return store.swaps, baseline, final
+
+        swaps, baseline, final = asyncio.run(scenario())
+        assert swaps == 52 and len(responses) == 52 * 4
+        for response in responses.values():
+            assert response["ok"], response
+            assert response["values"] == expected[response["version"]]
+        assert final == baseline

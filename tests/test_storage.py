@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +293,15 @@ class TestEmptyAndEdge:
         store.close()
         with pytest.raises(ValueError):
             store.means(0, 1)
+
+    def test_dropped_store_closes_its_file_without_a_warning(self, dataset, tmp_path):
+        """A store that nothing closed closes its file once it is dropped,
+        as a served snapshot's store is when a swap replaces it."""
+        path = write_store(dataset, tmp_path / "d.tjc")
+        store = open_store(path)
+        file = store._fh
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del store
+        assert file.closed
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
