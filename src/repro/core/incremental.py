@@ -160,14 +160,19 @@ class IncrementalIndexer:
     def append(
         self, trajectories: Iterable[UncertainTrajectory]
     ) -> dict[str, int | float]:
-        """Fold new trajectories into the live index; returns fold stats."""
+        """Fold new trajectories into the live index; returns fold stats.
+
+        ``unindexed`` counts the appended trajectories that got no index
+        entry: every snapshot lies off the engine's grid (or below its
+        probability floor), so no pattern can ever match them.
+        """
         new = list(trajectories)
         if not new:
             return self._stats(appended=0, evicted=0)
         n_resident = len(self.engine.dataset) + len(new)
         evicted = 0 if self.window is None else max(0, n_resident - self.window)
-        self._fold(new, evicted)
-        return self._stats(appended=len(new), evicted=evicted)
+        unindexed = self._fold(new, evicted)
+        return self._stats(appended=len(new), evicted=evicted, unindexed=unindexed)
 
     def evict(self, n_trajectories: int) -> dict[str, int | float]:
         """Expire the ``n_trajectories`` oldest trajectories from the index."""
@@ -182,16 +187,25 @@ class IncrementalIndexer:
         self._fold([], n_trajectories)
         return self._stats(appended=0, evicted=n_trajectories)
 
-    def _fold(self, new: list[UncertainTrajectory], n_evict: int) -> None:
-        """Append ``new``, then expire the ``n_evict`` oldest: one new engine."""
+    def _fold(self, new: list[UncertainTrajectory], n_evict: int) -> int:
+        """Append ``new``, then expire the ``n_evict`` oldest: one new engine.
+
+        Returns how many of ``new`` have no row in the delta index.
+        """
         started = time.perf_counter()
         engine = self.engine
         trajectories = list(engine.dataset) + new
         n_rows = engine.dataset.total_snapshots()
         n_dropped = sum(len(t) for t in trajectories[:n_evict])
         csr = engine.index_csr()
+        unindexed = 0
         if new:
-            csr = append_csr(csr, _delta_csr(new, engine, n_rows), n_rows)
+            delta = _delta_csr(new, engine, n_rows)
+            ends = np.cumsum([len(t) for t in new]) + n_rows
+            owners = np.searchsorted(ends, delta[2], side="right")
+            indexed = np.count_nonzero(np.bincount(owners, minlength=len(new)))
+            unindexed = len(new) - int(indexed)
+            csr = append_csr(csr, delta, n_rows)
         # Rebound, so the spliced arrays are freed before the engine
         # segments the trimmed ones.
         csr = evict_csr(csr, n_dropped)
@@ -208,12 +222,16 @@ class IncrementalIndexer:
         if n_evict:
             self.evictions += 1
         self.last_fold_s = time.perf_counter() - started
+        return unindexed
 
-    def _stats(self, *, appended: int, evicted: int) -> dict[str, int | float]:
+    def _stats(
+        self, *, appended: int, evicted: int, unindexed: int = 0
+    ) -> dict[str, int | float]:
         engine = self.engine
         return {
             "appended": appended,
             "evicted": evicted,
+            "unindexed": unindexed,
             "n_trajectories": len(engine.dataset),
             "total_snapshots": engine.dataset.total_snapshots(),
             "n_index_entries": engine.n_index_entries,

@@ -58,7 +58,6 @@ operator probably did not expect).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import zipfile
@@ -67,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import kernels
+from repro.digest import sha256
 from repro.obs import logs, metrics
 from repro.testkit import faults
 
@@ -84,8 +84,8 @@ _PAYLOAD = (
 )
 
 
-def _hash_update_array(h: "hashlib._Hash", array: np.ndarray) -> None:
-    """Feed an array into the hash in a layout-independent way."""
+def _hash_update_array(h, array: np.ndarray) -> None:
+    """Feed an array into the SHA-256 ``h`` in a layout-independent way."""
     arr = np.ascontiguousarray(array, dtype=np.float64)
     h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
     h.update(arr.astype("<f8", copy=False).tobytes())
@@ -105,7 +105,7 @@ def dataset_fingerprint(dataset) -> str:
     precomputed = getattr(dataset, "content_fingerprint", None)
     if precomputed is not None:
         return str(precomputed)
-    h = hashlib.sha256()
+    h = sha256()
     h.update(f"n={len(dataset)}".encode())
     for traj in dataset:
         _hash_update_array(h, traj.means)
@@ -132,7 +132,7 @@ def span_cache_key(
     mixed in so the two builds never alias one file.  Row indices inside
     a span entry are span-local.
     """
-    h = hashlib.sha256()
+    h = sha256()
     h.update(f"format={CACHE_FORMAT_VERSION}".encode())
     h.update(f"store={fingerprint}/span={traj_lo}:{traj_hi}".encode())
     bbox = grid.bbox

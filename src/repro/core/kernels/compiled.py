@@ -31,10 +31,8 @@ the differential oracle gives compiled backends a small nonzero budget.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -45,6 +43,7 @@ from repro.core.kernels.numpy_ref import (
     check_pair_arrays,
     place_pairs_reference,
 )
+from repro.digest import sha256
 from repro.obs import logs
 from repro.uncertainty import gaussian
 from repro.uncertainty.gaussian import ProbModel
@@ -420,10 +419,12 @@ def load_library() -> ctypes.CDLL:
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    digest = sha256(_C_SOURCE.encode()).hexdigest()[:16]
     cache_dir = _lib_cache_dir()
     lib_path = cache_dir / f"repro-kernels-{digest}.so"
     if not lib_path.exists():
+        import subprocess  # only a first build runs the compiler
+
         cache_dir.mkdir(parents=True, exist_ok=True)
         src_path = cache_dir / f"repro-kernels-{digest}.c"
         src_path.write_text(_C_SOURCE, encoding="utf-8")

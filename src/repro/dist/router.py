@@ -586,6 +586,7 @@ class PatternRouter:
                 rid,
                 appended=first_ok.get("appended"),
                 evicted=first_ok.get("evicted"),
+                unindexed=first_ok.get("unindexed"),
                 republished=first_ok.get("republished"),
                 generation=generations.pop(),
                 version=first_ok.get("version"),

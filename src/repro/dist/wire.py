@@ -304,6 +304,12 @@ def _identity(value):
     return value
 
 
+def _list_from_wire(obj: Any) -> list:
+    if not isinstance(obj, list):
+        raise ProtocolError("expected a list of per-pattern results")
+    return obj
+
+
 #: ``op -> (to_wire, from_wire)`` for span-op results: one entry per
 #: :data:`~repro.core.parallel.SPAN_OPS` key.
 _RESULT_CODECS = {
@@ -313,7 +319,7 @@ _RESULT_CODECS = {
     "singular_match": (table_to_wire, table_from_wire),
     "ext_tables": (
         lambda tables: [ext_tables_to_wire(t) for t in tables],
-        lambda obj: [ext_tables_from_wire(t) for t in obj],
+        lambda obj: [ext_tables_from_wire(t) for t in _list_from_wire(obj)],
     ),
     "gap_nm": (float, _result_float),
     "obs_snapshot": (_identity, _identity),

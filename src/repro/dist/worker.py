@@ -35,7 +35,7 @@ from repro.core.engine import NMEngine
 from repro.core.parallel import span_meta, span_op
 from repro.dist import wire
 from repro.obs import logs, metrics, tracing
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, parse_trace
 from repro.storage import open_store
 from repro.testkit import faults
 
@@ -287,9 +287,8 @@ class _Session:
                 coordinator_kernel_tag=shipped_tag,
                 worker_kernel_tag=kernel_tag,
             )
-        trace = request.get("trace")
-        if trace is not None:
-            ctx = tracing.SpanContext.from_wire(trace)
+        ctx = parse_trace(request)
+        if ctx is not None:
             tracing.forget_tracer()
             self.trace_sink = tracing.BufferSink()
             tracing.configure_tracing(

@@ -20,7 +20,6 @@ import json
 import os
 import platform
 import resource
-import subprocess
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -35,6 +34,8 @@ MANIFEST_VERSION = 1
 
 def git_sha(cwd: str | Path | None = None) -> str:
     """Short git revision of the working tree, or ``"unknown"``."""
+    import subprocess  # only a manifest runs git
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import secrets
 import time
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -225,7 +224,7 @@ class Tracer:
         base_attrs: dict | None = None,
     ) -> None:
         self.sink = sink
-        self.trace_id = trace_id or secrets.token_hex(8)
+        self.trace_id = trace_id or os.urandom(8).hex()
         self.ambient_parent = ambient_parent
         self.base_attrs = dict(base_attrs or {})
         self._stack: list[Span] = []

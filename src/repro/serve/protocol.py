@@ -160,10 +160,15 @@ def encode(obj: dict) -> bytes:
 
 
 def decode_line(line: bytes) -> dict:
-    """Parse one request line; raises :class:`ProtocolError` on any garbage."""
+    """Parse one request line; raises :class:`ProtocolError` on any garbage.
+
+    ``json`` parses nested arrays and objects recursively, so a line
+    nested deeper than the interpreter's recursion limit raises
+    ``RecursionError``; that is garbage too.
+    """
     try:
         obj = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"not a JSON object: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError("request must be a JSON object")

@@ -185,6 +185,7 @@ class _LiveIngest:
         summary: dict[str, Any] = {
             "appended": stats["appended"],
             "evicted": stats["evicted"],
+            "unindexed": stats["unindexed"],
             "n_trajectories": stats["n_trajectories"],
             "total_snapshots": stats["total_snapshots"],
             "generation": self.generation,

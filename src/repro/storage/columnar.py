@@ -49,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.digest import sha256
 from repro.storage import encode
 from repro.trajectory.trajectory import UncertainTrajectory
 
@@ -318,11 +319,9 @@ class StoreWriter:
         uses, so a store-backed dataset and its in-RAM twin share cache
         keys without ever materialising the whole dataset here.
         """
-        import hashlib
-
         from repro.core.index_cache import _hash_update_array  # deferred: layering
 
-        h = hashlib.sha256()
+        h = sha256()
         h.update(f"n={len(self._lengths)}".encode())
         all_lengths = np.asarray(self._lengths, dtype=np.int64)
         with open(self._spool_paths["xy"], "rb") as xy_fh, open(

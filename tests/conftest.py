@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,9 +16,30 @@ from repro.core.parallel import ParallelNMEngine
 from repro.core.pattern import TrajectoryPattern
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.grid import Grid
+from repro.obs import logs
 from repro.storage import open_as_store
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.trajectory import UncertainTrajectory
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Leave the ``repro`` logger as each test found it.
+
+    :func:`repro.obs.logs.configure_logging`, which every CLI command
+    runs, sets the logger's level, stops its propagation and installs a
+    stream handler; left in place, a later test's ``caplog`` sees none of
+    its records.
+    """
+    logger = logging.getLogger(logs.ROOT_LOGGER)
+    level, propagate, handlers = logger.level, logger.propagate, list(logger.handlers)
+    yield
+    for handler in logger.handlers:
+        if handler not in handlers:
+            handler.close()
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture

@@ -282,6 +282,14 @@ def test_hello_with_a_huge_grid_is_answered(session, monkeypatch):
     assert session.grid == grid
 
 
+@pytest.mark.parametrize("trace", [5, {"id": ""}, {"id": "t", "span": 7}])
+def test_hello_with_a_malformed_trace_is_a_bad_request(session, trace):
+    request = json.loads(_hello(session))
+    reply = session.handle_line(wire.encode({**request, "trace": trace}))
+    assert reply["ok"] is False and reply["error"] == "bad_request", reply
+    assert not session.greeted
+
+
 @pytest.fixture
 def session(tmp_path):
     path = write_store(seeded_dataset(3), tmp_path / "data.tjc")

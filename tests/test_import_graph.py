@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import kernels
+from repro.storage import write_store
+from repro.testkit.datasets import seeded_dataset
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -75,35 +77,45 @@ def test_compiled_engine_and_snapshot_load_no_scipy():
     assert result["scipy"] == []
 
 
-def test_grouping_mine_loads_no_scipy():
+def test_grouping_mine_loads_no_scipy(tmp_path):
+    """A mine also maps no OpenSSL: it hashes with CPython's own SHA-256.
+
+    The store is written here, because ``numpy.random`` imports
+    ``secrets`` and with it ``hashlib``; the fresh interpreter runs only
+    the mine.
+    """
     reason = kernels.compiled_unavailable_reason()
     if reason is not None:
         pytest.skip(f"compiled backend unavailable: {reason}")
+    write_store(seeded_dataset(7, n_trajectories=12, n_ticks=20), tmp_path / "data.tjc")
     result = _run(
-        """
-        import json, os, sys, tempfile
+        f"""
+        import json, os, sys
         from repro import cli
-        from repro.storage import write_store
-        from repro.testkit.datasets import seeded_dataset
-        with tempfile.TemporaryDirectory() as tmp:
-            store = os.path.join(tmp, "data.tjc")
-            out = os.path.join(tmp, "patterns.json")
-            write_store(seeded_dataset(7, n_trajectories=12, n_ticks=20), store)
-            code = cli.main([
-                "mine", store, "-k", "4", "--cell-size", "0.1", "--gamma", "0.1",
-                "--backend", "compiled", "--output", out, "--show", "0",
-            ])
-            groups = json.load(open(out))["groups"]
-        print(json.dumps({
+        tmp = {str(tmp_path)!r}
+        out = os.path.join(tmp, "patterns.json")
+        code = cli.main([
+            "mine", os.path.join(tmp, "data.tjc"), "-k", "4", "--cell-size", "0.1",
+            "--gamma", "0.1", "--backend", "compiled", "--output", out, "--show", "0",
+            "--cache-dir", os.path.join(tmp, "cache"),
+            "--trace-out", os.path.join(tmp, "trace.jsonl"),
+            "--manifest-out", os.path.join(tmp, "run.manifest.json"),
+        ])
+        print(json.dumps({{
             "code": code,
-            "groups": groups,
             "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-        }))
+            "openssl": sorted({{"_hashlib", "_ssl"}} & set(sys.modules)),
+        }}))
         """
     )
     assert result["code"] == 0
-    assert result["groups"]  # the mine grouped its patterns
+    assert json.loads((tmp_path / "patterns.json").read_text())["groups"]
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["dataset_fingerprint"]
+    assert (tmp_path / "trace.jsonl").read_text().strip()
     assert result["scipy"] == []
+    assert result["openssl"] == []
 
 
 def test_served_predict_loads_no_scipy():

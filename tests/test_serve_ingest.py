@@ -325,6 +325,33 @@ class TestIngestOp:
         assert response["appended"] == 4 and response["evicted"] == 3
         assert response["n_trajectories"] == 9
 
+    def test_off_grid_reports_are_counted_unindexed(self, snapshot, pool):
+        """A report that lies wholly off the boot grid folds in with no
+        index entry; the response says how many did, and the wave still
+        applies."""
+        off_grid = trajectory_to_report(pool[9])
+        off_grid["points"] = [[x + 100.0, y] for x, y in off_grid["points"]]
+
+        async def scenario():
+            server = PatternServer(
+                SnapshotStore(snapshot), ServeConfig(), ingest=IngestConfig(k=3)
+            )
+            host, port = await server.start()
+            client = await _Client.connect(host, port)
+            response = await client.request(
+                {"op": "ingest", "id": 1, "reports": [*_reports(pool[8:9]), off_grid]}
+            )
+            stats = await client.request({"op": "stats", "id": 2})
+            await client.close()
+            await server.stop()
+            return response, stats["stats"]["ingest"]
+
+        response, ingest = asyncio.run(scenario())
+        assert response["ok"] and response["republished"], response
+        assert response["appended"] == 2 and response["unindexed"] == 1
+        assert response["n_trajectories"] == ingest["n_trajectories"] == 10
+        assert ingest["batches"] == 1 and ingest["generation"] == 1
+
     def test_a_refused_wave_leaves_no_trace(self):
         """A wave whose re-mine fails is applied not at all: with a window
         of 3, the ingest driver's second wave leaves only residents that lie
